@@ -10,8 +10,10 @@
 //! ```
 //!
 //! Exit status: 0 on success, 1 when a Figure 6 gate check fails after
-//! three attempts or `--against` finds a row slowed past the threshold,
-//! 2 on usage or I/O errors.
+//! three attempts, a `fork:` gate fails (`queue-stays-bounded` always;
+//! `two-pinned-vps-beat-one-vp` on a full run on a box with a second core
+//! to give), or `--against` finds a row slowed past the threshold, 2 on
+//! usage or I/O errors.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -22,6 +24,9 @@ use sting_bench::shapes::{self, Scale};
 use sting_bench::{
     dist::Dist, figure6_checks, figure6_gates_pass, measure_figure6, render_figure6,
 };
+
+/// E8 tree depth: the `fork_tree` benchmark's, at every scale.
+const FORK_DEPTH: u32 = 10;
 
 struct Args {
     smoke: bool,
@@ -37,7 +42,7 @@ fn parse_args() -> Result<Args, String> {
         smoke: false,
         iters: None,
         reps: None,
-        out: "BENCH_PR10.json".to_string(),
+        out: "BENCH_PR12.json".to_string(),
         against: None,
         threshold: 0.10,
     };
@@ -438,6 +443,91 @@ fn main() -> ExitCode {
         fleet.shutdown();
     }
 
+    // --- E8: fork scaling.  The `fork_tree` benchmark's tree (eager depth
+    // 10, 2047 threads, per-VP LIFO) on one VP, on two VPs that share
+    // nothing (two pinned trees, no stealing), migrating, and lazy; then a
+    // world driven long enough for leaked queue entries to show. ---
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let second_core = shapes::second_core_speedup();
+    println!(
+        "fork: scaling (depth {FORK_DEPTH}, {} reps, {cpus} cpus, two OS threads run {second_core:.2}x one)",
+        scale.fork_reps
+    );
+    let mut fork_p50 = [0.0f64; 3]; // [1vp, 2vp-pinned, 2vp-migrating]
+                                    // The pinned rows run sixteen trees per VP per rep — long enough for
+                                    // the OS to spread the workers over its cores — the other two one tree
+                                    // at a time, as the `fork_tree` benchmark does.
+    for (i, (name, vps, migrating, trees, lazy)) in [
+        ("1vp", 1, false, 32, false),
+        ("2vp-pinned", 2, false, 32, false),
+        ("2vp-migrating", 2, true, 1, false),
+        ("lazy", 2, true, 1, true),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let vm = shapes::fork_vm(vps, migrating);
+        let reps = if trees > 1 {
+            scale.fork_reps / 8
+        } else {
+            scale.fork_reps
+        };
+        let d = shapes::fork_tree_cost(&vm, reps, trees, FORK_DEPTH, lazy);
+        vm.shutdown();
+        if let Some(slot) = fork_p50.get_mut(i) {
+            *slot = d.p50();
+        }
+        let row = BenchRow::from_dist("fork", name, "ns/tree", &d);
+        print_row(&row);
+        rows.push(row);
+    }
+    // A claim about a second VP needs a second core: where two plain OS
+    // threads do not run side by side either (one processor, or a sandbox
+    // that rations two to one core's worth), and on the smoke tier, which
+    // runs beside the rest of tier 1, the scaling gates are advisory.
+    let advisory = if args.smoke || second_core < 1.6 {
+        "info:"
+    } else {
+        ""
+    };
+    let pinned_scales = fork_p50[1] <= 0.7 * fork_p50[0];
+    checks.push(Check {
+        name: format!("{advisory}fork:two-pinned-vps-beat-one-vp"),
+        pass: pinned_scales,
+        detail: format!(
+            "pinned trees: {:.0} ns/tree on 2 VPs vs {:.0} on 1 VP ({:.2}x; gate <= 0.70x, share-nothing 0.50x, this box's second core {second_core:.2}x)",
+            fork_p50[1],
+            fork_p50[0],
+            fork_p50[1] / fork_p50[0]
+        ),
+    });
+    // Report-only: `migrating(true)` places every other fork on the sibling
+    // VP, a remote submission each, which a tree this small cannot amortize.
+    checks.push(Check {
+        name: "info:fork:migrating-tree-no-slower-than-one-vp".to_string(),
+        pass: fork_p50[2] <= fork_p50[0],
+        detail: format!(
+            "one migrating tree on 2 VPs: {:.0} ns vs {:.0} ns/tree on 1 VP ({:.2}x)",
+            fork_p50[2],
+            fork_p50[0],
+            fork_p50[2] / fork_p50[0]
+        ),
+    });
+    let residue = shapes::fork_world_residue(scale.fork_world, FORK_DEPTH);
+    let bounded = residue.bounded();
+    checks.push(Check {
+        name: "fork:queue-stays-bounded".to_string(),
+        pass: bounded,
+        detail: format!(
+            "{} eager trees in {:?}: {} ready-queue entries left (gate <= 64), resident memory {:+.2} MB over the last {:.1} s (gate < 1 MB/s + 8 MB)",
+            residue.trees,
+            scale.fork_world,
+            residue.queued,
+            residue.grown as f64 / 1e6,
+            residue.over.as_secs_f64()
+        ),
+    });
+
     // --- Storage model: scavenge pauses and allocation churn ---
     println!(
         "gc ({} collections, {} conses)",
@@ -611,6 +701,11 @@ fn main() -> ExitCode {
             ("mode".to_string(), mode.to_string()),
             ("figure6_iters".to_string(), scale.figure6_iters.to_string()),
             ("reps".to_string(), reps.to_string()),
+            ("cpus".to_string(), cpus.to_string()),
+            (
+                "second_core_speedup".to_string(),
+                format!("{second_core:.2}"),
+            ),
         ],
         rows,
         checks,
@@ -633,6 +728,16 @@ fn main() -> ExitCode {
     let mut failed = false;
     if !gates_ok {
         eprintln!("FAIL: figure6 ordering gates did not pass in 3 attempts");
+        failed = true;
+    }
+    if !bounded {
+        eprintln!("FAIL: fork:queue-stays-bounded (ready queues or memory grew as the world aged)");
+        failed = true;
+    }
+    if !pinned_scales && advisory.is_empty() {
+        eprintln!(
+            "FAIL: fork:two-pinned-vps-beat-one-vp (a second VP did not halve two pinned trees)"
+        );
         failed = true;
     }
 

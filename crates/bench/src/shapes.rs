@@ -47,6 +47,11 @@ pub struct Scale {
     pub shard_jobs: usize,
     /// E7 sharded-tree depth.
     pub shard_tree_depth: u32,
+    /// E8 timed runs per fork-scaling row (the tree is always depth 10,
+    /// the `fork_tree` benchmark's).
+    pub fork_reps: u64,
+    /// E8 how long the ageing fork-tree world is driven.
+    pub fork_world: Duration,
 }
 
 impl Scale {
@@ -68,6 +73,8 @@ impl Scale {
             gc_conses: 2_000_000,
             shard_jobs: 2_000,
             shard_tree_depth: 10,
+            fork_reps: 200,
+            fork_world: Duration::from_secs(10),
         }
     }
 
@@ -89,6 +96,8 @@ impl Scale {
             gc_conses: 100_000,
             shard_jobs: 400,
             shard_tree_depth: 6,
+            fork_reps: 30,
+            fork_world: Duration::from_secs(1),
         }
     }
 }
@@ -242,22 +251,11 @@ pub fn farm_workload(vm: &Arc<Vm>, jobs: usize) {
 pub fn tree_workload(vm: &Arc<Vm>, depth: u32) {
     let expect = 1i64 << depth;
     let got = vm
-        .run(move |cx| tree_node(cx, depth))
+        .run(move |cx| fork_node(cx, depth, false))
         .unwrap()
         .as_int()
         .unwrap();
     assert_eq!(got, expect);
-}
-
-/// One node of the result-parallel tree (shared with the sharded variant).
-fn tree_node(cx: &Cx, depth: u32) -> i64 {
-    if depth == 0 {
-        1
-    } else {
-        let l = cx.fork(move |cx| tree_node(cx, depth - 1));
-        let r = cx.fork(move |cx| tree_node(cx, depth - 1));
-        cx.touch(&l).unwrap().as_int().unwrap() + cx.touch(&r).unwrap().as_int().unwrap()
-    }
 }
 
 /// 4-VP VM scheduled from one global FIFO queue.
@@ -558,13 +556,158 @@ pub fn shard_tree_workload(fleet: &Fleet, depth: u32) {
     );
     let sub = depth - shards.trailing_zeros();
     let roots: Vec<_> = (0..shards)
-        .map(|s| fleet.shard(s).fork(move |cx| tree_node(cx, sub)))
+        .map(|s| fleet.shard(s).fork(move |cx| fork_node(cx, sub, false)))
         .collect();
     let total: i64 = roots
         .into_iter()
         .map(|t| t.join_blocking().unwrap().as_int().unwrap())
         .sum();
     assert_eq!(total, 1i64 << depth);
+}
+
+// --- E8: fork scaling — what a second VP does to thread cost ---
+
+/// The `fork_tree` benchmark's machine: per-VP LIFO queues (depth-first,
+/// so nearly every thread is absorbed by its toucher), one OS worker per
+/// VP, stealing between VPs on or off.
+pub fn fork_vm(vps: usize, migrating: bool) -> Arc<Vm> {
+    VmBuilder::new()
+        .vps(vps)
+        .processors(vps)
+        .policy(move |_| policies::local_lifo().migrating(migrating).boxed())
+        .name("fork-scaling")
+        .build()
+}
+
+/// One node of the result-parallel tree, eager (`fork`) or lazy
+/// (`delayed`): shared by E2, E7 and E8.
+fn fork_node(cx: &Cx, depth: u32, lazy: bool) -> i64 {
+    if depth == 0 {
+        return 1;
+    }
+    let child = move |cx: &Cx| fork_node(cx, depth - 1, lazy);
+    let (l, r) = if lazy {
+        (cx.delayed(child), cx.delayed(child))
+    } else {
+        (cx.fork(child), cx.fork(child))
+    };
+    cx.touch(&l).unwrap().as_int().unwrap() + cx.touch(&r).unwrap().as_int().unwrap()
+}
+
+/// Runs `trees` result-parallel trees of `depth` at once, tree `i` rooted
+/// on VP `i mod vps`, and waits for them all; every sum is checked.  With
+/// migration off each tree stays on the VP it was rooted on — two pinned
+/// trees on two VPs share nothing but the machine.
+pub fn fork_trees(vm: &Arc<Vm>, trees: usize, depth: u32, lazy: bool) {
+    let roots: Vec<_> = (0..trees)
+        .map(|i| {
+            vm.fork_on(i % vm.vp_count(), move |cx| fork_node(cx, depth, lazy))
+                .expect("vp index in range")
+        })
+        .collect();
+    for root in roots {
+        assert_eq!(root.join_blocking().unwrap().as_int(), Some(1i64 << depth));
+    }
+}
+
+/// ns per tree over `reps` timed runs of [`fork_trees`] on one long-lived
+/// `vm` (after a warm-up run: workers awake, stacks pooled).
+pub fn fork_tree_cost(vm: &Arc<Vm>, reps: u64, trees: usize, depth: u32, lazy: bool) -> Dist {
+    fork_trees(vm, trees, depth, lazy);
+    crate::dist::time_runs(reps, || fork_trees(vm, trees, depth, lazy)).scale(1.0 / trees as f64)
+}
+
+/// How much faster this box finishes two compute-bound OS threads side by
+/// side than one after the other (2.0 on two free cores, 1.0 on one): the
+/// yardstick for any claim about a second VP.  Shared sandboxes advertise
+/// two processors and then ration them to one core's worth of cycles.
+pub fn second_core_speedup() -> f64 {
+    fn churn() -> Duration {
+        let start = std::time::Instant::now();
+        let mut x = 1u64;
+        for i in 0..30_000_000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+        }
+        std::hint::black_box(x);
+        start.elapsed()
+    }
+    let alone = churn();
+    let start = std::time::Instant::now();
+    let sibling = std::thread::spawn(churn);
+    churn();
+    sibling.join().expect("churn thread");
+    2.0 * alone.as_secs_f64() / start.elapsed().as_secs_f64()
+}
+
+/// Resident set size of this process in bytes (`/proc/self/statm`), or 0
+/// where that is not available.
+pub fn resident_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/statm")
+        .ok()
+        .and_then(|s| s.split_whitespace().nth(1)?.parse::<u64>().ok())
+        .map_or(0, |pages| pages * 4096)
+}
+
+/// What an ageing eager `fork_tree` world left behind; see
+/// [`fork_world_residue`].
+#[derive(Debug, Clone, Copy)]
+pub struct Residue {
+    /// Ready-queue entries still held once the workers have settled.
+    pub queued: usize,
+    /// Resident-memory growth over the second half of the run, in bytes.
+    pub grown: u64,
+    /// Length of that second half.
+    pub over: Duration,
+    /// Trees completed.
+    pub trees: u64,
+}
+
+impl Residue {
+    /// Queues hold (next to) nothing and memory is flat: under 1 MB/s, give
+    /// or take the few megabytes in which allocator arenas and TCB stacks
+    /// arrive.  (The leak this guards against — a dead queue entry per
+    /// absorbed thread — ran at 80–140 MB/s.)
+    pub fn bounded(&self) -> bool {
+        self.queued <= 64 && (self.grown as f64) < 1e6 * self.over.as_secs_f64() + 8e6
+    }
+}
+
+/// Drives one eager tree at a time on a 2-VP migrating machine for `wall`
+/// and reports what is left: the ready-queue entries still held
+/// (`Σ Vp::queue_len()`), and resident-memory growth over the second half
+/// of the run (the first half fills stack pools and allocator arenas).
+pub fn fork_world_residue(wall: Duration, depth: u32) -> Residue {
+    let vm = fork_vm(2, true);
+    let start = std::time::Instant::now();
+    let (mut trees, mut settled) = (0, None);
+    while start.elapsed() < wall {
+        fork_trees(&vm, 1, depth, false);
+        trees += 1;
+        if settled.is_none() && start.elapsed() >= wall / 2 {
+            settled = Some((start.elapsed(), resident_bytes()));
+        }
+    }
+    let (since, rss) = settled.unwrap_or((Duration::ZERO, resident_bytes()));
+    let (grown, over) = (
+        resident_bytes().saturating_sub(rss),
+        start.elapsed() - since,
+    );
+    // The last tree's husks on the sibling VP go at that VP's next look at
+    // its queue — an idle tick away at most; what must not be there is
+    // anything left by the thousands of trees before it.
+    let queued = || vm.vps().iter().map(|vp| vp.queue_len()).sum::<usize>();
+    let settle = std::time::Instant::now();
+    while queued() > 0 && settle.elapsed() < Duration::from_millis(20) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued = queued();
+    vm.shutdown();
+    Residue {
+        queued,
+        grown,
+        over,
+        trees,
+    }
 }
 
 // --- Storage model: scavenge pauses and allocation churn ---

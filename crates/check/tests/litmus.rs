@@ -303,6 +303,80 @@ fn mini_deque_pop_steal(pop_bottom_ord: Ordering, owner_fence: bool) {
     assert_eq!(claims.len(), total, "an item was claimed twice");
 }
 
+/// Pop-on-join's conditional pop (`sting_core::deque::Deque::pop_if`) peeks
+/// the bottom slot and, on a match, runs the ordinary pop protocol: sound.
+#[test]
+fn mini_deque_pop_if_through_the_pop_protocol_is_sound() {
+    model(|| mini_deque_pop_if(true));
+}
+
+/// The mutation: treating the peek itself as the claim — lower `bottom`,
+/// take the word, no fence, no last-item CAS.  A thief that read the old
+/// `bottom` wins its CAS on `top` and the entry is claimed twice (in
+/// production: an `Arc` dropped twice).
+#[test]
+fn mini_deque_pop_if_trusting_its_peek_claims_twice() {
+    let report = model_expect_failure(|| mini_deque_pop_if(false));
+    assert!(
+        report.contains("claimed twice"),
+        "unexpected report:\n{report}"
+    );
+}
+
+/// One entry (41), an owner taking it back by identity and a thief
+/// attempting one steal.  With `through_protocol` the owner's match is
+/// followed by the production pop; without, the peek is the claim.
+fn mini_deque_pop_if(through_protocol: bool) {
+    let top = Arc::new(AtomicUsize::new(0));
+    let bottom = Arc::new(AtomicUsize::new(0));
+    let slot = Arc::new(AtomicUsize::new(0));
+    let (top2, bottom2, slot2) = (top.clone(), bottom.clone(), slot.clone());
+    let thief = thread::spawn(move || {
+        let t = top2.load(Ordering::Acquire);
+        fence(Ordering::SeqCst);
+        let b = bottom2.load(Ordering::Acquire);
+        if t >= b {
+            return None;
+        }
+        let v = slot2.load(Ordering::Relaxed);
+        top2.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
+            .is_ok()
+            .then_some(v)
+    });
+    slot.store(41, Ordering::Relaxed);
+    bottom.store(1, Ordering::Release);
+    // pop_if: peek the bottom word (a plain load, nothing claimed) …
+    let b = bottom.load(Ordering::Relaxed) - 1;
+    let mut claims = Vec::new();
+    if slot.load(Ordering::Relaxed) == 41 {
+        bottom.store(b, Ordering::Release);
+        if through_protocol {
+            // … then the production pop: fence, read top, CAS the last item.
+            fence(Ordering::SeqCst);
+            let t = top.load(Ordering::Relaxed);
+            let won = t <= b
+                && (t != b
+                    || top
+                        .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
+                        .is_ok());
+            if t >= b {
+                bottom.store(b + 1, Ordering::Release);
+            }
+            if won {
+                claims.push(slot.load(Ordering::Relaxed));
+            }
+        } else {
+            claims.push(41);
+        }
+    }
+    claims.extend(thief.join());
+    assert!(claims.len() <= 1, "the entry was claimed twice");
+    assert!(
+        claims.iter().all(|&v| v == 41),
+        "claimed an unpublished slot"
+    );
+}
+
 /// One writer re-publishing a two-word record guarded by a seq word
 /// (0 = busy, n = generation), one snapshotting reader; the reader accepts
 /// a record only if the seq word is the same non-zero generation before and

@@ -4,15 +4,25 @@
 //! policy comparisons, preemption effects) are driven by these counters, so
 //! they are first-class rather than a debug afterthought.  All counters are
 //! relaxed atomics: they are statistics, not synchronization.
+//!
+//! The counters are **sharded by lane**: one cache-line-padded
+//! `CounterShard` per virtual processor plus one for everything that
+//! happens off any VP (host forks, the timekeeper, the I/O driver).  An
+//! event is counted on the lane of the VP it happened on, so the
+//! fork/touch/determine path only ever writes a line its own VP owns, and
+//! [`Counters::snapshot`] sums the lanes.  Each lane is monotone and a
+//! snapshot reads every lane once, so a later snapshot is field-wise `>=`
+//! an earlier one by the same observer even while other VPs keep counting.
 
+use crate::pad::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! counters {
     ($(#[$doc:meta] $name:ident),+ $(,)?) => {
-        /// Monotonic event counters for one virtual machine.
+        /// One lane's share of a virtual machine's [`Counters`].
         #[derive(Debug, Default)]
-        pub struct Counters {
-            $(#[$doc] pub $name: AtomicU64,)+
+        pub(crate) struct CounterShard {
+            $(#[$doc] pub(crate) $name: AtomicU64,)+
         }
 
         /// A point-in-time copy of [`Counters`].
@@ -21,9 +31,9 @@ macro_rules! counters {
             $(#[$doc] pub $name: u64,)+
         }
 
-        impl Counters {
-            /// Copies the current values.
-            pub fn snapshot(&self) -> CounterSnapshot {
+        impl CounterShard {
+            /// Copies this lane's current values.
+            fn snapshot(&self) -> CounterSnapshot {
                 CounterSnapshot {
                     $($name: self.$name.load(Ordering::Relaxed),)+
                 }
@@ -31,6 +41,13 @@ macro_rules! counters {
         }
 
         impl CounterSnapshot {
+            /// Per-field sum `self + other`.
+            pub fn plus(&self, other: &CounterSnapshot) -> CounterSnapshot {
+                CounterSnapshot {
+                    $($name: self.$name + other.$name,)+
+                }
+            }
+
             /// Per-field difference `self - earlier` (saturating).
             ///
             /// Counters are monotonic, so a field that went backwards means
@@ -51,6 +68,48 @@ macro_rules! counters {
             }
         }
     };
+}
+
+/// Monotonic event counters for one virtual machine, one shard per VP plus
+/// an external lane (see the module docs).
+#[derive(Debug)]
+pub struct Counters {
+    lanes: Box<[CachePadded<CounterShard>]>,
+}
+
+impl Counters {
+    /// Counters for a machine of `vps` virtual processors.
+    pub(crate) fn new(vps: usize) -> Counters {
+        Counters {
+            lanes: (0..=vps).map(|_| CachePadded::default()).collect(),
+        }
+    }
+
+    /// The lane events on `vp` count on; `None` (or an index this machine
+    /// does not have, as when a thread of another machine forks here) is
+    /// the external lane.  Lanes are a locality device only: every bump is
+    /// an atomic add, so a shared lane stays exact.
+    pub(crate) fn lane(&self, vp: Option<usize>) -> &CounterShard {
+        crate::pad::lane_of(&self.lanes, vp)
+    }
+
+    /// Copies the current values, summed over the lanes.
+    pub fn snapshot(&self) -> CounterSnapshot {
+        self.lane_snapshots()
+            .iter()
+            .fold(CounterSnapshot::default(), |sum, lane| sum.plus(lane))
+    }
+
+    /// Copies each lane's current values: one entry per VP, in index
+    /// order, then the external lane.
+    pub fn lane_snapshots(&self) -> Vec<CounterSnapshot> {
+        self.lanes.iter().map(|lane| lane.snapshot()).collect()
+    }
+
+    #[inline]
+    pub(crate) fn bump(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 counters! {
@@ -86,25 +145,25 @@ counters! {
     exceptions,
 }
 
-impl Counters {
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn snapshot_and_since() {
-        let c = Counters::default();
-        c.steals.fetch_add(3, Ordering::Relaxed);
-        c.blocks.fetch_add(1, Ordering::Relaxed);
+        let c = Counters::new(2);
+        c.lane(Some(0)).steals.fetch_add(3, Ordering::Relaxed);
+        c.lane(None).blocks.fetch_add(1, Ordering::Relaxed);
         let a = c.snapshot();
-        c.steals.fetch_add(2, Ordering::Relaxed);
+        // A VP index past the machine's own lands on the external lane.
+        c.lane(Some(1)).steals.fetch_add(1, Ordering::Relaxed);
+        c.lane(Some(9)).steals.fetch_add(1, Ordering::Relaxed);
         let b = c.snapshot();
+        let lanes = c.lane_snapshots();
+        assert_eq!(
+            lanes.iter().map(|l| l.steals).collect::<Vec<_>>(),
+            [3, 1, 1]
+        );
         let d = b.since(&a);
         assert_eq!(d.steals, 2);
         assert_eq!(d.blocks, 0);
@@ -118,10 +177,10 @@ mod tests {
     )]
     #[should_panic(expected = "went backwards")]
     fn since_asserts_monotonicity_in_debug() {
-        let c = Counters::default();
-        c.wakeups.fetch_add(4, Ordering::Relaxed);
+        let c = Counters::new(1);
+        c.lane(None).wakeups.fetch_add(4, Ordering::Relaxed);
         let later = c.snapshot();
-        c.wakeups.fetch_sub(1, Ordering::Relaxed);
+        c.lane(None).wakeups.fetch_sub(1, Ordering::Relaxed);
         let earlier_but_higher = later;
         let _ = c.snapshot().since(&earlier_but_higher);
     }

@@ -62,22 +62,41 @@
 //! full clear/re-check protocol above, so the structure stays correct if
 //! a future caller ever clears from a second thread.
 //!
-//! Items are boxed: a slot holds one pointer, so a torn read of a slot is
-//! impossible and the ABA question reduces to the monotonically increasing
-//! `top` counter, which a 64-bit process cannot wrap.  Buffers retired by
+//! ## Thin tagged slots
+//!
+//! A slot holds one machine word, produced by the item's [`Slot`]
+//! encoding, so a torn read of a slot is impossible and the ABA question
+//! reduces to the monotonically increasing `top` counter, which a 64-bit
+//! process cannot wrap.  The scheduler's items are already pointers — a
+//! fresh thread is an `Arc<Thread>`, which goes into the slot as the raw
+//! `Arc` pointer, so the common push allocates nothing; only a parked TCB
+//! (the yield/wake slow path) is boxed.  Buffers retired by
 //! [`Deque::push`] growth are kept alive until the deque drops, so a thief
 //! holding a stale buffer pointer reads stale *data* (discarded when its
 //! CAS fails), never freed memory.
 //!
-//! Boxing buys one more thing: the low bit of each slot pointer carries a
-//! caller-chosen **tag** ([`Deque::push_tagged`]), readable by a thief
-//! *without claiming the item* ([`Deque::steal_tagged`]).  The scheduler
-//! tags fresh (never-run) threads so a policy that forbids TCB migration
-//! can decline a parked item with two loads instead of a
+//! The low bit of each word is a **tag** chosen by the encoding, readable
+//! by a thief *without claiming the item* ([`Deque::steal_tagged`]).  The
+//! scheduler tags fresh (never-run) threads so a policy that forbids TCB
+//! migration can decline a parked item with two loads instead of a
 //! steal-inspect-put-back round trip.
+//!
+//! ## Pop-on-join
+//!
+//! A toucher that absorbs a scheduled thread (§4.1 stealing) leaves that
+//! thread's ready-queue entry dead.  [`Deque::pop_if`] lets the owner take
+//! an entry back *by identity*: it peeks the bottom word — a plain load, no
+//! claim, so the predicate must not dereference it — and runs the ordinary
+//! [`pop`](Deque::pop) protocol only on a match.  The scheduler uses it to
+//! remove the absorbed thread's entry at the touch, and to reap entries
+//! that died underneath it once the inline run returns (DESIGN.md,
+//! "Scheduler fast path", has the argument that queue length stays bounded
+//! by live work).
 
+use crate::pad::CachePadded;
 use parking_lot::Mutex;
 use std::ptr;
+use std::sync::Arc;
 
 // Under `--cfg sting_check` the atomics are the model checker's shims, so
 // `ci.sh check` explores this exact production source (see
@@ -86,6 +105,87 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
 #[cfg(sting_check)]
 use sting_check::atomic::{fence, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
+
+/// An item that fits in one deque slot: a non-zero machine word whose low
+/// bit is the item's *tag*.
+///
+/// Pointer-shaped items implement this by handing over their raw pointer
+/// (`Arc<T>`, `Box<T>`); [`Tagged`] sets the tag bit on any of them; plain
+/// integers have no spare bit and ride in a `Box`.
+pub trait Slot: Sized {
+    /// Gives up ownership of `self` as one non-zero word.  The low bit is
+    /// the tag [`Deque::steal_tagged`] tests.
+    fn into_word(self) -> usize;
+
+    /// Takes ownership back.
+    ///
+    /// # Safety
+    ///
+    /// `word` must have come from [`Slot::into_word`] of the same type and
+    /// must be converted back at most once.
+    unsafe fn from_word(word: usize) -> Self;
+}
+
+impl<T> Slot for Arc<T> {
+    fn into_word(self) -> usize {
+        const { assert!(std::mem::align_of::<T>() >= 2, "low bit must be free") };
+        Arc::into_raw(self) as usize
+    }
+
+    unsafe fn from_word(word: usize) -> Arc<T> {
+        // SAFETY: per the trait contract, `word` is an unconsumed
+        // `Arc::into_raw` pointer.
+        unsafe { Arc::from_raw(word as *const T) }
+    }
+}
+
+impl<T> Slot for Box<T> {
+    fn into_word(self) -> usize {
+        const { assert!(std::mem::align_of::<T>() >= 2, "low bit must be free") };
+        Box::into_raw(self) as usize
+    }
+
+    unsafe fn from_word(word: usize) -> Box<T> {
+        // SAFETY: per the trait contract, `word` is an unconsumed
+        // `Box::into_raw` pointer.
+        unsafe { Box::from_raw(word as *mut T) }
+    }
+}
+
+/// `item` with a caller-chosen tag bit (see [`Deque::steal_tagged`]); the
+/// inner encoding must leave the low bit clear, as `Arc`, `Box` and the
+/// boxed integers do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tagged<S>(pub S, pub bool);
+
+impl<S: Slot> Slot for Tagged<S> {
+    fn into_word(self) -> usize {
+        let word = self.0.into_word();
+        debug_assert_eq!(word & 1, 0, "inner encoding already uses the tag bit");
+        word | usize::from(self.1)
+    }
+
+    unsafe fn from_word(word: usize) -> Tagged<S> {
+        // SAFETY: `word & !1` is the inner item's word (trait contract).
+        Tagged(unsafe { S::from_word(word & !1) }, word & 1 == 1)
+    }
+}
+
+macro_rules! boxed_slot {
+    ($($t:ty),+) => {$(
+        impl Slot for $t {
+            fn into_word(self) -> usize {
+                Box::new(self).into_word()
+            }
+
+            unsafe fn from_word(word: usize) -> $t {
+                // SAFETY: the word is this impl's `Box` (trait contract).
+                unsafe { *Box::<$t>::from_word(word) }
+            }
+        }
+    )+};
+}
+boxed_slot!(u32, u64, i32);
 
 /// Outcome of one [`Deque::steal`] attempt.
 #[derive(Debug)]
@@ -99,32 +199,20 @@ pub enum Steal<T> {
     Success(T),
 }
 
-/// Strips the tag bit, recovering the `Box` pointer.
-fn untag<T>(p: *mut T) -> *mut T {
-    (p as usize & !1) as *mut T
-}
-
-/// Whether the tag bit is set on a slot pointer.
-fn is_tagged<T>(p: *mut T) -> bool {
-    p as usize & 1 == 1
-}
-
-/// A growable ring of item pointers.  Slots are atomic so stale reads by
+/// A growable ring of item words.  Slots are atomic so stale reads by
 /// thieves racing a wrap-around are defined behaviour (the value is used
 /// only after winning the `top` CAS, which a lapped thief loses).
-struct Buffer<T> {
+struct Buffer {
     mask: usize,
-    slots: Box<[AtomicPtr<T>]>,
+    slots: Box<[AtomicUsize]>,
 }
 
-impl<T> Buffer<T> {
-    fn alloc(capacity: usize) -> *mut Buffer<T> {
+impl Buffer {
+    fn alloc(capacity: usize) -> *mut Buffer {
         debug_assert!(capacity.is_power_of_two());
         Box::into_raw(Box::new(Buffer {
             mask: capacity - 1,
-            slots: (0..capacity)
-                .map(|_| AtomicPtr::new(ptr::null_mut()))
-                .collect(),
+            slots: (0..capacity).map(|_| AtomicUsize::new(0)).collect(),
         }))
     }
 
@@ -132,12 +220,12 @@ impl<T> Buffer<T> {
         self.slots.len()
     }
 
-    fn get(&self, index: isize) -> *mut T {
+    fn get(&self, index: isize) -> usize {
         self.slots[index as usize & self.mask].load(Ordering::Relaxed)
     }
 
-    fn put(&self, index: isize, item: *mut T) {
-        self.slots[index as usize & self.mask].store(item, Ordering::Relaxed);
+    fn put(&self, index: isize, word: usize) {
+        self.slots[index as usize & self.mask].store(word, Ordering::Relaxed);
     }
 }
 
@@ -154,34 +242,37 @@ impl<T> Buffer<T> {
 /// slot traffic is atomic) but can *lose or duplicate dispatch of items*;
 /// it is a logic error, not UB.
 #[derive(Debug)]
-pub struct Deque<T> {
-    /// Steal end; monotonically increasing, never decremented.
-    top: AtomicIsize,
+pub struct Deque<T: Slot> {
+    /// Steal end; monotonically increasing, never decremented.  Thieves
+    /// CAS it, so it gets a line of its own: an owner that only pushes and
+    /// pops (`bottom`, below) never takes a miss for a steal elsewhere.
+    top: CachePadded<AtomicIsize>,
     /// Owner end; `bottom - top` is the queue length.
-    bottom: AtomicIsize,
-    buffer: AtomicPtr<Buffer<T>>,
+    bottom: CachePadded<AtomicIsize>,
+    buffer: AtomicPtr<Buffer>,
     /// Buffers replaced by growth, kept until drop so racing thieves never
     /// read freed memory.  Touched only on growth (owner) and drop.
-    retired: Mutex<Vec<*mut Buffer<T>>>,
+    retired: Mutex<Vec<*mut Buffer>>,
+    _items: std::marker::PhantomData<T>,
 }
 
 // SAFETY: items are owned uniquely by whichever side removes them; all
 // shared state is atomic.
-unsafe impl<T: Send> Send for Deque<T> {}
+unsafe impl<T: Slot + Send> Send for Deque<T> {}
 // SAFETY: as above — the Chase–Lev protocol hands each item to exactly one
 // claimant, and the buffer pointer is only retired, never freed, while shared.
-unsafe impl<T: Send> Sync for Deque<T> {}
+unsafe impl<T: Slot + Send> Sync for Deque<T> {}
 
 /// Initial buffer capacity (items); grows by doubling when full.
 const INITIAL_CAPACITY: usize = 64;
 
-impl<T> Default for Deque<T> {
+impl<T: Slot> Default for Deque<T> {
     fn default() -> Deque<T> {
         Deque::new()
     }
 }
 
-impl<T> Deque<T> {
+impl<T: Slot> Deque<T> {
     /// Creates an empty deque with the default initial capacity.
     pub fn new() -> Deque<T> {
         Deque::with_capacity(INITIAL_CAPACITY)
@@ -193,10 +284,11 @@ impl<T> Deque<T> {
     pub fn with_capacity(capacity: usize) -> Deque<T> {
         let capacity = capacity.next_power_of_two().max(2);
         Deque {
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(0),
+            top: CachePadded(AtomicIsize::new(0)),
+            bottom: CachePadded(AtomicIsize::new(0)),
             buffer: AtomicPtr::new(Buffer::alloc(capacity)),
             retired: Mutex::new(Vec::new()),
+            _items: std::marker::PhantomData,
         }
     }
 
@@ -213,17 +305,12 @@ impl<T> Deque<T> {
     }
 
     /// Appends `item` at the bottom.  **Owner only.**  Wait-free (amortized:
-    /// a full buffer is doubled, retiring the old one).
+    /// a full buffer is doubled, retiring the old one).  The slot holds the
+    /// item's [`Slot`] word, tag bit included, so thieves can read the tag
+    /// without claiming the item; see [`Deque::steal_tagged`].
     pub fn push(&self, item: T) {
-        self.push_tagged(item, false);
-    }
-
-    /// [`Deque::push`] with a one-bit label, carried in the low bit of the
-    /// slot pointer (boxes are at least word-aligned, so the bit is free).
-    /// Thieves can read the label without claiming the item; see
-    /// [`Deque::steal_tagged`].
-    pub fn push_tagged(&self, item: T, tag: bool) {
-        let item = (Box::into_raw(Box::new(item)) as usize | usize::from(tag)) as *mut T;
+        let word = item.into_word();
+        debug_assert_ne!(word, 0, "a slot word must be non-zero");
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
         // SAFETY: the buffer pointer is always valid; old buffers are
@@ -234,7 +321,7 @@ impl<T> Deque<T> {
             // SAFETY: buffer valid (see above); grow just stored it.
             buffer = unsafe { &*self.buffer.load(Ordering::Relaxed) };
         }
-        buffer.put(b, item);
+        buffer.put(b, word);
         // Publish the slot before the new bottom: a thief that Acquires
         // `bottom` must see the item.
         self.bottom.store(b + 1, Ordering::Release);
@@ -270,7 +357,7 @@ impl<T> Deque<T> {
         }
         // SAFETY: buffer valid (see push); the slot at `b` was written by
         // a previous push on this same (owner) thread.
-        let item = unsafe { (*buffer).get(b) };
+        let word = unsafe { (*buffer).get(b) };
         if t == b {
             // Last item: win it against thieves or concede it.
             let won = self
@@ -282,25 +369,44 @@ impl<T> Deque<T> {
                 return None;
             }
         }
-        // SAFETY: we hold the unique claim to slot `b` (either b > t, so
-        // no thief can reach it, or the CAS above succeeded).
-        let raw = untag(item);
-        debug_assert!(
-            !raw.is_null(),
-            "pop claimed a null slot (double claim or unpublished write)"
+        debug_assert_ne!(
+            word, 0,
+            "pop claimed an empty slot (double claim or unpublished write)"
         );
         #[cfg(debug_assertions)]
         // Poison the claimed slot: a second claim of the same slot now trips
-        // the null assertions instead of double-freeing the item.  Safe
-        // because no thief can win a CAS for this index anymore (see the
-        // SAFETY argument above), and a re-push overwrites the slot first.
+        // the zero assertions instead of double-freeing the item.  Safe
+        // because no thief can win a CAS for this index anymore (either
+        // b > t, so no thief can reach it, or the CAS above succeeded), and
+        // a re-push overwrites the slot first.
         // SAFETY: buffer valid (see push).
         unsafe {
-            (*buffer).put(b, ptr::null_mut());
+            (*buffer).put(b, 0);
         }
         // SAFETY: restoring `bottom` (or winning the last-item CAS) gave the
-        // owner unique claim to slot `b`; no other path frees this Box.
-        Some(unsafe { *Box::from_raw(raw) })
+        // owner unique claim to slot `b`; no other path converts this word.
+        Some(unsafe { T::from_word(word) })
+    }
+
+    /// [`Deque::pop`], but only if `matches` accepts the bottom word — the
+    /// owner-side conditional pop of pop-on-join (see the module docs).
+    /// **Owner only.**
+    ///
+    /// The word is peeked with a plain load before anything is claimed, so
+    /// `matches` may compare it (with a pointer it holds, or its tag bit)
+    /// but must not dereference it: a thief may be claiming and freeing the
+    /// same item, and on an empty deque the slot is stale.  Only the owner
+    /// writes slots and `bottom`, so when the pop that follows returns an
+    /// item it is the one whose word was shown.
+    pub fn pop_if(&self, matches: impl FnOnce(usize) -> bool) -> Option<T> {
+        let b = self.bottom.load(Ordering::Relaxed);
+        // SAFETY: buffer valid (see push).
+        let word = unsafe { (*self.buffer.load(Ordering::Relaxed)).get(b - 1) };
+        if word != 0 && matches(word) {
+            self.pop()
+        } else {
+            None
+        }
     }
 
     /// Attempts to remove the item at the top — the *oldest*, FIFO order.
@@ -311,8 +417,8 @@ impl<T> Deque<T> {
     }
 
     /// [`Deque::steal`] that declines — returning [`Steal::Empty`] without
-    /// disturbing the queue — when the top item's tag bit (see
-    /// [`Deque::push_tagged`]) is clear.
+    /// disturbing the queue — when the top item's tag bit (the low bit of
+    /// its [`Slot`] word) is clear.
     pub fn steal_tagged(&self) -> Steal<T> {
         self.steal_inner(true)
     }
@@ -332,8 +438,8 @@ impl<T> Deque<T> {
         // allocated (retired list) and the CAS below fails if the item
         // moved on.
         let buffer = unsafe { &*self.buffer.load(Ordering::Acquire) };
-        let item = buffer.get(t);
-        if tagged_only && !is_tagged(item) {
+        let word = buffer.get(t);
+        if tagged_only && word & 1 == 0 {
             // The label is only trustworthy if the slot still holds the
             // item we measured; a stale read is caught by the same check a
             // successful steal relies on.
@@ -349,14 +455,13 @@ impl<T> Deque<T> {
         {
             return Steal::Retry;
         }
-        let raw = untag(item);
-        debug_assert!(
-            !raw.is_null(),
-            "steal claimed a null slot (double claim or unpublished write)"
+        debug_assert_ne!(
+            word, 0,
+            "steal claimed an empty slot (double claim or unpublished write)"
         );
         // SAFETY: the CAS on `top` grants unique ownership of slot `t`, so
-        // this is the only place that reconstitutes this Box.
-        Steal::Success(unsafe { *Box::from_raw(raw) })
+        // this is the only place that converts this word back.
+        Steal::Success(unsafe { T::from_word(word) })
     }
 
     /// [`Deque::steal`], retried until it yields an item or observes the
@@ -389,18 +494,18 @@ impl<T> Deque<T> {
     }
 }
 
-impl<T> Drop for Deque<T> {
+impl<T: Slot> Drop for Deque<T> {
     fn drop(&mut self) {
         // &mut self: no concurrent owner or thieves remain.
         let t = *self.top.get_mut();
         let b = *self.bottom.get_mut();
         let buffer_ptr = *self.buffer.get_mut();
-        // SAFETY: exclusive access; every live item pointer in t..b was
-        // Boxed by push and not yet reclaimed.
+        // SAFETY: exclusive access; every live word in t..b was produced by
+        // push and not yet reclaimed.
         unsafe {
             let buffer = &*buffer_ptr;
             for i in t..b {
-                drop(Box::from_raw(untag(buffer.get(i))));
+                drop(T::from_word(buffer.get(i)));
             }
             drop(Box::from_raw(buffer_ptr));
             for retired in self.retired.get_mut().drain(..) {
@@ -432,25 +537,23 @@ pub const BANDS: usize = 4;
 /// only read the word, so a stale set bit costs them two loads, never a
 /// cache-line invalidation.
 #[derive(Debug)]
-#[repr(C)]
-pub struct MultiDeque<T> {
+pub struct MultiDeque<T: Slot> {
     /// Bit `b` set ⇒ band `b` *may* be non-empty.  The invariant the
     /// protocol maintains is one-sided: a non-empty band always has its
     /// bit set once its push has returned; a set bit may be stale.
-    /// Written only by the owner (`repr(C)` puts it on the same cache
-    /// line as band 0's `top`/`bottom`, the other words every queue
-    /// operation already touches).
+    /// Written only by the owner, and only when a bit actually changes, so
+    /// thieves scanning it share the line read-only in steady state.
     occupancy: AtomicUsize,
     bands: [Deque<T>; BANDS],
 }
 
-impl<T> Default for MultiDeque<T> {
+impl<T: Slot> Default for MultiDeque<T> {
     fn default() -> MultiDeque<T> {
         MultiDeque::new()
     }
 }
 
-impl<T> MultiDeque<T> {
+impl<T: Slot> MultiDeque<T> {
     /// Creates an empty multi-level deque with default per-band capacity.
     pub fn new() -> MultiDeque<T> {
         MultiDeque::with_capacity(INITIAL_CAPACITY)
@@ -513,12 +616,7 @@ impl<T> MultiDeque<T> {
     ///
     /// Panics if `band >= BANDS`.
     pub fn push(&self, band: usize, item: T) {
-        self.push_tagged(band, item, false);
-    }
-
-    /// [`MultiDeque::push`] with the [`Deque::push_tagged`] one-bit label.
-    pub fn push_tagged(&self, band: usize, item: T, tag: bool) {
-        self.bands[band].push_tagged(item, tag);
+        self.bands[band].push(item);
         // Occupancy is single-writer (this owner), so reading our own last
         // write is exact, and a busy band — bit already set — publishes
         // with no RMW at all.  When the bit does need setting, Release
@@ -555,6 +653,17 @@ impl<T> MultiDeque<T> {
         }
     }
 
+    /// [`Deque::pop_if`] on `band`'s bottom.  **Owner only.**  Leaves the
+    /// occupancy word alone: a bit gone stale is retired by the next
+    /// [`pop`](MultiDeque::pop) scan, like any other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `band >= BANDS`.
+    pub fn pop_if(&self, band: usize, matches: impl FnOnce(usize) -> bool) -> Option<T> {
+        self.bands[band].pop_if(matches)
+    }
+
     /// Attempts to steal the most urgent item.  Safe from any thread;
     /// lock-free.  With `tagged_only`, a band whose oldest item is
     /// untagged is *skipped* (not disturbed) and the scan falls through to
@@ -580,7 +689,7 @@ impl<T> MultiDeque<T> {
                 // A stale bit (or a tag decline) just falls through to the
                 // next band.  Thieves never write the occupancy word —
                 // that is what lets the owner's push skip the publish RMW
-                // when its bit is already set (see `push_tagged`); the
+                // when its bit is already set (see `push`); the
                 // owner retires stale bits on its next pop scan.
                 Steal::Empty => {}
             }
@@ -882,21 +991,46 @@ mod tests {
     #[test]
     fn steal_tagged_declines_untagged_top() {
         let d = Deque::new();
-        d.push_tagged(1, false);
-        d.push_tagged(2, true);
+        d.push(Tagged(1u64, false));
+        d.push(Tagged(2, true));
         // Top (oldest) is untagged: a tag-only thief must leave it alone.
         assert!(matches!(d.steal_tagged(), Steal::Empty));
         assert_eq!(d.len(), 2);
         // An unrestricted thief takes it, tag or not …
-        assert!(matches!(d.steal(), Steal::Success(1)));
+        assert!(matches!(d.steal(), Steal::Success(Tagged(1, false))));
         // … exposing the tagged item to the tag-only thief.
-        assert!(matches!(d.steal_tagged(), Steal::Success(2)));
+        assert!(matches!(d.steal_tagged(), Steal::Success(Tagged(2, true))));
         assert!(matches!(d.steal_tagged(), Steal::Empty));
         // Tags are invisible to the owner's pop.
-        d.push_tagged(3, true);
-        d.push_tagged(4, false);
-        assert_eq!(d.pop(), Some(4));
-        assert_eq!(d.pop(), Some(3));
+        d.push(Tagged(3, true));
+        d.push(Tagged(4, false));
+        assert_eq!(d.pop(), Some(Tagged(4, false)));
+        assert_eq!(d.pop(), Some(Tagged(3, true)));
+    }
+
+    #[test]
+    fn pop_if_takes_the_bottom_only_on_a_match() {
+        let d = Deque::new();
+        let (a, b) = (Arc::new(1u64), Arc::new(2u64));
+        d.push(a.clone());
+        d.push(b.clone());
+        let is = |x: &Arc<u64>| {
+            let p = Arc::as_ptr(x) as usize;
+            move |word| word == p
+        };
+        // `a` is buried under `b`: no match, nothing moves.
+        assert!(d.pop_if(is(&a)).is_none());
+        assert_eq!(d.len(), 2);
+        assert!(Arc::ptr_eq(&d.pop_if(is(&b)).unwrap(), &b));
+        assert!(Arc::ptr_eq(&d.pop_if(is(&a)).unwrap(), &a));
+        // Empty: whatever the slot still holds, nothing comes back.
+        assert!(d.pop_if(|_| true).is_none());
+        assert!(d.is_empty());
+        d.push(b.clone());
+        assert!(matches!(d.steal(), Steal::Success(_)));
+        assert!(d.pop_if(|_| true).is_none(), "a stolen slot is stale");
+        assert_eq!(Arc::strong_count(&a), 1);
+        assert_eq!(Arc::strong_count(&b), 1);
     }
 
     #[test]
@@ -910,7 +1044,7 @@ mod tests {
 
     #[test]
     fn dropping_nonempty_deque_drops_items() {
-        let counted = std::sync::Arc::new(());
+        let counted = std::sync::Arc::new(0u64);
         let d = Deque::new();
         for _ in 0..10 {
             d.push(counted.clone());
@@ -977,15 +1111,15 @@ mod tests {
     #[test]
     fn multi_deque_steal_prefers_high_band_and_skips_untagged() {
         let md = MultiDeque::new();
-        md.push_tagged(0, 1u64, true);
-        md.push_tagged(3, 2, false); // high band, parked (untagged)
-                                     // Tag-only thief: the parked high-band item is skipped, the fresh
-                                     // low-band one is taken — no band blocks the scan.
-        assert_eq!(md.steal_retrying(true), Some(1));
+        md.push(0, Tagged(1u64, true));
+        md.push(3, Tagged(2, false)); // high band, parked (untagged)
+                                      // Tag-only thief: the parked high-band item is skipped, the fresh
+                                      // low-band one is taken — no band blocks the scan.
+        assert_eq!(md.steal_retrying(true), Some(Tagged(1, true)));
         assert_eq!(md.steal_retrying(true), None);
         assert_eq!(md.band_len(3), 1);
         // An unrestricted thief takes the high-band item.
-        assert_eq!(md.steal_retrying(false), Some(2));
+        assert_eq!(md.steal_retrying(false), Some(Tagged(2, false)));
         assert_eq!(md.steal_retrying(false), None);
     }
 

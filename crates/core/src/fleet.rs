@@ -369,7 +369,7 @@ impl Fabric {
             f(from);
             return;
         }
-        crate::counters::Counters::bump(&from.counters().routed_ops);
+        crate::counters::Counters::bump(&from.counters().lane(crate::tls::lane()).routed_ops);
         let lc = from.tracer().clock();
         self.boxes[me * self.shards.len() + to].push(Stamped {
             lc,
@@ -413,7 +413,7 @@ impl Fabric {
                         let thread = item.thread().clone();
                         thread.rehome(vm);
                         thread.home_vp.store(vp.index(), Ordering::Relaxed);
-                        vp.enqueue(item, EnqueueState::Migrated);
+                        vp.enqueue(vm, item, EnqueueState::Migrated);
                         delivered = true;
                     }
                     FabricMsg::Call { f, .. } => {
@@ -438,7 +438,7 @@ impl Fabric {
     /// shard's enqueue consumed before the destination's re-publish.
     fn post_handoff(&self, vm: &Arc<Vm>, vp: &Arc<Vp>, item: RunItem, dest: usize) {
         let me = vm.shard_id();
-        crate::counters::Counters::bump(&vm.counters().handoffs);
+        crate::counters::Counters::bump(&vm.counters().lane(Some(vp.index())).handoffs);
         crate::trace_event!(
             vm.tracer(),
             Some(vp.index()),

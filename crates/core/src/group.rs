@@ -25,26 +25,60 @@ static NEXT_GROUP_ID: AtomicU64 = AtomicU64::new(1);
 pub struct ThreadGroup {
     id: u64,
     name: Option<String>,
-    members: Mutex<Members>,
+    /// The group's membership, sharded by registering lane and merged on
+    /// read: one [`GroupLane`] per (group, VP) pair that ever forked a
+    /// member.  The lanes own the group, not the reverse, so this list is
+    /// weak; a lane whose members have all been freed drops out.
+    lanes: Mutex<Vec<Weak<GroupLane>>>,
     parent: Weak<ThreadGroup>,
     subgroups: Mutex<Vec<Weak<ThreadGroup>>>,
 }
 
-/// Member list with amortized-O(1) pruning of dead weak references: we
-/// sweep only when the list doubles past the last sweep's survivor count.
+/// One lane's handle on a group: what a member thread actually holds.
+///
+/// A thread's reference to its group is counted on this lane-local,
+/// cache-line-padded record instead of on the group itself, and the
+/// thread registers in this lane's member list — so forking into a group
+/// writes only lines the forking VP owns, however many VPs fork into the
+/// same group (the root group, typically).  The VP caches its current
+/// lane (see `Vm::spawn_with`) and hands each new member a clone.
+#[repr(align(128))] // as `pad::CachePadded`: the `Arc` counts get lines of their own
+pub(crate) struct GroupLane {
+    group: Arc<ThreadGroup>,
+    members: Mutex<WeakList>,
+}
+
+impl GroupLane {
+    pub(crate) fn group(&self) -> &Arc<ThreadGroup> {
+        &self.group
+    }
+
+    pub(crate) fn add(&self, thread: &Arc<Thread>) {
+        self.members.lock().push(Arc::downgrade(thread));
+    }
+}
+
+/// A list of weak thread references with amortized-O(1) pruning of dead
+/// ones: we sweep only when the list doubles past the last sweep's
+/// survivor count.  The shard type of both thread registries (group
+/// members here, all threads of a machine in [`crate::vm::Vm`]).
 #[derive(Debug, Default)]
-struct Members {
+pub(crate) struct WeakList {
     list: Vec<Weak<Thread>>,
     prune_at: usize,
 }
 
-impl Members {
-    fn push(&mut self, w: Weak<Thread>) {
+impl WeakList {
+    pub(crate) fn push(&mut self, w: Weak<Thread>) {
         if self.list.len() >= self.prune_at.max(64) {
             self.list.retain(|w| w.strong_count() > 0);
             self.prune_at = self.list.len() * 2;
         }
         self.list.push(w);
+    }
+
+    pub(crate) fn extend_live(&self, out: &mut Vec<Arc<Thread>>) {
+        out.extend(self.list.iter().filter_map(Weak::upgrade));
     }
 }
 
@@ -59,28 +93,40 @@ impl std::fmt::Debug for ThreadGroup {
 }
 
 impl ThreadGroup {
-    /// Creates a root group (no parent).
-    pub fn root(name: Option<String>) -> Arc<ThreadGroup> {
+    fn new(name: Option<String>, parent: Weak<ThreadGroup>) -> Arc<ThreadGroup> {
         Arc::new(ThreadGroup {
             id: NEXT_GROUP_ID.fetch_add(1, Ordering::Relaxed),
             name,
-            members: Mutex::new(Members::default()),
-            parent: Weak::new(),
+            lanes: Mutex::new(Vec::new()),
+            parent,
             subgroups: Mutex::new(Vec::new()),
         })
     }
 
+    /// Creates a root group (no parent).
+    pub fn root(name: Option<String>) -> Arc<ThreadGroup> {
+        ThreadGroup::new(name, Weak::new())
+    }
+
     /// Creates a subgroup of `self`.
     pub fn subgroup(self: &Arc<ThreadGroup>, name: Option<String>) -> Arc<ThreadGroup> {
-        let g = Arc::new(ThreadGroup {
-            id: NEXT_GROUP_ID.fetch_add(1, Ordering::Relaxed),
-            name,
-            members: Mutex::new(Members::default()),
-            parent: Arc::downgrade(self),
-            subgroups: Mutex::new(Vec::new()),
-        });
+        let g = ThreadGroup::new(name, Arc::downgrade(self));
         self.subgroups.lock().push(Arc::downgrade(&g));
         g
+    }
+
+    /// Opens a new membership lane on this group.  Called when a VP forks
+    /// into a group other than the one it forked into last — rare, so the
+    /// group-wide lock here is off the per-thread path.
+    pub(crate) fn open_lane(self: &Arc<ThreadGroup>) -> Arc<GroupLane> {
+        let lane = Arc::new(GroupLane {
+            group: self.clone(),
+            members: Mutex::new(WeakList::default()),
+        });
+        let mut lanes = self.lanes.lock();
+        lanes.retain(|w| w.strong_count() > 0);
+        lanes.push(Arc::downgrade(&lane));
+        lane
     }
 
     /// The group's unique identifier.
@@ -105,19 +151,16 @@ impl ThreadGroup {
         subs.iter().filter_map(Weak::upgrade).collect()
     }
 
-    pub(crate) fn add(&self, thread: &Arc<Thread>) {
-        self.members.lock().push(Arc::downgrade(thread));
-    }
-
     /// Live threads directly in this group (monitoring: "listing all
-    /// threads in a given group").
+    /// threads in a given group"), whichever VP registered them.
     pub fn threads(&self) -> Vec<Arc<Thread>> {
-        self.members
-            .lock()
-            .list
-            .iter()
-            .filter_map(Weak::upgrade)
-            .collect()
+        let lanes: Vec<Arc<GroupLane>> =
+            self.lanes.lock().iter().filter_map(Weak::upgrade).collect();
+        let mut out = Vec::new();
+        for lane in lanes {
+            lane.members.lock().extend_live(&mut out);
+        }
+        out
     }
 
     /// Live threads in this group and all subgroups, transitively.

@@ -55,8 +55,10 @@ pub mod io;
 pub mod machine;
 pub mod metrics;
 pub mod net;
+mod pad;
 pub mod pm;
 pub mod policies;
+mod probe;
 pub mod reactor;
 pub mod state;
 pub mod sys;

@@ -91,7 +91,10 @@ impl PhysicalMachine {
 
     /// Attaches `vm` so its VPs are driven by this machine's workers.
     pub fn attach(self: &Arc<PhysicalMachine>, vm: &Arc<Vm>) {
-        *vm.machine.lock() = Some(self.clone());
+        // The first attachment is the one `Vm::signal_work` wakes; a VM
+        // attached to a second machine as well is still driven by it, but
+        // only at that machine's idle-tick cadence.
+        let _ = vm.machine.set(self.clone());
         self.shared.vms.write().push(Arc::downgrade(vm));
         self.signal_work();
     }
@@ -156,7 +159,7 @@ fn worker_loop(shared: &MachineShared, index: usize, processors: usize) {
             vm.active_slices.fetch_add(1, Ordering::AcqRel);
             for vp in vm.vps() {
                 if vp.index() % processors == index && !vm.is_stopped() {
-                    did_work |= vp.run_slice(SLICE_BUDGET);
+                    did_work |= vp.run_slice(vm, SLICE_BUDGET);
                 }
             }
             vm.active_slices.fetch_sub(1, Ordering::AcqRel);
@@ -180,7 +183,7 @@ fn timekeeper_loop(shared: &MachineShared) {
         std::thread::sleep(shared.tick);
         for vm in attached_vms(shared) {
             for vp in vm.vps() {
-                vp.preempt_flag.store(true, Ordering::Relaxed);
+                vp.preempt_flag().store(true, Ordering::Relaxed);
                 crate::trace_event!(
                     vm.tracer(),
                     Some(vp.index()),

@@ -37,6 +37,7 @@
 //! distribution shape (min/mean/percentiles) is unbiased for latencies
 //! uncorrelated with the sampling phase.
 
+use crate::pad::CachePadded;
 use crate::thread::Thread;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -109,19 +110,23 @@ impl Histogram {
     /// Records one latency observation of `ns` nanoseconds.
     #[inline]
     pub fn record(&self, ns: u64) {
-        // Bucket before count: see the snapshot-consistency note above.
+        // Everything before the count, which publishes it (Release, paired
+        // with the snapshot's Acquire): see the snapshot-consistency note
+        // above.  A snapshot that counts this observation also sees its
+        // bucket and extremes — in particular `min <= max` once `count > 0`.
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(ns, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.min.fetch_min(ns, Ordering::Relaxed);
         self.max.fetch_max(ns, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Release);
     }
 
     /// Copies the current values.  Safe (and racy, in the documented
     /// direction) while writers are active.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        // Count before buckets: see the snapshot-consistency note above.
-        let count = self.count.load(Ordering::Relaxed);
+        // Count before everything else: see the snapshot-consistency note
+        // above.
+        let count = self.count.load(Ordering::Acquire);
         let sum = self.sum.load(Ordering::Relaxed);
         let min = self.min.load(Ordering::Relaxed);
         let max = self.max.load(Ordering::Relaxed);
@@ -266,8 +271,11 @@ pub struct Metrics {
     /// when `tick & sample_mask == 0`.
     sample_mask: u64,
     base: Instant,
-    vps: Vec<VpMetrics>,
-    gc_pause: Histogram,
+    /// Padded: a VP's histograms and sampling ticks are written on every
+    /// sampled event, and must not share a line with a sibling's — or with
+    /// the read-only words above, which every hook loads first.
+    vps: Vec<CachePadded<VpMetrics>>,
+    gc_pause: CachePadded<Histogram>,
 }
 
 impl Metrics {
@@ -278,8 +286,8 @@ impl Metrics {
             enabled: AtomicBool::new(enabled),
             sample_mask: sample_period.max(1).next_power_of_two() - 1,
             base: Instant::now(),
-            vps: (0..vp_count).map(|_| VpMetrics::default()).collect(),
-            gc_pause: Histogram::default(),
+            vps: (0..vp_count).map(|_| CachePadded::default()).collect(),
+            gc_pause: CachePadded::default(),
         }
     }
 

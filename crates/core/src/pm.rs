@@ -37,7 +37,38 @@ pub enum RunItem {
     Parked(Tcb),
 }
 
+/// How a [`RunItem`] sits in a [`Deque`](crate::deque::Deque) slot: a fresh
+/// thread as its raw `Arc` pointer with the tag bit set — no allocation,
+/// and the tag is what lets a thief of a no-TCB-migration policy decline a
+/// parked item without claiming it — a parked TCB as a `Box`, tag clear.
+impl crate::deque::Slot for RunItem {
+    fn into_word(self) -> usize {
+        match self {
+            RunItem::Fresh(t) => t.into_word() | 1,
+            RunItem::Parked(tcb) => Box::new(tcb).into_word(),
+        }
+    }
+
+    unsafe fn from_word(word: usize) -> RunItem {
+        // SAFETY: the tag bit records which arm of `into_word` produced
+        // `word`; the rest is that arm's unconsumed pointer.
+        unsafe {
+            if word & 1 == 1 {
+                RunItem::Fresh(Arc::from_word(word & !1))
+            } else {
+                RunItem::Parked(*Box::from_word(word))
+            }
+        }
+    }
+}
+
 impl RunItem {
+    /// The slot word of `thread`'s fresh entry, for comparing against a
+    /// peeked slot (see [`Deque::pop_if`](crate::deque::Deque::pop_if)).
+    pub(crate) fn fresh_word(thread: &Arc<Thread>) -> usize {
+        Arc::as_ptr(thread) as usize | 1
+    }
+
     /// The thread this item will run.
     pub fn thread(&self) -> &Arc<Thread> {
         match self {
@@ -54,6 +85,13 @@ impl RunItem {
     /// Whether this is a fresh (never-run) thread.
     pub fn is_fresh(&self) -> bool {
         matches!(self, RunItem::Fresh(_))
+    }
+
+    /// Whether this is the entry of a fresh thread that has since been
+    /// claimed some other way — absorbed by a toucher, or terminated while
+    /// queued.  Such an entry is garbage: whoever holds it drops it.
+    pub(crate) fn is_dead(&self) -> bool {
+        matches!(self, RunItem::Fresh(t) if !t.state().is_claimable())
     }
 }
 

@@ -1,0 +1,95 @@
+//! Debug-build hit counters for the operations the share-nothing fast path
+//! must not perform.
+//!
+//! DESIGN.md ("Scheduler fast path", ownership table) claims that a thread
+//! forked, absorbed by `touch` and determined on one VP upgrades no `Weak`,
+//! takes no registry lock shared with another VP and issues no
+//! `futex_wake`.  Each such site calls [`hit`]; a test brackets the path
+//! with [`hits`] on the worker running it and asserts the difference is
+//! zero.  Release builds compile the calls away.
+
+/// The slow-path operations that are counted.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Probe {
+    /// `Thread::vm` / `Vp::vm`: a `Weak<Vm>` upgrade (a read-modify-write
+    /// on the machine's reference count, which every VP shares).
+    WeakUpgrade,
+    /// A thread or group registry shard other than the caller's own lane
+    /// was locked, or a group-wide lock was taken.
+    SharedRegistryLock,
+    /// A condvar was notified on a determination (a `futex_wake` system
+    /// call on the std-backed `parking_lot` shim).
+    FutexWake,
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static HITS: [std::cell::Cell<u64>; 3] = const { [const { std::cell::Cell::new(0) }; 3] };
+}
+
+/// Counts one `probe` hit on the calling OS thread (debug builds only).
+#[inline]
+pub(crate) fn hit(probe: Probe) {
+    #[cfg(debug_assertions)]
+    HITS.with(|h| h[probe as usize].set(h[probe as usize].get() + 1));
+    #[cfg(not(debug_assertions))]
+    let _ = probe;
+}
+
+/// This OS thread's hit counts so far, indexed by [`Probe`] discriminant.
+#[cfg(all(test, debug_assertions))]
+pub(crate) fn hits() -> [u64; 3] {
+    HITS.with(|h| [h[0].get(), h[1].get(), h[2].get()])
+}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use super::*;
+    use crate::{policies, VmBuilder};
+
+    /// The acceptance test behind the DESIGN.md ownership table: with
+    /// tracing off, threads forked, absorbed by `touch` and determined on
+    /// one VP hit none of the probes — eager (queued, then taken back off
+    /// the queue by the toucher) or delayed.
+    #[test]
+    fn fork_touch_determine_on_one_vp_stays_off_every_slow_path() {
+        let vm = VmBuilder::new()
+            .vps(2)
+            .policy(|_| policies::local_lifo().boxed())
+            .build();
+        let worker = vm.fork_on(1, |cx| {
+            let round = |n: i64| {
+                for i in 0..n {
+                    let eager = cx.fork(move |_| i);
+                    let lazy = cx.delayed(move |_| i);
+                    assert_eq!(cx.touch(&eager).unwrap().as_int(), Some(i));
+                    assert_eq!(cx.touch(&lazy).unwrap().as_int(), Some(i));
+                }
+            };
+            // Warm up: the first fork on a lane opens its group lane.
+            round(1);
+            let before = hits();
+            round(200);
+            let after = hits();
+            assert_eq!(cx.current_vp().queue_len(), 0);
+            i64::from(before == after)
+        });
+        let clean = worker.unwrap().join_blocking().unwrap();
+        assert_eq!(clean.as_int(), Some(1), "a slow-path probe fired");
+        vm.shutdown();
+    }
+
+    #[test]
+    fn the_probes_do_fire_off_the_fast_path() {
+        let vm = VmBuilder::new().vps(1).build();
+        let before = hits();
+        let t = vm.fork(|_| 0i64); // host fork: the external lane
+        let joined = t.join_blocking(); // an OS joiner: the gated wake-up
+        assert!(joined.is_ok());
+        let after = hits();
+        assert!(
+            after[Probe::SharedRegistryLock as usize] > before[Probe::SharedRegistryLock as usize]
+        );
+        vm.shutdown();
+    }
+}

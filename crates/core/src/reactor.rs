@@ -607,7 +607,7 @@ impl IoDriver {
         if let Some(vm) = self.vm.get().and_then(Weak::upgrade) {
             crate::trace_event!(
                 vm.tracer(),
-                tls::current().map(|c| c.vp.index()),
+                tls::lane(),
                 EventKind::IoWait,
                 w.thread_id(),
                 fd as u32,

@@ -102,7 +102,7 @@ impl Cx {
 
     /// The virtual machine.
     pub fn vm(&self) -> Arc<Vm> {
-        self.current_vp().vm()
+        current_vm().expect("Cx exists off-thread")
     }
 
     /// Relinquishes the VP; the thread goes back to its policy manager's
@@ -118,6 +118,19 @@ impl Cx {
         checkpoint();
     }
 
+    /// Forks `thunk` on this machine in `state`, on the VP the current
+    /// VP's policy manager chooses (`pm-allocate-vp`) when it is to be
+    /// scheduled.  Everything is reached through the borrowed scheduler
+    /// context: no reference count is touched on the way.
+    fn spawn(&self, thunk: TryThunk, state: ThreadState) -> Arc<Thread> {
+        tls::with(|cur| {
+            let cur = cur.expect("Cx exists off-thread");
+            let vp = (state == ThreadState::Scheduled)
+                .then(|| cur.vp.pm().choose_vp(cur.vp) % cur.vm.vp_count());
+            cur.vm.spawn_with(thunk, state, vp, None)
+        })
+    }
+
     /// Forks `f` as a new thread scheduled on the VP chosen by the current
     /// VP's policy manager (`pm-allocate-vp`).
     pub fn fork<F, V>(&self, f: F) -> Arc<Thread>
@@ -125,13 +138,7 @@ impl Cx {
         F: FnOnce(&Cx) -> V + Send + 'static,
         V: Into<Value>,
     {
-        let vm = self.vm();
-        let vp = {
-            let cur = self.current_vp();
-            let choice = cur.pm.lock().choose_vp(&cur);
-            choice % vm.vp_count()
-        };
-        vm.spawn_with(erase(f), ThreadState::Scheduled, Some(vp), None)
+        self.spawn(erase(f), ThreadState::Scheduled)
     }
 
     /// Like [`Cx::fork`] for bodies that produce a `Result`: an `Err`
@@ -141,13 +148,7 @@ impl Cx {
         F: FnOnce(&Cx) -> Result<V, Value> + Send + 'static,
         V: Into<Value>,
     {
-        let vm = self.vm();
-        let vp = {
-            let cur = self.current_vp();
-            let choice = cur.pm.lock().choose_vp(&cur);
-            choice % vm.vp_count()
-        };
-        vm.spawn_with(erase_try(f), ThreadState::Scheduled, Some(vp), None)
+        self.spawn(erase_try(f), ThreadState::Scheduled)
     }
 
     /// Like [`Cx::fork_on`] for `Result`-producing bodies.
@@ -160,14 +161,16 @@ impl Cx {
         F: FnOnce(&Cx) -> Result<V, Value> + Send + 'static,
         V: Into<Value>,
     {
-        let vm = self.vm();
-        if vp >= vm.vp_count() {
-            return Err(CoreError::VpOutOfRange {
-                index: vp,
-                len: vm.vp_count(),
-            });
-        }
-        Ok(vm.spawn_with(erase_try(f), ThreadState::Scheduled, Some(vp), None))
+        tls::with(|cur| {
+            let vm = cur.expect("Cx exists off-thread").vm;
+            if vp >= vm.vp_count() {
+                return Err(CoreError::VpOutOfRange {
+                    index: vp,
+                    len: vm.vp_count(),
+                });
+            }
+            Ok(vm.spawn_with(erase_try(f), ThreadState::Scheduled, Some(vp), None))
+        })
     }
 
     /// Like [`Cx::delayed`] for `Result`-producing bodies.
@@ -176,8 +179,7 @@ impl Cx {
         F: FnOnce(&Cx) -> Result<V, Value> + Send + 'static,
         V: Into<Value>,
     {
-        self.vm()
-            .spawn_with(erase_try(f), ThreadState::Delayed, None, None)
+        self.spawn(erase_try(f), ThreadState::Delayed)
     }
 
     /// Forks `f` on virtual processor `vp` (`fork-thread expr vp`).
@@ -190,8 +192,7 @@ impl Cx {
         F: FnOnce(&Cx) -> V + Send + 'static,
         V: Into<Value>,
     {
-        let vm = self.vm();
-        vm.fork_on(vp, f)
+        tls::with(|cur| cur.expect("Cx exists off-thread").vm.fork_on(vp, f))
     }
 
     /// Creates a delayed thread: it runs only if demanded with [`touch`] /
@@ -201,7 +202,7 @@ impl Cx {
         F: FnOnce(&Cx) -> V + Send + 'static,
         V: Into<Value>,
     {
-        self.vm().delayed(f)
+        self.spawn(erase(f), ThreadState::Delayed)
     }
 
     /// Blocks until `thread` determines and returns its result
@@ -260,10 +261,12 @@ impl Cx {
     /// Runs `f` with preemption disabled (`without-preemption`); nests.
     /// A preemption arriving meanwhile is honoured right after `f`.
     pub fn without_preemption<R>(&self, f: impl FnOnce() -> R) -> R {
-        let cur = tls::current().expect("Cx exists off-thread");
-        cur.shared.preempt_disabled.fetch_add(1, Ordering::Relaxed);
+        // Owned, not borrowed: `f` may switch fibers, and the TCB is the
+        // same one wherever the thread resumes.
+        let shared = tls::with(|cur| cur.expect("Cx exists off-thread").shared.clone());
+        shared.preempt_disabled.fetch_add(1, Ordering::Relaxed);
         let r = f();
-        cur.shared.preempt_disabled.fetch_sub(1, Ordering::Relaxed);
+        shared.preempt_disabled.fetch_sub(1, Ordering::Relaxed);
         checkpoint();
         r
     }
@@ -271,17 +274,21 @@ impl Cx {
     /// Sets the current thread's priority and informs the policy manager
     /// (`pm-priority`).
     pub fn set_priority(&self, priority: i32) {
-        let cur = tls::current().expect("Cx exists off-thread");
-        cur.shared.thread.set_priority(priority);
-        cur.vp.pm.lock().set_priority(&cur.vp, priority);
+        tls::with(|cur| {
+            let cur = cur.expect("Cx exists off-thread");
+            cur.shared.thread.set_priority(priority);
+            cur.vp.pm().set_priority(cur.vp, priority);
+        });
     }
 
     /// Sets the current thread's quantum in ticks and informs the policy
     /// manager (`pm-quantum`).
     pub fn set_quantum(&self, ticks: u32) {
-        let cur = tls::current().expect("Cx exists off-thread");
-        cur.shared.thread.set_quantum(ticks);
-        cur.vp.pm.lock().set_quantum(&cur.vp, ticks);
+        tls::with(|cur| {
+            let cur = cur.expect("Cx exists off-thread");
+            cur.shared.thread.set_quantum(ticks);
+            cur.vp.pm().set_quantum(cur.vp, ticks);
+        });
     }
 }
 
@@ -310,8 +317,14 @@ pub(crate) fn lift(thunk: Thunk) -> TryThunk {
 /// thunk, and maps unwinds to results.
 pub(crate) fn thread_main(thunk: TryThunk) -> ThreadResult {
     let cx = Cx::new();
-    apply_requests();
-    map_unwind(panic::catch_unwind(AssertUnwindSafe(move || thunk(&cx))))
+    // The early requests are applied inside the unwind boundary: a
+    // terminate or raise that lands between the dispatch and the first
+    // instruction must become the thread's result like any later one, not
+    // unwind through the fiber into the worker driving it.
+    map_unwind(panic::catch_unwind(AssertUnwindSafe(move || {
+        apply_requests();
+        thunk(&cx)
+    })))
 }
 
 /// Converts a caught unwind into a thread result, re-raising forced
@@ -366,7 +379,7 @@ pub(crate) fn install_quiet_panic_hook() {
 
 /// The currently executing thread (`current-thread`), if on one.
 pub fn current_thread() -> Option<Arc<Thread>> {
-    tls::current().map(|c| c.shared.current_identity())
+    tls::with(|cur| cur.map(|c| c.shared.current_identity()))
 }
 
 /// The thread owning the current TCB.  During a steal this is the
@@ -374,31 +387,34 @@ pub fn current_thread() -> Option<Arc<Thread>> {
 /// the TCB owner, so synchronization structures must register **this**
 /// thread as their waiter and later [`unblock`] it.
 pub fn current_owner() -> Option<Arc<Thread>> {
-    tls::current().map(|c| c.shared.thread.clone())
+    tls::with(|cur| cur.map(|c| c.shared.thread.clone()))
 }
 
 /// The current virtual processor (`current-vp`), if on a thread.
 pub fn current_vp() -> Option<Arc<Vp>> {
-    tls::current().map(|c| c.vp)
+    tls::with(|cur| cur.map(|c| c.vp.clone()))
 }
 
 /// The VM (shard) driving the calling thread, if on one.
 pub fn current_vm() -> Option<Arc<crate::vm::Vm>> {
-    current_vp().map(|vp| vp.vm())
+    tls::with(|cur| cur.map(|c| c.vm.clone()))
 }
 
 /// The shard index of the VM driving the calling thread (`0` on a
 /// standalone VM), if on a thread.  See [`crate::fleet`].
 pub fn current_shard() -> Option<usize> {
-    current_vm().map(|vm| vm.shard_id())
+    tls::with(|cur| cur.map(|c| c.vm.shard_id()))
 }
 
 /// Switches back to the scheduler with `disposition`; returns on resume.
 pub(crate) fn switch_out(disposition: Disposition) -> Wakeup {
-    let cur = tls::current().expect("switch_out called off-thread");
-    let sus = cur.shared.suspender.load(Ordering::Acquire) as *mut ThreadSuspender;
+    let sus = tls::with(|cur| {
+        cur.expect("switch_out called off-thread")
+            .shared
+            .suspender
+            .load(Ordering::Acquire)
+    }) as *mut ThreadSuspender;
     debug_assert!(!sus.is_null(), "suspender not registered");
-    drop(cur);
     // SAFETY: the suspender lives on this fiber's stack for the fiber's
     // whole lifetime, and only the fiber's own code (us) dereferences it.
     let wake = unsafe { (*sus).suspend(disposition) };
@@ -410,10 +426,17 @@ pub(crate) fn switch_out(disposition: Disposition) -> Wakeup {
 /// owning thread (the paper's "requested state transitions ... take place
 /// only when the target thread next makes a TC call").
 pub(crate) fn apply_requests() {
-    let Some(cur) = tls::current() else { return };
-    let thread = cur.shared.thread.clone();
-    drop(cur);
-    for req in thread.take_requests() {
+    // The common case — nothing requested — stays inside the borrowed
+    // context: one lock on the thread's own line, nothing cloned.
+    let pending = tls::with(|cur| {
+        let cur = cur?;
+        let requests = cur.shared.thread.take_requests();
+        (!requests.is_empty()).then(|| (cur.shared.thread.clone(), requests))
+    });
+    let Some((thread, requests)) = pending else {
+        return;
+    };
+    for req in requests {
         if let Some(vm) = thread.vm() {
             let code = match &req {
                 StateRequest::Terminate(_) => 0,
@@ -424,7 +447,7 @@ pub(crate) fn apply_requests() {
             };
             crate::trace_event!(
                 vm.tracer(),
-                current_vp().map(|v| v.index()),
+                tls::lane(),
                 crate::trace::EventKind::StateRequest,
                 thread.id().0,
                 code
@@ -449,30 +472,32 @@ pub(crate) fn apply_requests() {
 /// code should call this periodically; the Scheme VM does it per bytecode
 /// window.
 pub fn checkpoint() {
-    let Some(cur) = tls::current() else { return };
-    if let Some(vm) = cur.vp.vm_weak().upgrade() {
-        if vm.is_stopped() {
-            panic::panic_any(ExceptionPayload(Value::sym("vm-shutdown")));
-        }
+    if tls::with(|cur| cur.is_some_and(|c| c.vm.is_stopped())) {
+        panic::panic_any(ExceptionPayload(Value::sym("vm-shutdown")));
     }
     apply_requests();
-    let disabled = cur.shared.preempt_disabled.load(Ordering::Relaxed) > 0;
-    if cur.vp.preempt_flag.load(Ordering::Relaxed) {
-        if disabled {
-            // Remember it; honoured when preemption is re-enabled.
-            cur.shared.deferred_preempt.store(true, Ordering::Relaxed);
-            return;
-        }
-        cur.vp.preempt_flag.store(false, Ordering::Relaxed);
-        let ticks = cur.shared.ticks_left.load(Ordering::Relaxed);
-        if ticks <= 1 {
-            drop(cur);
-            switch_out(Disposition::Yielded { preempted: true });
+    // Decide under the borrow, switch outside it: the scheduler re-borrows
+    // the slot the moment this fiber yields.
+    let preempt = tls::with(|cur| {
+        let Some(cur) = cur else { return false };
+        let disabled = cur.shared.preempt_disabled.load(Ordering::Relaxed) > 0;
+        if cur.vp.preempt_flag().load(Ordering::Relaxed) {
+            if disabled {
+                // Remember it; honoured when preemption is re-enabled.
+                cur.shared.deferred_preempt.store(true, Ordering::Relaxed);
+                return false;
+            }
+            cur.vp.preempt_flag().store(false, Ordering::Relaxed);
+            let ticks = cur.shared.ticks_left.load(Ordering::Relaxed);
+            if ticks > 1 {
+                cur.shared.ticks_left.store(ticks - 1, Ordering::Relaxed);
+            }
+            ticks <= 1
         } else {
-            cur.shared.ticks_left.store(ticks - 1, Ordering::Relaxed);
+            !disabled && cur.shared.deferred_preempt.swap(false, Ordering::Relaxed)
         }
-    } else if !disabled && cur.shared.deferred_preempt.swap(false, Ordering::Relaxed) {
-        drop(cur);
+    });
+    if preempt {
         switch_out(Disposition::Yielded { preempted: true });
     }
 }
@@ -503,9 +528,7 @@ pub fn yield_now() -> Result<(), CoreError> {
 ///
 /// [`CoreError::NotOnThread`] when called from a non-STING OS thread.
 pub fn block_current(blocker: Option<Value>) -> Result<WakeReason, CoreError> {
-    let cur = tls::current().ok_or(CoreError::NotOnThread)?;
-    let thread = cur.shared.thread.clone();
-    drop(cur);
+    let thread = current_owner().ok_or(CoreError::NotOnThread)?;
     thread.core.lock().blocker = blocker;
     switch_out(Disposition::Blocked);
     Ok(thread.wait_node().state().snapshot_reason())
@@ -539,9 +562,7 @@ impl Drop for ResumeTimerGuard {
 ///
 /// [`CoreError::NotOnThread`] when called from a non-STING OS thread.
 pub fn suspend_current(duration: Option<Duration>) -> Result<(), CoreError> {
-    let cur = tls::current().ok_or(CoreError::NotOnThread)?;
-    let thread = cur.shared.thread.clone();
-    drop(cur);
+    let thread = current_owner().ok_or(CoreError::NotOnThread)?;
     let _timer = resume_timer(duration, &thread);
     switch_out(Disposition::Suspended);
     Ok(())
@@ -569,13 +590,12 @@ pub fn wait_timeout(thread: &Arc<Thread>, timeout: Duration) -> Option<ThreadRes
 
 /// [`wait`] with an optional absolute deadline; `None` on timeout.
 pub fn wait_deadline(thread: &Arc<Thread>, deadline: Option<Instant>) -> Option<ThreadResult> {
-    if !tls::on_thread() {
+    let Some(waiter) = current_owner() else {
         return match deadline {
             None => Some(thread.join_blocking()),
             Some(d) => thread.join_blocking_timeout(d.saturating_duration_since(Instant::now())),
         };
-    }
-    let waiter = tls::current().expect("on thread").shared.thread.clone();
+    };
     // One join node for the whole wait, registered at most once: a spurious
     // wake-up must re-block on the *same* registration, not append a fresh
     // node to the target's waiter list each time around the loop (that
@@ -648,37 +668,30 @@ pub const MAX_STEAL_DEPTH: u32 = 32;
 /// waited on instead (semantically equivalent, bounded stack).
 pub fn touch(thread: &Arc<Thread>) -> ThreadResult {
     loop {
-        match thread.state() {
-            ThreadState::Determined => {
-                return thread.result().expect("determined");
-            }
-            s if s.is_claimable() && thread.is_stealable() && tls::on_thread() => {
-                let cur = tls::current().expect("on thread");
-                if cur.shared.steal_depth.load(Ordering::Relaxed) >= MAX_STEAL_DEPTH {
-                    drop(cur);
-                    // Too deep: hand the thread to the scheduler and park.
-                    if s == ThreadState::Delayed && !demand_via_scheduler(thread) {
-                        continue;
-                    }
-                    return wait(thread);
-                }
-                drop(cur);
+        let state = thread.state();
+        if state == ThreadState::Determined {
+            return thread.result().expect("determined");
+        }
+        // How deep steals already nest on this TCB, if we are on one.
+        let depth = tls::with(|cur| cur.map(|c| c.shared.steal_depth.load(Ordering::Relaxed)));
+        if let Some(depth) = depth.filter(|_| state.is_claimable() && thread.is_stealable()) {
+            if depth < MAX_STEAL_DEPTH {
                 if let Some(thunk) = thread.claim(ThreadState::Stolen) {
-                    return run_stolen(thread, thunk);
+                    return run_stolen(thread, thunk, state == ThreadState::Scheduled);
                 }
                 // Lost the race; re-inspect the new state.
+                continue;
             }
-            s => {
-                // Touch *is* the demand: a delayed thread that cannot be
-                // stolen must still be scheduled, or the wait would never
-                // end ("a delayed thread will never be run unless the value
-                // of the thread is explicitly demanded").
-                if s == ThreadState::Delayed && !demand_via_scheduler(thread) {
-                    continue;
-                }
-                return wait(thread);
-            }
+            // Too deep: hand the thread to the scheduler and park below.
         }
+        // Touch *is* the demand: a delayed thread that cannot be stolen
+        // must still be scheduled, or the wait would never end ("a delayed
+        // thread will never be run unless the value of the thread is
+        // explicitly demanded").
+        if state == ThreadState::Delayed && !demand_via_scheduler(thread) {
+            continue;
+        }
+        return wait(thread);
     }
 }
 
@@ -691,7 +704,7 @@ pub fn touch(thread: &Arc<Thread>) -> ThreadResult {
 /// must re-inspect rather than park on a discarded demand, which could
 /// otherwise leave the toucher blocked forever.
 fn demand_via_scheduler(thread: &Arc<Thread>) -> bool {
-    let vp = current_vp().map(|v| v.index()).unwrap_or(0);
+    let vp = tls::lane().unwrap_or(0);
     match thread_run(thread, vp) {
         Ok(()) => true,
         Err(CoreError::Shutdown) => {
@@ -704,26 +717,38 @@ fn demand_via_scheduler(thread: &Arc<Thread>) -> bool {
 
 /// Runs a stolen thunk on the current TCB under the stolen thread's
 /// identity, determining the stolen thread with the outcome.
-fn run_stolen(thread: &Arc<Thread>, thunk: TryThunk) -> ThreadResult {
-    let cur = tls::current().expect("stealing requires a thread");
-    if let Some(vm) = thread.vm() {
-        Counters::bump(&vm.counters().steals);
-        crate::trace_event!(
-            vm.tracer(),
-            Some(cur.vp.index()),
-            crate::trace::EventKind::Steal,
-            thread.id().0,
-            cur.shared.steal_depth.load(Ordering::Relaxed)
-        );
-    }
-    cur.shared.steal_depth.fetch_add(1, Ordering::Relaxed);
-    cur.shared.identity.lock().push(thread.clone());
+///
+/// `queued` says the thread was scheduled, not delayed: it has a
+/// ready-queue entry somewhere, which the steal has just made dead.  The
+/// toucher takes that entry with it when it can (pop-on-join; see
+/// [`Vp::take_entry`] and [`Vp::reap_dead_entries`]), so that ready queues
+/// hold live work, not the husks of absorbed threads.
+fn run_stolen(thread: &Arc<Thread>, thunk: TryThunk, queued: bool) -> ThreadResult {
+    tls::with(|cur| {
+        let cur = cur.expect("stealing requires a thread");
+        if queued {
+            cur.vp.take_entry(thread);
+        }
+        let depth = cur.shared.steal_depth.load(Ordering::Relaxed);
+        note_steal(thread, cur, depth);
+        // Only the thread running on this TCB moves the depth.
+        cur.shared.steal_depth.store(depth + 1, Ordering::Relaxed);
+        cur.shared.identity.lock().push(thread.clone());
+    });
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         let cx = Cx::new();
         thunk(&cx)
     }));
-    cur.shared.identity.lock().pop();
-    cur.shared.steal_depth.fetch_sub(1, Ordering::Relaxed);
+    // The thunk may have blocked and resumed on another VP: look again.
+    tls::with(|cur| {
+        let cur = cur.expect("stealing requires a thread");
+        cur.shared.identity.lock().pop();
+        let depth = cur.shared.steal_depth.load(Ordering::Relaxed);
+        cur.shared.steal_depth.store(depth - 1, Ordering::Relaxed);
+        if queued {
+            cur.vp.reap_dead_entries(thread);
+        }
+    });
     match outcome {
         Ok(r) => {
             thread.complete(r.clone());
@@ -743,6 +768,29 @@ fn run_stolen(thread: &Arc<Thread>, thunk: TryThunk) -> ThreadResult {
             }
         }
     }
+}
+
+/// Counts and traces the steal of `thread` on its own machine: the
+/// toucher's, nearly always, in which case nothing is looked up.
+fn note_steal(thread: &Thread, cur: tls::Current<'_>, depth: u32) {
+    let foreign;
+    let (vm, lane) = if thread.belongs_to(cur.vm) {
+        (&**cur.vm, Some(cur.vp.index()))
+    } else {
+        foreign = thread.vm();
+        match &foreign {
+            Some(vm) => (&**vm, None),
+            None => return,
+        }
+    };
+    Counters::bump(&vm.counters().lane(lane).steals);
+    crate::trace_event!(
+        vm.tracer(),
+        Some(cur.vp.index()),
+        crate::trace::EventKind::Steal,
+        thread.id().0,
+        depth
+    );
 }
 
 /// Wakes `thread` if it is blocked or suspended; otherwise records a
@@ -783,6 +831,11 @@ pub fn thread_run(thread: &Arc<Thread>, vp: usize) -> Result<(), CoreError> {
     }
 }
 
+/// Whether `thread` owns the TCB the caller is running on.
+fn is_current_owner(thread: &Arc<Thread>) -> bool {
+    tls::with(|cur| cur.is_some_and(|c| Arc::ptr_eq(&c.shared.thread, thread)))
+}
+
 /// Requests `thread` to block (`thread-block`).  Evaluating targets honour
 /// it at their next controller entry.
 ///
@@ -790,11 +843,8 @@ pub fn thread_run(thread: &Arc<Thread>, vp: usize) -> Result<(), CoreError> {
 ///
 /// [`CoreError::InvalidTransition`] if the target state forbids blocking.
 pub fn thread_block(thread: &Arc<Thread>) -> Result<(), CoreError> {
-    if let Some(cur) = tls::current() {
-        if Arc::ptr_eq(&cur.shared.thread, thread) {
-            drop(cur);
-            return block_current(None).map(|_| ());
-        }
+    if is_current_owner(thread) {
+        return block_current(None).map(|_| ());
     }
     thread.request(StateRequest::Block)
 }
@@ -806,11 +856,8 @@ pub fn thread_block(thread: &Arc<Thread>) -> Result<(), CoreError> {
 ///
 /// [`CoreError::InvalidTransition`] if the target state forbids suspension.
 pub fn thread_suspend(thread: &Arc<Thread>, quantum: Option<Duration>) -> Result<(), CoreError> {
-    if let Some(cur) = tls::current() {
-        if Arc::ptr_eq(&cur.shared.thread, thread) {
-            drop(cur);
-            return suspend_current(quantum);
-        }
+    if is_current_owner(thread) {
+        return suspend_current(quantum);
     }
     thread.request(StateRequest::Suspend(quantum))
 }
@@ -824,10 +871,8 @@ pub fn thread_suspend(thread: &Arc<Thread>, quantum: Option<Duration>) -> Result
 /// [`CoreError::InvalidTransition`] if the target has already determined
 /// or was stolen.
 pub fn thread_raise(thread: &Arc<Thread>, value: Value) -> Result<(), CoreError> {
-    if let Some(cur) = tls::current() {
-        if Arc::ptr_eq(&cur.shared.thread, thread) {
-            panic::panic_any(ExceptionPayload(value));
-        }
+    if is_current_owner(thread) {
+        panic::panic_any(ExceptionPayload(value));
     }
     thread.request(StateRequest::Raise(value))
 }
@@ -841,10 +886,8 @@ pub fn thread_raise(thread: &Arc<Thread>, value: Value) -> Result<(), CoreError>
 /// [`CoreError::InvalidTransition`] if the target has already determined or
 /// was stolen.
 pub fn thread_terminate(thread: &Arc<Thread>, value: Value) -> Result<(), CoreError> {
-    if let Some(cur) = tls::current() {
-        if Arc::ptr_eq(&cur.shared.thread, thread) {
-            panic::panic_any(TerminatePayload(value));
-        }
+    if is_current_owner(thread) {
+        panic::panic_any(TerminatePayload(value));
     }
     thread.request(StateRequest::Terminate(value))
 }

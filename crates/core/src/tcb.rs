@@ -59,8 +59,9 @@ pub(crate) struct TcbShared {
     /// Nesting depth of in-progress steals on this TCB; bounded so chains
     /// of stolen thunks cannot overflow the machine stack.
     pub(crate) steal_depth: AtomicU32,
-    /// Identity stack: `current-thread` is the top.  Stealing pushes the
-    /// stolen thread's identity while its thunk runs on this TCB.
+    /// Identity stack of in-progress steals: `current-thread` is the top —
+    /// the stolen thread whose thunk is running on this TCB — or, when the
+    /// stack is empty, `thread` itself.
     pub(crate) identity: Mutex<Vec<Arc<Thread>>>,
 }
 
@@ -68,7 +69,7 @@ impl TcbShared {
     pub(crate) fn new(thread: Arc<Thread>, vp_index: usize) -> Arc<TcbShared> {
         let quantum = thread.quantum();
         Arc::new(TcbShared {
-            identity: Mutex::new(vec![thread.clone()]),
+            identity: Mutex::new(Vec::new()),
             thread,
             suspender: AtomicUsize::new(0),
             vp_index: AtomicUsize::new(vp_index),

@@ -13,16 +13,17 @@
 
 use crate::counters::Counters;
 use crate::error::CoreError;
-use crate::group::ThreadGroup;
+use crate::group::{GroupLane, ThreadGroup};
 use crate::state::{StateRequest, ThreadState};
 use crate::tc::Cx;
 use crate::tcb::Tcb;
-use crate::vm::Vm;
+use crate::tls;
+use crate::vm::{Vm, VmAnchor};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{
-    AtomicBool, AtomicI32, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+    AtomicBool, AtomicI32, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
 };
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 use sting_value::Value;
 
@@ -114,6 +115,12 @@ pub(crate) struct ThreadCore {
     pub(crate) result: Option<ThreadResult>,
     pub(crate) parked: Option<Tcb>,
     pub(crate) wake_pending: bool,
+    /// Whether an OS thread is (or was) blocked in
+    /// [`Thread::join_blocking`] on `determined_cv`.  Set by the joiner and
+    /// read by the determiner, both under this lock, so the determiner
+    /// notifies — a `futex_wake` system call on the std-backed condvar —
+    /// only when somebody can be listening.
+    os_joiner: bool,
     pub(crate) requests: Vec<StateRequest>,
     pub(crate) waiters: Vec<Arc<JoinNode>>,
     /// Next `waiters` length at which satisfied nodes are swept (amortized
@@ -137,15 +144,23 @@ pub struct Thread {
     priority: AtomicI32,
     quantum: AtomicU32,
     pub(crate) core: Mutex<ThreadCore>,
-    pub(crate) determined_cv: Condvar,
-    group: Arc<ThreadGroup>,
+    determined_cv: Condvar,
+    /// The thread's group, held through the lane it was forked on (see
+    /// [`GroupLane`]).
+    group: Arc<GroupLane>,
     parent: Weak<Thread>,
-    children: Mutex<Vec<Weak<Thread>>>,
-    /// Owning VM (shard).  Interior-mutable so a cross-shard handoff can
-    /// re-home the thread while it is quiescent (owned by exactly one
-    /// mailbox, neither queued nor running); every reader goes through
-    /// [`Thread::vm`], so a re-home is a single uncontended lock.
-    vm: Mutex<Weak<Vm>>,
+    /// Owning VM (shard), held through the anchor of the lane the thread
+    /// was forked on, so neither creating nor freeing a thread touches the
+    /// machine's own reference count.  Interior-mutable so a cross-shard
+    /// handoff can re-home the thread while it is quiescent (owned by
+    /// exactly one mailbox, neither queued nor running).  Only the slow
+    /// paths lock it ([`Thread::vm`]): code running on the thread's own
+    /// machine compares [`Thread::belongs_to`] and uses the machine it
+    /// already has.
+    vm: Mutex<VmAnchor>,
+    /// Identity of the owning VM, for [`Thread::belongs_to`]; compared,
+    /// never dereferenced.
+    vm_ptr: AtomicPtr<Vm>,
     /// VP the thread last ran on (or was scheduled on); wake-ups go here.
     pub(crate) home_vp: AtomicUsize,
     /// Metrics stamp: [`Metrics::now_ns`](crate::metrics::Metrics) at the
@@ -158,8 +173,18 @@ pub struct Thread {
     pub(crate) blocked_at_ns: AtomicU64,
     /// The thread's parking spot for the blocking protocol: one node for
     /// the thread's whole lifetime, episodes distinguished by generation
-    /// (see [`crate::wait`]).
-    wait_node: Arc<crate::wait::WaitNode>,
+    /// (see [`crate::wait`]).  Allocated at the first park — most threads
+    /// run to their value without ever blocking.
+    wait_node: OnceLock<Arc<crate::wait::WaitNode>>,
+}
+
+/// Everything [`Thread::new`] needs that the spawn path resolved from the
+/// forking context.
+pub(crate) struct Birth {
+    pub(crate) id: ThreadId,
+    pub(crate) anchor: VmAnchor,
+    pub(crate) group: Arc<GroupLane>,
+    pub(crate) parent: Weak<Thread>,
 }
 
 impl std::fmt::Debug for Thread {
@@ -173,28 +198,21 @@ impl std::fmt::Debug for Thread {
 }
 
 impl Thread {
-    // Internal constructor: the spawn paths collect these from SpawnOpts;
-    // a params struct here would only mirror that type.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the passive thread object, delayed.  Registration (machine
+    /// and group registries, counters, the Fork trace) is the spawn path's
+    /// job: see `Vm::spawn_with`.
     pub(crate) fn new(
-        vm: &Arc<Vm>,
+        birth: Birth,
         thunk: TryThunk,
-        state: ThreadState,
-        group: Arc<ThreadGroup>,
-        parent: Weak<Thread>,
         name: Option<String>,
         stealable: bool,
         priority: i32,
         quantum: u32,
     ) -> Arc<Thread> {
-        debug_assert!(matches!(
-            state,
-            ThreadState::Delayed | ThreadState::Scheduled
-        ));
-        let t = Arc::new_cyclic(|weak: &Weak<Thread>| Thread {
-            id: ThreadId(vm.next_thread_id()),
+        Arc::new(Thread {
+            id: birth.id,
             name,
-            state: AtomicU8::new(state as u8),
+            state: AtomicU8::new(ThreadState::Delayed as u8),
             stealable: AtomicBool::new(stealable),
             priority: AtomicI32::new(priority),
             quantum: AtomicU32::new(quantum),
@@ -203,33 +221,22 @@ impl Thread {
                 result: None,
                 parked: None,
                 wake_pending: false,
+                os_joiner: false,
                 requests: Vec::new(),
                 waiters: Vec::new(),
                 waiters_sweep_at: 32,
                 blocker: None,
             }),
             determined_cv: Condvar::new(),
-            group: group.clone(),
-            parent: parent.clone(),
-            children: Mutex::new(Vec::new()),
-            vm: Mutex::new(Arc::downgrade(vm)),
+            group: birth.group,
+            parent: birth.parent,
+            vm_ptr: AtomicPtr::new(birth.anchor.as_ptr().cast_mut()),
+            vm: Mutex::new(birth.anchor),
             home_vp: AtomicUsize::new(0),
             enqueued_at_ns: AtomicU64::new(0),
             blocked_at_ns: AtomicU64::new(0),
-            wait_node: Arc::new(crate::wait::WaitNode::green(weak.clone())),
-        });
-        group.add(&t);
-        if let Some(p) = parent.upgrade() {
-            p.children.lock().push(Arc::downgrade(&t));
-        }
-        Counters::bump(&vm.counters().threads_created);
-        crate::trace_event!(
-            vm.tracer(),
-            crate::tls::current().map(|c| c.vp.index()),
-            crate::trace::EventKind::Fork,
-            t.id.0
-        );
-        t
+            wait_node: OnceLock::new(),
+        })
     }
 
     /// The thread's process-unique id.
@@ -310,6 +317,10 @@ impl Thread {
 
     /// The thread group this thread belongs to.
     pub fn group(&self) -> &Arc<ThreadGroup> {
+        self.group.group()
+    }
+
+    pub(crate) fn group_lane(&self) -> &Arc<GroupLane> {
         &self.group
     }
 
@@ -318,13 +329,24 @@ impl Thread {
         self.parent.upgrade()
     }
 
-    /// The thread's live children (genealogy).
+    /// The thread's live children (genealogy), whichever VP forked them.
+    ///
+    /// Derived from the machine's thread registry (every shard's, in a
+    /// fleet) rather than kept per parent: a monitoring query pays for the
+    /// scan so that a fork does not pay for a list.
     pub fn children(&self) -> Vec<Arc<Thread>> {
-        self.children
-            .lock()
-            .iter()
-            .filter_map(Weak::upgrade)
-            .collect()
+        let Some(vm) = self.vm() else {
+            return Vec::new();
+        };
+        let mut all = Vec::new();
+        match vm.fabric() {
+            Some(fabric) => (0..fabric.shard_count())
+                .filter_map(|i| fabric.shard_vm(i))
+                .for_each(|shard| all.extend(shard.threads())),
+            None => all = vm.threads(),
+        }
+        all.retain(|t| std::ptr::eq(t.parent.as_ptr(), self));
+        all
     }
 
     /// The condition value this thread is blocked on, if any.
@@ -337,9 +359,17 @@ impl Thread {
         Value::native("thread", self.clone())
     }
 
-    /// The thread's blocking-protocol parking node (see [`crate::wait`]).
-    pub(crate) fn wait_node(&self) -> &Arc<crate::wait::WaitNode> {
-        &self.wait_node
+    /// The thread's blocking-protocol parking node (see [`crate::wait`]),
+    /// created on first use.
+    pub(crate) fn wait_node(self: &Arc<Thread>) -> &Arc<crate::wait::WaitNode> {
+        self.wait_node
+            .get_or_init(|| Arc::new(crate::wait::WaitNode::green(Arc::downgrade(self))))
+    }
+
+    /// Cancels whatever wait episode is armed, returning its generation;
+    /// a thread that never parked has none.
+    fn cancel_wait_episode(&self) -> Option<u64> {
+        self.wait_node.get()?.state().cancel_current()
     }
 
     /// Registers `node` to be completed when this thread determines.
@@ -374,6 +404,7 @@ impl Thread {
     pub fn join_blocking(&self) -> ThreadResult {
         let mut core = self.core.lock();
         while !self.is_determined() {
+            core.os_joiner = true;
             self.determined_cv.wait(&mut core);
         }
         core.result.clone().expect("determined thread has a result")
@@ -384,6 +415,7 @@ impl Thread {
         let deadline = std::time::Instant::now() + timeout;
         let mut core = self.core.lock();
         while !self.is_determined() {
+            core.os_joiner = true;
             if self
                 .determined_cv
                 .wait_until(&mut core, deadline)
@@ -459,11 +491,11 @@ impl Thread {
                     // The target will unwind at its next controller entry:
                     // cancel its wait episode *now* so no structure spends
                     // a wake-up on (or counts) the dying waiter.
-                    if let Some(gen) = self.wait_node.state().cancel_current() {
+                    if let Some(gen) = self.cancel_wait_episode() {
                         if let Some(vm) = self.vm() {
                             crate::trace_event!(
                                 vm.tracer(),
-                                crate::tls::current().map(|c| c.vp.index()),
+                                tls::lane(),
                                 crate::trace::EventKind::WaiterCancelled,
                                 self.id.0,
                                 0, // origin: state request
@@ -499,10 +531,10 @@ impl Thread {
 
     fn unblock_inner(self: &Arc<Thread>, claimed_gen: u32) {
         if let Some(tcb) = self.take_parked_tcb() {
-            if let Some(vm) = self.vm() {
-                let vp = self.note_unblock(&vm, claimed_gen);
+            self.with_vm(|vm, lane| {
+                let vp = self.note_unblock(vm, lane, claimed_gen);
                 vm.enqueue_parked(tcb, vp, crate::pm::EnqueueState::Unblocked);
-            }
+            });
         }
     }
 
@@ -516,11 +548,29 @@ impl Thread {
         batch: &mut crate::wait::WakeBatch,
     ) {
         if let Some(tcb) = self.take_parked_tcb() {
-            if let Some(vm) = self.vm() {
-                let vp = self.note_unblock(&vm, gen as u32);
-                batch.add(vm, vp, tcb);
-            }
+            self.with_vm(|vm, lane| {
+                let vp = self.note_unblock(vm, lane, gen as u32);
+                batch.add(vm.clone(), vp, tcb);
+            });
         }
+    }
+
+    /// Runs `f` with this thread's machine and the caller's lane on it
+    /// (`None` off that machine).  A caller running on the thread's own
+    /// machine — the common case for wakes, steals and determinations —
+    /// lends the machine it already has; anyone else pays for
+    /// [`Thread::vm`].  `None` if the machine is gone.
+    fn with_vm<R>(&self, f: impl FnOnce(&Arc<Vm>, Option<usize>) -> R) -> Option<R> {
+        let mut f = Some(f);
+        let at_home = tls::with(|cur| {
+            let c = cur.filter(|c| self.belongs_to(c.vm))?;
+            Some((f.take()?)(c.vm, Some(c.vp.index())))
+        });
+        if at_home.is_some() {
+            return at_home;
+        }
+        let vm = self.vm()?;
+        Some((f.take()?)(&vm, None))
     }
 
     /// Claims the parked TCB if this thread is blocked/suspended with one,
@@ -552,13 +602,13 @@ impl Thread {
 
     /// Wake-side bookkeeping for a taken TCB: counter, metrics stamp and
     /// the Unblock trace event.  Returns the destination VP.
-    fn note_unblock(&self, vm: &Arc<Vm>, claimed_gen: u32) -> usize {
-        Counters::bump(&vm.counters().wakeups);
+    fn note_unblock(&self, vm: &Vm, lane: Option<usize>, claimed_gen: u32) -> usize {
+        Counters::bump(&vm.counters().lane(lane).wakeups);
         let vp = self.home_vp.load(Ordering::Relaxed) % vm.vp_count();
         vm.metrics().note_wake(vp, self);
         crate::trace_event!(
             vm.tracer(),
-            crate::tls::current().map(|c| c.vp.index()),
+            lane,
             crate::trace::EventKind::Unblock,
             self.id.0,
             vp as u32,
@@ -570,16 +620,35 @@ impl Thread {
     /// Finalizes the thread with `result`: sets `Determined`, publishes the
     /// value, and wakes every waiter (the paper's `wakeup-waiters`).
     pub(crate) fn complete(self: &Arc<Thread>, result: ThreadResult) {
+        let mut result = Some(result);
+        self.with_vm(|vm, lane| {
+            self.complete_on(Some(vm), lane, result.take().expect("taken once"));
+        });
+        if let Some(result) = result {
+            self.complete_on(None, None, result);
+        }
+    }
+
+    /// [`Thread::complete`] for a caller that already holds the thread's
+    /// machine (`None` once it is gone) and knows which `lane` it runs on:
+    /// the determination then touches no shared reference count and counts
+    /// on the caller's own lane.
+    pub(crate) fn complete_on(
+        self: &Arc<Thread>,
+        vm: Option<&Vm>,
+        lane: Option<usize>,
+        result: ThreadResult,
+    ) {
         // A wait episode still armed at determination is a protocol leak:
         // every park path (normal return, unwind guard, request
         // cancellation) must have closed it.  Kill it so no structure can
         // wake a recycled thread, and trace it for the audit's
         // waiter-leak invariant.
-        if let Some(gen) = self.wait_node.state().cancel_current() {
-            if let Some(vm) = self.vm() {
+        if let Some(gen) = self.cancel_wait_episode() {
+            if let Some(vm) = vm {
                 crate::trace_event!(
                     vm.tracer(),
-                    crate::tls::current().map(|c| c.vp.index()),
+                    lane,
                     crate::trace::EventKind::WaiterCancelled,
                     self.id.0,
                     2, // origin: leaked at determine
@@ -595,20 +664,24 @@ impl Thread {
             let failed = result.is_err();
             core.result = Some(result);
             self.set_state(ThreadState::Determined);
-            if let Some(vm) = self.vm() {
-                Counters::bump(&vm.counters().determinations);
+            if let Some(vm) = vm {
+                let counters = vm.counters().lane(lane);
+                Counters::bump(&counters.determinations);
                 if failed {
-                    Counters::bump(&vm.counters().exceptions);
+                    Counters::bump(&counters.exceptions);
                 }
                 crate::trace_event!(
                     vm.tracer(),
-                    crate::tls::current().map(|c| c.vp.index()),
+                    lane,
                     crate::trace::EventKind::Determine,
                     self.id.0,
                     u32::from(failed)
                 );
             }
-            self.determined_cv.notify_all();
+            if core.os_joiner {
+                crate::probe::hit(crate::probe::Probe::FutexWake);
+                self.determined_cv.notify_all();
+            }
             std::mem::take(&mut core.waiters)
         };
         for w in waiters {
@@ -616,13 +689,16 @@ impl Thread {
         }
     }
 
+    /// The owning machine, if it is still alive.  The slow path: takes the
+    /// thread's anchor lock and a reference on the machine.
     pub(crate) fn vm(&self) -> Option<Arc<Vm>> {
+        crate::probe::hit(crate::probe::Probe::WeakUpgrade);
         self.vm.lock().upgrade()
     }
 
     /// Whether this thread belongs to `vm` (same shard).
     pub(crate) fn belongs_to(&self, vm: &Arc<Vm>) -> bool {
-        self.vm.lock().ptr_eq(&Arc::downgrade(vm))
+        std::ptr::eq(self.vm_ptr.load(Ordering::Acquire), Arc::as_ptr(vm))
     }
 
     /// Re-points the thread at a new owning shard.  Caller must hold the
@@ -631,7 +707,9 @@ impl Thread {
     /// shard when this runs, so readers racing `vm()` see either shard
     /// coherently and both are valid wake targets during the handoff.
     pub(crate) fn rehome(&self, vm: &Arc<Vm>) {
-        *self.vm.lock() = Arc::downgrade(vm);
+        *self.vm.lock() = vm.anchor(None);
+        self.vm_ptr
+            .store(Arc::as_ptr(vm).cast_mut(), Ordering::Release);
     }
 
     /// Drains pending asynchronous requests (called by the owning thread at

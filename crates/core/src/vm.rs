@@ -8,53 +8,94 @@
 use crate::builder::{SpawnOpts, VmConfig};
 use crate::counters::Counters;
 use crate::error::CoreError;
-use crate::group::ThreadGroup;
+use crate::group::{GroupLane, ThreadGroup, WeakList};
 use crate::io::IoPool;
 use crate::machine::PhysicalMachine;
 use crate::metrics::Metrics;
+use crate::pad::CachePadded;
 use crate::pm::{EnqueueState, RunItem};
+use crate::probe::{self, Probe};
 use crate::reactor::IoDriver;
 use crate::state::ThreadState;
 use crate::tc::{self, Cx};
-use crate::thread::{Thread, ThreadResult, Thunk, TryThunk};
+use crate::thread::{Birth, Thread, ThreadId, ThreadResult, Thunk, TryThunk};
 use crate::timers::Timers;
 use crate::tls;
 use crate::trace::{self, Tracer};
 use crate::vp::Vp;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use sting_value::Value;
+
+/// A counted, cache-line-padded handle on a machine: what a [`Thread`]
+/// holds instead of a `Weak<Vm>` of its own.  Each lane has one, so
+/// creating and freeing threads moves a reference count that only the
+/// forking VP writes, never the machine's.
+pub(crate) type VmAnchor = Arc<CachePadded<Weak<Vm>>>;
+
+/// The state one lane — a VP, or the external lane for everything off any
+/// VP — writes when it forks a thread.  Padded, so no two lanes share a
+/// line (see DESIGN.md, "Scheduler fast path", ownership table).
+struct Lane {
+    anchor: VmAnchor,
+    /// Thread-id cursor, `next_id << TID_SHIFT | ids_left`, refilled a
+    /// block at a time from [`Vm::next_tid`].
+    tids: AtomicU64,
+    state: Mutex<LaneState>,
+}
+
+#[derive(Default)]
+struct LaneState {
+    /// This lane's shard of the machine's thread registry.
+    threads: WeakList,
+    /// The group lane this lane last forked into: consecutive forks into
+    /// one group (the overwhelmingly common case) share it.
+    group: Option<Arc<GroupLane>>,
+}
+
+/// Thread ids are drawn from the shared source in blocks of this many.
+const TID_BLOCK: u64 = 1 << TID_SHIFT;
+const TID_SHIFT: u32 = 10;
 
 /// A virtual machine: virtual processors plus the state they share.
 ///
 /// Build one with [`Vm::builder`](crate::builder::VmBuilder).
+///
+/// The fields every VP reads on its hot paths (`vps`, `stop`, the tracer
+/// and metrics enable flags, the fabric and machine handles) are written
+/// only at construction or shutdown; everything written while the machine
+/// runs is either per lane (`counters`, `lanes`) or padded onto lines of
+/// its own, so reading the former never misses because of the latter.
 pub struct Vm {
     name: String,
     vps: Vec<Arc<Vp>>,
     counters: Counters,
     metrics: Metrics,
-    timers: Timers,
     tracer: Tracer,
     root_group: Arc<ThreadGroup>,
     io_pool: IoPool,
     io_driver: Arc<IoDriver>,
-    all_threads: Mutex<(Vec<Weak<Thread>>, usize)>,
     stop: AtomicBool,
     /// Thread-id source.  Shared across every shard of a fleet so ids are
     /// unique fleet-wide (merged traces must never conflate two threads).
     next_tid: Arc<AtomicU64>,
-    next_fork_vp: AtomicUsize,
     /// This VM's index within its fleet (0 for a standalone VM).
     shard: usize,
     /// Cross-shard fabric, installed once by [`crate::fleet::Fleet`].
     /// Standalone VMs never set it, so the hot-path check is a single
     /// acquire load that stays `None`.
-    fabric: std::sync::OnceLock<Arc<crate::fleet::Fabric>>,
+    fabric: OnceLock<Arc<crate::fleet::Fabric>>,
+    /// The machine whose workers drive this VM, set by the first
+    /// [`PhysicalMachine::attach`]: [`Vm::signal_work`] wakes its workers.
+    pub(crate) machine: OnceLock<Arc<PhysicalMachine>>,
+    /// One per VP, then the external lane.
+    lanes: Box<[CachePadded<Lane>]>,
+    timers: CachePadded<Timers>,
+    next_fork_vp: CachePadded<AtomicUsize>,
     /// Number of VP slices currently executing on machine workers; used to
     /// quiesce before draining at shutdown.
-    pub(crate) active_slices: AtomicUsize,
-    pub(crate) machine: Mutex<Option<Arc<PhysicalMachine>>>,
+    pub(crate) active_slices: CachePadded<AtomicUsize>,
 }
 
 impl std::fmt::Debug for Vm {
@@ -98,23 +139,31 @@ impl Vm {
             Vm {
                 name: config.name,
                 vps,
-                counters: Counters::default(),
+                counters: Counters::new(vp_count),
                 metrics: Metrics::new(vp_count, config.metrics, config.metrics_sample),
-                timers: Timers::new(),
                 tracer: Tracer::new(vp_count, config.trace_capacity, config.trace),
                 root_group: ThreadGroup::root(Some("root".to_string())),
                 io_pool: IoPool::new(config.io_workers),
                 io_driver,
-                all_threads: Mutex::new((Vec::new(), 0)),
                 stop: AtomicBool::new(false),
                 next_tid: config
                     .tid_source
                     .unwrap_or_else(|| Arc::new(AtomicU64::new(1))),
-                next_fork_vp: AtomicUsize::new(0),
                 shard: config.shard,
-                fabric: std::sync::OnceLock::new(),
-                active_slices: AtomicUsize::new(0),
-                machine: Mutex::new(None),
+                fabric: OnceLock::new(),
+                machine: OnceLock::new(),
+                lanes: (0..=vp_count)
+                    .map(|_| {
+                        CachePadded(Lane {
+                            anchor: Arc::new(CachePadded(weak.clone())),
+                            tids: AtomicU64::new(0),
+                            state: Mutex::new(LaneState::default()),
+                        })
+                    })
+                    .collect(),
+                timers: CachePadded(Timers::new()),
+                next_fork_vp: CachePadded(AtomicUsize::new(0)),
+                active_slices: CachePadded(AtomicUsize::new(0)),
             }
         })
     }
@@ -214,12 +263,14 @@ impl Vm {
         &self.root_group
     }
 
-    /// All live threads created on this VM.
+    /// All live threads created on this VM, whichever VP (or host thread)
+    /// forked them: the per-lane registry shards, merged.
     pub fn threads(&self) -> Vec<Arc<Thread>> {
-        let mut all = self.all_threads.lock();
-        all.0.retain(|w| w.strong_count() > 0);
-        all.1 = all.0.len() * 2;
-        all.0.iter().filter_map(Weak::upgrade).collect()
+        let mut all = Vec::new();
+        for lane in self.lanes.iter() {
+            lane.state.lock().threads.extend_live(&mut all);
+        }
+        all
     }
 
     /// Whether [`Vm::shutdown`] has been initiated.
@@ -227,8 +278,39 @@ impl Vm {
         self.stop.load(Ordering::Acquire)
     }
 
-    pub(crate) fn next_thread_id(&self) -> u64 {
-        self.next_tid.fetch_add(1, Ordering::Relaxed)
+    /// The lane of `vp`, or the external lane.
+    fn lane(&self, vp: Option<usize>) -> &Lane {
+        crate::pad::lane_of(&self.lanes, vp)
+    }
+
+    /// A handle on this machine counted on `vp`'s lane (see [`VmAnchor`]).
+    pub(crate) fn anchor(&self, vp: Option<usize>) -> VmAnchor {
+        self.lane(vp).anchor.clone()
+    }
+
+    /// Draws the next thread id for `lane`: from the lane's current block,
+    /// or from a fresh block of [`TID_BLOCK`] when that is used up, so the
+    /// shared source is written once per block rather than once per thread.
+    /// A compare-and-swap rather than an add because the external lane has
+    /// many writers, and one that loses a refill race simply wastes a block.
+    fn next_thread_id(&self, lane: &Lane) -> ThreadId {
+        let mut cur = lane.tids.load(Ordering::Relaxed);
+        loop {
+            let (next, left) = (cur >> TID_SHIFT, cur & (TID_BLOCK - 1));
+            let (id, then) = if left == 0 {
+                let base = self.next_tid.fetch_add(TID_BLOCK, Ordering::Relaxed);
+                (base, (base + 1) << TID_SHIFT | (TID_BLOCK - 1))
+            } else {
+                (next, (next + 1) << TID_SHIFT | (left - 1))
+            };
+            match lane
+                .tids
+                .compare_exchange(cur, then, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => return ThreadId(id),
+                Err(now) => cur = now,
+            }
+        }
     }
 
     /// This VM's shard index within its fleet (0 when standalone).
@@ -335,39 +417,63 @@ impl Vm {
         opts: Option<SpawnOpts>,
     ) -> Arc<Thread> {
         let opts = opts.unwrap_or_default();
-        let parent = tc::current_thread()
-            .filter(|t| t.belongs_to(self))
-            .map(|t| Arc::downgrade(&t))
-            .unwrap_or_default();
-        let group = opts.group.unwrap_or_else(|| {
-            parent
-                .upgrade()
-                .map(|p| p.group().clone())
-                .unwrap_or_else(|| self.root_group.clone())
-        });
-        // Always created delayed; schedule_fresh flips to Scheduled below so
-        // the state change and the enqueue stay consistent.
-        let t = Thread::new(
-            self,
-            thunk,
-            ThreadState::Delayed,
-            group,
-            parent,
-            opts.name,
-            opts.stealable,
-            opts.priority,
-            opts.quantum,
-        );
-        {
-            // Amortized-O(1) dead-entry pruning: sweep only when the list
-            // doubles past the previous sweep's survivor count.
-            let mut all = self.all_threads.lock();
-            if all.0.len() >= all.1.max(256) {
-                all.0.retain(|w| w.strong_count() > 0);
-                all.1 = all.0.len() * 2;
+        let t = tls::with(|cur| {
+            // The forking VP's lane, if it is one of ours; a host thread or
+            // a thread of another machine forks on the external lane.
+            let lane_ix = cur
+                .filter(|c| Arc::ptr_eq(c.vm, self))
+                .map(|c| c.vp.index());
+            let lane = self.lane(lane_ix);
+            if lane_ix.is_none() {
+                probe::hit(Probe::SharedRegistryLock);
             }
-            all.0.push(Arc::downgrade(&t));
-        }
+            // Genealogy: the thread whose code is executing (the stolen
+            // thread during a steal) is the parent, if it lives here.
+            let identity = cur.map(|c| (c.shared.identity.lock(), &c.shared.thread));
+            let parent = identity
+                .as_ref()
+                .map(|(stolen, owner)| stolen.last().unwrap_or(owner))
+                .filter(|p| p.belongs_to(self));
+            let group = opts
+                .group
+                .as_ref()
+                .or_else(|| parent.map(|p| p.group()))
+                .unwrap_or(&self.root_group);
+            let mut st = lane.state.lock();
+            let group = match &st.group {
+                Some(cached) if Arc::ptr_eq(cached.group(), group) => cached.clone(),
+                _ => {
+                    probe::hit(Probe::SharedRegistryLock);
+                    st.group.insert(group.open_lane()).clone()
+                }
+            };
+            // Always created delayed; schedule_fresh flips to Scheduled
+            // below so the state change and the enqueue stay consistent.
+            let t = Thread::new(
+                Birth {
+                    id: self.next_thread_id(lane),
+                    anchor: lane.anchor.clone(),
+                    group,
+                    parent: parent.map(Arc::downgrade).unwrap_or_default(),
+                },
+                thunk,
+                opts.name,
+                opts.stealable,
+                opts.priority,
+                opts.quantum,
+            );
+            st.threads.push(Arc::downgrade(&t));
+            drop(st);
+            t.group_lane().add(&t);
+            Counters::bump(&self.counters.lane(lane_ix).threads_created);
+            crate::trace_event!(
+                self.tracer(),
+                cur.map(|c| c.vp.index()),
+                crate::trace::EventKind::Fork,
+                t.id().0
+            );
+            t
+        });
         if state == ThreadState::Scheduled {
             let vp = vp.unwrap_or(0) % self.vp_count();
             self.schedule_fresh(&t, vp).expect("fresh thread schedules");
@@ -384,7 +490,7 @@ impl Vm {
         if self.is_stopped() {
             return Err(CoreError::Shutdown);
         }
-        let vp_arc = self.vp(vp)?.clone();
+        let target = self.vp(vp)?;
         {
             let core = thread.core.lock();
             if thread.state() != ThreadState::Delayed {
@@ -396,36 +502,31 @@ impl Vm {
             thread.home_vp.store(vp, Ordering::Relaxed);
             drop(core);
         }
-        vp_arc.enqueue(RunItem::Fresh(thread.clone()), EnqueueState::New);
+        target.enqueue(self, RunItem::Fresh(thread.clone()), EnqueueState::New);
         Ok(())
     }
 
     /// Enqueues a woken TCB on `vp`.
-    pub(crate) fn enqueue_parked(
-        self: &Arc<Vm>,
-        tcb: crate::tcb::Tcb,
-        vp: usize,
-        state: EnqueueState,
-    ) {
+    pub(crate) fn enqueue_parked(&self, tcb: crate::tcb::Tcb, vp: usize, state: EnqueueState) {
         let vp = vp % self.vp_count();
-        self.vps[vp].enqueue(RunItem::Parked(tcb), state);
+        self.vps[vp].enqueue(self, RunItem::Parked(tcb), state);
     }
 
     /// Enqueues many woken TCBs on `vp` in one batched publication (see
     /// [`WakeBatch`](crate::wait::WakeBatch)).
     pub(crate) fn enqueue_parked_batch(
-        self: &Arc<Vm>,
+        &self,
         tcbs: Vec<crate::tcb::Tcb>,
         vp: usize,
         state: EnqueueState,
     ) {
         let vp = vp % self.vp_count();
-        self.vps[vp].enqueue_batch(tcbs.into_iter().map(RunItem::Parked).collect(), state);
+        self.vps[vp].enqueue_batch(self, tcbs.into_iter().map(RunItem::Parked).collect(), state);
     }
 
     /// Wakes parked machine workers (new work is available).
     pub(crate) fn signal_work(&self) {
-        if let Some(m) = self.machine.lock().clone() {
+        if let Some(m) = self.machine.get() {
             m.signal_work();
         }
     }
@@ -449,7 +550,7 @@ impl Vm {
                     if node.state().timeout(gen) {
                         crate::trace_event!(
                             self.tracer(),
-                            tls::current().map(|c| c.vp.index()),
+                            tls::lane(),
                             crate::trace::EventKind::BlockTimeout,
                             thread.id().0,
                             0,

@@ -35,7 +35,9 @@
 
 use crate::counters::Counters;
 use crate::deque::{BandedInjector, MultiDeque, Steal};
+use crate::pad::CachePadded;
 use crate::pm::{DequeCaps, EnqueueState, PolicyManager, QueueKind, RunItem};
+use crate::probe::{self, Probe};
 use crate::tc;
 use crate::tcb::{Disposition, Tcb, TcbShared, ThreadFiber, Wakeup};
 use crate::thread::{Thread, TryThunk};
@@ -67,13 +69,9 @@ use sting_context::{Fiber, StackPool};
 struct FastQueue {
     caps: DequeCaps,
     deque: MultiDeque<RunItem>,
-    injector: BandedInjector<RunItem>,
-    /// Slice-scoped owner role.  The machine drives each VP from exactly
-    /// one worker (index modulo processor count), but `PhysicalMachine::attach`
-    /// is public, so two machines *can* be pointed at one VM; the guard
-    /// downgrades that misconfiguration from a correctness hazard to a
-    /// skipped slice.
-    owner: AtomicBool,
+    /// Padded: remote submitters write its head, and the owner's every
+    /// dequeue reads it — it must not drag `caps` or a buffer pointer along.
+    injector: CachePadded<BandedInjector<RunItem>>,
 }
 
 impl FastQueue {
@@ -81,8 +79,7 @@ impl FastQueue {
         FastQueue {
             caps,
             deque: MultiDeque::new(),
-            injector: BandedInjector::new(),
-            owner: AtomicBool::new(false),
+            injector: CachePadded(BandedInjector::new()),
         }
     }
 
@@ -94,25 +91,25 @@ impl FastQueue {
         matches!(self.caps.bands, crate::pm::BandMap::Single)
     }
 
-    /// The band this item dispatches from, per the policy's declared map.
-    /// Single-band policies (FIFO/LIFO) never read the thread's priority.
-    fn band_of(&self, item: &RunItem) -> usize {
+    /// The band a thread of this priority dispatches from, per the
+    /// policy's declared map.  Single-band policies (FIFO/LIFO) never read
+    /// the thread's priority.
+    fn band_of(&self, thread: &Thread) -> usize {
         match self.caps.bands {
             crate::pm::BandMap::Single => 0,
-            map => map.band(item.priority()),
+            map => map.band(thread.priority()),
         }
     }
 
-    /// Owner-side push.  Fresh threads are tagged so thieves of a
+    /// Owner-side push.  A fresh thread's slot word carries the tag bit
+    /// (see [`RunItem`]'s `Slot` encoding), so thieves of a
     /// no-TCB-migration policy can decline parked items without claiming
     /// them (see [`MultiDeque::steal`]).
     fn push(&self, item: RunItem) {
-        let fresh = item.is_fresh();
         if self.single() {
-            self.deque.band0().push_tagged(item, fresh);
+            self.deque.band0().push(item);
         } else {
-            let band = self.caps.bands.band(item.priority());
-            self.deque.push_tagged(band, item, fresh);
+            self.deque.push(self.band_of(item.thread()), item);
         }
     }
 
@@ -122,8 +119,7 @@ impl FastQueue {
     fn pop(&self) -> Option<RunItem> {
         if self.single() {
             for (_, item) in self.injector.drain() {
-                let fresh = item.is_fresh();
-                self.deque.band0().push_tagged(item, fresh);
+                self.deque.band0().push(item);
             }
             if self.caps.fifo {
                 self.deque.band0().steal_retrying()
@@ -132,10 +128,41 @@ impl FastQueue {
             }
         } else {
             for (band, item) in self.injector.drain() {
-                let fresh = item.is_fresh();
-                self.deque.push_tagged(band, item, fresh);
+                self.deque.push(band, item);
             }
             self.deque.pop(self.caps.fifo)
+        }
+    }
+
+    /// Owner-side conditional pop at the bottom of `band` (see
+    /// [`Deque::pop_if`](crate::deque::Deque::pop_if)).
+    fn pop_if(&self, band: usize, matches: impl FnOnce(usize) -> bool) -> Option<RunItem> {
+        if self.single() {
+            self.deque.band0().pop_if(matches)
+        } else {
+            self.deque.pop_if(band, matches)
+        }
+    }
+
+    /// Pop-on-join, first half: removes `thread`'s entry if it is the
+    /// newest of its band — where the entry of a thread touched right
+    /// after its fork sits.  **Owner only.**
+    fn take_entry(&self, thread: &Arc<Thread>) {
+        let entry = RunItem::fresh_word(thread);
+        drop(self.pop_if(self.band_of(thread), |word| word == entry));
+    }
+
+    /// Pop-on-join, second half: drops the fresh entries at the bottom of
+    /// `thread`'s band whose threads were absorbed while they were buried
+    /// (each is claimed through the pop protocol before it is looked at),
+    /// stopping at the first live one.  **Owner only.**
+    fn reap_dead(&self, thread: &Thread) {
+        let band = self.band_of(thread);
+        while let Some(item) = self.pop_if(band, |word| word & 1 == 1) {
+            if !item.is_dead() {
+                self.push(item);
+                break;
+            }
         }
     }
 
@@ -153,6 +180,20 @@ impl FastQueue {
         }
     }
 
+    /// Thief-side steal of something that can still run: entries whose
+    /// thread a toucher has absorbed are dropped on the way — they are
+    /// garbage, not work, and nothing migrates.  `None` once the deque is
+    /// observed empty, holds nothing eligible, or a claim is contended.
+    fn steal_live(&self) -> Option<RunItem> {
+        loop {
+            match self.steal(!self.caps.steal_tcbs) {
+                Steal::Success(item) if item.is_dead() => {}
+                Steal::Success(item) => return Some(item),
+                Steal::Empty | Steal::Retry => return None,
+            }
+        }
+    }
+
     /// [`FastQueue::steal`], retried until it yields an item or observes
     /// the queue empty.
     fn steal_retrying(&self) -> Option<RunItem> {
@@ -164,35 +205,47 @@ impl FastQueue {
     }
 }
 
-/// Holds the owner role of a [`FastQueue`] for the duration of one slice.
-struct OwnerGuard<'a>(&'a FastQueue);
+/// Holds a VP's slice-owner role for the duration of one slice.
+struct OwnerGuard<'a>(&'a AtomicBool);
 
 impl<'a> OwnerGuard<'a> {
-    fn acquire(fq: &'a FastQueue) -> Option<OwnerGuard<'a>> {
-        fq.owner
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+    fn acquire(flag: &'a AtomicBool) -> Option<OwnerGuard<'a>> {
+        flag.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .ok()?;
-        Some(OwnerGuard(fq))
+        Some(OwnerGuard(flag))
     }
 }
 
 impl Drop for OwnerGuard<'_> {
     fn drop(&mut self) {
-        self.0.owner.store(false, Ordering::Release);
+        self.0.store(false, Ordering::Release);
     }
+}
+
+/// The part of a VP its driving worker writes: kept on lines of its own so
+/// that thieves reading the rest of the [`Vp`] (its index, its queue's
+/// capabilities and buffers) never wait on the owner's lock traffic.
+struct Owned {
+    pm: Mutex<Box<dyn PolicyManager>>,
+    stack_pool: Mutex<StackPool>,
+    /// Slice-scoped owner role of the deque tier.  The machine drives each
+    /// VP from exactly one worker (index modulo processor count), but
+    /// `PhysicalMachine::attach` is public, so two machines *can* be
+    /// pointed at one VM; the guard downgrades that misconfiguration from
+    /// a correctness hazard to a skipped slice.
+    slice_owner: AtomicBool,
+    /// Set by the machine's timekeeper each preemption tick; polled by the
+    /// running thread at checkpoints.
+    preempt_flag: AtomicBool,
 }
 
 /// A first-class virtual processor.
 pub struct Vp {
     index: usize,
     vm: Weak<Vm>,
-    pub(crate) pm: Mutex<Box<dyn PolicyManager>>,
     /// Lock-free ready queue; `None` for policies on the locked tier.
     fast: Option<FastQueue>,
-    /// Set by the machine's timekeeper each preemption tick; polled by the
-    /// running thread at checkpoints.
-    pub(crate) preempt_flag: AtomicBool,
-    stack_pool: Mutex<StackPool>,
+    owned: CachePadded<Owned>,
 }
 
 impl std::fmt::Debug for Vp {
@@ -219,11 +272,24 @@ impl Vp {
         Vp {
             index,
             vm,
-            pm: Mutex::new(pm),
             fast,
-            preempt_flag: AtomicBool::new(false),
-            stack_pool: Mutex::new(StackPool::new(stack_size, pool_capacity)),
+            owned: CachePadded(Owned {
+                pm: Mutex::new(pm),
+                stack_pool: Mutex::new(StackPool::new(stack_size, pool_capacity)),
+                slice_owner: AtomicBool::new(false),
+                preempt_flag: AtomicBool::new(false),
+            }),
         }
+    }
+
+    /// The VP's policy manager, under its lock.
+    pub(crate) fn pm(&self) -> parking_lot::MutexGuard<'_, Box<dyn PolicyManager>> {
+        self.owned.pm.lock()
+    }
+
+    /// The preemption flag the timekeeper raises and checkpoints poll.
+    pub(crate) fn preempt_flag(&self) -> &AtomicBool {
+        &self.owned.preempt_flag
     }
 
     /// This VP's index within its virtual machine (VPs are enumerable, so
@@ -238,23 +304,20 @@ impl Vp {
     ///
     /// Panics if the machine has been dropped.
     pub fn vm(&self) -> Arc<Vm> {
+        probe::hit(Probe::WeakUpgrade);
         self.vm.upgrade().expect("virtual machine dropped")
-    }
-
-    pub(crate) fn vm_weak(&self) -> &Weak<Vm> {
-        &self.vm
     }
 
     /// Name of the installed scheduling policy.
     pub fn policy_name(&self) -> &'static str {
-        self.pm.lock().name()
+        self.pm().name()
     }
 
     /// Number of items in this VP's ready set.
     pub fn queue_len(&self) -> usize {
         match &self.fast {
             Some(fq) => fq.deque.len() + fq.injector.len(),
-            None => self.pm.lock().len(),
+            None => self.pm().len(),
         }
     }
 
@@ -269,7 +332,7 @@ impl Vp {
     /// satisfied from the recycling cache)`.  The second component is the
     /// pool's own ground truth for the VM-level `stacks_recycled` counter.
     pub fn stack_pool_stats(&self) -> (u64, u64) {
-        self.stack_pool.lock().stats()
+        self.owned.stack_pool.lock().stats()
     }
 
     /// Victim side of thread migration: surrenders an item to `thief`, or
@@ -285,11 +348,14 @@ impl Vp {
     /// [`PolicyManager::offer_migration`] is asked under `try_lock`, so
     /// concurrent idle VPs never deadlock on each other's policy locks.
     ///
+    /// Entries whose thread a toucher has already absorbed are dropped on
+    /// the way, on either tier: they are garbage, and nothing migrates.
+    ///
     /// On success the surrendered thread's home VP is re-pointed at the
     /// thief — it has irrevocably left this VP's queue, and any wake-up
     /// racing with the hand-off should target where it is about to run.
     /// The migrations counter is bumped only at that commit point, never
-    /// for declined or self-directed offers.
+    /// for declined, dead or self-directed offers.
     pub fn try_offer_migration(self: &Arc<Vp>, thief: &Vp) -> Option<RunItem> {
         if self.index == thief.index() {
             return None;
@@ -308,9 +374,9 @@ impl Vp {
             // be taken; the tag check needs no claim, so declining a
             // parked item leaves the victim's queue untouched (and the
             // scan moves on to the next lower band).
-            match fq.steal(!fq.caps.steal_tcbs) {
-                Steal::Success(item) => item,
-                Steal::Empty | Steal::Retry => {
+            match fq.steal_live() {
+                Some(item) => item,
+                None => {
                     // The deque gave nothing — but remote submissions may
                     // be backed up in the injector, and the owner could be
                     // stuck in a long quantum, never folding them in.  The
@@ -330,6 +396,7 @@ impl Vp {
                     let mut best: Option<(usize, usize)> = None; // (index, band)
                     for (i, (band, it)) in backlog.iter().enumerate() {
                         if (fq.caps.steal_tcbs || it.is_fresh())
+                            && !it.is_dead()
                             && best.is_none_or(|(_, b)| *band > b)
                         {
                             best = Some((i, *band));
@@ -357,19 +424,16 @@ impl Vp {
                 }
             }
         } else {
-            let mut pm = self.pm.try_lock()?;
-            pm.offer_migration(self)?
+            let mut pm = self.owned.pm.try_lock()?;
+            pm.offer_migration(self).filter(|item| !item.is_dead())?
         };
-        let thread = match &item {
-            RunItem::Fresh(t) => t.clone(),
-            RunItem::Parked(tcb) => tcb.thread().clone(),
-        };
+        let thread = item.thread();
         thread.home_vp.store(thief.index(), Ordering::Relaxed);
         if let Some(vm) = vm {
             if let Some(t0) = steal_t0 {
                 vm.metrics().note_steal(thief.index(), t0);
             }
-            Counters::bump(&vm.counters().migrations);
+            Counters::bump(&vm.counters().lane(Some(thief.index())).migrations);
             crate::trace_event!(
                 vm.tracer(),
                 Some(thief.index()),
@@ -383,67 +447,54 @@ impl Vp {
     }
 
     /// Enqueues `item` on this VP's ready queue and signals the machine.
+    /// `vm` is this VP's machine, which every caller already holds.
     ///
-    /// Deque tier: if the calling OS thread is this VP's driving worker
-    /// (detected via the scheduler TLS — `Arc` identity, since VP indices
+    /// Deque tier: if the calling OS thread is running a thread on this VP
+    /// (detected via the scheduler TLS — by identity, since VP indices
     /// collide across VMs), the item goes straight onto the deque; any
     /// other thread submits through the injector.  Locked tier: the
     /// policy's [`PolicyManager::enqueue_thread`] under the policy lock.
-    pub(crate) fn enqueue(self: &Arc<Vp>, item: RunItem, state: EnqueueState) {
+    pub(crate) fn enqueue(&self, vm: &Vm, item: RunItem, state: EnqueueState) {
         let owner = self.fast.is_some() && tls::is_current_vp(self);
-        self.enqueue_from(item, state, owner);
+        self.enqueue_from(vm, item, state, owner);
     }
 
     /// [`Vp::enqueue`] with the owner role already decided.  `owner` may
     /// only be `true` on the worker currently holding this VP's
     /// [`OwnerGuard`] (the TC run loop passes it for re-enqueues that
-    /// happen after the TLS slot is cleared).
-    fn enqueue_from(self: &Arc<Vp>, item: RunItem, state: EnqueueState, owner: bool) {
-        let thread_id = match &item {
-            RunItem::Fresh(t) => t.id().0,
-            RunItem::Parked(tcb) => tcb.thread().id().0,
-        };
-        let vm = self.vm.upgrade();
+    /// happen after the running TCB is cleared from the TLS slot).
+    fn enqueue_from(&self, vm: &Vm, item: RunItem, state: EnqueueState, owner: bool) {
         // Trace the enqueue *before* the item becomes visible: the instant
         // the push lands, a thief may steal it and record its Migrate, and
         // the trace audit (see [`crate::audit`]) relies on every steal
         // being preceded by its enqueue in timestamp order.
-        if let Some(vm) = &vm {
-            let thread = match &item {
-                RunItem::Fresh(t) => t.as_ref(),
-                RunItem::Parked(tcb) => tcb.thread().as_ref(),
-            };
-            vm.metrics().stamp_enqueue(self.index, thread);
-            crate::trace_event!(
-                vm.tracer(),
-                tls::current().map(|c| c.vp.index()),
-                crate::trace::EventKind::Enqueue,
-                thread_id,
-                state as u32,
-                self.index
-            );
-        }
+        vm.metrics().stamp_enqueue(self.index, item.thread());
+        crate::trace_event!(
+            vm.tracer(),
+            tls::lane(),
+            crate::trace::EventKind::Enqueue,
+            item.thread().id().0,
+            state as u32,
+            self.index
+        );
         let owner_push = if let Some(fq) = &self.fast {
             if owner {
                 fq.push(item);
             } else {
-                let band = fq.band_of(&item);
+                let band = fq.band_of(item.thread());
                 fq.injector.push(band, item);
             }
             owner
         } else {
-            let mut pm = self.pm.lock();
-            pm.enqueue_thread(self, item, state);
+            self.pm().enqueue_thread(self, item, state);
             false
         };
-        if let Some(vm) = vm {
-            // An owner push needs no wake-up: the pusher *is* the consumer
-            // and is mid-slice.  Sibling thieves discover the backlog at
-            // their idle-timeout tick.  Everything else may target a
-            // sleeping worker and must signal.
-            if !owner_push {
-                vm.signal_work();
-            }
+        // An owner push needs no wake-up: the pusher *is* the consumer
+        // and is mid-slice.  Sibling thieves discover the backlog at
+        // their idle-timeout tick.  Everything else may target a
+        // sleeping worker and must signal.
+        if !owner_push {
+            vm.signal_work();
         }
     }
 
@@ -457,42 +508,62 @@ impl Vp {
     ///
     /// Every item's Enqueue is traced *before* the batch becomes visible,
     /// for the same audit-ordering reason as [`Vp::enqueue_from`].
-    pub(crate) fn enqueue_batch(self: &Arc<Vp>, items: Vec<RunItem>, state: EnqueueState) {
+    pub(crate) fn enqueue_batch(&self, vm: &Vm, items: Vec<RunItem>, state: EnqueueState) {
         if items.is_empty() {
             return;
         }
-        let vm = self.vm.upgrade();
-        if let Some(vm) = &vm {
-            for item in &items {
-                let thread = item.thread();
-                vm.metrics().stamp_enqueue(self.index, thread);
-                crate::trace_event!(
-                    vm.tracer(),
-                    tls::current().map(|c| c.vp.index()),
-                    crate::trace::EventKind::Enqueue,
-                    thread.id().0,
-                    state as u32,
-                    self.index
-                );
-            }
+        for item in &items {
+            let thread = item.thread();
+            vm.metrics().stamp_enqueue(self.index, thread);
+            crate::trace_event!(
+                vm.tracer(),
+                tls::lane(),
+                crate::trace::EventKind::Enqueue,
+                thread.id().0,
+                state as u32,
+                self.index
+            );
         }
         if let Some(fq) = &self.fast {
             fq.injector
-                .push_batch(items.into_iter().map(|it| (fq.band_of(&it), it)));
+                .push_batch(items.into_iter().map(|it| (fq.band_of(it.thread()), it)));
         } else {
-            let mut pm = self.pm.lock();
+            let mut pm = self.pm();
             for item in items {
                 pm.enqueue_thread(self, item, state);
             }
         }
-        if let Some(vm) = vm {
-            vm.signal_work();
+        vm.signal_work();
+    }
+
+    /// Pop-on-join, called by a toucher on this VP that has just claimed
+    /// `thread` to run it inline: takes the thread's ready-queue entry with
+    /// it if that entry is the newest one (see [`FastQueue::take_entry`]).
+    /// Locked-tier queues keep their dead entries until dispatch.
+    ///
+    /// The caller must be a thread running on this VP — which makes it
+    /// the deque's owner for the duration of the call.
+    pub(crate) fn take_entry(&self, thread: &Arc<Thread>) {
+        debug_assert!(tls::is_current_vp(self));
+        if let Some(fq) = &self.fast {
+            fq.take_entry(thread);
+        }
+    }
+
+    /// Pop-on-join, after the inline run of `thread` returned on this VP:
+    /// reaps the entries that died buried under it (see
+    /// [`FastQueue::reap_dead`]).  Same caller contract as
+    /// [`Vp::take_entry`].
+    pub(crate) fn reap_dead_entries(&self, thread: &Thread) {
+        debug_assert!(tls::is_current_vp(self));
+        if let Some(fq) = &self.fast {
+            fq.reap_dead(thread);
         }
     }
 
     /// Returns the next item to run, consulting the fast tier first and
     /// falling back to the policy's idle hook (work migration).
-    fn next_item(self: &Arc<Vp>) -> Option<RunItem> {
+    fn next_item(&self) -> Option<RunItem> {
         if let Some(fq) = &self.fast {
             if let Some(item) = fq.pop() {
                 return Some(item);
@@ -500,58 +571,57 @@ impl Vp {
             // Empty: the *policy* still decides whether and where to go
             // raiding (`pm-vp-idle`); the lock is uncontended here because
             // routine traffic no longer takes it.
-            self.pm.lock().vp_idle(self)
+            self.pm().vp_idle(self)
         } else {
-            let mut pm = self.pm.lock();
+            let mut pm = self.pm();
             pm.get_next_thread(self).or_else(|| pm.vp_idle(self))
         }
     }
 
-    /// Runs up to `budget` scheduling decisions on this VP.  Returns `true`
-    /// if any thread was run.  Called by physical-processor workers.
-    pub(crate) fn run_slice(self: &Arc<Vp>, budget: usize) -> bool {
-        let Some(vm) = self.vm.upgrade() else {
+    /// Runs up to `budget` threads on this VP, on behalf of its machine
+    /// `vm`.  Returns `true` if any thread was run.  Called by
+    /// physical-processor workers.
+    ///
+    /// Entries whose thread was absorbed by a toucher (or terminated)
+    /// while queued are discarded as they surface: they cost no budget,
+    /// and the slice goes on to whatever lies beneath them.
+    pub(crate) fn run_slice(self: &Arc<Vp>, vm: &Arc<Vm>, budget: usize) -> bool {
+        // Claim the slice-owner role (on the deque tier, that of the
+        // deque's single owner); if another worker somehow drives this VP
+        // right now, skip the slice.
+        let Some(_owner) = OwnerGuard::acquire(&self.owned.slice_owner) else {
             return false;
         };
-        // Claim the deque-owner role for the whole slice; if another
-        // worker somehow drives this VP right now, skip the slice.
-        let _owner = match &self.fast {
-            Some(fq) => match OwnerGuard::acquire(fq) {
-                Some(g) => Some(g),
-                None => return false,
-            },
-            None => None,
-        };
+        // The borrowed scheduler context: every thread-controller call a
+        // thread of this slice makes finds its machine and VP here.
+        let _slice = tls::enter_slice(vm.clone(), self.clone());
         // Cross-shard fabric: drain inbound handoffs/calls once per slice
         // and, when the slice ends empty-handed, ask a sibling shard for
         // work.  Standalone VMs pay one acquire load for the `None`.
-        let fabric = vm.fabric().cloned();
-        if let Some(fabric) = &fabric {
-            fabric.pump(&vm, self);
+        let fabric = vm.fabric();
+        if let Some(fabric) = fabric {
+            fabric.pump(vm, self);
         }
-        let mut ran = false;
-        for _ in 0..budget {
-            if vm.is_stopped() {
-                break;
-            }
+        let mut ran = 0;
+        while ran < budget && !vm.is_stopped() {
             let Some(item) = self.next_item() else { break };
             match item {
                 RunItem::Fresh(thread) => {
                     // Revalidate: the thread may have been stolen or
                     // terminated while sitting in the ready queue.
-                    if let Some(thunk) = thread.claim(crate::state::ThreadState::Evaluating) {
-                        vm.metrics().note_dispatch(self.index, &thread);
-                        crate::trace_event!(
-                            vm.tracer(),
-                            Some(self.index),
-                            crate::trace::EventKind::Dispatch,
-                            thread.id().0,
-                            0
-                        );
-                        let tcb = self.make_tcb(&vm, thread, thunk);
-                        self.run_tcb(&vm, tcb);
-                        ran = true;
-                    }
+                    let Some(thunk) = thread.claim(crate::state::ThreadState::Evaluating) else {
+                        continue;
+                    };
+                    vm.metrics().note_dispatch(self.index, &thread);
+                    crate::trace_event!(
+                        vm.tracer(),
+                        Some(self.index),
+                        crate::trace::EventKind::Dispatch,
+                        thread.id().0,
+                        0
+                    );
+                    let tcb = self.make_tcb(vm, thread, thunk);
+                    self.run_tcb(vm, tcb);
                 }
                 RunItem::Parked(tcb) => {
                     // A determined thread's TCB is recycled at its final
@@ -570,17 +640,17 @@ impl Vp {
                         tcb.thread().id().0,
                         1
                     );
-                    self.run_tcb(&vm, tcb);
-                    ran = true;
+                    self.run_tcb(vm, tcb);
                 }
             }
+            ran += 1;
         }
-        if !ran {
-            if let Some(fabric) = &fabric {
-                fabric.request_work(&vm);
+        if ran == 0 {
+            if let Some(fabric) = fabric {
+                fabric.request_work(vm);
             }
         }
-        ran
+        ran > 0
     }
 
     /// Pops one migratable item from this VP's own ready queue for a
@@ -594,10 +664,7 @@ impl Vp {
         if !fq.caps.steal {
             return None;
         }
-        match fq.steal(!fq.caps.steal_tcbs) {
-            Steal::Success(item) => Some(item),
-            Steal::Empty | Steal::Retry => None,
-        }
+        fq.steal_live()
     }
 
     /// Empties both queue tiers, returning everything that was ready.
@@ -612,7 +679,7 @@ impl Vp {
                 out.push(item);
             }
         }
-        let mut pm = self.pm.lock();
+        let mut pm = self.pm();
         while let Some(item) = pm.get_next_thread(self) {
             out.push(item);
         }
@@ -621,20 +688,21 @@ impl Vp {
 
     /// Allocates a TCB (stack from the recycling pool + fiber) for a
     /// freshly claimed thread.
-    fn make_tcb(self: &Arc<Vp>, vm: &Arc<Vm>, thread: Arc<Thread>, thunk: TryThunk) -> Tcb {
+    fn make_tcb(&self, vm: &Vm, thread: Arc<Thread>, thunk: TryThunk) -> Tcb {
+        let counters = vm.counters().lane(Some(self.index));
         let stack = {
-            let mut pool = self.stack_pool.lock();
+            let mut pool = self.owned.stack_pool.lock();
             // Count *hand-outs the pool satisfied from its cache*, not pool
             // occupancy before the take: the pool's own hit statistic is
             // the ground truth (see the reconciliation test).
             let recycled_before = pool.stats().1;
             let stack = pool.take();
             if pool.stats().1 > recycled_before {
-                Counters::bump(&vm.counters().stacks_recycled);
+                Counters::bump(&counters.stacks_recycled);
             }
             stack
         };
-        Counters::bump(&vm.counters().tcbs_allocated);
+        Counters::bump(&counters.tcbs_allocated);
         let shared = TcbShared::new(thread, self.index);
         let shared_in = shared.clone();
         let fiber: ThreadFiber = Fiber::new(stack, move |sus, first: Wakeup| {
@@ -648,17 +716,18 @@ impl Vp {
     }
 
     /// Context-switches into `tcb` and handles its next disposition.
-    fn run_tcb(self: &Arc<Vp>, vm: &Arc<Vm>, mut tcb: Tcb) {
+    fn run_tcb(&self, vm: &Vm, mut tcb: Tcb) {
+        let counters = vm.counters().lane(Some(self.index));
         let shared = tcb.shared.clone();
         shared.vp_index.store(self.index, Ordering::Relaxed);
         shared.thread.home_vp.store(self.index, Ordering::Relaxed);
         shared.reset_ticks();
-        self.preempt_flag.store(false, Ordering::Relaxed);
-        tls::set_current(self.clone(), shared.clone());
-        Counters::bump(&vm.counters().context_switches);
+        self.owned.preempt_flag.store(false, Ordering::Relaxed);
+        tls::set_thread(shared.clone());
+        Counters::bump(&counters.context_switches);
         let outcome = tcb.fiber.resume(Wakeup::Run);
-        tls::clear_current();
-        let thread = shared.thread.clone();
+        tls::clear_thread();
+        let thread = &shared.thread;
         let disposition_code = match &outcome {
             FiberResult::Yield(Disposition::Yielded { preempted: false }) => 0,
             FiberResult::Yield(Disposition::Yielded { preempted: true }) => 1,
@@ -675,20 +744,17 @@ impl Vp {
         );
         match outcome {
             FiberResult::Yield(Disposition::Yielded { preempted }) => {
-                if preempted {
-                    Counters::bump(&vm.counters().preemptions);
-                } else {
-                    Counters::bump(&vm.counters().yields);
-                }
                 let state = if preempted {
+                    Counters::bump(&counters.preemptions);
                     EnqueueState::Preempted
                 } else {
+                    Counters::bump(&counters.yields);
                     EnqueueState::Yielded
                 };
                 // Owner push: run_tcb only runs under this VP's slice (and
-                // its OwnerGuard); the TLS slot is already cleared, so the
-                // role is passed explicitly.
-                self.enqueue_from(RunItem::Parked(tcb), state, true);
+                // its OwnerGuard); no thread is running, so the role is
+                // passed explicitly.
+                self.enqueue_from(vm, RunItem::Parked(tcb), state, true);
             }
             FiberResult::Yield(d @ (Disposition::Blocked | Disposition::Suspended)) => {
                 let suspended = d == Disposition::Suspended;
@@ -708,23 +774,25 @@ impl Vp {
                         // Stamp under `core`: the waker takes the same lock
                         // before it can consume the parked TCB, so a
                         // stamped park is always visible to its wake.
-                        vm.metrics().stamp_block(self.index, &thread);
+                        vm.metrics().stamp_block(self.index, thread);
                         Counters::bump(if suspended {
-                            &vm.counters().suspends
+                            &counters.suspends
                         } else {
-                            &vm.counters().blocks
+                            &counters.blocks
                         });
                         None
                     }
                 };
                 if let Some(tcb) = requeue {
-                    self.enqueue_from(RunItem::Parked(tcb), EnqueueState::Unblocked, true);
+                    self.enqueue_from(vm, RunItem::Parked(tcb), EnqueueState::Unblocked, true);
                 }
             }
             FiberResult::Return(result) => {
                 let stack = tcb.fiber.into_stack();
-                self.stack_pool.lock().put(stack);
-                thread.complete(result);
+                self.owned.stack_pool.lock().put(stack);
+                // The worker is the determiner: it holds the machine and
+                // knows its lane, so nothing is looked up.
+                thread.complete_on(Some(vm), Some(self.index), result);
             }
         }
     }

@@ -366,10 +366,8 @@ impl Waiter {
     /// [`crate::tc::current_owner`]).  On a plain OS thread a fresh
     /// condvar-backed node is created.
     pub fn current() -> Waiter {
-        match tls::current() {
-            Some(cur) => {
-                let node = cur.shared.thread.wait_node().clone();
-                drop(cur);
+        match tls::with(|cur| cur.map(|c| c.shared.thread.wait_node().clone())) {
+            Some(node) => {
                 let gen = node.state.arm();
                 Waiter { node, gen }
             }
@@ -462,9 +460,7 @@ impl Waiter {
     }
 
     fn park_green(&self, blocker: &Value, deadline: Option<Instant>) -> WakeReason {
-        let cur = tls::current().expect("green waiter parked off its thread");
-        let thread = cur.shared.thread.clone();
-        drop(cur);
+        let thread = crate::tc::current_owner().expect("green waiter parked off its thread");
         debug_assert!(
             Arc::ptr_eq(thread.wait_node(), &self.node),
             "a green Waiter may only be parked by the thread that armed it"
@@ -569,7 +565,7 @@ impl Drop for ParkGuard<'_> {
             if let Some(vm) = &vm {
                 crate::trace_event!(
                     vm.tracer(),
-                    tls::current().map(|c| c.vp.index()),
+                    tls::lane(),
                     crate::trace::EventKind::WaiterCancelled,
                     self.thread.id().0,
                     1, // origin: park unwind

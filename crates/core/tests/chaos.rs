@@ -65,9 +65,20 @@ fn run_storm(vm: &Arc<Vm>, seed: u64, victims: usize, requests: usize) {
     for t in &pool {
         // Threads raised at may have determined with the chaos exception;
         // both outcomes are legal.  What is not legal is hanging.
-        let r = t
-            .join_blocking_timeout(Duration::from_secs(20))
-            .expect("thread must determine, not hang");
+        // A Block or Suspend the storm queued may only be honoured now, at
+        // the target's next checkpoint — after the resume sweep above, which
+        // an evaluating target rejected.  Keep resuming while we wait.
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        let r = loop {
+            if let Some(r) = t.join_blocking_timeout(Duration::from_millis(10)) {
+                break r;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "thread must determine, not hang"
+            );
+            let _ = t.request(StateRequest::Resume);
+        };
         match r {
             Ok(v) => assert!(v.as_int().is_some(), "normal exit carries the count: {v}"),
             Err(e) => assert_eq!(e, Value::sym("chaos-raise")),

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 use sting_check::{model, model_bounded, thread};
-use sting_core::deque::{BandedInjector, Deque, Injector, MultiDeque, Steal, BANDS};
+use sting_core::deque::{BandedInjector, Deque, Injector, MultiDeque, Steal, Tagged, BANDS};
 use sting_core::trace::{EventKind, Tracer};
 
 /// The pop/steal last-item race (deque.rs `pop`, `t == b` arm): with one
@@ -74,28 +74,130 @@ fn deque_pop_steal_no_loss_no_dup() {
 fn deque_steal_tagged_never_claims_untagged() {
     model_bounded(3, || {
         let d = Arc::new(Deque::with_capacity(2));
-        d.push_tagged(1u64, false);
+        d.push(Tagged(1u64, false));
         let d2 = d.clone();
         let thief = thread::spawn(move || loop {
             match d2.steal_tagged() {
-                Steal::Success(v) => return Some(v),
+                Steal::Success(Tagged(v, tag)) => return Some((v, tag)),
                 Steal::Empty => return None,
                 Steal::Retry => {}
             }
         });
         // The untagged item is invisible to the tag-only thief: pop always
         // gets it.
-        assert_eq!(d.pop(), Some(1), "tag-only thief claimed an untagged item");
-        d.push_tagged(2u64, true);
+        assert_eq!(
+            d.pop(),
+            Some(Tagged(1, false)),
+            "tag-only thief claimed an untagged item"
+        );
+        d.push(Tagged(2u64, true));
         let stolen = thief.join();
         let popped = d.pop();
         match stolen {
             Some(v) => {
-                assert_eq!(v, 2, "thief claimed the untagged item");
+                assert_eq!(v, (2, true), "thief claimed the untagged item");
                 assert_eq!(popped, None, "tagged item dispatched twice");
             }
-            None => assert_eq!(popped, Some(2), "tagged item lost"),
+            None => assert_eq!(popped, Some(Tagged(2, true)), "tagged item lost"),
         }
+    });
+}
+
+/// Thin tagged slots: an `Arc` goes into its slot as the raw pointer, tag
+/// bit beside it, and whichever side claims the slot turns the word back
+/// into the `Arc` — exactly once, with the tag it was pushed with.  A word
+/// converted twice would double-free, one never converted would leak;
+/// either shows in the reference counts.
+#[test]
+fn deque_thin_slots_hand_each_arc_over_exactly_once() {
+    model_bounded(3, || {
+        let (a, b) = (Arc::new(1u64), Arc::new(2u64));
+        let d = Arc::new(Deque::with_capacity(2));
+        let d2 = d.clone();
+        let thief = thread::spawn(move || d2.steal_retrying());
+        d.push(Tagged(a.clone(), true));
+        d.push(Tagged(b.clone(), false));
+        let mut claimed = Vec::new();
+        claimed.extend(d.pop());
+        claimed.extend(thief.join());
+        while let Some(item) = d.pop() {
+            claimed.push(item);
+        }
+        let mut seen: Vec<(u64, bool)> = claimed.iter().map(|Tagged(x, tag)| (**x, *tag)).collect();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            [(1, true), (2, false)],
+            "lost, duplicated or retagged"
+        );
+        drop(claimed);
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (1, 1));
+    });
+}
+
+/// Pop-on-join, first half (deque.rs `pop_if`): the owner's conditional
+/// pop of the entry it just absorbed races a thief on the *last* item.
+/// The peek claims nothing — the pop protocol that follows does — so
+/// exactly one side ends up with the entry, under every interleaving and
+/// weak load result.  (The mutation that trusts the peek is shown failing
+/// in `crates/check/tests/litmus.rs`, `mini_deque_pop_if_*`.)
+#[test]
+fn deque_pop_if_vs_thief_on_the_last_item_exactly_once() {
+    let explored = model(|| {
+        let entry = Arc::new(7u64);
+        let word = Arc::as_ptr(&entry) as usize;
+        let d = Arc::new(Deque::with_capacity(2));
+        d.push(entry.clone());
+        let d2 = d.clone();
+        let thief = thread::spawn(move || match d2.steal() {
+            Steal::Success(v) => Some(v),
+            Steal::Empty | Steal::Retry => None,
+        });
+        let taken = d.pop_if(|w| w == word);
+        let stolen = thief.join();
+        let claims = usize::from(taken.is_some()) + usize::from(stolen.is_some());
+        assert_eq!(claims, 1, "the absorbed entry was claimed {claims} times");
+        drop((taken, stolen));
+        // Empty now: whatever the slot still shows, nothing comes back.
+        assert!(d.pop_if(|_| true).is_none(), "popped a stale slot");
+        assert_eq!(Arc::strong_count(&entry), 1);
+    });
+    assert!(explored.executions > 1);
+}
+
+/// Pop-on-join, second half (vp.rs `FastQueue::reap_dead`) against a
+/// tag-only thief: the owner pops tagged entries off the bottom, drops the
+/// dead one (2), puts the live one (1) back and stops, while the thief
+/// works the top.  Each entry is claimed exactly once — reaped, stolen, or
+/// left for the final drain — and the owner never sees an entry twice.
+#[test]
+fn deque_reap_vs_steal_tagged_claims_each_entry_once() {
+    model_bounded(3, || {
+        let d = Arc::new(Deque::with_capacity(2));
+        d.push(Tagged(1u64, true));
+        d.push(Tagged(2u64, true));
+        let d2 = d.clone();
+        let thief = thread::spawn(move || loop {
+            match d2.steal_tagged() {
+                Steal::Success(Tagged(v, _)) => return Some(v),
+                Steal::Empty => return None,
+                Steal::Retry => {}
+            }
+        });
+        let mut claimed = Vec::new();
+        while let Some(Tagged(v, tag)) = d.pop_if(|word| word & 1 == 1) {
+            if v == 1 {
+                d.push(Tagged(v, tag)); // live: back where it was
+                break;
+            }
+            claimed.push(v); // dead: reaped
+        }
+        claimed.extend(thief.join());
+        while let Some(Tagged(v, _)) = d.pop() {
+            claimed.push(v);
+        }
+        claimed.sort_unstable();
+        assert_eq!(claimed, [1, 2], "reap lost or duplicated an entry");
     });
 }
 

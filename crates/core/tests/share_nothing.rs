@@ -1,0 +1,446 @@
+//! The share-nothing thread fast path, from outside: per-VP state that must
+//! still add up (counter lanes, thread-id blocks, registries sharded by
+//! registering VP), the self-cleaning ready queue (dead entries cost
+//! neither budget, idleness nor migrations), and the gated join wake-up.
+
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
+use sting_core::audit::FindingKind;
+use sting_core::{policies, tc, Cx, Fleet, Thread, ThreadBuilder, ThreadGroup, ThreadState, Vm};
+use sting_core::{CounterSnapshot, VmBuilder};
+use sting_value::Value;
+
+const LONG: Duration = Duration::from_secs(20);
+
+/// A 2-VP machine whose threads stay on the VP they were forked on.
+fn pinned_vm() -> Arc<Vm> {
+    VmBuilder::new()
+        .vps(2)
+        .processors(2)
+        .policy(|_| policies::local_lifo().boxed())
+        .build()
+}
+
+fn fork_touch(cx: &Cx, n: usize) {
+    for i in 0..n {
+        let t = cx.fork(move |_| i as i64);
+        assert_eq!(cx.touch(&t).unwrap().as_int(), Some(i as i64));
+    }
+}
+
+fn sum(lanes: &[CounterSnapshot]) -> CounterSnapshot {
+    lanes
+        .iter()
+        .fold(CounterSnapshot::default(), |acc, l| acc.plus(l))
+}
+
+#[test]
+fn counter_lanes_sum_to_the_snapshot_and_stay_monotone() {
+    const FORKS: usize = 20_000;
+    let vm = pinned_vm();
+    let workers: Vec<_> = (0..2)
+        .map(|vp| vm.fork_on(vp, |cx| fork_touch(cx, FORKS)).unwrap())
+        .collect();
+    // Snapshots taken while both VPs count: `since` must never see a field
+    // go backwards (it asserts so itself in debug builds).
+    let mut last = vm.counters().snapshot();
+    while workers.iter().any(|w| !w.is_determined()) {
+        let now = vm.counters().snapshot();
+        let delta = now.since(&last);
+        assert!(now.threads_created >= last.threads_created);
+        assert_eq!(
+            delta.threads_created,
+            now.threads_created - last.threads_created
+        );
+        last = now;
+    }
+    for w in &workers {
+        w.join_blocking_timeout(LONG).unwrap().unwrap();
+    }
+    let lanes = vm.counters().lane_snapshots();
+    assert_eq!(lanes.len(), 3, "one lane per VP plus the external lane");
+    assert_eq!(sum(&lanes), vm.counters().snapshot());
+    // Each VP counted its own forks, steals and determinations; the host's
+    // two forks landed on the external lane.
+    for lane in &lanes[..2] {
+        assert_eq!(lane.threads_created, FORKS as u64);
+        assert_eq!(lane.steals, FORKS as u64);
+        assert_eq!(lane.determinations, FORKS as u64 + 1);
+    }
+    assert_eq!(lanes[2].threads_created, 2);
+    vm.shutdown();
+}
+
+/// Forks `n` delayed threads and returns their ids.
+fn ids_of_forks(cx: &Cx, n: usize) -> Vec<u64> {
+    (0..n).map(|_| cx.delayed(|_| 0i64).id().0).collect()
+}
+
+fn assert_all_distinct(ids: impl IntoIterator<Item = u64>, expected: usize) {
+    let set: HashSet<u64> = ids.into_iter().collect();
+    assert_eq!(set.len(), expected, "a thread id was handed out twice");
+    assert!(!set.contains(&0), "id 0 means \"no thread\" in traces");
+}
+
+#[test]
+fn concurrent_forks_on_two_vps_never_share_a_thread_id() {
+    const FORKS: usize = 100_000;
+    let vm = pinned_vm();
+    let ids: Arc<std::sync::Mutex<Vec<u64>>> = Arc::default();
+    let workers: Vec<_> = (0..2)
+        .map(|vp| {
+            let ids = ids.clone();
+            vm.fork_on(vp, move |cx| {
+                let mine = ids_of_forks(cx, FORKS);
+                ids.lock().unwrap().extend(mine);
+            })
+            .unwrap()
+        })
+        .collect();
+    // The host forks too, on the external lane, while the VPs do.
+    let host: Vec<u64> = (0..1000).map(|_| vm.delayed(|_| 0i64).id().0).collect();
+    for w in &workers {
+        w.join_blocking_timeout(LONG).unwrap().unwrap();
+    }
+    let all = ids.lock().unwrap().clone();
+    let workers = workers.iter().map(|w| w.id().0);
+    assert_all_distinct(all.into_iter().chain(host).chain(workers), 2 * FORKS + 1002);
+    vm.shutdown();
+}
+
+#[test]
+fn two_fleet_shards_never_share_a_thread_id() {
+    const FORKS: usize = 100_000;
+    let fleet = Fleet::builder().shards(2).vps_per_shard(1).build();
+    let ids: Arc<std::sync::Mutex<Vec<u64>>> = Arc::default();
+    let workers: Vec<_> = (0..2)
+        .map(|shard| {
+            let ids = ids.clone();
+            fleet.shard(shard).fork(move |cx| {
+                let mine = ids_of_forks(cx, FORKS);
+                ids.lock().unwrap().extend(mine);
+            })
+        })
+        .collect();
+    for w in &workers {
+        w.join_blocking_timeout(LONG).unwrap().unwrap();
+    }
+    let all = ids.lock().unwrap().clone();
+    assert_all_distinct(all, 2 * FORKS);
+    fleet.shutdown();
+}
+
+/// Two parents in `group`, one per VP, each holding `kids` delayed
+/// children and then spinning at checkpoints until released.
+fn family(
+    vm: &Arc<Vm>,
+    group: &Arc<ThreadGroup>,
+    kids: usize,
+    release: &Arc<AtomicBool>,
+) -> Vec<Arc<Thread>> {
+    let ready = Arc::new(AtomicUsize::new(0));
+    let parents: Vec<_> = (0..2)
+        .map(|vp| {
+            let (ready, release) = (ready.clone(), release.clone());
+            ThreadBuilder::new(vm)
+                .group(group.clone())
+                .on_vp(vp)
+                .spawn(move |cx| {
+                    let held: Vec<_> = (0..kids).map(|_| cx.delayed(|_| 1i64)).collect();
+                    ready.fetch_add(1, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        cx.checkpoint();
+                        cx.yield_now();
+                    }
+                    held.len() as i64
+                })
+                .unwrap()
+        })
+        .collect();
+    let deadline = Instant::now() + LONG;
+    while ready.load(Ordering::SeqCst) < 2 {
+        assert!(Instant::now() < deadline, "parents never got going");
+        std::thread::yield_now();
+    }
+    parents
+}
+
+#[test]
+fn registries_see_threads_registered_from_every_vp() {
+    const KIDS: usize = 10;
+    let vm = pinned_vm();
+    let group = ThreadGroup::root(Some("family".into()));
+    let release = Arc::new(AtomicBool::new(false));
+    let parents = family(&vm, &group, KIDS, &release);
+    let lanes = vm.counters().lane_snapshots();
+    assert!(
+        lanes[0].threads_created >= KIDS as u64 && lanes[1].threads_created >= KIDS as u64,
+        "the two parents must have forked on different VPs: {lanes:?}"
+    );
+
+    // Genealogy, group membership and the machine registry all list every
+    // child, whichever VP registered it.
+    for p in &parents {
+        let kids = p.children();
+        assert_eq!(kids.len(), KIDS);
+        assert!(kids.iter().all(|k| Arc::ptr_eq(k.group(), &group)));
+        assert!(kids
+            .iter()
+            .all(|k| k.parent().is_some_and(|q| Arc::ptr_eq(&q, p))));
+    }
+    let members: HashSet<u64> = group.threads().iter().map(|t| t.id().0).collect();
+    assert_eq!(members.len(), 2 * KIDS + 2);
+    let machine: HashSet<u64> = vm.threads().iter().map(|t| t.id().0).collect();
+    assert!(members.is_subset(&machine));
+
+    // Suspension and resumption reach the running members on both VPs …
+    group.suspend_all(None);
+    let deadline = Instant::now() + LONG;
+    while parents.iter().any(|p| p.state() != ThreadState::Suspended) {
+        assert!(Instant::now() < deadline, "a parent never suspended");
+        std::thread::yield_now();
+    }
+    // (Resuming a delayed member schedules it, so a child may run to its
+    // own value before the kill below reaches it.)
+    group.resume_all();
+    // … and kill-group determines all twenty-two.
+    group.terminate_all(Value::sym("killed"));
+    for t in group.threads() {
+        let r = t
+            .join_blocking_timeout(LONG)
+            .expect("member must determine");
+        let is_parent = parents.iter().any(|p| Arc::ptr_eq(p, &t));
+        assert!(
+            r == Ok(Value::sym("killed")) || (!is_parent && r == Ok(Value::from(1i64))),
+            "{r:?}"
+        );
+    }
+    vm.shutdown();
+}
+
+#[test]
+fn shutdown_drain_completes_passive_threads_from_every_lane() {
+    let vm = pinned_vm();
+    let group = ThreadGroup::root(None);
+    let release = Arc::new(AtomicBool::new(false));
+    let parents = family(&vm, &group, 5, &release);
+    let mut passive: Vec<Arc<Thread>> = parents.iter().flat_map(|p| p.children()).collect();
+    passive.extend((0..5).map(|_| vm.delayed(|_| 2i64)));
+    assert_eq!(passive.len(), 15);
+    vm.shutdown();
+    for t in passive.iter().chain(&parents) {
+        assert_eq!(
+            t.join_blocking_timeout(LONG)
+                .expect("drain must determine it"),
+            Err(Value::sym("vm-shutdown"))
+        );
+    }
+}
+
+#[test]
+fn an_os_joiner_racing_the_determination_is_always_woken() {
+    let vm = VmBuilder::new().vps(2).build();
+    // Join straight after the fork: the thread determines on a worker
+    // while the host is somewhere between its state check and its sleep.
+    for i in 0..2000i64 {
+        let t = vm.fork(move |_| i);
+        let r = t.join_blocking_timeout(LONG).expect("joiner left asleep");
+        assert_eq!(r.unwrap().as_int(), Some(i));
+    }
+    // And with the determiner on a second OS thread, released together
+    // with the joiner: whichever takes the thread's lock first, the joiner
+    // must come back.
+    for _ in 0..1000 {
+        let t = vm.delayed(|_| 0i64);
+        let barrier = Arc::new(Barrier::new(2));
+        let (t2, b2) = (t.clone(), barrier.clone());
+        let killer = std::thread::spawn(move || {
+            b2.wait();
+            tc::thread_terminate(&t2, Value::from(7i64)).unwrap();
+        });
+        barrier.wait();
+        let r = t.join_blocking_timeout(LONG).expect("joiner left asleep");
+        assert_eq!(r.unwrap().as_int(), Some(7));
+        killer.join().unwrap();
+    }
+    vm.shutdown();
+}
+
+#[test]
+fn a_terminate_racing_the_dispatch_never_takes_the_worker_down() {
+    let vm = VmBuilder::new().vps(2).processors(2).build();
+    // Some of these land after the worker claimed the thread and before
+    // its first instruction: the request must become the thread's result.
+    for _ in 0..5000 {
+        let t = vm.fork(|_| 0i64);
+        let _ = tc::thread_terminate(&t, Value::from(9i64));
+        let r = t.join_blocking_timeout(LONG).expect("must determine");
+        assert!(matches!(r.unwrap().as_int(), Some(0 | 9)));
+    }
+    // Both workers still dispatch.
+    for vp in 0..2 {
+        let t = vm.fork_on(vp, |_| 1i64).unwrap();
+        assert!(t.join_blocking_timeout(LONG).is_some(), "vp {vp} is wedged");
+    }
+    vm.shutdown();
+}
+
+#[test]
+fn dead_entries_cost_neither_slice_budget_nor_idleness() {
+    const DEAD: usize = 25_000;
+    // FIFO: the owner dispatches oldest-first, so it has to get through
+    // every dead entry before it reaches the marker forked after them.
+    let vm = VmBuilder::new()
+        .vps(1)
+        .policy(|_| policies::local_fifo().boxed())
+        .build();
+    let waited = vm
+        .run(|cx| {
+            for _ in 0..DEAD {
+                let t = cx.fork(|_| 0i64);
+                // Terminated while queued: the entry stays, dead.
+                tc::thread_terminate(&t, Value::Unit).unwrap();
+            }
+            assert!(cx.current_vp().queue_len() >= DEAD);
+            let forked = Instant::now();
+            let marker = cx.fork(move |_| forked.elapsed().as_micros() as i64);
+            cx.wait(&marker).unwrap()
+        })
+        .unwrap()
+        .as_int()
+        .unwrap();
+    // A discard is well under a microsecond in a release build; a slice
+    // that charged them to its budget parked a 500 us tick per sixteen,
+    // 780 ms in all.  The bound leaves a debug build on a busy box room.
+    assert!(
+        waited < 100_000,
+        "the marker waited {waited} us behind {DEAD} dead entries"
+    );
+    assert!(vm.vp(0).unwrap().queue_len() <= 1);
+    vm.shutdown();
+}
+
+#[test]
+fn thieves_drop_dead_entries_without_counting_migrations() {
+    const DEAD: usize = 5_000;
+    let vm = VmBuilder::new()
+        .vps(2)
+        .processors(2)
+        // Everything forks onto the forker's own VP: only stealing moves it.
+        .policy(|_| {
+            policies::local_fifo()
+                .migrating(true)
+                .place_round_robin(false)
+                .boxed()
+        })
+        .build();
+    let release = Arc::new(AtomicBool::new(false));
+    let r2 = release.clone();
+    let holder = vm
+        .fork_on(0, move |cx| {
+            for _ in 0..DEAD {
+                let t = cx.fork(|_| 0i64);
+                // Fails for the odd child the sibling stole live in the
+                // instant between the two calls: a real migration.
+                let _ = tc::thread_terminate(&t, Value::Unit);
+            }
+            // Keep VP 0 busy so only its idle sibling can reach the queue.
+            while !r2.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+        })
+        .unwrap();
+    // The sibling raids VP 0 at its idle tick and finds nothing but husks.
+    let deadline = Instant::now() + LONG;
+    let queued = || vm.vps().iter().map(|vp| vp.queue_len()).sum::<usize>();
+    while queued() > 0 || vm.counters().snapshot().determinations < DEAD as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "dead entries were never reaped:\n{}",
+            vm.dump()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    release.store(true, Ordering::SeqCst);
+    holder.join_blocking_timeout(LONG).unwrap().unwrap();
+    // The holder itself may have moved (rescued from VP 0's injector), and
+    // so may a child caught live; the husks must not count.
+    let migrations = vm.counters().snapshot().migrations as usize;
+    assert!(
+        migrations < DEAD / 10,
+        "{migrations} migrations counted for {DEAD} dead entries"
+    );
+    vm.shutdown();
+}
+
+/// A depth-`depth` result-parallel tree whose nodes yield now and then, so
+/// touches find their targets in every state: still queued (absorbed),
+/// stolen by the other VP, running, parked.
+fn unruly_tree(cx: &Cx, depth: u32, salt: u64) -> i64 {
+    if depth == 0 {
+        return 1;
+    }
+    let (a, b) = (salt.wrapping_mul(2) + 1, salt.wrapping_mul(2) + 2);
+    let l = cx.fork(move |cx| unruly_tree(cx, depth - 1, a));
+    if salt.is_multiple_of(5) {
+        cx.yield_now();
+    }
+    let r = cx.fork(move |cx| unruly_tree(cx, depth - 1, b));
+    if salt.is_multiple_of(7) {
+        cx.yield_now();
+    }
+    let (first, second) = if salt.is_multiple_of(3) {
+        (&r, &l)
+    } else {
+        (&l, &r)
+    };
+    cx.touch(first).unwrap().as_int().unwrap() + cx.touch(second).unwrap().as_int().unwrap()
+}
+
+#[test]
+fn a_two_vp_fork_tree_storm_passes_the_trace_audit() {
+    let vm = VmBuilder::new()
+        .vps(2)
+        .processors(2)
+        .policy(|_| policies::local_lifo().migrating(true).boxed())
+        .trace(true)
+        .trace_capacity(1 << 19)
+        .build();
+    for round in 0..12 {
+        let got = vm.run(move |cx| unruly_tree(cx, 8, round)).unwrap();
+        assert_eq!(got.as_int(), Some(1 << 8));
+    }
+    // Once the workers have been through their queues, nothing is left of
+    // the finished trees: every entry was taken by its toucher, run, or
+    // discarded dead.
+    let deadline = Instant::now() + LONG;
+    while vm.vps().iter().map(|vp| vp.queue_len()).sum::<usize>() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "entries left behind:\n{}",
+            vm.dump()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    vm.shutdown();
+    let report = vm.trace_audit();
+    assert!(
+        !report.truncated,
+        "grow the rings: the audit skipped checks"
+    );
+    let bad: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| {
+            matches!(
+                f.kind,
+                FindingKind::DoubleDispatch
+                    | FindingKind::StealWithoutEnqueue
+                    | FindingKind::LostWakeup
+            )
+        })
+        .collect();
+    assert!(bad.is_empty(), "{report}");
+}

@@ -305,12 +305,25 @@ fn terminate_routed_getter_leaves_peer_and_tuples_intact() {
             b[0].clone()
         })
     };
+    // `blocked()` counts a reader once per bin it registered in, so learn
+    // what one getter amounts to before adding the second: waiting for an
+    // exact total would only pass if it happened to be sampled between
+    // the two registrations.
     let victim = fork_getter();
+    let one = std::cell::Cell::new(0);
+    wait_until("the victim to register", || {
+        // Two equal readings a poll apart: not caught between its bins.
+        let before = one.replace(ts.blocked());
+        before > 0 && before == one.get()
+    });
+    let one = one.get();
     let peer = fork_getter();
-    wait_until("both routed getters to register", || ts.blocked() == 2);
+    wait_until("both routed getters to register", || {
+        ts.blocked() == 2 * one
+    });
     tc::thread_terminate(&victim, Value::sym("killed")).unwrap();
     assert_eq!(victim.join_blocking(), Ok(Value::sym("killed")));
-    wait_until("victim episode to die", || ts.blocked() < 2);
+    wait_until("victim episode to die", || ts.blocked() <= one);
     // This one deposit's wake must skip the dead registration.
     let putter = {
         let ts = ts.clone();

@@ -212,3 +212,37 @@ fn channels_bridge_os_and_green_threads() {
     assert_eq!(echo.join_blocking().unwrap().as_int(), Some(55));
     vm.shutdown();
 }
+
+/// The benchmark's probe, as a test: 25 000 `Future::spawn` + `touch`
+/// pairs on one VP used to leave 25 000 dead ready-queue entries behind,
+/// and the next fork waited ~1 s while an idle-looking VP discarded them
+/// sixteen per tick.  The toucher now takes each entry with it.
+#[test]
+fn absorbed_futures_leave_nothing_in_the_ready_queue() {
+    let vm = VmBuilder::new().vps(1).build();
+    let total = vm
+        .run(|cx| {
+            (0..25_000i64)
+                .map(|i| {
+                    Future::spawn(cx, move |_| i)
+                        .touch()
+                        .unwrap()
+                        .as_int()
+                        .unwrap()
+                })
+                .sum::<i64>()
+        })
+        .unwrap();
+    assert_eq!(total.as_int(), Some(24_999 * 25_000 / 2));
+    assert!(vm.vp(0).unwrap().queue_len() <= 1);
+    let forked = std::time::Instant::now();
+    let waited = vm
+        .run(move |_| forked.elapsed().as_micros() as i64)
+        .unwrap();
+    assert!(
+        waited.as_int().unwrap() < 10_000,
+        "the next fork waited {waited} us for its dispatch"
+    );
+    assert!(vm.vp(0).unwrap().queue_len() <= 1);
+    vm.shutdown();
+}
