@@ -110,8 +110,10 @@ use sting_check::atomic::{fence, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
 /// bit is the item's *tag*.
 ///
 /// Pointer-shaped items implement this by handing over their raw pointer
-/// (`Arc<T>`, `Box<T>`); [`Tagged`] sets the tag bit on any of them; plain
-/// integers have no spare bit and ride in a `Box`.
+/// (`Arc<T>`, `Box<T>`), leaving the tag clear; the scheduler's
+/// [`RunItem`](crate::pm::RunItem) sets it on fresh threads.  Plain
+/// integers — the items of this module's own tests — have no spare bit and
+/// ride in a `Box`.
 pub trait Slot: Sized {
     /// Gives up ownership of `self` as one non-zero word.  The low bit is
     /// the tag [`Deque::steal_tagged`] tests.
@@ -152,12 +154,15 @@ impl<T> Slot for Box<T> {
     }
 }
 
-/// `item` with a caller-chosen tag bit (see [`Deque::steal_tagged`]); the
-/// inner encoding must leave the low bit clear, as `Arc`, `Box` and the
-/// boxed integers do.
+/// Test fixture: `item` with a caller-chosen tag bit (see
+/// [`Deque::steal_tagged`]); the inner encoding must leave the low bit
+/// clear, as `Arc`, `Box` and the boxed `u64` do.  Compiled only for
+/// this module's unit tests and the `--cfg sting_check` models.
+#[cfg(any(test, sting_check))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tagged<S>(pub S, pub bool);
 
+#[cfg(any(test, sting_check))]
 impl<S: Slot> Slot for Tagged<S> {
     fn into_word(self) -> usize {
         let word = self.0.into_word();
@@ -171,21 +176,18 @@ impl<S: Slot> Slot for Tagged<S> {
     }
 }
 
-macro_rules! boxed_slot {
-    ($($t:ty),+) => {$(
-        impl Slot for $t {
-            fn into_word(self) -> usize {
-                Box::new(self).into_word()
-            }
+/// The item type of this module's tests and of `tests/deque.rs`, which
+/// exercise the structures on their own, away from the scheduler.
+impl Slot for u64 {
+    fn into_word(self) -> usize {
+        Box::new(self).into_word()
+    }
 
-            unsafe fn from_word(word: usize) -> $t {
-                // SAFETY: the word is this impl's `Box` (trait contract).
-                unsafe { *Box::<$t>::from_word(word) }
-            }
-        }
-    )+};
+    unsafe fn from_word(word: usize) -> u64 {
+        // SAFETY: the word is this impl's `Box` (trait contract).
+        unsafe { *Box::<u64>::from_word(word) }
+    }
 }
-boxed_slot!(u32, u64, i32);
 
 /// Outcome of one [`Deque::steal`] attempt.
 #[derive(Debug)]
@@ -1035,7 +1037,7 @@ mod tests {
 
     #[test]
     fn pop_empty_restores_state() {
-        let d: Deque<u32> = Deque::new();
+        let d: Deque<u64> = Deque::new();
         assert_eq!(d.pop(), None);
         assert_eq!(d.pop(), None);
         d.push(7);

@@ -26,9 +26,12 @@ pub struct ThreadGroup {
     id: u64,
     name: Option<String>,
     /// The group's membership, sharded by registering lane and merged on
-    /// read: one [`GroupLane`] per (group, VP) pair that ever forked a
-    /// member.  The lanes own the group, not the reverse, so this list is
-    /// weak; a lane whose members have all been freed drops out.
+    /// read: one [`GroupLane`] per VM lane (a VP, or a machine's external
+    /// lane) that has live members here — each VM lane finds its own again
+    /// (`LaneState::group_lane` in `vm.rs`), so the list is as long as the
+    /// machines are wide, not as long as the membership.  The lanes own
+    /// the group, not the reverse, so this list is weak; a lane whose
+    /// members have all been freed drops out.
     lanes: Mutex<Vec<Weak<GroupLane>>>,
     parent: Weak<ThreadGroup>,
     subgroups: Mutex<Vec<Weak<ThreadGroup>>>,
@@ -40,8 +43,8 @@ pub struct ThreadGroup {
 /// cache-line-padded record instead of on the group itself, and the
 /// thread registers in this lane's member list — so forking into a group
 /// writes only lines the forking VP owns, however many VPs fork into the
-/// same group (the root group, typically).  The VP caches its current
-/// lane (see `Vm::spawn_with`) and hands each new member a clone.
+/// same group (the root group, typically).  The VP caches its lanes (see
+/// `LaneState::group_lane` in `vm.rs`) and hands each new member a clone.
 #[repr(align(128))] // as `pad::CachePadded`: the `Arc` counts get lines of their own
 pub(crate) struct GroupLane {
     group: Arc<ThreadGroup>,
@@ -115,9 +118,10 @@ impl ThreadGroup {
         g
     }
 
-    /// Opens a new membership lane on this group.  Called when a VP forks
-    /// into a group other than the one it forked into last — rare, so the
-    /// group-wide lock here is off the per-thread path.
+    /// Opens a new membership lane on this group.  Called when a VM lane
+    /// forks into a group it has no live members in — so the group-wide
+    /// lock here is off the per-thread path, and the sweep below runs over
+    /// a list bounded by the number of VM lanes.
     pub(crate) fn open_lane(self: &Arc<ThreadGroup>) -> Arc<GroupLane> {
         let lane = Arc::new(GroupLane {
             group: self.clone(),
@@ -209,7 +213,8 @@ impl ThreadGroup {
     /// (the paper's profiling of "the dynamic unfolding of a process
     /// tree").
     pub fn genealogy(root: &Arc<Thread>) -> String {
-        fn walk(t: &Arc<Thread>, depth: usize, out: &mut String) {
+        type Children<'a> = HashMap<*const Thread, Vec<&'a Arc<Thread>>>;
+        fn walk(t: &Arc<Thread>, children: &Children<'_>, depth: usize, out: &mut String) {
             use std::fmt::Write;
             let _ = writeln!(
                 out,
@@ -220,12 +225,19 @@ impl ThreadGroup {
                 t.group().id(),
                 indent = depth * 2
             );
-            for c in t.children() {
-                walk(&c, depth + 1, out);
+            for c in children.get(&Arc::as_ptr(t)).into_iter().flatten() {
+                walk(c, children, depth + 1, out);
             }
         }
+        // One scan of the registry for the whole tree, not one per node
+        // (which is what `Thread::children` would cost).
+        let all = root.registry();
+        let mut children = Children::new();
+        for t in &all {
+            children.entry(t.parent_ptr()).or_default().push(t);
+        }
         let mut s = String::new();
-        walk(root, 0, &mut s);
+        walk(root, &children, 0, &mut s);
         s
     }
 
@@ -248,4 +260,50 @@ impl ThreadGroup {
 pub fn kill_group(thread: &Arc<Thread>, value: Value) -> Result<(), CoreError> {
     thread.group().terminate_all(value);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::{ThreadBuilder, VmBuilder};
+
+    /// Forks that alternate between two groups go back to the lane they
+    /// had: with long-lived members, each group keeps one lane per VM lane
+    /// that forked into it (here the VP and the host's external lane), so
+    /// neither a fork nor `threads()` pays for the size of the membership.
+    #[test]
+    fn alternating_groups_reuse_their_lanes() {
+        let vm = VmBuilder::new().vps(1).build();
+        let groups = [ThreadGroup::root(None), ThreadGroup::root(None)];
+        let fork_alternating = {
+            let (vm, groups) = (vm.clone(), groups.clone());
+            move || -> Vec<Arc<Thread>> {
+                (0..200)
+                    .map(|i| {
+                        ThreadBuilder::new(&vm)
+                            .group(groups[i % 2].clone())
+                            .delayed(|_cx| 0i64)
+                    })
+                    .collect()
+            }
+        };
+        let from_host = fork_alternating();
+        let from_vp = Arc::new(Mutex::new(Vec::new()));
+        let out = from_vp.clone();
+        vm.run(move |_cx| {
+            *out.lock() = fork_alternating();
+            0i64
+        })
+        .unwrap();
+        for g in &groups {
+            assert_eq!(g.threads().len(), 200);
+            assert_eq!(
+                g.lanes.lock().len(),
+                2,
+                "one lane per VM lane, not per switch"
+            );
+        }
+        drop((from_host, from_vp));
+        vm.shutdown();
+    }
 }

@@ -10,11 +10,11 @@
 
 use crate::vm::Vm;
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-pub(crate) struct MachineShared {
+struct MachineShared {
     vms: RwLock<Vec<Weak<Vm>>>,
     stop: AtomicBool,
     work_epoch: Mutex<u64>,
@@ -27,6 +27,85 @@ pub struct PhysicalMachine {
     shared: Arc<MachineShared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     processors: usize,
+}
+
+/// A VM's handle on the machine that drives it ([`Vm::machine`]).
+///
+/// [`PhysicalMachine::attach`] replaces it and `detach` clears it, so the
+/// machine [`Vm::signal_work`] wakes is always the attached one; and a
+/// signal — there is one per remote enqueue — finds it with a single load:
+/// no lock taken, no reference counted.
+pub(crate) struct Attachment {
+    /// The attached machine's wake block; null while detached.  Points
+    /// into `held.blocks`.
+    signalled: AtomicPtr<MachineShared>,
+    held: Mutex<Held>,
+}
+
+#[derive(Default)]
+struct Held {
+    /// The attached machine: a VM keeps its machine alive (`VmBuilder`
+    /// makes one per VM by default).
+    machine: Option<Arc<PhysicalMachine>>,
+    /// Every wake block `signalled` has pointed at.  A signaller that
+    /// loaded the pointer just before a re-attach must still find the
+    /// block there, so blocks are released only with the VM.  (A block is
+    /// an epoch word and a condvar, not the machine's workers: those stop
+    /// when the `PhysicalMachine` drops.)
+    blocks: Vec<Arc<MachineShared>>,
+}
+
+impl Attachment {
+    pub(crate) fn new() -> Attachment {
+        Attachment {
+            signalled: AtomicPtr::new(std::ptr::null_mut()),
+            held: Mutex::new(Held::default()),
+        }
+    }
+
+    /// Points the VM at `machine`.  Returns the machine it displaces, for
+    /// the caller to drop outside the lock: the last reference to a
+    /// machine joins workers that may be signalling this very VM.
+    fn attach(&self, machine: &Arc<PhysicalMachine>) -> Option<Arc<PhysicalMachine>> {
+        let mut held = self.held.lock();
+        if !held.blocks.iter().any(|b| Arc::ptr_eq(b, &machine.shared)) {
+            held.blocks.push(machine.shared.clone());
+        }
+        self.signalled
+            .store(Arc::as_ptr(&machine.shared).cast_mut(), Ordering::Release);
+        held.machine.replace(machine.clone())
+    }
+
+    /// Clears the handle if it is `machine`'s; returns what it held.
+    fn detach(&self, machine: &PhysicalMachine) -> Option<Arc<PhysicalMachine>> {
+        let mut held = self.held.lock();
+        if !std::ptr::eq(self.signalled.load(Ordering::Relaxed), &*machine.shared) {
+            return None;
+        }
+        self.signalled
+            .store(std::ptr::null_mut(), Ordering::Release);
+        held.machine.take()
+    }
+
+    /// Wakes the attached machine's parked workers, if a machine is
+    /// attached.
+    pub(crate) fn signal_work(&self) {
+        let shared = self.signalled.load(Ordering::Acquire);
+        // SAFETY: a non-null `signalled` points at an entry of
+        // `held.blocks`, and entries are never removed while `self` lives.
+        if let Some(shared) = unsafe { shared.as_ref() } {
+            shared.signal_work();
+        }
+    }
+}
+
+impl MachineShared {
+    /// Wakes parked workers because new work was enqueued.
+    fn signal_work(&self) {
+        let mut epoch = self.work_epoch.lock();
+        *epoch += 1;
+        self.work_cv.notify_all();
+    }
 }
 
 impl std::fmt::Debug for PhysicalMachine {
@@ -91,10 +170,10 @@ impl PhysicalMachine {
 
     /// Attaches `vm` so its VPs are driven by this machine's workers.
     pub fn attach(self: &Arc<PhysicalMachine>, vm: &Arc<Vm>) {
-        // The first attachment is the one `Vm::signal_work` wakes; a VM
-        // attached to a second machine as well is still driven by it, but
-        // only at that machine's idle-tick cadence.
-        let _ = vm.machine.set(self.clone());
+        // The latest attachment is the one `Vm::signal_work` wakes; a VM
+        // attached to two machines at once is still driven by the earlier
+        // one, but only at that machine's idle-tick cadence.
+        drop(vm.machine.attach(self));
         self.shared.vms.write().push(Arc::downgrade(vm));
         self.signal_work();
     }
@@ -103,13 +182,13 @@ impl PhysicalMachine {
     pub fn detach(&self, vm: &Arc<Vm>) {
         let target = Arc::downgrade(vm);
         self.shared.vms.write().retain(|w| !w.ptr_eq(&target));
+        // Stop being the machine `vm` wakes (and stop being pinned by it).
+        drop(vm.machine.detach(self));
     }
 
     /// Wakes parked workers because new work was enqueued.
     pub(crate) fn signal_work(&self) {
-        let mut epoch = self.shared.work_epoch.lock();
-        *epoch += 1;
-        self.shared.work_cv.notify_all();
+        self.shared.signal_work();
     }
 
     /// Stops all workers and joins them.  Called automatically on drop.

@@ -10,7 +10,7 @@ use crate::counters::Counters;
 use crate::error::CoreError;
 use crate::group::{GroupLane, ThreadGroup, WeakList};
 use crate::io::IoPool;
-use crate::machine::PhysicalMachine;
+use crate::machine::Attachment;
 use crate::metrics::Metrics;
 use crate::pad::CachePadded;
 use crate::pm::{EnqueueState, RunItem};
@@ -24,6 +24,7 @@ use crate::tls;
 use crate::trace::{self, Tracer};
 use crate::vp::Vp;
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use sting_value::Value;
@@ -52,6 +53,39 @@ struct LaneState {
     /// The group lane this lane last forked into: consecutive forks into
     /// one group (the overwhelmingly common case) share it.
     group: Option<Arc<GroupLane>>,
+    /// This lane's group lane in every group it has live members in, by
+    /// group id, so forks that alternate between groups go back to the
+    /// lane they had: a group never has more than one live lane per VM
+    /// lane.  Weak — the members keep their group lane alive, not this
+    /// map — and swept like a [`WeakList`].
+    groups: HashMap<u64, Weak<GroupLane>>,
+    groups_prune_at: usize,
+}
+
+impl LaneState {
+    /// This lane's handle on `group`: the cached one, else the one its
+    /// live members still hold, else a newly opened one.
+    fn group_lane(&mut self, group: &Arc<ThreadGroup>) -> Arc<GroupLane> {
+        if let Some(cached) = &self.group {
+            if Arc::ptr_eq(cached.group(), group) {
+                return cached.clone();
+            }
+        }
+        let lane = match self.groups.get(&group.id()).and_then(Weak::upgrade) {
+            Some(lane) => lane,
+            None => {
+                probe::hit(Probe::SharedRegistryLock);
+                if self.groups.len() >= self.groups_prune_at.max(16) {
+                    self.groups.retain(|_, w| w.strong_count() > 0);
+                    self.groups_prune_at = self.groups.len() * 2;
+                }
+                let lane = group.open_lane();
+                self.groups.insert(group.id(), Arc::downgrade(&lane));
+                lane
+            }
+        };
+        self.group.insert(lane).clone()
+    }
 }
 
 /// Thread ids are drawn from the shared source in blocks of this many.
@@ -86,9 +120,10 @@ pub struct Vm {
     /// Standalone VMs never set it, so the hot-path check is a single
     /// acquire load that stays `None`.
     fabric: OnceLock<Arc<crate::fleet::Fabric>>,
-    /// The machine whose workers drive this VM, set by the first
-    /// [`PhysicalMachine::attach`]: [`Vm::signal_work`] wakes its workers.
-    pub(crate) machine: OnceLock<Arc<PhysicalMachine>>,
+    /// The machine whose workers drive this VM — the one it was attached
+    /// to last ([`PhysicalMachine::attach`](crate::machine::PhysicalMachine::attach); cleared by `detach`):
+    /// [`Vm::signal_work`] wakes its workers.
+    pub(crate) machine: Attachment,
     /// One per VP, then the external lane.
     lanes: Box<[CachePadded<Lane>]>,
     timers: CachePadded<Timers>,
@@ -151,7 +186,7 @@ impl Vm {
                     .unwrap_or_else(|| Arc::new(AtomicU64::new(1))),
                 shard: config.shard,
                 fabric: OnceLock::new(),
-                machine: OnceLock::new(),
+                machine: Attachment::new(),
                 lanes: (0..=vp_count)
                     .map(|_| {
                         CachePadded(Lane {
@@ -440,13 +475,7 @@ impl Vm {
                 .or_else(|| parent.map(|p| p.group()))
                 .unwrap_or(&self.root_group);
             let mut st = lane.state.lock();
-            let group = match &st.group {
-                Some(cached) if Arc::ptr_eq(cached.group(), group) => cached.clone(),
-                _ => {
-                    probe::hit(Probe::SharedRegistryLock);
-                    st.group.insert(group.open_lane()).clone()
-                }
-            };
+            let group = st.group_lane(group);
             // Always created delayed; schedule_fresh flips to Scheduled
             // below so the state change and the enqueue stay consistent.
             let t = Thread::new(
@@ -526,9 +555,7 @@ impl Vm {
 
     /// Wakes parked machine workers (new work is available).
     pub(crate) fn signal_work(&self) {
-        if let Some(m) = self.machine.get() {
-            m.signal_work();
-        }
+        self.machine.signal_work();
     }
 
     /// Drains due timers, waking suspended threads and expiring timed

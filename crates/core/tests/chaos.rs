@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use sting_core::{tc, StateRequest, ThreadState, Vm, VmBuilder};
 use sting_value::Value;
 
@@ -36,15 +36,21 @@ fn run_storm(vm: &Arc<Vm>, seed: u64, victims: usize, requests: usize) {
         .collect();
     std::thread::sleep(Duration::from_millis(10));
     let mut rng = seed | 1;
+    // Block/Suspend requests each victim accepted: it parks at most once
+    // per entry, which bounds the resumes quiescing may have to send it.
+    let mut parks = vec![0usize; pool.len()];
     for _ in 0..requests {
-        let t = &pool[(xorshift(&mut rng) as usize) % pool.len()];
+        let i = (xorshift(&mut rng) as usize) % pool.len();
+        let t = &pool[i];
         // Random request; transition errors are expected and fine — the
         // invariant under test is "never a wedge, never a double result".
         let _ = match xorshift(&mut rng) % 5 {
-            0 => t.request(StateRequest::Block),
-            1 => t.request(StateRequest::Suspend(Some(Duration::from_micros(
-                xorshift(&mut rng) % 500,
-            )))),
+            0 => t.request(StateRequest::Block).inspect(|()| parks[i] += 1),
+            1 => t
+                .request(StateRequest::Suspend(Some(Duration::from_micros(
+                    xorshift(&mut rng) % 500,
+                ))))
+                .inspect(|()| parks[i] += 1),
             2 => t.request(StateRequest::Resume),
             3 => tc::thread_raise(t, Value::sym("chaos-raise")).map(|_| ()),
             _ => {
@@ -62,22 +68,34 @@ fn run_storm(vm: &Arc<Vm>, seed: u64, victims: usize, requests: usize) {
         let _ = t.request(StateRequest::Resume);
     }
     stop.store(true, Ordering::SeqCst);
-    for t in &pool {
+    for (t, parks) in pool.iter().zip(parks) {
         // Threads raised at may have determined with the chaos exception;
         // both outcomes are legal.  What is not legal is hanging.
-        // A Block or Suspend the storm queued may only be honoured now, at
-        // the target's next checkpoint — after the resume sweep above, which
-        // an evaluating target rejected.  Keep resuming while we wait.
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        //
+        // A victim that was evaluating during the sweep above rejected its
+        // Resume and may only now, at its next checkpoint, honour Blocks
+        // and Suspends the storm queued: it is parked because it was asked
+        // to be, and needs one Resume per such park.  Nothing else is
+        // forgiven: a Resume is sent only to a parked victim, an accepted
+        // one makes it evaluating again (so is never repeated for the same
+        // park), and a victim that then fails to determine still hangs
+        // the join.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut late = 0;
         let r = loop {
-            if let Some(r) = t.join_blocking_timeout(Duration::from_millis(10)) {
+            if let Some(r) = t.join_blocking_timeout(Duration::from_millis(20)) {
                 break r;
             }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "thread must determine, not hang"
-            );
-            let _ = t.request(StateRequest::Resume);
+            assert!(Instant::now() < deadline, "thread must determine, not hang");
+            if matches!(t.state(), ThreadState::Blocked | ThreadState::Suspended)
+                && t.request(StateRequest::Resume).is_ok()
+            {
+                late += 1;
+                assert!(
+                    late <= parks,
+                    "parked {late} times after the storm, which queued only {parks} parks"
+                );
+            }
         };
         match r {
             Ok(v) => assert!(v.as_int().is_some(), "normal exit carries the count: {v}"),

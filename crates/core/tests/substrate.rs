@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use sting_core::policies::{self, GlobalQueue, QueueOrder};
 use sting_core::{
     tc, CoreError, PhysicalMachine, StateRequest, ThreadBuilder, ThreadState, Topology, Vm,
@@ -611,6 +611,34 @@ fn two_vms_share_one_physical_machine() {
     assert_eq!(b2.join_blocking(), Ok(Value::Int(3)));
     vm_b.shutdown();
     let _ = b;
+}
+
+/// A VM moved to another machine wakes *that* machine's workers: work
+/// enqueued from outside is dispatched at once, not at the new machine's
+/// next idle tick (2 s here), and the old machine is let go.
+#[test]
+fn reattached_vm_wakes_its_new_machine() {
+    let a = PhysicalMachine::new(1);
+    let b = PhysicalMachine::with_tick(1, Duration::from_secs(2));
+    let vm = VmBuilder::new().vps(1).machine(a.clone()).build();
+    assert_eq!(vm.fork(|_cx| 1i64).join_blocking(), Ok(Value::Int(1)));
+    a.detach(&vm);
+    assert_eq!(
+        Arc::strong_count(&a),
+        1,
+        "detached VM still pins its machine"
+    );
+    b.attach(&vm);
+    // Let b's worker finish the pass `attach` woke it for and park.
+    std::thread::sleep(Duration::from_millis(50));
+    let start = Instant::now();
+    assert_eq!(vm.fork(|_cx| 2i64).join_blocking(), Ok(Value::Int(2)));
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_millis(500),
+        "fork waited {waited:?} for an idle tick: the wake went to the wrong machine"
+    );
+    vm.shutdown();
 }
 
 #[test]
