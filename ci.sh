@@ -15,9 +15,11 @@
 #   ./ci.sh bench-smoke  # unified benchmark runner, smoke tier (<60s):
 #                    # emits a schema-checked BENCH json and asserts the
 #                    # Figure 6 shape orderings
-#   ./ci.sh shard    # sharded-fleet tier (<60s): fleet + sharded tuple
-#                    # integration tests, then a 2-shard farm smoke run
-#                    # whose merged per-shard trace must audit clean
+#   ./ci.sh shard    # sharded-fleet tier (<90s): fleet + sharded tuple
+#                    # integration tests (with the worker-mapping and
+#                    # registration-leak reproductions), the 10 s farm
+#                    # world that must hold memory flat, then a 2-shard
+#                    # farm smoke run whose merged trace must audit clean
 #   ./ci.sh io       # reactor-backend matrix: the net/io integration
 #                    # suites forced onto epoll and then io_uring via
 #                    # STING_IO_BACKEND (uring leg skips with a notice
@@ -110,25 +112,35 @@ run_bench_smoke() {
     # gate against it at 100%: smoke timings on a loaded box jitter far
     # more than a full run, so this catches order-of-magnitude latency
     # regressions (a lost wake-up turns µs p50s into ms), while the
-    # committed full report (BENCH_PR12.json) stays the reference for
+    # committed full report (BENCH_PR18.json) stays the reference for
     # fine-grained comparisons.  Server rows are backend-labeled
     # (echo-rtt-epoll / echo-rtt-uring), so the gate also catches one
     # backend regressing while the other stays healthy.  The run itself
     # enforces fork:queue-stays-bounded (ready queues and memory must not
-    # grow as a fork-tree world ages); fork:two-pinned-vps-beat-one-vp is
-    # recorded but advisory on this tier, and enforced by a full run on a
-    # box with a second core to give.
+    # grow as a fork-tree world ages) and tuple:probe-beside-10k (10 000
+    # bystanders must not slow a keyed probe); the gates that need a second
+    # core (fork:two-pinned-vps-beat-one-vp, fleet:two-shards-two-workers,
+    # shape:tuple-locks-per-bucket-beats-global-lock) are recorded but
+    # advisory on this tier, and enforced by a full run on a box with a
+    # second core to give.
     local against=()
-    if [[ -f BENCH_PR12_SMOKE.json ]]; then
-        against=(--against BENCH_PR12_SMOKE.json --threshold 1.0)
+    if [[ -f BENCH_PR18_SMOKE.json ]]; then
+        against=(--against BENCH_PR18_SMOKE.json --threshold 1.0)
     fi
     ./target/release/bench_all --smoke --out target/BENCH_SMOKE.json "${against[@]}"
 }
 
 run_shard() {
     step "shard: fleet + sharded tuple-space integration tests"
+    # Including the two reproductions: single-VP shards get a worker each
+    # (fleet::single_vp_shards_run_on_separate_workers, machine::tests),
+    # and a reader registers in one place, so registrations do not pile up
+    # (index::handoffs_on_one_key_hold_registrations_flat).
+    cargo test -q -p sting-core --lib machine::
     cargo test -q -p sting-core --test fleet
-    cargo test -q -p sting-tuple --test sharded
+    cargo test -q -p sting-tuple --test sharded --test index
+    step "shard: 10 s tuple_farm-shaped world holds registrations and memory flat"
+    cargo test -q --release -p sting-tuple --test sharded -- --ignored farm_shaped
     step "shard: 2-shard farm smoke + merged trace audit (shard_smoke)"
     cargo build --release -p sting-bench --bin shard_smoke
     ./target/release/shard_smoke

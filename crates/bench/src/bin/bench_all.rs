@@ -10,10 +10,11 @@
 //! ```
 //!
 //! Exit status: 0 on success, 1 when a Figure 6 gate check fails after
-//! three attempts, a `fork:` gate fails (`queue-stays-bounded` always;
-//! `two-pinned-vps-beat-one-vp` on a full run on a box with a second core
-//! to give), or `--against` finds a row slowed past the threshold, 2 on
-//! usage or I/O errors.
+//! three attempts, a `fork:`, `tuple:`, `fleet:` or `shape:tuple-locks`
+//! gate fails (`fork:queue-stays-bounded` and `tuple:probe-beside-10k`
+//! always; the gates that need a second core only on a full run on a box
+//! that has one to give), or `--against` finds a row slowed past the
+//! threshold, 2 on usage or I/O errors.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -42,7 +43,7 @@ fn parse_args() -> Result<Args, String> {
         smoke: false,
         iters: None,
         reps: None,
-        out: "BENCH_PR12.json".to_string(),
+        out: "BENCH_PR18.json".to_string(),
         against: None,
         threshold: 0.10,
     };
@@ -345,25 +346,88 @@ fn main() -> ExitCode {
         rows.push(row);
     }
 
+    // A claim about a second VP (or shard) needs a second core: where two
+    // plain OS threads do not run side by side either (one processor, or a
+    // sandbox that rations two to one core's worth), and on the smoke
+    // tier, which runs beside the rest of tier 1, the scaling gates below
+    // are advisory.
+    let second_core = shapes::second_core_speedup();
+    let advisory = if args.smoke || second_core < 1.6 {
+        "info:"
+    } else {
+        ""
+    };
+
     // --- E3: tuple-space locking granularity ---
     println!(
         "shape: tuple-locks ({} keys x {} rounds)",
         scale.tuple_keys, scale.tuple_rounds
     );
-    for (name, buckets) in [("per-bucket", 64usize), ("global-lock", 1)] {
+    let mut locks_p50 = [0.0f64; 2]; // [per-bucket, global-lock]
+    for (slot, (name, buckets)) in locks_p50
+        .iter_mut()
+        .zip([("per-bucket", 64usize), ("global-lock", 1)])
+    {
         let (keys, rounds) = (scale.tuple_keys, scale.tuple_rounds);
-        let d = run_reps(
-            reps,
-            || VmBuilder::new().vps(2).processors(2).build(),
-            |vm| {
+        let samples = (0..reps.max(1))
+            .map(|_| {
+                let vm = VmBuilder::new().vps(2).processors(2).build();
                 let ts = TupleSpace::with_kind(SpaceKind::Hashed { buckets });
-                shapes::tuple_locks_workload(vm, &ts, keys, rounds);
-            },
-        );
+                let t = shapes::tuple_locks_workload(&vm, &ts, keys, rounds);
+                vm.shutdown();
+                t.as_nanos() as f64
+            })
+            .collect();
+        let d = Dist::from_samples(samples);
+        *slot = d.p50();
         let row = BenchRow::from_dist("shape", &format!("tuple-locks-{name}"), "ns/run", &d);
         print_row(&row);
         rows.push(row);
     }
+    checks.push(Check {
+        name: format!("{advisory}shape:tuple-locks-per-bucket-beats-global-lock"),
+        pass: locks_p50[0] < locks_p50[1],
+        detail: format!(
+            "4 workers on 2 VPs, same chains: {:.0} ns with a lock a bin vs {:.0} ns with one lock ({:.2}x; this box's second core {second_core:.2}x)",
+            locks_p50[0],
+            locks_p50[1],
+            locks_p50[1] / locks_p50[0]
+        ),
+    });
+
+    // --- The keyed index: a literal-keyed probe beside 10 000 bystanders
+    // (the repository benchmark's probe shape) against the same probe in
+    // an otherwise empty space.  An index that visits only its own chain
+    // makes the bystanders free. ---
+    let probe_ops = if args.smoke { 20_000 } else { 200_000 };
+    println!("tuple: probe beside 10 000 bystanders ({probe_ops} ops)");
+    let mut probe_p50 = [[0.0f64; 2]; 2]; // [beside-10k, alone][put+try_get, try_rd]
+    for (i, (name, bystanders)) in [("probe-beside-10k", 10_000), ("probe-alone", 0)]
+        .into_iter()
+        .enumerate()
+    {
+        let (pairs, reads): (Vec<f64>, Vec<f64>) = (0..reps.max(1))
+            .map(|_| shapes::tuple_probe_beside(bystanders, probe_ops))
+            .unzip();
+        for (j, (op, samples)) in [("put-try-get", pairs), ("try-rd", reads)]
+            .into_iter()
+            .enumerate()
+        {
+            let d = Dist::from_samples(samples);
+            probe_p50[i][j] = d.p50();
+            let row = BenchRow::from_dist("tuple", &format!("{name}:{op}"), "ns/op", &d);
+            print_row(&row);
+            rows.push(row);
+        }
+    }
+    checks.push(Check {
+        name: "tuple:probe-beside-10k".to_string(),
+        pass: (0..2).all(|op| probe_p50[0][op] <= 2.0 * probe_p50[1][op]),
+        detail: format!(
+            "beside 10 000 bystanders: put+try_get {:.0} ns, try_rd {:.0} ns; alone: {:.0} ns, {:.0} ns (gate: bystanders cost < 2x)",
+            probe_p50[0][0], probe_p50[0][1], probe_p50[1][0], probe_p50[1][1]
+        ),
+    });
 
     // --- E7: sharded fleets over the partitioned tuple-space fabric.
     // Total VPs (4) and total work stay fixed as the shard count rises,
@@ -443,12 +507,45 @@ fn main() -> ExitCode {
         fleet.shutdown();
     }
 
+    // A fleet of single-VP shards uses every worker: two shards each
+    // running one compute-bound thread take the wall time of one.  (Both
+    // shards' VPs have index 0; mapped by that index they shared worker 0
+    // and took twice as long.)
+    let spins = if args.smoke { 20_000_000 } else { 100_000_000 };
+    println!("fleet: two single-VP shards on two workers ({spins} spins a thread)");
+    let fleet = shapes::two_shard_fleet();
+    shapes::fleet_busy_shards(&fleet, 2, spins / 10); // warm-up: workers awake
+    let mut busy_p50 = [0.0f64; 2];
+    for (slot, (name, busy)) in busy_p50
+        .iter_mut()
+        .zip([("one-shard-busy", 1), ("two-shards-busy", 2)])
+    {
+        let samples = (0..reps.max(1))
+            .map(|_| shapes::fleet_busy_shards(&fleet, busy, spins).as_nanos() as f64)
+            .collect();
+        let d = Dist::from_samples(samples);
+        *slot = d.p50();
+        let row = BenchRow::from_dist("fleet", name, "ns/run", &d);
+        print_row(&row);
+        rows.push(row);
+    }
+    fleet.shutdown();
+    checks.push(Check {
+        name: format!("{advisory}fleet:two-shards-two-workers"),
+        pass: busy_p50[1] <= 1.4 * busy_p50[0],
+        detail: format!(
+            "two busy shards: {:.0} ns vs {:.0} ns for one ({:.2}x; gate <= 1.40x, one worker for both 2.00x, this box's second core {second_core:.2}x)",
+            busy_p50[1],
+            busy_p50[0],
+            busy_p50[1] / busy_p50[0]
+        ),
+    });
+
     // --- E8: fork scaling.  The `fork_tree` benchmark's tree (eager depth
     // 10, 2047 threads, per-VP LIFO) on one VP, on two VPs that share
     // nothing (two pinned trees, no stealing), migrating, and lazy; then a
     // world driven long enough for leaked queue entries to show. ---
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let second_core = shapes::second_core_speedup();
     println!(
         "fork: scaling (depth {FORK_DEPTH}, {} reps, {cpus} cpus, two OS threads run {second_core:.2}x one)",
         scale.fork_reps
@@ -481,15 +578,6 @@ fn main() -> ExitCode {
         print_row(&row);
         rows.push(row);
     }
-    // A claim about a second VP needs a second core: where two plain OS
-    // threads do not run side by side either (one processor, or a sandbox
-    // that rations two to one core's worth), and on the smoke tier, which
-    // runs beside the rest of tier 1, the scaling gates are advisory.
-    let advisory = if args.smoke || second_core < 1.6 {
-        "info:"
-    } else {
-        ""
-    };
     let pinned_scales = fork_p50[1] <= 0.7 * fork_p50[0];
     checks.push(Check {
         name: format!("{advisory}fork:two-pinned-vps-beat-one-vp"),
@@ -739,6 +827,16 @@ fn main() -> ExitCode {
             "FAIL: fork:two-pinned-vps-beat-one-vp (a second VP did not halve two pinned trees)"
         );
         failed = true;
+    }
+    // The index and fleet gates of this file (advisory ones carry `info:`).
+    for c in report.checks.iter().filter(|c| !c.pass) {
+        if ["tuple:", "fleet:", "shape:tuple-locks"]
+            .iter()
+            .any(|gate| c.name.starts_with(gate))
+        {
+            eprintln!("FAIL: {} ({})", c.name, c.detail);
+            failed = true;
+        }
     }
 
     // --- Baseline comparison ---

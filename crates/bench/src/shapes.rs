@@ -419,11 +419,24 @@ pub fn preemption_run(vm: &Arc<Vm>, workers: usize, rounds: usize, shield: bool)
 
 // --- E3: tuple-space locking granularity ---
 
-/// Preloads `keys` tuples and drives 4 workers over disjoint key ranges.
-pub fn tuple_locks_workload(vm: &Arc<Vm>, ts: &TupleSpace, keys: i64, rounds: i64) {
+/// Versions of each key kept resident by [`tuple_locks_workload`]: the
+/// length of the chain a removal searches while it holds its bin's lock.
+const TUPLE_LOCKS_VERSIONS: i64 = 64;
+
+/// Preloads `keys` keys × 64 versions (`[key version value]`) and drives 4
+/// workers over disjoint key ranges, each removing and re-depositing the
+/// version that sits deepest in its key's chain.  The keyed index gives
+/// one bin and 64 bins the same chains to search, so what differs is only
+/// what the paper's claim is about: whether two VPs searching different
+/// keys hold one lock or two.  Returns the time the workers took (the
+/// preload, which nothing contends for, is not counted).
+pub fn tuple_locks_workload(vm: &Arc<Vm>, ts: &TupleSpace, keys: i64, rounds: i64) -> Duration {
     for k in 0..keys {
-        ts.put(vec![Value::Int(k), Value::Int(0)]);
+        for version in 0..TUPLE_LOCKS_VERSIONS {
+            ts.put(vec![Value::Int(k), Value::Int(version), Value::Int(0)]);
+        }
     }
+    let start = std::time::Instant::now();
     let workers: Vec<_> = (0..4)
         .map(|w| {
             let ts = ts.clone();
@@ -432,10 +445,13 @@ pub fn tuple_locks_workload(vm: &Arc<Vm>, ts: &TupleSpace, keys: i64, rounds: i6
                 let lo = keys / 4 * w;
                 let hi = keys / 4 * (w + 1);
                 for r in 0..rounds {
+                    // Re-deposits go to the chain's end, so counting the
+                    // versions down keeps each round's match deep.
+                    let version = TUPLE_LOCKS_VERSIONS - 1 - r % TUPLE_LOCKS_VERSIONS;
                     for k in lo..hi {
-                        let b = ts.get(&Template::new(vec![lit(k), formal()]));
+                        let b = ts.get(&Template::new(vec![lit(k), lit(version), formal()]));
                         let v = b[0].as_int().unwrap();
-                        ts.put(vec![Value::Int(k), Value::Int(v + r)]);
+                        ts.put(vec![Value::Int(k), Value::Int(version), Value::Int(v + r)]);
                     }
                     cx.checkpoint();
                 }
@@ -446,9 +462,73 @@ pub fn tuple_locks_workload(vm: &Arc<Vm>, ts: &TupleSpace, keys: i64, rounds: i6
     for w in workers {
         w.join_blocking().unwrap();
     }
+    start.elapsed()
+}
+
+/// Non-blocking ops in a 64-bin space beside `bystanders` tuples of other
+/// keys — the shape of the repository benchmark's `tuple.put_try_get_ns`
+/// and `tuple.try_rd_ns` probes.  Returns ns per `put` + `try_get` pair
+/// and ns per `try_rd`, each over `ops` operations.
+pub fn tuple_probe_beside(bystanders: i64, ops: u64) -> (f64, f64) {
+    let ts = TupleSpace::new();
+    for b in 0..bystanders {
+        ts.put(vec![
+            Value::Int(1_000_000 + b),
+            Value::Int(b),
+            Value::Int(b * 7),
+        ]);
+    }
+    ts.put(vec![Value::Int(1), Value::Int(0), Value::Int(42)]);
+    let per_op = |start: std::time::Instant| start.elapsed().as_nanos() as f64 / ops as f64;
+    let jobs = Template::new(vec![lit(2i64), formal(), formal()]);
+    let start = std::time::Instant::now();
+    for i in 0..ops {
+        ts.put(vec![Value::Int(2), Value::Int(i as i64), Value::Int(0)]);
+        std::hint::black_box(ts.try_get(&jobs));
+    }
+    let put_try_get = per_op(start);
+    let config = Template::new(vec![lit(1i64), lit(0i64), formal()]);
+    let start = std::time::Instant::now();
+    for _ in 0..ops {
+        std::hint::black_box(ts.try_rd(&config));
+    }
+    (put_try_get, per_op(start))
 }
 
 // --- E7: sharded fleets over the partitioned tuple-space fabric ---
+
+/// A 2-shard × 1-VP fleet on two workers whose threads stay where they
+/// are forked (no migration): the smallest fleet that needs both workers.
+pub fn two_shard_fleet() -> Fleet {
+    Fleet::builder()
+        .shards(2)
+        .vps_per_shard(1)
+        .processors(2)
+        .policy(|_, _| policies::local_fifo().boxed())
+        .build()
+}
+
+/// Wall time for the first `busy` shards of `fleet` to run one
+/// compute-bound thread each (`spins` steps, no checkpoint).  Shards that
+/// have a worker each finish two such threads in the time of one.
+pub fn fleet_busy_shards(fleet: &Fleet, busy: usize, spins: u64) -> Duration {
+    let start = std::time::Instant::now();
+    let threads: Vec<_> = (0..busy)
+        .map(|shard| {
+            fleet.shard(shard).fork(move |_cx| {
+                let mut x = 1u64;
+                for i in 0..spins {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+                }
+                std::hint::black_box(x) as i64
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join_blocking().expect("a spinning thread returns");
+    }
+    start.elapsed()
+}
 
 /// Builds a fleet of `shards` shards holding the *total* VP count fixed
 /// (`shards × vps_per_shard == total_vps`), so multi-shard rows measure

@@ -342,6 +342,21 @@ impl Fabric {
         self.shards.get(index).and_then(Weak::upgrade)
     }
 
+    /// The shard the calling STING thread runs on, iff its VM is a shard
+    /// of *this* fabric (by pointer identity, not just a shard index — a
+    /// thread of some other fleet must not masquerade as local).  Borrows
+    /// the scheduler context: no reference count is touched.
+    pub fn current_shard(&self) -> Option<usize> {
+        crate::tls::with(|cur| {
+            let vm = cur?.vm;
+            let shard = vm.shard_id();
+            self.shards
+                .get(shard)
+                .filter(|w| std::ptr::eq(w.as_ptr(), Arc::as_ptr(vm)))
+                .map(|_| shard)
+        })
+    }
+
     /// Runs `f` on shard `to`.  If the caller is already on that shard the
     /// call is inline (the local fast path costs nothing); otherwise it is
     /// posted over the mailbox, stamped with the sender's clock, and the

@@ -3,10 +3,13 @@
 //! "Virtual processors are multiplexed on physical processors in the same
 //! way that threads are multiplexed on virtual processors."  A
 //! [`PhysicalMachine`] owns `n` worker OS threads (the physical processors)
-//! plus a timekeeper that raises preemption flags and drains timers.  VPs
-//! are assigned to workers by index modulo the worker count; several
-//! virtual machines may be attached to one physical machine (they are held
-//! weakly — dropping a `Vm` detaches it).
+//! plus a timekeeper that raises preemption flags and drains timers.
+//! Several virtual machines may be attached to one physical machine (they
+//! are held weakly — dropping a `Vm` detaches it); their VPs are numbered
+//! machine-wide in attach order, and slot `s` is driven by worker
+//! `s % workers` (`worker_of`).  A machine with one VM therefore maps VP
+//! `i` to worker `i % workers`, and a fleet of single-VP shards spreads
+//! over every worker instead of piling onto worker 0.
 
 use crate::vm::Vm;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -221,6 +224,12 @@ fn attached_vms(shared: &MachineShared) -> Vec<Arc<Vm>> {
     shared.vms.read().iter().filter_map(Weak::upgrade).collect()
 }
 
+/// The worker that drives machine-wide VP slot `slot` (VPs numbered across
+/// the attached VMs in attach order).
+fn worker_of(slot: usize, processors: usize) -> usize {
+    slot % processors
+}
+
 fn worker_loop(shared: &MachineShared, index: usize, processors: usize) {
     // Reused across passes: re-collecting the attachment list every pass
     // costs an allocation per pass per worker, and a fleet multiplies the
@@ -230,14 +239,21 @@ fn worker_loop(shared: &MachineShared, index: usize, processors: usize) {
         let epoch = *shared.work_epoch.lock();
         let mut did_work = false;
         vms.extend(shared.vms.read().iter().filter_map(Weak::upgrade));
+        // Machine-wide slot of the current VM's first VP.  Two workers may
+        // briefly number a changing attachment list differently; a VP
+        // claimed by both is run by one (`run_slice`'s owner guard), one
+        // claimed by neither is picked up on the next pass.
+        let mut first_slot = 0;
         for vm in &vms {
+            let slots = first_slot..first_slot + vm.vps().len();
+            first_slot = slots.end;
             if vm.is_stopped() {
                 continue;
             }
             vm.process_timers();
             vm.active_slices.fetch_add(1, Ordering::AcqRel);
-            for vp in vm.vps() {
-                if vp.index() % processors == index && !vm.is_stopped() {
+            for (slot, vp) in slots.zip(vm.vps()) {
+                if worker_of(slot, processors) == index && !vm.is_stopped() {
                     did_work |= vp.run_slice(vm, SLICE_BUDGET);
                 }
             }
@@ -279,5 +295,56 @@ fn timekeeper_loop(shared: &MachineShared) {
                 vm.process_timers();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::fleet::Fleet;
+    use crate::{policies, VmBuilder};
+
+    /// The index of the worker (`sting-pp-<n>`) running the caller.
+    fn current_worker() -> i64 {
+        let thread = std::thread::current();
+        let name = thread.name().expect("workers are named");
+        name.strip_prefix("sting-pp-")
+            .and_then(|n| n.parse().ok())
+            .expect("a STING thread runs on a worker")
+    }
+
+    #[test]
+    fn one_vm_keeps_vp_i_on_worker_i_mod_workers() {
+        let vm = VmBuilder::new()
+            .vps(4)
+            .processors(2)
+            .policy(|_| policies::local_fifo().boxed())
+            .build();
+        for vp in 0..4 {
+            let ran_on = vm.fork_on(vp, |_cx| current_worker()).unwrap();
+            assert_eq!(
+                ran_on.join_blocking().unwrap().as_int(),
+                Some(vp as i64 % 2)
+            );
+        }
+        vm.shutdown();
+    }
+
+    #[test]
+    fn single_vp_shards_spread_over_the_workers() {
+        let fleet = Fleet::builder()
+            .shards(4)
+            .vps_per_shard(1)
+            .processors(2)
+            .policy(|_, _| policies::local_fifo().boxed())
+            .build();
+        let mut shards_on = [0; 2];
+        for shard in 0..4 {
+            let ran_on = fleet.shard(shard).fork_on(0, |_cx| current_worker());
+            let worker = ran_on.unwrap().join_blocking().unwrap().as_int().unwrap();
+            assert_eq!(worker, shard as i64 % 2, "slots follow attach order");
+            shards_on[worker as usize] += 1;
+        }
+        assert_eq!(shards_on, [2, 2]);
+        fleet.shutdown();
     }
 }

@@ -766,6 +766,13 @@ impl WaitList {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The number of entries physically held, live or dead — the memory
+    /// the list pins, as opposed to the waiters it will wake
+    /// ([`len`](WaitList::len)).
+    pub fn registered(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 /// Blocks the current thread until `try_register` succeeds.

@@ -52,6 +52,46 @@ fn fabric_call_runs_on_destination_shard() {
     fleet.shutdown();
 }
 
+/// Reproduction: every shard of a `vps_per_shard(1)` fleet has VP index 0,
+/// and the machine used to hand VPs to workers by that index — so both
+/// shards shared worker 0, worker 1 served nobody, and a thread that spins
+/// without a checkpoint on one shard kept the other from ever running.
+/// With VPs numbered machine-wide the shards have a worker each, and the
+/// flag is seen in microseconds.
+#[test]
+fn single_vp_shards_run_on_separate_workers() {
+    let fleet = Fleet::builder()
+        .shards(2)
+        .vps_per_shard(1)
+        .processors(2)
+        .build();
+    let flag = Arc::new(AtomicBool::new(false));
+    let spinner = {
+        let flag = flag.clone();
+        fleet.shard(0).fork(move |_cx| {
+            let t0 = Instant::now();
+            while !flag.load(Ordering::Acquire) {
+                if t0.elapsed() > Duration::from_secs(5) {
+                    return -1;
+                }
+                std::hint::spin_loop();
+            }
+            t0.elapsed().as_micros() as i64
+        })
+    };
+    let setter = fleet.shard(1).fork(move |_cx| {
+        flag.store(true, Ordering::Release);
+        0i64
+    });
+    let waited_us = spinner.join_blocking().unwrap().as_int().unwrap();
+    assert!(
+        waited_us >= 0,
+        "shard 1 never ran while shard 0 spun: both VPs share one worker"
+    );
+    assert_eq!(setter.join_blocking(), Ok(Value::Int(0)));
+    fleet.shutdown();
+}
+
 /// Work forked onto one shard spreads to the idle sibling via the
 /// mailbox handoff protocol, thread ids stay fleet-unique, and the
 /// merged fleet-wide replay audits clean (acceptance criterion).

@@ -9,26 +9,258 @@
 //!
 //! ## Locking discipline
 //!
-//! A full template match may *block* (a tuple field can be a live thread
-//! whose value the match demands), and blocking while holding an internal
-//! lock would wedge the whole VP.  Representations therefore never match
-//! under their locks; the space uses a match-then-remove protocol:
+//! A representation has one read entry point, [`SpaceRep::probe`], and it
+//! does everything under the representation's lock in one critical
+//! section: visit the stored tuples the template could match, fully match
+//! each ([`Probe::visit`]), unlink the first hit if the probe removes, and
+//! — for a blocking probe that found nothing — register the reader
+//! ([`Probe::waiter`]) before the lock is released, so no deposit can slip
+//! between the miss and the registration.
 //!
-//! 1. [`SpaceRep::snapshot`] — under the lock, collect cheaply-plausible
-//!    candidates ([`Template::may_match`]) and release the lock;
-//! 2. full-match each candidate outside any lock (may steal/block);
-//! 3. for removals, [`SpaceRep::remove_exact`] — re-take the lock and
-//!    remove the candidate *by identity*; if another getter won the race,
-//!    the match loop simply continues.
+//! What may run under that lock: comparing and cloning values, and reading
+//! the result of a thread field that has *determined*.  What may not:
+//! *demanding* a thread field that has not — a demand may run the thread's
+//! thunk on the caller's stack or park the caller, and either while
+//! holding a lock would wedge every VP that needs it.  A visit that
+//! reaches such a field puts the tuple aside as *pending*; the caller
+//! demands it after the lock is dropped (`demand`) and probes again, by
+//! which time the field is settled and the match runs under the lock like
+//! any other.
 
-use crate::template::Template;
+use crate::hashed::hash_key;
+use crate::template::{is_thread, Ready, Template};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use sting_sync::{WaitList, Waiter};
 use sting_value::Value;
 
-/// A stored tuple; identity (`Arc` pointer) is what removal races on.
-pub type StoredTuple = Arc<Vec<Value>>;
+/// A deposited tuple: its fields plus what the index needs of them,
+/// worked out once at deposit.
+#[derive(Debug)]
+pub struct Stored {
+    fields: Vec<Value>,
+    key: u64,
+    has_threads: bool,
+}
+
+/// A stored tuple, shared between the index and pending probes.
+pub type StoredTuple = Arc<Stored>;
+
+/// The index key of a tuple with these fields.  A live-thread first field
+/// could evaluate to anything, so such a tuple is keyed by arity alone.
+pub(crate) fn key_of(fields: &[Value]) -> u64 {
+    hash_key(fields.len(), fields.first().filter(|v| !is_thread(v)))
+}
+
+impl Stored {
+    /// Wraps `fields` for deposit: hashes the `(arity, field₀)` key and
+    /// notes whether any field is a live thread.
+    pub fn new(fields: Vec<Value>) -> StoredTuple {
+        Arc::new(Stored {
+            key: key_of(&fields),
+            has_threads: fields.iter().any(is_thread),
+            fields,
+        })
+    }
+
+    /// The index key: the hash of `(arity, field₀)`, or of the arity alone
+    /// for a thread-headed tuple.
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+
+    /// Whether the first field is a live thread (an active tuple from
+    /// `spawn`), which no literal key can find.
+    pub fn is_thread_headed(&self) -> bool {
+        self.has_threads && self.fields.first().is_some_and(is_thread)
+    }
+}
+
+impl std::ops::Deref for Stored {
+    type Target = [Value];
+    fn deref(&self) -> &[Value] {
+        &self.fields
+    }
+}
+
+/// What a representation does after showing a tuple to [`Probe::visit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visit {
+    /// Not this one: show the next tuple.
+    Next,
+    /// A hit the probe removes: unlink this tuple and stop.
+    Take,
+    /// A hit the probe only reads: stop.
+    Stop,
+}
+
+/// The wait episode of a probe.
+enum Episode {
+    /// A non-blocking probe: nothing ever registers.
+    Never,
+    /// A blocking probe that has not had to register yet; the episode is
+    /// armed only when a location misses.
+    Unarmed,
+    Armed(Waiter),
+}
+
+/// One attempt to match a template, carried through every location
+/// (representation, parent space, partition) the attempt consults.
+pub struct Probe<'a> {
+    template: &'a Template,
+    remove: bool,
+    episode: Episode,
+    hit: Option<Vec<Value>>,
+    pending: Vec<StoredTuple>,
+}
+
+impl<'a> Probe<'a> {
+    /// A non-blocking probe.
+    pub fn new(template: &'a Template, remove: bool) -> Probe<'a> {
+        Probe::with_episode(template, remove, Episode::Never)
+    }
+
+    /// A blocking probe: a location that misses registers the caller's
+    /// wait episode, armed at the first miss.
+    pub fn blocking(template: &'a Template, remove: bool) -> Probe<'a> {
+        Probe::with_episode(template, remove, Episode::Unarmed)
+    }
+
+    /// A blocking probe run on behalf of a thread that is already parked
+    /// (or about to park) on `waiter`.
+    pub fn on_behalf_of(template: &'a Template, remove: bool, waiter: Waiter) -> Probe<'a> {
+        Probe::with_episode(template, remove, Episode::Armed(waiter))
+    }
+
+    fn with_episode(template: &'a Template, remove: bool, episode: Episode) -> Probe<'a> {
+        Probe {
+            template,
+            remove,
+            episode,
+            hit: None,
+            pending: Vec::new(),
+        }
+    }
+
+    /// The template being matched.
+    pub fn template(&self) -> &'a Template {
+        self.template
+    }
+
+    /// Whether a location has already produced the hit; later locations
+    /// need not be consulted.
+    pub fn is_hit(&self) -> bool {
+        self.hit.is_some()
+    }
+
+    /// Shows the probe one stored tuple.  Called by representations under
+    /// their lock (see the module docs for why that is sound).
+    pub fn visit(&mut self, tuple: &StoredTuple) -> Visit {
+        cost::note(cost::Cost::Visit);
+        match self.template.match_ready(tuple, tuple.has_threads) {
+            Ready::Hit(bindings) => {
+                self.hit = Some(bindings);
+                if self.remove {
+                    Visit::Take
+                } else {
+                    Visit::Stop
+                }
+            }
+            Ready::Miss => Visit::Next,
+            Ready::Pending => {
+                self.pending.push(tuple.clone());
+                Visit::Next
+            }
+        }
+    }
+
+    /// The episode to register when a location's visits end without a hit:
+    /// `None` for a non-blocking probe, and once anything is pending (the
+    /// caller will demand and probe again rather than park).
+    pub fn waiter(&mut self) -> Option<Waiter> {
+        if self.hit.is_some() || !self.pending.is_empty() {
+            return None;
+        }
+        if matches!(self.episode, Episode::Unarmed) {
+            self.episode = Episode::Armed(Waiter::current());
+        }
+        match &self.episode {
+            Episode::Armed(w) => Some(w.clone()),
+            Episode::Never | Episode::Unarmed => None,
+        }
+    }
+
+    /// Ends the attempt.
+    pub(crate) fn finish(self) -> Outcome {
+        let registered = match self.episode {
+            Episode::Armed(w) => Some(w),
+            Episode::Never | Episode::Unarmed => None,
+        };
+        Outcome {
+            hit: self.hit,
+            pending: self.pending,
+            registered,
+        }
+    }
+}
+
+/// How a [`Probe`] ended.
+pub(crate) struct Outcome {
+    /// The bindings of the matched (and, for a removal, unlinked) tuple.
+    pub(crate) hit: Option<Vec<Value>>,
+    /// Tuples whose match needs a thread demanded first; meaningful only
+    /// without a hit.
+    pub(crate) pending: Vec<StoredTuple>,
+    /// The episode, if any location armed or registered it.
+    pub(crate) registered: Option<Waiter>,
+}
+
+/// Demands the thread fields the pending tuples' matches are waiting on —
+/// in field order and only as far as each match needs, as the paper's
+/// matching procedure does — stopping at the first tuple that matches.
+/// Runs outside every lock; the caller probes again afterwards.
+pub(crate) fn demand(template: &Template, pending: &[StoredTuple]) {
+    for tuple in pending {
+        if template.match_tuple(tuple).is_some() {
+            return;
+        }
+    }
+}
+
+/// Debug-build counts of what one tuple-space call cost, per OS thread;
+/// release builds compile the calls away.
+pub(crate) mod cost {
+    /// The costs counted.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Cost {
+        /// A stored tuple was shown to a probe.
+        Visit,
+        /// A hashed-index bin (or the wild list) was locked.
+        BinLock,
+        /// An `(arity, field₀)` key was hashed.
+        Hash,
+    }
+
+    #[cfg(debug_assertions)]
+    thread_local! {
+        static COSTS: [std::cell::Cell<u64>; 3] = const { [const { std::cell::Cell::new(0) }; 3] };
+    }
+
+    /// Counts one `cost` on the calling OS thread (debug builds only).
+    #[inline]
+    pub(crate) fn note(cost: Cost) {
+        #[cfg(debug_assertions)]
+        COSTS.with(|c| c[cost as usize].set(c[cost as usize].get() + 1));
+        #[cfg(not(debug_assertions))]
+        let _ = cost;
+    }
+
+    /// This OS thread's counts so far, indexed by [`Cost`] discriminant.
+    #[cfg(all(test, debug_assertions))]
+    pub(crate) fn noted() -> [u64; 3] {
+        COSTS.with(|c| [c[0].get(), c[1].get(), c[2].get()])
+    }
+}
 
 /// Interface every tuple-space representation implements.
 pub trait SpaceRep: Send + Sync {
@@ -53,26 +285,46 @@ pub trait SpaceRep: Send + Sync {
     /// program error, as in the paper's typed tuple-spaces.
     fn deposit(&self, tuple: StoredTuple);
 
-    /// Candidates that may match `template` (filtered by
-    /// [`Template::may_match`]), in the representation's preferred order.
-    fn snapshot(&self, template: &Template) -> Vec<StoredTuple>;
+    /// The one read entry point.  In one critical section: shows `probe`
+    /// the stored tuples its template could match, in the
+    /// representation's preferred order, until [`Probe::visit`] says
+    /// [`Visit::Take`] (unlink that tuple) or [`Visit::Stop`]; and if the
+    /// visits end otherwise, registers [`Probe::waiter`] (when it yields
+    /// one) to be woken by a matching deposit.  See the module docs.
+    fn probe(&self, probe: &mut Probe<'_>);
 
-    /// Removes `tuple` by identity; `false` if it was already taken.
-    fn remove_exact(&self, tuple: &StoredTuple) -> bool;
-
-    /// Registers a blocked reader to be woken by matching deposits.
-    fn register(&self, template: &Template, waiter: Waiter);
-
-    /// Wakes one live blocked reader, if any: used by the space to
-    /// re-donate a wake-up it claimed but did not need (it found a tuple
-    /// by scanning before parking), so representations that spend exactly
-    /// one wake-up per deposit (the semaphore) lose nothing.
-    fn rewake_one(&self);
+    /// Wakes one live blocked reader, if any: the space re-donates a
+    /// wake-up an episode claimed but did not need (it was served from
+    /// another location, or timed out, after a deposit had spent its
+    /// wake-up on it).  Only a representation that spends exactly one
+    /// wake-up per deposit (the semaphore) owes anything; one whose
+    /// deposit wakes every plausible reader has nothing to pass on.
+    fn rewake_one(&self) {}
 
     /// Number of live blocked readers (cancelled and woken episodes do
-    /// not count; representations that register a reader in more than one
-    /// bin may count it more than once).
+    /// not count).
     fn waiting(&self) -> usize;
+
+    /// Number of reader registrations physically held, live or dead: the
+    /// gauge that shows a registration leak ([`SpaceRep::waiting`] cannot,
+    /// it counts live episodes only).
+    fn registered(&self) -> usize;
+}
+
+/// Shows `probe` each candidate in turn; `Some(i)` is the index of the one
+/// the probe takes.
+fn first_taken<'t>(
+    probe: &mut Probe<'_>,
+    candidates: impl Iterator<Item = (usize, &'t StoredTuple)>,
+) -> Option<usize> {
+    for (i, tuple) in candidates {
+        match probe.visit(tuple) {
+            Visit::Next => {}
+            Visit::Take => return Some(i),
+            Visit::Stop => return None,
+        }
+    }
+    None
 }
 
 /// Element order of a [`ListRep`].
@@ -121,47 +373,36 @@ impl SpaceRep for ListRep {
 
     fn deposit(&self, tuple: StoredTuple) {
         let mut g = self.state.lock();
-        if self.dedup && g.0.iter().any(|t| **t == *tuple) {
+        if self.dedup && g.0.iter().any(|t| t[..] == tuple[..]) {
             return;
         }
         g.0.push(tuple);
         g.1.wake_all();
     }
 
-    fn snapshot(&self, template: &Template) -> Vec<StoredTuple> {
-        let g = self.state.lock();
-        let mut v: Vec<StoredTuple> =
-            g.0.iter()
-                .filter(|t| template.may_match(t))
-                .cloned()
-                .collect();
-        if self.order == ListOrder::Lifo {
-            v.reverse();
-        }
-        v
-    }
-
-    fn remove_exact(&self, tuple: &StoredTuple) -> bool {
+    fn probe(&self, probe: &mut Probe<'_>) {
         let mut g = self.state.lock();
-        match g.0.iter().position(|t| Arc::ptr_eq(t, tuple)) {
-            Some(i) => {
-                g.0.remove(i);
-                true
-            }
-            None => false,
+        let (tuples, readers) = &mut *g;
+        let oldest_first = tuples.iter().enumerate();
+        let taken = if self.order == ListOrder::Lifo {
+            first_taken(probe, oldest_first.rev())
+        } else {
+            first_taken(probe, oldest_first)
+        };
+        if let Some(i) = taken {
+            tuples.remove(i);
         }
-    }
-
-    fn register(&self, _template: &Template, waiter: Waiter) {
-        self.state.lock().1.push(waiter);
-    }
-
-    fn rewake_one(&self) {
-        self.state.lock().1.wake_one();
+        if let Some(w) = probe.waiter() {
+            readers.push(w);
+        }
     }
 
     fn waiting(&self) -> usize {
         self.state.lock().1.len()
+    }
+
+    fn registered(&self) -> usize {
+        self.state.lock().1.registered()
     }
 }
 
@@ -200,34 +441,23 @@ impl SpaceRep for CellRep {
         g.1.wake_all();
     }
 
-    fn snapshot(&self, template: &Template) -> Vec<StoredTuple> {
-        let g = self.state.lock();
-        g.0.iter()
-            .filter(|t| template.may_match(t))
-            .cloned()
-            .collect()
-    }
-
-    fn remove_exact(&self, tuple: &StoredTuple) -> bool {
+    fn probe(&self, probe: &mut Probe<'_>) {
         let mut g = self.state.lock();
-        if g.0.as_ref().is_some_and(|t| Arc::ptr_eq(t, tuple)) {
-            g.0 = None;
-            true
-        } else {
-            false
+        let (slot, readers) = &mut *g;
+        if first_taken(probe, slot.iter().map(|t| (0, t))).is_some() {
+            *slot = None;
         }
-    }
-
-    fn register(&self, _template: &Template, waiter: Waiter) {
-        self.state.lock().1.push(waiter);
-    }
-
-    fn rewake_one(&self) {
-        self.state.lock().1.wake_one();
+        if let Some(w) = probe.waiter() {
+            readers.push(w);
+        }
     }
 
     fn waiting(&self) -> usize {
         self.state.lock().1.len()
+    }
+
+    fn registered(&self) -> usize {
+        self.state.lock().1.registered()
     }
 }
 
@@ -242,7 +472,7 @@ impl CountRep {
     pub fn new(initial: usize) -> CountRep {
         CountRep {
             state: Mutex::new((initial, WaitList::new())),
-            empty: Arc::new(Vec::new()),
+            empty: Stored::new(Vec::new()),
         }
     }
 }
@@ -267,30 +497,17 @@ impl SpaceRep for CountRep {
         g.1.wake_one();
     }
 
-    fn snapshot(&self, template: &Template) -> Vec<StoredTuple> {
-        if template.arity() != 0 {
-            return Vec::new();
-        }
-        let g = self.state.lock();
-        if g.0 > 0 {
-            vec![self.empty.clone()]
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn remove_exact(&self, _tuple: &StoredTuple) -> bool {
+    fn probe(&self, probe: &mut Probe<'_>) {
         let mut g = self.state.lock();
-        if g.0 > 0 {
-            g.0 -= 1;
-            true
-        } else {
-            false
+        let (count, readers) = &mut *g;
+        // Every signal is the same empty tuple; a template of another
+        // arity misses it like any other mismatch.
+        if *count > 0 && probe.visit(&self.empty) == Visit::Take {
+            *count -= 1;
         }
-    }
-
-    fn register(&self, _template: &Template, waiter: Waiter) {
-        self.state.lock().1.push(waiter);
+        if let Some(w) = probe.waiter() {
+            readers.push(w);
+        }
     }
 
     fn rewake_one(&self) {
@@ -299,6 +516,10 @@ impl SpaceRep for CountRep {
 
     fn waiting(&self) -> usize {
         self.state.lock().1.len()
+    }
+
+    fn registered(&self) -> usize {
+        self.state.lock().1.registered()
     }
 }
 
@@ -354,51 +575,39 @@ impl SpaceRep for VectorRep {
         g.1.wake_all();
     }
 
-    fn snapshot(&self, template: &Template) -> Vec<StoredTuple> {
-        let g = self.state.lock();
-        // Fast path: indexed lookup when the template pins the index.
-        if let Some((0, v)) = template.hash_key() {
-            if let Some(i) = v.as_int().and_then(|i| usize::try_from(i).ok()) {
-                return g
-                    .0
-                    .get(i)
-                    .and_then(|s| s.clone())
-                    .filter(|t| template.may_match(t))
-                    .into_iter()
-                    .collect();
-            }
-        }
-        g.0.iter()
-            .flatten()
-            .filter(|t| template.may_match(t))
-            .cloned()
-            .collect()
-    }
-
-    fn remove_exact(&self, tuple: &StoredTuple) -> bool {
-        let i = VectorRep::index_of(tuple);
+    fn probe(&self, probe: &mut Probe<'_>) {
         let mut g = self.state.lock();
-        if g.0
-            .get(i)
-            .is_some_and(|s| s.as_ref().is_some_and(|t| Arc::ptr_eq(t, tuple)))
-        {
-            g.0[i] = None;
-            true
-        } else {
-            false
+        let (slots, readers) = &mut *g;
+        // Indexed lookup when the template pins the index, a scan
+        // otherwise.
+        let pinned = match probe.template().hash_key() {
+            Some((0, v)) => v.as_int().and_then(|i| usize::try_from(i).ok()),
+            _ => None,
+        };
+        let taken = match pinned {
+            Some(i) => {
+                let slot = slots.get(i).and_then(Option::as_ref);
+                first_taken(probe, slot.map(|t| (i, t)).into_iter())
+            }
+            None => {
+                let set = slots.iter().enumerate();
+                first_taken(probe, set.filter_map(|(i, s)| Some((i, s.as_ref()?))))
+            }
+        };
+        if let Some(i) = taken {
+            slots[i] = None;
         }
-    }
-
-    fn register(&self, _template: &Template, waiter: Waiter) {
-        self.state.lock().1.push(waiter);
-    }
-
-    fn rewake_one(&self) {
-        self.state.lock().1.wake_one();
+        if let Some(w) = probe.waiter() {
+            readers.push(w);
+        }
     }
 
     fn waiting(&self) -> usize {
         self.state.lock().1.len()
+    }
+
+    fn registered(&self) -> usize {
+        self.state.lock().1.registered()
     }
 }
 
@@ -409,7 +618,13 @@ mod tests {
     use sting_value::Value;
 
     fn tup(items: &[i64]) -> StoredTuple {
-        Arc::new(items.iter().map(|&i| Value::Int(i)).collect())
+        Stored::new(items.iter().map(|&i| Value::Int(i)).collect())
+    }
+
+    fn probe(rep: &dyn SpaceRep, template: &Template, remove: bool) -> Option<Vec<Value>> {
+        let mut p = Probe::new(template, remove);
+        rep.probe(&mut p);
+        p.finish().hit
     }
 
     #[test]
@@ -421,8 +636,9 @@ mod tests {
             lifo.deposit(tup(&[i]));
         }
         let t = Template::any(1);
-        assert_eq!(fifo.snapshot(&t)[0][0], Value::Int(0), "fifo oldest first");
-        assert_eq!(lifo.snapshot(&t)[0][0], Value::Int(2), "lifo newest first");
+        let first = |rep: &ListRep| probe(rep, &t, false).unwrap()[0].clone();
+        assert_eq!(first(&fifo), Value::Int(0), "fifo oldest first");
+        assert_eq!(first(&lifo), Value::Int(2), "lifo newest first");
     }
 
     #[test]
@@ -438,14 +654,39 @@ mod tests {
     }
 
     #[test]
-    fn remove_exact_is_identity_based() {
+    fn a_removing_probe_unlinks_exactly_its_hit() {
         let rep = ListRep::new(ListOrder::Fifo, false);
-        let a = tup(&[1]);
-        let b = tup(&[1]); // equal contents, different identity
-        rep.deposit(a.clone());
-        assert!(!rep.remove_exact(&b), "equal-but-distinct must not remove");
-        assert!(rep.remove_exact(&a));
-        assert!(!rep.remove_exact(&a), "second removal fails");
+        rep.deposit(tup(&[1, 10]));
+        rep.deposit(tup(&[2, 20]));
+        rep.deposit(tup(&[1, 30]));
+        let ones = Template::new(vec![lit(1), formal()]);
+        assert_eq!(probe(&rep, &ones, false), Some(vec![Value::Int(10)]));
+        assert_eq!(rep.len(), 3, "a reading probe removes nothing");
+        assert_eq!(probe(&rep, &ones, true), Some(vec![Value::Int(10)]));
+        assert_eq!(probe(&rep, &ones, true), Some(vec![Value::Int(30)]));
+        assert_eq!(probe(&rep, &ones, true), None);
+        assert_eq!(rep.len(), 1, "the bystander stays");
+    }
+
+    #[test]
+    fn only_a_blocking_probe_that_misses_registers() {
+        let rep = ListRep::new(ListOrder::Fifo, false);
+        rep.deposit(tup(&[1]));
+        let (one, two) = (Template::new(vec![lit(1)]), Template::new(vec![lit(2)]));
+        assert_eq!(probe(&rep, &two, true), None);
+        assert_eq!(rep.registered(), 0, "a non-blocking miss registers nothing");
+        let mut hit = Probe::blocking(&one, true);
+        rep.probe(&mut hit);
+        let hit = hit.finish();
+        assert!(hit.hit.is_some() && hit.registered.is_none());
+        assert_eq!(rep.registered(), 0, "a hit never arms the episode");
+        let mut miss = Probe::blocking(&two, true);
+        rep.probe(&mut miss);
+        let miss = miss.finish();
+        assert!(miss.hit.is_none());
+        assert_eq!((rep.registered(), rep.waiting()), (1, 1));
+        assert!(!miss.registered.expect("registered under the lock").retire());
+        assert_eq!((rep.registered(), rep.waiting()), (1, 0));
     }
 
     #[test]
@@ -455,21 +696,22 @@ mod tests {
         cell.deposit(tup(&[2]));
         assert_eq!(cell.len(), 1);
         let t = Template::any(1);
-        assert_eq!(cell.snapshot(&t)[0][0], Value::Int(2));
+        assert_eq!(probe(&cell, &t, false), Some(vec![Value::Int(2)]));
     }
 
     #[test]
     fn count_rep_counts() {
         let sem = CountRep::new(1);
         assert_eq!(sem.len(), 1);
-        sem.deposit(Arc::new(Vec::new()));
+        sem.deposit(Stored::new(Vec::new()));
         assert_eq!(sem.len(), 2);
         let t = Template::any(0);
-        let snap = sem.snapshot(&t);
-        assert_eq!(snap.len(), 1);
-        assert!(sem.remove_exact(&snap[0]));
-        assert!(sem.remove_exact(&snap[0]));
-        assert!(!sem.remove_exact(&snap[0]), "empty semaphore");
+        assert_eq!(probe(&sem, &t, false), Some(Vec::new()));
+        assert_eq!(sem.len(), 2, "a read leaves the count");
+        assert!(probe(&sem, &Template::any(1), true).is_none(), "arity");
+        assert!(probe(&sem, &t, true).is_some());
+        assert!(probe(&sem, &t, true).is_some());
+        assert!(probe(&sem, &t, true).is_none(), "empty semaphore");
     }
 
     #[test]
@@ -486,9 +728,11 @@ mod tests {
         v.deposit(tup(&[2, 99])); // replaces index 2
         assert_eq!(v.len(), 2);
         let t = Template::new(vec![lit(2), formal()]);
-        let snap = v.snapshot(&t);
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0][1], Value::Int(99));
+        assert_eq!(probe(&v, &t, false), Some(vec![Value::Int(99)]));
+        let unset = Template::new(vec![lit(7), formal()]);
+        assert_eq!(probe(&v, &unset, false), None);
+        assert_eq!(probe(&v, &Template::any(2), true).map(|b| b.len()), Some(2));
+        assert_eq!(v.len(), 1);
     }
 
     #[test]

@@ -1,31 +1,37 @@
 //! Partitioned tuple spaces over a VM fleet.
 //!
 //! A [`ShardedSpace`] splits one logical tuple space into `S` partitions,
-//! one per shard of a [`Fleet`].  Tuples and templates route to a
-//! partition by the same `(arity, field₀)` hash the [`crate::hashed`]
-//! representation buckets by — the partition choice and the in-partition
-//! bucket choice are two moduli of one key, so routing never disagrees
-//! with matching.
+//! one per shard of a [`Fleet`], each a [`HashedRep`].  Tuples and
+//! templates route to a partition by the same `(arity, field₀)` key the
+//! representation indexes by — the partition and the in-partition bin
+//! are disjoint bit ranges of one hash (see [`crate::hashed`]), so
+//! routing never disagrees with matching and a partition reaches all of
+//! its bins.
+//!
+//! A literal-keyed template has **one owner**: its tuples, its probes and
+//! its blocked readers all live in one partition.  (The one exception is
+//! the rare thread-headed tuple, which is keyed by arity alone: while the
+//! space-wide count says such tuples are resident, probes also look at the
+//! arity-only chain of the partition that owns it, and its deposit sweeps
+//! the readers of every partition.)
 //!
 //! Operations run in one of three tiers:
 //!
 //! * **Local fast path** — the caller runs on the shard that owns the
-//!   target partition (or outside any fleet shard entirely).  The op is a
-//!   plain [`TupleSpace`] op on the partition: no mailbox, no extra
-//!   allocation, byte-for-byte the unsharded code path.
-//! * **Routed tier** — the caller runs on a shard of the fleet and every
-//!   candidate partition is owned by a *different* shard (one partition
-//!   in the common literal-keyed case; two when the arity-only partition
-//!   where live-thread-headed tuples land differs).  Deposits ship to the
-//!   owner as a fire-and-forget [`Fabric::call_durable`] (applied even by
-//!   the shutdown sweep, so a routed `put` is never lost — though the
-//!   putting shard's own *non-blocking* probes may miss it until the
-//!   owner applies it; see [`ShardedSpace::put`]); blocking reads ship a
-//!   *register-and-check* closure per owner (template + shared reply
-//!   cell + the caller's wait episode) so the match scan, waiter
-//!   registration, and wake all execute with owner-shard locality, and
-//!   the caller parks until an owner's reply or a matching deposit wakes
-//!   it across the fabric.
+//!   template's partition (or outside any fleet shard entirely).  The op
+//!   is the plain [`TupleSpace`](crate::TupleSpace) protocol on the
+//!   partition: no mailbox, no extra allocation.
+//! * **Routed tier** — the caller runs on a shard of the fleet and the
+//!   owner is a *different* shard.  Deposits ship to the owner as a
+//!   fire-and-forget [`Fabric::call_durable`] (applied even by the
+//!   shutdown sweep, so a routed `put` is never lost — though the putting
+//!   shard's own *non-blocking* probes may miss it until the owner applies
+//!   it; see [`ShardedSpace::put`]); blocking reads ship a
+//!   *probe-or-register* closure to the owner (template + reply cell +
+//!   the caller's wait episode) so the match, the waiter registration and
+//!   the wake all execute with owner-shard locality, and the caller parks
+//!   until the owner's reply or a matching deposit wakes it across the
+//!   fabric.
 //! * **Wild slow path** — the template has no literal first field, so
 //!   every partition (including the caller's own) is a candidate.  The op
 //!   degrades to the shared-memory protocol over all partitions: correct,
@@ -46,14 +52,17 @@
 //! abandoned request never strands a removal — the
 //! `routed_timeout_conserves_deposits` test drives this race.
 
-use crate::hashed::hash_key;
+use crate::hashed::{hash_key, partition_of, HashedRep};
+use crate::rep::{key_of, Outcome, Probe, SpaceRep, Stored, StoredTuple};
+use crate::space::{blocker, blocking_probe, try_probe};
 use crate::template::Template;
-use crate::{SpaceKind, TupleSpace};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sting_core::fleet::{Fabric, Fleet};
 use sting_core::tc;
+use sting_core::wait::WakeBatch;
 use sting_sync::{Waiter, WakeReason};
 use sting_value::Value;
 
@@ -72,8 +81,11 @@ enum Reply {
 }
 
 struct ShardedInner {
-    /// One parentless partition per shard; index = owning shard.
-    partitions: Vec<TupleSpace>,
+    /// One partition per shard; index = owning shard.
+    partitions: Vec<HashedRep>,
+    /// Thread-headed tuples resident in any partition (the partitions
+    /// count into it).
+    thread_headed: Arc<AtomicUsize>,
     /// `None` for single-shard fleets: every op is the local fast path.
     fabric: Option<Arc<Fabric>>,
 }
@@ -105,11 +117,13 @@ impl ShardedSpace {
     /// Like [`ShardedSpace::new`] with an explicit per-partition bucket
     /// count.
     pub fn with_buckets(fleet: &Fleet, buckets: usize) -> ShardedSpace {
+        let thread_headed = Arc::new(AtomicUsize::new(0));
         ShardedSpace {
             inner: Arc::new(ShardedInner {
                 partitions: (0..fleet.len())
-                    .map(|_| TupleSpace::with_kind(SpaceKind::Hashed { buckets }))
+                    .map(|_| HashedRep::sharing(buckets, thread_headed.clone()))
                     .collect(),
+                thread_headed,
                 fabric: fleet.fabric().cloned(),
             }),
         }
@@ -122,7 +136,7 @@ impl ShardedSpace {
 
     /// Tuples stored across all partitions.
     pub fn len(&self) -> usize {
-        self.inner.partitions.iter().map(|p| p.len()).sum()
+        self.inner.partitions.iter().map(SpaceRep::len).sum()
     }
 
     /// Whether no partition holds a tuple.
@@ -136,53 +150,52 @@ impl ShardedSpace {
         self.inner.partitions[index].len()
     }
 
-    /// Live readers blocked across all partitions (a reader may count
-    /// once per partition it registered in — see [`TupleSpace::blocked`]).
+    /// Live readers blocked across all partitions.
     pub fn blocked(&self) -> usize {
-        self.inner.partitions.iter().map(|p| p.blocked()).sum()
+        self.inner.partitions.iter().map(SpaceRep::waiting).sum()
+    }
+
+    /// Reader registrations held across all partitions, live or dead —
+    /// see [`TupleSpace::registered`](crate::TupleSpace::registered).
+    pub fn registered(&self) -> usize {
+        self.inner.partitions.iter().map(SpaceRep::registered).sum()
     }
 
     /// The partition a tuple deposits into.  Mirrors the hashed rep's
-    /// bucket rule: a live-thread first field could evaluate to anything,
+    /// key rule: a live-thread first field could evaluate to anything,
     /// so such tuples route by arity alone.
     pub fn partition_of_tuple(&self, fields: &[Value]) -> usize {
-        let f0 = fields
-            .first()
-            .filter(|v| v.as_native().is_none_or(|h| h.tag() != "thread"));
-        (hash_key(fields.len(), f0) % self.partitions() as u64) as usize
+        partition_of(key_of(fields), self.partitions())
     }
 
-    /// The partitions a template must consult: its literal-keyed
-    /// partition plus the arity-only partition where live-thread-headed
-    /// tuples land (one entry when they coincide).  `None` means no
-    /// usable key — every partition is a candidate (the wild slow path).
+    /// The partitions a template must consult: the one that owns its
+    /// literal key — plus, only while thread-headed tuples are resident,
+    /// the one that owns the arity-only key they live under.  `None` means
+    /// no usable key — every partition is a candidate (the wild slow
+    /// path).
     pub fn partitions_of_template(&self, t: &Template) -> Option<Vec<usize>> {
-        let n = self.partitions() as u64;
-        match t.hash_key() {
-            Some((0, v)) => {
-                let lit = (hash_key(t.arity(), Some(v)) % n) as usize;
-                let wild = (hash_key(t.arity(), None) % n) as usize;
-                let mut out = vec![lit];
-                if wild != lit {
-                    out.push(wild);
-                }
-                Some(out)
-            }
-            _ => None,
-        }
+        let owner = self.owner(t)?;
+        let mut out = vec![owner];
+        out.extend(self.thread_headed_owner(t).filter(|&p| p != owner));
+        Some(out)
+    }
+
+    /// The partition that owns a literal-keyed template.
+    fn owner(&self, t: &Template) -> Option<usize> {
+        t.key().map(|key| partition_of(key, self.partitions()))
+    }
+
+    /// The partition holding thread-headed tuples of `t`'s arity, while
+    /// any thread-headed tuple is resident in the space.
+    fn thread_headed_owner(&self, t: &Template) -> Option<usize> {
+        (self.inner.thread_headed.load(Ordering::SeqCst) > 0)
+            .then(|| partition_of(hash_key(t.arity(), None), self.partitions()))
     }
 
     /// The calling shard, iff the current thread runs on a VM that is a
-    /// shard of *this* space's fleet (pointer identity, not just a shard
-    /// index — a thread on some other fleet must not masquerade as local).
+    /// shard of *this* space's fleet.
     fn local_shard(&self) -> Option<usize> {
-        let fabric = self.inner.fabric.as_ref()?;
-        let vm = tc::current_vm()?;
-        let s = vm.shard_id();
-        match fabric.shard_vm(s) {
-            Some(shard_vm) if Arc::ptr_eq(&shard_vm, &vm) => Some(s),
-            _ => None,
-        }
+        self.inner.fabric.as_ref()?.current_shard()
     }
 
     /// Deposits a passive tuple into its partition.  Cross-shard deposits
@@ -201,26 +214,43 @@ impl ShardedSpace {
     /// shutdown is applied by the fabric's shutdown sweep
     /// ([`Fabric::call_durable`]).
     pub fn put(&self, fields: Vec<Value>) {
-        let dest = self.partition_of_tuple(&fields);
+        let tuple = Stored::new(fields);
+        let dest = partition_of(tuple.key(), self.partitions());
         match (self.inner.fabric.as_ref(), self.local_shard()) {
             (Some(fabric), Some(me)) if me != dest => {
-                let part = self.inner.partitions[dest].clone();
+                let space = self.clone();
                 let vm = tc::current_vm().expect("local_shard implies a current VM");
-                fabric.call_durable(&vm, dest, Box::new(move |_vm| part.put(fields)));
+                fabric.call_durable(&vm, dest, Box::new(move |_vm| space.deposit(dest, tuple)));
             }
-            _ => self.inner.partitions[dest].put(fields),
+            _ => self.deposit(dest, tuple),
         }
     }
 
-    /// Non-blocking removal across the template's candidate partitions.
-    /// May miss a tuple whose routed deposit is still in flight — see
+    fn deposit(&self, dest: usize, tuple: StoredTuple) {
+        let sweep = tuple.is_thread_headed().then(|| tuple.clone());
+        self.inner.partitions[dest].deposit(tuple);
+        // The partition swept its own readers; a thread-headed tuple is
+        // also owed to the readers of its arity everywhere else.
+        if let Some(tuple) = sweep {
+            let mut batch = WakeBatch::new();
+            for (p, part) in self.inner.partitions.iter().enumerate() {
+                if p != dest {
+                    part.wake_readers_of(&tuple, &mut batch);
+                }
+            }
+            batch.publish();
+        }
+    }
+
+    /// Non-blocking removal from the template's partition.  May miss a
+    /// tuple whose routed deposit is still in flight — see
     /// [`ShardedSpace::put`].
     pub fn try_get(&self, template: &Template) -> Option<Vec<Value>> {
         self.try_parts(template, true)
     }
 
-    /// Non-blocking read across the template's candidate partitions.
-    /// May miss a tuple whose routed deposit is still in flight — see
+    /// Non-blocking read from the template's partition.  May miss a tuple
+    /// whose routed deposit is still in flight — see
     /// [`ShardedSpace::put`].
     pub fn try_rd(&self, template: &Template) -> Option<Vec<Value>> {
         self.try_parts(template, false)
@@ -246,24 +276,33 @@ impl ShardedSpace {
         self.blocking_op_deadline(template, false, Some(Instant::now() + timeout))
     }
 
-    fn candidate_partitions(&self, template: &Template) -> Vec<usize> {
-        self.partitions_of_template(template)
-            .unwrap_or_else(|| (0..self.partitions()).collect())
+    /// Carries `probe` through the partitions its template must consult:
+    /// the owner alone for a literal key (one bin lock, one chain), every
+    /// partition for a wild template.
+    fn probe_parts(&self, probe: &mut Probe<'_>) {
+        let parts = &self.inner.partitions;
+        let Some(owner) = self.owner(probe.template()) else {
+            for part in parts {
+                part.probe(probe);
+                if probe.is_hit() {
+                    return;
+                }
+            }
+            return;
+        };
+        // The owner looks at its own arity-only chain itself.
+        parts[owner].probe(probe);
+        if !probe.is_hit() {
+            if let Some(other) = self.thread_headed_owner(probe.template()) {
+                if other != owner {
+                    parts[other].probe_thread_headed(probe);
+                }
+            }
+        }
     }
 
     fn try_parts(&self, template: &Template, remove: bool) -> Option<Vec<Value>> {
-        for p in self.candidate_partitions(template) {
-            let part = &self.inner.partitions[p];
-            let got = if remove {
-                part.try_get(template)
-            } else {
-                part.try_rd(template)
-            };
-            if got.is_some() {
-                return got;
-            }
-        }
-        None
+        try_probe(template, remove, |p| self.probe_parts(p))
     }
 
     fn blocking_op(&self, template: &Template, remove: bool) -> Vec<Value> {
@@ -282,74 +321,30 @@ impl ShardedSpace {
         remove: bool,
         deadline: Option<Instant>,
     ) -> Option<Vec<Value>> {
-        let parts = self.candidate_partitions(template);
-        if let (Some(fabric), Some(me)) = (self.inner.fabric.as_ref(), self.local_shard()) {
-            if !parts.is_empty() && parts.iter().all(|&p| p != me) {
-                return self.routed_blocking(fabric.clone(), &parts, template, remove, deadline);
+        if let (Some(fabric), Some(owner)) = (self.inner.fabric.as_ref(), self.owner(template)) {
+            if self.local_shard().is_some_and(|me| me != owner) {
+                return self.routed_blocking(fabric, owner, template, remove, deadline);
             }
         }
-        self.direct_blocking(&parts, template, remove, deadline)
+        // The local and wild tiers: the unsharded protocol over the
+        // template's partitions.  Hashed partitions wake every plausible
+        // reader per deposit, so no wake-up is ever owed onwards.
+        blocking_probe(template, remove, deadline, |p| self.probe_parts(p), || {})
     }
 
-    /// The local/wild tier: the [`TupleSpace::blocking_op_deadline`]
-    /// protocol generalized over a set of partitions.  Register one wait
-    /// episode in every candidate, re-check once to close the deposit
-    /// race, then park; a wasted wake (self-served or timed out after a
-    /// deposit spent its wake on us) is re-donated to every candidate.
-    fn direct_blocking(
-        &self,
-        parts: &[usize],
-        template: &Template,
-        remove: bool,
-        deadline: Option<Instant>,
-    ) -> Option<Vec<Value>> {
-        let rewake = |parts: &[usize]| {
-            for &p in parts {
-                self.inner.partitions[p].rewake_local();
-            }
-        };
-        loop {
-            if let Some(b) = self.try_parts(template, remove) {
-                return Some(b);
-            }
-            let w = Waiter::current();
-            for &p in parts {
-                self.inner.partitions[p].register_local(template, w.clone());
-            }
-            if let Some(b) = self.try_parts(template, remove) {
-                if w.retire() {
-                    rewake(parts);
-                }
-                return Some(b);
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    if w.retire() {
-                        rewake(parts);
-                    }
-                    return None;
-                }
-            }
-            match w.park_until(&Value::sym("tuple-space"), deadline) {
-                WakeReason::Woken => {}
-                WakeReason::TimedOut | WakeReason::Cancelled => return None,
-            }
-        }
-    }
-
-    /// The routed tier: every candidate partition is owned by a remote
-    /// shard, so the match scan, waiter registration, and removal run on
-    /// the owners inside fabric calls while the requester parks on the
-    /// shipped wait episode.  Per attempt: one direct probe (the shared
-    /// memory is coherent; the hops buy locality, not safety), then one
-    /// register-and-check closure per owner, all sharing a reply cell
-    /// that settles who owns a removed tuple — the first owner to match
-    /// fills it, later owners and an abandoning requester see the state
-    /// change under the mutex (see module docs on conservation).
+    /// The routed tier: the template's owner is a remote shard, so the
+    /// match, the waiter registration and the removal run on the owner
+    /// inside a fabric call while the requester parks on the shipped wait
+    /// episode.  Per attempt: one direct probe (the shared memory is
+    /// coherent; the hop buys locality, not safety), then one
+    /// probe-or-register closure on the owner.  The reply cell settles
+    /// who owns a removed tuple — the owner fills it only while the
+    /// requester is still waiting, and an abandoning requester flips it
+    /// first, both under the mutex (see module docs on conservation).
     fn routed_blocking(
         &self,
-        fabric: Arc<Fabric>,
-        parts: &[usize],
+        fabric: &Fabric,
+        owner: usize,
         template: &Template,
         remove: bool,
         deadline: Option<Instant>,
@@ -361,57 +356,36 @@ impl ShardedSpace {
             let w = Waiter::current();
             let reply = Arc::new(Mutex::new(Reply::Waiting));
             let vm = tc::current_vm().expect("routed tier implies a current VM");
-            for &dest in parts {
-                let part = self.inner.partitions[dest].clone();
-                let template = template.clone();
+            let call = {
+                let (space, template) = (self.clone(), template.clone());
                 let (w, reply) = (w.clone(), reply.clone());
-                fabric.call(
-                    &vm,
-                    dest,
-                    Box::new(move |_vm| {
-                        let mut cell = reply.lock();
-                        if !matches!(*cell, Reply::Waiting) {
-                            return; // answered by a sibling owner, or abandoned
-                        }
-                        // Register *before* probing (the same order
-                        // `direct_blocking` uses): a deposit landing between
-                        // a failed probe and a later registration would find
-                        // no waiter to wake while the requester is already
-                        // parked — the one tuple it will ever match would
-                        // slip by.  A registration made moot by the probe
-                        // below dies with the episode and is pruned lazily.
-                        part.register_local(&template, w.clone());
-                        let got = if remove {
-                            part.try_get(&template)
-                        } else {
-                            part.try_rd(&template)
-                        };
-                        match got {
-                            Some(b) => {
-                                *cell = Reply::Filled(b);
-                                drop(cell);
-                                // Self-served: wake the parked requester.  A
-                                // failed claim means a concurrent deposit (or
-                                // the requester's timeout) already consumed
-                                // the episode we just registered; if it was a
-                                // deposit, its wake-up was spent on us, so
-                                // re-donate one to the partition's remaining
-                                // waiters.
-                                if !w.wake() {
-                                    part.rewake_local();
-                                }
-                            }
-                            None => {
-                                // Registered and no match yet: a future
-                                // deposit on this owner wakes the requester
-                                // across the fabric.
-                                drop(cell);
-                            }
-                        }
-                    }),
-                );
-            }
-            let reason = w.park_until(&Value::sym("tuple-space"), deadline);
+                move |_vm: &_| {
+                    let mut cell = reply.lock();
+                    if !matches!(*cell, Reply::Waiting) {
+                        return; // abandoned before the owner got to it
+                    }
+                    // Hit, or registered under the chain's lock: a deposit
+                    // on this owner from here on wakes the requester
+                    // across the fabric.
+                    let mut probe = Probe::on_behalf_of(&template, remove, w.clone());
+                    space.probe_parts(&mut probe);
+                    let Outcome { hit, pending, .. } = probe.finish();
+                    let settled = hit.is_some() || !pending.is_empty();
+                    if let Some(b) = hit {
+                        *cell = Reply::Filled(b);
+                    }
+                    drop(cell);
+                    // Answered — or a candidate needs a thread demanded,
+                    // which only the requester, on its own stack, may do:
+                    // either way it must run.  (A failed claim means a
+                    // deposit or the deadline got there first.)
+                    if settled {
+                        w.wake();
+                    }
+                }
+            };
+            fabric.call(&vm, owner, Box::new(call));
+            let reason = w.park_until(blocker(), deadline);
             // Whatever ended the park: a filled reply is our answer, and
             // anything else abandons this attempt so a late-running owner
             // closure cannot strand a removal.
@@ -426,15 +400,10 @@ impl ShardedSpace {
                 return Some(b);
             }
             match reason {
-                WakeReason::Woken => {} // a deposit woke us: retry (the probe will see it)
-                WakeReason::TimedOut | WakeReason::Cancelled => {
-                    if w.retire() {
-                        for &p in parts {
-                            self.inner.partitions[p].rewake_local();
-                        }
-                    }
-                    return None;
-                }
+                // A deposit (or a pending candidate) woke us: retry — the
+                // direct probe will see it.
+                WakeReason::Woken => {}
+                WakeReason::TimedOut | WakeReason::Cancelled => return None,
             }
         }
     }

@@ -15,13 +15,15 @@
 //!   live threads; matching demands (and may steal) their values.
 
 use crate::hashed::HashedRep;
-use crate::rep::{CellRep, CountRep, ListOrder, ListRep, SpaceRep, VectorRep};
+use crate::rep::{
+    demand, CellRep, CountRep, ListOrder, ListRep, Outcome, Probe, SpaceRep, Stored, VectorRep,
+};
 use crate::template::Template;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use sting_core::tc::Cx;
 use sting_core::vm::Vm;
-use sting_sync::{Waiter, WakeReason};
+use sting_sync::WakeReason;
 use sting_value::Value;
 
 /// Representation choice for a tuple space (see [`crate::specialize`] for
@@ -138,7 +140,7 @@ impl TupleSpace {
 
     /// Deposits a passive tuple (`out` / the paper's `put`).
     pub fn put(&self, fields: Vec<Value>) {
-        self.inner.rep.deposit(Arc::new(fields));
+        self.inner.rep.deposit(Stored::new(fields));
     }
 
     /// Deposits an *active* tuple: each thunk is forked as a stealable
@@ -195,10 +197,17 @@ impl TupleSpace {
     }
 
     /// Number of live readers blocked on the local space (parents not
-    /// counted; the hashed representation may count a reader once per bin
-    /// it registered in).
+    /// counted).
     pub fn blocked(&self) -> usize {
         self.inner.rep.waiting()
+    }
+
+    /// Number of reader registrations the local space holds, live or dead
+    /// (parents not counted).  It stays within a small constant of
+    /// [`TupleSpace::blocked`] however many readers have come and gone; a
+    /// count that grows with traffic is a leak.
+    pub fn registered(&self) -> usize {
+        self.inner.rep.registered()
     }
 
     /// Atomically removes a matching tuple, applies `f` to its bindings,
@@ -209,28 +218,23 @@ impl TupleSpace {
         self.put(f(bindings));
     }
 
-    fn chain(&self) -> Vec<&TupleSpace> {
-        let mut out = vec![self];
-        let mut cur = self;
-        while let Some(p) = &cur.inner.parent {
-            out.push(p);
-            cur = p;
+    /// This space, then its parents, nearest first.
+    fn chain(&self) -> impl Iterator<Item = &TupleSpace> {
+        std::iter::successors(Some(self), |s| s.inner.parent.as_ref())
+    }
+
+    /// Carries `probe` down the chain until a space hits.
+    fn probe_chain(&self, probe: &mut Probe<'_>) {
+        for space in self.chain() {
+            space.inner.rep.probe(probe);
+            if probe.is_hit() {
+                return;
+            }
         }
-        out
     }
 
     fn try_op(&self, template: &Template, remove: bool) -> Option<Vec<Value>> {
-        for space in self.chain() {
-            for cand in space.inner.rep.snapshot(template) {
-                if let Some(bindings) = template.match_tuple(&cand) {
-                    if !remove || space.inner.rep.remove_exact(&cand) {
-                        return Some(bindings);
-                    }
-                    // Lost the removal race; keep scanning.
-                }
-            }
-        }
-        None
+        try_probe(template, remove, |p| self.probe_chain(p))
     }
 
     fn blocking_op(&self, template: &Template, remove: bool) -> Vec<Value> {
@@ -249,56 +253,8 @@ impl TupleSpace {
         remove: bool,
         deadline: Option<Instant>,
     ) -> Option<Vec<Value>> {
-        loop {
-            if let Some(b) = self.try_op(template, remove) {
-                return Some(b);
-            }
-            // Register one wait episode in every space of the chain, then
-            // re-check once to close the deposit race, then park.
-            let w = Waiter::current();
-            for space in self.chain() {
-                space.inner.rep.register(template, w.clone());
-            }
-            if let Some(b) = self.try_op(template, remove) {
-                if w.retire() {
-                    // A deposit spent its wake-up on this episode but we
-                    // served ourselves by scanning; pass the wake-up on so
-                    // one-wake-per-deposit representations lose nothing.
-                    self.rewake_chain();
-                }
-                return Some(b);
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    if w.retire() {
-                        self.rewake_chain();
-                    }
-                    return None;
-                }
-            }
-            match w.park_until(&Value::sym("tuple-space"), deadline) {
-                WakeReason::Woken => {}
-                WakeReason::TimedOut | WakeReason::Cancelled => return None,
-            }
-        }
-    }
-
-    fn rewake_chain(&self) {
-        for space in self.chain() {
-            space.inner.rep.rewake_one();
-        }
-    }
-
-    /// Registers a wait episode in this space only (no parent chain) —
-    /// the sharded fabric registers per partition, and partitions are
-    /// parentless by construction.
-    pub(crate) fn register_local(&self, template: &Template, waiter: Waiter) {
-        self.inner.rep.register(template, waiter);
-    }
-
-    /// Re-donates one wake-up to this space only (no parent chain).
-    pub(crate) fn rewake_local(&self) {
-        self.inner.rep.rewake_one();
+        let rewake = || self.chain().for_each(|s| s.inner.rep.rewake_one());
+        blocking_probe(template, remove, deadline, |p| self.probe_chain(p), rewake)
     }
 
     /// Wraps the space as a substrate value (spaces are first-class).
@@ -309,5 +265,83 @@ impl TupleSpace {
     /// Recovers a space from a value.
     pub fn from_value(v: &Value) -> Option<TupleSpace> {
         v.native_as::<TupleSpace>().map(|s| (*s).clone())
+    }
+}
+
+/// What a thread parked in a tuple-space read shows as its blocker.
+/// Interned once: interning takes a process-wide lock, and a park is on
+/// every blocked reader's path.
+pub(crate) fn blocker() -> &'static Value {
+    static BLOCKER: OnceLock<Value> = OnceLock::new();
+    BLOCKER.get_or_init(|| Value::sym("tuple-space"))
+}
+
+/// The non-blocking protocol over whatever locations `probe_all` consults:
+/// probe; if only a demand can settle a candidate, demand it (outside
+/// every lock — this is where a "non-blocking" read may still wait for a
+/// thread field) and probe again.
+pub(crate) fn try_probe(
+    template: &Template,
+    remove: bool,
+    probe_all: impl Fn(&mut Probe<'_>),
+) -> Option<Vec<Value>> {
+    loop {
+        let mut probe = Probe::new(template, remove);
+        probe_all(&mut probe);
+        let Outcome { hit, pending, .. } = probe.finish();
+        if hit.is_some() || pending.is_empty() {
+            return hit;
+        }
+        demand(template, &pending);
+    }
+}
+
+/// The blocking protocol over whatever locations `probe_all` consults.
+/// Each location either hits or registers the caller's wait episode under
+/// its own lock, so one pass suffices: a deposit that lands anywhere after
+/// its location was probed finds the registration and wakes the episode,
+/// which makes the park return at once.
+///
+/// An episode that was registered but is not parked on (a later location
+/// hit, a candidate is pending, the deadline has passed) is retired; if a
+/// deposit had already spent its wake-up on it, `rewake` passes that
+/// wake-up on.  `None` means timed out or cancelled.
+pub(crate) fn blocking_probe(
+    template: &Template,
+    remove: bool,
+    deadline: Option<Instant>,
+    probe_all: impl Fn(&mut Probe<'_>),
+    rewake: impl Fn(),
+) -> Option<Vec<Value>> {
+    loop {
+        let mut probe = Probe::blocking(template, remove);
+        probe_all(&mut probe);
+        let Outcome {
+            hit,
+            pending,
+            registered,
+        } = probe.finish();
+        if hit.is_some() || !pending.is_empty() {
+            if registered.is_some_and(|w| w.retire()) {
+                rewake();
+            }
+            if hit.is_some() {
+                return hit;
+            }
+            // Only now, with no episode armed: the demand may itself park.
+            demand(template, &pending);
+            continue;
+        }
+        let waiter = registered.expect("a blocking probe that misses registers its episode");
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            if waiter.retire() {
+                rewake();
+            }
+            return None;
+        }
+        match waiter.park_until(blocker(), deadline) {
+            WakeReason::Woken => {}
+            WakeReason::TimedOut | WakeReason::Cancelled => return None,
+        }
     }
 }

@@ -9,6 +9,8 @@
 //! paper's syntax): they match any field and acquire its value as a
 //! binding.
 
+use crate::hashed::hash_key;
+use std::sync::Arc;
 use sting_core::tc;
 use sting_core::thread::Thread;
 use sting_value::Value;
@@ -33,22 +35,50 @@ pub fn formal() -> TemplateField {
 }
 
 /// A matching pattern for tuple-space reads and removals.
+///
+/// Clones share the fields, so a blocked reader's registration costs a
+/// reference count, not a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Template {
-    fields: Vec<TemplateField>,
+    fields: Arc<[TemplateField]>,
+    /// The `(arity, field₀)` index key when field₀ is a literal, hashed
+    /// once here so no probe hashes again.
+    key: Option<u64>,
+}
+
+/// What matching a template against a stored tuple *without demanding any
+/// thread* came to ([`Template::match_ready`]).
+pub(crate) enum Ready {
+    /// Every field is settled and the tuple matches: the bindings.
+    Hit(Vec<Value>),
+    /// A settled field already rules the tuple out.
+    Miss,
+    /// The fields settled so far agree, and the next one is a thread that
+    /// has not determined: only a demand can tell.
+    Pending,
 }
 
 impl Template {
     /// Builds a template from fields (see [`lit`] and [`formal`]).
     pub fn new(fields: Vec<TemplateField>) -> Template {
-        Template { fields }
+        let key = match fields.first() {
+            Some(TemplateField::Lit(v)) => Some(hash_key(fields.len(), Some(v))),
+            _ => None,
+        };
+        Template {
+            fields: fields.into(),
+            key,
+        }
     }
 
     /// A template of `n` formals (matches any tuple of arity `n`).
     pub fn any(n: usize) -> Template {
-        Template {
-            fields: (0..n).map(|_| TemplateField::Formal).collect(),
-        }
+        Template::new((0..n).map(|_| TemplateField::Formal).collect())
+    }
+
+    /// The index key: `Some` iff the first field is a literal.
+    pub(crate) fn key(&self) -> Option<u64> {
+        self.key
     }
 
     /// The template's arity.
@@ -82,9 +112,50 @@ impl Template {
             TemplateField::Formal => true,
             TemplateField::Lit(want) => {
                 // A live thread field could evaluate to anything.
-                is_thread(v) || want == v
+                want == v || is_thread(v)
             }
         })
+    }
+
+    /// The match a holder of a representation lock may run: it reads the
+    /// result of a thread field that has determined, and stops at
+    /// [`Ready::Pending`] instead of demanding one that has not (a demand
+    /// may run the thread's thunk on this stack, or park).  `has_threads`
+    /// is the tuple's deposit-time flag; a passive tuple is compared
+    /// without looking for threads at all.
+    pub(crate) fn match_ready(&self, tuple: &[Value], has_threads: bool) -> Ready {
+        if !has_threads {
+            if !self.may_match(tuple) {
+                return Ready::Miss;
+            }
+            let formals = self.fields.iter().zip(tuple);
+            return Ready::Hit(
+                formals
+                    .filter(|(f, _)| matches!(f, TemplateField::Formal))
+                    .map(|(_, v)| v.clone())
+                    .collect(),
+            );
+        }
+        if tuple.len() != self.fields.len() {
+            return Ready::Miss;
+        }
+        let mut bindings = Vec::new();
+        for (f, v) in self.fields.iter().zip(tuple) {
+            let settled = match thread_of(v) {
+                None => v.clone(),
+                Some(t) => match t.result() {
+                    None => return Ready::Pending,
+                    Some(Ok(value)) => value,
+                    Some(Err(_)) => return Ready::Miss,
+                },
+            };
+            match f {
+                TemplateField::Formal => bindings.push(settled),
+                TemplateField::Lit(want) if *want == settled => {}
+                TemplateField::Lit(_) => return Ready::Miss,
+            }
+        }
+        Ready::Hit(bindings)
     }
 
     /// Full match: demands thread-valued fields (stealing claimable ones,
@@ -112,19 +183,21 @@ impl Template {
     }
 }
 
-fn is_thread(v: &Value) -> bool {
+pub(crate) fn is_thread(v: &Value) -> bool {
     v.as_native().is_some_and(|h| h.tag() == "thread")
+}
+
+fn thread_of(v: &Value) -> Option<Arc<Thread>> {
+    is_thread(v).then(|| v.native_as::<Thread>().expect("tagged thread"))
 }
 
 /// Demands the value of a thread field ("the matching procedure applies
 /// thread-value when it encounters a thread in a tuple"); passes other
 /// values through.  `None` if the thread determined exceptionally.
 fn resolve_field(v: &Value) -> Option<Value> {
-    if is_thread(v) {
-        let t = v.native_as::<Thread>().expect("tagged thread");
-        tc::touch(&t).ok()
-    } else {
-        Some(v.clone())
+    match thread_of(v) {
+        Some(t) => tc::touch(&t).ok(),
+        None => Some(v.clone()),
     }
 }
 

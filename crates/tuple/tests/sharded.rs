@@ -295,10 +295,7 @@ fn routed_get_never_misses_a_concurrent_deposit() {
 #[test]
 fn terminate_routed_getter_leaves_peer_and_tuples_intact() {
     let fleet = fleet(2);
-    // One bin per partition, so the exact `blocked()` totals below hold:
-    // a reader counts once per bin it registered in, and among 64 bins
-    // this template's literal and arity-only bins differ.
-    let ts = ShardedSpace::with_buckets(&fleet, 1);
+    let ts = ShardedSpace::new(&fleet);
     let (k, owner) = exclusive_key(&ts);
     let other = (owner + 1) % 2;
     let fork_getter = || {
@@ -327,4 +324,148 @@ fn terminate_routed_getter_leaves_peer_and_tuples_intact() {
     assert!(ts.is_empty(), "tuple double-delivered or stranded");
     assert_fleet_clean(&fleet);
     fleet.shutdown();
+}
+
+/// Resident set size of this process, in bytes.
+fn resident_bytes() -> u64 {
+    let statm = std::fs::read_to_string("/proc/self/statm").expect("procfs");
+    let pages: u64 = statm.split(' ').nth(1).unwrap().parse().unwrap();
+    pages * 4096
+}
+
+/// A `tuple_farm`-shaped world — 2 shards × 1 VP, a master and four
+/// workers a shard, 10 000 bystanders, one job in five served by the other
+/// shard — driven for `run`.  Returns the reader registrations held at the
+/// end and the resident-set growth per second over the second half.
+fn drive_farm(run: Duration) -> (usize, f64) {
+    const BYSTANDERS: i64 = 10_000;
+    const CONFIGS: i64 = 16;
+    const OUTSTANDING: usize = 8;
+    let fleet = Fleet::builder().shards(2).vps_per_shard(1).build();
+    let ts = ShardedSpace::new(&fleet);
+    // Per shard, first fields its own partition owns: job, ack, config.
+    let mut next = 0i64;
+    let mut key_on = |shard: usize, arity: usize| loop {
+        let mut probe = vec![Value::Int(next)];
+        probe.resize(arity, Value::Int(0));
+        next += 1;
+        if ts.partition_of_tuple(&probe) == shard {
+            return next - 1;
+        }
+    };
+    let keys: Vec<[i64; 3]> = (0..2)
+        .map(|s| [key_on(s, 4), key_on(s, 3), key_on(s, 3)])
+        .collect();
+    for b in 0..BYSTANDERS {
+        ts.put(vec![
+            Value::Int(1_000_000 + b),
+            Value::Int(b),
+            Value::Int(b * 7),
+        ]);
+    }
+    for k in &keys {
+        for i in 0..CONFIGS {
+            ts.put(vec![Value::Int(k[2]), Value::Int(i), Value::Int(i + 100)]);
+        }
+    }
+    let preloaded = ts.len();
+    for shard in 0..2 {
+        for _ in 0..4 {
+            let (ts, keys) = (ts.clone(), keys.clone());
+            fleet.shard(shard).fork(move |_cx| -> i64 {
+                let jobs = Template::new(vec![lit(keys[shard][0]), formal(), formal(), formal()]);
+                loop {
+                    let job = ts.get(&jobs);
+                    let (master, k) = (job[0].as_int().unwrap() as usize, job[1].as_int().unwrap());
+                    let config = ts.rd(&Template::new(vec![
+                        lit(keys[shard][2]),
+                        lit(k % CONFIGS),
+                        formal(),
+                    ]));
+                    let answer = job[2].as_int().unwrap() ^ config[0].as_int().unwrap();
+                    ts.put(vec![
+                        Value::Int(keys[master][1]),
+                        Value::Int(k),
+                        Value::Int(answer),
+                    ]);
+                }
+            });
+        }
+    }
+    let t0 = Instant::now();
+    let masters: Vec<_> = (0..2usize)
+        .map(|shard| {
+            let (ts, keys) = (ts.clone(), keys.clone());
+            fleet.shard(shard).fork(move |_cx| {
+                let acks = Template::new(vec![lit(keys[shard][1]), formal(), formal()]);
+                let (mut issued, mut acked) = (0i64, 0i64);
+                loop {
+                    while t0.elapsed() < run && ((issued - acked) as usize) < OUTSTANDING {
+                        let to = if issued % 5 == 4 { 1 - shard } else { shard };
+                        ts.put(vec![
+                            Value::Int(keys[to][0]),
+                            Value::Int(shard as i64),
+                            Value::Int(issued),
+                            Value::Int(issued * 3),
+                        ]);
+                        issued += 1;
+                    }
+                    if issued == acked {
+                        return acked;
+                    }
+                    let ack = ts
+                        .get_timeout(&acks, Duration::from_secs(30))
+                        .expect("a job came back");
+                    let k = ack[0].as_int().unwrap();
+                    assert_eq!(ack[1].as_int().unwrap(), (k * 3) ^ (k % CONFIGS + 100));
+                    acked += 1;
+                }
+            })
+        })
+        .collect();
+    std::thread::sleep(run / 2);
+    let (half_way, at) = (resident_bytes(), t0.elapsed());
+    let jobs: i64 = masters
+        .into_iter()
+        .map(|m| m.join_blocking().unwrap().as_int().unwrap())
+        .sum();
+    let growth = resident_bytes().saturating_sub(half_way) as f64;
+    let growth_per_s = growth / (t0.elapsed() - at).as_secs_f64();
+    assert!(jobs > 1_000, "only {jobs} jobs in {run:?}");
+    assert_eq!(
+        ts.len(),
+        preloaded,
+        "a job or an ack was lost or duplicated"
+    );
+    let registered = ts.registered();
+    eprintln!(
+        "farm: {jobs} jobs in {run:?}, {registered} registrations held, resident set {:+.2} MB/s",
+        growth_per_s / 1e6
+    );
+    fleet.shutdown();
+    (registered, growth_per_s)
+}
+
+/// Reader registrations stay with the readers: once the masters have
+/// drained, what the space holds is its eight blocked workers (and at most
+/// a few dead entries awaiting their prune) however many jobs went by.
+#[test]
+fn farm_shaped_world_holds_registrations_flat() {
+    let (registered, _) = drive_farm(Duration::from_secs(2));
+    assert!(registered <= 16, "{registered} registrations held");
+}
+
+/// The acceptance run (ISSUE 18): ten seconds, registrations and memory
+/// both flat.  `ci.sh shard` runs it alone, in release; memory cannot be
+/// judged while the other tests of this binary share the process.
+#[test]
+#[ignore = "10 s, and measures process memory: run alone (ci.sh shard)"]
+fn farm_shaped_world_holds_memory_flat() {
+    let (registered, growth_per_s) = drive_farm(Duration::from_secs(10));
+    assert!(registered <= 16, "{registered} registrations held");
+    assert!(
+        growth_per_s < 1e6,
+        "resident set grew {:.1} MB/s",
+        growth_per_s / 1e6
+    );
 }
