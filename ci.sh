@@ -112,20 +112,25 @@ run_bench_smoke() {
     # gate against it at 100%: smoke timings on a loaded box jitter far
     # more than a full run, so this catches order-of-magnitude latency
     # regressions (a lost wake-up turns µs p50s into ms), while the
-    # committed full report (BENCH_PR18.json) stays the reference for
+    # committed full report (BENCH_PR19.json) stays the reference for
     # fine-grained comparisons.  Server rows are backend-labeled
     # (echo-rtt-epoll / echo-rtt-uring), so the gate also catches one
     # backend regressing while the other stays healthy.  The run itself
     # enforces fork:queue-stays-bounded (ready queues and memory must not
-    # grow as a fork-tree world ages) and tuple:probe-beside-10k (10 000
-    # bystanders must not slow a keyed probe); the gates that need a second
+    # grow as a fork-tree world ages), tuple:probe-beside-10k (10 000
+    # bystanders must not slow a keyed probe) and the two count gates on
+    # the Scheme machine, which hold on a throttled box because they count
+    # instead of timing (scheme:global-ref-does-not-allocate: 100 000
+    # references to a primitive and a prelude procedure grow neither the
+    # heap nor its native table; scheme:call-does-not-malloc: 10 000
+    # closure calls make no Rust-heap allocation); the gates that need a second
     # core (fork:two-pinned-vps-beat-one-vp, fleet:two-shards-two-workers,
     # shape:tuple-locks-per-bucket-beats-global-lock) are recorded but
     # advisory on this tier, and enforced by a full run on a box with a
     # second core to give.
     local against=()
-    if [[ -f BENCH_PR18_SMOKE.json ]]; then
-        against=(--against BENCH_PR18_SMOKE.json --threshold 1.0)
+    if [[ -f BENCH_PR19_SMOKE.json ]]; then
+        against=(--against BENCH_PR19_SMOKE.json --threshold 1.0)
     fi
     ./target/release/bench_all --smoke --out target/BENCH_SMOKE.json "${against[@]}"
 }

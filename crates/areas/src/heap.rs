@@ -49,6 +49,7 @@ pub enum ObjKind {
 }
 
 impl ObjKind {
+    #[inline]
     fn from_u8(b: u8) -> ObjKind {
         match b {
             0 => ObjKind::Pair,
@@ -65,14 +66,17 @@ impl ObjKind {
 
 const FORWARD_TAG: u64 = 0xFF;
 
+#[inline]
 fn header(kind: ObjKind, len: usize, age: u8) -> u64 {
     (kind as u64) | ((len as u64) << 8) | ((age as u64) << 48)
 }
 
+#[inline]
 fn header_kind(h: u64) -> ObjKind {
     ObjKind::from_u8((h & 0xFF) as u8)
 }
 
+#[inline]
 fn header_len(h: u64) -> usize {
     ((h >> 8) & 0xFFFF_FFFF) as usize
 }
@@ -184,6 +188,57 @@ impl Default for HeapConfig {
     }
 }
 
+/// Nurseries kept per OS worker, at most this many.  The paper caches the
+/// storage of dead threads on the VP that ran them and hands it to the
+/// next thread; this is that rule applied to young generations, as
+/// `sting_context::StackPool` applies it to stacks.  Only default-sized
+/// nurseries are kept, so the bound is 4 MiB a worker.
+const POOLED_NURSERIES: usize = 8;
+
+thread_local! {
+    static NURSERIES: std::cell::RefCell<Vec<Vec<u64>>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+fn default_young_words() -> usize {
+    HeapConfig::default().young_words
+}
+
+/// A recycled semispace of `words` capacity, when `words` is the default
+/// size and this worker has one.
+// Never inlined: the caller may be a green thread that resumes on another
+// OS worker, and the slot address must be computed on the worker that uses
+// it.
+#[inline(never)]
+fn pooled_nursery(words: usize) -> Option<Vec<u64>> {
+    if words != default_young_words() {
+        return None;
+    }
+    NURSERIES.try_with(|p| p.borrow_mut().pop()).ok().flatten()
+}
+
+/// What a heap with no recycled nursery to take starts with: most threads
+/// die long before they fill a nursery, so a new one is small and grows
+/// (by the vector's doubling, to exactly the default size) only under a
+/// thread that keeps allocating.  The collector's trigger is unaffected.
+const FIRST_NURSERY_WORDS: usize = 4 * 1024;
+
+/// Hands a semispace back to this worker's pool (dropped when it is not
+/// default-sized, the pool is full, or the worker is exiting).
+#[inline(never)]
+fn put_nursery(mut space: Vec<u64>) {
+    if space.capacity() != default_young_words() {
+        return;
+    }
+    space.clear();
+    let _ = NURSERIES.try_with(|p| {
+        let mut p = p.borrow_mut();
+        if p.len() < POOLED_NURSERIES {
+            p.push(space);
+        }
+    });
+}
+
 /// One thread's storage areas.  Not `Sync`: areas are thread-exclusive by
 /// design (that is the point).
 pub struct Heap {
@@ -217,11 +272,19 @@ impl Default for Heap {
     }
 }
 
+impl Drop for Heap {
+    /// A dying heap leaves its nursery to the next one on this worker.
+    fn drop(&mut self) {
+        put_nursery(std::mem::take(&mut self.young));
+    }
+}
+
 impl Heap {
     /// Creates a heap with the given configuration.
     pub fn new(config: HeapConfig) -> Heap {
         Heap {
-            young: Vec::with_capacity(config.young_words),
+            young: pooled_nursery(config.young_words)
+                .unwrap_or_else(|| Vec::with_capacity(config.young_words.min(FIRST_NURSERY_WORDS))),
             old: Vec::new(),
             remembered: Vec::new(),
             natives: Vec::new(),
@@ -246,6 +309,7 @@ impl Heap {
     }
 
     /// Whether [`Heap::take_pending_pauses`] would return samples.
+    #[inline]
     pub fn has_pending_pauses(&self) -> bool {
         !self.pending_pauses.is_empty()
     }
@@ -253,9 +317,10 @@ impl Heap {
     /// Drains the individual pause samples recorded since the last drain
     /// (bounded; overflow samples are dropped from this list but still
     /// counted in [`Heap::stats`] and [`Heap::pause_buckets`]).  Embeddings
-    /// forward these to VM-level metrics.
-    pub fn take_pending_pauses(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.pending_pauses)
+    /// forward these to VM-level metrics.  The list keeps its buffer, so a
+    /// heap that collects often does not allocate to say so.
+    pub fn take_pending_pauses(&mut self) -> std::vec::Drain<'_, u64> {
+        self.pending_pauses.drain(..)
     }
 
     fn record_pause(&mut self, ns: u64, major: bool) {
@@ -291,20 +356,13 @@ impl Heap {
     /// references inside them stay valid.
     fn alloc_raw(&mut self, kind: ObjKind, payload: &mut [Word], roots: &mut dyn RootSet) -> Gc {
         let need = payload.len() + 1;
-        if self.young.len() + need > self.config.young_words {
-            {
-                let mut both = ScratchRoots {
-                    inner: roots,
-                    extra: payload,
-                };
-                self.collect_minor(&mut both);
-            }
-            if self.young.len() + need > self.config.young_words {
-                // A single object larger than the nursery: grow the nursery
-                // (rare; keeps the API total).
-                self.config.young_words = (self.young.len() + need) * 2;
-            }
-        }
+        self.reserve(
+            need,
+            &mut ScratchRoots {
+                inner: roots,
+                extra: payload,
+            },
+        );
         let off = self.young.len();
         self.young.push(header(kind, payload.len(), 0));
         self.young.extend(payload.iter().map(|w| w.0));
@@ -312,6 +370,97 @@ impl Heap {
         Gc::new(Space::Young, off)
     }
 
+    /// Whether `words` more words fit in the nursery without a collection.
+    #[inline]
+    pub fn has_room(&self, words: usize) -> bool {
+        self.young.len() + words <= self.config.young_words
+    }
+
+    /// Makes room for `words` more words, collecting if the nursery is
+    /// full; the `*_reserved` allocators that follow cannot collect, so
+    /// the mutator may hand them values read straight from its roots.
+    #[inline]
+    pub fn reserve(&mut self, words: usize, roots: &mut dyn RootSet) {
+        if !self.has_room(words) {
+            self.make_room(words, roots);
+        }
+    }
+
+    #[cold]
+    fn make_room(&mut self, words: usize, roots: &mut dyn RootSet) {
+        self.collect_minor(roots);
+        if !self.has_room(words) {
+            // A single object larger than the nursery: grow the nursery
+            // (rare; keeps the API total).
+            self.config.young_words = (self.young.len() + words) * 2;
+        }
+    }
+
+    /// The most words an object of `slots` values can take: its header,
+    /// its slots, and a two-word box for every slot that holds a float.
+    #[inline]
+    pub const fn object_words(slots: usize) -> usize {
+        1 + 3 * slots
+    }
+
+    /// Writes an object whose payload is `parts` concatenated, boxing
+    /// floats behind it.  Never collects: the caller reserved
+    /// [`Heap::object_words`] for it.
+    #[inline]
+    fn write_object(&mut self, kind: ObjKind, parts: [&[Val]; 2]) -> Gc {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        debug_assert!(
+            self.has_room(Heap::object_words(len)),
+            "allocation not reserved"
+        );
+        let off = self.young.len();
+        self.young.push(header(kind, len, 0));
+        let mut floats = 0;
+        for v in parts.iter().flat_map(|p| p.iter()) {
+            // A float's slot is patched below, once its box has an address.
+            self.young.push(match v {
+                Val::Float(_) => {
+                    floats += 1;
+                    0
+                }
+                v => v.encode().0,
+            });
+        }
+        if floats > 0 {
+            for (i, v) in parts.iter().flat_map(|p| p.iter()).enumerate() {
+                if let Val::Float(f) = v {
+                    let boxed = Gc::new(Space::Young, self.young.len());
+                    self.young.push(header(ObjKind::FloatBox, 1, 0));
+                    self.young.push(f.to_bits());
+                    self.young[off + 1 + i] = boxed.word().0;
+                }
+            }
+        }
+        self.stats.words_allocated += (len + 1 + 2 * floats) as u64;
+        Gc::new(Space::Young, off)
+    }
+
+    /// Allocates an object `[head?, items…]`.  `items` is rooted (and
+    /// updated) across the one collection this may trigger.
+    fn alloc_vals(
+        &mut self,
+        kind: ObjKind,
+        head: Option<Val>,
+        items: &mut [Val],
+        roots: &mut dyn RootSet,
+    ) -> Gc {
+        let slots = items.len() + usize::from(head.is_some());
+        self.reserve(
+            Heap::object_words(slots),
+            &mut ValScratchRoots {
+                inner: roots,
+                vals: items,
+            },
+        );
+        self.write_object(kind, [head.as_slice(), items])
+    }
+
+    #[inline]
     fn words(&self, space: Space) -> &[u64] {
         match space {
             Space::Young => &self.young,
@@ -340,22 +489,10 @@ impl Heap {
         self.alloc_raw(ObjKind::FloatBox, &mut payload, roots)
     }
 
-    /// Replaces every `Val::Float` in `vals` with a boxed float; the whole
-    /// slice is rooted across each (possibly collecting) allocation, so
-    /// references inside it stay valid and updated.
-    fn box_floats(&mut self, vals: &mut [Val], roots: &mut dyn RootSet) {
-        for i in 0..vals.len() {
-            if let Val::Float(f) = vals[i] {
-                let gc = {
-                    let mut r = ValScratchRoots { inner: roots, vals };
-                    self.box_float(f, &mut r)
-                };
-                vals[i] = Val::Obj(gc);
-            }
-        }
-    }
-
     /// Reads a heap word back as a value, unboxing floats.
+    // Always inlined: returned through memory, a `Val` is written in pieces
+    // and read back whole, and that load stalls on every variable reference.
+    #[inline(always)]
     fn decode_word(&self, w: Word) -> Val {
         let v = Val::decode(w);
         if let Val::Obj(gc) = v {
@@ -368,10 +505,7 @@ impl Heap {
 
     /// Allocates a cons cell.
     pub fn cons(&mut self, car: Val, cdr: Val, roots: &mut dyn RootSet) -> Gc {
-        let mut vals = [car, cdr];
-        self.box_floats(&mut vals, roots);
-        let mut payload = [vals[0].encode(), vals[1].encode()];
-        self.alloc_raw(ObjKind::Pair, &mut payload, roots)
+        self.alloc_vals(ObjKind::Pair, None, &mut [car, cdr], roots)
     }
 
     /// Allocates a vector filled with `fill`.
@@ -384,17 +518,22 @@ impl Heap {
     /// Allocates a vector from explicit elements.  `items` is rooted (and
     /// updated) across any collection this triggers.
     pub fn make_vector_from(&mut self, items: &mut [Val], roots: &mut dyn RootSet) -> Gc {
-        self.box_floats(items, roots);
-        let mut payload: Vec<Word> = items.iter().map(|v| v.encode()).collect();
-        self.alloc_raw(ObjKind::Vector, &mut payload, roots)
+        self.alloc_vals(ObjKind::Vector, None, items, roots)
     }
 
     /// Allocates an environment frame (`[parent, v0, …]`); like a vector
     /// but with [`ObjKind::Frame`].
     pub fn make_frame_from(&mut self, items: &mut [Val], roots: &mut dyn RootSet) -> Gc {
-        self.box_floats(items, roots);
-        let mut payload: Vec<Word> = items.iter().map(|v| v.encode()).collect();
-        self.alloc_raw(ObjKind::Frame, &mut payload, roots)
+        self.alloc_vals(ObjKind::Frame, None, items, roots)
+    }
+
+    /// Allocates the environment frame of a call, `[parent, args…]`,
+    /// without collecting, so `args` may be the mutator's own operand
+    /// stack.  The caller has reserved [`Heap::object_words`] of
+    /// `args.len() + 1` slots.
+    #[inline]
+    pub fn make_frame_reserved(&mut self, parent: Val, args: &[Val]) -> Gc {
+        self.write_object(ObjKind::Frame, [&[parent], args])
     }
 
     /// Allocates a string.
@@ -411,11 +550,8 @@ impl Heap {
         captures: &mut [Val],
         roots: &mut dyn RootSet,
     ) -> Gc {
-        self.box_floats(captures, roots);
-        let mut payload = Vec::with_capacity(captures.len() + 1);
-        payload.push(Val::Int(i64::from(code_id)).encode());
-        payload.extend(captures.iter().map(|v| v.encode()));
-        self.alloc_raw(ObjKind::Closure, &mut payload, roots)
+        let code = Val::Int(i64::from(code_id));
+        self.alloc_vals(ObjKind::Closure, Some(code), captures, roots)
     }
 
     /// Allocates a mutable cell.
@@ -445,10 +581,17 @@ impl Heap {
     ///
     /// Panics if the slot was pruned (only happens if the mutator kept a
     /// `Val::Native` outside any traced root across a major collection).
+    #[inline]
     pub fn native(&self, idx: u32) -> &Value {
         self.natives[idx as usize]
             .as_ref()
             .expect("native slot pruned while still referenced")
+    }
+
+    /// Length of the native table, live and free slots together: what a
+    /// mutator that interns the same value over and over makes grow.
+    pub fn native_slots(&self) -> usize {
+        self.natives.len()
     }
 
     // ------------------------------------------------------------------
@@ -456,6 +599,7 @@ impl Heap {
     // ------------------------------------------------------------------
 
     /// The kind of a heap object.
+    #[inline]
     pub fn kind(&self, gc: Gc) -> ObjKind {
         let h = self.words(gc.space())[gc.offset()];
         debug_assert!(!is_forward(h), "access through stale reference");
@@ -463,10 +607,12 @@ impl Heap {
     }
 
     /// Payload length in words.
+    #[inline]
     pub fn len(&self, gc: Gc) -> usize {
         header_len(self.words(gc.space())[gc.offset()])
     }
 
+    #[inline]
     fn payload_word(&self, gc: Gc, i: usize) -> Word {
         debug_assert!(i < self.len(gc), "payload index out of range");
         Word(self.words(gc.space())[gc.offset() + 1 + i])
@@ -484,6 +630,7 @@ impl Heap {
     }
 
     /// Reads field `i` of an object.
+    #[inline]
     pub fn field(&self, gc: Gc, i: usize) -> Val {
         self.decode_word(self.payload_word(gc, i))
     }
@@ -503,12 +650,14 @@ impl Heap {
     }
 
     /// `car` of a pair.
+    #[inline]
     pub fn car(&self, pair: Gc) -> Val {
         debug_assert_eq!(self.kind(pair), ObjKind::Pair);
         self.field(pair, 0)
     }
 
     /// `cdr` of a pair.
+    #[inline]
     pub fn cdr(&self, pair: Gc) -> Val {
         debug_assert_eq!(self.kind(pair), ObjKind::Pair);
         self.field(pair, 1)
@@ -525,6 +674,7 @@ impl Heap {
     }
 
     /// Closure code id.
+    #[inline]
     pub fn closure_code(&self, clo: Gc) -> u32 {
         debug_assert_eq!(self.kind(clo), ObjKind::Closure);
         match self.field(clo, 0) {
@@ -539,6 +689,7 @@ impl Heap {
     }
 
     /// Reads a captured value.
+    #[inline]
     pub fn closure_capture(&self, clo: Gc, i: usize) -> Val {
         self.field(clo, i + 1)
     }
@@ -562,7 +713,10 @@ impl Heap {
     pub fn collect_minor(&mut self, roots: &mut dyn RootSet) {
         let pause_start = std::time::Instant::now();
         self.stats.minor_collections += 1;
-        let mut to: Vec<u64> = Vec::with_capacity(self.config.young_words);
+        // A heap that collects has outlived the small nursery it may have
+        // started with: its to-space is full-sized.
+        let mut to = pooled_nursery(self.config.young_words)
+            .unwrap_or_else(|| Vec::with_capacity(self.config.young_words));
         let old_scan_start = self.old.len();
 
         // Evacuate roots.
@@ -580,24 +734,22 @@ impl Heap {
             for slot in self.entries.iter_mut().flatten() {
                 evac.evacuate(slot);
             }
-            // Remembered old slots are roots into the young generation.
-            let remembered = std::mem::take(&mut self.remembered);
-            for slot in remembered {
+            // Remembered old slots are roots into the young generation;
+            // the set keeps those that still point young (and its buffer).
+            self.remembered.retain(|&slot| {
                 let mut w = Word(evac.old[slot]);
-                if Val::word_is_ref(w) {
-                    evac.evacuate(&mut w);
-                    evac.old[slot] = w.0;
-                    // Keep slots that still point young.
-                    if Gc(w).space() == Space::Young && Val::word_is_ref(w) {
-                        self.remembered.push(slot);
-                    }
+                if !Val::word_is_ref(w) {
+                    return false;
                 }
-            }
+                evac.evacuate(&mut w);
+                evac.old[slot] = w.0;
+                Gc(w).space() == Space::Young
+            });
             // Cheney scans: to-space and the old-space extension.
             evac.scan(old_scan_start, &mut self.remembered);
         }
         self.young = to;
-        let _ = young;
+        put_nursery(young);
 
         // The minor's pause ends here; a triggered major times itself, so
         // its cost is never double-counted under the minor.
@@ -632,7 +784,8 @@ impl Heap {
             evac.scan();
         }
         self.old = new_old;
-        self.young = Vec::with_capacity(self.config.young_words);
+        young.clear();
+        self.young = young;
         self.prune_natives(roots);
         self.record_pause(pause_start.elapsed().as_nanos() as u64, true);
     }
@@ -742,11 +895,7 @@ impl RootSet for ValScratchRoots<'_> {
     fn trace(&mut self, visit: &mut dyn FnMut(&mut Word)) {
         self.inner.trace(visit);
         for v in self.vals.iter_mut() {
-            if let Val::Obj(gc) = v {
-                let mut w = gc.word();
-                visit(&mut w);
-                *v = Val::Obj(Gc::from_word(w).expect("ref stays ref"));
-            }
+            v.trace(visit);
         }
     }
 }

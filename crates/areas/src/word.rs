@@ -55,6 +55,7 @@ pub struct Gc(pub(crate) Word);
 
 impl Gc {
     /// Which area this reference currently points into.
+    #[inline]
     pub fn space(self) -> Space {
         match self.0 .0 & TAG_MASK {
             TAG_YOUNG => Space::Young,
@@ -63,10 +64,12 @@ impl Gc {
         }
     }
 
+    #[inline]
     pub(crate) fn offset(self) -> usize {
         (self.0 .0 >> TAG_BITS) as usize
     }
 
+    #[inline]
     pub(crate) fn new(space: Space, offset: usize) -> Gc {
         let tag = match space {
             Space::Young => TAG_YOUNG,
@@ -76,12 +79,14 @@ impl Gc {
     }
 
     /// The raw word (for storing into roots).
+    #[inline]
     pub fn word(self) -> Word {
         self.0
     }
 
     /// Reconstructs a reference from a root word; `None` if the word is
     /// not a reference (it was an immediate).
+    #[inline]
     pub fn from_word(w: Word) -> Option<Gc> {
         if Val::word_is_ref(w) {
             Some(Gc(w))
@@ -125,11 +130,13 @@ pub const FIXNUM_MIN: i64 = -(1 << 60);
 
 impl Val {
     /// Whether this value is `#f` (everything else is truthy in Scheme).
+    #[inline]
     pub fn is_false(self) -> bool {
         matches!(self, Val::Bool(false))
     }
 
     /// Scheme truthiness.
+    #[inline]
     pub fn is_truthy(self) -> bool {
         !self.is_false()
     }
@@ -140,6 +147,7 @@ impl Val {
     ///
     /// Panics on `Val::Float` (floats must be boxed by the heap first) and
     /// on fixnums outside the 61-bit range.
+    #[inline]
     pub(crate) fn encode(self) -> Word {
         match self {
             Val::Int(i) => {
@@ -165,6 +173,7 @@ impl Val {
 
     /// Decodes a heap word (never produces `Val::Float`; float boxes decode
     /// as `Val::Obj` and the heap unwraps them).
+    #[inline(always)]
     pub(crate) fn decode(w: Word) -> Val {
         match w.0 & TAG_MASK {
             TAG_FIX => Val::Int((w.0 as i64) >> TAG_BITS),
@@ -192,7 +201,25 @@ impl Val {
         }
     }
 
+    /// Presents this value to a root tracer.  A reference is visited and
+    /// rewritten (objects move); a native slot is visited too, because that
+    /// visit is what keeps the slot alive across a major collection's
+    /// native pruning; every other immediate is skipped.
+    #[inline]
+    pub fn trace(&mut self, visit: &mut dyn FnMut(&mut Word)) {
+        match *self {
+            Val::Obj(gc) => {
+                let mut w = gc.word();
+                visit(&mut w);
+                *self = Val::Obj(Gc::from_word(w).expect("tracer preserves reference-ness"));
+            }
+            Val::Native(_) => visit(&mut self.encode()),
+            _ => {}
+        }
+    }
+
     /// Whether a raw word is a heap reference (used by the scavenger).
+    #[inline]
     pub(crate) fn word_is_ref(w: Word) -> bool {
         matches!(w.0 & TAG_MASK, TAG_YOUNG | TAG_OLD)
     }

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Exit status: 0 on success, 1 when a Figure 6 gate check fails after
-//! three attempts, a `fork:`, `tuple:`, `fleet:` or `shape:tuple-locks`
-//! gate fails (`fork:queue-stays-bounded` and `tuple:probe-beside-10k`
+//! three attempts, a `fork:`, `tuple:`, `fleet:`, `scheme:` or
+//! `shape:tuple-locks` gate fails (`fork:queue-stays-bounded` and `tuple:probe-beside-10k`
 //! always; the gates that need a second core only on a full run on a box
 //! that has one to give), or `--against` finds a row slowed past the
 //! threshold, 2 on usage or I/O errors.
@@ -25,6 +25,31 @@ use sting_bench::shapes::{self, Scale};
 use sting_bench::{
     dist::Dist, figure6_checks, figure6_gates_pass, measure_figure6, render_figure6,
 };
+
+/// The system allocator, counting calls per OS thread for the
+/// `scheme:call-does-not-malloc` gate (a thread-local increment each).
+struct CountingAllocator;
+
+// SAFETY: every method forwards to `System` unchanged.
+unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        sting_bench::scheme::count_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc` or `realloc`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+        sting_bench::scheme::count_allocation();
+        // SAFETY: as for `dealloc`, and the caller upholds the rest.
+        unsafe { std::alloc::System.realloc(ptr, layout, new) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// E8 tree depth: the `fork_tree` benchmark's, at every scale.
 const FORK_DEPTH: u32 = 10;
@@ -43,7 +68,7 @@ fn parse_args() -> Result<Args, String> {
         smoke: false,
         iters: None,
         reps: None,
-        out: "BENCH_PR18.json".to_string(),
+        out: "BENCH_PR19.json".to_string(),
         against: None,
         threshold: 0.10,
     };
@@ -137,8 +162,10 @@ fn priority_steal_throughput(vm: &Arc<Vm>, reps: u64, threads: i64, yields: i64)
 }
 
 fn print_row(r: &BenchRow) {
+    // Rows in ms or µs are small numbers; show their fraction.
+    let digits = if r.mean < 1000.0 { 2 } else { 0 };
     println!(
-        "  {:<12} {:<28} {:>12.0} {:>12.0} {:>12.0} {:>12.0}  {}",
+        "  {:<12} {:<28} {:>12.digits$} {:>12.digits$} {:>12.digits$} {:>12.digits$}  {}",
         r.suite, r.name, r.min, r.mean, r.p50, r.p99, r.unit
     );
 }
@@ -630,6 +657,17 @@ fn main() -> ExitCode {
     print_row(&row);
     rows.push(row);
 
+    // --- The Scheme machine's hot paths, and the two count gates on them
+    // (a reference to a global allocates nothing after the first; a
+    // closure call never reaches the Rust allocator). ---
+    println!("scheme: machine hot paths");
+    for (name, unit, d) in sting_bench::scheme::rows(args.smoke, reps) {
+        let row = BenchRow::from_dist("scheme", name, unit, &d);
+        print_row(&row);
+        rows.push(row);
+    }
+    checks.extend(sting_bench::scheme::gates());
+
     // --- Server: connection-per-thread echo under the reactor ---
     let sscale = if args.smoke {
         sting_bench::server::ServerScale::smoke()
@@ -830,7 +868,7 @@ fn main() -> ExitCode {
     }
     // The index and fleet gates of this file (advisory ones carry `info:`).
     for c in report.checks.iter().filter(|c| !c.pass) {
-        if ["tuple:", "fleet:", "shape:tuple-locks"]
+        if ["tuple:", "fleet:", "shape:tuple-locks", "scheme:"]
             .iter()
             .any(|gate| c.name.starts_with(gate))
         {

@@ -13,6 +13,7 @@ use sting::prelude::*;
 pub mod dist;
 pub mod json;
 pub mod report;
+pub mod scheme;
 pub mod server;
 pub mod shapes;
 

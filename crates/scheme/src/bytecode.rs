@@ -4,9 +4,13 @@
 //! global slots.  Each top-level evaluation extends a copy of the program
 //! and produces a new immutable `Arc<Program>` snapshot; threads hold the
 //! snapshot they were created against, so compilation never interferes
-//! with running code.
+//! with running code.  Code objects are shared between snapshots (and
+//! between interpreters, which all start from one compiled prelude), so
+//! the copy is a vector of pointers, not of instruction streams.
 
 use crate::sexp::Span;
+use std::collections::HashMap;
+use std::sync::Arc;
 use sting_value::{Symbol, Value};
 
 /// One bytecode instruction.  Jump offsets are relative to the *next*
@@ -83,24 +87,23 @@ impl CodeObject {
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     /// Code objects; closures reference them by index.
-    pub codes: Vec<CodeObject>,
+    pub codes: Vec<Arc<CodeObject>>,
     /// Literal constants (substrate values; converted into each thread's
     /// heap on demand).
     pub constants: Vec<Value>,
     /// Global slot names, in slot order.
     pub global_names: Vec<Symbol>,
+    /// `global_names` inverted, so compiling a reference is one lookup.
+    global_slots: HashMap<Symbol, u32>,
 }
 
 impl Program {
     /// Index of (or new slot for) global `name`.
     pub fn global_slot(&mut self, name: Symbol) -> u32 {
-        match self.global_names.iter().position(|s| *s == name) {
-            Some(i) => i as u32,
-            None => {
-                self.global_names.push(name);
-                (self.global_names.len() - 1) as u32
-            }
-        }
+        *self.global_slots.entry(name).or_insert_with(|| {
+            self.global_names.push(name);
+            (self.global_names.len() - 1) as u32
+        })
     }
 
     /// Adds a constant, deduplicating exact matches.
@@ -116,7 +119,7 @@ impl Program {
 
     /// Adds a code object, returning its index.
     pub fn add_code(&mut self, code: CodeObject) -> u32 {
-        self.codes.push(code);
+        self.codes.push(Arc::new(code));
         (self.codes.len() - 1) as u32
     }
 }

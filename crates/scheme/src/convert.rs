@@ -20,8 +20,8 @@ use sting_value::{Symbol, Value};
 pub struct ClosureValue {
     /// Code object index in the program snapshot.
     pub code: u32,
-    /// Converted environment chain (`Value::Nil` or a vector whose first
-    /// element is the parent frame).
+    /// Converted environment chain (`Value::Nil` or an [`FRAME_TAG`] native
+    /// holding a [`SharedFrame`]).
     pub env: Value,
 }
 
@@ -227,7 +227,7 @@ pub fn value_to_heap(m: &mut Machine, v: &Value) -> Val {
         }
         Value::Native(h) => {
             if h.tag() == CLOSURE_TAG {
-                let clo = h.downcast::<ClosureValue>().expect("closure tag");
+                let clo = h.downcast_ref::<ClosureValue>().expect("closure tag");
                 let env = value_to_heap(m, &clo.env);
                 m.closure(clo.code, env)
             } else {

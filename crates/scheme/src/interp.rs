@@ -1,11 +1,15 @@
 //! The interpreter facade: source text in, values out, threads underneath.
 //!
 //! An [`Interp`] pairs a STING virtual machine with a growing compiled
-//! [`Program`] and a shared global environment.  Each [`Interp::eval`]
+//! [`Program`] and a global environment of its own.  Each [`Interp::eval`]
 //! reads, expands and compiles its input against a fresh immutable program
 //! snapshot, then runs the resulting top-level code **on a STING thread**
 //! of the machine (so top-level code can fork, block and be preempted like
 //! any other thread).
+//!
+//! The prelude is compiled once per process (`prelude_image`); a new
+//! interpreter starts from that program and only *runs* its definitions
+//! into its own globals.
 
 use crate::bytecode::Program;
 use crate::compile;
@@ -16,8 +20,8 @@ use crate::machine::Machine;
 use crate::prims;
 use crate::reader;
 use parking_lot::Mutex;
-use std::sync::Arc;
-use sting_areas::HeapConfig;
+use std::sync::{Arc, OnceLock};
+use sting_areas::{HeapConfig, Val};
 use sting_core::vm::Vm;
 use sting_value::Value;
 
@@ -37,16 +41,42 @@ impl std::fmt::Debug for Interp {
     }
 }
 
+/// The prelude, read, expanded and compiled once per process: the program
+/// every [`Interp::new`] starts from, and its top-level code objects in
+/// source order.  Compilation consults no bindings, so one image serves
+/// interpreters whose globals differ.
+fn prelude_image() -> &'static (Arc<Program>, Vec<u32>) {
+    static IMAGE: OnceLock<(Arc<Program>, Vec<u32>)> = OnceLock::new();
+    IMAGE.get_or_init(|| {
+        let mut program = Program::default();
+        let tops = reader::read_all(crate::PRELUDE)
+            .expect("prelude reads")
+            .iter()
+            .map(|form| {
+                let core = expand::expand_top(form).expect("prelude expands");
+                compile::compile_top(&core, &mut program).expect("prelude compiles")
+            })
+            .collect();
+        (Arc::new(program), tops)
+    })
+}
+
 impl Interp {
     /// Creates an interpreter over `vm` with all primitives installed and
-    /// the prelude (library procedures written in Scheme) loaded.
+    /// the prelude (library procedures written in Scheme) loaded.  The
+    /// global environment is private to this interpreter: two interpreters
+    /// on one `vm` may redefine the same name without seeing each other.
     pub fn new(vm: Arc<Vm>) -> Interp {
         let i = Interp::bare(vm);
-        i.eval(crate::PRELUDE).expect("prelude evaluates");
+        let (image, tops) = prelude_image();
+        *i.program.lock() = image.clone();
+        i.run_toplevels(image.clone(), tops.clone())
+            .expect("prelude evaluates");
         i
     }
 
-    /// Creates an interpreter with primitives but without the prelude.
+    /// Creates an interpreter with primitives but without the prelude (and,
+    /// like [`Interp::new`], with a global environment of its own).
     pub fn bare(vm: Arc<Vm>) -> Interp {
         let globals = Arc::new(Globals::new());
         prims::install(&globals);
@@ -93,7 +123,8 @@ impl Interp {
     }
 
     fn eval_form(&self, form: &crate::sexp::Sexp) -> Result<Value, SchemeError> {
-        // Compile against a snapshot extension.
+        // Compile against a snapshot extension (code objects are shared
+        // with the previous snapshot, not copied).
         let (snapshot, code) = {
             let mut guard = self.program.lock();
             let mut next: Program = (**guard).clone();
@@ -103,21 +134,31 @@ impl Interp {
             *guard = arc.clone();
             (arc, code)
         };
-        // Run on a STING thread so the top level is a real thread.
+        self.run_toplevels(snapshot, vec![code])
+    }
+
+    /// Runs top-level code objects of `program` in order on one STING
+    /// thread and one machine (so the top level is a real thread),
+    /// returning the value of the last.
+    fn run_toplevels(&self, program: Arc<Program>, codes: Vec<u32>) -> Result<Value, SchemeError> {
         let globals = self.globals.clone();
         let config = self.heap_config;
         let t = self.vm.fork_try(move |_cx| -> Result<Value, Value> {
-            let mut m = Machine::with_heap_config(snapshot, globals, config);
-            match m.run_toplevel(code).and_then(|v| m.to_value(v)) {
+            let mut m = Machine::with_heap_config(program, globals, config);
+            let run = (|| {
+                let mut last = Val::Unit;
+                for &code in &codes {
+                    last = m.run_toplevel(code)?;
+                }
+                m.to_value(last)
+            })();
+            match run {
                 Ok(sv) => Ok(sv),
                 Err(SchemeError::Raised(e)) => Err(e),
                 Err(other) => Err(Value::from(other.to_string())),
             }
         });
-        match t.join_blocking() {
-            Ok(v) => Ok(v),
-            Err(e) => Err(SchemeError::Raised(e)),
-        }
+        t.join_blocking().map_err(SchemeError::Raised)
     }
 
     /// Evaluates and formats the result (REPL-style).

@@ -11,12 +11,20 @@
 //! Environments are heap vectors `[parent, v0, v1, …]`; closures are heap
 //! objects `[code-id, env]`.  Calls allocate one frame vector — cheap, and
 //! it exercises the generational collector exactly the way fine-grained
-//! Scheme programs did in the paper.
+//! Scheme programs did in the paper.  A call copies its arguments from the
+//! operand stack straight into the nursery; nothing on the call path
+//! touches the Rust allocator.
+//!
+//! A reference to a global goes through the machine's `GlobalRef` for
+//! that program slot: the binding cell, found once, and — for bindings
+//! that hold no mutable data — the value already converted into this
+//! heap, valid while the cell's version stands (DESIGN.md, "The
+//! binding-cell rule").
 
 use crate::bytecode::{Op, Program};
 use crate::convert::{self, SharedFrame};
 use crate::error::SchemeError;
-use crate::global::Globals;
+use crate::global::{Binding, Globals};
 use crate::prims;
 use crate::sexp::Span;
 use std::collections::HashMap;
@@ -27,6 +35,11 @@ use sting_value::Value;
 
 /// Instructions executed between thread-controller polls.
 pub const CHECKPOINT_WINDOW: u32 = 256;
+
+/// Where a call was made from — code object and instruction index — so a
+/// failed call can cite its source position without every call paying to
+/// look one up.  `None` for calls made by primitives.
+type CallSite = Option<(u32, usize)>;
 
 /// Diagnostic suffix citing a source position, or empty when unknown.
 fn at_span(span: Span) -> String {
@@ -42,13 +55,38 @@ enum EnvRef {
     Shared(Arc<SharedFrame>),
 }
 
+/// What a machine remembers about one global slot of its program.
+struct GlobalRef {
+    binding: Arc<Binding>,
+    /// The binding's version when `val` was converted, or [`UNCACHED`].
+    seen: u64,
+    /// The binding's value in this machine's heap.  Kept only for values
+    /// whose conversion copies no mutable data, so that serving the same
+    /// `Val` again differs from converting again in one way only: `eq?` on
+    /// two references to one procedure now answers `#t`.
+    val: Val,
+}
+
+/// A `seen` no binding ever reaches: the slot is resolved, but its value
+/// is converted on every reference (mutable data, or not bound yet).
+const UNCACHED: u64 = u64::MAX;
+
+/// Whether references to a global holding `v` may share one converted
+/// copy.  Pairs, vectors and strings are mutable once in a heap, and a
+/// reference to a global holding one has always yielded a private copy.
+fn cacheable(v: &Value) -> bool {
+    !matches!(v, Value::Pair(_) | Value::Vector(_) | Value::Str(_))
+}
+
 /// A call frame.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Frame {
     pub(crate) code: u32,
+    /// Where to resume.  Current for suspended frames only: the running
+    /// frame's instruction pointer lives in a local of `execute`.
     pub(crate) ip: usize,
-    /// The environment: `Val::Obj` of a frame vector, or `Val::Nil` at top
-    /// level.
+    /// The environment: `Val::Obj` of a frame vector, `Val::Native` of a
+    /// [`SharedFrame`], or `Val::Nil` at top level.
     pub(crate) env: Val,
 }
 
@@ -64,10 +102,25 @@ pub struct Machine {
     pub globals: Arc<Globals>,
     /// Per-thread fluid (dynamic) bindings, inherited across forks.
     pub fluids: HashMap<u64, Value>,
+    /// Per program slot, filled in on first reference.
+    global_refs: Vec<Option<GlobalRef>>,
     fuel: u32,
+    /// Checkpoint windows used up so far.
+    windows: u64,
     /// Re-entrant `apply` depth (primitives calling closures); bounded so
     /// deeply nested `map`/`%try` chains cannot overflow the green stack.
     apply_depth: u32,
+}
+
+impl Drop for Machine {
+    /// Reports what this machine did to the environment's activity counters
+    /// ([`Globals::activity`]).
+    fn drop(&mut self) {
+        let instructions =
+            self.windows * u64::from(CHECKPOINT_WINDOW) + u64::from(CHECKPOINT_WINDOW - self.fuel);
+        self.globals
+            .count_machine(instructions, self.heap.stats().words_allocated);
+    }
 }
 
 impl std::fmt::Debug for Machine {
@@ -82,27 +135,25 @@ impl std::fmt::Debug for Machine {
 struct MachineRoots<'a> {
     stack: &'a mut Vec<Val>,
     frames: &'a mut Vec<Frame>,
+    global_refs: &'a mut Vec<Option<GlobalRef>>,
     extra: &'a mut [Val],
 }
 
-fn trace_val(v: &mut Val, visit: &mut dyn FnMut(&mut Word)) {
-    if let Val::Obj(gc) = v {
-        let mut w = gc.word();
-        visit(&mut w);
-        *v = Val::Obj(Gc::from_word(w).expect("tracer preserves reference-ness"));
-    }
-}
-
 impl RootSet for MachineRoots<'_> {
+    /// Every `Val` the machine holds, native slots included: a native is
+    /// often live nowhere else (a primitive waiting on the operand stack
+    /// for its arguments, a shared frame that is some call's environment,
+    /// a cached global), and the visit is what spares it from pruning.
     fn trace(&mut self, visit: &mut dyn FnMut(&mut Word)) {
-        for v in self.stack.iter_mut() {
-            trace_val(v, visit);
-        }
-        for f in self.frames.iter_mut() {
-            trace_val(&mut f.env, visit);
-        }
-        for v in self.extra.iter_mut() {
-            trace_val(v, visit);
+        let stack = self.stack.iter_mut();
+        let envs = self.frames.iter_mut().map(|f| &mut f.env);
+        let globals = self.global_refs.iter_mut().flatten().map(|r| &mut r.val);
+        for v in stack
+            .chain(envs)
+            .chain(globals)
+            .chain(self.extra.iter_mut())
+        {
+            v.trace(visit);
         }
     }
 }
@@ -116,6 +167,7 @@ macro_rules! with_heap {
             let mut roots_owner = MachineRoots {
                 stack: &mut m.stack,
                 frames: &mut m.frames,
+                global_refs: &mut m.global_refs,
                 extra: $extra,
             };
             let $heap = &mut m.heap;
@@ -147,7 +199,9 @@ impl Machine {
             program,
             globals,
             fluids: HashMap::new(),
+            global_refs: Vec::new(),
             fuel: CHECKPOINT_WINDOW,
+            windows: 0,
             apply_depth: 0,
         }
     }
@@ -295,7 +349,7 @@ impl Machine {
                 self.push(a);
             }
             let argc = args.len();
-            if self.begin_call(argc, false, Span::NONE)? {
+            if self.begin_call(argc, false, None)? {
                 let floor = self.frames.len();
                 self.execute(floor)
             } else {
@@ -332,82 +386,78 @@ impl Machine {
         result
     }
 
+    fn site_span(&self, site: CallSite) -> Span {
+        site.map_or(Span::NONE, |(code, ip)| {
+            self.program.codes[code as usize].span_at(ip)
+        })
+    }
+
     /// Starts a call: stack holds `… f a1 … an`.  Returns `true` if a
     /// frame was pushed (closure call); `false` if a primitive ran and its
-    /// result is on the stack.  `call_span` is the call site's source
-    /// position, for diagnostics.
-    fn begin_call(
-        &mut self,
-        argc: usize,
-        tail: bool,
-        call_span: Span,
-    ) -> Result<bool, SchemeError> {
+    /// result is on the stack.  `site` is where the call was made from,
+    /// for diagnostics.
+    fn begin_call(&mut self, argc: usize, tail: bool, site: CallSite) -> Result<bool, SchemeError> {
         let f = self.stack[self.stack.len() - argc - 1];
         match f {
             Val::Obj(gc) if self.heap.kind(gc) == ObjKind::Closure => {
                 let code_id = self.heap.closure_code(gc);
-                let captured_env = self.heap.closure_capture(gc, 0);
                 let code = &self.program.codes[code_id as usize];
-                let arity = code.arity as usize;
-                let rest = code.rest;
-                let name = code.name;
+                let (arity, rest) = (code.arity as usize, code.rest);
                 if argc < arity || (!rest && argc > arity) {
                     return Err(SchemeError::runtime(format!(
                         "arity mismatch calling {}: expected {}{}, got {argc}{}",
-                        name.map(|s| s.to_string())
+                        code.name
+                            .map(|s| s.to_string())
                             .unwrap_or_else(|| "#<lambda>".into()),
                         arity,
                         if rest { "+" } else { "" },
-                        at_span(call_span),
+                        at_span(self.site_span(site)),
                     )));
                 }
-                // Collect rest args into a list.
-                let restlist = if rest {
-                    Some(self.list_from_stack(argc - arity))
+                // The rest list goes back on the stack as one more
+                // argument, where it is a root like the others.
+                let nargs = if rest {
+                    let list = self.list_from_stack(argc - arity);
+                    self.push(list);
+                    arity + 1
                 } else {
-                    None
+                    arity
                 };
-                // Build the frame vector: [parent, a0 …, rest?].
-                let mut slots: Vec<Val> = Vec::with_capacity(arity + 2);
-                slots.push(captured_env);
-                let top = self.stack.len();
-                for i in 0..arity {
-                    slots.push(self.stack[top - arity + i]);
+                // The frame `[parent, a0 …, rest?]` is written from the
+                // stack into room reserved first: a collection happens
+                // before anything is read, or not at all.
+                let need = Heap::object_words(nargs + 1);
+                if !self.heap.has_room(need) {
+                    with_heap!(self, &mut [], |heap, roots| heap.reserve(need, roots));
                 }
-                if let Some(r) = restlist {
-                    slots.push(r);
-                }
-                let frame_gc = {
-                    let mut slots = slots;
-                    with_heap!(self, &mut [], |heap, roots| {
-                        heap.make_frame_from(&mut slots, roots)
-                    })
+                let args = self.stack.len() - nargs;
+                let Val::Obj(closure) = self.stack[args - 1] else {
+                    unreachable!("the callee stays a closure across a collection")
                 };
-                // Pop args + fn.
-                self.popn(arity + 1);
+                let parent = self.heap.closure_capture(closure, 0);
+                let env = Val::Obj(self.heap.make_frame_reserved(parent, &self.stack[args..]));
+                self.stack.truncate(args - 1);
+                let frame = Frame {
+                    code: code_id,
+                    ip: 0,
+                    env,
+                };
                 if tail {
-                    let frame = self.frames.last_mut().expect("tail call inside a frame");
-                    frame.code = code_id;
-                    frame.ip = 0;
-                    frame.env = Val::Obj(frame_gc);
+                    *self.frames.last_mut().expect("tail call inside a frame") = frame;
                 } else {
-                    self.frames.push(Frame {
-                        code: code_id,
-                        ip: 0,
-                        env: Val::Obj(frame_gc),
-                    });
+                    self.frames.push(frame);
                 }
                 Ok(true)
             }
             Val::Native(slot) => {
-                let nv = self.heap.native(slot).clone();
-                let Some(p) = nv.native_as::<prims::Prim>() else {
+                let callee = self.heap.native(slot);
+                let Some(id) = callee.native_ref::<prims::Prim>().map(|p| p.id) else {
                     return Err(SchemeError::runtime(format!(
-                        "not a procedure: {nv}{}",
-                        at_span(call_span)
+                        "not a procedure: {callee}{}",
+                        at_span(self.site_span(site))
                     )));
                 };
-                let result = prims::dispatch(self, &p, argc)?;
+                let result = prims::dispatch(self, id, argc)?;
                 // Pop args + fn, push result.
                 self.popn(argc + 1);
                 self.push(result);
@@ -416,97 +466,203 @@ impl Machine {
             other => Err(SchemeError::runtime(format!(
                 "not a procedure: {}{}",
                 crate::print::display_val(self, other),
-                at_span(call_span)
+                at_span(self.site_span(site))
             ))),
         }
     }
 
+    /// This machine's memory of global `slot` (the table is sized on its
+    /// first use), resolved to the slot's binding cell.
+    fn global_ref(&mut self, slot: usize) -> &mut GlobalRef {
+        if self.global_refs.is_empty() {
+            let slots = self.program.global_names.len();
+            self.global_refs.resize_with(slots, || None);
+        }
+        let (globals, name) = (&self.globals, self.program.global_names[slot]);
+        self.global_refs[slot].get_or_insert_with(|| GlobalRef {
+            binding: globals.binding(name),
+            seen: UNCACHED,
+            val: Val::Unit,
+        })
+    }
+
+    /// The slow path of a global reference: the slot's first, the first
+    /// after the binding was written, or any to a binding that holds
+    /// mutable data.  Converts the value, and keeps the conversion when
+    /// [`cacheable`].  `None` when the name is unbound.
+    fn global_ref_slow(&mut self, slot: usize) -> Option<Val> {
+        self.globals.count_slow_read();
+        let r = self.global_ref(slot);
+        // Forgotten before its successor is converted, so a collection on
+        // the way does not keep the stale value alive.
+        (r.seen, r.val) = (UNCACHED, Val::Unit);
+        let (value, version) = r.binding.read()?;
+        let val = self.from_value(&value);
+        if cacheable(&value) {
+            let r = self.global_ref(slot);
+            (r.seen, r.val) = (version, val);
+        }
+        Some(val)
+    }
+
+    /// Writes global `slot`.  Only that binding's version moves, so only
+    /// references to it leave the fast path, here and in other threads.
+    fn global_set(&mut self, slot: usize, v: Val) -> Result<(), SchemeError> {
+        let value = self.to_value(v)?;
+        let r = self.global_ref(slot);
+        let version = r.binding.write(value);
+        // An immediate is its own conversion, so the writer's next
+        // reference need not go and fetch it; anything else is converted
+        // back on that reference, as it would be in any other thread.
+        (r.seen, r.val) = match v {
+            Val::Obj(_) | Val::Native(_) => (UNCACHED, Val::Unit),
+            immediate => (version, immediate),
+        };
+        Ok(())
+    }
+
+    /// The running frame's environment (`Val::Nil` at top level).
+    fn env(&self) -> Val {
+        self.frames.last().expect("frame stack underflow").env
+    }
+
     /// Core dispatch loop: runs until the frame stack drops below `floor`.
+    ///
+    /// The running frame's code and instruction pointer are locals, and so
+    /// is its environment when that is a frame of this heap (`frame`; a
+    /// top-level or shared environment is fetched with [`Machine::env`]
+    /// where it is wanted).  `self.frames` always has the running frame's
+    /// `code` and `env` right — the collector reads and moves `env` there —
+    /// so `frame` is re-read after anything that can allocate; `ip` is
+    /// written back only when the frame is suspended by a call.
     fn execute(&mut self, floor: usize) -> Result<Val, SchemeError> {
+        let program = Arc::clone(&self.program);
+        let (mut code, mut ip, mut frame): (u32, usize, Option<Gc>);
+        let mut ops: &[Op];
+        // Field by field, and `env` through a match: a `Frame` copied whole
+        // would read back sixteen bytes of `Val` that `begin_call` has just
+        // written as a tag and a payload, and wait for both stores.
+        macro_rules! reload_frame {
+            () => {
+                frame = match self.env() {
+                    Val::Obj(frame) => Some(frame),
+                    _ => None,
+                }
+            };
+        }
+        // Makes the frame on top of `self.frames` the running one.
+        macro_rules! enter_top_frame {
+            () => {{
+                let top = self.frames.last().expect("frame stack underflow");
+                (code, ip) = (top.code, top.ip);
+                ops = &program.codes[code as usize].ops;
+                reload_frame!();
+            }};
+        }
+        enter_top_frame!();
         loop {
             self.fuel -= 1;
             if self.fuel == 0 {
                 self.fuel = CHECKPOINT_WINDOW;
+                self.windows += 1;
                 tc::checkpoint();
             }
-            let frame = *self.frames.last().expect("frame stack underflow");
-            let op = self.program.codes[frame.code as usize].ops[frame.ip];
-            self.frames.last_mut().expect("frame").ip += 1;
+            let op = ops[ip];
+            ip += 1;
             match op {
                 Op::Const(k) => {
-                    let v = self.program.constants[k as usize].clone();
-                    let hv = self.from_value(&v);
+                    let hv = self.from_value(&program.constants[k as usize]);
                     self.push(hv);
+                    reload_frame!();
                 }
                 Op::Int(i) => self.push(Val::Int(i64::from(i))),
                 Op::True => self.push(Val::Bool(true)),
                 Op::False => self.push(Val::Bool(false)),
                 Op::Nil => self.push(Val::Nil),
                 Op::Unit => self.push(Val::Unit),
-                Op::Local(depth, idx) => {
-                    let v = self.local_ref(frame.env, depth, idx)?;
-                    self.push(v);
-                }
+                // (`Local` and `Global` push inside each arm: a `Val` merged
+                // from two arms goes through a stack temporary, written in
+                // pieces and read back whole, which stalls the load.)
+                Op::Local(depth, idx) => match self.heap_frame(frame, depth) {
+                    Some(frame) => {
+                        let v = self.heap.field(frame, idx as usize + 1);
+                        self.push(v);
+                    }
+                    None => {
+                        let v = self.shared_local_ref(self.env(), depth, idx)?;
+                        self.push(v);
+                        reload_frame!();
+                    }
+                },
                 Op::SetLocal(depth, idx) => {
                     let v = self.pop();
-                    self.local_set(frame.env, depth, idx, v)?;
+                    self.local_set(self.env(), depth, idx, v)?;
+                    reload_frame!();
                     self.push(Val::Unit);
                 }
                 Op::Global(slot) => {
-                    let name = self.program.global_names[slot as usize];
-                    let v = self.globals.get(name).ok_or_else(|| {
-                        let span = self.program.codes[frame.code as usize].span_at(frame.ip);
-                        SchemeError::runtime(format!("unbound variable: {name}{}", at_span(span)))
-                    })?;
-                    let hv = self.from_value(&v);
-                    self.push(hv);
+                    let slot = slot as usize;
+                    match self.global_refs.get(slot) {
+                        Some(Some(r)) if r.binding.version() == r.seen => self.stack.push(r.val),
+                        _ => {
+                            let Some(v) = self.global_ref_slow(slot) else {
+                                let name = program.global_names[slot];
+                                let span = program.codes[code as usize].span_at(ip - 1);
+                                return Err(SchemeError::runtime(format!(
+                                    "unbound variable: {name}{}",
+                                    at_span(span)
+                                )));
+                            };
+                            self.push(v);
+                            reload_frame!();
+                        }
+                    }
                 }
                 Op::SetGlobal(slot) => {
-                    let name = self.program.global_names[slot as usize];
                     let v = self.pop();
-                    let sv = self.to_value(v)?;
-                    self.globals.set(name, sv);
+                    self.global_set(slot as usize, v)?;
                     self.push(Val::Unit);
                 }
                 Op::Closure(code_id) => {
-                    let v = self.closure(code_id, frame.env);
+                    let v = self.closure(code_id, self.env());
                     self.push(v);
+                    reload_frame!();
                 }
                 Op::Call(n) => {
-                    let span = self.program.codes[frame.code as usize].span_at(frame.ip);
-                    self.begin_call(n as usize, false, span)?;
+                    self.frames.last_mut().expect("frame").ip = ip;
+                    if self.begin_call(n as usize, false, Some((code, ip - 1)))? {
+                        enter_top_frame!();
+                    } else {
+                        reload_frame!();
+                    }
                 }
                 Op::TailCall(n) => {
-                    let span = self.program.codes[frame.code as usize].span_at(frame.ip);
-                    let pushed = self.begin_call(n as usize, true, span)?;
-                    if !pushed {
+                    if self.begin_call(n as usize, true, Some((code, ip - 1)))? {
+                        enter_top_frame!();
+                    } else {
                         // Primitive in tail position: its result is the
                         // frame's return value.
-                        let v = self.pop();
                         self.frames.pop();
                         if self.frames.len() < floor {
-                            return Ok(v);
+                            return Ok(self.pop());
                         }
-                        self.push(v);
+                        enter_top_frame!();
                     }
                 }
+                // A call consumed the callee and its arguments, and the body
+                // left one value in their place: the returned value already
+                // sits where the caller expects it.
                 Op::Return => {
-                    let v = self.pop();
                     self.frames.pop();
                     if self.frames.len() < floor {
-                        return Ok(v);
+                        return Ok(self.pop());
                     }
-                    self.push(v);
+                    enter_top_frame!();
                 }
-                Op::Jump(d) => {
-                    let f = self.frames.last_mut().expect("frame");
-                    f.ip = (f.ip as i64 + i64::from(d)) as usize;
-                }
+                Op::Jump(d) => ip = (ip as i64 + i64::from(d)) as usize,
                 Op::JumpIfFalse(d) => {
-                    let v = self.pop();
-                    if v.is_false() {
-                        let f = self.frames.last_mut().expect("frame");
-                        f.ip = (f.ip as i64 + i64::from(d)) as usize;
+                    if self.pop().is_false() {
+                        ip = (ip as i64 + i64::from(d)) as usize;
                     }
                 }
                 Op::Pop => {
@@ -514,6 +670,21 @@ impl Machine {
                 }
             }
         }
+    }
+
+    /// The frame `depth` levels up from `frame`, when the chain that far is
+    /// made of this heap's own frames (the common case; `None` sends the
+    /// caller down the [`SharedFrame`] path).
+    #[inline]
+    fn heap_frame(&self, frame: Option<Gc>, depth: u16) -> Option<Gc> {
+        let mut frame = frame?;
+        for _ in 0..depth {
+            let Val::Obj(parent) = self.heap.field(frame, 0) else {
+                return None;
+            };
+            frame = parent;
+        }
+        Some(frame)
     }
 
     /// Resolves the frame `depth` levels up the environment chain.  A
@@ -553,7 +724,8 @@ impl Machine {
         Ok(cur)
     }
 
-    fn local_ref(&mut self, env: Val, depth: u16, idx: u16) -> Result<Val, SchemeError> {
+    /// A local variable reached through at least one shared frame.
+    fn shared_local_ref(&mut self, env: Val, depth: u16, idx: u16) -> Result<Val, SchemeError> {
         match self.env_at(env, depth)? {
             EnvRef::Heap(frame) => Ok(self.heap.field(frame, idx as usize + 1)),
             EnvRef::Shared(sf) => {

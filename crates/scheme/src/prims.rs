@@ -9,7 +9,7 @@ use crate::concurrency;
 use crate::error::SchemeError;
 use crate::machine::Machine;
 use crate::print;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use sting_areas::{ObjKind, Val};
 use sting_value::{Symbol, Value};
 
@@ -368,42 +368,36 @@ fn prim_map(m: &mut Machine, argc: usize) -> Result<Val, SchemeError> {
         .into_iter()
         .min()
         .unwrap_or(0);
-    let mut count = 0;
-    for k in 0..n {
-        let f = m.stack[fpos];
-        let args: Vec<Val> = (1..argc)
-            .map(|i| nth_of_list_stack(m, fpos + i, k))
-            .collect::<Result<_, _>>()?;
-        let v = m.apply(f, &args)?;
+    let mut args = vec![Val::Unit; argc - 1];
+    for _ in 0..n {
+        for (i, arg) in args.iter_mut().enumerate() {
+            *arg = next_of_list_stack(m, fpos + 1 + i)?;
+        }
+        let v = m.apply(m.stack[fpos], &args)?;
         m.push(v); // keep results rooted
-        count += 1;
     }
-    Ok(m.list_from_stack(count))
+    Ok(m.list_from_stack(n))
 }
 
-/// The `k`-th element of the list stored at absolute stack slot `pos`.
-fn nth_of_list_stack(m: &Machine, pos: usize, k: usize) -> Result<Val, SchemeError> {
-    let mut cur = m.stack[pos];
-    for _ in 0..k {
-        match cur {
-            Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair => cur = m.heap.cdr(gc),
-            _ => return Err(rerr("map: list too short")),
+/// Takes the head off the list in absolute stack slot `pos`, leaving its
+/// tail there: `map` and `for-each` walk their list arguments in their own
+/// argument slots, which are roots and which the caller discards.
+fn next_of_list_stack(m: &mut Machine, pos: usize) -> Result<Val, SchemeError> {
+    match m.stack[pos] {
+        Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair => {
+            m.stack[pos] = m.heap.cdr(gc);
+            Ok(m.heap.car(gc))
         }
-    }
-    match cur {
-        Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair => Ok(m.heap.car(gc)),
         _ => Err(rerr("map: list too short")),
     }
 }
 
 fn prim_for_each(m: &mut Machine, argc: usize) -> Result<Val, SchemeError> {
-    let base = m.stack.len();
-    let fpos = base - argc;
+    let fpos = m.stack.len() - argc;
     let n = want_list(m, argc, 1, "for-each")?.len();
-    for k in 0..n {
-        let f = m.stack[fpos];
-        let x = nth_of_list_stack(m, fpos + 1, k)?;
-        m.apply(f, &[x])?;
+    for _ in 0..n {
+        let x = next_of_list_stack(m, fpos + 1)?;
+        m.apply(m.stack[fpos], &[x])?;
     }
     Ok(Val::Unit)
 }
@@ -426,7 +420,7 @@ fn prim_gensym(m: &mut Machine, _argc: usize) -> Result<Val, SchemeError> {
     Ok(Val::Sym(s.index()))
 }
 
-pub(crate) fn defs() -> Vec<Def> {
+fn defs() -> Vec<Def> {
     let mut v: Vec<Def> = Vec::new();
     macro_rules! def {
         ($name:literal, $min:expr, $max:expr, $f:expr) => {
@@ -614,7 +608,7 @@ pub(crate) fn defs() -> Vec<Def> {
     def!("procedure?", 1, Some(1), |m, a| Ok(Val::Bool(
         match m.arg(a, 0) {
             Val::Obj(gc) => m.heap.kind(gc) == ObjKind::Closure,
-            Val::Native(slot) => m.heap.native(slot).native_as::<Prim>().is_some(),
+            Val::Native(slot) => m.heap.native(slot).native_ref::<Prim>().is_some(),
             _ => false,
         }
     )));
@@ -980,11 +974,22 @@ pub fn register_extension(name: &'static str, min: usize, max: Option<usize>, f:
     }
 }
 
+/// The built-in table, built once per process; a primitive's id is its
+/// position here (extension ids follow on, see [`install`]).
+fn table() -> &'static [Def] {
+    static TABLE: OnceLock<Vec<Def>> = OnceLock::new();
+    TABLE.get_or_init(defs)
+}
+
+fn prim_value(id: usize) -> Value {
+    Value::native("prim", Arc::new(Prim { id: id as u16 }))
+}
+
 /// The names of every registered primitive (built-ins, the concurrency
 /// table and extensions).  The static analyzer uses this to resolve
 /// global references in programs compiled without a live interpreter.
 pub fn names() -> Vec<&'static str> {
-    let mut v: Vec<&'static str> = defs().iter().map(|d| d.name).collect();
+    let mut v: Vec<&'static str> = table().iter().map(|d| d.name).collect();
     v.extend(EXTENSIONS.lock().iter().map(|d| d.name));
     v
 }
@@ -993,67 +998,61 @@ pub fn names() -> Vec<&'static str> {
 /// above the built-in table; their table position is their registration
 /// order, which never shrinks, so ids stay valid.
 pub fn install(globals: &crate::global::Globals) {
-    let base = defs();
-    for (i, d) in base.iter().enumerate() {
-        globals.set(
-            Symbol::intern(d.name),
-            Value::native("prim", Arc::new(Prim { id: i as u16 })),
-        );
+    // The built-ins' names and handles are the same for every interpreter.
+    static BUILTINS: OnceLock<Vec<(Symbol, Value)>> = OnceLock::new();
+    let builtins = BUILTINS.get_or_init(|| {
+        let named = |(i, d): (usize, &Def)| (Symbol::intern(d.name), prim_value(i));
+        table().iter().enumerate().map(named).collect()
+    });
+    for (name, prim) in builtins {
+        globals.set(*name, prim.clone());
     }
     for (i, d) in EXTENSIONS.lock().iter().enumerate() {
-        globals.set(
-            Symbol::intern(d.name),
-            Value::native(
-                "prim",
-                Arc::new(Prim {
-                    id: (base.len() + i) as u16,
-                }),
-            ),
-        );
+        globals.set(Symbol::intern(d.name), prim_value(builtins.len() + i));
     }
 }
 
-fn check_arity(name: &str, min: usize, max: Option<usize>, argc: usize) -> Result<(), SchemeError> {
-    if argc < min || max.is_some_and(|mx| argc > mx) {
-        return Err(rerr(format!(
-            "{name}: expected {min}{} arguments, got {argc}",
-            match max {
-                Some(mx) if mx == min => String::new(),
-                Some(mx) => format!("..{mx}"),
-                None => "+".to_string(),
-            }
-        )));
-    }
-    Ok(())
+/// Whether `argc` arguments suit a primitive taking `min..=max`.
+#[inline]
+fn arity_ok(min: usize, max: Option<usize>, argc: usize) -> bool {
+    argc >= min && max.is_none_or(|mx| argc <= mx)
 }
 
-/// Dispatches a primitive call; arguments are the top `argc` stack values
-/// (left in place — the dispatcher pops them after this returns).
-pub(crate) fn dispatch(m: &mut Machine, p: &Prim, argc: usize) -> Result<Val, SchemeError> {
-    thread_local! {
-        static TABLE: Vec<Def> = defs();
-    }
-    TABLE.with(|t| {
-        match t.get(p.id as usize) {
-            Some(d) => {
-                check_arity(d.name, d.min, d.max, argc)?;
-                (d.f)(m, argc)
-            }
-            None => {
-                // Extension ids live past the built-in table.  Copy the
-                // definition out so the registry lock is not held while
-                // the primitive runs (it may recursively dispatch).
-                let ext = {
-                    let exts = EXTENSIONS.lock();
-                    exts.get(p.id as usize - t.len())
-                        .map(|d| (d.name, d.min, d.max, d.f))
-                };
-                let Some((name, min, max, f)) = ext else {
-                    return Err(rerr(format!("unknown primitive id {}", p.id)));
-                };
-                check_arity(name, min, max, argc)?;
-                f(m, argc)
-            }
+#[cold]
+fn arity_error(name: &str, min: usize, max: Option<usize>, argc: usize) -> SchemeError {
+    rerr(format!(
+        "{name}: expected {min}{} arguments, got {argc}",
+        match max {
+            Some(mx) if mx == min => String::new(),
+            Some(mx) => format!("..{mx}"),
+            None => "+".to_string(),
         }
-    })
+    ))
+}
+
+/// Dispatches a call of primitive `id`; arguments are the top `argc` stack
+/// values (left in place — the dispatcher pops them after this returns).
+pub(crate) fn dispatch(m: &mut Machine, id: u16, argc: usize) -> Result<Val, SchemeError> {
+    let table = table();
+    match table.get(id as usize) {
+        Some(d) if arity_ok(d.min, d.max, argc) => (d.f)(m, argc),
+        Some(d) => Err(arity_error(d.name, d.min, d.max, argc)),
+        None => {
+            // Extension ids live past the built-in table.  Copy the
+            // definition out so the registry lock is not held while
+            // the primitive runs (it may recursively dispatch).
+            let ext = {
+                let exts = EXTENSIONS.lock();
+                exts.get(id as usize - table.len())
+                    .map(|d| (d.name, d.min, d.max, d.f))
+            };
+            let Some((name, min, max, f)) = ext else {
+                return Err(rerr(format!("unknown primitive id {id}")));
+            };
+            if !arity_ok(min, max, argc) {
+                return Err(arity_error(name, min, max, argc));
+            }
+            f(m, argc)
+        }
+    }
 }

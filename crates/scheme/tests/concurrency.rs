@@ -806,3 +806,57 @@ fn fleet_sharded_tuple_space_from_scheme() {
     ev(&i, "(fleet-shutdown fl)");
     vm.shutdown();
 }
+
+#[test]
+fn a_global_written_in_a_forked_thread_is_seen_by_the_parent() {
+    let (vm, i) = interp(2);
+    ev(&i, "(define shared 0) (define (last-writer) 'nobody)");
+    // The parent references both globals (and caches them) before the
+    // children write them; after `wait-for-all` its next references must
+    // see a write, not the cached values.  `shared` holds an immediate,
+    // `last-writer` a closure: the two kinds of cached value.
+    let v = ev(
+        &i,
+        "(let ((seen-before (list shared (last-writer))))
+           (wait-for-all
+             (map (lambda (k)
+                    (fork-thread
+                      (lambda ()
+                        (set! shared (+ k 100))
+                        (set! last-writer (lambda () 'a-child)))))
+                  (iota 4)))
+           (list seen-before (>= shared 100) (last-writer)))",
+    );
+    assert_eq!(v.to_string(), "((0 nobody) #t a-child)");
+    vm.shutdown();
+}
+
+#[test]
+fn a_procedure_redefined_by_define_is_seen_by_a_running_thread() {
+    let (vm, i) = interp(2);
+    // `define` binds a global only as a top-level form, so a thread sees a
+    // redefinition only if it outlives the form that forked it: the worker
+    // calls `(f)`, reports, waits to be told the redefinition is done, and
+    // calls `(f)` again on the same machine.  (The new value is a procedure
+    // compiled before the fork: a thread runs against the program snapshot
+    // it was forked with and cannot call code compiled later.)
+    ev(
+        &i,
+        "(define (f) 'first) (define (g) 'second) (define gate (make-ts))",
+    );
+    ev(
+        &i,
+        "(define worker
+           (fork-thread
+             (lambda ()
+               (let ((a (f)))
+                 (ts-put gate (list 'called))
+                 (ts-get gate (list 'redefined))
+                 (list a (f))))))",
+    );
+    ev(&i, "(ts-get gate (list 'called))");
+    ev(&i, "(define f g)");
+    ev(&i, "(ts-put gate (list 'redefined))");
+    assert_eq!(ev(&i, "(thread-wait worker)").to_string(), "(first second)");
+    vm.shutdown();
+}

@@ -88,3 +88,50 @@ fn string_and_vector_data_survive_pressure() {
     assert_eq!(v.to_string(), "(\"item-0\" \"item-49\" 50)");
     vm.shutdown();
 }
+
+#[test]
+fn native_live_only_on_the_operand_stack_survives_a_major_collection() {
+    let (vm, i) = tight_interp();
+    // `+` is pushed (a native slot) before its argument `(length (churn …))`
+    // runs, so across the major collections `churn` forces the primitive is
+    // referenced from the operand stack alone.  A root set that reports
+    // only heap references lets `prune_natives` free the slot, and the call
+    // then dies with "native slot pruned while still referenced".
+    let v = i
+        .eval(
+            r#"
+(begin
+  (define (churn n acc) (if (= n 0) acc (churn (- n 1) (cons n acc))))
+  (+ (length (churn 30000 '())) 1))
+"#,
+        )
+        .unwrap();
+    assert_eq!(v.as_int(), Some(30001));
+    vm.shutdown();
+}
+
+#[test]
+fn variadic_call_survives_a_collection_while_its_rest_list_is_built() {
+    let (vm, i) = tight_interp();
+    // Building the rest list allocates, so a collection can land between
+    // reading the closure's captured environment and writing the callee's
+    // frame; the frame must be built from the closure as it is *after* the
+    // collection (the captured frame moves), and `tag` must still be there.
+    let v = i
+        .eval(
+            r#"
+(begin
+  (define (make-collector tag) (lambda args (cons tag args)))
+  (let ((collect (make-collector 'kept)))
+    (let loop ((n 0) (ok 0))
+      (if (= n 20000)
+          ok
+          (let ((r (collect n n n)))
+            (loop (+ n 1)
+                  (if (and (eq? (car r) 'kept) (= (length r) 4)) (+ ok 1) ok)))))))
+"#,
+        )
+        .unwrap();
+    assert_eq!(v.as_int(), Some(20000));
+    vm.shutdown();
+}

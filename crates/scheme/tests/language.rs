@@ -382,3 +382,143 @@ fn fibonacci_exercises_the_machine() {
     assert_eq!(ev(&i, "(fib 15)").as_int(), Some(610));
     vm.shutdown();
 }
+
+// --- The per-machine global cache (DESIGN.md, "The binding-cell rule").
+// Only a `define` that is itself a top-level form binds a global, and every
+// top-level form runs on a machine of its own; so each test defines its
+// globals in forms of their own and then makes the references that must
+// agree inside one form — one machine, one cache.
+
+#[test]
+fn a_procedure_rebound_by_set_is_seen_by_the_next_call() {
+    let (vm, i) = interp();
+    ev(&i, "(define (f) 'first)");
+    let v = ev(
+        &i,
+        "(let* ((a (f))
+                (b (begin (set! f (lambda () 'second)) (f)))
+                (c (begin (set! f (lambda () 'third)) (f))))
+           (list a b c (f)))",
+    );
+    assert_eq!(v.to_string(), "(first second third third)");
+    vm.shutdown();
+}
+
+#[test]
+fn rebinding_a_primitive_to_a_closure_takes_effect() {
+    let (vm, i) = interp();
+    ev(&i, "(define plus +)");
+    let v = ev(
+        &i,
+        "(let* ((before (+ 1 2))
+                (during (begin (set! + (lambda (a b) (* a b))) (+ 3 4)))
+                (after (begin (set! + plus) (+ 3 4))))
+           (list before during after))",
+    );
+    assert_eq!(v.to_string(), "(3 12 7)");
+    vm.shutdown();
+}
+
+#[test]
+fn a_global_holding_mutable_data_is_a_fresh_copy_per_reference() {
+    let (vm, i) = interp();
+    // Pinned, not endorsed: a pair, vector or string crosses into the
+    // referring thread's heap by copy each time it is referenced, so a
+    // mutation through one reference is invisible through the next.  The
+    // cache must not change that by handing the same object out twice.
+    ev(
+        &i,
+        "(define l (list 1 2)) (define v (vector 1 2)) (define s \"ab\")",
+    );
+    let v = ev(
+        &i,
+        "(begin
+           (set-car! l 99)
+           (vector-set! v 0 99)
+           (list (car l) (vector-ref v 0) (eq? l l) (eq? v v) (eq? s s)))",
+    );
+    assert_eq!(v.to_string(), "(1 1 #f #f #f)");
+    // Immutable bindings are one object however often they are named.
+    assert_eq!(
+        ev(&i, "(list (eq? car car) (eq? list-sort list-sort))").to_string(),
+        "(#t #t)"
+    );
+    vm.shutdown();
+}
+
+#[test]
+fn an_unbound_global_raises_with_its_span_each_time() {
+    let (vm, i) = interp();
+    // Twice in one machine: the second reference finds the slot already
+    // resolved to a cell, still unbound.
+    let v = ev(
+        &i,
+        "(define (probe) (%try (lambda () nowhere) (lambda (e) e)))\n(list (probe) (probe))",
+    );
+    let messages: Vec<String> = v.list_iter().map(|m| m.to_string()).collect();
+    assert_eq!(messages.len(), 2);
+    for m in &messages {
+        assert!(m.contains("unbound variable: nowhere (at 1:23)"), "got {m}");
+    }
+    // And once defined, the same slot resolves.
+    ev(&i, "(define nowhere 'here)");
+    assert_eq!(ev(&i, "(probe)").to_string(), "here");
+    vm.shutdown();
+}
+
+#[test]
+fn writing_one_global_leaves_references_to_others_on_the_fast_path() {
+    let (vm, i) = interp();
+    ev(
+        &i,
+        "(define counter 0)
+         (define items (list 1 2 3))
+         (define (bump!) (set! counter (+ counter 1)))
+         (define (spin n) (let loop ((k 0)) (when (< k n) (bump!) (loop (+ k 1)))))",
+    );
+    // 10 000 iterations, each naming `<`, `bump!`, `+` (twice) and
+    // `counter`, and writing `counter`.  Per machine, each name misses the
+    // cache once; after that the write re-arms only the writer's own entry
+    // for `counter`, so nothing else ever takes the slow path again.
+    let before = i.globals().activity().slow_reads;
+    assert_eq!(
+        ev(&i, "(begin (spin 10000) counter)").as_int(),
+        Some(10_000)
+    );
+    let slow = i.globals().activity().slow_reads - before;
+    assert!(
+        slow <= 8,
+        "{slow} slow-path global references across 10 000 writes of another global"
+    );
+    // A binding that holds mutable data is never cached: every reference
+    // is a slow one, by design.
+    let before = i.globals().activity().slow_reads;
+    ev(
+        &i,
+        "(let loop ((k 0)) (when (< k 100) items (loop (+ k 1))))",
+    );
+    let slow = i.globals().activity().slow_reads - before;
+    assert!(
+        (100..=108).contains(&slow),
+        "{slow} slow references to a list"
+    );
+    vm.shutdown();
+}
+
+#[test]
+fn interpreters_on_one_vm_keep_private_globals() {
+    let vm = VmBuilder::new().vps(1).build();
+    let (a, b) = (Interp::new(vm.clone()), Interp::new(vm.clone()));
+    // Both start from the one compiled prelude; redefining a prelude
+    // procedure in one must not show in the other.
+    ev(&a, "(define (iota n) 'mine)");
+    assert_eq!(ev(&a, "(iota 3)").to_string(), "mine");
+    assert_eq!(ev(&b, "(iota 3)").to_string(), "(0 1 2)");
+    ev(&b, "(define only-in-b 1)");
+    assert!(a.eval("only-in-b").is_err());
+    // A bare interpreter has the primitives and nothing else.
+    let bare = Interp::bare(vm.clone());
+    assert_eq!(ev(&bare, "(+ 1 2)").as_int(), Some(3));
+    assert!(bare.eval("(iota 3)").is_err());
+    vm.shutdown();
+}

@@ -34,6 +34,13 @@ impl NativeHandle {
         self.object.clone().downcast::<T>().ok()
     }
 
+    /// Borrows the concrete runtime object: [`NativeHandle::downcast`]
+    /// without the reference-count round trip, for callers that only look.
+    #[inline]
+    pub fn downcast_ref<T: Any + Send + Sync>(&self) -> Option<&T> {
+        (*self.object).downcast_ref::<T>()
+    }
+
     /// Identity of the underlying object (stable while it is alive).
     pub fn id(&self) -> usize {
         Arc::as_ptr(&self.object) as *const () as usize
@@ -233,6 +240,7 @@ impl Value {
     }
 
     /// Native handle, if this is a `Native`.
+    #[inline]
     pub fn as_native(&self) -> Option<&NativeHandle> {
         match self {
             Value::Native(h) => Some(h),
@@ -243,6 +251,12 @@ impl Value {
     /// Downcasts a native handle value to its runtime type.
     pub fn native_as<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
         self.as_native().and_then(NativeHandle::downcast)
+    }
+
+    /// Borrows a native handle value as its runtime type.
+    #[inline]
+    pub fn native_ref<T: Any + Send + Sync>(&self) -> Option<&T> {
+        self.as_native().and_then(NativeHandle::downcast_ref)
     }
 
     /// Iterates over the elements of a proper list (stops at a non-pair
