@@ -860,3 +860,24 @@ fn a_procedure_redefined_by_define_is_seen_by_a_running_thread() {
     assert_eq!(ev(&i, "(thread-wait worker)").to_string(), "(first second)");
     vm.shutdown();
 }
+
+#[test]
+fn a_thread_calls_a_procedure_defined_after_the_form_that_forked_it() {
+    let (vm, i) = interp(2);
+    // The worker outlives the form that forked it and then calls `late`,
+    // which a later form defines: code compiled after the worker's machine
+    // took its program snapshot.
+    ev(&i, "(define gate (make-ts))");
+    ev(
+        &i,
+        "(define worker
+           (fork-thread
+             (lambda ()
+               (ts-get gate (list 'defined))
+               (late 1))))",
+    );
+    ev(&i, "(define (late x) (+ x 41))");
+    ev(&i, "(ts-put gate (list 'defined))");
+    assert_eq!(ev(&i, "(thread-wait worker)").as_int(), Some(42));
+    vm.shutdown();
+}
