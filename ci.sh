@@ -53,12 +53,12 @@ run_doc() {
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     step "cargo test --doc (worked examples in the rustdoc)"
     cargo test -q --doc --workspace
-    step "markdown link check (README.md, ARCHITECTURE.md)"
+    step "markdown link check (README.md, ARCHITECTURE.md, DESIGN.md, EXPERIMENTS.md)"
     # Every relative link target in the tour documents must exist: these
     # files name modules and documents by path, and a rename that orphans
     # a link should fail CI, not a reader.  http(s) links are not fetched.
     local bad=0 doc target
-    for doc in README.md ARCHITECTURE.md; do
+    for doc in README.md ARCHITECTURE.md DESIGN.md EXPERIMENTS.md; do
         while IFS= read -r target; do
             target="${target%%#*}"          # strip fragment
             [[ -z "$target" || "$target" == http* ]] && continue
@@ -112,7 +112,7 @@ run_bench_smoke() {
     # gate against it at 100%: smoke timings on a loaded box jitter far
     # more than a full run, so this catches order-of-magnitude latency
     # regressions (a lost wake-up turns µs p50s into ms), while the
-    # committed full report (BENCH_PR19.json) stays the reference for
+    # committed full report (BENCH_PR20.json) stays the reference for
     # fine-grained comparisons.  Server rows are backend-labeled
     # (echo-rtt-epoll / echo-rtt-uring), so the gate also catches one
     # backend regressing while the other stays healthy.  The run itself
@@ -129,8 +129,8 @@ run_bench_smoke() {
     # advisory on this tier, and enforced by a full run on a box with a
     # second core to give.
     local against=()
-    if [[ -f BENCH_PR19_SMOKE.json ]]; then
-        against=(--against BENCH_PR19_SMOKE.json --threshold 1.0)
+    if [[ -f BENCH_PR20_SMOKE.json ]]; then
+        against=(--against BENCH_PR20_SMOKE.json --threshold 1.0)
     fi
     ./target/release/bench_all --smoke --out target/BENCH_SMOKE.json "${against[@]}"
 }

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
-use sting::core::policies::{self, GlobalQueue, QueueOrder};
+use sting::core::policies::{self, GlobalQueue};
 use sting::prelude::*;
 
 fn tree(vm: &Arc<Vm>, depth: u32) {
@@ -26,7 +26,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let vm = match name {
                     "global-fifo" => {
-                        let q = GlobalQueue::shared(QueueOrder::Fifo);
+                        let q = GlobalQueue::fifo();
                         VmBuilder::new().vps(2).policy(move |_| q.policy()).build()
                     }
                     "local-lifo" => VmBuilder::new()

@@ -6,7 +6,7 @@
 //! cargo run --release -p sting-bench --bin bench_all            # full run
 //! cargo run --release -p sting-bench --bin bench_all -- --smoke # CI tier
 //! cargo run --release -p sting-bench --bin bench_all -- \
-//!     --against BENCH_PR4.json --threshold 0.10                 # regress?
+//!     --against BENCH_PR20.json --threshold 0.10                # regress?
 //! ```
 //!
 //! Exit status: 0 on success, 1 when a Figure 6 gate check fails after
@@ -68,7 +68,7 @@ fn parse_args() -> Result<Args, String> {
         smoke: false,
         iters: None,
         reps: None,
-        out: "BENCH_PR19.json".to_string(),
+        out: "BENCH_PR20.json".to_string(),
         against: None,
         threshold: 0.10,
     };
@@ -138,22 +138,6 @@ fn steal_throughput(vm: &Arc<Vm>, reps: u64, threads: i64, yields: i64) -> Dist 
     for _ in 0..reps.max(1) {
         let start = Instant::now();
         let sum = shapes::steal_hammer(vm, threads, yields);
-        let t = start.elapsed();
-        assert_eq!(sum, expected);
-        samples.push(t.as_nanos() as f64 / shapes::steal_dispatches(threads, yields));
-    }
-    Dist::from_samples(samples)
-}
-
-/// [`steal_throughput`] for the priority-policy hammer (threads cycle
-/// through the priority bands).
-fn priority_steal_throughput(vm: &Arc<Vm>, reps: u64, threads: i64, yields: i64) -> Dist {
-    shapes::priority_steal_hammer(vm, threads, yields); // warm-up
-    let expected: i64 = (0..threads).sum();
-    let mut samples = Vec::with_capacity(reps as usize);
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let sum = shapes::priority_steal_hammer(vm, threads, yields);
         let t = start.elapsed();
         assert_eq!(sum, expected);
         samples.push(t.as_nanos() as f64 / shapes::steal_dispatches(threads, yields));
@@ -288,73 +272,30 @@ fn main() -> ExitCode {
         rows.push(row);
     }
 
-    // --- E2 addendum: locked vs lock-free dispatch ---
+    // --- E2 addendum: manager-kept vs substrate-kept ready queue, and
+    // the substrate-kept one under a priority policy, where the hammer's
+    // priorities spread over every band and the multi-level scan and
+    // occupancy bitmask do the work rather than band 0 alone.
     println!(
         "shape: steal-throughput ({} threads x {} yields)",
         scale.steal_threads, scale.steal_yields
     );
+    type Policy = fn() -> Box<dyn sting::core::PolicyManager>;
     for vps in [1usize, 2, 4] {
-        for locked in [true, false] {
-            let tier = if locked { "locked" } else { "lockfree" };
-            let vm = shapes::steal_vm(vps, locked, false);
+        for (order, tier, policy) in [
+            ("", "locked", shapes::manager_kept_fifo as Policy),
+            ("", "lockfree", shapes::migrating_fifo),
+            ("prio-", "deque", shapes::migrating_priority),
+        ] {
+            let vm = shapes::steal_vm(vps, false, policy);
             let d = steal_throughput(&vm, reps, scale.steal_threads, scale.steal_yields);
             vm.shutdown();
-            let row = BenchRow::from_dist(
-                "shape",
-                &format!("steal-throughput-{vps}vp-{tier}"),
-                "ns/dispatch",
-                &d,
-            );
+            let name = format!("steal-throughput-{order}{vps}vp-{tier}");
+            let row = BenchRow::from_dist("shape", &name, "ns/dispatch", &d);
             print_row(&row);
             rows.push(row);
         }
     }
-
-    // --- E2 addendum: priority policy, locked vs banded deque tier ---
-    // Same hammer, but the threads carry priorities spanning every band,
-    // so the lock-free side exercises the multi-level deque + occupancy
-    // bitmask rather than the single-band fast path.
-    println!(
-        "shape: steal-throughput-prio ({} threads x {} yields)",
-        scale.steal_threads, scale.steal_yields
-    );
-    let mut prio_p50 = [0.0f64; 2]; // [locked, deque] at 4 VPs
-    for vps in [1usize, 2, 4] {
-        for locked in [true, false] {
-            let tier = if locked { "locked" } else { "deque" };
-            let vm = shapes::steal_vm_priority(vps, locked, false);
-            let d = priority_steal_throughput(&vm, reps, scale.steal_threads, scale.steal_yields);
-            vm.shutdown();
-            if vps == 4 {
-                prio_p50[usize::from(!locked)] = d.p50();
-            }
-            let row = BenchRow::from_dist(
-                "shape",
-                &format!("steal-throughput-prio-{vps}vp-{tier}"),
-                "ns/dispatch",
-                &d,
-            );
-            print_row(&row);
-            rows.push(row);
-        }
-    }
-    let prio_speedup = prio_p50[0] / prio_p50[1];
-    // The locked-vs-deque gap is a full-scale claim: the smoke hammer is
-    // ~1k dispatches and runs alongside the rest of the tier-1 suite, so
-    // there the row is recorded but only advisory.
-    let prio_gate = if args.smoke {
-        "info:prio-deque>=1.3x-locked@4vp"
-    } else {
-        "prio-deque>=1.3x-locked@4vp"
-    };
-    checks.push(Check {
-        name: prio_gate.to_string(),
-        pass: prio_speedup >= 1.3,
-        detail: format!(
-            "priority policy at 4 VPs: locked p50 {:.1} ns/dispatch vs deque p50 {:.1} ({:.2}x)",
-            prio_p50[0], prio_p50[1], prio_speedup
-        ),
-    });
 
     // --- E4: preemption inside critical sections ---
     println!(

@@ -2,10 +2,11 @@
 //!
 //! The paper argues that keeping a VP's evaluating-thread queue local and
 //! lock-free beats serializing every scheduler operation on a lock.  This
-//! bench measures exactly that boundary in our two-tier scheduler: the
-//! same migrating-FIFO policy is run once on the Chase–Lev deque tier
-//! (the default) and once pinned to the locked policy tier via
-//! `LocalQueue::locked(true)`, over 1, 2 and 4 VPs.
+//! bench measures exactly that boundary in our scheduler: a migrating FIFO
+//! is run once as the shipped `LocalQueue`, whose queue the substrate
+//! keeps on the Chase–Lev deque tier, and once as a user-written
+//! `PolicyManager` that keeps its own `VecDeque` under the policy lock
+//! (`shapes::manager_kept_fifo`), over 1, 2 and 4 VPs.
 //!
 //! The workload piles short yielding threads onto VP 0, so every other VP
 //! is a thief: each yield is one enqueue + one dequeue, and each steal is
@@ -20,14 +21,18 @@
 //! `target/traces`) as `shape_steal_throughput-<config>.json`.
 
 use std::time::Instant;
-use sting_bench::shapes::{steal_dispatches, steal_hammer, steal_vm};
+use sting_bench::shapes::{self, steal_dispatches, steal_hammer, steal_vm};
 
 const THREADS: i64 = 256;
 const YIELDS: i64 = 64;
 
 fn run(vps: usize, locked: bool) -> f64 {
-    let tier = if locked { "locked" } else { "lock-free" };
-    let vm = steal_vm(vps, locked, true);
+    let (tier, policy): (_, fn() -> _) = if locked {
+        ("locked", shapes::manager_kept_fifo)
+    } else {
+        ("lock-free", shapes::migrating_fifo)
+    };
+    let vm = steal_vm(vps, true, policy);
     assert_eq!(
         vm.vp(0).unwrap().lock_free_queue(),
         !locked,

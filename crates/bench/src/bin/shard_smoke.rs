@@ -6,7 +6,7 @@
 //! This is deliberately *not* a benchmark: no gates on timings, only on
 //! behavior (conservation of jobs/acks, and no lost wake-up, leaked
 //! waiter, or post-cancel wake anywhere in the fleet-wide trace).  The
-//! scaling gates live in `bench_all` full mode against `BENCH_PR9.json`.
+//! scaling gates live in `bench_all` full mode.
 
 use sting::core::audit::FindingKind;
 use sting::prelude::*;

@@ -5,10 +5,13 @@
 //! individual `shape_*` binaries measure exactly the same code, and so the
 //! smoke tier can shrink iteration counts without forking the logic.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 use sting::areas::{Heap, HeapConfig, Val as AreaVal, Word};
-use sting::core::policies::{self, GlobalQueue, QueueOrder};
+use sting::core::pm::{EnqueueState, RunItem};
+use sting::core::policies::{self, GlobalQueue};
+use sting::core::vp::Vp;
 use sting::core::PolicyManager;
 use sting::prelude::*;
 
@@ -260,7 +263,7 @@ pub fn tree_workload(vm: &Arc<Vm>, depth: u32) {
 
 /// 4-VP VM scheduled from one global FIFO queue.
 pub fn global_queue_vm(trace: bool) -> Arc<Vm> {
-    let q = GlobalQueue::shared(QueueOrder::Fifo);
+    let q = GlobalQueue::fifo();
     VmBuilder::new()
         .vps(4)
         .policy(move |_| q.policy())
@@ -281,73 +284,73 @@ fn make_local(migrate: bool) -> Box<dyn PolicyManager> {
     policies::local_lifo().migrating(migrate).boxed()
 }
 
-// --- E2 addendum: locked vs lock-free dispatch ---
+// --- E2 addendum: manager-kept vs substrate-kept ready queue ---
 
-/// Builds the steal-throughput VM: one OS worker per VP, migrating FIFO,
-/// pinned to the locked or lock-free scheduler tier.
-pub fn steal_vm(vps: usize, locked: bool, trace: bool) -> Arc<Vm> {
+/// E2b's manager-kept side: a migrating FIFO written the way §3.3 says a
+/// policy manager is — it keeps its own queue, so every operation on it
+/// runs under the VP's policy lock.
+#[derive(Default)]
+struct ManagerFifo(VecDeque<RunItem>);
+
+impl PolicyManager for ManagerFifo {
+    fn get_next_thread(&mut self, _vp: &Vp) -> Option<RunItem> {
+        self.0.pop_front()
+    }
+    fn enqueue_thread(&mut self, _vp: &Vp, item: RunItem, _state: EnqueueState) {
+        self.0.push_back(item);
+    }
+    fn vp_idle(&mut self, vp: &Vp) -> Option<RunItem> {
+        let vm = vp.vm();
+        let n = vm.vp_count();
+        (1..n).find_map(|d| vm.vps()[(vp.index() + d) % n].try_offer_migration(vp))
+    }
+    fn offer_migration(&mut self, _vp: &Vp) -> Option<RunItem> {
+        // The newest fresh thread: the end the owner reaches last.
+        let newest = self.0.iter().rposition(RunItem::is_fresh)?;
+        self.0.remove(newest)
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn name(&self) -> &'static str {
+        "manager-fifo"
+    }
+}
+
+/// [`steal_vm`] policy: a user-written migrating FIFO on the policy tier.
+pub fn manager_kept_fifo() -> Box<dyn PolicyManager> {
+    Box::new(ManagerFifo::default())
+}
+
+/// [`steal_vm`] policy: the shipped migrating FIFO, on the deque tier.
+pub fn migrating_fifo() -> Box<dyn PolicyManager> {
+    policies::local_fifo().migrating(true).boxed()
+}
+
+/// [`steal_vm`] policy: the shipped migrating priority queue, whose
+/// threads spread over the deque tier's bands.
+pub fn migrating_priority() -> Box<dyn PolicyManager> {
+    policies::priority_high().migrating(true).boxed()
+}
+
+/// Builds a steal-throughput VM: one OS worker per VP, every VP scheduled
+/// by a policy of `policy`'s making.
+pub fn steal_vm(vps: usize, trace: bool, policy: fn() -> Box<dyn PolicyManager>) -> Arc<Vm> {
     VmBuilder::new()
         .vps(vps)
         // One OS worker per VP: without it a single worker drives every VP
         // and the queues are never contended.
         .processors(vps)
-        .policy(move |_| {
-            policies::local_fifo()
-                .migrating(true)
-                .locked(locked)
-                .boxed()
-        })
+        .policy(move |_| policy())
         .trace(trace)
         .build()
 }
 
 /// Forks `threads` yielding threads onto VP 0 and joins them all; returns
-/// the checksum so the work cannot be optimized away.
+/// the checksum so the work cannot be optimized away.  The threads'
+/// priorities cycle through the bands: a priority policy dispatches and
+/// steals across all of them, a FIFO keeps them in one.
 pub fn steal_hammer(vm: &Arc<Vm>, threads: i64, yields: i64) -> i64 {
-    let ts: Vec<_> = (0..threads)
-        .map(|i| {
-            vm.fork_on(0, move |cx| {
-                for _ in 0..yields {
-                    cx.yield_now();
-                }
-                i
-            })
-            .expect("VP 0 exists")
-        })
-        .collect();
-    ts.iter()
-        .map(|t| t.join_blocking().unwrap().as_int().unwrap())
-        .sum()
-}
-
-/// Dispatches performed by one [`steal_hammer`] run (one per yield plus
-/// the initial dispatch, per thread) — the divisor for ns/dispatch rows.
-pub fn steal_dispatches(threads: i64, yields: i64) -> f64 {
-    (threads * (yields + 1)) as f64
-}
-
-/// Builds the priority-policy steal-throughput VM: one OS worker per VP,
-/// migrating priority-high, pinned to the locked (heap under the policy
-/// lock) or lock-free (banded multi-level deque) scheduler tier.
-pub fn steal_vm_priority(vps: usize, locked: bool, trace: bool) -> Arc<Vm> {
-    VmBuilder::new()
-        .vps(vps)
-        .processors(vps)
-        .policy(move |_| {
-            policies::priority_high()
-                .migrating(true)
-                .locked(locked)
-                .boxed()
-        })
-        .trace(trace)
-        .build()
-}
-
-/// [`steal_hammer`] with priorities: the forked threads cycle through the
-/// priority bands, so dispatch and stealing exercise the multi-level
-/// scan (or the heap's full ordering on the locked tier), not just one
-/// band.  Returns the checksum so the work cannot be optimized away.
-pub fn priority_steal_hammer(vm: &Arc<Vm>, threads: i64, yields: i64) -> i64 {
     let ts: Vec<_> = (0..threads)
         .map(|i| {
             ThreadBuilder::new(vm)
@@ -365,6 +368,12 @@ pub fn priority_steal_hammer(vm: &Arc<Vm>, threads: i64, yields: i64) -> i64 {
     ts.iter()
         .map(|t| t.join_blocking().unwrap().as_int().unwrap())
         .sum()
+}
+
+/// Dispatches performed by one [`steal_hammer`] run (one per yield plus
+/// the initial dispatch, per thread) — the divisor for ns/dispatch rows.
+pub fn steal_dispatches(threads: i64, yields: i64) -> f64 {
+    (threads * (yields + 1)) as f64
 }
 
 // --- E4: preemption inside critical sections ---

@@ -154,6 +154,11 @@ fn committed_artifacts_compare_clean() {
     // same rule `--against` applies.  This is the apples-to-apples form
     // of the gate: a live run's verdict depends on the host's load epoch,
     // but the committed artifacts were measured under matched conditions.
+    //
+    // Pinned at PR 7 → PR 9.  The newest pair cannot take its place yet:
+    // one `bench_all` run of PR 20 (or a rerun of PR 19) regresses against
+    // BENCH_PR19.json on `server/syscalls-per-wake-uring`, ROADMAP item
+    // 3's open defect (EXPERIMENTS.md E11).
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let load = |name: &str| {
         let text =

@@ -1,5 +1,6 @@
-//! Lock-free scheduler queues: a Chase–Lev work-stealing deque, a banded
-//! multi-level variant for priority policies, and MPSC submission stacks.
+//! Lock-free scheduler queues: a Chase–Lev work-stealing deque, the banded
+//! multi-level deque every substrate-kept ready queue is, and an MPSC
+//! submission stack.
 //!
 //! This module is the *mechanism* half of the two-tier scheduler described
 //! in DESIGN.md ("Scheduler fast path").  The paper's §3.3 observes that a
@@ -12,7 +13,7 @@
 //! idle sibling VPs [`steal`](Deque::steal) from the opposite end with
 //! one CAS per item.
 //!
-//! Four structures cooperate per VP:
+//! Three structures cooperate per VP:
 //!
 //! * [`Deque`] — the Chase–Lev deque \[Chase & Lev, SPAA 2005\], with the
 //!   memory orderings of Lê et al., *Correct and Efficient Work-Stealing
@@ -22,8 +23,9 @@
 //! * [`MultiDeque`] — a small fixed array of [`BANDS`] Chase–Lev deques
 //!   indexed by priority band, plus one `AtomicUsize` of occupancy bits so
 //!   pop and steal find the highest non-empty band in O(1) without locks.
-//!   This is what lets priority and deadline policies ride the lock-free
-//!   tier instead of the locked policy path.
+//!   Priority and deadline policies spread their items over the bands;
+//!   FIFO and LIFO policies keep everything in band 0 of the same
+//!   structure.
 //! * [`Injector`] — a Treiber-stack MPSC queue for *remote* submissions
 //!   (forks from host threads, cross-VP wake-ups, the timekeeper).  Any
 //!   thread may [`push`](Injector::push); the owner periodically
@@ -31,10 +33,10 @@
 //!   order and makes the items stealable.  [`Injector::push_batch`]
 //!   publishes *n* items with **one** CAS — the batched wake-up path
 //!   (`wake_all`, barrier release) uses it to amortize the slow path.
-//! * [`BandedInjector`] — the banded face of the injector: every
-//!   submission carries its priority band, so the owner's drain can fold
-//!   each item into the right [`MultiDeque`] band and the thief-side
-//!   rescue can prefer the highest band in the backlog.
+//!   The scheduler's injector carries `(band, item)` pairs, classified
+//!   once at submission, so the owner's drain can fold each item into the
+//!   right [`MultiDeque`] band and the thief-side rescue can prefer the
+//!   highest band in the backlog.
 //!
 //! ## The occupancy-bit protocol
 //!
@@ -596,20 +598,6 @@ impl<T: Slot> MultiDeque<T> {
         self.occupancy.load(Ordering::Acquire)
     }
 
-    /// The band-0 deque, for callers whose policy declared a single band
-    /// and who therefore bypass the occupancy word entirely — a
-    /// `BandMap::Single` ready queue is the plain Chase–Lev [`Deque`],
-    /// paying nothing for the bands it does not use.
-    ///
-    /// Mixing the two access styles on one `MultiDeque` is a logic error:
-    /// banded [`pop`](MultiDeque::pop)/[`steal`](MultiDeque::steal) scans
-    /// trust the occupancy bits, so an item pushed through `band0()`
-    /// (which never publishes a bit) is invisible to them until some
-    /// banded push of the same band publishes it.
-    pub fn band0(&self) -> &Deque<T> {
-        &self.bands[0]
-    }
-
     /// Appends `item` to `band`.  **Owner only.**  Publishes the band's
     /// occupancy bit after the push (Release), so any scanner that sees
     /// the bit also sees the item.
@@ -880,57 +868,6 @@ impl<T> Drop for Injector<T> {
     }
 }
 
-/// The banded face of the [`Injector`]: a Treiber-stack MPSC submission
-/// queue whose entries carry their priority band, pairing with
-/// [`MultiDeque`] the way [`Injector`] pairs with [`Deque`].
-///
-/// Producers classify once at submission time (under
-/// [`BandMap::band`](crate::pm::BandMap)); the owner's drain folds each
-/// item into the right [`MultiDeque`] band, and the thief-side rescue can
-/// pick the most urgent eligible item out of the backlog instead of the
-/// merely oldest one.  [`push_batch`](BandedInjector::push_batch)
-/// publishes a mixed-band batch with a single CAS.
-#[derive(Debug, Default)]
-pub struct BandedInjector<T> {
-    inner: Injector<(usize, T)>,
-}
-
-impl<T> BandedInjector<T> {
-    /// Creates an empty banded injector.
-    pub fn new() -> BandedInjector<T> {
-        BandedInjector {
-            inner: Injector::new(),
-        }
-    }
-
-    /// Number of items currently queued (a relaxed snapshot).
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the injector is observed empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Appends `item` classified into `band`.  Lock-free; any thread.
-    pub fn push(&self, band: usize, item: T) {
-        debug_assert!(band < BANDS);
-        self.inner.push((band, item));
-    }
-
-    /// Publishes a whole (possibly mixed-band) batch with one CAS; see
-    /// [`Injector::push_batch`].
-    pub fn push_batch(&self, items: impl IntoIterator<Item = (usize, T)>) {
-        self.inner.push_batch(items);
-    }
-
-    /// Atomically takes the whole backlog in arrival order.
-    pub fn drain(&self) -> Vec<(usize, T)> {
-        self.inner.drain()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1149,11 +1086,11 @@ mod tests {
     }
 
     #[test]
-    fn banded_injector_batch_keeps_arrival_order() {
-        let q = BandedInjector::new();
-        q.push(0, 'a');
+    fn injector_mixed_band_batch_keeps_arrival_order() {
+        let q = Injector::new();
+        q.push((0, 'a'));
         q.push_batch([(3, 'b'), (1, 'c'), (3, 'd')]);
-        q.push(2, 'e');
+        q.push((2, 'e'));
         assert_eq!(q.len(), 5);
         assert_eq!(
             q.drain(),

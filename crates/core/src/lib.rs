@@ -15,9 +15,10 @@
 //!   recycled when it determines.
 //! * [`vp::Vp`] — a virtual processor: the thread-controller loop plus
 //!   a [`pm::PolicyManager`].  Different VPs of one machine
-//!   can run different policies.  FIFO/LIFO policies get a lock-free
-//!   [`deque`]-based ready queue (the scheduler fast path); everything
-//!   else runs through the locked policy tier (see
+//!   can run different policies.  The shipped per-VP policies hand their
+//!   ready queue to the substrate, which keeps it on the lock-free
+//!   [`deque`] tier (the scheduler fast path); a manager that keeps its
+//!   own queue is called under the policy lock (see
 //!   [`pm::PolicyManager::queue_kind`]).
 //! * [`Vm`] — a set of VPs sharing counters, timers and a root
 //!   [`ThreadGroup`].

@@ -125,8 +125,8 @@ impl RunItem {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BandMap {
-    /// Every item lands in band 0 — the single-level discipline FIFO and
-    /// LIFO policies use (the default).
+    /// Every item lands in band 0, whatever its priority — the
+    /// single-level discipline FIFO and LIFO policies use (the default).
     #[default]
     Single,
     /// Higher priority value ⇒ higher band, clamped into `0..BANDS`
@@ -205,24 +205,24 @@ pub struct DequeCaps {
     pub bands: BandMap,
 }
 
-/// Which tier of the two-tier scheduler serves a VP's ready queue (see
-/// DESIGN.md, "Scheduler fast path").
+/// Who keeps a VP's ready queue (see DESIGN.md, "Scheduler fast path").
 ///
 /// Policies whose dispatch order is expressible as *bands served
 /// highest-first, FIFO or LIFO within a band* — the shipped FIFO, LIFO,
-/// priority and deadline policies all are, via [`BandMap`] — opt into the
-/// lock-free [`MultiDeque`](crate::deque::MultiDeque) tier; everything
-/// else (global queues, custom orders) keeps the fully general locked
-/// [`PolicyManager`] path.  The choice is made once, when the
-/// [`crate::vp::Vp`] is constructed.
+/// priority and deadline policies all are, via [`BandMap`] — hand the
+/// queue to the substrate, which keeps it on the VP's lock-free
+/// [`MultiDeque`](crate::deque::MultiDeque); everything else (global
+/// queues, custom orders) keeps its own queue and is called under the
+/// VP's policy lock, the fully general [`PolicyManager`] path.  The choice
+/// is made once, when the [`crate::vp::Vp`] is constructed.
 ///
 /// # Examples
 ///
 /// ```
-/// use sting_core::policies;
+/// use sting_core::policies::{self, GlobalQueue};
 /// use sting_core::VmBuilder;
 ///
-/// // Priority policies ride the lock-free banded tier by default …
+/// // Every `LocalQueue` order is kept by the substrate …
 /// let vm = VmBuilder::new()
 ///     .vps(1)
 ///     .policy(|_| policies::priority_high().boxed())
@@ -230,22 +230,20 @@ pub struct DequeCaps {
 /// assert!(vm.vp(0).unwrap().lock_free_queue());
 /// vm.shutdown();
 ///
-/// // … and `.locked(true)` is the explicit opt-out (A/B benchmarking).
-/// let vm = VmBuilder::new()
-///     .vps(1)
-///     .policy(|_| policies::priority_high().locked(true).boxed())
-///     .build();
+/// // … and a queue shared by every VP is kept by its manager.
+/// let q = GlobalQueue::fifo();
+/// let vm = VmBuilder::new().vps(1).policy(move |_| q.policy()).build();
 /// assert!(!vm.vp(0).unwrap().lock_free_queue());
 /// vm.shutdown();
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// Every enqueue/dequeue goes through the policy manager under the
-    /// VP's policy lock (the fully general path; the default).
+    /// The manager keeps the queue: every enqueue/dequeue goes through it
+    /// under the VP's policy lock (the fully general path; the default).
     Policy,
-    /// Enqueues/dequeues use the per-VP banded Chase–Lev deques; the
-    /// policy manager is consulted only for placement (`choose_vp`) and
-    /// hints.
+    /// The substrate keeps the queue on the per-VP banded Chase–Lev
+    /// deques; the policy manager is consulted only for placement
+    /// (`choose_vp`), the idle hook and hints.
     Deque(DequeCaps),
 }
 
@@ -348,9 +346,9 @@ pub trait PolicyManager: Send {
         None
     }
 
-    /// Declares which scheduler tier should serve this policy's ready
-    /// queue.  Consulted once, when the VP is built; the default keeps the
-    /// fully general locked path, so existing policies are unaffected.
+    /// Declares who keeps this policy's ready queue.  Consulted once, when
+    /// the VP is built; the default is the manager itself, called under
+    /// the policy lock, so a policy that says nothing keeps full control.
     ///
     /// A policy that returns [`QueueKind::Deque`] gives up per-item
     /// control: `get_next_thread`, `enqueue_thread` and `offer_migration`

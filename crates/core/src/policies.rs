@@ -20,13 +20,13 @@
 //! is earliest-deadline-first.
 //!
 //! The *serialization* dimension is decided by
-//! [`PolicyManager::queue_kind`]: every [`LocalQueue`] order is served by
-//! the lock-free [`crate::deque`] tier — FIFO/LIFO on a single band,
-//! priority and deadline orders on the banded
-//! [`MultiDeque`](crate::deque::MultiDeque) via a
-//! [`BandMap`] (opt out with [`LocalQueue::locked`]);
-//! [`GlobalQueue`] and custom policies run under the VP's policy lock.
-//! See DESIGN.md, "Scheduler fast path".
+//! [`PolicyManager::queue_kind`].  A [`LocalQueue`] holds no queue: it
+//! declares an order, and the substrate keeps the items on the VP's
+//! lock-free banded [`MultiDeque`](crate::deque::MultiDeque) — FIFO and
+//! LIFO in band 0, priority and deadline orders spread over the bands by a
+//! [`BandMap`].  [`GlobalQueue`] keeps its own queue, as user-written
+//! policies do, and is called under the VP's policy lock.  See DESIGN.md,
+//! "Scheduler fast path".
 //!
 //! All of these are ordinary implementations of
 //! [`crate::pm::PolicyManager`] — applications are free to
@@ -35,7 +35,7 @@
 use crate::pm::{BandMap, DequeCaps, EnqueueState, PolicyManager, QueueKind, RunItem};
 use crate::vp::Vp;
 use parking_lot::Mutex;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -55,118 +55,26 @@ pub enum QueueOrder {
     PriorityLow,
 }
 
-struct Ranked {
-    key: i64,
-    seq: u64,
-    item: RunItem,
-}
-
-impl PartialEq for Ranked {
-    fn eq(&self, other: &Ranked) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl Eq for Ranked {}
-impl PartialOrd for Ranked {
-    fn partial_cmp(&self, other: &Ranked) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ranked {
-    fn cmp(&self, other: &Ranked) -> std::cmp::Ordering {
-        // Max-heap on key, FIFO (lowest seq first) among equals.
-        (self.key, std::cmp::Reverse(self.seq)).cmp(&(other.key, std::cmp::Reverse(other.seq)))
-    }
-}
-
-enum Store {
-    Deque(VecDeque<RunItem>),
-    Heap(BinaryHeap<Ranked>),
-}
-
-impl Store {
-    fn new(order: QueueOrder) -> Store {
-        match order {
-            QueueOrder::Fifo | QueueOrder::Lifo => Store::Deque(VecDeque::new()),
-            _ => Store::Heap(BinaryHeap::new()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Store::Deque(d) => d.len(),
-            Store::Heap(h) => h.len(),
-        }
-    }
-
-    fn push(&mut self, order: QueueOrder, seq: u64, item: RunItem) {
-        match self {
-            Store::Deque(d) => d.push_back(item),
-            Store::Heap(h) => {
-                let p = i64::from(item.priority());
-                let key = match order {
-                    QueueOrder::PriorityHigh => p,
-                    _ => -p,
-                };
-                h.push(Ranked { key, seq, item });
-            }
-        }
-    }
-
-    fn pop(&mut self, order: QueueOrder) -> Option<RunItem> {
-        match self {
-            Store::Deque(d) => match order {
-                QueueOrder::Fifo => d.pop_front(),
-                _ => d.pop_back(),
-            },
-            Store::Heap(h) => h.pop().map(|r| r.item),
-        }
-    }
-
-    /// Removes a migration candidate from the "cold" end: the opposite end
-    /// of the owner's pop for deques, the top for heaps.  Only fresh
-    /// threads are taken unless `tcbs_ok`.
-    fn steal(&mut self, order: QueueOrder, tcbs_ok: bool) -> Option<RunItem> {
-        match self {
-            Store::Deque(d) => {
-                let idx = match order {
-                    // Owner pops front; thief scans from the back.
-                    QueueOrder::Fifo => (0..d.len()).rev().find(|&i| tcbs_ok || d[i].is_fresh()),
-                    // Owner pops back; thief scans from the front.
-                    _ => (0..d.len()).find(|&i| tcbs_ok || d[i].is_fresh()),
-                }?;
-                d.remove(idx)
-            }
-            Store::Heap(h) => {
-                if !tcbs_ok && !h.peek().map(|r| r.item.is_fresh()).unwrap_or(false) {
-                    return None;
-                }
-                h.pop().map(|r| r.item)
-            }
-        }
-    }
-}
-
 /// A per-VP ready queue (the *local* locality class).
+///
+/// A `LocalQueue` is a declaration — dispatch order, whether work may
+/// leave for idle siblings and which, where forks are placed — that
+/// [`PolicyManager::queue_kind`] hands to the VP; the items themselves
+/// live on the VP's lock-free deque tier, so `get_next_thread` and
+/// `enqueue_thread` are never called.
+///
+/// It holds no items of its own, so it cannot serve as the inner queue of
+/// a user-written manager: a wrapper that delegates to a `LocalQueue`
+/// while keeping the default [`QueueKind::Policy`] panics on its first
+/// enqueue.  Forward `queue_kind` too, or keep a queue in the wrapper (see
+/// `tests/custom_policy.rs`).
+#[derive(Debug)]
 pub struct LocalQueue {
     order: QueueOrder,
-    store: Store,
-    seq: u64,
     migrating: bool,
     migrate_tcbs: bool,
     place_round_robin: bool,
     next_place: usize,
-    locked: bool,
-}
-
-impl std::fmt::Debug for LocalQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalQueue")
-            .field("order", &self.order)
-            .field("len", &self.store.len())
-            .field("migrating", &self.migrating)
-            .finish()
-    }
 }
 
 impl LocalQueue {
@@ -174,13 +82,10 @@ impl LocalQueue {
     pub fn new(order: QueueOrder) -> LocalQueue {
         LocalQueue {
             order,
-            store: Store::new(order),
-            seq: 0,
             migrating: false,
             migrate_tcbs: false,
             place_round_robin: false,
             next_place: 0,
-            locked: false,
         }
     }
 
@@ -206,15 +111,6 @@ impl LocalQueue {
         self
     }
 
-    /// Forces this queue onto the locked policy tier even when its order
-    /// is deque-able (see [`PolicyManager::queue_kind`]).  Useful for A/B
-    /// comparison (the steal-throughput shape bench) and for debugging the
-    /// fast path against the reference implementation.
-    pub fn locked(mut self, yes: bool) -> LocalQueue {
-        self.locked = yes;
-        self
-    }
-
     /// Boxes the policy for [`VmBuilder::policy`](crate::builder::VmBuilder::policy).
     pub fn boxed(self) -> Box<dyn PolicyManager> {
         Box::new(self)
@@ -223,12 +119,11 @@ impl LocalQueue {
 
 impl PolicyManager for LocalQueue {
     fn get_next_thread(&mut self, _vp: &Vp) -> Option<RunItem> {
-        self.store.pop(self.order)
+        None
     }
 
-    fn enqueue_thread(&mut self, _vp: &Vp, item: RunItem, _state: EnqueueState) {
-        self.seq += 1;
-        self.store.push(self.order, self.seq, item);
+    fn enqueue_thread(&mut self, _vp: &Vp, _item: RunItem, _state: EnqueueState) {
+        unreachable!("a LocalQueue's items are kept by the VP's deque tier");
     }
 
     fn choose_vp(&mut self, vp: &Vp) -> usize {
@@ -257,21 +152,9 @@ impl PolicyManager for LocalQueue {
         None
     }
 
-    fn offer_migration(&mut self, _vp: &Vp) -> Option<RunItem> {
-        if !self.migrating {
-            return None;
-        }
-        self.store.steal(self.order, self.migrate_tcbs)
-    }
-
     fn queue_kind(&self) -> QueueKind {
-        // `.locked(true)` is the explicit opt-out for A/B comparison.
-        if self.locked {
-            return QueueKind::Policy;
-        }
         QueueKind::Deque(DequeCaps {
-            // Priority orders dispatch FIFO within a band, matching the
-            // heap's FIFO-among-equals tie-break.
+            // Priority orders dispatch FIFO within a band.
             fifo: self.order != QueueOrder::Lifo,
             steal: self.migrating,
             steal_tcbs: self.migrate_tcbs,
@@ -284,7 +167,7 @@ impl PolicyManager for LocalQueue {
     }
 
     fn len(&self) -> usize {
-        self.store.len()
+        0
     }
 
     fn name(&self) -> &'static str {
@@ -299,55 +182,50 @@ impl PolicyManager for LocalQueue {
     }
 }
 
-/// A queue shared by all VPs of a machine (the *global* locality class).
+/// A queue shared by all VPs of a machine (the *global* locality class),
+/// oldest-first or newest-first.  The manager keeps the queue itself, so
+/// its VPs run on the policy tier.
 ///
 /// Clone one handle per VP via [`GlobalQueue::policy`]:
 ///
 /// ```
-/// use sting_core::policies::{GlobalQueue, QueueOrder};
+/// use sting_core::policies::GlobalQueue;
 /// use sting_core::VmBuilder;
 ///
-/// let q = GlobalQueue::shared(QueueOrder::Fifo);
+/// let q = GlobalQueue::fifo();
 /// let vm = VmBuilder::new()
 ///     .vps(2)
 ///     .policy(move |_vp| q.policy())
 ///     .build();
 /// assert_eq!(vm.vp(0).unwrap().policy_name(), "global-fifo");
+/// assert!(!vm.vp(0).unwrap().lock_free_queue());
 /// vm.shutdown();
 /// ```
+#[derive(Debug, Clone)]
 pub struct GlobalQueue {
-    order: QueueOrder,
-    inner: Arc<Mutex<(Store, u64)>>,
+    fifo: bool,
+    queue: Arc<Mutex<VecDeque<RunItem>>>,
     next_place: Arc<AtomicUsize>,
 }
 
-impl Clone for GlobalQueue {
-    fn clone(&self) -> GlobalQueue {
-        GlobalQueue {
-            order: self.order,
-            inner: self.inner.clone(),
-            next_place: self.next_place.clone(),
-        }
-    }
-}
-
-impl std::fmt::Debug for GlobalQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GlobalQueue")
-            .field("order", &self.order)
-            .field("len", &self.inner.lock().0.len())
-            .finish()
-    }
-}
-
 impl GlobalQueue {
-    /// Creates the shared queue; clone the handle into each VP's policy.
-    pub fn shared(order: QueueOrder) -> GlobalQueue {
+    fn shared(fifo: bool) -> GlobalQueue {
         GlobalQueue {
-            order,
-            inner: Arc::new(Mutex::new((Store::new(order), 0))),
-            next_place: Arc::new(AtomicUsize::new(0)),
+            fifo,
+            queue: Arc::default(),
+            next_place: Arc::default(),
         }
+    }
+
+    /// Creates the shared queue, dispatching oldest-first; clone the
+    /// handle into each VP's policy.
+    pub fn fifo() -> GlobalQueue {
+        GlobalQueue::shared(true)
+    }
+
+    /// Creates the shared queue, dispatching newest-first.
+    pub fn lifo() -> GlobalQueue {
+        GlobalQueue::shared(false)
     }
 
     /// A boxed per-VP policy backed by this shared queue.
@@ -358,15 +236,16 @@ impl GlobalQueue {
 
 impl PolicyManager for GlobalQueue {
     fn get_next_thread(&mut self, _vp: &Vp) -> Option<RunItem> {
-        let mut g = self.inner.lock();
-        g.0.pop(self.order)
+        let mut queue = self.queue.lock();
+        if self.fifo {
+            queue.pop_front()
+        } else {
+            queue.pop_back()
+        }
     }
 
     fn enqueue_thread(&mut self, _vp: &Vp, item: RunItem, _state: EnqueueState) {
-        let mut g = self.inner.lock();
-        g.1 += 1;
-        let seq = g.1;
-        g.0.push(self.order, seq, item);
+        self.queue.lock().push_back(item);
     }
 
     fn choose_vp(&mut self, vp: &Vp) -> usize {
@@ -377,15 +256,14 @@ impl PolicyManager for GlobalQueue {
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().0.len()
+        self.queue.lock().len()
     }
 
     fn name(&self) -> &'static str {
-        match self.order {
-            QueueOrder::Fifo => "global-fifo",
-            QueueOrder::Lifo => "global-lifo",
-            QueueOrder::PriorityHigh => "global-priority-high",
-            QueueOrder::PriorityLow => "global-priority-low",
+        if self.fifo {
+            "global-fifo"
+        } else {
+            "global-lifo"
         }
     }
 }

@@ -27,8 +27,9 @@
 //! [`PolicyManager`](crate::pm::PolicyManager) *where* work should go
 //! ([`PolicyManager::choose_vp`](crate::pm::PolicyManager::choose_vp) on
 //! fork), then hand the item to that VP's ready queue — the lock-free
-//! [`deque`](crate::deque) tier for FIFO/LIFO policies, the locked policy
-//! tier otherwise (see
+//! [`deque`](crate::deque) tier when the substrate keeps it (every shipped
+//! per-VP policy), the manager's own queue under the policy lock otherwise
+//! (see
 //! [`PolicyManager::queue_kind`](crate::pm::PolicyManager::queue_kind) and
 //! DESIGN.md, "Scheduler fast path").
 //!

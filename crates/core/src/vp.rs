@@ -10,31 +10,34 @@
 //! ([`crate::machine::PhysicalMachine`] worker OS threads) the same way
 //! threads are multiplexed on VPs.
 //!
-//! ## The two-tier ready queue
+//! ## Who keeps the ready queue
 //!
-//! The VP's ready queue is served by one of two tiers, chosen at
-//! construction from [`PolicyManager::queue_kind`]:
+//! The paper's §3.3 lets a policy manager keep "the queue of evaluating
+//! threads locally", so that no lock guards it.  A VP's ready queue is
+//! kept by one of two parties, chosen at construction from
+//! [`PolicyManager::queue_kind`]:
 //!
-//! * **Deque tier** (FIFO/LIFO *and* priority/deadline policies): a
-//!   lock-free banded [`MultiDeque`] the owning worker pushes and pops
-//!   without locks, plus a [`BandedInjector`] for submissions from other
-//!   threads.  Items are banded once at enqueue time by the policy's
-//!   [`BandMap`](crate::pm::BandMap); pop and steal serve the highest
-//!   non-empty band first (one atomic bitmask read), FIFO or LIFO within
-//!   a band.  Idle sibling VPs steal from a band's cold end with one CAS
-//!   — the paper's §3.3 "lock-free queue of evaluating threads".  The
-//!   policy manager is still consulted for placement (`choose_vp`) and
-//!   the idle hook (`vp_idle`); it just no longer sees per-item traffic.
-//! * **Policy tier** (global queues, custom policies, or any policy built
-//!   with `.locked(true)`): every operation goes through the policy
-//!   manager under the VP's policy lock — the fully general path, and the
-//!   pre-deque behaviour.
+//! * **The substrate** (every [`LocalQueue`](crate::policies::LocalQueue)
+//!   order: FIFO, LIFO, priority, deadline): a lock-free banded
+//!   [`MultiDeque`] the owning worker pushes and pops without locks, plus
+//!   an [`Injector`] for submissions from other threads.  Items are
+//!   banded once at enqueue time by the policy's
+//!   [`BandMap`](crate::pm::BandMap) — FIFO and LIFO put everything in
+//!   band 0; pop and steal serve the highest non-empty band first (one
+//!   atomic bitmask read), FIFO or LIFO within a band.  Idle sibling VPs
+//!   steal from a band's cold end with one CAS.  The policy manager is
+//!   still consulted for placement (`choose_vp`) and the idle hook
+//!   (`vp_idle`); it just no longer sees per-item traffic.
+//! * **The manager** ([`GlobalQueue`](crate::policies::GlobalQueue) and
+//!   user-written policies): every operation goes through the policy
+//!   manager's own queue under the VP's policy lock — the fully general
+//!   path.
 //!
 //! See DESIGN.md, "Scheduler fast path", for the memory-ordering argument
 //! and the paper-operation-to-tier mapping.
 
 use crate::counters::Counters;
-use crate::deque::{BandedInjector, MultiDeque, Steal};
+use crate::deque::{Injector, MultiDeque, Steal};
 use crate::pad::CachePadded;
 use crate::pm::{DequeCaps, EnqueueState, PolicyManager, QueueKind, RunItem};
 use crate::probe::{self, Probe};
@@ -49,29 +52,30 @@ use std::sync::{Arc, Weak};
 use sting_context::fiber::FiberResult;
 use sting_context::{Fiber, StackPool};
 
-/// The lock-free tier of a VP's ready queue (see DESIGN.md, "Scheduler
-/// fast path").  Present iff the VP's policy opted in via
+/// The substrate-kept ready queue of a VP (see DESIGN.md, "Scheduler fast
+/// path").  Present iff the VP's policy opted in via
 /// [`PolicyManager::queue_kind`].
 ///
 /// The [`MultiDeque`] is owner-operated: only the worker driving this VP
 /// (the holder of `owner`) pushes and pops it.  Every other thread — host
 /// forks, cross-VP wake-ups, the timekeeper — submits through the
-/// [`BandedInjector`]; the owner folds the injector into the deque at
-/// each dequeue, which restores arrival order within each band and makes
-/// the items stealable.  An item's band is computed exactly once, at
-/// submission, from the policy's [`BandMap`](crate::pm::BandMap) — the
-/// same moment the locked tier's heap computes its sort key.
+/// [`Injector`]; the owner folds the injector into the deque at each
+/// dequeue, which restores arrival order within each band and makes the
+/// items stealable.  An item's band is computed exactly once, at
+/// submission, from the policy's [`BandMap`](crate::pm::BandMap), and
+/// travels through the injector beside the item.
 ///
-/// Policies that declared [`BandMap::Single`](crate::pm::BandMap) bypass
-/// the banded machinery entirely: every operation runs on the band-0
-/// [`Deque`](crate::deque::Deque) via [`MultiDeque::band0`], so FIFO/LIFO
-/// queues never read a priority or touch the occupancy word.
+/// Every policy runs this one path.  A FIFO or LIFO policy is the banded
+/// queue with every item in band 0: its push reads the occupancy word and
+/// finds band 0's bit set, its pop reads the word and goes to band 0, and
+/// the word is written only when the queue goes from empty to non-empty
+/// or back.
 struct FastQueue {
     caps: DequeCaps,
     deque: MultiDeque<RunItem>,
     /// Padded: remote submitters write its head, and the owner's every
     /// dequeue reads it — it must not drag `caps` or a buffer pointer along.
-    injector: CachePadded<BandedInjector<RunItem>>,
+    injector: CachePadded<Injector<(usize, RunItem)>>,
 }
 
 impl FastQueue {
@@ -79,26 +83,19 @@ impl FastQueue {
         FastQueue {
             caps,
             deque: MultiDeque::new(),
-            injector: CachePadded(BandedInjector::new()),
+            injector: CachePadded(Injector::new()),
         }
-    }
-
-    /// Whether the policy declared a single band, in which case every
-    /// queue operation bypasses the occupancy word and runs on the plain
-    /// band-0 Chase–Lev deque — byte for byte the pre-banded fast path.
-    /// A single-band policy pays nothing for the bands it does not use.
-    fn single(&self) -> bool {
-        matches!(self.caps.bands, crate::pm::BandMap::Single)
     }
 
     /// The band a thread of this priority dispatches from, per the
-    /// policy's declared map.  Single-band policies (FIFO/LIFO) never read
-    /// the thread's priority.
+    /// policy's declared map.
     fn band_of(&self, thread: &Thread) -> usize {
-        match self.caps.bands {
-            crate::pm::BandMap::Single => 0,
-            map => map.band(thread.priority()),
-        }
+        self.caps.bands.band(thread.priority())
+    }
+
+    /// Items queued, submitted ones included (a relaxed snapshot).
+    fn len(&self) -> usize {
+        self.deque.len() + self.injector.len()
     }
 
     /// Owner-side push.  A fresh thread's slot word carries the tag bit
@@ -106,42 +103,29 @@ impl FastQueue {
     /// no-TCB-migration policy can decline parked items without claiming
     /// them (see [`MultiDeque::steal`]).
     fn push(&self, item: RunItem) {
-        if self.single() {
-            self.deque.band0().push(item);
-        } else {
-            self.deque.push(self.band_of(item.thread()), item);
-        }
+        self.deque.push(self.band_of(item.thread()), item);
+    }
+
+    /// Submission from any thread but the owner: one CAS.
+    fn inject(&self, item: RunItem) {
+        self.injector.push((self.band_of(item.thread()), item));
+    }
+
+    /// [`FastQueue::inject`] for many items, still one CAS
+    /// ([`Injector::push_batch`]); arrival order is kept within each band.
+    fn inject_batch(&self, items: Vec<RunItem>) {
+        self.injector
+            .push_batch(items.into_iter().map(|it| (self.band_of(it.thread()), it)));
     }
 
     /// Owner-side dequeue: fold in remote submissions, then take from the
     /// highest non-empty band, at the end the policy's discipline
     /// dictates.
     fn pop(&self) -> Option<RunItem> {
-        if self.single() {
-            for (_, item) in self.injector.drain() {
-                self.deque.band0().push(item);
-            }
-            if self.caps.fifo {
-                self.deque.band0().steal_retrying()
-            } else {
-                self.deque.band0().pop()
-            }
-        } else {
-            for (band, item) in self.injector.drain() {
-                self.deque.push(band, item);
-            }
-            self.deque.pop(self.caps.fifo)
+        for (band, item) in self.injector.drain() {
+            self.deque.push(band, item);
         }
-    }
-
-    /// Owner-side conditional pop at the bottom of `band` (see
-    /// [`Deque::pop_if`](crate::deque::Deque::pop_if)).
-    fn pop_if(&self, band: usize, matches: impl FnOnce(usize) -> bool) -> Option<RunItem> {
-        if self.single() {
-            self.deque.band0().pop_if(matches)
-        } else {
-            self.deque.pop_if(band, matches)
-        }
+        self.deque.pop(self.caps.fifo)
     }
 
     /// Pop-on-join, first half: removes `thread`'s entry if it is the
@@ -149,7 +133,10 @@ impl FastQueue {
     /// after its fork sits.  **Owner only.**
     fn take_entry(&self, thread: &Arc<Thread>) {
         let entry = RunItem::fresh_word(thread);
-        drop(self.pop_if(self.band_of(thread), |word| word == entry));
+        drop(
+            self.deque
+                .pop_if(self.band_of(thread), |word| word == entry),
+        );
     }
 
     /// Pop-on-join, second half: drops the fresh entries at the bottom of
@@ -158,35 +145,29 @@ impl FastQueue {
     /// stopping at the first live one.  **Owner only.**
     fn reap_dead(&self, thread: &Thread) {
         let band = self.band_of(thread);
-        while let Some(item) = self.pop_if(band, |word| word & 1 == 1) {
+        while let Some(item) = self.deque.pop_if(band, |word| word & 1 == 1) {
             if !item.is_dead() {
-                self.push(item);
+                self.deque.push(band, item);
                 break;
             }
         }
     }
 
-    /// Thief-side steal, dispatching to the band-aware scan or the plain
-    /// band-0 deque per the policy's declared band map.
-    fn steal(&self, tagged_only: bool) -> Steal<RunItem> {
-        if self.single() {
-            if tagged_only {
-                self.deque.band0().steal_tagged()
-            } else {
-                self.deque.band0().steal()
-            }
-        } else {
-            self.deque.steal(tagged_only)
+    /// Thief-side: gives up one item that can still run, if the policy
+    /// lets work leave this VP at all — from the cold (oldest) end of the
+    /// highest band holding something eligible.  When TCBs must stay home
+    /// only a fresh-tagged top item may be taken; the tag check needs no
+    /// claim, so declining a parked item leaves the queue untouched and
+    /// the scan moves on to the next lower band.  Entries whose thread a
+    /// toucher has absorbed are dropped on the way — they are garbage, not
+    /// work.  `None` when the deque is observed empty, holds nothing
+    /// eligible, or a claim is contended.
+    fn surrender(&self) -> Option<RunItem> {
+        if !self.caps.steal {
+            return None;
         }
-    }
-
-    /// Thief-side steal of something that can still run: entries whose
-    /// thread a toucher has absorbed are dropped on the way — they are
-    /// garbage, not work, and nothing migrates.  `None` once the deque is
-    /// observed empty, holds nothing eligible, or a claim is contended.
-    fn steal_live(&self) -> Option<RunItem> {
         loop {
-            match self.steal(!self.caps.steal_tcbs) {
+            match self.deque.steal(!self.caps.steal_tcbs) {
                 Steal::Success(item) if item.is_dead() => {}
                 Steal::Success(item) => return Some(item),
                 Steal::Empty | Steal::Retry => return None,
@@ -194,14 +175,45 @@ impl FastQueue {
         }
     }
 
-    /// [`FastQueue::steal`], retried until it yields an item or observes
-    /// the queue empty.
-    fn steal_retrying(&self) -> Option<RunItem> {
-        if self.single() {
-            self.deque.band0().steal_retrying()
-        } else {
-            self.deque.steal_retrying(false)
+    /// Thief-side rescue, for when [`FastQueue::surrender`] gave nothing:
+    /// remote submissions may be backed up in the injector while the owner
+    /// is stuck in a long quantum, never folding them in.  Takes the
+    /// highest-band eligible item (oldest within its band — the order the
+    /// owner would dispatch) and re-injects the rest in one CAS.  Declines,
+    /// like `surrender`, when the policy keeps its work home.
+    fn rescue(&self, vm: &Vm) -> Option<RunItem> {
+        if !self.caps.steal {
+            return None;
         }
+        let mut backlog = self.injector.drain();
+        // First occurrence at a strictly higher band wins, so ties keep
+        // arrival (FIFO-within-band) order, and a high-band parked TCB
+        // never loses to a low-band fresh thread when TCBs may migrate.
+        let mut best: Option<(usize, usize)> = None; // (index, band)
+        for (i, (band, it)) in backlog.iter().enumerate() {
+            if (self.caps.steal_tcbs || it.is_fresh())
+                && !it.is_dead()
+                && best.is_none_or(|(_, b)| *band > b)
+            {
+                best = Some((i, *band));
+            }
+        }
+        let chosen = best.map(|(i, _)| backlog.remove(i).1);
+        if !backlog.is_empty() {
+            self.injector.push_batch(backlog);
+            // The original submission signals were consumed; re-arm so the
+            // returned work is not stranded.
+            vm.signal_work();
+        }
+        chosen
+    }
+
+    /// Everything queued, submitted or not.  Thief-side, so safe from any
+    /// thread; every owner push has published its band's occupancy bit by
+    /// the time it returns, so the steal scan misses nothing.
+    fn drain(&self) -> impl Iterator<Item = RunItem> + '_ {
+        let submitted = self.injector.drain().into_iter().map(|(_, it)| it);
+        submitted.chain(std::iter::from_fn(|| self.deque.steal_retrying(false)))
     }
 }
 
@@ -243,7 +255,8 @@ struct Owned {
 pub struct Vp {
     index: usize,
     vm: Weak<Vm>,
-    /// Lock-free ready queue; `None` for policies on the locked tier.
+    /// Substrate-kept ready queue; `None` when the policy manager keeps
+    /// its own.
     fast: Option<FastQueue>,
     owned: CachePadded<Owned>,
 }
@@ -316,14 +329,14 @@ impl Vp {
     /// Number of items in this VP's ready set.
     pub fn queue_len(&self) -> usize {
         match &self.fast {
-            Some(fq) => fq.deque.len() + fq.injector.len(),
+            Some(fq) => fq.len(),
             None => self.pm().len(),
         }
     }
 
-    /// Whether this VP's ready queue is served by the lock-free deque tier
-    /// (see [`PolicyManager::queue_kind`]) rather than the locked policy
-    /// path.
+    /// Whether the substrate keeps this VP's ready queue, on the lock-free
+    /// deque tier, rather than its policy manager, under the policy lock
+    /// (see [`PolicyManager::queue_kind`]).
     pub fn lock_free_queue(&self) -> bool {
         self.fast.is_some()
     }
@@ -344,7 +357,9 @@ impl Vp {
     /// taken on the victim at all; a lost CAS race counts as contention.
     /// When the policy forbids TCB migration, a parked item at a band's
     /// top is declined *without claiming it*, and the scan falls through
-    /// to lower bands.  On the locked tier the policy's
+    /// to lower bands.  A deque that yields nothing sends the thief to the
+    /// victim's injector, where submissions wait for an owner that may be
+    /// deep in a long quantum.  On the policy tier the manager's
     /// [`PolicyManager::offer_migration`] is asked under `try_lock`, so
     /// concurrent idle VPs never deadlock on each other's policy locks.
     ///
@@ -360,89 +375,31 @@ impl Vp {
         if self.index == thief.index() {
             return None;
         }
-        let vm = self.vm.upgrade();
+        let vm = self.vm.upgrade()?;
         // Steal latency covers the whole successful offer (queue CAS or
         // policy consultation + hand-off bookkeeping), timed on the thief.
-        let steal_t0 = vm
-            .as_ref()
-            .and_then(|vm| vm.metrics().steal_begin(thief.index()));
-        let item = if let Some(fq) = &self.fast {
-            if !fq.caps.steal {
-                return None;
+        let steal_t0 = vm.metrics().steal_begin(thief.index());
+        let item = match &self.fast {
+            Some(fq) => fq.surrender().or_else(|| fq.rescue(&vm))?,
+            None => {
+                let mut pm = self.owned.pm.try_lock()?;
+                pm.offer_migration(self).filter(|item| !item.is_dead())?
             }
-            // When TCBs must stay home, only a fresh-tagged top item may
-            // be taken; the tag check needs no claim, so declining a
-            // parked item leaves the victim's queue untouched (and the
-            // scan moves on to the next lower band).
-            match fq.steal_live() {
-                Some(item) => item,
-                None => {
-                    // The deque gave nothing — but remote submissions may
-                    // be backed up in the injector, and the owner could be
-                    // stuck in a long quantum, never folding them in.  The
-                    // locked tier could always surrender such work, so
-                    // rescue it here: take the highest-band eligible item
-                    // (oldest within its band — the same order the owner
-                    // would dispatch), re-inject the rest in one CAS.
-                    let backlog = fq.injector.drain();
-                    if backlog.is_empty() {
-                        return None;
-                    }
-                    // First occurrence at a strictly-higher band wins, so
-                    // ties keep arrival (FIFO-within-band) order.  The
-                    // eligibility check is band-aware by construction: a
-                    // high-band parked TCB never loses to a low-band fresh
-                    // thread when the policy allows TCB migration.
-                    let mut best: Option<(usize, usize)> = None; // (index, band)
-                    for (i, (band, it)) in backlog.iter().enumerate() {
-                        if (fq.caps.steal_tcbs || it.is_fresh())
-                            && !it.is_dead()
-                            && best.is_none_or(|(_, b)| *band > b)
-                        {
-                            best = Some((i, *band));
-                        }
-                    }
-                    let chosen_at = best.map(|(i, _)| i);
-                    let mut chosen = None;
-                    let mut rest = Vec::with_capacity(backlog.len());
-                    for (i, entry) in backlog.into_iter().enumerate() {
-                        if Some(i) == chosen_at {
-                            chosen = Some(entry.1);
-                        } else {
-                            rest.push(entry);
-                        }
-                    }
-                    if !rest.is_empty() {
-                        fq.injector.push_batch(rest);
-                        // The original submission signals were consumed;
-                        // re-arm so the returned work is not stranded.
-                        if let Some(vm) = &vm {
-                            vm.signal_work();
-                        }
-                    }
-                    chosen?
-                }
-            }
-        } else {
-            let mut pm = self.owned.pm.try_lock()?;
-            pm.offer_migration(self).filter(|item| !item.is_dead())?
         };
         let thread = item.thread();
         thread.home_vp.store(thief.index(), Ordering::Relaxed);
-        if let Some(vm) = vm {
-            if let Some(t0) = steal_t0 {
-                vm.metrics().note_steal(thief.index(), t0);
-            }
-            Counters::bump(&vm.counters().lane(Some(thief.index())).migrations);
-            crate::trace_event!(
-                vm.tracer(),
-                Some(thief.index()),
-                crate::trace::EventKind::Migrate,
-                thread.id().0,
-                self.index,
-                thief.index()
-            );
+        if let Some(t0) = steal_t0 {
+            vm.metrics().note_steal(thief.index(), t0);
         }
+        Counters::bump(&vm.counters().lane(Some(thief.index())).migrations);
+        crate::trace_event!(
+            vm.tracer(),
+            Some(thief.index()),
+            crate::trace::EventKind::Migrate,
+            thread.id().0,
+            self.index,
+            thief.index()
+        );
         Some(item)
     }
 
@@ -452,8 +409,8 @@ impl Vp {
     /// Deque tier: if the calling OS thread is running a thread on this VP
     /// (detected via the scheduler TLS — by identity, since VP indices
     /// collide across VMs), the item goes straight onto the deque; any
-    /// other thread submits through the injector.  Locked tier: the
-    /// policy's [`PolicyManager::enqueue_thread`] under the policy lock.
+    /// other thread submits through the injector.  Policy tier: the
+    /// manager's [`PolicyManager::enqueue_thread`] under the policy lock.
     pub(crate) fn enqueue(&self, vm: &Vm, item: RunItem, state: EnqueueState) {
         let owner = self.fast.is_some() && tls::is_current_vp(self);
         self.enqueue_from(vm, item, state, owner);
@@ -481,8 +438,7 @@ impl Vp {
             if owner {
                 fq.push(item);
             } else {
-                let band = fq.band_of(item.thread());
-                fq.injector.push(band, item);
+                fq.inject(item);
             }
             owner
         } else {
@@ -501,8 +457,8 @@ impl Vp {
     /// Enqueues many items at once — the batched-wake fast path used by
     /// [`WaitList::wake_all`](crate::wait::WaitList) sweeps (broadcast,
     /// barrier release).  Deque tier: all items are published with a
-    /// *single* injector CAS ([`BandedInjector::push_batch`]), preserving
-    /// arrival order within each band; locked tier: one policy-lock
+    /// *single* injector CAS ([`Injector::push_batch`]), preserving
+    /// arrival order within each band; policy tier: one policy-lock
     /// acquisition covers the whole batch.  Either way the machine is
     /// signalled once, not `n` times.
     ///
@@ -525,8 +481,7 @@ impl Vp {
             );
         }
         if let Some(fq) = &self.fast {
-            fq.injector
-                .push_batch(items.into_iter().map(|it| (fq.band_of(it.thread()), it)));
+            fq.inject_batch(items);
         } else {
             let mut pm = self.pm();
             for item in items {
@@ -539,7 +494,7 @@ impl Vp {
     /// Pop-on-join, called by a toucher on this VP that has just claimed
     /// `thread` to run it inline: takes the thread's ready-queue entry with
     /// it if that entry is the newest one (see [`FastQueue::take_entry`]).
-    /// Locked-tier queues keep their dead entries until dispatch.
+    /// Policy-tier queues keep their dead entries until dispatch.
     ///
     /// The caller must be a thread running on this VP — which makes it
     /// the deque's owner for the duration of the call.
@@ -658,27 +613,16 @@ impl Vp {
     /// steal protocol on the VP's own deque — claiming from the cold end,
     /// exactly the item an in-shard thief would take, so the owner/thief
     /// CASes arbitrate correctly even though the caller is the owning
-    /// worker.  Locked-tier VPs never surrender.
+    /// worker.  Policy-tier VPs never surrender.
     pub(crate) fn surrender_for_fleet(&self) -> Option<RunItem> {
-        let fq = self.fast.as_ref()?;
-        if !fq.caps.steal {
-            return None;
-        }
-        fq.steal_live()
+        self.fast.as_ref()?.surrender()
     }
 
     /// Empties both queue tiers, returning everything that was ready.
     /// Used by [`Vm::drain`](crate::vm::Vm) at shutdown, after the machine
-    /// has quiesced — so no owner or thieves race us (and the deque is
-    /// emptied thief-side, which is safe from any thread regardless).
+    /// has quiesced.
     pub(crate) fn drain_ready(&self) -> Vec<RunItem> {
-        let mut out = Vec::new();
-        if let Some(fq) = &self.fast {
-            out.extend(fq.injector.drain().into_iter().map(|(_, it)| it));
-            while let Some(item) = fq.steal_retrying() {
-                out.push(item);
-            }
-        }
+        let mut out: Vec<RunItem> = self.fast.iter().flat_map(FastQueue::drain).collect();
         let mut pm = self.pm();
         while let Some(item) = pm.get_next_thread(self) {
             out.push(item);

@@ -582,7 +582,7 @@ impl Drop for ParkGuard<'_> {
 /// Waking `n` threads one at a time costs `n` injector CASes and `n`
 /// machine signals; a batch groups the TCBs by destination VP and
 /// publishes each group with **one** CAS
-/// ([`BandedInjector::push_batch`](crate::deque::BandedInjector)) and one
+/// ([`Injector::push_batch`](crate::deque::Injector)) and one
 /// signal.  Arrival order is preserved, so FIFO-within-band dispatch of
 /// the woken set matches the wake order.
 ///

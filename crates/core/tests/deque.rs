@@ -1,7 +1,7 @@
 //! Stress and integration tests for the lock-free scheduler fast path:
-//! the Chase–Lev deque and MPSC injector in `sting_core::deque`, and the
-//! two-tier wiring that puts FIFO/LIFO policies on them (see DESIGN.md,
-//! "Scheduler fast path").
+//! the Chase–Lev deque, the banded `MultiDeque` and the MPSC injector in
+//! `sting_core::deque`, and the wiring that puts every `LocalQueue` order
+//! on them (see DESIGN.md, "Scheduler fast path").
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -285,69 +285,34 @@ fn four_vp_migration_rides_the_lock_free_tier() {
     vm.shutdown();
 }
 
-/// `.locked(true)` pins an otherwise deque-able policy to the reference
-/// locked tier — the A/B escape hatch the steal-throughput bench uses.
+/// Every `LocalQueue` order is kept by the substrate on the banded deque
+/// tier, and is fully functional there.
 #[test]
-fn locked_escape_hatch_stays_on_policy_tier() {
-    let vm = VmBuilder::new()
-        .vps(2)
-        .processors(2)
-        .policy(|_| policies::local_fifo().migrating(true).locked(true).boxed())
-        .build();
-    for vp in vm.vps() {
+fn every_local_queue_order_rides_the_deque_tier() {
+    for order in [
+        policies::local_fifo,
+        policies::local_lifo,
+        policies::priority_high,
+        policies::priority_low,
+    ] {
+        let vm = VmBuilder::new()
+            .vps(1)
+            .processors(1)
+            .policy(move |_| order().boxed())
+            .build();
+        let vp = vm.vp(0).unwrap();
         assert!(
-            !vp.lock_free_queue(),
-            ".locked(true) must force the locked tier"
+            vp.lock_free_queue(),
+            "{} must opt into the banded deque tier",
+            vp.policy_name()
         );
+        let v = vm.run(|cx| {
+            let t = cx.fork(|_| 21i64);
+            cx.wait(&t).unwrap().as_int().unwrap() * 2
+        });
+        assert_eq!(v.unwrap().as_int(), Some(42));
+        vm.shutdown();
     }
-    let total = vm
-        .run(|cx| {
-            let ts: Vec<_> = (0..32i64).map(|i| cx.fork(move |_| i)).collect();
-            ts.iter()
-                .map(|t| cx.wait(t).unwrap().as_int().unwrap())
-                .sum::<i64>()
-        })
-        .unwrap();
-    assert_eq!(total.as_int(), Some((0..32).sum::<i64>()));
-    vm.shutdown();
-}
-
-/// Priority policies ride the banded deque tier by default, and stay
-/// fully functional there; `.locked(true)` remains the policy-tier
-/// opt-out (the heap reference path the bench A/Bs against).
-#[test]
-fn priority_policies_ride_the_deque_tier() {
-    let vm = VmBuilder::new()
-        .vps(1)
-        .processors(1)
-        .policy(|_| policies::priority_high().boxed())
-        .build();
-    assert!(
-        vm.vp(0).unwrap().lock_free_queue(),
-        "priority policies must opt into the banded deque tier"
-    );
-    let v = vm.run(|cx| {
-        let t = cx.fork(|_| 21i64);
-        cx.wait(&t).unwrap().as_int().unwrap() * 2
-    });
-    assert_eq!(v.unwrap().as_int(), Some(42));
-    vm.shutdown();
-
-    let vm = VmBuilder::new()
-        .vps(1)
-        .processors(1)
-        .policy(|_| policies::priority_high().locked(true).boxed())
-        .build();
-    assert!(
-        !vm.vp(0).unwrap().lock_free_queue(),
-        ".locked(true) must keep the heap-backed policy tier"
-    );
-    let v = vm.run(|cx| {
-        let t = cx.fork(|_| 21i64);
-        cx.wait(&t).unwrap().as_int().unwrap() * 2
-    });
-    assert_eq!(v.unwrap().as_int(), Some(42));
-    vm.shutdown();
 }
 
 /// 4 bands × 4 thieves over one `MultiDeque`: every item is claimed by
@@ -450,16 +415,29 @@ fn low_band_drains_only_after_high_bands_empty() {
 }
 
 /// A `WaitList::wake_all` sweep publishes all woken threads with one
-/// batched injector CAS; on a single FIFO VP they must then run in their
-/// wake (registration) order — the batched wake's FIFO-within-band
-/// property, observed end to end through thread joins.
+/// batched injector CAS; on a single VP that dispatches oldest-first
+/// within a band they must then run in their wake (registration) order —
+/// the batched wake's FIFO-within-band property, observed end to end
+/// through thread joins.  The priority orders put the equal-priority
+/// waiters in one band: the bottom one for `priority_high`, the top one
+/// for `priority_low`.
 #[test]
 fn batched_wake_preserves_fifo_order_within_band() {
+    for order in [
+        policies::local_fifo,
+        policies::priority_high,
+        policies::priority_low,
+    ] {
+        batched_wake_runs_in_wake_order(order);
+    }
+}
+
+fn batched_wake_runs_in_wake_order(order: fn() -> policies::LocalQueue) {
     const WAITERS: i64 = 8;
     let vm = VmBuilder::new()
         .vps(1)
         .processors(1)
-        .policy(|_| policies::local_fifo().boxed())
+        .policy(move |_| order().boxed())
         .build();
     let release = Arc::new(AtomicBool::new(false));
     let order: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 use sting_check::{model, model_bounded, thread};
-use sting_core::deque::{BandedInjector, Deque, Injector, MultiDeque, Steal, Tagged, BANDS};
+use sting_core::deque::{Deque, Injector, MultiDeque, Steal, Tagged, BANDS};
 use sting_core::trace::{EventKind, Tracer};
 
 /// The pop/steal last-item race (deque.rs `pop`, `t == b` arm): with one
@@ -340,14 +340,15 @@ fn multi_deque_occupancy_never_strands_an_item() {
     });
 }
 
-/// `BandedInjector::push_batch` publishes its whole batch with one CAS: a
-/// concurrent drain sees either none of the batch or all of it, in order
-/// — never a partial or reordered slice.  This is the batched-wake
-/// atomicity the barrier/broadcast sweeps rely on.
+/// `Injector::push_batch` publishes its whole batch — here the
+/// scheduler's `(band, item)` pairs — with one CAS: a concurrent drain
+/// sees either none of the batch or all of it, in order — never a partial
+/// or reordered slice.  This is the batched-wake atomicity the
+/// barrier/broadcast sweeps rely on.
 #[test]
-fn banded_injector_batch_publishes_atomically() {
+fn injector_batch_publishes_atomically() {
     model_bounded(2, || {
-        let q = Arc::new(BandedInjector::new());
+        let q = Arc::new(Injector::new());
         let q2 = q.clone();
         let producer = thread::spawn(move || q2.push_batch([(0usize, 1u64), (1usize, 2u64)]));
         let first = q.drain();

@@ -3,7 +3,7 @@
 //! its own value, and the counters stay consistent.
 
 use proptest::prelude::*;
-use sting_core::policies::{self, GlobalQueue, QueueOrder};
+use sting_core::policies::{self, GlobalQueue};
 use sting_core::{PolicyManager, VmBuilder};
 
 fn policy(pick: usize) -> Box<dyn PolicyManager> {
@@ -11,7 +11,8 @@ fn policy(pick: usize) -> Box<dyn PolicyManager> {
         0 => policies::local_fifo().boxed(),
         1 => policies::local_lifo().boxed(),
         2 => policies::local_fifo().migrating(true).boxed(),
-        _ => policies::priority_high().boxed(),
+        3 => policies::priority_high().boxed(),
+        _ => policies::priority_low().migrating(true).boxed(),
     }
 }
 
@@ -20,7 +21,7 @@ proptest! {
 
     #[test]
     fn every_thread_determines_once(
-        pick in 0usize..4,
+        pick in 0usize..5,
         vps in 1usize..4,
         specs in prop::collection::vec((0u8..3, -5i32..5, 1u64..50), 1..40),
     ) {
@@ -76,7 +77,7 @@ proptest! {
 
     #[test]
     fn global_queue_conserves_threads(n in 1usize..60) {
-        let q = GlobalQueue::shared(QueueOrder::Fifo);
+        let q = GlobalQueue::fifo();
         let vm = VmBuilder::new().vps(2).policy(move |_| q.policy()).build();
         let ts: Vec<_> = (0..n).map(|i| vm.fork(move |_| i as i64)).collect();
         let sum: i64 = ts.iter().map(|t| t.join_blocking().unwrap().as_int().unwrap()).sum();

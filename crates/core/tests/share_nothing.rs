@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use sting_core::audit::FindingKind;
+use sting_core::deque::BANDS;
 use sting_core::{policies, tc, Cx, Fleet, Thread, ThreadBuilder, ThreadGroup, ThreadState, Vm};
 use sting_core::{CounterSnapshot, VmBuilder};
 use sting_value::Value;
@@ -289,12 +290,24 @@ fn a_terminate_racing_the_dispatch_never_takes_the_worker_down() {
 
 #[test]
 fn dead_entries_cost_neither_slice_budget_nor_idleness() {
+    // Oldest-first orders: the owner has to get through every dead entry
+    // before it reaches the marker forked after them.  Equal priorities
+    // share a band — the bottom one under `priority_high`, the top one
+    // under `priority_low`.
+    for order in [
+        policies::local_fifo,
+        policies::priority_high,
+        policies::priority_low,
+    ] {
+        dead_entries_are_free_under(order);
+    }
+}
+
+fn dead_entries_are_free_under(order: fn() -> policies::LocalQueue) {
     const DEAD: usize = 25_000;
-    // FIFO: the owner dispatches oldest-first, so it has to get through
-    // every dead entry before it reaches the marker forked after them.
     let vm = VmBuilder::new()
         .vps(1)
-        .policy(|_| policies::local_fifo().boxed())
+        .policy(move |_| order().boxed())
         .build();
     let waited = vm
         .run(|cx| {
@@ -399,12 +412,82 @@ fn unruly_tree(cx: &Cx, depth: u32, salt: u64) -> i64 {
     cx.touch(first).unwrap().as_int().unwrap() + cx.touch(second).unwrap().as_int().unwrap()
 }
 
+/// Pop-on-join inside a running machine, on every band layout: 2 000
+/// children of mixed priorities, each touched right after its fork (the
+/// toucher takes the newest entry of the child's band with it) or after a
+/// sibling's (the buried entry dies, and is reaped by the next touch in
+/// its band or discarded when the owner reaches it).  The ready queue must
+/// not grow with what was absorbed: a band holds a dead entry or two at
+/// most.
+#[test]
+fn touchers_take_entries_with_them_from_every_band() {
+    for order in [
+        policies::local_fifo,
+        policies::local_lifo,
+        policies::priority_high,
+        policies::priority_low,
+    ] {
+        let vm = VmBuilder::new()
+            .vps(1)
+            .policy(move |_| order().boxed())
+            .build();
+        let name = vm.vp(0).unwrap().policy_name();
+        let total = vm
+            .run(|cx| {
+                let vm = cx.vm();
+                // Priorities 0, 1024, 2048, 3072: four bands under
+                // `priority_low`, the bottom and the top one under
+                // `priority_high`, one under FIFO and LIFO.
+                let child = |i: i64| {
+                    ThreadBuilder::new(&vm)
+                        .priority((i % 4) as i32 * 1024)
+                        .on_vp(0)
+                        .spawn(move |_| i)
+                        .unwrap()
+                };
+                let mut total = 0;
+                for i in 0..1_000 {
+                    let t = child(i);
+                    total += cx.touch(&t).unwrap().as_int().unwrap();
+                    // The older sibling first: its entry is buried.
+                    let (a, b) = (child(i), child(i + 1));
+                    total += cx.touch(&a).unwrap().as_int().unwrap();
+                    total += cx.touch(&b).unwrap().as_int().unwrap();
+                    let queued = cx.current_vp().queue_len();
+                    assert!(queued <= 2 * BANDS, "{queued} entries after {i} rounds");
+                }
+                total
+            })
+            .unwrap();
+        assert_eq!(total.as_int(), Some(3 * 999 * 1_000 / 2 + 1_000), "{name}");
+        // (A child the root was preempted in front of runs on its own.)
+        let steals = vm.counters().snapshot().steals;
+        assert!(steals > 2_000, "{name}: {steals} of 3000 children absorbed");
+        let deadline = Instant::now() + LONG;
+        while vm.vp(0).unwrap().queue_len() > 0 {
+            assert!(Instant::now() < deadline, "{name}: entries left behind");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        vm.shutdown();
+    }
+}
+
 #[test]
 fn a_two_vp_fork_tree_storm_passes_the_trace_audit() {
+    for order in [
+        policies::local_lifo,
+        policies::priority_high,
+        policies::priority_low,
+    ] {
+        a_fork_tree_storm_audits_clean_under(order);
+    }
+}
+
+fn a_fork_tree_storm_audits_clean_under(order: fn() -> policies::LocalQueue) {
     let vm = VmBuilder::new()
         .vps(2)
         .processors(2)
-        .policy(|_| policies::local_lifo().migrating(true).boxed())
+        .policy(move |_| order().migrating(true).boxed())
         .trace(true)
         .trace_capacity(1 << 19)
         .build();

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use sting_core::policies::{self, GlobalQueue, QueueOrder};
+use sting_core::policies::{self, GlobalQueue};
 use sting_core::{
     tc, CoreError, PhysicalMachine, StateRequest, ThreadBuilder, ThreadState, Topology, Vm,
     VmBuilder,
@@ -408,7 +408,22 @@ fn without_preemption_defers_preemption() {
 
 #[test]
 fn yield_round_robins_same_vp() {
-    let vm = vm1();
+    // Oldest-first within a band: the default FIFO, and both priority
+    // orders, which keep the two equal-priority threads in one band.
+    for order in [
+        policies::local_fifo,
+        policies::priority_high,
+        policies::priority_low,
+    ] {
+        yield_round_robins_under(order);
+    }
+}
+
+fn yield_round_robins_under(order: fn() -> policies::LocalQueue) {
+    let vm = VmBuilder::new()
+        .vps(1)
+        .policy(move |_| order().boxed())
+        .build();
     let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let gate = Arc::new(AtomicBool::new(false));
     let mk = |tag: i64, log: Arc<parking_lot::Mutex<Vec<i64>>>, gate: Arc<AtomicBool>| {
@@ -500,12 +515,18 @@ fn different_vps_can_run_different_policies() {
 
 #[test]
 fn global_queue_shares_work_across_vps() {
-    let q = GlobalQueue::shared(QueueOrder::Fifo);
+    let q = GlobalQueue::fifo();
     let vm = VmBuilder::new()
         .vps(4)
         .processors(2)
         .policy(move |_| q.policy())
         .build();
+    for vp in vm.vps() {
+        assert!(
+            !vp.lock_free_queue(),
+            "a global queue is kept by its manager, under the policy lock"
+        );
+    }
     let ts: Vec<_> = (0..50i64).map(|i| vm.fork(move |_cx| i)).collect();
     let sum: i64 = ts
         .iter()
@@ -513,6 +534,44 @@ fn global_queue_shares_work_across_vps() {
         .sum();
     assert_eq!(sum, 49 * 50 / 2);
     vm.shutdown();
+}
+
+#[test]
+fn global_queue_dispatches_in_its_declared_order() {
+    for (q, expected) in [
+        (GlobalQueue::fifo(), vec![1, 2, 3]),
+        (GlobalQueue::lifo(), vec![3, 2, 1]),
+    ] {
+        let name = q.policy().name();
+        let vm = VmBuilder::new().vps(1).policy(move |_| q.policy()).build();
+        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        // Occupy the VP so all forks enqueue before any runs.
+        let gate = Arc::new(AtomicBool::new(false));
+        let g = gate.clone();
+        let blocker = vm.fork(move |cx| {
+            while !g.load(Ordering::SeqCst) {
+                cx.yield_now();
+            }
+            0i64
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        let ts: Vec<_> = (1..=3i64)
+            .map(|tag| {
+                let o = order.clone();
+                vm.fork(move |_cx| {
+                    o.lock().push(tag);
+                    tag
+                })
+            })
+            .collect();
+        gate.store(true, Ordering::SeqCst);
+        blocker.join_blocking().unwrap();
+        for t in ts {
+            t.join_blocking().unwrap();
+        }
+        assert_eq!(order.lock().clone(), expected, "{name}");
+        vm.shutdown();
+    }
 }
 
 #[test]

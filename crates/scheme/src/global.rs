@@ -13,7 +13,8 @@
 //! hashes nothing, and writing one global disturbs readers of that global
 //! only (DESIGN.md, "The binding-cell rule").
 
-use parking_lot::RwLock;
+use crate::bytecode::Program;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,6 +77,10 @@ pub struct Activity {
 #[derive(Debug, Default)]
 pub struct Globals {
     map: RwLock<HashMap<Symbol, Arc<Binding>>>,
+    /// The interpreter's newest program snapshot.  Kept beside the bindings
+    /// because a binding is how a machine meets a closure whose code is
+    /// newer than the snapshot it was started with.
+    program: Mutex<Arc<Program>>,
     machines: AtomicU64,
     instructions: AtomicU64,
     words_allocated: AtomicU64,
@@ -94,6 +99,13 @@ impl Globals {
             return b.clone();
         }
         self.map.write().entry(name).or_default().clone()
+    }
+
+    /// The cell holding the newest program snapshot.  Snapshots only grow:
+    /// code, constant and slot numbers keep their meaning from one to the
+    /// next, so a machine may trade its snapshot for this one mid-run.
+    pub(crate) fn program(&self) -> &Mutex<Arc<Program>> {
+        &self.program
     }
 
     /// Reads a binding.

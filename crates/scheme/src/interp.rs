@@ -19,7 +19,6 @@ use crate::global::Globals;
 use crate::machine::Machine;
 use crate::prims;
 use crate::reader;
-use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 use sting_areas::{HeapConfig, Val};
 use sting_core::vm::Vm;
@@ -28,7 +27,6 @@ use sting_value::Value;
 /// A Scheme interpreter bound to a STING virtual machine.
 pub struct Interp {
     vm: Arc<Vm>,
-    program: Mutex<Arc<Program>>,
     globals: Arc<Globals>,
     heap_config: HeapConfig,
 }
@@ -69,7 +67,7 @@ impl Interp {
     pub fn new(vm: Arc<Vm>) -> Interp {
         let i = Interp::bare(vm);
         let (image, tops) = prelude_image();
-        *i.program.lock() = image.clone();
+        *i.globals.program().lock() = image.clone();
         i.run_toplevels(image.clone(), tops.clone())
             .expect("prelude evaluates");
         i
@@ -82,7 +80,6 @@ impl Interp {
         prims::install(&globals);
         Interp {
             vm,
-            program: Mutex::new(Arc::new(Program::default())),
             globals,
             heap_config: HeapConfig::default(),
         }
@@ -126,7 +123,7 @@ impl Interp {
         // Compile against a snapshot extension (code objects are shared
         // with the previous snapshot, not copied).
         let (snapshot, code) = {
-            let mut guard = self.program.lock();
+            let mut guard = self.globals.program().lock();
             let mut next: Program = (**guard).clone();
             let core = expand::expand_top(form)?;
             let code = compile::compile_top(&core, &mut next)?;

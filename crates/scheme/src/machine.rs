@@ -401,6 +401,9 @@ impl Machine {
         match f {
             Val::Obj(gc) if self.heap.kind(gc) == ObjKind::Closure => {
                 let code_id = self.heap.closure_code(gc);
+                if code_id as usize >= self.program.codes.len() {
+                    self.reload_program();
+                }
                 let code = &self.program.codes[code_id as usize];
                 let (arity, rest) = (code.arity as usize, code.rest);
                 if argc < arity || (!rest && argc > arity) {
@@ -471,10 +474,22 @@ impl Machine {
         }
     }
 
-    /// This machine's memory of global `slot` (the table is sized on its
-    /// first use), resolved to the slot's binding cell.
+    /// Trades this machine's program snapshot for the interpreter's newest.
+    /// A thread that outlives the form that forked it can be handed, through
+    /// a global, a closure some later form compiled; snapshots only grow,
+    /// so every code id, constant and slot the machine already holds means
+    /// in the new one what it meant in the old.
+    #[cold]
+    fn reload_program(&mut self) {
+        self.program = self.globals.program().lock().clone();
+    }
+
+    /// This machine's memory of global `slot`, resolved to the slot's
+    /// binding cell.  The table is sized when a slot past its end is asked
+    /// for: on first use, and after [`Machine::reload_program`] brought
+    /// code that names globals the old snapshot had no slot for.
     fn global_ref(&mut self, slot: usize) -> &mut GlobalRef {
-        if self.global_refs.is_empty() {
+        if slot >= self.global_refs.len() {
             let slots = self.program.global_names.len();
             self.global_refs.resize_with(slots, || None);
         }
@@ -536,7 +551,7 @@ impl Machine {
     /// so `frame` is re-read after anything that can allocate; `ip` is
     /// written back only when the frame is suspended by a call.
     fn execute(&mut self, floor: usize) -> Result<Val, SchemeError> {
-        let program = Arc::clone(&self.program);
+        let mut program = Arc::clone(&self.program);
         let (mut code, mut ip, mut frame): (u32, usize, Option<Gc>);
         let mut ops: &[Op];
         // Field by field, and `env` through a match: a `Frame` copied whole
@@ -555,6 +570,10 @@ impl Machine {
             () => {{
                 let top = self.frames.last().expect("frame stack underflow");
                 (code, ip) = (top.code, top.ip);
+                if code as usize >= program.codes.len() {
+                    // `begin_call` met code newer than the snapshot.
+                    program = Arc::clone(&self.program);
+                }
                 ops = &program.codes[code as usize].ops;
                 reload_frame!();
             }};

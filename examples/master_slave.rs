@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example master_slave [jobs] [workers]`
 
-use sting::core::policies::{GlobalQueue, QueueOrder};
+use sting::core::policies::GlobalQueue;
 use sting::prelude::*;
 
 /// A deliberately uneven unit of work.
@@ -30,7 +30,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
 
-    let queue = GlobalQueue::shared(QueueOrder::Fifo);
+    let queue = GlobalQueue::fifo();
     let vm = VmBuilder::new()
         .vps(4)
         .policy(move |_| queue.policy())

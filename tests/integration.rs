@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use sting::core::policies::{self, GlobalQueue, QueueOrder};
+use sting::core::policies::{self, GlobalQueue};
 use sting::prelude::*;
 
 #[test]
@@ -102,7 +102,7 @@ fn futures_streams_and_tuples_compose() {
 
 #[test]
 fn policy_choice_is_per_vp_and_observable() {
-    let q = GlobalQueue::shared(QueueOrder::Fifo);
+    let q = GlobalQueue::fifo();
     let vm = VmBuilder::new()
         .vps(3)
         .policy(move |i| match i {
@@ -216,10 +216,25 @@ fn channels_bridge_os_and_green_threads() {
 /// The benchmark's probe, as a test: 25 000 `Future::spawn` + `touch`
 /// pairs on one VP used to leave 25 000 dead ready-queue entries behind,
 /// and the next fork waited ~1 s while an idle-looking VP discarded them
-/// sixteen per tick.  The toucher now takes each entry with it.
+/// sixteen per tick.  The toucher now takes each entry with it — out of
+/// band 0 under the default FIFO and `priority_high`, out of the top band
+/// under `priority_low`.
 #[test]
 fn absorbed_futures_leave_nothing_in_the_ready_queue() {
-    let vm = VmBuilder::new().vps(1).build();
+    for order in [
+        policies::local_fifo,
+        policies::priority_high,
+        policies::priority_low,
+    ] {
+        absorbed_futures_leave_nothing_under(order);
+    }
+}
+
+fn absorbed_futures_leave_nothing_under(order: fn() -> policies::LocalQueue) {
+    let vm = VmBuilder::new()
+        .vps(1)
+        .policy(move |_| order().migrating(true).boxed())
+        .build();
     let total = vm
         .run(|cx| {
             (0..25_000i64)

@@ -35,7 +35,7 @@ fn primes_futures(vm: &Arc<Vm>, limit: i64) -> Vec<i64> {
 }
 
 #[test]
-fn result_parallelism_is_correct_under_lifo_and_fifo() {
+fn result_parallelism_is_correct_under_every_local_order() {
     let expect: Vec<i64> = vec![
         97, 89, 83, 79, 73, 71, 67, 61, 59, 53, 47, 43, 41, 37, 31, 29, 23, 19, 17, 13, 11, 7, 5,
         3, 2,
@@ -43,6 +43,8 @@ fn result_parallelism_is_correct_under_lifo_and_fifo() {
     for factory in [
         policies::local_lifo as fn() -> policies::LocalQueue,
         policies::local_fifo as fn() -> policies::LocalQueue,
+        policies::priority_high as fn() -> policies::LocalQueue,
+        policies::priority_low as fn() -> policies::LocalQueue,
     ] {
         let vm = VmBuilder::new()
             .vps(1)
