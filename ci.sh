@@ -20,10 +20,6 @@
 #                    # registration-leak reproductions), the 10 s farm
 #                    # world that must hold memory flat, then a 2-shard
 #                    # farm smoke run whose merged trace must audit clean
-#   ./ci.sh io       # reactor-backend matrix: the net/io integration
-#                    # suites forced onto epoll and then io_uring via
-#                    # STING_IO_BACKEND (uring leg skips with a notice
-#                    # on kernels without io_uring)
 #   ./ci.sh miri     # deque/trace unit tests under Miri (skips with a
 #                    # notice if no nightly Miri toolchain is installed)
 set -euo pipefail
@@ -113,11 +109,9 @@ run_bench_smoke() {
     # more than a full run, so this catches order-of-magnitude latency
     # regressions (a lost wake-up turns µs p50s into ms), while the
     # committed full report (BENCH_PR20.json) stays the reference for
-    # fine-grained comparisons.  Server rows are backend-labeled
-    # (echo-rtt-epoll / echo-rtt-uring), so the gate also catches one
-    # backend regressing while the other stays healthy.  The run itself
-    # enforces fork:queue-stays-bounded (ready queues and memory must not
-    # grow as a fork-tree world ages), tuple:probe-beside-10k (10 000
+    # fine-grained comparisons.  The run itself enforces
+    # fork:queue-stays-bounded (ready queues and memory must not grow as a
+    # fork-tree world ages), tuple:probe-beside-10k (10 000
     # bystanders must not slow a keyed probe) and the two count gates on
     # the Scheme machine, which hold on a throttled box because they count
     # instead of timing (scheme:global-ref-does-not-allocate: 100 000
@@ -151,24 +145,6 @@ run_shard() {
     ./target/release/shard_smoke
 }
 
-run_io() {
-    step "io: net/io suites pinned to epoll (STING_IO_BACKEND=epoll)"
-    STING_IO_BACKEND=epoll cargo test -q -p sting-core --test net --test io
-    # The in-test matrix already covers both backends when the kernel
-    # supports io_uring; the uring leg additionally proves the env-var
-    # selection path end to end.  Skip-not-fail on old kernels, like the
-    # miri tier without a nightly toolchain: the ignored probe test fails
-    # exactly when the kernel refuses the ring.
-    if cargo test -q -p sting-core --lib uring::tests::uring_supported_probe \
-        -- --ignored >/dev/null 2>&1; then
-        step "io: net/io suites pinned to io_uring (STING_IO_BACKEND=uring)"
-        STING_IO_BACKEND=uring cargo test -q -p sting-core --test net --test io
-        STING_IO_BACKEND=uring cargo test -q -p sting-core --lib uring::
-    else
-        step "io: uring leg SKIPPED (io_uring unavailable on this kernel)"
-    fi
-}
-
 run_miri() {
     step "miri: deque/trace unit tests"
     if rustup run nightly cargo miri --version >/dev/null 2>&1; then
@@ -191,7 +167,6 @@ case "${1:-all}" in
     analyze) run_analyze ;;
     bench-smoke) run_bench_smoke ;;
     shard) run_shard ;;
-    io) run_io ;;
     miri) run_miri ;;
     all)
         run_fmt
@@ -202,10 +177,9 @@ case "${1:-all}" in
         run_analyze
         run_bench_smoke
         run_shard
-        run_io
         ;;
     *)
-        echo "usage: $0 [fmt|clippy|test|doc|check|analyze|bench-smoke|shard|io|miri|all]" >&2
+        echo "usage: $0 [fmt|clippy|test|doc|check|analyze|bench-smoke|shard|miri|all]" >&2
         exit 2
         ;;
 esac

@@ -619,58 +619,19 @@ fn main() -> ExitCode {
         "server: echo ({} connections on {} vps, {} echoes)",
         sscale.conns, sscale.vps, sscale.echoes
     );
-    let server_backends = sting_bench::server::backends();
-    if server_backends.len() == 1 {
-        println!("server: io_uring unavailable on this kernel, epoll-only rows");
-    }
-    for (backend, label) in server_backends {
-        match sting_bench::server::run(&sscale, backend, label) {
-            Ok((srows, schecks)) => {
-                for r in &srows {
-                    print_row(r);
-                }
-                rows.extend(srows);
-                checks.extend(schecks);
+    match sting_bench::server::run(&sscale) {
+        Ok((srows, schecks)) => {
+            for r in &srows {
+                print_row(r);
             }
-            Err(e) => checks.push(Check {
-                name: format!("server:echo-bench-{label}"),
-                pass: false,
-                detail: e,
-            }),
+            rows.extend(srows);
+            checks.extend(schecks);
         }
-    }
-    // Full-mode acceptance gates comparing the two backends on the same
-    // scale: io_uring must hold RTT parity (within 25% — the win is
-    // syscall count, not per-op latency) and spend strictly fewer kernel
-    // round-trips per delivered wake than epoll, thanks to batched
-    // submission.  Smoke runs are too short/noisy to gate on.
-    if !args.smoke {
-        let find = |name: &str| {
-            rows.iter()
-                .find(|r| r.suite == "server" && r.name == name)
-                .map(|r| r.mean)
-        };
-        if let (Some(ep_rtt), Some(ur_rtt)) = (find("echo-rtt-epoll"), find("echo-rtt-uring")) {
-            checks.push(Check {
-                name: "server:uring-rtt-parity".to_string(),
-                pass: ur_rtt <= ep_rtt * 1.25,
-                detail: format!(
-                    "uring p-mean rtt {ur_rtt:.0}ns vs epoll {ep_rtt:.0}ns (gate: <=1.25x)"
-                ),
-            });
-        }
-        if let (Some(ep_spw), Some(ur_spw)) = (
-            find("syscalls-per-wake-epoll"),
-            find("syscalls-per-wake-uring"),
-        ) {
-            checks.push(Check {
-                name: "server:uring-fewer-syscalls-per-wake".to_string(),
-                pass: ur_spw < ep_spw,
-                detail: format!(
-                    "uring {ur_spw:.2} syscalls/wake vs epoll {ep_spw:.2} (batched submission)"
-                ),
-            });
-        }
+        Err(e) => checks.push(Check {
+            name: "server:echo-bench-epoll".to_string(),
+            pass: false,
+            detail: e,
+        }),
     }
 
     // --- Metrics overhead: the same steal-throughput hammer with the

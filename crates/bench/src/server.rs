@@ -10,17 +10,16 @@
 //! full tier holds 10 000 connections, and with both ends in one process
 //! the fd budget would be the thing under test instead of the substrate.
 //!
-//! Rows (suite `server`, each suffixed with the reactor backend label —
-//! `-epoll` / `-uring` — so the two backends keep separate baselines):
-//! * `connections-held-{backend}` — peak concurrently-open connection
+//! Rows (suite `server`, each suffixed with the reactor backend label
+//! `-epoll`, the name committed baselines know them by):
+//! * `connections-held-epoll` — peak concurrently-open connection
 //!   threads.
-//! * `block-wake-{backend}` — the VM's wake histogram (ns), sampled 1:1.
-//! * `echo-rtt-{backend}` — client-observed round-trip (ns), the
-//!   end-to-end check that the latency the substrate reports is the
-//!   latency a peer sees.
-//! * `syscalls-per-wake-{backend}` — reactor kernel round-trips divided
-//!   by delivered wakes, snapshotted under load: the cost model io_uring's
-//!   batched submission exists to shrink.
+//! * `block-wake-epoll` — the VM's wake histogram (ns), sampled 1:1.
+//! * `echo-rtt-epoll` — client-observed round-trip (ns), the end-to-end
+//!   check that the latency the substrate reports is the latency a peer
+//!   sees.
+//! * `syscalls-per-wake-epoll` — reactor kernel round-trips divided by
+//!   delivered wakes, snapshotted under load.
 
 use crate::report::{BenchRow, Check};
 use std::io::{Read, Write};
@@ -29,18 +28,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sting::core::net::{TcpListener, LOCALHOST};
-use sting::core::{HistogramSnapshot, IoBackend};
+use sting::core::HistogramSnapshot;
 use sting::prelude::*;
-
-/// The backend matrix for the server suite: epoll unconditionally,
-/// io_uring when the kernel supports it.  Labels become row-name suffixes.
-pub fn backends() -> Vec<(IoBackend, &'static str)> {
-    let mut v = vec![(IoBackend::Epoll, "epoll")];
-    if sting::core::uring::uring_supported() {
-        v.push((IoBackend::IoUring, "uring"));
-    }
-    v
-}
 
 /// Knobs for one server-bench run.
 pub struct ServerScale {
@@ -90,24 +79,18 @@ fn row_from_hist(name: &str, h: &HistogramSnapshot) -> BenchRow {
     }
 }
 
-/// Runs the echo-server benchmark on one reactor backend; returns its
-/// rows and checks, all suffixed `-{label}`.
+/// Runs the echo-server benchmark; returns its rows and checks.
 ///
 /// # Errors
 ///
 /// A human-readable description when the server cannot bind, the client
 /// subprocess cannot start, or either side misbehaves.
-pub fn run(
-    scale: &ServerScale,
-    backend: IoBackend,
-    label: &str,
-) -> Result<(Vec<BenchRow>, Vec<Check>), String> {
+pub fn run(scale: &ServerScale) -> Result<(Vec<BenchRow>, Vec<Check>), String> {
     let vm = VmBuilder::new()
         .vps(scale.vps)
         .stack_size(32 * 1024)
         .metrics(true)
         .metrics_sample(1)
-        .io_backend(backend)
         .name("echo-bench")
         .build();
 
@@ -218,7 +201,7 @@ pub fn run(
 
     rows.push(BenchRow {
         suite: "server".to_string(),
-        name: format!("connections-held-{label}"),
+        name: "connections-held-epoll".to_string(),
         unit: "connections".to_string(),
         samples: 1,
         min: held as f64,
@@ -228,20 +211,15 @@ pub fn run(
         paper_us: None,
     });
     checks.push(Check {
-        name: format!("server:holds>={conns}-connection-threads-{label}"),
+        name: format!("server:holds>={conns}-connection-threads-epoll"),
         pass: held >= conns,
         detail: format!(
-            "peak {held} concurrent connection threads on {} vps ({label})",
+            "peak {held} concurrent connection threads on {} vps",
             scale.vps
         ),
     });
-    checks.push(Check {
-        name: format!("server:backend-resolved-{label}"),
-        pass: io.backend == label,
-        detail: format!("driver resolved to {} (requested {label})", io.backend),
-    });
 
-    rows.push(row_from_hist(&format!("block-wake-{label}"), &wake));
+    rows.push(row_from_hist("block-wake-epoll", &wake));
 
     // Reactor kernel round-trips per delivered wake, under load.  One
     // number per run, but with 1:1 metrics sampling it is an exact count,
@@ -249,7 +227,7 @@ pub fn run(
     let per_wake = io.syscalls as f64 / (io.wakes.max(1)) as f64;
     rows.push(BenchRow {
         suite: "server".to_string(),
-        name: format!("syscalls-per-wake-{label}"),
+        name: "syscalls-per-wake-epoll".to_string(),
         unit: "syscalls/wake".to_string(),
         samples: io.wakes,
         min: per_wake,
@@ -265,7 +243,7 @@ pub fn run(
     if parts.len() == 5 {
         rows.push(BenchRow {
             suite: "server".to_string(),
-            name: format!("echo-rtt-{label}"),
+            name: "echo-rtt-epoll".to_string(),
             unit: "ns".to_string(),
             samples: parts[0].parse().unwrap_or(0),
             min: parts[1].parse().unwrap_or(0.0),

@@ -156,9 +156,9 @@ fn committed_artifacts_compare_clean() {
     // but the committed artifacts were measured under matched conditions.
     //
     // Pinned at PR 7 → PR 9.  The newest pair cannot take its place yet:
-    // one `bench_all` run of PR 20 (or a rerun of PR 19) regresses against
-    // BENCH_PR19.json on `server/syscalls-per-wake-uring`, ROADMAP item
-    // 3's open defect (EXPERIMENTS.md E11).
+    // its multi-VP timed rows move with the host's CPU-rationing epoch
+    // (ROADMAP item 2), so a same-epoch pair is not something a fresh run
+    // can reproduce.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let load = |name: &str| {
         let text =

@@ -31,7 +31,6 @@ pub struct VmBuilder {
     vps: usize,
     policy: Box<dyn FnMut(usize) -> Box<dyn PolicyManager>>,
     stack_size: usize,
-    pool_capacity: usize,
     processors: Option<usize>,
     tick: Duration,
     machine: Option<Arc<PhysicalMachine>>,
@@ -40,7 +39,6 @@ pub struct VmBuilder {
     metrics: bool,
     metrics_sample: u64,
     io_workers: usize,
-    io_backend: crate::reactor::IoBackend,
     shard: usize,
     tid_source: Option<Arc<std::sync::atomic::AtomicU64>>,
 }
@@ -50,14 +48,11 @@ pub struct VmBuilder {
 pub(crate) struct VmConfig {
     pub(crate) name: String,
     pub(crate) stack_size: usize,
-    pub(crate) pool_capacity: usize,
     pub(crate) trace: bool,
     pub(crate) trace_capacity: usize,
     pub(crate) metrics: bool,
     pub(crate) metrics_sample: u64,
     pub(crate) io_workers: usize,
-    /// Reactor backend for the VM's I/O driver.
-    pub(crate) io_backend: crate::reactor::IoBackend,
     /// Shard index within a fleet (0 standalone).
     pub(crate) shard: usize,
     /// Shared thread-id counter for fleet-unique ids (`None` standalone).
@@ -91,7 +86,6 @@ impl VmBuilder {
             vps: cpus,
             policy: Box::new(|_| policies::local_fifo().migrating(true).boxed()),
             stack_size: 512 * 1024,
-            pool_capacity: 64,
             processors: None,
             tick: Duration::from_micros(500),
             machine: None,
@@ -100,7 +94,6 @@ impl VmBuilder {
             metrics: true,
             metrics_sample: crate::metrics::DEFAULT_SAMPLE_PERIOD,
             io_workers: crate::io::DEFAULT_IO_WORKERS,
-            io_backend: crate::reactor::IoBackend::from_env(),
             shard: 0,
             tid_source: None,
         }
@@ -144,12 +137,6 @@ impl VmBuilder {
     /// Stack size for thread TCBs, in bytes.
     pub fn stack_size(mut self, bytes: usize) -> VmBuilder {
         self.stack_size = bytes;
-        self
-    }
-
-    /// Per-VP capacity of the TCB stack recycling pool.
-    pub fn stack_pool_capacity(mut self, stacks: usize) -> VmBuilder {
-        self.pool_capacity = stacks;
         self
     }
 
@@ -219,17 +206,6 @@ impl VmBuilder {
         self
     }
 
-    /// Reactor backend for the VM's non-blocking I/O driver (see
-    /// [`IoBackend`](crate::reactor::IoBackend)).  The default is
-    /// [`Auto`](crate::reactor::IoBackend::Auto) — io_uring when the
-    /// kernel supports it, epoll otherwise — unless the `STING_IO_BACKEND`
-    /// environment variable (`auto` | `epoll` | `uring`) overrides it; an
-    /// explicit call here beats both.
-    pub fn io_backend(mut self, backend: crate::reactor::IoBackend) -> VmBuilder {
-        self.io_backend = backend;
-        self
-    }
-
     /// Builds the VM, attaches it to its machine, and returns it running.
     pub fn build(mut self) -> Arc<Vm> {
         let policies: Vec<_> = (0..self.vps).map(|i| (self.policy)(i)).collect();
@@ -238,13 +214,11 @@ impl VmBuilder {
             VmConfig {
                 name: self.name,
                 stack_size: self.stack_size,
-                pool_capacity: self.pool_capacity,
                 trace: self.trace,
                 trace_capacity: self.trace_capacity,
                 metrics: self.metrics,
                 metrics_sample: self.metrics_sample,
                 io_workers: self.io_workers,
-                io_backend: self.io_backend,
                 shard: self.shard,
                 tid_source: self.tid_source.take(),
             },

@@ -70,7 +70,6 @@ pub mod timers;
 mod tls;
 pub mod topology;
 pub mod trace;
-pub mod uring;
 pub mod vm;
 pub mod vp;
 pub mod wait;
@@ -84,14 +83,13 @@ pub use group::ThreadGroup;
 pub use machine::PhysicalMachine;
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use pm::{BandMap, DequeCaps, EnqueueState, PolicyManager, QueueKind, RunItem};
-pub use reactor::{IoBackend, IoStats};
+pub use reactor::IoStats;
 pub use state::{StateRequest, ThreadState};
 pub use tc::Cx;
 pub use thread::{JoinNode, Thread, ThreadId, ThreadResult, Thunk, TryThunk};
 pub use timers::TimerId;
 pub use topology::Topology;
 pub use trace::{EventKind, TraceEvent, Tracer};
-pub use uring::UringReactor;
 pub use vm::Vm;
 pub use vp::Vp;
 pub use wait::{TimedOut, WaitList, Waiter, WakeBatch, WakeReason};

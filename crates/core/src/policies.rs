@@ -183,8 +183,8 @@ impl PolicyManager for LocalQueue {
 }
 
 /// A queue shared by all VPs of a machine (the *global* locality class),
-/// oldest-first or newest-first.  The manager keeps the queue itself, so
-/// its VPs run on the policy tier.
+/// oldest-first.  The manager keeps the queue itself, so its VPs run on
+/// the policy tier.
 ///
 /// Clone one handle per VP via [`GlobalQueue::policy`]:
 ///
@@ -203,29 +203,18 @@ impl PolicyManager for LocalQueue {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GlobalQueue {
-    fifo: bool,
     queue: Arc<Mutex<VecDeque<RunItem>>>,
     next_place: Arc<AtomicUsize>,
 }
 
 impl GlobalQueue {
-    fn shared(fifo: bool) -> GlobalQueue {
-        GlobalQueue {
-            fifo,
-            queue: Arc::default(),
-            next_place: Arc::default(),
-        }
-    }
-
     /// Creates the shared queue, dispatching oldest-first; clone the
     /// handle into each VP's policy.
     pub fn fifo() -> GlobalQueue {
-        GlobalQueue::shared(true)
-    }
-
-    /// Creates the shared queue, dispatching newest-first.
-    pub fn lifo() -> GlobalQueue {
-        GlobalQueue::shared(false)
+        GlobalQueue {
+            queue: Arc::default(),
+            next_place: Arc::default(),
+        }
     }
 
     /// A boxed per-VP policy backed by this shared queue.
@@ -236,12 +225,7 @@ impl GlobalQueue {
 
 impl PolicyManager for GlobalQueue {
     fn get_next_thread(&mut self, _vp: &Vp) -> Option<RunItem> {
-        let mut queue = self.queue.lock();
-        if self.fifo {
-            queue.pop_front()
-        } else {
-            queue.pop_back()
-        }
+        self.queue.lock().pop_front()
     }
 
     fn enqueue_thread(&mut self, _vp: &Vp, item: RunItem, _state: EnqueueState) {
@@ -260,11 +244,7 @@ impl PolicyManager for GlobalQueue {
     }
 
     fn name(&self) -> &'static str {
-        if self.fifo {
-            "global-fifo"
-        } else {
-            "global-lifo"
-        }
+        "global-fifo"
     }
 }
 

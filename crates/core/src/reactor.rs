@@ -91,54 +91,6 @@ pub trait Reactor: Send + Sync + 'static {
     }
 }
 
-/// Which [`Reactor`] backend a VM's I/O driver should use.
-///
-/// Selected at build time via
-/// [`VmBuilder::io_backend`](crate::builder::VmBuilder::io_backend); the
-/// `STING_IO_BACKEND` environment variable (`auto` | `epoll` | `uring`)
-/// overrides the *default* so CI can sweep the matrix without code
-/// changes, but an explicit builder choice always wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// Probe io_uring at driver start and fall back to epoll when the
-    /// kernel (or a seccomp filter) refuses the ring. The default.
-    #[default]
-    Auto,
-    /// The epoll backend ([`EpollReactor`]): one `epoll_ctl` per arm.
-    Epoll,
-    /// The io_uring backend ([`UringReactor`](crate::uring::UringReactor)):
-    /// batched arms, one `io_uring_enter` per dispatch pass.  Driver
-    /// start-up fails if the kernel lacks io_uring — use [`IoBackend::Auto`]
-    /// for graceful fallback.
-    IoUring,
-}
-
-impl IoBackend {
-    /// The default backend: `STING_IO_BACKEND` when set (unknown values
-    /// are ignored), else [`IoBackend::Auto`].
-    pub fn from_env() -> IoBackend {
-        match std::env::var("STING_IO_BACKEND").as_deref() {
-            Ok("epoll") => IoBackend::Epoll,
-            Ok("uring") | Ok("io_uring") => IoBackend::IoUring,
-            _ => IoBackend::Auto,
-        }
-    }
-
-    /// Builds the chosen reactor, resolving [`IoBackend::Auto`] by
-    /// probing io_uring first.  Returns the reactor and the resolved
-    /// backend label ("epoll" / "uring") for metrics rows.
-    fn build(self) -> sys::Result<(Arc<dyn Reactor>, &'static str)> {
-        match self {
-            IoBackend::Epoll => Ok((Arc::new(EpollReactor::new()?), "epoll")),
-            IoBackend::IoUring => Ok((Arc::new(crate::uring::UringReactor::new()?), "uring")),
-            IoBackend::Auto => match crate::uring::UringReactor::new() {
-                Ok(r) => Ok((Arc::new(r), "uring")),
-                Err(_) => Ok((Arc::new(EpollReactor::new()?), "epoll")),
-            },
-        }
-    }
-}
-
 /// The Linux backend: an epoll instance plus an eventfd for [`Reactor::notify`].
 pub struct EpollReactor {
     ep: RawFd,
@@ -361,11 +313,9 @@ pub struct IoDriver {
     registry: Mutex<Registry>,
     handle: Mutex<Option<std::thread::JoinHandle<()>>>,
     stop: AtomicBool,
-    /// Requested backend; consulted once, when the reactor is first built.
-    backend: Mutex<IoBackend>,
-    /// Resolved backend label ("epoll" / "uring" / a test reactor's
-    /// "custom"), for [`IoDriver::stats`].
-    resolved: OnceLock<&'static str>,
+    /// Backend label ("epoll", or "custom" for an installed test
+    /// reactor), for [`IoDriver::stats`].
+    label: OnceLock<&'static str>,
     /// Successful waiter wake-ups delivered by dispatch — the denominator
     /// of the syscalls-per-wake benchmark rows.
     wakes: std::sync::atomic::AtomicU64,
@@ -378,8 +328,8 @@ pub struct IoDriver {
 /// `server/syscalls-per-wake` rows.
 #[derive(Debug, Clone, Copy)]
 pub struct IoStats {
-    /// Resolved backend label: "epoll", "uring", or "custom" for an
-    /// installed test reactor ("unstarted" before first use).
+    /// Backend label: "epoll", or "custom" for an installed test reactor
+    /// ("unstarted" before first use).
     pub backend: &'static str,
     /// Kernel round-trips the reactor backend has made so far.
     pub syscalls: u64,
@@ -394,25 +344,18 @@ impl IoDriver {
             registry: Mutex::new(Registry::default()),
             handle: Mutex::new(None),
             stop: AtomicBool::new(false),
-            backend: Mutex::new(IoBackend::from_env()),
-            resolved: OnceLock::new(),
+            label: OnceLock::new(),
             wakes: std::sync::atomic::AtomicU64::new(0),
             vm: OnceLock::new(),
         }
     }
 
-    /// Selects the backend for the not-yet-built reactor.  No-op once the
-    /// reactor exists (first `wait_ready` or an [`IoDriver::install_reactor`]).
-    pub(crate) fn set_backend(&self, backend: IoBackend) {
-        *self.backend.lock() = backend;
-    }
-
-    /// Current counters: resolved backend label, backend syscalls, wakes
+    /// Current counters: backend label, backend syscalls, wakes
     /// delivered.
     pub fn stats(&self) -> IoStats {
         let syscalls = self.reactor.lock().as_ref().map_or(0, |r| r.syscalls());
         IoStats {
-            backend: self.resolved.get().copied().unwrap_or("unstarted"),
+            backend: self.label.get().copied().unwrap_or("unstarted"),
             syscalls,
             wakes: self.wakes.load(Ordering::Relaxed),
         }
@@ -429,7 +372,7 @@ impl IoDriver {
         let mut g = self.reactor.lock();
         if g.is_none() {
             *g = Some(reactor);
-            let _ = self.resolved.set("custom");
+            let _ = self.label.set("custom");
         }
     }
 
@@ -438,8 +381,8 @@ impl IoDriver {
         if let Some(r) = &*g {
             return Ok(r.clone());
         }
-        let (r, label) = self.backend.lock().build()?;
-        let _ = self.resolved.set(label);
+        let r: Arc<dyn Reactor> = Arc::new(EpollReactor::new()?);
+        let _ = self.label.set("epoll");
         *g = Some(r.clone());
         Ok(r)
     }
@@ -1049,6 +992,50 @@ mod tests {
         assert!(out.is_empty());
         for fd in [a, b] {
             let _ = sys::close(fd);
+        }
+    }
+
+    /// More ready fds than the 64-slot `epoll_wait` buffer: one wait must
+    /// stop at the buffer's edge, and the rest must arrive over the next
+    /// waits, each fd exactly once.  320 registrations (160 fds armed
+    /// twice, so half the arms take the EEXIST → MOD path).
+    #[test]
+    fn epoll_burst_outruns_the_wait_buffer() {
+        let reactor = EpollReactor::new().unwrap();
+        let pairs: Vec<_> = (0..160)
+            .map(|_| sys::socketpair_stream().unwrap())
+            .collect();
+        for _ in 0..2 {
+            for &(_, b) in &pairs {
+                reactor.arm(b, READ, b as u64).unwrap();
+            }
+        }
+        for &(a, _) in &pairs {
+            sys::write(a, b"x").unwrap();
+        }
+        let mut seen = std::collections::HashSet::new();
+        let mut waits = 0;
+        let mut out = Vec::new();
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while seen.len() < pairs.len() && Instant::now() < deadline {
+            out.clear();
+            reactor.wait(&mut out, 100).unwrap();
+            assert!(out.len() <= 64, "one wait returned {} events", out.len());
+            waits += usize::from(!out.is_empty());
+            for ev in &out {
+                assert_ne!(ev.mask & READ, 0);
+                assert!(
+                    seen.insert(ev.token),
+                    "one-shot fd {} fired twice",
+                    ev.token
+                );
+            }
+        }
+        assert_eq!(seen.len(), pairs.len(), "every armed fd must report in");
+        assert!(waits >= 3, "160 events fit in {waits} waits of 64");
+        for (a, b) in pairs {
+            let _ = sys::close(a);
+            let _ = sys::close(b);
         }
     }
 }

@@ -8,10 +8,8 @@
 //!
 //! Only what the substrate needs is bound: TCP sockets (`socket`/`bind`/
 //! `listen`/`accept4`/`connect`), byte transfer (`read`/`write`), the epoll
-//! readiness family (`epoll_create1`/`epoll_ctl`/`epoll_wait`), the
-//! io_uring family (`io_uring_setup`/`io_uring_enter` plus the `mmap`/
-//! `munmap` the shared SQ/CQ rings need) for the second reactor backend,
-//! an `eventfd` for waking the reactor, `ppoll` as the degraded path for
+//! readiness family (`epoll_create1`/`epoll_ctl`/`epoll_wait`) the reactor
+//! runs on, an `eventfd` for waking it, `ppoll` as the degraded path for
 //! plain OS threads, and `socketpair` for deterministic unit tests.
 //!
 //! Errors are the kernel's `-errno` convention surfaced as [`Errno`];
@@ -78,31 +76,14 @@ pub const EINPROGRESS: i32 = 115;
 pub const EISCONN: i32 = 106;
 /// A previous `connect` is still in progress — keep waiting.
 pub const EALREADY: i32 = 114;
-/// The kernel does not implement the syscall (io_uring on pre-5.1
-/// kernels, or a seccomp filter) — probe result for backend `Auto`.
-pub const ENOSYS: i32 = 38;
 /// The endpoint is shut down — also what a registration against a
 /// stopped reactor driver reports, so parked I/O can never outlive its VM.
 pub const ESHUTDOWN: i32 = 108;
-/// A timer expired: `IORING_OP_TIMEOUT` completions report their normal
-/// expiry this way (negated in the CQE `res`).
-pub const ETIME: i32 = 62;
-/// Invalid argument — e.g. `IORING_SETUP_CQSIZE` on a pre-5.5 kernel,
-/// which backend setup retries without the flag.
-pub const EINVAL: i32 = 22;
-/// `io_uring_enter` with a full, unflushed completion ring — drain the
-/// CQ and retry.
-pub const EBUSY: i32 = 16;
-/// The operation was cancelled — a `POLL_REMOVE`d poll completes this
-/// way, and the completion must be swallowed, not surfaced as readiness.
-pub const ECANCELED: i32 = 125;
 
 // x86-64 Linux syscall numbers (arch/x86/entry/syscalls/syscall_64.tbl).
 const SYS_READ: usize = 0;
 const SYS_WRITE: usize = 1;
 const SYS_CLOSE: usize = 3;
-const SYS_MMAP: usize = 9;
-const SYS_MUNMAP: usize = 11;
 const SYS_SOCKET: usize = 41;
 const SYS_CONNECT: usize = 42;
 const SYS_SHUTDOWN: usize = 48;
@@ -117,8 +98,6 @@ const SYS_PPOLL: usize = 271;
 const SYS_ACCEPT4: usize = 288;
 const SYS_EVENTFD2: usize = 290;
 const SYS_EPOLL_CREATE1: usize = 291;
-const SYS_IO_URING_SETUP: usize = 425;
-const SYS_IO_URING_ENTER: usize = 426;
 
 const AF_INET: usize = 2;
 const AF_UNIX: usize = 1;
@@ -471,231 +450,6 @@ pub fn epoll_wait(epfd: RawFd, events: &mut [EpollEvent], timeout_ms: i32) -> Re
         Err(Errno(EINTR)) => Ok(0),
         other => other,
     }
-}
-
-// --- io_uring -----------------------------------------------------------
-//
-// The second reactor backend (`crate::uring`).  Only the submission path
-// the substrate needs is bound: ring setup, the shared-memory ring mmaps,
-// and `io_uring_enter` for batched submission + completion waits.  The
-// ring protocol itself (SQE layout, head/tail publication) lives in
-// `crate::uring`, next to the memory-ordering argument.
-
-/// `io_uring_setup` flag: `cq_entries` in the params is a request, not 0.
-pub const IORING_SETUP_CQSIZE: u32 = 1 << 3;
-/// `io_uring_params.features` bit: completions are never dropped on CQ
-/// overflow (kernel ≥ 5.5 buffers them internally until drained).
-pub const IORING_FEAT_NODROP: u32 = 1 << 1;
-/// `io_uring_enter` flag: block until `min_complete` completions exist.
-pub const IORING_ENTER_GETEVENTS: u32 = 1;
-/// SQE opcode: one-shot readiness poll (the io_uring `EPOLLONESHOT`).
-pub const IORING_OP_POLL_ADD: u8 = 6;
-/// SQE opcode: cancel an outstanding poll by matching `user_data`.
-pub const IORING_OP_POLL_REMOVE: u8 = 7;
-/// SQE opcode: a relative timeout (the wait's liveness backstop).
-pub const IORING_OP_TIMEOUT: u8 = 11;
-/// `mmap` offset selecting the submission-queue ring.
-pub const IORING_OFF_SQ_RING: usize = 0;
-/// `mmap` offset selecting the completion-queue ring.
-pub const IORING_OFF_CQ_RING: usize = 0x800_0000;
-/// `mmap` offset selecting the SQE array.
-pub const IORING_OFF_SQES: usize = 0x1000_0000;
-
-/// Kernel-reported layout of the submission ring (`io_sqring_offsets`):
-/// byte offsets of each field inside the SQ ring mapping.
-#[repr(C)]
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SqringOffsets {
-    /// Consumer head (kernel-owned).
-    pub head: u32,
-    /// Producer tail (user-owned).
-    pub tail: u32,
-    /// Index mask (`ring_entries - 1`).
-    pub ring_mask: u32,
-    /// Ring capacity.
-    pub ring_entries: u32,
-    /// Ring flags (`IORING_SQ_NEED_WAKEUP`, unused without SQPOLL).
-    pub flags: u32,
-    /// Count of invalid SQEs the kernel dropped.
-    pub dropped: u32,
-    /// The indirection array (SQE indices).
-    pub array: u32,
-    /// Reserved.
-    pub resv1: u32,
-    /// Reserved.
-    pub resv2: u64,
-}
-
-/// Kernel-reported layout of the completion ring (`io_cqring_offsets`).
-#[repr(C)]
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CqringOffsets {
-    /// Consumer head (user-owned).
-    pub head: u32,
-    /// Producer tail (kernel-owned).
-    pub tail: u32,
-    /// Index mask (`ring_entries - 1`).
-    pub ring_mask: u32,
-    /// Ring capacity.
-    pub ring_entries: u32,
-    /// Completions lost to overflow (stays 0 with [`IORING_FEAT_NODROP`]).
-    pub overflow: u32,
-    /// The CQE array.
-    pub cqes: u32,
-    /// Ring flags.
-    pub flags: u32,
-    /// Reserved.
-    pub resv1: u32,
-    /// Reserved.
-    pub resv2: u64,
-}
-
-/// `struct io_uring_params`: setup request + the kernel's ring geometry
-/// answer (entries, feature bits, and the two ring layouts).
-#[repr(C)]
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IoUringParams {
-    /// SQ capacity granted (power of two).
-    pub sq_entries: u32,
-    /// CQ capacity granted (request with [`IORING_SETUP_CQSIZE`]).
-    pub cq_entries: u32,
-    /// Setup flags.
-    pub flags: u32,
-    /// SQPOLL kernel-thread CPU (unused here).
-    pub sq_thread_cpu: u32,
-    /// SQPOLL idle time (unused here).
-    pub sq_thread_idle: u32,
-    /// Feature bits the kernel supports (e.g. [`IORING_FEAT_NODROP`]).
-    pub features: u32,
-    /// Shared async backend fd (unused here).
-    pub wq_fd: u32,
-    /// Reserved.
-    pub resv: [u32; 3],
-    /// Submission-ring layout.
-    pub sq_off: SqringOffsets,
-    /// Completion-ring layout.
-    pub cq_off: CqringOffsets,
-}
-
-/// One submission-queue entry, kernel layout (64 bytes).  Fields past the
-/// ones the poll family uses are folded into `pad`.
-#[repr(C)]
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IoUringSqe {
-    /// Operation (`IORING_OP_*`).
-    pub opcode: u8,
-    /// Submission flags.
-    pub flags: u8,
-    /// Priority (unused here).
-    pub ioprio: u16,
-    /// Target fd.
-    pub fd: i32,
-    /// Offset / `addr2` union (unused by the poll family).
-    pub off: u64,
-    /// Address union: the timespec for `TIMEOUT`, the `user_data` to
-    /// match for `POLL_REMOVE`.
-    pub addr: u64,
-    /// Length union: the completion count for `TIMEOUT`.
-    pub len: u32,
-    /// Per-op flags union: the poll mask for `POLL_ADD` (low 16 bits,
-    /// little-endian layout of `poll32_events`).
-    pub op_flags: u32,
-    /// The user word echoed back in the matching [`IoUringCqe`].
-    pub user_data: u64,
-    /// Remaining unions (buf_index, personality, …) — zero for us.
-    pub pad: [u64; 3],
-}
-
-/// One completion-queue entry, kernel layout (16 bytes).
-#[repr(C)]
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IoUringCqe {
-    /// The submission's user word.
-    pub user_data: u64,
-    /// Result: revents for a poll, `-errno` on failure.
-    pub res: i32,
-    /// Completion flags.
-    pub flags: u32,
-}
-
-/// `struct timespec` for `IORING_OP_TIMEOUT` (a relative timeout).
-#[repr(C)]
-#[derive(Debug, Default, Clone, Copy)]
-pub struct UringTimespec {
-    /// Seconds.
-    pub sec: i64,
-    /// Nanoseconds.
-    pub nsec: i64,
-}
-
-/// Creates an io_uring instance with (at least) `entries` SQ slots,
-/// filling `params` with the granted geometry.  `ENOSYS` (old kernel or
-/// seccomp) is the "no io_uring here" probe result backend `Auto` keys on.
-pub fn io_uring_setup(entries: u32, params: &mut IoUringParams) -> Result<RawFd> {
-    // SAFETY: `params` is a live, writable, correctly-laid-out
-    // io_uring_params for the duration of the call.
-    let r = unsafe {
-        syscall3(
-            SYS_IO_URING_SETUP,
-            entries as usize,
-            params as *mut IoUringParams as usize,
-            0,
-        )
-    };
-    ret(r).map(|fd| fd as RawFd)
-}
-
-/// Submits `to_submit` queued SQEs and, with [`IORING_ENTER_GETEVENTS`],
-/// blocks until `min_complete` completions are available.  Returns the
-/// number of SQEs consumed.  `EINTR` is surfaced (the reactor treats it as
-/// a spurious wake); `EBUSY` means the CQ must be drained first.
-pub fn io_uring_enter(fd: RawFd, to_submit: u32, min_complete: u32, flags: u32) -> Result<usize> {
-    // SAFETY: no pointer arguments (sigmask null = keep the current mask).
-    let r = unsafe {
-        syscall6(
-            SYS_IO_URING_ENTER,
-            fd as usize,
-            to_submit as usize,
-            min_complete as usize,
-            flags as usize,
-            0,
-            0,
-        )
-    };
-    ret(r)
-}
-
-/// Maps `len` bytes of `fd` at `offset` shared and read-write — the
-/// io_uring ring regions ([`IORING_OFF_SQ_RING`] and friends).
-pub fn mmap_rings(fd: RawFd, offset: usize, len: usize) -> Result<*mut u8> {
-    const PROT_READ_WRITE: usize = 0x3;
-    const MAP_SHARED_POPULATE: usize = 0x1 | 0x8000;
-    // SAFETY: no pointer arguments the kernel dereferences (addr 0 = let
-    // the kernel place the mapping); the returned region is valid for
-    // `len` bytes until `munmap`.
-    let r = unsafe {
-        syscall6(
-            SYS_MMAP,
-            0,
-            len,
-            PROT_READ_WRITE,
-            MAP_SHARED_POPULATE,
-            fd as usize,
-            offset,
-        )
-    };
-    ret(r).map(|p| p as *mut u8)
-}
-
-/// Unmaps a [`mmap_rings`] region.
-///
-/// # Safety
-/// `ptr..ptr+len` must be exactly a live mapping returned by
-/// [`mmap_rings`], with no further access to it after this call.
-pub unsafe fn munmap(ptr: *mut u8, len: usize) -> Result<()> {
-    // SAFETY: per the function contract.
-    let r = unsafe { syscall3(SYS_MUNMAP, ptr as usize, len, 0) };
-    ret(r).map(|_| ())
 }
 
 /// Creates a non-blocking eventfd, used to kick the reactor out of

@@ -158,18 +158,9 @@ impl Vm {
             let vps = policies
                 .into_iter()
                 .enumerate()
-                .map(|(i, pm)| {
-                    Arc::new(Vp::new(
-                        i,
-                        weak.clone(),
-                        pm,
-                        config.stack_size,
-                        config.pool_capacity,
-                    ))
-                })
+                .map(|(i, pm)| Arc::new(Vp::new(i, weak.clone(), pm, config.stack_size)))
                 .collect();
             let io_driver = Arc::new(IoDriver::new());
-            io_driver.set_backend(config.io_backend);
             io_driver.bind_vm(weak);
             Vm {
                 name: config.name,

@@ -52,6 +52,9 @@ use std::sync::{Arc, Weak};
 use sting_context::fiber::FiberResult;
 use sting_context::{Fiber, StackPool};
 
+/// Stacks a VP keeps for recycling once their threads determine.
+const STACK_POOL_CAPACITY: usize = 64;
+
 /// The substrate-kept ready queue of a VP (see DESIGN.md, "Scheduler fast
 /// path").  Present iff the VP's policy opted in via
 /// [`PolicyManager::queue_kind`].
@@ -276,7 +279,6 @@ impl Vp {
         vm: Weak<Vm>,
         pm: Box<dyn PolicyManager>,
         stack_size: usize,
-        pool_capacity: usize,
     ) -> Vp {
         let fast = match pm.queue_kind() {
             QueueKind::Deque(caps) => Some(FastQueue::new(caps)),
@@ -288,7 +290,7 @@ impl Vp {
             fast,
             owned: CachePadded(Owned {
                 pm: Mutex::new(pm),
-                stack_pool: Mutex::new(StackPool::new(stack_size, pool_capacity)),
+                stack_pool: Mutex::new(StackPool::new(stack_size, STACK_POOL_CAPACITY)),
                 slice_owner: AtomicBool::new(false),
                 preempt_flag: AtomicBool::new(false),
             }),

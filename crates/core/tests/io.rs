@@ -3,32 +3,14 @@
 //! tests in `src/io.rs` (panic propagation, deadline) — these run with
 //! tracing on and assert a clean audit, in the style of
 //! `crates/sync/tests/cancel.rs`.
-//!
-//! Each test runs once per reactor backend (epoll always; io_uring when
-//! the kernel has it).  The offload pool itself is reactor-independent,
-//! but the matrix pins VM construction, driver teardown, and the
-//! offload/driver shutdown ordering under both backends.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
-use sting_core::reactor::IoBackend;
 use sting_core::state::ThreadState;
 use sting_core::vm::Vm;
 use sting_core::{io, tc, VmBuilder};
 use sting_value::Value;
-
-/// The backends to matrix over: epoll unconditionally, io_uring when the
-/// kernel supports it (graceful skip otherwise).
-fn backends() -> Vec<IoBackend> {
-    let mut v = vec![IoBackend::Epoll];
-    if sting_core::uring::uring_supported() {
-        v.push(IoBackend::IoUring);
-    } else {
-        eprintln!("io_uring unavailable on this kernel: epoll-only matrix");
-    }
-    v
-}
 
 fn wait_until(what: &str, cond: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -78,17 +60,10 @@ impl Gate {
 /// cancellation story at all).
 #[test]
 fn terminate_mid_offload_leaves_no_dangling_wake() {
-    for backend in backends() {
-        terminate_mid_offload_leaves_no_dangling_wake_on(backend);
-    }
-}
-
-fn terminate_mid_offload_leaves_no_dangling_wake_on(backend: IoBackend) {
     let vm = VmBuilder::new()
         .vps(1)
         .trace(true)
         .trace_capacity(1 << 14)
-        .io_backend(backend)
         .build();
     let gate = Gate::new();
     let started = Arc::new(AtomicUsize::new(0));
@@ -128,17 +103,10 @@ fn terminate_mid_offload_leaves_no_dangling_wake_on(backend: IoBackend) {
 /// assertion; debug builds re-audit the trace during `shutdown`.
 #[test]
 fn offload_completing_during_shutdown_is_harmless() {
-    for backend in backends() {
-        offload_completing_during_shutdown_is_harmless_on(backend);
-    }
-}
-
-fn offload_completing_during_shutdown_is_harmless_on(backend: IoBackend) {
     let vm = VmBuilder::new()
         .vps(1)
         .trace(true)
         .trace_capacity(1 << 14)
-        .io_backend(backend)
         .build();
     let started = Arc::new(AtomicUsize::new(0));
     let s = started.clone();
@@ -164,19 +132,12 @@ fn offload_completing_during_shutdown_is_harmless_on(backend: IoBackend) {
 /// `recv()`, and its fixed worker count had no headroom to grow).
 #[test]
 fn stress_offloads_past_pool_cap_without_head_of_line_stall() {
-    for backend in backends() {
-        stress_offloads_past_pool_cap_on(backend);
-    }
-}
-
-fn stress_offloads_past_pool_cap_on(backend: IoBackend) {
     const CAP: usize = 4;
     let vm = VmBuilder::new()
         .vps(1)
         .io_workers(CAP * 2)
         .trace(true)
         .trace_capacity(1 << 16)
-        .io_backend(backend)
         .build();
 
     // Phase 1: occupy CAP workers with jobs that hold until released.

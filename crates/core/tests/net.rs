@@ -3,38 +3,22 @@
 //! terminate delivered while parked on fd readiness unwinds cleanly (the
 //! registration is torn down, the pending readiness dies against the
 //! finished episode).  Every test runs with tracing and asserts a clean
-//! audit — and runs once per reactor backend (epoll always; io_uring when
-//! the kernel has it, with a printed skip otherwise), so both backends
-//! face the same suite.
+//! audit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sting_core::net::{TcpListener, TcpStream, LOCALHOST};
-use sting_core::reactor::IoBackend;
 use sting_core::state::ThreadState;
 use sting_core::vm::Vm;
 use sting_core::{tc, ThreadBuilder, VmBuilder};
 use sting_value::Value;
 
-/// The backends to matrix over: epoll unconditionally, io_uring when the
-/// kernel supports it (graceful skip, like `ci.sh miri` without nightly).
-fn backends() -> Vec<IoBackend> {
-    let mut v = vec![IoBackend::Epoll];
-    if sting_core::uring::uring_supported() {
-        v.push(IoBackend::IoUring);
-    } else {
-        eprintln!("io_uring unavailable on this kernel: epoll-only matrix");
-    }
-    v
-}
-
-fn vm_on(backend: IoBackend) -> Arc<Vm> {
+fn traced_vm() -> Arc<Vm> {
     VmBuilder::new()
         .vps(1)
         .trace(true)
         .trace_capacity(1 << 16)
-        .io_backend(backend)
         .build()
 }
 
@@ -57,13 +41,7 @@ fn finish(vm: &Arc<Vm>) {
 /// round-trip deadlocks.
 #[test]
 fn sting_threads_echo_round_trip_on_one_vp() {
-    for backend in backends() {
-        sting_threads_echo_round_trip_on_one_vp_on(backend);
-    }
-}
-
-fn sting_threads_echo_round_trip_on_one_vp_on(backend: IoBackend) {
-    let vm = vm_on(backend);
+    let vm = traced_vm();
     let listener = TcpListener::bind(LOCALHOST, 0).unwrap();
     let port = listener.local_port().unwrap();
     let server = vm.fork(move |_cx| {
@@ -97,14 +75,10 @@ fn sting_threads_echo_round_trip_on_one_vp_on(backend: IoBackend) {
     });
     assert_eq!(client.join_blocking().unwrap().as_int(), Some(1));
     assert_eq!(server.join_blocking().unwrap().as_int(), Some(1));
-    // The driver resolved to the requested backend, did real kernel work,
-    // and delivered real wakes — the counters behind `(vm-io-stats)`.
+    // The driver started the epoll backend, did real kernel work, and
+    // delivered real wakes — the counters behind `(vm-io-stats)`.
     let stats = vm.io_driver().stats();
-    let expected = match backend {
-        IoBackend::Epoll => "epoll",
-        _ => "uring",
-    };
-    assert_eq!(stats.backend, expected);
+    assert_eq!(stats.backend, "epoll");
     assert!(stats.syscalls > 0, "backend made no syscalls? {stats:?}");
     assert!(stats.wakes > 0, "driver delivered no wakes? {stats:?}");
     finish(&vm);
@@ -115,13 +89,7 @@ fn sting_threads_echo_round_trip_on_one_vp_on(backend: IoBackend) {
 /// wait episode as every other blocking op.
 #[test]
 fn accept_and_read_deadlines_time_out_on_sting_threads() {
-    for backend in backends() {
-        accept_and_read_deadlines_time_out_on(backend);
-    }
-}
-
-fn accept_and_read_deadlines_time_out_on(backend: IoBackend) {
-    let vm = vm_on(backend);
+    let vm = traced_vm();
     let t = vm.fork(|_cx| {
         let listener = TcpListener::bind(LOCALHOST, 0).unwrap();
         let port = listener.local_port().unwrap();
@@ -154,13 +122,7 @@ fn accept_and_read_deadlines_time_out_on(backend: IoBackend) {
 /// wakes nobody stale (clean audit) while a fresh acceptor still works.
 #[test]
 fn terminate_thread_blocked_in_accept() {
-    for backend in backends() {
-        terminate_thread_blocked_in_accept_on(backend);
-    }
-}
-
-fn terminate_thread_blocked_in_accept_on(backend: IoBackend) {
-    let vm = vm_on(backend);
+    let vm = traced_vm();
     let listener = Arc::new(TcpListener::bind(LOCALHOST, 0).unwrap());
     let port = listener.local_port().unwrap();
     let victim = {
@@ -196,19 +158,12 @@ fn terminate_thread_blocked_in_accept_on(backend: IoBackend) {
 /// thread, all multiplexed on one VP with 32 KiB stacks.
 #[test]
 fn connection_per_thread_fleet_under_priorities() {
-    for backend in backends() {
-        connection_per_thread_fleet_under_priorities_on(backend);
-    }
-}
-
-fn connection_per_thread_fleet_under_priorities_on(backend: IoBackend) {
     const CONNS: usize = 32;
     let vm = VmBuilder::new()
         .vps(1)
         .stack_size(32 * 1024)
         .trace(true)
         .trace_capacity(1 << 16)
-        .io_backend(backend)
         .build();
     let listener = Arc::new(TcpListener::bind(LOCALHOST, 0).unwrap());
     let port = listener.local_port().unwrap();

@@ -538,40 +538,35 @@ fn global_queue_shares_work_across_vps() {
 
 #[test]
 fn global_queue_dispatches_in_its_declared_order() {
-    for (q, expected) in [
-        (GlobalQueue::fifo(), vec![1, 2, 3]),
-        (GlobalQueue::lifo(), vec![3, 2, 1]),
-    ] {
-        let name = q.policy().name();
-        let vm = VmBuilder::new().vps(1).policy(move |_| q.policy()).build();
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        // Occupy the VP so all forks enqueue before any runs.
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let blocker = vm.fork(move |cx| {
-            while !g.load(Ordering::SeqCst) {
-                cx.yield_now();
-            }
-            0i64
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        let ts: Vec<_> = (1..=3i64)
-            .map(|tag| {
-                let o = order.clone();
-                vm.fork(move |_cx| {
-                    o.lock().push(tag);
-                    tag
-                })
-            })
-            .collect();
-        gate.store(true, Ordering::SeqCst);
-        blocker.join_blocking().unwrap();
-        for t in ts {
-            t.join_blocking().unwrap();
+    let q = GlobalQueue::fifo();
+    let vm = VmBuilder::new().vps(1).policy(move |_| q.policy()).build();
+    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    // Occupy the VP so all forks enqueue before any runs.
+    let gate = Arc::new(AtomicBool::new(false));
+    let g = gate.clone();
+    let blocker = vm.fork(move |cx| {
+        while !g.load(Ordering::SeqCst) {
+            cx.yield_now();
         }
-        assert_eq!(order.lock().clone(), expected, "{name}");
-        vm.shutdown();
+        0i64
+    });
+    std::thread::sleep(Duration::from_millis(10));
+    let ts: Vec<_> = (1..=3i64)
+        .map(|tag| {
+            let o = order.clone();
+            vm.fork(move |_cx| {
+                o.lock().push(tag);
+                tag
+            })
+        })
+        .collect();
+    gate.store(true, Ordering::SeqCst);
+    blocker.join_blocking().unwrap();
+    for t in ts {
+        t.join_blocking().unwrap();
     }
+    assert_eq!(order.lock().clone(), vec![1, 2, 3], "global-fifo");
+    vm.shutdown();
 }
 
 #[test]

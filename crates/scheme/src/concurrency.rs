@@ -943,11 +943,10 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         Ok(metrics_rows(m, &vm))
     });
     // (vm-io-stats) -> (backend syscalls wakes): the VM's reactor-driver
-    // counters — which backend the I/O driver resolved to ("epoll",
-    // "uring", or "unstarted" before any I/O), how many kernel
-    // round-trips that backend has made, and how many parked threads its
-    // dispatch woke.  syscalls/wakes is the per-wake syscall cost the
-    // io_uring backend exists to shrink.
+    // counters — which backend the I/O driver runs ("epoll", or
+    // "unstarted" before any I/O), how many kernel round-trips that
+    // backend has made, and how many parked threads its dispatch woke.
+    // syscalls/wakes is the reactor's per-wake syscall cost.
     def!("vm-io-stats", 0, Some(0), |m, _a| {
         let vm = cx()?.vm().clone();
         let stats = vm.io_driver().stats();

@@ -669,7 +669,7 @@ fn vm_io_stats_reports_backend_and_counters() {
     // Before any socket I/O the driver has not built its reactor.
     assert_eq!(ev(&i, "(car (vm-io-stats))"), Value::sym("unstarted"));
     // One echo round trip forces the driver up; afterwards the stats name
-    // a real backend and show kernel work plus at least one wake.
+    // the epoll backend and show kernel work plus at least one wake.
     ev(
         &i,
         "(let* ((l (tcp-listen 0))
@@ -688,11 +688,7 @@ fn vm_io_stats_reports_backend_and_counters() {
     let stats = ev(&i, "(vm-io-stats)");
     let items: Vec<Value> = stats.list_iter().cloned().collect();
     assert_eq!(items.len(), 3, "stats should be (backend syscalls wakes)");
-    assert!(
-        items[0] == Value::sym("epoll") || items[0] == Value::sym("uring"),
-        "unexpected backend: {:?}",
-        items[0]
-    );
+    assert_eq!(items[0], Value::sym("epoll"), "unexpected backend");
     assert!(items[1].as_int().unwrap() > 0, "no syscalls counted");
     assert!(items[2].as_int().unwrap() > 0, "no wakes counted");
     vm.shutdown();
