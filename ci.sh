@@ -82,6 +82,9 @@ run_check() {
     step "model checker: cross-shard mailbox models (--cfg sting_check)"
     RUSTFLAGS="--cfg sting_check" CARGO_TARGET_DIR=target/check \
         cargo test -q -p sting-core --test model_fleet
+    step "model checker: worker park/wake handshake models (--cfg sting_check)"
+    RUSTFLAGS="--cfg sting_check" CARGO_TARGET_DIR=target/check \
+        cargo test -q -p sting-core --test model_park
 }
 
 run_analyze() {
@@ -117,8 +120,12 @@ run_bench_smoke() {
     # instead of timing (scheme:global-ref-does-not-allocate: 100 000
     # references to a primitive and a prelude procedure grow neither the
     # heap nor its native table; scheme:call-does-not-malloc: 10 000
-    # closure calls make no Rust-heap allocation); the gates that need a second
-    # core (fork:two-pinned-vps-beat-one-vp, fleet:two-shards-two-workers,
+    # closure calls make no Rust-heap allocation) and the count gate on the
+    # machine's park/wake protocol (machine:wakes-per-fork<=0.05: a 2-VP
+    # migrating tree wakes a parked worker at most once per 20 forks); the
+    # gates that need a second core (fork:two-pinned-vps-beat-one-vp,
+    # fork:migrating-tree-no-slower-than-one-vp,
+    # fleet:two-shards-two-workers,
     # shape:tuple-locks-per-bucket-beats-global-lock) are recorded but
     # advisory on this tier, and enforced by a full run on a box with a
     # second core to give.

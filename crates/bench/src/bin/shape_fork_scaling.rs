@@ -27,13 +27,14 @@ fn row(name: &str, vps: usize, migrating: bool, trees: usize, lazy: bool) -> (f6
     let c = vm.counters().snapshot();
     vm.shutdown();
     println!(
-        "{name:<20} {:>9.0} ns/tree p50 {:>9.0} min   {:>6.0} ns/thread   steals={} tcbs={} migrations={}",
+        "{name:<20} {:>9.0} ns/tree p50 {:>9.0} min   {:>6.0} ns/thread   steals={} tcbs={} migrations={} wakes={}",
         d.p50(),
         d.min(),
         d.p50() / f64::from((1u32 << (DEPTH + 1)) - 1),
         c.steals,
         c.tcbs_allocated,
-        c.migrations
+        c.migrations,
+        c.worker_wakes
     );
     (d.p50(), d.min())
 }

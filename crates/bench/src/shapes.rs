@@ -781,9 +781,9 @@ pub fn fork_world_residue(wall: Duration, depth: u32) -> Residue {
         resident_bytes().saturating_sub(rss),
         start.elapsed() - since,
     );
-    // The last tree's husks on the sibling VP go at that VP's next look at
-    // its queue — an idle tick away at most; what must not be there is
-    // anything left by the thousands of trees before it.
+    // Husks the last tree left go at their VP's next look at its queue;
+    // what must not be there is anything left by the thousands of trees
+    // before it.
     let queued = || vm.vps().iter().map(|vp| vp.queue_len()).sum::<usize>();
     let settle = std::time::Instant::now();
     while queued() > 0 && settle.elapsed() < Duration::from_millis(20) {

@@ -139,6 +139,8 @@ counters! {
     handoffs,
     /// Tuple-space operations routed to a remote shard partition.
     routed_ops,
+    /// Parked machine workers unparked by a signal, on the signalling lane.
+    worker_wakes,
     /// Threads that reached the determined state.
     determinations,
     /// Threads determined by an uncaught exception.

@@ -52,7 +52,7 @@
 //! VP slice (the `Vm`'s empty fabric slot), which the bench gate holds
 //! within noise of the pre-fleet baseline.
 
-use crate::machine::PhysicalMachine;
+use crate::machine::{PhysicalMachine, Queued};
 use crate::pm::{EnqueueState, PolicyManager, RunItem};
 use crate::policies;
 use crate::thread::ThreadResult;
@@ -302,6 +302,11 @@ struct Stamped {
     msg: FabricMsg,
 }
 
+/// How mail wakes its destination shard: every VP of the shard drains the
+/// mailboxes at its next slice, so VP 0's worker is woken if it sleeps, or
+/// an idle sibling if it is busy.
+const SHARD_MAIL: Queued = Queued::Remotely { stealable: true };
+
 /// The cross-shard interconnect: an N×N matrix of [`Mailbox`]es plus the
 /// steal-request dedup flags.  One `Fabric` is shared by every shard of a
 /// [`Fleet`] (standalone VMs have none).
@@ -394,7 +399,7 @@ impl Fabric {
             },
         });
         if let Some(dest) = self.shard_vm(to) {
-            dest.signal_work();
+            dest.signal_work(0, SHARD_MAIL);
         }
     }
 
@@ -468,12 +473,19 @@ impl Fabric {
             msg: FabricMsg::Handoff(item),
         });
         if let Some(dvm) = self.shard_vm(dest) {
-            dvm.signal_work();
+            dvm.signal_work(0, SHARD_MAIL);
         }
     }
 
     /// An idle shard asks the next victim (round-robin) for work; at most
     /// one request per (requester, victim) pair is ever in flight.
+    ///
+    /// The request does not wake the victim: an idle victim has nothing to
+    /// give, and a busy one drains its mailbox at its next slice.  (When
+    /// requests did wake it, two idle shards asked each other back and
+    /// forth forever.)  An idle requester hears of new work through the
+    /// machine's chained wake: a worker woken for work that finds some
+    /// wakes one more, which asks again.
     pub(crate) fn request_work(&self, vm: &Arc<Vm>) {
         let n = self.shards.len();
         if n < 2 || vm.is_stopped() {
@@ -504,9 +516,6 @@ impl Fabric {
             lc,
             msg: FabricMsg::WorkRequest { from: me },
         });
-        if let Some(vvm) = self.shard_vm(victim) {
-            vvm.signal_work();
-        }
     }
 
     /// Shutdown sweep: empties every mailbox, completing in-flight

@@ -7,41 +7,223 @@
 //! Several virtual machines may be attached to one physical machine (they
 //! are held weakly — dropping a `Vm` detaches it); their VPs are numbered
 //! machine-wide in attach order, and slot `s` is driven by worker
-//! `s % workers` (`worker_of`).  A machine with one VM therefore maps VP
-//! `i` to worker `i % workers`, and a fleet of single-VP shards spreads
-//! over every worker instead of piling onto worker 0.
+//! `s % workers`.  A machine with one VM therefore maps VP `i` to worker
+//! `i % workers`, and a fleet of single-VP shards spreads over every worker
+//! instead of piling onto worker 0.  A VM keeps its slots while attached:
+//! a detached or dropped VM leaves a gap rather than renumbering the rest.
+//!
+//! ## Parking and waking
+//!
+//! A worker with nothing to run parks on its own `std::thread::park`, with
+//! no timeout and no shared lock.  One atomic word per machine
+//! (`IdleWorkers`) holds a mask of the parked workers and a count of the
+//! workers that were woken and are still looking for work (*searching*).
+//!
+//! * **Going to sleep.**  A worker whose pass finds nothing announces
+//!   itself idle (a SeqCst RMW on the word) and runs its pass once more —
+//!   which also tries to steal.  It parks only if that pass finds nothing.
+//! * **Signalling.**  Whoever queues work from outside a VP's worker
+//!   publishes it, fences (SeqCst) and reads the word.  If the VP's worker
+//!   is idle it is *claimed* — its bit cleared, the searching count raised —
+//!   and unparked.  Either the read sees the announcement or the announcing
+//!   worker's second pass sees the work, so no wake is lost
+//!   (`crates/core/tests/model_park.rs` checks the pair).  Nobody idle: one
+//!   fence and one load, no syscall.
+//! * **Stealing.**  Work an idle sibling may take — an owner push on a
+//!   stealable queue, or remote work whose worker is busy — claims one idle
+//!   worker that drives another VP of the same VM, but only when no worker
+//!   is searching: a searcher will find it.  An owner push reads the word
+//!   without the fence; the owner runs what it pushed anyway, so a missed
+//!   offer costs a steal, never progress.
+//! * **Chaining.**  A searching worker that finds work and was the last
+//!   searcher claims one more idle worker, so a burst of work spreads one
+//!   wake at a time instead of as a herd.
+//!
+//! The timekeeper keeps raising preemption flags and firing due timers
+//! every tick, but no worker depends on it to find work.
 
+use crate::counters::Counters;
+use crate::pad::CachePadded;
 use crate::vm::Vm;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::Thread;
 use std::time::Duration;
 
+#[cfg(sting_check)]
+pub use idle::IdleWorkers;
+#[cfg(not(sting_check))]
+use idle::IdleWorkers;
+use idle::MAX_WORKERS;
+
+/// The idle-worker word.  Under `--cfg sting_check` its atomics are the
+/// model checker's shims and the type is exported, so `ci.sh check`
+/// explores this exact source (`crates/core/tests/model_park.rs`).
+mod idle {
+    #[cfg(not(sting_check))]
+    use std::sync::atomic::{fence, AtomicU64, Ordering};
+    #[cfg(sting_check)]
+    use sting_check::atomic::{fence, AtomicU64, Ordering};
+
+    /// The most workers one machine tracks: a mask bit each, with the
+    /// searching count in the bits above them.
+    pub const MAX_WORKERS: usize = 56;
+    const SEARCHING: u64 = 1 << MAX_WORKERS;
+    const IDLE: u64 = SEARCHING - 1;
+
+    const fn bit(worker: usize) -> u64 {
+        1 << worker
+    }
+
+    /// A machine's idle-worker mask and searching count, in one word (see
+    /// the module docs, "Parking and waking").  A worker is *claimed* when
+    /// a signaller clears its bit and counts it as searching in one CAS;
+    /// the claimer then unparks it.
+    #[derive(Debug, Default)]
+    pub struct IdleWorkers {
+        word: AtomicU64,
+    }
+
+    impl IdleWorkers {
+        /// Worker `w` found nothing and is about to park.  The fence orders
+        /// the caller's next look for work after the announcement.
+        pub fn announce(&self, w: usize) {
+            self.word.fetch_or(bit(w), Ordering::SeqCst);
+            fence(Ordering::SeqCst);
+        }
+
+        /// Worker `w` found work after announcing.  `true` if it withdrew
+        /// its own announcement; `false` if a signaller claimed it first,
+        /// which makes it a searcher.
+        pub fn retract(&self, w: usize) -> bool {
+            self.word.fetch_and(!bit(w), Ordering::AcqRel) & bit(w) != 0
+        }
+
+        /// Whether `w` is announced and not yet claimed.
+        pub fn is_idle(&self, w: usize) -> bool {
+            self.word.load(Ordering::Acquire) & bit(w) != 0
+        }
+
+        /// The idle mask as a signaller that has just published work reads
+        /// it.  The SeqCst fence pairs with [`IdleWorkers::announce`]:
+        /// either this read sees a worker's announcement, or that worker's
+        /// next look sees the work.
+        pub fn idle_after_publish(&self) -> u64 {
+            fence(Ordering::SeqCst);
+            self.word.load(Ordering::Relaxed) & IDLE
+        }
+
+        /// Claims worker `w` if it is idle.  Like every claim, returns the
+        /// mask of the workers the caller must unpark.
+        pub fn claim_worker(&self, w: usize) -> u64 {
+            self.claim(|_| bit(w))
+        }
+
+        /// Claims the first idle worker among `candidates` (a mask), unless
+        /// a worker is searching already.
+        pub fn claim_one(&self, candidates: u64) -> u64 {
+            self.claim(|cur| {
+                let idle = cur & candidates;
+                if cur >= SEARCHING {
+                    0
+                } else {
+                    idle & idle.wrapping_neg()
+                }
+            })
+        }
+
+        /// Claims every idle worker.
+        pub fn claim_all(&self) -> u64 {
+            self.claim(|cur| cur)
+        }
+
+        /// Claims the idle workers `pick` chooses from the current word:
+        /// clears their bits and counts each as searching, in one CAS.
+        fn claim(&self, pick: impl Fn(u64) -> u64) -> u64 {
+            let mut cur = self.word.load(Ordering::Relaxed);
+            loop {
+                let claimed = pick(cur) & cur & IDLE;
+                if claimed == 0 {
+                    return 0;
+                }
+                let next = (cur & !claimed) + u64::from(claimed.count_ones()) * SEARCHING;
+                match self
+                    .word
+                    .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Relaxed)
+                {
+                    Ok(_) => return claimed,
+                    Err(now) => cur = now,
+                }
+            }
+        }
+
+        /// A searching worker stops searching; `true` if it was the last.
+        pub fn end_search(&self) -> bool {
+            let before = self.word.fetch_sub(SEARCHING, Ordering::AcqRel);
+            debug_assert!(before >= SEARCHING, "a search ended that never began");
+            before >> MAX_WORKERS == 1
+        }
+    }
+}
+
+/// Who queued the work a signal announces ([`Vm::signal_work`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Queued {
+    /// The VP's own worker, mid-slice, on a stealable queue: it will run
+    /// the work itself, so only an idle sibling that could steal it is
+    /// worth waking.
+    ByOwner,
+    /// Anyone else.  The VP's worker must see the work; `stealable` also
+    /// lets an idle sibling take it when that worker is busy.
+    Remotely {
+        /// Whether another VP of the VM may run the work.
+        stealable: bool,
+    },
+}
+
 struct MachineShared {
-    vms: RwLock<Vec<Weak<Vm>>>,
+    vms: RwLock<Vec<Attached>>,
     stop: AtomicBool,
-    work_epoch: Mutex<u64>,
-    work_cv: Condvar,
+    idle: CachePadded<IdleWorkers>,
+    /// Each worker's thread, registered by the worker before it first
+    /// announces itself idle.
+    workers: Box<[OnceLock<Thread>]>,
     tick: Duration,
+}
+
+/// An attached VM and the machine-wide slot of its VP 0.
+struct Attached {
+    vm: Weak<Vm>,
+    base: usize,
+    vps: usize,
 }
 
 /// A set of physical processors (OS threads) driving virtual machines.
 pub struct PhysicalMachine {
     shared: Arc<MachineShared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    processors: usize,
+}
+
+/// What a VM's signals need of the machine it is attached to.
+struct Link {
+    shared: Arc<MachineShared>,
+    /// The machine-wide slot of the VM's VP 0.
+    base: usize,
+    /// Mask of the workers that drive some VP of the VM.
+    drivers: u64,
 }
 
 /// A VM's handle on the machine that drives it ([`Vm::machine`]).
 ///
 /// [`PhysicalMachine::attach`] replaces it and `detach` clears it, so the
 /// machine [`Vm::signal_work`] wakes is always the attached one; and a
-/// signal — there is one per remote enqueue — finds it with a single load:
-/// no lock taken, no reference counted.
+/// signal — there is one per enqueue — finds it with a single load: no
+/// lock taken, no reference counted.
 pub(crate) struct Attachment {
-    /// The attached machine's wake block; null while detached.  Points
-    /// into `held.blocks`.
-    signalled: AtomicPtr<MachineShared>,
+    /// The link to the attached machine; null while detached.  Points into
+    /// `held.links`.
+    signalled: AtomicPtr<Link>,
     held: Mutex<Held>,
 }
 
@@ -50,12 +232,11 @@ struct Held {
     /// The attached machine: a VM keeps its machine alive (`VmBuilder`
     /// makes one per VM by default).
     machine: Option<Arc<PhysicalMachine>>,
-    /// Every wake block `signalled` has pointed at.  A signaller that
-    /// loaded the pointer just before a re-attach must still find the
-    /// block there, so blocks are released only with the VM.  (A block is
-    /// an epoch word and a condvar, not the machine's workers: those stop
-    /// when the `PhysicalMachine` drops.)
-    blocks: Vec<Arc<MachineShared>>,
+    /// Every link `signalled` has pointed at.  A signaller that loaded the
+    /// pointer just before a re-attach must still find the link there, so
+    /// links are released only with the VM.  (A link holds a machine's wake
+    /// state, not its workers: those stop when the `PhysicalMachine` drops.)
+    links: Vec<Arc<Link>>,
 }
 
 impl Attachment {
@@ -66,23 +247,37 @@ impl Attachment {
         }
     }
 
-    /// Points the VM at `machine`.  Returns the machine it displaces, for
-    /// the caller to drop outside the lock: the last reference to a
-    /// machine joins workers that may be signalling this very VM.
-    fn attach(&self, machine: &Arc<PhysicalMachine>) -> Option<Arc<PhysicalMachine>> {
+    /// Points the VM at `machine`, whose slots from `base` on are the VM's
+    /// `vps`.  Returns the machine it displaces, for the caller to drop
+    /// outside the lock: the last reference to a machine joins workers that
+    /// may be signalling this very VM.
+    fn attach(
+        &self,
+        machine: &Arc<PhysicalMachine>,
+        base: usize,
+        vps: usize,
+    ) -> Option<Arc<PhysicalMachine>> {
         let mut held = self.held.lock();
-        if !held.blocks.iter().any(|b| Arc::ptr_eq(b, &machine.shared)) {
-            held.blocks.push(machine.shared.clone());
-        }
+        let p = machine.shared.workers.len();
+        let link = Arc::new(Link {
+            shared: machine.shared.clone(),
+            base,
+            drivers: (base..base + vps.min(p)).fold(0, |m, slot| m | 1 << (slot % p)),
+        });
         self.signalled
-            .store(Arc::as_ptr(&machine.shared).cast_mut(), Ordering::Release);
+            .store(Arc::as_ptr(&link).cast_mut(), Ordering::Release);
+        held.links.push(link);
         held.machine.replace(machine.clone())
     }
 
     /// Clears the handle if it is `machine`'s; returns what it held.
     fn detach(&self, machine: &PhysicalMachine) -> Option<Arc<PhysicalMachine>> {
         let mut held = self.held.lock();
-        if !std::ptr::eq(self.signalled.load(Ordering::Relaxed), &*machine.shared) {
+        if !held
+            .machine
+            .as_ref()
+            .is_some_and(|m| std::ptr::eq(Arc::as_ptr(m), machine))
+        {
             return None;
         }
         self.signalled
@@ -90,31 +285,117 @@ impl Attachment {
         held.machine.take()
     }
 
-    /// Wakes the attached machine's parked workers, if a machine is
-    /// attached.
-    pub(crate) fn signal_work(&self) {
-        let shared = self.signalled.load(Ordering::Acquire);
+    /// Tells the attached machine, if any, that work was queued on this
+    /// VM's VP `vp`.  `true` if a worker was unparked.
+    pub(crate) fn signal_work(&self, vp: usize, queued: Queued) -> bool {
+        let link = self.signalled.load(Ordering::Acquire);
         // SAFETY: a non-null `signalled` points at an entry of
-        // `held.blocks`, and entries are never removed while `self` lives.
-        if let Some(shared) = unsafe { shared.as_ref() } {
-            shared.signal_work();
-        }
+        // `held.links`, and entries are never removed while `self` lives.
+        let Some(link) = (unsafe { link.as_ref() }) else {
+            return false;
+        };
+        link.shared.signal(link.base + vp, link.drivers, queued)
     }
 }
 
 impl MachineShared {
-    /// Wakes parked workers because new work was enqueued.
-    fn signal_work(&self) {
-        let mut epoch = self.work_epoch.lock();
-        *epoch += 1;
-        self.work_cv.notify_all();
+    /// Wakes whom work queued on machine-wide slot `slot` needs (see
+    /// [`Queued`]); `drivers` are the workers of the slot's VM.  `true` if
+    /// a worker was unparked.
+    fn signal(&self, slot: usize, drivers: u64, queued: Queued) -> bool {
+        let claimed = match queued {
+            Queued::ByOwner => self.idle.claim_one(drivers),
+            Queued::Remotely { stealable } => {
+                if self.idle.idle_after_publish() == 0 {
+                    return false;
+                }
+                match self.idle.claim_worker(slot % self.workers.len()) {
+                    0 if stealable => self.idle.claim_one(drivers),
+                    target => target,
+                }
+            }
+        };
+        self.unpark(claimed)
+    }
+
+    /// Unparks every idle worker, for work that appeared without an
+    /// enqueue (a VM attached with its queues already full).
+    fn wake_idle(&self) {
+        if self.idle.idle_after_publish() != 0 {
+            self.unpark(self.idle.claim_all());
+        }
+    }
+
+    /// Unparks the workers a claim returned; `true` if there were any.
+    fn unpark(&self, claimed: u64) -> bool {
+        let mut rest = claimed;
+        while rest != 0 {
+            if let Some(thread) = self.workers[rest.trailing_zeros() as usize].get() {
+                thread.unpark();
+            }
+            rest &= rest - 1;
+        }
+        claimed != 0
+    }
+
+    /// Runs every slice worker `index` drives, once; `true` if any ran a
+    /// thread.  `searching`: the worker was claimed and has not yet found
+    /// work.
+    fn pass(&self, index: usize, vms: &mut Vec<(Arc<Vm>, usize)>, searching: &mut bool) -> bool {
+        let processors = self.workers.len();
+        vms.extend(
+            self.vms
+                .read()
+                .iter()
+                .filter_map(|a| Some((a.vm.upgrade()?, a.base))),
+        );
+        let mut did_work = false;
+        for (vm, base) in vms.iter() {
+            if vm.is_stopped() {
+                continue;
+            }
+            vm.process_timers();
+            vm.active_slices.fetch_add(1, Ordering::AcqRel);
+            for (i, vp) in vm.vps().iter().enumerate() {
+                if (base + i) % processors == index && !vm.is_stopped() {
+                    did_work |= vp.run_slice(vm, SLICE_BUDGET, || {
+                        self.found_work(searching, vm, i);
+                    });
+                }
+            }
+            vm.active_slices.fetch_sub(1, Ordering::AcqRel);
+        }
+        // Drop the strong refs before parking so a detached VM's teardown
+        // is never pinned by an idle worker.
+        vms.clear();
+        did_work
+    }
+
+    /// A worker is about to dispatch a thread of VP `vp` of `vm`.  A
+    /// searcher stops searching there, and the last one to stop wakes a
+    /// successor to look for more, as the signal that woke it would have.
+    fn found_work(&self, searching: &mut bool, vm: &Vm, vp: usize) {
+        if std::mem::take(searching)
+            && self.idle.end_search()
+            && self.unpark(self.idle.claim_one(u64::MAX))
+        {
+            Counters::bump(&vm.counters().lane(Some(vp)).worker_wakes);
+        }
+    }
+
+    /// Parks worker `index` until a signaller claims it or the machine
+    /// stops.
+    fn park(&self, index: usize) {
+        while self.idle.is_idle(index) && !self.stop.load(Ordering::Acquire) {
+            std::thread::park();
+        }
     }
 }
 
 impl std::fmt::Debug for PhysicalMachine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PhysicalMachine")
-            .field("processors", &self.processors)
+            .field("processors", &self.processors())
             .field("tick", &self.shared.tick)
             .finish()
     }
@@ -131,15 +412,17 @@ impl PhysicalMachine {
         PhysicalMachine::with_tick(processors, Duration::from_micros(500))
     }
 
-    /// Creates a machine with an explicit preemption `tick`.
+    /// Creates a machine with an explicit preemption `tick`.  A machine has
+    /// at least one worker and at most 56 (one bit each in its idle word);
+    /// VPs beyond that are multiplexed over the workers it has.
     pub fn with_tick(processors: usize, tick: Duration) -> Arc<PhysicalMachine> {
         crate::tc::install_quiet_panic_hook();
-        let processors = processors.max(1);
+        let processors = processors.clamp(1, MAX_WORKERS);
         let shared = Arc::new(MachineShared {
             vms: RwLock::new(Vec::new()),
             stop: AtomicBool::new(false),
-            work_epoch: Mutex::new(0),
-            work_cv: Condvar::new(),
+            idle: CachePadded(IdleWorkers::default()),
+            workers: (0..processors).map(|_| OnceLock::new()).collect(),
             tick,
         });
         let mut workers = Vec::with_capacity(processors + 1);
@@ -148,7 +431,7 @@ impl PhysicalMachine {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("sting-pp-{i}"))
-                    .spawn(move || worker_loop(&s, i, processors))
+                    .spawn(move || worker_loop(&s, i))
                     .expect("spawn physical processor"),
             );
         }
@@ -162,36 +445,41 @@ impl PhysicalMachine {
         Arc::new(PhysicalMachine {
             shared,
             workers: Mutex::new(workers),
-            processors,
         })
     }
 
     /// Number of physical processors (workers).
     pub fn processors(&self) -> usize {
-        self.processors
+        self.shared.workers.len()
     }
 
     /// Attaches `vm` so its VPs are driven by this machine's workers.
     pub fn attach(self: &Arc<PhysicalMachine>, vm: &Arc<Vm>) {
         // The latest attachment is the one `Vm::signal_work` wakes; a VM
         // attached to two machines at once is still driven by the earlier
-        // one, but only at that machine's idle-tick cadence.
-        drop(vm.machine.attach(self));
-        self.shared.vms.write().push(Arc::downgrade(vm));
-        self.signal_work();
+        // one, but only when that machine's workers wake for other reasons.
+        let base = {
+            let mut vms = self.shared.vms.write();
+            let me = Arc::downgrade(vm);
+            vms.retain(|a| a.vm.strong_count() > 0 && !a.vm.ptr_eq(&me));
+            let base = vms.iter().map(|a| a.base + a.vps).max().unwrap_or(0);
+            vms.push(Attached {
+                vm: me,
+                base,
+                vps: vm.vp_count(),
+            });
+            base
+        };
+        drop(vm.machine.attach(self, base, vm.vp_count()));
+        self.shared.wake_idle();
     }
 
     /// Detaches `vm`; its threads stop being scheduled.
     pub fn detach(&self, vm: &Arc<Vm>) {
         let target = Arc::downgrade(vm);
-        self.shared.vms.write().retain(|w| !w.ptr_eq(&target));
+        self.shared.vms.write().retain(|a| !a.vm.ptr_eq(&target));
         // Stop being the machine `vm` wakes (and stop being pinned by it).
         drop(vm.machine.detach(self));
-    }
-
-    /// Wakes parked workers because new work was enqueued.
-    pub(crate) fn signal_work(&self) {
-        self.shared.signal_work();
     }
 
     /// Stops all workers and joins them.  Called automatically on drop.
@@ -202,9 +490,13 @@ impl PhysicalMachine {
     /// own once the stop flag is visible.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::Release);
-        self.signal_work();
         let me = std::thread::current().id();
         let mut workers = self.workers.lock();
+        // Unpark everyone, the timekeeper too: a thread between reading
+        // `stop` and parking keeps the token and returns from its park.
+        for w in workers.iter() {
+            w.thread().unpark();
+        }
         for w in workers.drain(..) {
             if w.thread().id() == me {
                 continue;
@@ -220,63 +512,49 @@ impl Drop for PhysicalMachine {
     }
 }
 
-fn attached_vms(shared: &MachineShared) -> Vec<Arc<Vm>> {
-    shared.vms.read().iter().filter_map(Weak::upgrade).collect()
-}
-
-/// The worker that drives machine-wide VP slot `slot` (VPs numbered across
-/// the attached VMs in attach order).
-fn worker_of(slot: usize, processors: usize) -> usize {
-    slot % processors
-}
-
-fn worker_loop(shared: &MachineShared, index: usize, processors: usize) {
+fn worker_loop(shared: &MachineShared, index: usize) {
+    // Registered before the first announcement, so a claimer always finds
+    // the thread it must unpark.
+    let _ = shared.workers[index].set(std::thread::current());
     // Reused across passes: re-collecting the attachment list every pass
     // costs an allocation per pass per worker, and a fleet multiplies the
     // pass frequency by its shard count.
-    let mut vms: Vec<Arc<Vm>> = Vec::new();
+    let mut vms = Vec::new();
+    // Claimed by a signaller and not yet found work.
+    let mut searching = false;
     while !shared.stop.load(Ordering::Acquire) {
-        let epoch = *shared.work_epoch.lock();
-        let mut did_work = false;
-        vms.extend(shared.vms.read().iter().filter_map(Weak::upgrade));
-        // Machine-wide slot of the current VM's first VP.  Two workers may
-        // briefly number a changing attachment list differently; a VP
-        // claimed by both is run by one (`run_slice`'s owner guard), one
-        // claimed by neither is picked up on the next pass.
-        let mut first_slot = 0;
-        for vm in &vms {
-            let slots = first_slot..first_slot + vm.vps().len();
-            first_slot = slots.end;
-            if vm.is_stopped() {
-                continue;
-            }
-            vm.process_timers();
-            vm.active_slices.fetch_add(1, Ordering::AcqRel);
-            for (slot, vp) in slots.zip(vm.vps()) {
-                if worker_of(slot, processors) == index && !vm.is_stopped() {
-                    did_work |= vp.run_slice(vm, SLICE_BUDGET);
-                }
-            }
-            vm.active_slices.fetch_sub(1, Ordering::AcqRel);
+        if shared.pass(index, &mut vms, &mut searching) {
+            continue;
         }
-        // Drop the strong refs before parking so a detached VM's teardown
-        // is never pinned by an idle worker.
-        vms.clear();
-        if !did_work {
-            let mut g = shared.work_epoch.lock();
-            if *g == epoch && !shared.stop.load(Ordering::Acquire) {
-                shared
-                    .work_cv
-                    .wait_for(&mut g, shared.tick.max(Duration::from_micros(200)));
-            }
+        if std::mem::take(&mut searching) {
+            shared.idle.end_search();
+        }
+        shared.idle.announce(index);
+        if shared.pass(index, &mut vms, &mut searching) {
+            // Claimed while looking: a searcher, whose next dispatch ends
+            // the search.
+            searching = !shared.idle.retract(index);
+        } else {
+            shared.park(index);
+            searching = true;
         }
     }
 }
 
 fn timekeeper_loop(shared: &MachineShared) {
-    while !shared.stop.load(Ordering::Acquire) {
-        std::thread::sleep(shared.tick);
-        for vm in attached_vms(shared) {
+    loop {
+        std::thread::park_timeout(shared.tick);
+        if shared.stop.load(Ordering::Acquire) {
+            break;
+        }
+        // Collected first: the list's lock is not held while timers fire.
+        let vms: Vec<Arc<Vm>> = shared
+            .vms
+            .read()
+            .iter()
+            .filter_map(|a| a.vm.upgrade())
+            .collect();
+        for vm in vms {
             for vp in vm.vps() {
                 vp.preempt_flag().store(true, Ordering::Relaxed);
                 crate::trace_event!(

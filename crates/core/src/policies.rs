@@ -57,8 +57,8 @@ pub enum QueueOrder {
 
 /// A per-VP ready queue (the *local* locality class).
 ///
-/// A `LocalQueue` is a declaration — dispatch order, whether work may
-/// leave for idle siblings and which, where forks are placed — that
+/// A `LocalQueue` is a declaration — dispatch order, and whether work may
+/// leave for idle siblings and which — that
 /// [`PolicyManager::queue_kind`] hands to the VP; the items themselves
 /// live on the VP's lock-free deque tier, so `get_next_thread` and
 /// `enqueue_thread` are never called.
@@ -73,8 +73,6 @@ pub struct LocalQueue {
     order: QueueOrder,
     migrating: bool,
     migrate_tcbs: bool,
-    place_round_robin: bool,
-    next_place: usize,
 }
 
 impl LocalQueue {
@@ -84,16 +82,14 @@ impl LocalQueue {
             order,
             migrating: false,
             migrate_tcbs: false,
-            place_round_robin: false,
-            next_place: 0,
         }
     }
 
     /// Enables pulling work from sibling VPs when idle, and offering work
-    /// to idle siblings.  Also turns on round-robin initial placement.
+    /// to idle siblings.  Forks still go on the forking VP (`choose_vp`'s
+    /// default); only an idle sibling's steal moves them.
     pub fn migrating(mut self, yes: bool) -> LocalQueue {
         self.migrating = yes;
-        self.place_round_robin = yes;
         self
     }
 
@@ -101,13 +97,6 @@ impl LocalQueue {
     /// threads.  Costs locality; see the policy shape experiment.
     pub fn migrate_tcbs(mut self, yes: bool) -> LocalQueue {
         self.migrate_tcbs = yes;
-        self
-    }
-
-    /// Forked threads are placed round-robin over the machine's VPs rather
-    /// than on the forking VP.
-    pub fn place_round_robin(mut self, yes: bool) -> LocalQueue {
-        self.place_round_robin = yes;
         self
     }
 
@@ -124,16 +113,6 @@ impl PolicyManager for LocalQueue {
 
     fn enqueue_thread(&mut self, _vp: &Vp, _item: RunItem, _state: EnqueueState) {
         unreachable!("a LocalQueue's items are kept by the VP's deque tier");
-    }
-
-    fn choose_vp(&mut self, vp: &Vp) -> usize {
-        if self.place_round_robin {
-            let n = vp.vm().vp_count();
-            self.next_place = (self.next_place + 1) % n.max(1);
-            self.next_place
-        } else {
-            vp.index()
-        }
     }
 
     fn vp_idle(&mut self, vp: &Vp) -> Option<RunItem> {

@@ -10,7 +10,7 @@ use crate::counters::Counters;
 use crate::error::CoreError;
 use crate::group::{GroupLane, ThreadGroup, WeakList};
 use crate::io::IoPool;
-use crate::machine::Attachment;
+use crate::machine::{Attachment, Queued};
 use crate::metrics::Metrics;
 use crate::pad::CachePadded;
 use crate::pm::{EnqueueState, RunItem};
@@ -544,9 +544,12 @@ impl Vm {
         self.vps[vp].enqueue_batch(self, tcbs.into_iter().map(RunItem::Parked).collect(), state);
     }
 
-    /// Wakes parked machine workers (new work is available).
-    pub(crate) fn signal_work(&self) {
-        self.machine.signal_work();
+    /// Tells the machine that work was queued on VP `vp` (see [`Queued`]),
+    /// counting the wake-up on the signalling lane if it unparked a worker.
+    pub(crate) fn signal_work(&self, vp: usize, queued: Queued) {
+        if self.machine.signal_work(vp, queued) {
+            Counters::bump(&self.counters.lane(tls::lane()).worker_wakes);
+        }
     }
 
     /// Drains due timers, waking suspended threads and expiring timed
@@ -642,7 +645,6 @@ impl Vm {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.signal_work();
         if tls::on_thread() {
             // Deferred: we are running on one of our own fibers.
             return;

@@ -38,6 +38,7 @@
 
 use crate::counters::Counters;
 use crate::deque::{Injector, MultiDeque, Steal};
+use crate::machine::Queued;
 use crate::pad::CachePadded;
 use crate::pm::{DequeCaps, EnqueueState, PolicyManager, QueueKind, RunItem};
 use crate::probe::{self, Probe};
@@ -184,7 +185,7 @@ impl FastQueue {
     /// highest-band eligible item (oldest within its band — the order the
     /// owner would dispatch) and re-injects the rest in one CAS.  Declines,
     /// like `surrender`, when the policy keeps its work home.
-    fn rescue(&self, vm: &Vm) -> Option<RunItem> {
+    fn rescue(&self, vm: &Vm, index: usize) -> Option<RunItem> {
         if !self.caps.steal {
             return None;
         }
@@ -206,7 +207,7 @@ impl FastQueue {
             self.injector.push_batch(backlog);
             // The original submission signals were consumed; re-arm so the
             // returned work is not stranded.
-            vm.signal_work();
+            vm.signal_work(index, Queued::Remotely { stealable: true });
         }
         chosen
     }
@@ -382,7 +383,7 @@ impl Vp {
         // policy consultation + hand-off bookkeeping), timed on the thief.
         let steal_t0 = vm.metrics().steal_begin(thief.index());
         let item = match &self.fast {
-            Some(fq) => fq.surrender().or_else(|| fq.rescue(&vm))?,
+            Some(fq) => fq.surrender().or_else(|| fq.rescue(&vm, self.index))?,
             None => {
                 let mut pm = self.owned.pm.try_lock()?;
                 pm.offer_migration(self).filter(|item| !item.is_dead())?
@@ -447,13 +448,23 @@ impl Vp {
             self.pm().enqueue_thread(self, item, state);
             false
         };
-        // An owner push needs no wake-up: the pusher *is* the consumer
-        // and is mid-slice.  Sibling thieves discover the backlog at
-        // their idle-timeout tick.  Everything else may target a
-        // sleeping worker and must signal.
+        // An owner push needs no wake-up for its own sake: the pusher *is*
+        // the consumer and is mid-slice.  On a stealable queue it offers
+        // the item to an idle sibling, which costs one load when nobody is
+        // parked.  Everything else may target a sleeping worker.
+        let stealable = self.stealable();
         if !owner_push {
-            vm.signal_work();
+            vm.signal_work(self.index, Queued::Remotely { stealable });
+        } else if stealable {
+            vm.signal_work(self.index, Queued::ByOwner);
         }
+    }
+
+    /// Whether another VP may run what is queued here: the deque tier's
+    /// steal capability, or, on the policy tier, whatever the manager's
+    /// own queue and idle hook allow.
+    fn stealable(&self) -> bool {
+        self.fast.as_ref().is_none_or(|fq| fq.caps.steal)
     }
 
     /// Enqueues many items at once — the batched-wake fast path used by
@@ -490,7 +501,12 @@ impl Vp {
                 pm.enqueue_thread(self, item, state);
             }
         }
-        vm.signal_work();
+        vm.signal_work(
+            self.index,
+            Queued::Remotely {
+                stealable: self.stealable(),
+            },
+        );
     }
 
     /// Pop-on-join, called by a toucher on this VP that has just claimed
@@ -537,12 +553,19 @@ impl Vp {
 
     /// Runs up to `budget` threads on this VP, on behalf of its machine
     /// `vm`.  Returns `true` if any thread was run.  Called by
-    /// physical-processor workers.
+    /// physical-processor workers, which learn through `found` — called
+    /// once, just before the slice's first dispatch — that the slice has
+    /// work.
     ///
     /// Entries whose thread was absorbed by a toucher (or terminated)
     /// while queued are discarded as they surface: they cost no budget,
     /// and the slice goes on to whatever lies beneath them.
-    pub(crate) fn run_slice(self: &Arc<Vp>, vm: &Arc<Vm>, budget: usize) -> bool {
+    pub(crate) fn run_slice(
+        self: &Arc<Vp>,
+        vm: &Arc<Vm>,
+        budget: usize,
+        found: impl FnOnce(),
+    ) -> bool {
         // Claim the slice-owner role (on the deque tier, that of the
         // deque's single owner); if another worker somehow drives this VP
         // right now, skip the slice.
@@ -559,10 +582,11 @@ impl Vp {
         if let Some(fabric) = fabric {
             fabric.pump(vm, self);
         }
+        let mut found = Some(found);
         let mut ran = 0;
         while ran < budget && !vm.is_stopped() {
             let Some(item) = self.next_item() else { break };
-            match item {
+            let tcb = match item {
                 RunItem::Fresh(thread) => {
                     // Revalidate: the thread may have been stolen or
                     // terminated while sitting in the ready queue.
@@ -577,8 +601,7 @@ impl Vp {
                         thread.id().0,
                         0
                     );
-                    let tcb = self.make_tcb(vm, thread, thunk);
-                    self.run_tcb(vm, tcb);
+                    self.make_tcb(vm, thread, thunk)
                 }
                 RunItem::Parked(tcb) => {
                     // A determined thread's TCB is recycled at its final
@@ -597,9 +620,13 @@ impl Vp {
                         tcb.thread().id().0,
                         1
                     );
-                    self.run_tcb(vm, tcb);
+                    tcb
                 }
+            };
+            if let Some(found) = found.take() {
+                found();
             }
+            self.run_tcb(vm, tcb);
             ran += 1;
         }
         if ran == 0 {

@@ -92,6 +92,33 @@ fn single_vp_shards_run_on_separate_workers() {
     fleet.shutdown();
 }
 
+/// Reproduction: an idle fleet sleeps.  A shard that found nothing used to
+/// post a work request that woke its victim, which found nothing and asked
+/// back: two idle shards kept a core busy between them (a 4-shard fleet,
+/// two).  Left alone for a second, an idle fleet now wakes no worker.
+#[test]
+fn idle_fleets_leave_their_workers_parked() {
+    for shards in [2, 4] {
+        let fleet = Fleet::builder().shards(shards).processors(2).build();
+        let wakes = || -> u64 {
+            fleet
+                .shards()
+                .iter()
+                .map(|vm| vm.counters().snapshot().worker_wakes)
+                .sum()
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        let before = wakes();
+        std::thread::sleep(Duration::from_secs(1));
+        let woken = wakes() - before;
+        assert!(
+            woken <= 10,
+            "an idle {shards}-shard fleet woke its workers {woken} times in a second"
+        );
+        fleet.shutdown();
+    }
+}
+
 /// Work forked onto one shard spreads to the idle sibling via the
 /// mailbox handoff protocol, thread ids stay fleet-unique, and the
 /// merged fleet-wide replay audits clean (acceptance criterion).

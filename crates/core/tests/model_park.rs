@@ -1,0 +1,144 @@
+//! Model-checked scenarios over the *production* park/wake handshake —
+//! `sting_core::machine::IdleWorkers`, the one word per machine holding
+//! the idle-worker mask and the count of searching workers.
+//!
+//! Compiles only under `RUSTFLAGS="--cfg sting_check"` (`./ci.sh check`),
+//! which switches the word onto the sting-check shim atomics (and exports
+//! the type) so every interleaving and weak-memory load result is
+//! explored.  A model worker "parks" by reporting that it would; the real
+//! one then sleeps until a claimer unparks it, so a worker that parks
+//! unclaimed with work queued is a lost wake.  The expect-failure mutation
+//! proving the signaller's SeqCst ordering is load-bearing uses a
+//! mini-handshake (the pattern of `model_fleet.rs`), since weakening the
+//! production source would require patching it.
+
+#![cfg(sting_check)]
+
+use std::sync::Arc;
+use sting_check::atomic::{fence, AtomicUsize, Ordering};
+use sting_check::{model, model_expect_failure, thread};
+use sting_core::machine::IdleWorkers;
+
+/// Every worker bit: `claim_one`'s candidates for a chained wake.
+const ANY: u64 = u64::MAX;
+
+/// The going-to-sleep half of the worker loop: announce, look at the queue
+/// once more (the second pass), then retract or park.  `true` if it parks.
+fn goes_idle(idle: &IdleWorkers, worker: usize, queue: &AtomicUsize) -> bool {
+    idle.announce(worker);
+    if queue.load(Ordering::Acquire) != 0 {
+        idle.retract(worker);
+        return false;
+    }
+    true
+}
+
+/// An enqueue racing a worker that is going idle loses no wake: the
+/// pusher publishes, reads the idle mask after its fence and claims the
+/// VP's worker if it sees it idle.  Either the worker's second look finds
+/// the item, or the pusher claimed it.
+#[test]
+fn enqueue_racing_a_worker_going_idle_loses_no_wake() {
+    let explored = model(|| {
+        let idle = Arc::new(IdleWorkers::default());
+        let queue = Arc::new(AtomicUsize::new(0));
+        let (i2, q2) = (idle.clone(), queue.clone());
+        let pusher = thread::spawn(move || {
+            q2.store(1, Ordering::Release);
+            i2.idle_after_publish() != 0 && i2.claim_worker(0) != 0
+        });
+        let parked = goes_idle(&idle, 0, &queue);
+        let woke = pusher.join();
+        assert!(
+            !parked || woke,
+            "the worker parked with work queued and nobody claimed it"
+        );
+        assert!(!idle.is_idle(0), "a claimed or retracted worker still idle");
+    });
+    assert!(explored.executions > 1);
+}
+
+/// Two signallers offering work to idle siblings wake one worker between
+/// them: the first claim makes a searcher, and a searcher suppresses
+/// further claims.
+#[test]
+fn two_signallers_wake_at_most_one_worker() {
+    model(|| {
+        let idle = Arc::new(IdleWorkers::default());
+        idle.announce(0);
+        idle.announce(1);
+        let signal = || {
+            let idle = idle.clone();
+            thread::spawn(move || idle.claim_one(ANY))
+        };
+        let (a, b) = (signal(), signal());
+        let woken = a.join().count_ones() + b.join().count_ones();
+        assert_eq!(woken, 1, "two signallers woke {woken} workers");
+    });
+}
+
+/// A searching worker that finds work wakes a successor: a signal that
+/// the search suppressed is not lost, because the last searcher to find
+/// work passes the wake on.  Exactly one of the two claims worker 1.
+#[test]
+fn searching_worker_that_finds_work_wakes_a_successor() {
+    model(|| {
+        let idle = Arc::new(IdleWorkers::default());
+        idle.announce(0);
+        idle.announce(1);
+        assert_eq!(idle.claim_worker(0), 1, "worker 0 is idle");
+        let i2 = idle.clone();
+        let signaller = thread::spawn(move || i2.claim_one(ANY));
+        // Worker 0 dispatches its first thread: it stops searching and,
+        // as the last searcher, claims a successor.
+        let successor = if idle.end_search() {
+            idle.claim_one(ANY)
+        } else {
+            0
+        };
+        let by_signal = signaller.join();
+        assert_eq!(successor | by_signal, 0b10, "the suppressed wake was lost");
+        assert_eq!(successor & by_signal, 0, "worker 1 was claimed twice");
+    });
+}
+
+/// The handshake in miniature: one worker bit, one queue word, and the
+/// pusher's publish and idle read at ordering `ord`.  `SeqCst` is the
+/// production ordering (there: a Release publish and a SeqCst fence before
+/// a Relaxed read); `Relaxed` lets the pusher read a stale mask while the
+/// worker reads a stale queue.
+fn mini_handshake(ord: Ordering) {
+    let idle = Arc::new(AtomicUsize::new(0));
+    let queue = Arc::new(AtomicUsize::new(0));
+    let (i2, q2) = (idle.clone(), queue.clone());
+    let pusher = thread::spawn(move || {
+        q2.store(1, ord);
+        i2.load(ord) != 0 && i2.swap(0, Ordering::AcqRel) != 0
+    });
+    idle.fetch_or(1, Ordering::SeqCst);
+    fence(Ordering::SeqCst);
+    let parked = queue.load(Ordering::Relaxed) == 0;
+    if !parked {
+        idle.store(0, Ordering::Relaxed);
+    }
+    let woke = pusher.join();
+    assert!(
+        !parked || woke,
+        "lost wake: the worker parked on a queued item"
+    );
+}
+
+/// The production ordering admits no lost wake.
+#[test]
+fn mini_handshake_seqcst_is_sound() {
+    model(|| mini_handshake(Ordering::SeqCst));
+}
+
+/// Expect-failure mutation: with the pusher's publish and idle read
+/// weakened to `Relaxed`, the checker finds the lost wake — proof the
+/// SeqCst ordering in `IdleWorkers::idle_after_publish` is load-bearing.
+#[test]
+fn mini_handshake_relaxed_loses_a_wake() {
+    let report = model_expect_failure(|| mini_handshake(Ordering::Relaxed));
+    assert!(report.contains("lost wake"), "unexpected report:\n{report}");
+}

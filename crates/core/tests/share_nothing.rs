@@ -342,30 +342,43 @@ fn thieves_drop_dead_entries_without_counting_migrations() {
         .vps(2)
         .processors(2)
         // Everything forks onto the forker's own VP: only stealing moves it.
-        .policy(|_| {
-            policies::local_fifo()
-                .migrating(true)
-                .place_round_robin(false)
-                .boxed()
-        })
+        .policy(|_| policies::local_fifo().migrating(true).boxed())
         .build();
+    // Keep VP 1 busy while VP 0 makes the husks, so no child is stolen
+    // live in the instant between its fork and its termination.
+    let (sibling_busy, husks_made) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let (busy, made) = (sibling_busy.clone(), husks_made.clone());
+    let sibling = vm
+        .fork_on(1, move |_| {
+            busy.store(true, Ordering::SeqCst);
+            while !made.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+        })
+        .unwrap();
+    while !sibling_busy.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
     let release = Arc::new(AtomicBool::new(false));
-    let r2 = release.clone();
+    let (r2, made) = (release.clone(), husks_made.clone());
     let holder = vm
         .fork_on(0, move |cx| {
             for _ in 0..DEAD {
                 let t = cx.fork(|_| 0i64);
-                // Fails for the odd child the sibling stole live in the
-                // instant between the two calls: a real migration.
-                let _ = tc::thread_terminate(&t, Value::Unit);
+                tc::thread_terminate(&t, Value::Unit).unwrap();
             }
+            made.store(true, Ordering::SeqCst);
             // Keep VP 0 busy so only its idle sibling can reach the queue.
             while !r2.load(Ordering::SeqCst) {
                 std::hint::spin_loop();
             }
         })
         .unwrap();
-    // The sibling raids VP 0 at its idle tick and finds nothing but husks.
+    sibling.join_blocking_timeout(LONG).unwrap().unwrap();
+    // The sibling, idle now, raids VP 0 and finds nothing but husks.
     let deadline = Instant::now() + LONG;
     let queued = || vm.vps().iter().map(|vp| vp.queue_len()).sum::<usize>();
     while queued() > 0 || vm.counters().snapshot().determinations < DEAD as u64 {
@@ -378,8 +391,7 @@ fn thieves_drop_dead_entries_without_counting_migrations() {
     }
     release.store(true, Ordering::SeqCst);
     holder.join_blocking_timeout(LONG).unwrap().unwrap();
-    // The holder itself may have moved (rescued from VP 0's injector), and
-    // so may a child caught live; the husks must not count.
+    // The husks must not count.
     let migrations = vm.counters().snapshot().migrations as usize;
     assert!(
         migrations < DEAD / 10,

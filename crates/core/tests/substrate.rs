@@ -574,12 +574,7 @@ fn migration_moves_work_to_idle_vps() {
     let vm = VmBuilder::new()
         .vps(2)
         .processors(2)
-        .policy(|_| {
-            policies::local_fifo()
-                .migrating(true)
-                .place_round_robin(false)
-                .boxed()
-        })
+        .policy(|_| policies::local_fifo().migrating(true).boxed())
         .build();
     // Pile everything on VP 0; VP 1 must pull via migration.
     let ts: Vec<_> = (0..40i64)
@@ -594,6 +589,55 @@ fn migration_moves_work_to_idle_vps() {
     for t in ts {
         t.join_blocking().unwrap();
     }
+    vm.shutdown();
+}
+
+/// Reproduction: a fork onto the forking VP is offered to an idle sibling
+/// at once.  A thread spins long enough for VP 1's worker to park, forks a
+/// child onto its own VP 0 and keeps spinning; the child must run on VP 1
+/// within 100 ms.  When an owner push did not signal, the sibling found
+/// the child only at its idle timeout, one 2 s tick here.
+#[test]
+fn fork_on_a_busy_vp_wakes_the_idle_sibling() {
+    let vm = VmBuilder::new()
+        .vps(2)
+        .processors(2)
+        .tick(Duration::from_secs(2))
+        .policy(|_| policies::local_fifo().migrating(true).boxed())
+        .build();
+    let waited_us = vm
+        .fork_on(0, |cx| {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_millis(20) {
+                std::hint::spin_loop();
+            }
+            let here = cx.current_vp().index();
+            let ran = Arc::new(AtomicBool::new(false));
+            let flag = ran.clone();
+            let forked = Instant::now();
+            let child = cx
+                .fork_on(here, move |cx| {
+                    flag.store(true, Ordering::Release);
+                    cx.current_vp().index() as i64
+                })
+                .unwrap();
+            while !ran.load(Ordering::Acquire) && forked.elapsed() < Duration::from_secs(5) {
+                std::hint::spin_loop();
+            }
+            let waited = forked.elapsed().as_micros() as i64;
+            let ran_on = cx.wait(&child).unwrap().as_int().unwrap();
+            assert_ne!(ran_on as usize, here, "the child ran on the forking VP");
+            waited
+        })
+        .unwrap()
+        .join_blocking()
+        .unwrap()
+        .as_int()
+        .unwrap();
+    assert!(
+        waited_us < 100_000,
+        "the idle sibling took {waited_us} µs to run the child"
+    );
     vm.shutdown();
 }
 
@@ -834,7 +878,6 @@ fn tcb_migration_when_enabled() {
             sting_core::policies::local_fifo()
                 .migrating(true)
                 .migrate_tcbs(true)
-                .place_round_robin(false)
                 .boxed()
         })
         .build();
