@@ -8,7 +8,8 @@
 #   ./ci.sh doc      # rustdoc build (warnings are errors), doctests, and
 #                    # a relative-link check over the top-level markdown
 #   ./ci.sh check    # model checker: sting-check self-tests + the deque/
-#                    # trace interleaving models over the production source
+#                    # trace/wait/park/thread-state interleaving models over
+#                    # the production source
 #   ./ci.sh analyze  # static analyzer tier (<60s): the expect-flag corpus,
 #                    # the expect-clean sweep, the static/dynamic lock-order
 #                    # cross-check, and `repl --analyze` over the examples
@@ -85,6 +86,9 @@ run_check() {
     step "model checker: worker park/wake handshake models (--cfg sting_check)"
     RUSTFLAGS="--cfg sting_check" CARGO_TARGET_DIR=target/check \
         cargo test -q -p sting-core --test model_park
+    step "model checker: thread state word models (--cfg sting_check)"
+    RUSTFLAGS="--cfg sting_check" CARGO_TARGET_DIR=target/check \
+        cargo test -q -p sting-core --test model_thread_state
 }
 
 run_analyze() {
@@ -120,9 +124,11 @@ run_bench_smoke() {
     # instead of timing (scheme:global-ref-does-not-allocate: 100 000
     # references to a primitive and a prelude procedure grow neither the
     # heap nor its native table; scheme:call-does-not-malloc: 10 000
-    # closure calls make no Rust-heap allocation) and the count gate on the
-    # machine's park/wake protocol (machine:wakes-per-fork<=0.05: a 2-VP
-    # migrating tree wakes a parked worker at most once per 20 forks); the
+    # closure calls make no Rust-heap allocation) and the two count gates on
+    # the thread path (machine:wakes-per-fork<=0.05: a 2-VP migrating tree
+    # wakes a parked worker at most once per 20 forks;
+    # fork:allocs-per-thread<=2: a forked-and-absorbed thread allocates its
+    # object and its thunk, nothing else); the
     # gates that need a second core (fork:two-pinned-vps-beat-one-vp,
     # fork:migrating-tree-no-slower-than-one-vp,
     # fleet:two-shards-two-workers,

@@ -10,11 +10,11 @@
 //! ```
 //!
 //! Exit status: 0 on success, 1 when a Figure 6 gate check fails after
-//! three attempts, a `fork:`, `tuple:`, `fleet:`, `scheme:` or
-//! `shape:tuple-locks` gate fails (`fork:queue-stays-bounded` and `tuple:probe-beside-10k`
-//! always; the gates that need a second core only on a full run on a box
-//! that has one to give), or `--against` finds a row slowed past the
-//! threshold, 2 on usage or I/O errors.
+//! three attempts, a `fork:`, `machine:`, `tuple:`, `fleet:`, `scheme:` or
+//! `shape:tuple-locks` gate fails (the count gates and
+//! `fork:queue-stays-bounded` always; the gates that need a second core
+//! only on a full run on a box that has one to give), or `--against` finds
+//! a row slowed past the threshold, 2 on usage or I/O errors.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -26,30 +26,10 @@ use sting_bench::{
     dist::Dist, figure6_checks, figure6_gates_pass, measure_figure6, render_figure6,
 };
 
-/// The system allocator, counting calls per OS thread for the
-/// `scheme:call-does-not-malloc` gate (a thread-local increment each).
-struct CountingAllocator;
-
-// SAFETY: every method forwards to `System` unchanged.
-unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        sting_bench::scheme::count_allocation();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc` or `realloc`.
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
-        sting_bench::scheme::count_allocation();
-        // SAFETY: as for `dealloc`, and the caller upholds the rest.
-        unsafe { std::alloc::System.realloc(ptr, layout, new) }
-    }
-}
-
+/// Counts allocations per OS thread, for the `fork:allocs-per-thread<=2`
+/// and `scheme:call-does-not-malloc` gates.
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+static ALLOCATOR: sting_bench::CountingAllocator = sting_bench::CountingAllocator;
 
 /// E8 tree depth: the `fork_tree` benchmark's, at every scale.
 const FORK_DEPTH: u32 = 10;
@@ -551,7 +531,30 @@ fn main() -> ExitCode {
         let row = BenchRow::from_dist("fork", name, "ns/tree", &d);
         print_row(&row);
         rows.push(row);
+        if name == "1vp" {
+            // E8's per-thread budget row: one eager thread, forked, absorbed
+            // by its toucher and determined on one VP.
+            let per = d.scale(1.0 / shapes::tree_threads(FORK_DEPTH) as f64);
+            let row = BenchRow::from_dist("fork", "1vp-per-thread", "ns/thread", &per);
+            print_row(&row);
+            rows.push(row);
+        }
     }
+    // A count, so enforced on any box: the thread object and its thunk are
+    // a fork's only allocations.
+    let allocs_per_thread = {
+        let vm = shapes::fork_vm(1, false);
+        let allocs = shapes::tree_allocs_per_thread(&vm, FORK_DEPTH);
+        vm.shutdown();
+        allocs
+    };
+    checks.push(Check {
+        name: "fork:allocs-per-thread<=2".to_string(),
+        pass: allocs_per_thread <= 2.0,
+        detail: format!(
+            "one eager tree on 1 VP, counted on its worker: {allocs_per_thread:.2} Rust-heap allocations per forked thread (the thread and its thunk)"
+        ),
+    });
     let pinned_scales = fork_p50[1] <= 0.7 * fork_p50[0];
     checks.push(Check {
         name: format!("{advisory}fork:two-pinned-vps-beat-one-vp"),
@@ -793,6 +796,7 @@ fn main() -> ExitCode {
             "scheme:",
             "machine:",
             "fork:migrating-tree",
+            "fork:allocs-per-thread",
         ]
         .iter()
         .any(|gate| c.name.starts_with(gate))

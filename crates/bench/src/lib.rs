@@ -80,6 +80,40 @@ pub fn export_trace(
     Ok(path)
 }
 
+thread_local! {
+    /// Calls into the Rust allocator made on this OS thread.
+    static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The system allocator, counting calls per OS thread (a thread-local
+/// increment each) for the count gates.  A binary opts in with
+/// `#[global_allocator] static A: CountingAllocator = CountingAllocator;`.
+pub struct CountingAllocator;
+
+// SAFETY: every method forwards to `System` unchanged.
+unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        ALLOCATIONS.with(|a| a.set(a.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc` or `realloc`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+        ALLOCATIONS.with(|a| a.set(a.get() + 1));
+        // SAFETY: as for `dealloc`, and the caller upholds the rest.
+        unsafe { std::alloc::System.realloc(ptr, layout, new) }
+    }
+}
+
+/// Allocator calls counted on the calling OS thread so far (always 0 in a
+/// binary whose global allocator is not a [`CountingAllocator`]).
+pub fn allocations() -> u64 {
+    ALLOCATIONS.with(std::cell::Cell::get)
+}
+
 /// Runs `f` on a STING thread of `vm` and returns its result.
 pub fn on_thread<R, F>(vm: &Arc<Vm>, f: F) -> R
 where
@@ -365,10 +399,12 @@ pub fn figure6_checks(rows: &[Row]) -> Vec<report::Check> {
         });
     };
     // Gates: orderings with enough headroom to hold on any sane build.
-    // Context switch and stealing are within tens of nanoseconds of each
-    // other here (both are a touch on a determined/claimable thread), so
-    // that link gets 1.5x slack rather than a strict inequality.
-    check("ctx-switch<=1.5x-stealing", ctx <= 1.5 * steal, ctx, steal);
+    // A steal absorbs a thread with one claim, a call and a determination
+    // on the thread's state word, while a switch goes through the
+    // scheduler and back: the steal avoiding the switch is §4.1.1's point,
+    // so it must cost less (about half, release or debug; the paper's
+    // testbed had it at twice a switch).
+    check("stealing<ctx-switch", steal < ctx, steal, ctx);
     check("ctx-switch<block-resume", ctx < block, ctx, block);
     check(
         "stealing<creation+scheduling",

@@ -9,7 +9,6 @@
 
 use crate::dist::Dist;
 use crate::report::Check;
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 use sting::areas::Val;
@@ -110,20 +109,9 @@ pub fn rows(smoke: bool, reps: u64) -> Vec<(&'static str, &'static str, Dist)> {
     rows
 }
 
-thread_local! {
-    /// Calls into the Rust allocator made on this OS thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts one allocation on the calling OS thread; the `bench_all` binary's
-/// global allocator calls this.
-pub fn count_allocation() {
-    ALLOCATIONS.with(|a| a.set(a.get() + 1));
-}
-
 /// `(%allocations)`: allocator calls on this worker so far.
 fn prim_allocations(_m: &mut Machine, _argc: usize) -> Result<Val, SchemeError> {
-    Ok(Val::Int(ALLOCATIONS.with(Cell::get) as i64))
+    Ok(Val::Int(crate::allocations() as i64))
 }
 
 /// `(%heap-probe)`: `words-allocated * 2^20 + native-table-length` of the

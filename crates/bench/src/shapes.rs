@@ -699,6 +699,28 @@ pub fn fork_trees(vm: &Arc<Vm>, trees: usize, depth: u32, lazy: bool) {
     }
 }
 
+/// Threads in one tree of `depth`, its root included.
+pub fn tree_threads(depth: u32) -> u64 {
+    (1 << (depth + 1)) - 1
+}
+
+/// Rust-heap allocations per forked thread of one eager tree of `depth`
+/// on a one-VP `vm`, counted on the worker that runs it, unpreempted, after
+/// a warm-up tree: the `Arc<Thread>` and the boxed thunk make 2.  Reads 0
+/// in a binary whose global allocator is not a
+/// [`CountingAllocator`](crate::CountingAllocator).
+pub fn tree_allocs_per_thread(vm: &Arc<Vm>, depth: u32) -> f64 {
+    let allocs = crate::on_thread(vm, move |cx| {
+        fork_node(cx, depth, false);
+        cx.without_preemption(|| {
+            let before = crate::allocations();
+            fork_node(cx, depth, false);
+            crate::allocations() - before
+        })
+    });
+    allocs as f64 / (tree_threads(depth) - 1) as f64
+}
+
 /// ns per tree over `reps` timed runs of [`fork_trees`] on one long-lived
 /// `vm` (after a warm-up run: workers awake, stacks pooled).
 pub fn fork_tree_cost(vm: &Arc<Vm>, reps: u64, trees: usize, depth: u32, lazy: bool) -> Dist {

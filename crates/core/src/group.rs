@@ -45,6 +45,8 @@ pub struct ThreadGroup {
 /// writes only lines the forking VP owns, however many VPs fork into the
 /// same group (the root group, typically).  The VP caches its lanes (see
 /// `LaneState::group_lane` in `vm.rs`) and hands each new member a clone.
+/// The member list is the only thread registry: the machine's
+/// ([`crate::vm::Vm::threads`]) is the union of its lanes' group lanes.
 #[repr(align(128))] // as `pad::CachePadded`: the `Arc` counts get lines of their own
 pub(crate) struct GroupLane {
     group: Arc<ThreadGroup>,
@@ -59,20 +61,24 @@ impl GroupLane {
     pub(crate) fn add(&self, thread: &Arc<Thread>) {
         self.members.lock().push(Arc::downgrade(thread));
     }
+
+    /// Appends the live members to `out`.
+    pub(crate) fn extend_live(&self, out: &mut Vec<Arc<Thread>>) {
+        self.members.lock().extend_live(out);
+    }
 }
 
 /// A list of weak thread references with amortized-O(1) pruning of dead
 /// ones: we sweep only when the list doubles past the last sweep's
-/// survivor count.  The shard type of both thread registries (group
-/// members here, all threads of a machine in [`crate::vm::Vm`]).
+/// survivor count.
 #[derive(Debug, Default)]
-pub(crate) struct WeakList {
+struct WeakList {
     list: Vec<Weak<Thread>>,
     prune_at: usize,
 }
 
 impl WeakList {
-    pub(crate) fn push(&mut self, w: Weak<Thread>) {
+    fn push(&mut self, w: Weak<Thread>) {
         if self.list.len() >= self.prune_at.max(64) {
             self.list.retain(|w| w.strong_count() > 0);
             self.prune_at = self.list.len() * 2;
@@ -80,7 +86,7 @@ impl WeakList {
         self.list.push(w);
     }
 
-    pub(crate) fn extend_live(&self, out: &mut Vec<Arc<Thread>>) {
+    fn extend_live(&self, out: &mut Vec<Arc<Thread>>) {
         out.extend(self.list.iter().filter_map(Weak::upgrade));
     }
 }
@@ -162,7 +168,7 @@ impl ThreadGroup {
             self.lanes.lock().iter().filter_map(Weak::upgrade).collect();
         let mut out = Vec::new();
         for lane in lanes {
-            lane.members.lock().extend_live(&mut out);
+            lane.extend_live(&mut out);
         }
         out
     }

@@ -242,8 +242,8 @@ pub enum QueueKind {
     /// under the VP's policy lock (the fully general path; the default).
     Policy,
     /// The substrate keeps the queue on the per-VP banded Chase–Lev
-    /// deques; the policy manager is consulted only for placement
-    /// (`choose_vp`), the idle hook and hints.
+    /// deques, and forks stay on the forking VP; the policy manager is
+    /// consulted only for the idle hook and hints.
     Deque(DequeCaps),
 }
 
@@ -326,9 +326,11 @@ pub trait PolicyManager: Send {
     /// Quantum hint for the currently running thread (`pm-quantum`).
     fn set_quantum(&mut self, _vp: &Vp, _quantum: u32) {}
 
-    /// Chooses the VP on which a newly forked thread should first run
+    /// Chooses the VP on which a thread forked on `vp` should first run
     /// (`pm-allocate-vp` / initial load balancing).  Defaults to `vp`
-    /// itself.
+    /// itself.  Consulted only for a manager that keeps its own queue
+    /// ([`QueueKind::Policy`]): a VP whose queue the substrate keeps places
+    /// its forks on itself without taking the policy lock.
     fn choose_vp(&mut self, vp: &Vp) -> usize {
         vp.index()
     }
@@ -351,8 +353,8 @@ pub trait PolicyManager: Send {
     /// the policy lock, so a policy that says nothing keeps full control.
     ///
     /// A policy that returns [`QueueKind::Deque`] gives up per-item
-    /// control: `get_next_thread`, `enqueue_thread` and `offer_migration`
-    /// are no longer called for routine traffic (only `choose_vp`,
+    /// control: `get_next_thread`, `enqueue_thread`, `offer_migration`
+    /// and `choose_vp` are no longer called for routine traffic (only
     /// `vp_idle` fallbacks and the hint methods still are).
     fn queue_kind(&self) -> QueueKind {
         QueueKind::Policy

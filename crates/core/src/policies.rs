@@ -86,8 +86,8 @@ impl LocalQueue {
     }
 
     /// Enables pulling work from sibling VPs when idle, and offering work
-    /// to idle siblings.  Forks still go on the forking VP (`choose_vp`'s
-    /// default); only an idle sibling's steal moves them.
+    /// to idle siblings.  Forks still go on the forking VP (as on every
+    /// substrate-kept queue); only an idle sibling's steal moves them.
     pub fn migrating(mut self, yes: bool) -> LocalQueue {
         self.migrating = yes;
         self

@@ -3,8 +3,9 @@
 //!
 //! DESIGN.md ("Scheduler fast path", ownership table) claims that a thread
 //! forked, absorbed by `touch` and determined on one VP upgrades no `Weak`,
-//! takes no registry lock shared with another VP and issues no
-//! `futex_wake`.  Each such site calls [`hit`]; a test brackets the path
+//! takes no lock but its forking lane's registry locks — not the thread's
+//! own, not the policy manager's, none shared with another VP — and issues
+//! no `futex_wake`.  Each such site calls [`hit`]; a test brackets the path
 //! with [`hits`] on the worker running it and asserts the difference is
 //! zero.  Release builds compile the calls away.
 
@@ -14,17 +15,26 @@ pub(crate) enum Probe {
     /// `Thread::vm` / `Vp::vm`: a `Weak<Vm>` upgrade (a read-modify-write
     /// on the machine's reference count, which every VP shares).
     WeakUpgrade,
-    /// A thread or group registry shard other than the caller's own lane
-    /// was locked, or a group-wide lock was taken.
+    /// A group registry other than the caller's own lane's was locked, or
+    /// a group-wide lock was taken.
     SharedRegistryLock,
     /// A condvar was notified on a determination (a `futex_wake` system
     /// call on the std-backed `parking_lot` shim).
     FutexWake,
+    /// A thread's own lock (`Thread::core`): a blocked thread's TCB, a
+    /// queued request, a waiter.
+    ThreadLock,
+    /// A VP's policy lock (`Vp::pm`).
+    PolicyLock,
 }
 
 #[cfg(debug_assertions)]
+const PROBES: usize = 5;
+
+#[cfg(debug_assertions)]
 thread_local! {
-    static HITS: [std::cell::Cell<u64>; 3] = const { [const { std::cell::Cell::new(0) }; 3] };
+    static HITS: [std::cell::Cell<u64>; PROBES] =
+        const { [const { std::cell::Cell::new(0) }; PROBES] };
 }
 
 /// Counts one `probe` hit on the calling OS thread (debug builds only).
@@ -38,8 +48,8 @@ pub(crate) fn hit(probe: Probe) {
 
 /// This OS thread's hit counts so far, indexed by [`Probe`] discriminant.
 #[cfg(all(test, debug_assertions))]
-pub(crate) fn hits() -> [u64; 3] {
-    HITS.with(|h| [h[0].get(), h[1].get(), h[2].get()])
+pub(crate) fn hits() -> [u64; PROBES] {
+    HITS.with(|h| std::array::from_fn(|i| h[i].get()))
 }
 
 #[cfg(all(test, debug_assertions))]
@@ -50,7 +60,8 @@ mod tests {
     /// The acceptance test behind the DESIGN.md ownership table: with
     /// tracing off, threads forked, absorbed by `touch` and determined on
     /// one VP hit none of the probes — eager (queued, then taken back off
-    /// the queue by the toucher) or delayed.
+    /// the queue by the toucher) or delayed.  In particular neither the
+    /// thread's lock nor the policy lock is taken.
     #[test]
     fn fork_touch_determine_on_one_vp_stays_off_every_slow_path() {
         let vm = VmBuilder::new()
@@ -79,6 +90,10 @@ mod tests {
         vm.shutdown();
     }
 
+    fn fired(before: [u64; PROBES], after: [u64; PROBES], probe: Probe) -> bool {
+        after[probe as usize] > before[probe as usize]
+    }
+
     #[test]
     fn the_probes_do_fire_off_the_fast_path() {
         let vm = VmBuilder::new().vps(1).build();
@@ -86,10 +101,34 @@ mod tests {
         let t = vm.fork(|_| 0i64); // host fork: the external lane
         let joined = t.join_blocking(); // an OS joiner: the gated wake-up
         assert!(joined.is_ok());
-        let after = hits();
-        assert!(
-            after[Probe::SharedRegistryLock as usize] > before[Probe::SharedRegistryLock as usize]
-        );
+        assert!(fired(before, hits(), Probe::SharedRegistryLock));
+
+        // A blocked thread's wake takes its lock.
+        let sleeper = vm.fork(|cx| {
+            cx.block(None);
+            1i64
+        });
+        while sleeper.state() != crate::ThreadState::Blocked {
+            std::thread::yield_now();
+        }
+        let before = hits();
+        crate::tc::unblock(&sleeper);
+        assert!(fired(before, hits(), Probe::ThreadLock));
+        assert_eq!(sleeper.join_blocking().unwrap().as_int(), Some(1));
+        vm.shutdown();
+
+        // A fork on a VP whose manager keeps its own queue asks it where
+        // to go, under the policy lock.
+        let q = policies::GlobalQueue::fifo();
+        let vm = VmBuilder::new().vps(1).policy(move |_| q.policy()).build();
+        let forker = vm.fork(|cx| {
+            let before = hits();
+            let child = cx.fork(|_| 2i64);
+            let fired = fired(before, hits(), Probe::PolicyLock);
+            assert_eq!(cx.touch(&child).unwrap().as_int(), Some(2));
+            i64::from(fired)
+        });
+        assert_eq!(forker.join_blocking().unwrap().as_int(), Some(1));
         vm.shutdown();
     }
 }

@@ -14,8 +14,188 @@
 //! acquiring locks in the paper.  Requests that would violate the
 //! transition relation (checked by [`ThreadState::can_request`]) are
 //! rejected at record time.
+//!
+//! ## The state word
+//!
+//! A thread's state lives in one atomic word beside three flag bits, and
+//! every transition on the fork → touch → determine path is one
+//! read-modify-write on it (`StateWord`): scheduling a delayed thread,
+//! claiming a thunk (dispatch, steal, or a passive terminate that
+//! discards it), and determining.  The thunk and the result sit in cells
+//! only the winner of the transition writes.  The flags say when a
+//! determination must take the thread's lock after all: a join node is
+//! registered, an OS thread waits in `join_blocking`, or a request is
+//! queued.  Under `--cfg sting_check` the word's atomic is the model
+//! checker's shim and the type is exported, so `ci.sh check` explores this
+//! exact source (`crates/core/tests/model_thread_state.rs`).
 
 use sting_value::Value;
+
+#[cfg(sting_check)]
+pub use word::{StateWord, DETERMINING, OS_JOINER, REQUESTS, STATE, WAITERS};
+#[cfg(not(sting_check))]
+pub(crate) use word::{StateWord, OS_JOINER, REQUESTS, WAITERS};
+
+mod word {
+    use super::ThreadState;
+    #[cfg(not(sting_check))]
+    use std::sync::atomic::{AtomicU64, Ordering};
+    #[cfg(sting_check)]
+    use sting_check::atomic::{AtomicU64, Ordering};
+
+    /// The bits holding the [`ThreadState`].
+    pub const STATE: u64 = 0b111;
+    /// A determination is under way: its winner is writing the result, and
+    /// the thunk can no longer be claimed.
+    pub const DETERMINING: u64 = 1 << 3;
+    /// A join node is registered: the determiner completes the list.
+    pub const WAITERS: u64 = 1 << 4;
+    /// An OS thread waits in `join_blocking`: the determiner notifies it.
+    pub const OS_JOINER: u64 = 1 << 5;
+    /// A state request is queued for the thread to apply.
+    pub const REQUESTS: u64 = 1 << 6;
+
+    fn state_of(word: u64) -> ThreadState {
+        ThreadState::from_u8((word & STATE) as u8)
+    }
+
+    fn with_state(word: u64, state: ThreadState) -> u64 {
+        word & !STATE | state as u64
+    }
+
+    /// A thread's state plus its flag bits, in one word (see the module
+    /// docs).  Every write is a read-modify-write, the ones made under the
+    /// thread's lock included, so a flag set without the lock is never
+    /// lost.
+    #[derive(Debug)]
+    pub struct StateWord {
+        word: AtomicU64,
+    }
+
+    impl StateWord {
+        /// A word in `state` with no flags.
+        pub fn new(state: ThreadState) -> StateWord {
+            StateWord {
+                word: AtomicU64::new(state as u64),
+            }
+        }
+
+        /// The current state (a racy snapshot).
+        pub fn state(&self) -> ThreadState {
+            state_of(self.word.load(Ordering::Acquire))
+        }
+
+        /// Whether `flag` is set.
+        pub fn has(&self, flag: u64) -> bool {
+            self.word.load(Ordering::Acquire) & flag != 0
+        }
+
+        /// Applies `f` to the word in one CAS loop: `Ok(previous)` once
+        /// `f`'s value is installed, `Err(current)` as soon as `f` declines.
+        fn update(&self, f: impl Fn(u64) -> Option<u64>) -> Result<u64, u64> {
+            let mut cur = self.word.load(Ordering::Acquire);
+            loop {
+                let next = f(cur).ok_or(cur)?;
+                match self.word.compare_exchange_weak(
+                    cur,
+                    next,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                ) {
+                    Ok(_) => return Ok(cur),
+                    Err(now) => cur = now,
+                }
+            }
+        }
+
+        /// Moves the state from one `from` accepts to `to`, unless a
+        /// determination has begun (when `claiming`) or is complete.
+        fn shift(
+            &self,
+            from: impl Fn(ThreadState) -> bool,
+            to: ThreadState,
+            claiming: bool,
+        ) -> bool {
+            self.update(|w| {
+                let ok = from(state_of(w)) && !(claiming && w & DETERMINING != 0);
+                ok.then(|| with_state(w, to))
+            })
+            .is_ok()
+        }
+
+        /// `Delayed → Scheduled`.  `false` if the thread is no longer
+        /// delayed, or a passive terminate has claimed it.
+        pub fn schedule(&self) -> bool {
+            self.shift(|s| s == ThreadState::Delayed, ThreadState::Scheduled, true)
+        }
+
+        /// Claims a delayed or scheduled thread's thunk, moving it to
+        /// `next`.  Exactly one claim, or one passive determination, wins.
+        pub fn claim(&self, next: ThreadState) -> bool {
+            self.shift(ThreadState::is_claimable, next, true)
+        }
+
+        /// `Blocked`/`Suspended` → `Evaluating`: the waker took the parked
+        /// TCB.  Made under the thread's lock.
+        pub fn unpark(&self) -> bool {
+            self.shift(
+                |s| matches!(s, ThreadState::Blocked | ThreadState::Suspended),
+                ThreadState::Evaluating,
+                false,
+            )
+        }
+
+        /// `Evaluating` → `to` (`Blocked` or `Suspended`): the TCB was
+        /// parked.  Made under the thread's lock.
+        pub fn park(&self, to: ThreadState) -> bool {
+            self.shift(|s| s == ThreadState::Evaluating, to, false)
+        }
+
+        /// Wins the right to determine the thread, returning the state it
+        /// was in: nobody else can begin a determination or claim the
+        /// thunk from here on, so a winner that found the thread claimable
+        /// owns its thunk.  `passive` wins only while the thread is still
+        /// claimable (a terminate or raise aimed at a thread with no TCB).
+        pub fn begin_determine(&self, passive: bool) -> Option<ThreadState> {
+            self.update(|w| {
+                let state = state_of(w);
+                let open = w & DETERMINING == 0 && !state.is_determined();
+                (open && (!passive || state.is_claimable())).then_some(w | DETERMINING)
+            })
+            .ok()
+            .map(state_of)
+        }
+
+        /// Publishes the determination begun by [`StateWord::begin_determine`]
+        /// (the result cell is written by now) and returns the flags it
+        /// found: whoever registered a join node or an OS joiner before
+        /// this point is seen here, and whoever comes after sees
+        /// `Determined`.
+        pub fn finish_determine(&self) -> u64 {
+            let prev = self
+                .update(|w| Some(with_state(w & !DETERMINING, ThreadState::Determined)))
+                .unwrap_or_else(|w| w);
+            prev & !(STATE | DETERMINING)
+        }
+
+        /// Sets `flag` unless the thread has determined; `false` if it has.
+        pub fn set_unless_determined(&self, flag: u64) -> bool {
+            self.update(|w| (!state_of(w).is_determined()).then_some(w | flag))
+                .is_ok()
+        }
+
+        /// Clears `flag`.
+        pub fn clear(&self, flag: u64) {
+            self.word.fetch_and(!flag, Ordering::AcqRel);
+        }
+
+        /// The raw word, for the model checker's mutation scenarios.
+        #[cfg(sting_check)]
+        pub fn raw(&self) -> &AtomicU64 {
+            &self.word
+        }
+    }
+}
 
 /// Observable state of a STING thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,6 +330,38 @@ mod tests {
         assert!(ThreadState::Delayed.is_claimable());
         assert!(ThreadState::Scheduled.is_claimable());
         assert!(!ThreadState::Evaluating.is_claimable());
+    }
+
+    #[test]
+    fn state_word_transitions_keep_their_flags() {
+        let w = StateWord::new(ThreadState::Delayed);
+        assert!(w.set_unless_determined(WAITERS));
+        assert!(w.schedule());
+        assert!(!w.schedule(), "only a delayed thread schedules");
+        assert!(w.claim(ThreadState::Evaluating));
+        assert!(!w.claim(ThreadState::Stolen), "a thunk is claimed once");
+        assert!(w.park(ThreadState::Blocked));
+        assert!(w.unpark());
+        assert_eq!(w.begin_determine(true), None, "passive needs no TCB");
+        assert_eq!(w.begin_determine(false), Some(ThreadState::Evaluating));
+        assert_eq!(w.begin_determine(false), None, "one determiner");
+        assert_eq!(w.finish_determine(), WAITERS);
+        assert_eq!(w.state(), ThreadState::Determined);
+        assert!(!w.set_unless_determined(OS_JOINER));
+    }
+
+    #[test]
+    fn a_passive_determination_beats_every_later_claim() {
+        let w = StateWord::new(ThreadState::Scheduled);
+        assert_eq!(w.begin_determine(true), Some(ThreadState::Scheduled));
+        assert!(!w.claim(ThreadState::Stolen));
+        assert_eq!(
+            w.state(),
+            ThreadState::Scheduled,
+            "published only at finish"
+        );
+        assert_eq!(w.finish_determine(), 0);
+        assert!(w.state().is_determined());
     }
 
     #[test]

@@ -23,13 +23,12 @@
 //! this implementation, whenever it calls [`checkpoint`], which the Scheme
 //! virtual machine does automatically every few instructions.
 //!
-//! Scheduling is split in two: operations here ask the target VP's
-//! [`PolicyManager`](crate::pm::PolicyManager) *where* work should go
-//! ([`PolicyManager::choose_vp`](crate::pm::PolicyManager::choose_vp) on
-//! fork), then hand the item to that VP's ready queue — the lock-free
-//! [`deque`](crate::deque) tier when the substrate keeps it (every shipped
-//! per-VP policy), the manager's own queue under the policy lock otherwise
-//! (see
+//! Scheduling is split in two: a fork goes on the forking VP when the
+//! substrate keeps its ready queue — the lock-free [`deque`](crate::deque)
+//! tier, every shipped per-VP policy — and otherwise wherever the VP's
+//! [`PolicyManager`](crate::pm::PolicyManager) says
+//! ([`PolicyManager::choose_vp`](crate::pm::PolicyManager::choose_vp),
+//! under the policy lock), whose own queue then takes the item (see
 //! [`PolicyManager::queue_kind`](crate::pm::PolicyManager::queue_kind) and
 //! DESIGN.md, "Scheduler fast path").
 //!
@@ -119,21 +118,22 @@ impl Cx {
         checkpoint();
     }
 
-    /// Forks `thunk` on this machine in `state`, on the VP the current
-    /// VP's policy manager chooses (`pm-allocate-vp`) when it is to be
-    /// scheduled.  Everything is reached through the borrowed scheduler
-    /// context: no reference count is touched on the way.
+    /// Forks `thunk` on this machine in `state`, placed by the current VP
+    /// ([`Vp::fork_target`], `pm-allocate-vp`) when it is to be scheduled.
+    /// Everything is reached through the borrowed scheduler context: no
+    /// reference count is touched on the way.
     fn spawn(&self, thunk: TryThunk, state: ThreadState) -> Arc<Thread> {
         tls::with(|cur| {
             let cur = cur.expect("Cx exists off-thread");
-            let vp = (state == ThreadState::Scheduled)
-                .then(|| cur.vp.pm().choose_vp(cur.vp) % cur.vm.vp_count());
+            let vp =
+                (state == ThreadState::Scheduled).then(|| cur.vp.fork_target() % cur.vm.vp_count());
             cur.vm.spawn_with(thunk, state, vp, None)
         })
     }
 
-    /// Forks `f` as a new thread scheduled on the VP chosen by the current
-    /// VP's policy manager (`pm-allocate-vp`).
+    /// Forks `f` as a new thread scheduled on the current VP — or, when
+    /// its policy manager keeps its own queue, on the VP that manager
+    /// chooses (`pm-allocate-vp`).
     pub fn fork<F, V>(&self, f: F) -> Arc<Thread>
     where
         F: FnOnce(&Cx) -> V + Send + 'static,
@@ -380,7 +380,7 @@ pub(crate) fn install_quiet_panic_hook() {
 
 /// The currently executing thread (`current-thread`), if on one.
 pub fn current_thread() -> Option<Arc<Thread>> {
-    tls::with(|cur| cur.map(|c| c.shared.current_identity()))
+    tls::with(|cur| cur.map(|c| c.shared.identity(Arc::clone)))
 }
 
 /// The thread owning the current TCB.  During a steal this is the
@@ -530,7 +530,7 @@ pub fn yield_now() -> Result<(), CoreError> {
 /// [`CoreError::NotOnThread`] when called from a non-STING OS thread.
 pub fn block_current(blocker: Option<Value>) -> Result<WakeReason, CoreError> {
     let thread = current_owner().ok_or(CoreError::NotOnThread)?;
-    thread.core.lock().blocker = blocker;
+    thread.core().blocker = blocker;
     switch_out(Disposition::Blocked);
     Ok(thread.wait_node().state().snapshot_reason())
 }
@@ -725,7 +725,9 @@ fn demand_via_scheduler(thread: &Arc<Thread>) -> bool {
 /// [`Vp::take_entry`] and [`Vp::reap_dead_entries`]), so that ready queues
 /// hold live work, not the husks of absorbed threads.
 fn run_stolen(thread: &Arc<Thread>, thunk: TryThunk, queued: bool) -> ThreadResult {
-    tls::with(|cur| {
+    // This frame is the stolen thread's link in the TCB's identity stack:
+    // `thread` stays borrowed, so alive, until the link is undone below.
+    let outer = tls::with(|cur| {
         let cur = cur.expect("stealing requires a thread");
         if queued {
             cur.vp.take_entry(thread);
@@ -734,7 +736,10 @@ fn run_stolen(thread: &Arc<Thread>, thunk: TryThunk, queued: bool) -> ThreadResu
         note_steal(thread, cur, depth);
         // Only the thread running on this TCB moves the depth.
         cur.shared.steal_depth.store(depth + 1, Ordering::Relaxed);
-        cur.shared.identity.lock().push(thread.clone());
+        // SAFETY: we run on this TCB's fiber, `thread` is borrowed for the
+        // whole call, and the pop below runs before we return or unwind
+        // (`catch_unwind` holds every unwind until then).
+        unsafe { cur.shared.push_identity(thread) }
     });
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         let cx = Cx::new();
@@ -743,7 +748,9 @@ fn run_stolen(thread: &Arc<Thread>, thunk: TryThunk, queued: bool) -> ThreadResu
     // The thunk may have blocked and resumed on another VP: look again.
     tls::with(|cur| {
         let cur = cur.expect("stealing requires a thread");
-        cur.shared.identity.lock().pop();
+        // SAFETY: the same TCB's fiber, and `outer` is what the push
+        // returned.
+        unsafe { cur.shared.pop_identity(outer) };
         let depth = cur.shared.steal_depth.load(Ordering::Relaxed);
         cur.shared.steal_depth.store(depth - 1, Ordering::Relaxed);
         if queued {

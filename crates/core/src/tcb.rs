@@ -9,8 +9,7 @@
 //! while the thread runs.
 
 use crate::thread::{Thread, ThreadResult};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use sting_context::fiber::{Fiber, Suspender};
 
@@ -59,17 +58,21 @@ pub(crate) struct TcbShared {
     /// Nesting depth of in-progress steals on this TCB; bounded so chains
     /// of stolen thunks cannot overflow the machine stack.
     pub(crate) steal_depth: AtomicU32,
-    /// Identity stack of in-progress steals: `current-thread` is the top —
-    /// the stolen thread whose thunk is running on this TCB — or, when the
-    /// stack is empty, `thread` itself.
-    pub(crate) identity: Mutex<Vec<Arc<Thread>>>,
+    /// Top of the identity stack of in-progress steals: the stolen thread
+    /// whose thunk is running on this TCB, or null when none is and
+    /// `current-thread` is `thread` itself.  The stack's links are the
+    /// steal frames (`tc::run_stolen`): each keeps the top it replaced and
+    /// its stolen `Arc` borrowed until it puts that top back.  Owner-only:
+    /// only code running on this TCB's fiber reads or writes it, so a
+    /// relaxed atomic (no lock, no reference count) is enough.
+    identity: AtomicPtr<Arc<Thread>>,
 }
 
 impl TcbShared {
     pub(crate) fn new(thread: Arc<Thread>, vp_index: usize) -> Arc<TcbShared> {
         let quantum = thread.quantum();
         Arc::new(TcbShared {
-            identity: Mutex::new(Vec::new()),
+            identity: AtomicPtr::new(std::ptr::null_mut()),
             thread,
             suspender: AtomicUsize::new(0),
             vp_index: AtomicUsize::new(vp_index),
@@ -80,14 +83,47 @@ impl TcbShared {
         })
     }
 
-    /// The thread whose code is currently executing on this TCB (the stolen
-    /// thread during a steal, otherwise the TCB's owner).
-    pub(crate) fn current_identity(&self) -> Arc<Thread> {
+    /// Runs `f` on the thread whose code is currently executing on this
+    /// TCB (the stolen thread during a steal, otherwise the TCB's owner).
+    /// Owner-only, like the stack itself.
+    pub(crate) fn identity<R>(&self, f: impl FnOnce(&Arc<Thread>) -> R) -> R {
+        let top = self.identity.load(Ordering::Relaxed);
+        if top.is_null() {
+            f(&self.thread)
+        } else {
+            // SAFETY: a non-null top was installed by a steal frame that
+            // is still running below us on this fiber (it restores the
+            // previous top before it returns or unwinds), and that frame
+            // keeps the pointee borrowed; `f` cannot make the reference
+            // outlive this call.
+            f(unsafe { &*top })
+        }
+    }
+
+    /// Pushes `thread` on the identity stack, returning the top it
+    /// replaces, which the caller hands back to
+    /// [`TcbShared::pop_identity`].
+    ///
+    /// # Safety
+    ///
+    /// Owner-only, and `thread` must stay borrowed until the matching
+    /// `pop_identity` — which must come before the caller returns or
+    /// unwinds.
+    pub(crate) unsafe fn push_identity(&self, thread: &Arc<Thread>) -> *mut Arc<Thread> {
+        let outer = self.identity.load(Ordering::Relaxed);
         self.identity
-            .lock()
-            .last()
-            .cloned()
-            .unwrap_or_else(|| self.thread.clone())
+            .store(std::ptr::from_ref(thread).cast_mut(), Ordering::Relaxed);
+        outer
+    }
+
+    /// Pops the identity stack back to `outer`.
+    ///
+    /// # Safety
+    ///
+    /// Owner-only, with `outer` the value the matching
+    /// [`TcbShared::push_identity`] returned.
+    pub(crate) unsafe fn pop_identity(&self, outer: *mut Arc<Thread>) {
+        self.identity.store(outer, Ordering::Relaxed);
     }
 
     pub(crate) fn reset_ticks(&self) {

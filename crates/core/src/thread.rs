@@ -14,14 +14,15 @@
 use crate::counters::Counters;
 use crate::error::CoreError;
 use crate::group::{GroupLane, ThreadGroup};
-use crate::state::{StateRequest, ThreadState};
+use crate::state::{StateRequest, StateWord, ThreadState, OS_JOINER, REQUESTS, WAITERS};
 use crate::tc::Cx;
 use crate::tcb::Tcb;
 use crate::tls;
 use crate::vm::{Vm, VmAnchor};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::cell::UnsafeCell;
 use std::sync::atomic::{
-    AtomicBool, AtomicI32, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+    AtomicBool, AtomicI32, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
@@ -110,19 +111,14 @@ impl JoinNode {
     }
 }
 
+/// The slow-path half of a thread, under its lock: what only a blocked
+/// thread, a queued request or a waiter needs.  The fork → touch →
+/// determine path never takes it (see [`crate::state`], "The state word").
 pub(crate) struct ThreadCore {
-    pub(crate) thunk: Option<TryThunk>,
-    pub(crate) result: Option<ThreadResult>,
     pub(crate) parked: Option<Tcb>,
-    pub(crate) wake_pending: bool,
-    /// Whether an OS thread is (or was) blocked in
-    /// [`Thread::join_blocking`] on `determined_cv`.  Set by the joiner and
-    /// read by the determiner, both under this lock, so the determiner
-    /// notifies — a `futex_wake` system call on the std-backed condvar —
-    /// only when somebody can be listening.
-    os_joiner: bool,
-    pub(crate) requests: Vec<StateRequest>,
-    pub(crate) waiters: Vec<Arc<JoinNode>>,
+    wake_pending: bool,
+    requests: Vec<StateRequest>,
+    waiters: Vec<Arc<JoinNode>>,
     /// Next `waiters` length at which satisfied nodes are swept (amortized
     /// pruning, see [`Thread::add_wait_node`]).
     waiters_sweep_at: usize,
@@ -130,6 +126,29 @@ pub(crate) struct ThreadCore {
     /// informational, for debugging and group listings.
     pub(crate) blocker: Option<Value>,
 }
+
+/// The two cells the state word arbitrates.  `thunk` is taken by the one
+/// party that wins it on the word — a claim, or a determination that found
+/// the thread still claimable — and `result` is written once, by the
+/// winner of [`StateWord::begin_determine`], before
+/// [`StateWord::finish_determine`] publishes it.
+struct Cells {
+    thunk: UnsafeCell<Option<TryThunk>>,
+    result: UnsafeCell<Option<ThreadResult>>,
+}
+
+// SAFETY: every access to `thunk` happens on the one thread that won it
+// on the state word, or in `Drop`; `result` is written by the one winner
+// of a determination and read only after an Acquire load of the word has
+// seen the Release that published it, after which nothing writes it.  The
+// thunk is `Send` and the result `Send + Sync`, so handing either across
+// threads that way is sound.
+unsafe impl Sync for Cells {}
+
+const _: fn() = || {
+    fn shared_safely<T: Send + Sync>() {}
+    shared_safely::<ThreadResult>();
+};
 
 /// A first-class lightweight thread.
 ///
@@ -139,11 +158,13 @@ pub(crate) struct ThreadCore {
 pub struct Thread {
     id: ThreadId,
     name: Option<String>,
-    state: AtomicU8,
+    state: StateWord,
+    cells: Cells,
     stealable: AtomicBool,
     priority: AtomicI32,
     quantum: AtomicU32,
-    pub(crate) core: Mutex<ThreadCore>,
+    /// Taken only through [`Thread::core`].
+    core: Mutex<ThreadCore>,
     determined_cv: Condvar,
     /// The thread's group, held through the lane it was forked on (see
     /// [`GroupLane`]).
@@ -215,16 +236,17 @@ impl Thread {
         Arc::new(Thread {
             id: birth.id,
             name,
-            state: AtomicU8::new(ThreadState::Delayed as u8),
+            state: StateWord::new(ThreadState::Delayed),
+            cells: Cells {
+                thunk: UnsafeCell::new(Some(thunk)),
+                result: UnsafeCell::new(None),
+            },
             stealable: AtomicBool::new(stealable),
             priority: AtomicI32::new(priority),
             quantum: AtomicU32::new(quantum),
             core: Mutex::new(ThreadCore {
-                thunk: Some(thunk),
-                result: None,
                 parked: None,
                 wake_pending: false,
-                os_joiner: false,
                 requests: Vec::new(),
                 waiters: Vec::new(),
                 waiters_sweep_at: 32,
@@ -254,23 +276,32 @@ impl Thread {
 
     /// Current observable state (a racy snapshot, as in the paper).
     pub fn state(&self) -> ThreadState {
-        ThreadState::from_u8(self.state.load(Ordering::Acquire))
+        self.state.state()
     }
 
-    pub(crate) fn set_state(&self, s: ThreadState) {
-        self.state.store(s as u8, Ordering::Release);
+    /// The thread's lock, for the slow paths only: a parked TCB, queued
+    /// requests, join nodes, an OS joiner, the blocker.
+    pub(crate) fn core(&self) -> MutexGuard<'_, ThreadCore> {
+        crate::probe::hit(crate::probe::Probe::ThreadLock);
+        self.core.lock()
+    }
+
+    /// `Delayed → Scheduled`, one RMW on the state word; `false` if the
+    /// thread was no longer delayed (run, stolen or terminated meanwhile).
+    pub(crate) fn schedule(&self) -> bool {
+        self.state.schedule()
     }
 
     /// Atomically claims a delayed/scheduled thread for execution or
     /// stealing, moving it to `next`.  Returns the thunk on success.
     pub(crate) fn claim(&self, next: ThreadState) -> Option<TryThunk> {
-        let mut core = self.core.lock();
-        if self.state().is_claimable() {
-            self.set_state(next);
-            core.thunk.take()
-        } else {
-            None
+        if !self.state.claim(next) {
+            return None;
         }
+        // SAFETY: winning the claim on the state word makes this the only
+        // party that ever touches the thunk cell (see `Cells`).
+        let thunk = unsafe { (*self.cells.thunk.get()).take() };
+        Some(thunk.expect("a claimable thread has its thunk"))
     }
 
     /// Whether this thread has determined (its result is available).
@@ -283,7 +314,9 @@ impl Thread {
         if !self.is_determined() {
             return None;
         }
-        self.core.lock().result.clone()
+        // SAFETY: the Acquire load above saw `Determined`, published after
+        // the one write of the cell; nothing writes it again.
+        unsafe { (*self.cells.result.get()).clone() }
     }
 
     /// Whether a toucher may absorb this thread's thunk (see
@@ -369,7 +402,7 @@ impl Thread {
 
     /// The condition value this thread is blocked on, if any.
     pub fn blocker(&self) -> Option<Value> {
-        self.core.lock().blocker.clone()
+        self.core().blocker.clone()
     }
 
     /// Wraps this thread as a substrate [`Value`] (threads are data).
@@ -395,8 +428,15 @@ impl Thread {
     /// Returns `false` (without registering) if the thread has already
     /// determined; the caller should then count the completion itself.
     pub fn add_wait_node(&self, node: &Arc<JoinNode>) -> bool {
-        let mut core = self.core.lock();
         if self.is_determined() {
+            return false;
+        }
+        let mut core = self.core();
+        // The flag goes on the word before the node goes on the list, both
+        // under the lock: a determination that sees the flag takes the lock
+        // after us and finds the node; one that the flag misses has
+        // published `Determined`, and the RMW refuses.
+        if !self.state.set_unless_determined(WAITERS) {
             false
         } else {
             // Amortized sweep of satisfied nodes: a waiter woken through
@@ -420,29 +460,33 @@ impl Thread {
     /// thread; STING threads must use [`crate::tc::wait`] instead, which
     /// blocks only the green thread.
     pub fn join_blocking(&self) -> ThreadResult {
-        let mut core = self.core.lock();
-        while !self.is_determined() {
-            core.os_joiner = true;
-            self.determined_cv.wait(&mut core);
+        if !self.is_determined() {
+            let mut core = self.core();
+            // As in `add_wait_node`: flag, then wait, under the lock, so a
+            // determination that sees the flag notifies after we sleep.
+            while self.state.set_unless_determined(OS_JOINER) {
+                self.determined_cv.wait(&mut core);
+            }
         }
-        core.result.clone().expect("determined thread has a result")
+        self.result().expect("determined thread has a result")
     }
 
     /// Like [`Thread::join_blocking`] with a timeout; `None` on timeout.
     pub fn join_blocking_timeout(&self, timeout: Duration) -> Option<ThreadResult> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut core = self.core.lock();
-        while !self.is_determined() {
-            core.os_joiner = true;
-            if self
-                .determined_cv
-                .wait_until(&mut core, deadline)
-                .timed_out()
-            {
-                return None;
+        if !self.is_determined() {
+            let mut core = self.core();
+            while self.state.set_unless_determined(OS_JOINER) {
+                if self
+                    .determined_cv
+                    .wait_until(&mut core, deadline)
+                    .timed_out()
+                {
+                    return None;
+                }
             }
         }
-        Some(core.result.clone().expect("determined thread has a result"))
+        self.result()
     }
 
     /// Waits for this thread to determine, for at most `timeout`; `None`
@@ -464,7 +508,22 @@ impl Thread {
     /// [`CoreError::InvalidTransition`] if the target's current state does
     /// not admit the request.
     pub fn request(self: &Arc<Thread>, request: StateRequest) -> Result<(), CoreError> {
-        let mut core = self.core.lock();
+        // A passive thread is determined right here: it has no TCB whose
+        // owner must cooperate.  Winning it on the state word beats every
+        // claim, so the thunk is discarded, never run.
+        let passive = match &request {
+            StateRequest::Terminate(v) => Some(Ok(v)),
+            StateRequest::Raise(v) => Some(Err(v)),
+            _ => None,
+        };
+        if let Some(outcome) = passive {
+            if let Some(state) = self.state.begin_determine(true) {
+                let result = outcome.cloned().map_err(Value::clone);
+                self.determine(state, result);
+                return Ok(());
+            }
+        }
+        let mut core = self.core();
         let state = self.state();
         if !state.can_request(&request) {
             return Err(CoreError::InvalidTransition {
@@ -472,20 +531,6 @@ impl Thread {
             });
         }
         match (&request, state) {
-            // A passive thread can be terminated right here: it has no TCB
-            // whose owner must cooperate.
-            (StateRequest::Terminate(v), ThreadState::Delayed | ThreadState::Scheduled) => {
-                core.thunk = None;
-                drop(core);
-                self.complete(Ok(v.clone()));
-                Ok(())
-            }
-            (StateRequest::Raise(v), ThreadState::Delayed | ThreadState::Scheduled) => {
-                core.thunk = None;
-                drop(core);
-                self.complete(Err(v.clone()));
-                Ok(())
-            }
             (StateRequest::Resume, ThreadState::Delayed) => {
                 drop(core);
                 let vm = self.vm().ok_or(CoreError::Shutdown)?;
@@ -499,10 +544,13 @@ impl Thread {
             }
             // Requests against an evaluating (or parked) thread are queued
             // and applied by the thread itself; parked targets are woken so
-            // they notice promptly.
+            // they notice promptly.  (A lethal request whose passive
+            // determination above lost to another determiner lands here
+            // too, on a thread that will never run: it is moot.)
             _ => {
-                let lethal = matches!(request, StateRequest::Terminate(_) | StateRequest::Raise(_));
+                let lethal = passive.is_some();
                 core.requests.push(request);
+                self.state.set_unless_determined(REQUESTS);
                 let parked = state.has_tcb() && state != ThreadState::Evaluating;
                 drop(core);
                 if lethal {
@@ -595,12 +643,12 @@ impl Thread {
     /// transitioning it to `Evaluating`; records a pending wake-up
     /// otherwise.
     fn take_parked_tcb(&self) -> Option<Tcb> {
-        let mut core = self.core.lock();
+        let mut core = self.core();
         match self.state() {
             ThreadState::Blocked | ThreadState::Suspended => match core.parked.take() {
                 Some(tcb) => {
                     core.blocker = None;
-                    self.set_state(ThreadState::Evaluating);
+                    self.state.unpark();
                     Some(tcb)
                 }
                 None => {
@@ -636,14 +684,23 @@ impl Thread {
     }
 
     /// Finalizes the thread with `result`: sets `Determined`, publishes the
-    /// value, and wakes every waiter (the paper's `wakeup-waiters`).
+    /// value, and wakes every waiter (the paper's `wakeup-waiters`).  The
+    /// first determination wins; later ones are ignored.
     pub(crate) fn complete(self: &Arc<Thread>, result: ThreadResult) {
+        if let Some(state) = self.state.begin_determine(false) {
+            self.determine(state, result);
+        }
+    }
+
+    /// Finishes a determination this caller won on the state word, from
+    /// `state`, looking the machine up for its counters and trace.
+    fn determine(self: &Arc<Thread>, state: ThreadState, result: ThreadResult) {
         let mut result = Some(result);
         self.with_vm(|vm, lane| {
-            self.complete_on(Some(vm), lane, result.take().expect("taken once"));
+            self.publish(state, Some(vm), lane, result.take().expect("taken once"));
         });
         if let Some(result) = result {
-            self.complete_on(None, None, result);
+            self.publish(state, None, None, result);
         }
     }
 
@@ -657,6 +714,28 @@ impl Thread {
         lane: Option<usize>,
         result: ThreadResult,
     ) {
+        if let Some(state) = self.state.begin_determine(false) {
+            self.publish(state, vm, lane, result);
+        }
+    }
+
+    /// The rest of a determination whose winner found the thread in
+    /// `state`: discards a thunk nobody claimed, writes the result, flips
+    /// the word to `Determined`, and takes the lock only if a flag says
+    /// that someone is waiting.
+    fn publish(
+        self: &Arc<Thread>,
+        state: ThreadState,
+        vm: Option<&Vm>,
+        lane: Option<usize>,
+        result: ThreadResult,
+    ) {
+        // Dropped at the end, once nobody waits on this determination.
+        let _discarded = state.is_claimable().then(|| {
+            // SAFETY: a determination that found the thread claimable owns
+            // the thunk cell: no claim can win after it (see `Cells`).
+            unsafe { (*self.cells.thunk.get()).take() }
+        });
         // A wait episode still armed at determination is a protocol leak:
         // every park path (normal return, unwind guard, request
         // cancellation) must have closed it.  Kill it so no structure can
@@ -674,29 +753,34 @@ impl Thread {
                 );
             }
         }
+        let failed = result.is_err();
+        // SAFETY: this caller won `begin_determine`, so it is the one
+        // writer of the result cell, and nobody reads it before the
+        // Release in `finish_determine` below publishes it.
+        unsafe { *self.cells.result.get() = Some(result) };
+        let waiting = self.state.finish_determine();
+        if let Some(vm) = vm {
+            let counters = vm.counters().lane(lane);
+            Counters::bump(&counters.determinations);
+            if failed {
+                Counters::bump(&counters.exceptions);
+            }
+            crate::trace_event!(
+                vm.tracer(),
+                lane,
+                crate::trace::EventKind::Determine,
+                self.id.0,
+                u32::from(failed)
+            );
+        }
+        if waiting & (WAITERS | OS_JOINER) == 0 {
+            return;
+        }
+        // Someone registered before the flip: the lock orders us after
+        // their registration (see `add_wait_node`, `join_blocking`).
         let waiters = {
-            let mut core = self.core.lock();
-            if self.is_determined() {
-                return;
-            }
-            let failed = result.is_err();
-            core.result = Some(result);
-            self.set_state(ThreadState::Determined);
-            if let Some(vm) = vm {
-                let counters = vm.counters().lane(lane);
-                Counters::bump(&counters.determinations);
-                if failed {
-                    Counters::bump(&counters.exceptions);
-                }
-                crate::trace_event!(
-                    vm.tracer(),
-                    lane,
-                    crate::trace::EventKind::Determine,
-                    self.id.0,
-                    u32::from(failed)
-                );
-            }
-            if core.os_joiner {
+            let mut core = self.core();
+            if waiting & OS_JOINER != 0 {
                 crate::probe::hit(crate::probe::Probe::FutexWake);
                 self.determined_cv.notify_all();
             }
@@ -734,8 +818,30 @@ impl Thread {
     }
 
     /// Drains pending asynchronous requests (called by the owning thread at
-    /// thread-controller entries).
+    /// thread-controller entries).  Locks only when the word says one is
+    /// queued; a request queued concurrently is seen at the next entry.
     pub(crate) fn take_requests(&self) -> Vec<StateRequest> {
-        std::mem::take(&mut self.core.lock().requests)
+        if !self.state.has(REQUESTS) {
+            return Vec::new();
+        }
+        let mut core = self.core();
+        self.state.clear(REQUESTS);
+        std::mem::take(&mut core.requests)
+    }
+
+    /// Parks `tcb` as this thread's, moving it from `Evaluating` to `to`
+    /// (`Blocked` or `Suspended`) — unless a wake-up raced ahead of the
+    /// park, in which case the TCB comes back to be re-queued.  `parked`
+    /// runs under the lock once the TCB is parked.
+    pub(crate) fn park(&self, tcb: Tcb, to: ThreadState, parked: impl FnOnce()) -> Option<Tcb> {
+        let mut core = self.core();
+        if core.wake_pending {
+            core.wake_pending = false;
+            return Some(tcb);
+        }
+        self.state.park(to);
+        core.parked = Some(tcb);
+        parked();
+        None
     }
 }

@@ -8,7 +8,7 @@
 use crate::builder::{SpawnOpts, VmConfig};
 use crate::counters::Counters;
 use crate::error::CoreError;
-use crate::group::{GroupLane, ThreadGroup, WeakList};
+use crate::group::{GroupLane, ThreadGroup};
 use crate::io::IoPool;
 use crate::machine::{Attachment, Queued};
 use crate::metrics::Metrics;
@@ -48,8 +48,6 @@ struct Lane {
 
 #[derive(Default)]
 struct LaneState {
-    /// This lane's shard of the machine's thread registry.
-    threads: WeakList,
     /// The group lane this lane last forked into: consecutive forks into
     /// one group (the overwhelmingly common case) share it.
     group: Option<Arc<GroupLane>>,
@@ -57,7 +55,9 @@ struct LaneState {
     /// group id, so forks that alternate between groups go back to the
     /// lane they had: a group never has more than one live lane per VM
     /// lane.  Weak — the members keep their group lane alive, not this
-    /// map — and swept like a [`WeakList`].
+    /// map — and swept when it doubles.  This is also the machine's thread
+    /// registry: every live thread forked on this lane is a member of one
+    /// of these group lanes, and of no other lane's (see [`Vm::threads`]).
     groups: HashMap<u64, Weak<GroupLane>>,
     groups_prune_at: usize,
 }
@@ -290,11 +290,22 @@ impl Vm {
     }
 
     /// All live threads created on this VM, whichever VP (or host thread)
-    /// forked them: the per-lane registry shards, merged.
+    /// forked them: the members of every lane's group lanes, merged.  A
+    /// thread is registered once, in the group lane of the lane that forked
+    /// it, so nothing is listed twice.
     pub fn threads(&self) -> Vec<Arc<Thread>> {
         let mut all = Vec::new();
         for lane in self.lanes.iter() {
-            lane.state.lock().threads.extend_live(&mut all);
+            let groups: Vec<Arc<GroupLane>> = lane
+                .state
+                .lock()
+                .groups
+                .values()
+                .filter_map(Weak::upgrade)
+                .collect();
+            for group in groups {
+                group.extend_live(&mut all);
+            }
         }
         all
     }
@@ -453,37 +464,38 @@ impl Vm {
             if lane_ix.is_none() {
                 probe::hit(Probe::SharedRegistryLock);
             }
-            // Genealogy: the thread whose code is executing (the stolen
-            // thread during a steal) is the parent, if it lives here.
-            let identity = cur.map(|c| (c.shared.identity.lock(), &c.shared.thread));
-            let parent = identity
-                .as_ref()
-                .map(|(stolen, owner)| stolen.last().unwrap_or(owner))
-                .filter(|p| p.belongs_to(self));
-            let group = opts
-                .group
-                .as_ref()
-                .or_else(|| parent.map(|p| p.group()))
-                .unwrap_or(&self.root_group);
-            let mut st = lane.state.lock();
-            let group = st.group_lane(group);
-            // Always created delayed; schedule_fresh flips to Scheduled
-            // below so the state change and the enqueue stay consistent.
-            let t = Thread::new(
+            let birth = |parent: Option<&Arc<Thread>>| {
+                let parent = parent.filter(|p| p.belongs_to(self));
+                let group = opts
+                    .group
+                    .as_ref()
+                    .or_else(|| parent.map(|p| p.group()))
+                    .unwrap_or(&self.root_group);
                 Birth {
                     id: self.next_thread_id(lane),
                     anchor: lane.anchor.clone(),
-                    group,
+                    group: lane.state.lock().group_lane(group),
                     parent: parent.map(Arc::downgrade).unwrap_or_default(),
-                },
+                }
+            };
+            // Genealogy: the thread whose code is executing (the stolen
+            // thread during a steal) is the parent, if it lives here.
+            let birth = match cur {
+                Some(c) => c.shared.identity(|me| birth(Some(me))),
+                None => birth(None),
+            };
+            // Always created delayed; schedule_fresh flips to Scheduled
+            // below so the state change and the enqueue stay consistent.
+            let t = Thread::new(
+                birth,
                 thunk,
                 opts.name,
                 opts.stealable,
                 opts.priority,
                 opts.quantum,
             );
-            st.threads.push(Arc::downgrade(&t));
-            drop(st);
+            // The one registration: group membership, from which the
+            // machine's registry is derived too.
             t.group_lane().add(&t);
             Counters::bump(&self.counters.lane(lane_ix).threads_created);
             crate::trace_event!(
@@ -496,7 +508,12 @@ impl Vm {
         });
         if state == ThreadState::Scheduled {
             let vp = vp.unwrap_or(0) % self.vp_count();
-            self.schedule_fresh(&t, vp).expect("fresh thread schedules");
+            match self.schedule_fresh(&t, vp) {
+                // Registered, so visible to a group's terminate before
+                // this: a thread already determined needs no queue entry.
+                Ok(()) | Err(CoreError::InvalidTransition { .. }) => {}
+                Err(e) => panic!("fresh thread schedules: {e}"),
+            }
         }
         t
     }
@@ -511,17 +528,12 @@ impl Vm {
             return Err(CoreError::Shutdown);
         }
         let target = self.vp(vp)?;
-        {
-            let core = thread.core.lock();
-            if thread.state() != ThreadState::Delayed {
-                return Err(CoreError::InvalidTransition {
-                    detail: "only a delayed thread can be scheduled",
-                });
-            }
-            thread.set_state(ThreadState::Scheduled);
-            thread.home_vp.store(vp, Ordering::Relaxed);
-            drop(core);
+        if !thread.schedule() {
+            return Err(CoreError::InvalidTransition {
+                detail: "only a delayed thread can be scheduled",
+            });
         }
+        thread.home_vp.store(vp, Ordering::Relaxed);
         target.enqueue(self, RunItem::Fresh(thread.clone()), EnqueueState::New);
         Ok(())
     }
@@ -717,7 +729,7 @@ impl Vm {
             if t.is_determined() {
                 continue;
             }
-            let parked = t.core.lock().parked.take();
+            let parked = t.core().parked.take();
             drop(parked);
             t.complete(shutdown_err.clone());
         }

@@ -25,9 +25,9 @@
 //!   [`BandMap`](crate::pm::BandMap) — FIFO and LIFO put everything in
 //!   band 0; pop and steal serve the highest non-empty band first (one
 //!   atomic bitmask read), FIFO or LIFO within a band.  Idle sibling VPs
-//!   steal from a band's cold end with one CAS.  The policy manager is
-//!   still consulted for placement (`choose_vp`) and the idle hook
-//!   (`vp_idle`); it just no longer sees per-item traffic.
+//!   steal from a band's cold end with one CAS.  Forks stay on the forking
+//!   VP; the policy manager is consulted only for the idle hook
+//!   (`vp_idle`) and hints, and no longer sees per-item traffic.
 //! * **The manager** ([`GlobalQueue`](crate::policies::GlobalQueue) and
 //!   user-written policies): every operation goes through the policy
 //!   manager's own queue under the VP's policy lock — the fully general
@@ -300,7 +300,19 @@ impl Vp {
 
     /// The VP's policy manager, under its lock.
     pub(crate) fn pm(&self) -> parking_lot::MutexGuard<'_, Box<dyn PolicyManager>> {
+        probe::hit(Probe::PolicyLock);
         self.owned.pm.lock()
+    }
+
+    /// Where a thread forked on this VP is first scheduled
+    /// (`pm-allocate-vp`): here, on the deque tier, without asking the
+    /// manager; the manager's [`PolicyManager::choose_vp`], under the
+    /// policy lock, on the policy tier.
+    pub(crate) fn fork_target(&self) -> usize {
+        match self.fast {
+            Some(_) => self.index,
+            None => self.pm().choose_vp(self),
+        }
     }
 
     /// The preemption flag the timekeeper raises and checkpoints poll.
@@ -731,31 +743,23 @@ impl Vp {
             }
             FiberResult::Yield(d @ (Disposition::Blocked | Disposition::Suspended)) => {
                 let suspended = d == Disposition::Suspended;
-                let requeue: Option<Tcb> = {
-                    let mut core = thread.core.lock();
-                    if core.wake_pending {
-                        // A wake-up raced ahead of the park: skip parking.
-                        core.wake_pending = false;
-                        Some(tcb)
-                    } else {
-                        thread.set_state(if suspended {
-                            crate::state::ThreadState::Suspended
-                        } else {
-                            crate::state::ThreadState::Blocked
-                        });
-                        core.parked = Some(tcb);
-                        // Stamp under `core`: the waker takes the same lock
-                        // before it can consume the parked TCB, so a
-                        // stamped park is always visible to its wake.
-                        vm.metrics().stamp_block(self.index, thread);
-                        Counters::bump(if suspended {
-                            &counters.suspends
-                        } else {
-                            &counters.blocks
-                        });
-                        None
-                    }
+                let to = if suspended {
+                    crate::state::ThreadState::Suspended
+                } else {
+                    crate::state::ThreadState::Blocked
                 };
+                // A wake-up that raced ahead of the park hands the TCB back.
+                let requeue = thread.park(tcb, to, || {
+                    // Stamp under the thread's lock: the waker takes the
+                    // same lock before it can consume the parked TCB, so a
+                    // stamped park is always visible to its wake.
+                    vm.metrics().stamp_block(self.index, thread);
+                    Counters::bump(if suspended {
+                        &counters.suspends
+                    } else {
+                        &counters.blocks
+                    });
+                });
                 if let Some(tcb) = requeue {
                     self.enqueue_from(vm, RunItem::Parked(tcb), EnqueueState::Unblocked, true);
                 }

@@ -221,6 +221,227 @@ fn registries_see_threads_registered_from_every_vp() {
     vm.shutdown();
 }
 
+/// The machine's registry is derived from its lanes' group lanes, so a
+/// thread forked into a subgroup — from a VP lane or from the host's
+/// external lane — is listed by the machine as well as by its group.
+#[test]
+fn a_subgroup_fork_is_listed_by_the_machine_and_by_its_group() {
+    let vm = pinned_vm();
+    let sub = vm.root_group().subgroup(Some("sub".into()));
+    let from_host = ThreadBuilder::new(&vm).group(sub.clone()).delayed(|_| 1i64);
+    let s2 = sub.clone();
+    let from_vp = vm
+        .run(move |cx| {
+            ThreadBuilder::new(&cx.vm())
+                .group(s2)
+                .delayed(|_| 2i64)
+                .to_value()
+        })
+        .unwrap()
+        .native_as::<Thread>()
+        .expect("a thread");
+    let ids = |ts: Vec<Arc<Thread>>| ts.iter().map(|t| t.id().0).collect::<HashSet<u64>>();
+    let (machine, group) = (ids(vm.threads()), ids(sub.threads()));
+    for t in [&from_host, &from_vp] {
+        assert!(
+            machine.contains(&t.id().0),
+            "{} missing from Vm::threads",
+            t.id()
+        );
+        assert!(
+            group.contains(&t.id().0),
+            "{} missing from its group",
+            t.id()
+        );
+        assert!(Arc::ptr_eq(t.group(), &sub));
+    }
+    assert_eq!(group.len(), 2);
+    vm.shutdown();
+}
+
+/// Forks on both VPs while the host lists the machine's threads: a
+/// thread is registered in one place, so no listing holds it twice.
+#[test]
+fn the_machine_registry_racing_forks_on_both_vps_lists_no_thread_twice() {
+    let vm = pinned_vm();
+    let stop = Arc::new(AtomicBool::new(false));
+    let forkers: Vec<_> = (0..2)
+        .map(|vp| {
+            let stop = stop.clone();
+            vm.fork_on(vp, move |cx| {
+                let mut held = Vec::new();
+                while !stop.load(Ordering::SeqCst) {
+                    // Keep some alive, drop others, and switch groups now
+                    // and then so lanes open and close under the readers.
+                    held.push(if held.len() % 8 == 0 {
+                        let sub = cx.vm().root_group().subgroup(None);
+                        ThreadBuilder::new(&cx.vm()).group(sub).delayed(|_| 0i64)
+                    } else {
+                        cx.delayed(|_| 0i64)
+                    });
+                    if held.len() > 64 {
+                        held.drain(..32);
+                    }
+                    cx.yield_now();
+                }
+                held.len() as i64
+            })
+            .unwrap()
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_millis(300);
+    let mut listings = 0;
+    while Instant::now() < deadline {
+        let ids: Vec<u64> = vm.threads().iter().map(|t| t.id().0).collect();
+        let distinct: HashSet<u64> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), ids.len(), "a thread listed twice");
+        listings += 1;
+    }
+    stop.store(true, Ordering::SeqCst);
+    for f in forkers {
+        assert!(f.join_blocking_timeout(LONG).expect("forker stops").is_ok());
+    }
+    assert!(listings > 0);
+    vm.shutdown();
+}
+
+/// Once every member of a group has determined and been dropped, the
+/// machine lists nothing: the group lanes it derives its registry from
+/// hold their members weakly.
+#[test]
+fn the_machine_registry_empties_when_a_groups_members_die() {
+    let vm = pinned_vm();
+    let group = ThreadGroup::root(Some("short-lived".into()));
+    let kids: Vec<_> = (0..2)
+        .map(|vp| {
+            let g = group.clone();
+            ThreadBuilder::new(&vm)
+                .group(group.clone())
+                .on_vp(vp)
+                .spawn(move |cx| {
+                    let inner: Vec<_> = (0..8)
+                        .map(|i| {
+                            ThreadBuilder::new(&cx.vm())
+                                .group(g.clone())
+                                .spawn(move |_| i)
+                                .unwrap()
+                        })
+                        .collect();
+                    inner
+                        .iter()
+                        .map(|t| cx.wait(t).unwrap().as_int().unwrap())
+                        .sum::<i64>()
+                })
+                .unwrap()
+        })
+        .collect();
+    for k in &kids {
+        assert_eq!(k.join_blocking().unwrap().as_int(), Some(28));
+    }
+    drop(kids);
+    // A worker lets go of the last thread it ran just after determining it.
+    let deadline = Instant::now() + LONG;
+    while !vm.threads().is_empty() {
+        assert!(Instant::now() < deadline, "{:?} still listed", vm.threads());
+        std::thread::yield_now();
+    }
+    assert!(group.threads().is_empty());
+    vm.shutdown();
+}
+
+/// A delayed thread of a non-root group that nobody ever demands is still
+/// found, and determined, by the shutdown drain.
+#[test]
+fn shutdown_determines_a_never_demanded_thread_of_a_subgroup() {
+    let vm = pinned_vm();
+    let sub = vm.root_group().subgroup(None);
+    let from_host = ThreadBuilder::new(&vm).group(sub.clone()).delayed(|_| 1i64);
+    let s2 = sub.clone();
+    let from_vp = vm
+        .run(move |cx| {
+            ThreadBuilder::new(&cx.vm())
+                .group(s2)
+                .delayed(|_| 2i64)
+                .to_value()
+        })
+        .unwrap()
+        .native_as::<Thread>()
+        .expect("a thread");
+    vm.shutdown();
+    for t in [from_host, from_vp] {
+        assert_eq!(
+            t.join_blocking_timeout(LONG)
+                .expect("drain must determine it"),
+            Err(Value::sym("vm-shutdown"))
+        );
+    }
+}
+
+/// A passive thread raced by a terminate and a touch: the two meet on the
+/// thread's state word, so exactly one wins it.  The thunk runs if and only
+/// if the result is not the terminate value, and each thread determines
+/// once.
+#[test]
+fn a_passive_thread_raced_by_terminate_and_touch_determines_once() {
+    const N: usize = 10_000;
+    let vm = VmBuilder::new().vps(1).processors(1).build();
+    let ran: Arc<Vec<AtomicBool>> = Arc::new((0..N).map(|_| AtomicBool::new(false)).collect());
+    let threads: Arc<Vec<Arc<Thread>>> = Arc::new(
+        (0..N)
+            .map(|i| {
+                let ran = ran.clone();
+                vm.delayed(move |_| {
+                    ran[i].store(true, Ordering::SeqCst);
+                    i as i64
+                })
+            })
+            .collect(),
+    );
+    let before = vm.counters().snapshot();
+    // The two sides walk the threads in lockstep, so every pair races.
+    let (touched, killed) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let step = |mine: &AtomicUsize, theirs: &AtomicUsize, i: usize| {
+        mine.store(i + 1, Ordering::SeqCst);
+        while theirs.load(Ordering::SeqCst) < i + 1 {
+            std::thread::yield_now();
+        }
+    };
+    let toucher = {
+        let (ts, touched, killed) = (threads.clone(), touched.clone(), killed.clone());
+        vm.fork(move |cx| {
+            for (i, t) in ts.iter().enumerate() {
+                step(&touched, &killed, i);
+                let _ = cx.touch(t);
+            }
+            0i64
+        })
+    };
+    for (i, t) in threads.iter().enumerate() {
+        step(&killed, &touched, i);
+        let _ = tc::thread_terminate(t, Value::sym("killed"));
+    }
+    let done = toucher
+        .join_blocking_timeout(LONG)
+        .expect("toucher finishes");
+    assert_eq!(done, Ok(Value::from(0i64)));
+    let counted = vm.counters().snapshot().since(&before);
+    for (i, t) in threads.iter().enumerate() {
+        let r = t.result().expect("determined");
+        let terminated = r == Ok(Value::sym("killed"));
+        assert_eq!(
+            ran[i].load(Ordering::SeqCst),
+            !terminated,
+            "thread {i}: result {r:?}"
+        );
+        if !terminated {
+            assert_eq!(r.unwrap().as_int(), Some(i as i64));
+        }
+    }
+    // One determination per raced thread, plus the toucher's own.
+    assert_eq!(counted.determinations, N as u64 + 1);
+    vm.shutdown();
+}
+
 #[test]
 fn shutdown_drain_completes_passive_threads_from_every_lane() {
     let vm = pinned_vm();
