@@ -128,7 +128,9 @@ run_bench_smoke() {
     # the thread path (machine:wakes-per-fork<=0.05: a 2-VP migrating tree
     # wakes a parked worker at most once per 20 forks;
     # fork:allocs-per-thread<=2: a forked-and-absorbed thread allocates its
-    # object and its thunk, nothing else); the
+    # object and its thunk, nothing else) and the count gate on the
+    # reactor (server:epoll-ctl-per-wake==0: each socket registers once,
+    # so under echo load no wake makes an epoll_ctl); the
     # gates that need a second core (fork:two-pinned-vps-beat-one-vp,
     # fork:migrating-tree-no-slower-than-one-vp,
     # fleet:two-shards-two-workers,

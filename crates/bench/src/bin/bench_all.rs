@@ -797,6 +797,7 @@ fn main() -> ExitCode {
             "machine:",
             "fork:migrating-tree",
             "fork:allocs-per-thread",
+            "server:epoll-ctl-per-wake",
         ]
         .iter()
         .any(|gate| c.name.starts_with(gate))

@@ -1,9 +1,9 @@
-//! A SIGPROF sampling profiler for the thread path: runs one shape for a
-//! while under `setitimer(ITIMER_PROF)`, walks the frame-pointer chain of
-//! every sample, and prints where the time goes — self and inclusive shares
-//! by function, symbolized with `addr2line` — beside the shape's cost per
-//! thread and its allocations per thread (EXPERIMENTS.md E8, "Per-thread
-//! budget").
+//! A SIGPROF sampling profiler for the thread and I/O paths: runs one shape
+//! for a while under `setitimer(ITIMER_PROF)`, walks the frame-pointer
+//! chain of every sample, and prints where the time goes — self and
+//! inclusive shares by function, symbolized with `addr2line`, and shares by
+//! layer — beside the shape's cost per operation (EXPERIMENTS.md E8,
+//! "Per-thread budget", and E12).
 //!
 //! ```text
 //! RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR=target/fp \
@@ -24,16 +24,23 @@
 //! * `lazy-1vp` — the same tree of delayed threads.
 //! * `eager-2vp` — one eager tree at a time on two migrating VPs, as the
 //!   `fork_tree` benchmark runs it.
+//! * `echo` — the `echo_server` benchmark's loop in one process: a 2-VP VM
+//!   with a STING thread per connection, each read carrying a 5 s
+//!   deadline, beside idle connections held open, and two client OS
+//!   threads each keeping a 64-byte echo in flight on 16 connections.  The
+//!   samples cover the whole process, so the loopback clients' own kernel
+//!   time is in the budget too.
 //!
 //! Linux on x86-64 only (the interrupted registers are read from the
 //! signal's `ucontext`).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sting::core::net::{TcpListener, LOCALHOST};
 use sting::prelude::*;
 use sting_bench::shapes;
 
@@ -239,7 +246,7 @@ fn parse_args() -> Result<Args, String> {
             "--hz" => args.hz = value("--hz")?.parse().map_err(|e| format!("{e}"))?,
             "--top" => args.top = value("--top")?.parse().map_err(|e| format!("{e}"))?,
             "--help" | "-h" => return Err(
-                "usage: sampler [eager-1vp|lazy-1vp|eager-2vp] [--seconds S] [--hz HZ] [--top N]"
+                "usage: sampler [eager-1vp|lazy-1vp|eager-2vp|echo] [--seconds S] [--hz HZ] [--top N]"
                     .to_string(),
             ),
             shape if !shape.starts_with('-') => args.shape = shape.to_string(),
@@ -249,13 +256,190 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The machine and tree kind of a shape.
-fn shape(name: &str) -> Option<(Arc<Vm>, bool)> {
+/// Hot connections per echo client thread, each with one echo in flight.
+const ECHO_DEPTH: usize = 16;
+/// Echo client threads.
+const ECHO_CLIENTS: usize = 2;
+/// Idle connections held open beside the hot ones.
+const ECHO_IDLE: usize = 256;
+/// Bytes an echo carries.
+const ECHO_BYTES: usize = 64;
+
+/// What a shape runs, and on which machine.
+enum Shape {
+    /// Fork trees, eager or lazy.
+    Tree { vm: Arc<Vm>, lazy: bool },
+    /// Echoes: per client thread, its hot connections; and the idle ones.
+    Echo {
+        vm: Arc<Vm>,
+        hot: Vec<Vec<std::net::TcpStream>>,
+        idle: Vec<std::net::TcpStream>,
+    },
+}
+
+fn shape(name: &str) -> Option<Shape> {
+    let tree = |vm, lazy| Some(Shape::Tree { vm, lazy });
     match name {
-        "eager-1vp" => Some((shapes::fork_vm(1, false), false)),
-        "lazy-1vp" => Some((shapes::fork_vm(1, false), true)),
-        "eager-2vp" => Some((shapes::fork_vm(2, true), false)),
+        "eager-1vp" => tree(shapes::fork_vm(1, false), false),
+        "lazy-1vp" => tree(shapes::fork_vm(1, false), true),
+        "eager-2vp" => tree(shapes::fork_vm(2, true), false),
+        "echo" => Some(echo_shape()),
         _ => None,
+    }
+}
+
+/// Serves each connection on a STING thread of a 2-VP VM and connects
+/// the clients' sockets to it.
+fn echo_shape() -> Shape {
+    let vm = VmBuilder::new()
+        .vps(2)
+        .stack_size(64 * 1024)
+        .name("echo-sampler")
+        .build();
+    let listener = TcpListener::bind(LOCALHOST, 0).expect("bind a loopback port");
+    let port = listener.local_port().expect("the bound port");
+    let server = vm.clone();
+    vm.fork(move |_cx| {
+        while let Ok(stream) = listener.accept() {
+            server.fork(move |_cx| {
+                let mut buf = [0u8; 4096];
+                loop {
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    match stream.read_deadline(&mut buf, deadline) {
+                        Ok(0) => return,
+                        Ok(n) => {
+                            if stream.write_all(&buf[..n]).is_err() {
+                                return;
+                            }
+                        }
+                        Err(e) if e.is_timeout() => {}
+                        Err(_) => return,
+                    }
+                }
+            });
+        }
+    });
+    let connect = || {
+        let s = std::net::TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        s.set_nodelay(true).expect("TCP_NODELAY");
+        s
+    };
+    let idle = (0..ECHO_IDLE).map(|_| connect()).collect();
+    let hot = (0..ECHO_CLIENTS)
+        .map(|_| (0..ECHO_DEPTH).map(|_| connect()).collect())
+        .collect();
+    Shape::Echo { vm, hot, idle }
+}
+
+/// One client batch: a request on each connection, then the replies in
+/// the same order.  Returns the echoes done.
+fn echo_batch(conns: &mut [std::net::TcpStream]) -> u64 {
+    let request = [0x5au8; ECHO_BYTES];
+    let mut reply = [0u8; ECHO_BYTES];
+    for c in conns.iter_mut() {
+        c.write_all(&request).expect("echo request");
+    }
+    for c in conns.iter_mut() {
+        c.read_exact(&mut reply).expect("echo reply");
+        assert_eq!(reply, request, "the echo came back changed");
+    }
+    conns.len() as u64
+}
+
+impl Shape {
+    fn vm(&self) -> &Arc<Vm> {
+        match self {
+            Shape::Tree { vm, .. } | Shape::Echo { vm, .. } => vm,
+        }
+    }
+
+    /// Runs the shape for `time`; returns the operations done (trees or
+    /// echoes).
+    fn run(&mut self, time: Duration) -> u64 {
+        let start = Instant::now();
+        match self {
+            Shape::Tree { vm, lazy } => {
+                let mut trees = 0;
+                while start.elapsed() < time {
+                    shapes::fork_trees(vm, 1, DEPTH, *lazy);
+                    trees += 1;
+                }
+                trees
+            }
+            Shape::Echo { hot, .. } => std::thread::scope(|scope| {
+                let clients: Vec<_> = hot
+                    .iter_mut()
+                    .map(|conns| {
+                        scope.spawn(move || {
+                            let mut echoes = 0;
+                            while start.elapsed() < time {
+                                echoes += echo_batch(conns);
+                            }
+                            echoes
+                        })
+                    })
+                    .collect();
+                clients.into_iter().map(|c| c.join().expect("client")).sum()
+            }),
+        }
+    }
+
+    /// Closes the clients' sockets, so every connection thread sees its
+    /// EOF, and stops the machine.
+    fn finish(self) {
+        let vm = match self {
+            Shape::Tree { vm, .. } => vm,
+            Shape::Echo { vm, hot, idle } => {
+                drop((hot, idle));
+                std::thread::sleep(Duration::from_millis(100));
+                vm
+            }
+        };
+        vm.shutdown();
+    }
+}
+
+/// The layer a sample's time belongs to, from its frames, innermost
+/// first: the first frame naming a layer decides (the syscall trap and its
+/// return check name none: the `sys` call above them does), and a `sys`
+/// read or write counts as the reactor's when the reactor issued it (its
+/// kick).  The C library and the standard library carry no frame
+/// pointers, so a sample in them names no caller: those are the clients'
+/// socket calls and every futex.
+fn layer_of(frames: &[&str]) -> &'static str {
+    for (i, f) in frames.iter().enumerate() {
+        if f.contains("sting_core::sys::syscall") || f.contains("sting_core::sys::ret") {
+            continue;
+        }
+        if f.contains("sting_core::sys::read") || f.contains("sting_core::sys::write") {
+            let caller = frames.get(i + 1).copied().unwrap_or("");
+            return if caller.contains("sting_core::reactor") {
+                "reactor"
+            } else {
+                "kernel tcp (server)"
+            };
+        }
+        let layer = [
+            ("sting_core::sys::epoll", "reactor"),
+            ("sting_core::sys::accept", "kernel tcp (server)"),
+            ("std::net", "kernel tcp (client)"),
+            ("sting_core::timers", "timers"),
+            ("sting_core::wait", "wait"),
+            ("sting_core::reactor", "reactor"),
+            ("sting_core::net", "net"),
+            ("sampler::echo", "client"),
+            ("sting_core::", "scheduler"),
+            ("sting_context", "scheduler"),
+        ]
+        .iter()
+        .find(|(needle, _)| f.contains(needle));
+        if let Some((_, layer)) = layer {
+            return layer;
+        }
+    }
+    match frames.first() {
+        Some(f) if f.contains("libc") => "libc (client sockets, futexes)",
+        _ => "other",
     }
 }
 
@@ -376,7 +560,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let Some((vm, lazy)) = shape(&args.shape) else {
+    let Some(mut shape) = shape(&args.shape) else {
         eprintln!("unknown shape `{}` (try --help)", args.shape);
         return ExitCode::from(2);
     };
@@ -387,24 +571,27 @@ fn main() -> ExitCode {
     PIPE[0].store(r as usize, Ordering::Relaxed);
     PIPE[1].store(w as usize, Ordering::Relaxed);
 
-    shapes::fork_trees(&vm, 1, DEPTH, lazy); // warm-up: stacks pooled
-    let before = vm.counters().snapshot();
+    shape.run(Duration::from_millis(200)); // warm-up: stacks pooled, reactor up
+    let before = shape.vm().counters().snapshot();
     if !sys::handle_sigprof(Some(on_sigprof)) || !sys::profile_timer(1_000_000 / args.hz.max(1)) {
         eprintln!("sampler: cannot arm SIGPROF");
         return ExitCode::from(2);
     }
     let start = Instant::now();
-    let mut trees = 0u64;
-    while start.elapsed() < Duration::from_secs_f64(args.seconds) {
-        shapes::fork_trees(&vm, 1, DEPTH, lazy);
-        trees += 1;
-    }
+    let ops = shape.run(Duration::from_secs_f64(args.seconds));
     let wall = start.elapsed();
     sys::profile_timer(0);
     sys::handle_sigprof(None);
-    let threads = vm.counters().snapshot().since(&before).threads_created;
-    let allocs = (args.shape == "eager-1vp").then(|| shapes::tree_allocs_per_thread(&vm, DEPTH));
-    vm.shutdown();
+    let threads = shape
+        .vm()
+        .counters()
+        .snapshot()
+        .since(&before)
+        .threads_created;
+    let allocs =
+        (args.shape == "eager-1vp").then(|| shapes::tree_allocs_per_thread(shape.vm(), DEPTH));
+    let echo = matches!(shape, Shape::Echo { .. });
+    shape.finish();
 
     let taken = TAKEN.load(Ordering::Relaxed).min(SAMPLES);
     let stacks: Vec<Vec<usize>> = (0..taken)
@@ -424,7 +611,13 @@ fn main() -> ExitCode {
     let unknown = vec!["[unknown]".to_string()];
     let mut self_count: HashMap<&str, usize> = HashMap::new();
     let mut incl_count: HashMap<&str, usize> = HashMap::new();
+    let mut layer_count: HashMap<&str, usize> = HashMap::new();
     for stack in &stacks {
+        let frames: Vec<&str> = stack
+            .iter()
+            .flat_map(|pc| names.get(pc).unwrap_or(&unknown).iter().map(String::as_str))
+            .collect();
+        *layer_count.entry(layer_of(&frames)).or_default() += 1;
         let leaf = names.get(&stack[0]).unwrap_or(&unknown);
         *self_count.entry(leaf[0].as_str()).or_default() += 1;
         let mut seen: Vec<&str> = stack
@@ -438,12 +631,20 @@ fn main() -> ExitCode {
         }
     }
 
-    let per_thread_ns = wall.as_nanos() as f64 / threads.max(1) as f64;
-    println!(
-        "shape {}: {trees} trees, {threads} threads in {:.1} s — {per_thread_ns:.0} ns per thread (wall, sampled)",
-        args.shape,
-        wall.as_secs_f64()
-    );
+    if echo {
+        println!(
+            "shape echo: {ops} echoes in {:.1} s — {:.0} ns per echo (wall, sampled)",
+            wall.as_secs_f64(),
+            wall.as_nanos() as f64 / ops.max(1) as f64
+        );
+    } else {
+        let per_thread_ns = wall.as_nanos() as f64 / threads.max(1) as f64;
+        println!(
+            "shape {}: {ops} trees, {threads} threads in {:.1} s — {per_thread_ns:.0} ns per thread (wall, sampled)",
+            args.shape,
+            wall.as_secs_f64()
+        );
+    }
     if let Some(a) = allocs {
         println!("allocations per forked thread (one tree, counted on its worker): {a:.2}");
     }
@@ -470,6 +671,13 @@ fn main() -> ExitCode {
                 share(&incl_count, name)
             );
         }
+    }
+    let mut layers: Vec<(&str, usize)> = layer_count.into_iter().collect();
+    layers.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    println!("\n| layer | share % |");
+    println!("|---|---:|");
+    for (layer, n) in layers {
+        println!("| {layer} | {:.1} |", 100.0 * n as f64 / total);
     }
     ExitCode::SUCCESS
 }

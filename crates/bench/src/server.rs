@@ -20,6 +20,9 @@
 //!   sees.
 //! * `syscalls-per-wake-epoll` — reactor kernel round-trips divided by
 //!   delivered wakes, snapshotted under load.
+//!
+//! And one count gate, `server:epoll-ctl-per-wake==0`: in steady state
+//! registrations equal sockets, not wakes.
 
 use crate::report::{BenchRow, Check};
 use std::io::{Read, Write};
@@ -176,6 +179,7 @@ pub fn run(scale: &ServerScale) -> Result<(Vec<BenchRow>, Vec<Check>), String> {
     // Snapshot under load: every connection still held, echoes done.
     let wake = vm.metrics().snapshot().wake;
     let io = vm.io_driver().stats();
+    let registrations = vm.io_driver().registrations();
     let held = peak.load(Ordering::SeqCst);
 
     // Release the client (stdin EOF) and let the teardown drain.
@@ -235,6 +239,22 @@ pub fn run(scale: &ServerScale) -> Result<(Vec<BenchRow>, Vec<Check>), String> {
         p50: per_wake,
         p99: per_wake,
         paper_us: None,
+    });
+    // A count, so enforced on any box: each socket registers with the
+    // reactor once, at its first wait, and no wake re-arms anything.  No
+    // socket has closed yet, so every `epoll_ctl` so far is a registration,
+    // and there may be at most one per accepted connection plus the
+    // listener.
+    let sockets = held as u64 + 1;
+    let beyond = registrations.saturating_sub(sockets);
+    checks.push(Check {
+        name: "server:epoll-ctl-per-wake==0".to_string(),
+        pass: beyond == 0,
+        detail: format!(
+            "{registrations} epoll_ctl calls for {sockets} sockets over {} wakes: {:.4} a wake beyond one a socket",
+            io.wakes,
+            beyond as f64 / io.wakes.max(1) as f64
+        ),
     });
 
     // Client-observed RTT, reported on its stdout as

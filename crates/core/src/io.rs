@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
-use sting_value::Value;
+use sting_value::static_sym;
 
 /// Default cap on I/O pool workers per VM (see
 /// [`VmBuilder::io_workers`](crate::builder::VmBuilder::io_workers)).
@@ -257,7 +257,7 @@ where
         return f();
     };
     let slot = submit_offload(vm.io_pool(), f);
-    finish(wait::block_until(&Value::sym("io-offload"), |w| {
+    finish(wait::block_until(static_sym!("io-offload"), |w| {
         check_or_register(&slot, w)
     }))
 }
@@ -303,7 +303,7 @@ where
         return Ok(f());
     };
     let slot = submit_offload(vm.io_pool(), f);
-    match wait::block_until_deadline(&Value::sym("io-offload"), Some(deadline), |w| {
+    match wait::block_until_deadline(static_sym!("io-offload"), Some(deadline), |w| {
         check_or_register(&slot, w)
     }) {
         Some(outcome) => Ok(finish(outcome)),

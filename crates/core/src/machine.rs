@@ -38,12 +38,30 @@
 //! * **Chaining.**  A searching worker that finds work and was the last
 //!   searcher claims one more idle worker, so a burst of work spreads one
 //!   wake at a time instead of as a herd.
+//! * **Polling.**  The workers run the VMs' reactors ([`crate::reactor`]);
+//!   there is no reactor thread.  A pass polls, without blocking, the live
+//!   reactor of each VM whose VPs the worker drives.  Once some VM on the
+//!   machine has started its reactor, the machine has a *poller mux*: one
+//!   epoll instance holding every attached VM's reactor and a kick
+//!   eventfd.  A worker about to park takes the *poller* role if nobody
+//!   holds it and blocks in the mux instead of `std::thread::park`; an I/O
+//!   event ends that park as a claim does, and the poller polls the
+//!   reactors that fired before it looks for work.  A claimer that finds
+//!   the worker it claimed holding the role *kicks* it (writes the
+//!   eventfd) instead of unparking it.  Taking the role (a SeqCst store,
+//!   then a re-read of the idle word) against a claim (an RMW on the word,
+//!   then a SeqCst read of the role) is the same Dekker pair as announcing
+//!   against publishing, and only the poller's blocking wait drains the
+//!   kick: a non-blocking look that drained it would strand the poller
+//!   the kick was for (both checked in `model_park.rs`).
 //!
 //! The timekeeper keeps raising preemption flags and firing due timers
 //! every tick, but no worker depends on it to find work.
 
 use crate::counters::Counters;
 use crate::pad::CachePadded;
+use crate::reactor::{IoDriver, PollerMux};
+use crate::sys;
 use crate::vm::Vm;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
@@ -77,12 +95,15 @@ mod idle {
     }
 
     /// A machine's idle-worker mask and searching count, in one word (see
-    /// the module docs, "Parking and waking").  A worker is *claimed* when
-    /// a signaller clears its bit and counts it as searching in one CAS;
-    /// the claimer then unparks it.
+    /// the module docs, "Parking and waking"), and which idle worker holds
+    /// the poller role.  A worker is *claimed* when a signaller clears its
+    /// bit and counts it as searching in one CAS; the claimer then unparks
+    /// it, or kicks it if it is the poller.
     #[derive(Debug, Default)]
     pub struct IdleWorkers {
         word: AtomicU64,
+        /// The poller's index plus one; 0 while nobody holds the role.
+        poller: AtomicU64,
     }
 
     impl IdleWorkers {
@@ -164,6 +185,46 @@ mod idle {
             debug_assert!(before >= SEARCHING, "a search ended that never began");
             before >> MAX_WORKERS == 1
         }
+
+        /// Announced worker `w` takes the poller role, if nobody holds it.
+        /// `true` if it did and is still unclaimed, so it may block in the
+        /// mux.  The store and the fence before the re-read pair with
+        /// [`IdleWorkers::poller_among`]: either that read sees the role,
+        /// or this one sees the claim (and the role is handed back).
+        pub fn become_poller(&self, w: usize) -> bool {
+            let me = w as u64 + 1;
+            if self
+                .poller
+                .compare_exchange(0, me, Ordering::SeqCst, Ordering::Relaxed)
+                .is_err()
+            {
+                return false;
+            }
+            fence(Ordering::SeqCst);
+            if self.word.load(Ordering::Relaxed) & bit(w) != 0 {
+                return true;
+            }
+            self.poller.store(0, Ordering::Release);
+            false
+        }
+
+        /// The poller leaves the role.
+        pub fn step_down(&self) {
+            self.poller.store(0, Ordering::Release);
+        }
+
+        /// The poller, if the claim that returned `claimed` took it: the
+        /// claimer must kick that worker rather than unpark it.
+        pub fn poller_among(&self, claimed: u64) -> Option<usize> {
+            fence(Ordering::SeqCst);
+            match self.poller.load(Ordering::Relaxed) {
+                0 => None,
+                p => {
+                    let w = (p - 1) as usize;
+                    (claimed & bit(w) != 0).then_some(w)
+                }
+            }
+        }
     }
 }
 
@@ -190,6 +251,9 @@ struct MachineShared {
     /// announces itself idle.
     workers: Box<[OnceLock<Thread>]>,
     tick: Duration,
+    /// The poller's mux, built when the first VM reactor on this machine
+    /// starts.
+    mux: OnceLock<sys::Result<Arc<PollerMux>>>,
 }
 
 /// An attached VM and the machine-wide slot of its VP 0.
@@ -285,6 +349,22 @@ impl Attachment {
         held.machine.take()
     }
 
+    /// Puts `driver`'s reactor in the poller mux of the machine the VM is
+    /// attached to, or out of every mux while it is detached.  Under the
+    /// attachment lock, so a start racing an attach lands in the machine
+    /// the attach leaves in place.
+    pub(crate) fn sync_reactor(&self, driver: &Arc<IoDriver>) -> sys::Result<()> {
+        let held = self.held.lock();
+        if driver.pollable_fd().is_none() {
+            return Ok(());
+        }
+        let mux = match &held.machine {
+            Some(machine) => Some(machine.shared.mux()?),
+            None => None,
+        };
+        driver.remux(mux)
+    }
+
     /// Tells the attached machine, if any, that work was queued on this
     /// VM's VP `vp`.  `true` if a worker was unparked.
     pub(crate) fn signal_work(&self, vp: usize, queued: Queued) -> bool {
@@ -326,16 +406,34 @@ impl MachineShared {
         }
     }
 
-    /// Unparks the workers a claim returned; `true` if there were any.
+    /// The poller's mux, built on first use.
+    fn mux(&self) -> sys::Result<&Arc<PollerMux>> {
+        self.mux
+            .get_or_init(|| PollerMux::new().map(Arc::new))
+            .as_ref()
+            .map_err(|e| *e)
+    }
+
+    /// Wakes the workers a claim returned — kicking the poller, unparking
+    /// the rest; `true` if there were any.
     fn unpark(&self, claimed: u64) -> bool {
+        if claimed == 0 {
+            return false;
+        }
+        let poller = self.idle.poller_among(claimed);
         let mut rest = claimed;
         while rest != 0 {
-            if let Some(thread) = self.workers[rest.trailing_zeros() as usize].get() {
+            let w = rest.trailing_zeros() as usize;
+            if poller == Some(w) {
+                if let Some(Ok(mux)) = self.mux.get() {
+                    mux.kick();
+                }
+            } else if let Some(thread) = self.workers[w].get() {
                 thread.unpark();
             }
             rest &= rest - 1;
         }
-        claimed != 0
+        true
     }
 
     /// Runs every slice worker `index` drives, once; `true` if any ran a
@@ -356,8 +454,14 @@ impl MachineShared {
             }
             vm.process_timers();
             vm.active_slices.fetch_add(1, Ordering::AcqRel);
+            // The VM's reactor is polled once a pass, before the first of
+            // its VPs this worker drives, so what it wakes runs this pass.
+            let mut polled = !vm.io_driver().is_live();
             for (i, vp) in vm.vps().iter().enumerate() {
                 if (base + i) % processors == index && !vm.is_stopped() {
+                    if !std::mem::replace(&mut polled, true) {
+                        vm.io_driver().poll();
+                    }
                     did_work |= vp.run_slice(vm, SLICE_BUDGET, || {
                         self.found_work(searching, vm, i);
                     });
@@ -383,12 +487,36 @@ impl MachineShared {
         }
     }
 
-    /// Parks worker `index` until a signaller claims it or the machine
-    /// stops.
-    fn park(&self, index: usize) {
+    /// Parks announced worker `index` until a signaller claims it, the
+    /// machine stops, or — if it takes the poller role — a reactor in the
+    /// mux has events, which it then polls.  `true` if it comes back a
+    /// searcher (claimed), `false` if it withdrew its announcement itself.
+    fn park(&self, index: usize, fired: &mut Vec<Arc<IoDriver>>) -> bool {
+        if let Some(Ok(mux)) = self.mux.get() {
+            if self.idle.become_poller(index) {
+                let mut searching = None;
+                while searching.is_none() {
+                    if self.stop.load(Ordering::Acquire) || !self.idle.is_idle(index) {
+                        searching = Some(true);
+                    } else if mux.wait(fired).is_err() {
+                        break;
+                    } else if !fired.is_empty() {
+                        searching = Some(!self.idle.retract(index));
+                    }
+                }
+                self.idle.step_down();
+                for driver in fired.drain(..) {
+                    driver.poll();
+                }
+                if let Some(searching) = searching {
+                    return searching;
+                }
+            }
+        }
         while self.idle.is_idle(index) && !self.stop.load(Ordering::Acquire) {
             std::thread::park();
         }
+        true
     }
 }
 
@@ -424,6 +552,7 @@ impl PhysicalMachine {
             idle: CachePadded(IdleWorkers::default()),
             workers: (0..processors).map(|_| OnceLock::new()).collect(),
             tick,
+            mux: OnceLock::new(),
         });
         let mut workers = Vec::with_capacity(processors + 1);
         for i in 0..processors {
@@ -471,6 +600,9 @@ impl PhysicalMachine {
             base
         };
         drop(vm.machine.attach(self, base, vm.vp_count()));
+        // A VM whose reactor has started brings it into this poller's mux
+        // (best effort: a busy worker's pass polls it regardless).
+        let _ = vm.machine.sync_reactor(vm.io_driver());
         self.shared.wake_idle();
     }
 
@@ -480,6 +612,7 @@ impl PhysicalMachine {
         self.shared.vms.write().retain(|a| !a.vm.ptr_eq(&target));
         // Stop being the machine `vm` wakes (and stop being pinned by it).
         drop(vm.machine.detach(self));
+        let _ = vm.machine.sync_reactor(vm.io_driver());
     }
 
     /// Stops all workers and joins them.  Called automatically on drop.
@@ -494,8 +627,12 @@ impl PhysicalMachine {
         let mut workers = self.workers.lock();
         // Unpark everyone, the timekeeper too: a thread between reading
         // `stop` and parking keeps the token and returns from its park.
+        // The poller, if any, is kicked: a kick stays pending until drained.
         for w in workers.iter() {
             w.thread().unpark();
+        }
+        if let Some(Ok(mux)) = self.shared.mux.get() {
+            mux.kick();
         }
         for w in workers.drain(..) {
             if w.thread().id() == me {
@@ -520,6 +657,8 @@ fn worker_loop(shared: &MachineShared, index: usize) {
     // costs an allocation per pass per worker, and a fleet multiplies the
     // pass frequency by its shard count.
     let mut vms = Vec::new();
+    // The reactors that fired during a park as the poller.
+    let mut fired = Vec::new();
     // Claimed by a signaller and not yet found work.
     let mut searching = false;
     while !shared.stop.load(Ordering::Acquire) {
@@ -535,8 +674,7 @@ fn worker_loop(shared: &MachineShared, index: usize) {
             // the search.
             searching = !shared.idle.retract(index);
         } else {
-            shared.park(index);
-            searching = true;
+            searching = shared.park(index, &mut fired);
         }
     }
 }

@@ -3,10 +3,11 @@
 //! [`TcpListener`] and [`TcpStream`] wrap the raw non-blocking sockets
 //! from [`crate::sys`] with the substrate's blocking protocol: every
 //! `accept`/`connect`/`read`/`write` attempts the syscall, and on `EAGAIN`
-//! parks the calling STING thread on fd readiness through the VM's
-//! reactor driver ([`crate::reactor::IoDriver`]) — the virtual processor
-//! carries on running other threads, and the kernel's readiness event
-//! wakes exactly this thread through its generation-numbered wait episode.
+//! parks the calling STING thread on the socket's readiness
+//! ([`crate::reactor::IoSource`], registered with the VM's reactor at the
+//! first `EAGAIN` and never again) — the virtual processor carries on
+//! running other threads, and the kernel's readiness edge wakes exactly
+//! this thread through its generation-numbered wait episode.
 //! Each operation has the trailing-`deadline` variant the rest of the
 //! substrate's blocking ops have, and terminating a thread parked in one
 //! unwinds it cleanly (the pending readiness then dies against the
@@ -23,11 +24,12 @@
 //! concurrently, but two concurrent readers (or writers) displace each
 //! other's readiness registration and make no progress guarantee.
 
-use crate::sys::{self, RawFd};
-use crate::tc;
+use crate::reactor::IoSource;
+use crate::sys;
+use crate::tls;
 use std::fmt;
 use std::time::Instant;
-use sting_value::Value;
+use sting_value::{static_sym, Value};
 
 /// Why a socket operation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,19 +64,27 @@ impl From<sys::Errno> for NetError {
     }
 }
 
-/// Parks until `fd` is (probably) ready for the given direction, or the
-/// deadline passes.  On a STING thread this goes through the VM's reactor
-/// driver and blocks only the thread; on a plain OS thread it degrades to
-/// `ppoll`.  Spurious returns are fine — the caller always retries the
-/// non-blocking syscall, which is what decides.
+/// Parks until `source` is (probably) ready for the given direction, or
+/// the deadline passes.  On a STING thread this goes through the reactor
+/// (the VM's, at the first wait) and blocks only the thread; on a plain OS
+/// thread it degrades to `ppoll`.  Spurious returns are fine — the caller
+/// always retries the non-blocking syscall, which is what decides.
 fn await_ready(
-    fd: RawFd,
+    source: &IoSource,
     write: bool,
     blocker: &Value,
     deadline: Option<Instant>,
 ) -> Result<(), NetError> {
-    if let Some(vm) = tc::current_owner().and_then(|t| t.vm()) {
-        match vm.io_driver().wait_ready(fd, write, blocker, deadline)? {
+    if tls::on_thread() {
+        let reason = match source.driver() {
+            Some(driver) => source.wait_ready(driver, write, blocker, deadline)?,
+            None => {
+                let driver = tls::with(|cur| cur.map(|c| c.vm.io_driver().clone()))
+                    .expect("on a STING thread");
+                source.wait_ready(&driver, write, blocker, deadline)?
+            }
+        };
+        match reason {
             crate::wait::WakeReason::TimedOut => Err(NetError::TimedOut),
             // Woken: readiness (or a spurious/displaced wake) — retry.
             // Cancelled without an unwind is a defensive corner; treat it
@@ -91,7 +101,7 @@ fn await_ready(
                 .min(i32::MAX as u128) as i32,
         };
         let want = if write { sys::POLLOUT } else { sys::POLLIN };
-        sys::poll_one(fd, want, timeout_ms)?;
+        sys::poll_one(source.fd(), want, timeout_ms)?;
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(NetError::TimedOut);
         }
@@ -102,7 +112,7 @@ fn await_ready(
 /// A passive TCP socket whose [`accept`](TcpListener::accept) blocks only
 /// the calling STING thread.
 pub struct TcpListener {
-    fd: RawFd,
+    source: IoSource,
 }
 
 impl TcpListener {
@@ -113,17 +123,12 @@ impl TcpListener {
     ///
     /// The raw errno for an unbindable address (in use, privileged port).
     pub fn bind(addr: [u8; 4], port: u16) -> Result<TcpListener, NetError> {
-        let fd = sys::socket_tcp()?;
-        let setup = (|| {
-            sys::set_reuseaddr(fd)?;
-            sys::bind_ipv4(fd, u32::from_be_bytes(addr), port)?;
-            sys::listen(fd, 1024)
-        })();
-        if let Err(e) = setup {
-            let _ = sys::close(fd);
-            return Err(e.into());
-        }
-        Ok(TcpListener { fd })
+        let source = IoSource::new(sys::socket_tcp()?); // closes on early error-return
+        let fd = source.fd();
+        sys::set_reuseaddr(fd)?;
+        sys::bind_ipv4(fd, u32::from_be_bytes(addr), port)?;
+        sys::listen(fd, 1024)?;
+        Ok(TcpListener { source })
     }
 
     /// The locally-bound port (what the kernel picked for port 0).
@@ -132,7 +137,7 @@ impl TcpListener {
     ///
     /// The raw errno (only for a defunct socket).
     pub fn local_port(&self) -> Result<u16, NetError> {
-        Ok(sys::local_port(self.fd)?)
+        Ok(sys::local_port(self.source.fd())?)
     }
 
     /// Accepts one connection, blocking only the calling STING thread.
@@ -154,16 +159,20 @@ impl TcpListener {
     }
 
     fn accept_inner(&self, deadline: Option<Instant>) -> Result<TcpStream, NetError> {
-        let blocker = Value::sym("tcp-accept");
+        let blocker = static_sym!("tcp-accept");
         loop {
-            match sys::accept4(self.fd) {
+            match sys::accept4(self.source.fd()) {
                 Ok(fd) => {
                     // Echo-style workloads measure per-message latency;
                     // never let Nagle sit on a reply.
                     let _ = sys::set_nodelay(fd);
-                    return Ok(TcpStream { fd });
+                    return Ok(TcpStream {
+                        source: IoSource::new(fd),
+                    });
                 }
-                Err(sys::Errno(sys::EAGAIN)) => await_ready(self.fd, false, &blocker, deadline)?,
+                Err(sys::Errno(sys::EAGAIN)) => {
+                    await_ready(&self.source, false, blocker, deadline)?;
+                }
                 Err(sys::Errno(sys::EINTR)) => {}
                 Err(e) => return Err(e.into()),
             }
@@ -171,22 +180,18 @@ impl TcpListener {
     }
 }
 
-impl Drop for TcpListener {
-    fn drop(&mut self) {
-        let _ = sys::close(self.fd);
-    }
-}
-
 impl fmt::Debug for TcpListener {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TcpListener").field("fd", &self.fd).finish()
+        f.debug_struct("TcpListener")
+            .field("fd", &self.source.fd())
+            .finish()
     }
 }
 
 /// A connected TCP socket whose reads and writes block only the calling
 /// STING thread (see the module docs for the sharing discipline).
 pub struct TcpStream {
-    fd: RawFd,
+    source: IoSource,
 }
 
 impl TcpStream {
@@ -217,10 +222,12 @@ impl TcpStream {
         port: u16,
         deadline: Option<Instant>,
     ) -> Result<TcpStream, NetError> {
-        let fd = sys::socket_tcp()?;
-        let stream = TcpStream { fd }; // closes on early error-return
+        let stream = TcpStream {
+            source: IoSource::new(sys::socket_tcp()?), // closes on early error-return
+        };
+        let fd = stream.source.fd();
         let addr = u32::from_be_bytes(addr);
-        let blocker = Value::sym("tcp-connect");
+        let blocker = static_sym!("tcp-connect");
         // A retried connect() doubles as the completion check: once the
         // socket connects it reports EISCONN, and a hard failure surfaces
         // as its errno — no getsockopt(SO_ERROR) binding needed.
@@ -228,7 +235,7 @@ impl TcpStream {
             match sys::connect_ipv4(fd, addr, port) {
                 Ok(()) | Err(sys::Errno(sys::EISCONN)) => break,
                 Err(sys::Errno(sys::EINPROGRESS)) | Err(sys::Errno(sys::EALREADY)) => {
-                    await_ready(fd, true, &blocker, deadline)?;
+                    await_ready(&stream.source, true, blocker, deadline)?;
                 }
                 Err(sys::Errno(sys::EINTR)) => {}
                 Err(e) => return Err(e.into()),
@@ -258,11 +265,13 @@ impl TcpStream {
     }
 
     fn read_inner(&self, buf: &mut [u8], deadline: Option<Instant>) -> Result<usize, NetError> {
-        let blocker = Value::sym("tcp-read");
+        let blocker = static_sym!("tcp-read");
         loop {
-            match sys::read(self.fd, buf) {
+            match sys::read(self.source.fd(), buf) {
                 Ok(n) => return Ok(n),
-                Err(sys::Errno(sys::EAGAIN)) => await_ready(self.fd, false, &blocker, deadline)?,
+                Err(sys::Errno(sys::EAGAIN)) => {
+                    await_ready(&self.source, false, blocker, deadline)?;
+                }
                 Err(sys::Errno(sys::EINTR)) => {}
                 Err(e) => return Err(e.into()),
             }
@@ -300,11 +309,13 @@ impl TcpStream {
     }
 
     fn write_inner(&self, buf: &[u8], deadline: Option<Instant>) -> Result<usize, NetError> {
-        let blocker = Value::sym("tcp-write");
+        let blocker = static_sym!("tcp-write");
         loop {
-            match sys::write(self.fd, buf) {
+            match sys::write(self.source.fd(), buf) {
                 Ok(n) => return Ok(n),
-                Err(sys::Errno(sys::EAGAIN)) => await_ready(self.fd, true, &blocker, deadline)?,
+                Err(sys::Errno(sys::EAGAIN)) => {
+                    await_ready(&self.source, true, blocker, deadline)?;
+                }
                 Err(sys::Errno(sys::EINTR)) => {}
                 Err(e) => return Err(e.into()),
             }
@@ -322,26 +333,22 @@ impl TcpStream {
     /// Sends EOF to the peer (half-close of the write side); reads still
     /// work.
     pub fn shutdown_write(&self) {
-        let _ = sys::shutdown(self.fd, sys::SHUT_WR);
+        let _ = sys::shutdown(self.source.fd(), sys::SHUT_WR);
     }
 
     /// Shuts down both directions now — an explicit close for handles
     /// whose drop is deferred (e.g. garbage-collected language bindings).
     /// The fd itself still closes when the handle drops.
     pub fn close(&self) {
-        let _ = sys::shutdown(self.fd, sys::SHUT_RDWR);
-    }
-}
-
-impl Drop for TcpStream {
-    fn drop(&mut self) {
-        let _ = sys::close(self.fd);
+        let _ = sys::shutdown(self.source.fd(), sys::SHUT_RDWR);
     }
 }
 
 impl fmt::Debug for TcpStream {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TcpStream").field("fd", &self.fd).finish()
+        f.debug_struct("TcpStream")
+            .field("fd", &self.source.fd())
+            .finish()
     }
 }
 

@@ -63,12 +63,10 @@ pub type Result<T> = core::result::Result<T, Errno>;
 
 /// The signal was delivered mid-call; callers that can, retry.
 pub const EINTR: i32 = 4;
+/// The descriptor is not open (or not valid for the call).
+pub const EBADF: i32 = 9;
 /// Operation would block on a non-blocking fd — park on readiness instead.
 pub const EAGAIN: i32 = 11;
-/// `epoll_ctl(ADD)` on an fd already in the set — retry as `MOD`.
-pub const EEXIST: i32 = 17;
-/// `epoll_ctl(MOD)` on an fd not in the set — retry as `ADD`.
-pub const ENOENT: i32 = 2;
 /// Non-blocking `connect` is underway; readiness reports completion.
 pub const EINPROGRESS: i32 = 115;
 /// The socket is already connected — a retried `connect` reports success
@@ -123,14 +121,15 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 /// epoll readiness bit: hang-up (always reported).
 pub const EPOLLHUP: u32 = 0x010;
-/// epoll interest bit: disarm the fd after one event is delivered.
-pub const EPOLLONESHOT: u32 = 1 << 30;
+/// epoll interest/readiness bit: the peer closed its write half.
+pub const EPOLLRDHUP: u32 = 0x2000;
+/// epoll interest bit: report each readiness *change* once (edge
+/// triggered) instead of the readiness state on every wait.
+pub const EPOLLET: u32 = 1 << 31;
 /// `epoll_ctl` op: add an fd to the interest set.
 pub const EPOLL_CTL_ADD: i32 = 1;
 /// `epoll_ctl` op: remove an fd from the interest set.
 pub const EPOLL_CTL_DEL: i32 = 2;
-/// `epoll_ctl` op: change an fd's registration.
-pub const EPOLL_CTL_MOD: i32 = 3;
 
 /// `poll(2)`/`ppoll(2)` event bit: readable.
 pub const POLLIN: i16 = 0x001;
@@ -537,7 +536,7 @@ mod tests {
     fn epoll_sees_readiness() {
         let (a, b) = socketpair_stream().unwrap();
         let ep = epoll_create1().unwrap();
-        epoll_ctl(ep, EPOLL_CTL_ADD, b, EPOLLIN | EPOLLONESHOT, 7).unwrap();
+        epoll_ctl(ep, EPOLL_CTL_ADD, b, EPOLLIN | EPOLLET, 7).unwrap();
         // Not yet readable.
         let mut evs = [EpollEvent::zeroed(); 4];
         assert_eq!(epoll_wait(ep, &mut evs, 0).unwrap(), 0);
@@ -546,12 +545,13 @@ mod tests {
         let (events, data) = (evs[0].events, evs[0].data);
         assert_ne!(events & EPOLLIN, 0);
         assert_eq!(data, 7);
-        // Oneshot: disarmed until re-MODed, even though data is pending.
+        // Edge triggered: the unread byte is not reported again...
         assert_eq!(epoll_wait(ep, &mut evs, 0).unwrap(), 0);
-        epoll_ctl(ep, EPOLL_CTL_MOD, b, EPOLLIN | EPOLLONESHOT, 8).unwrap();
+        // ...but the next arrival is, with no re-registration.
+        write(a, b"y").unwrap();
         assert_eq!(epoll_wait(ep, &mut evs, 1000).unwrap(), 1);
         let data = evs[0].data;
-        assert_eq!(data, 8);
+        assert_eq!(data, 7);
         for fd in [a, b, ep] {
             close(fd).unwrap();
         }

@@ -246,8 +246,9 @@ impl Vm {
     }
 
     /// The reactor driver parking STING threads on fd readiness (see
-    /// [`crate::reactor`] and [`crate::net`]).  The driver thread starts
-    /// lazily on first use and is joined at [`Vm::shutdown`].
+    /// [`crate::reactor`] and [`crate::net`]).  Its reactor is built at
+    /// the first socket wait, polled by the machine's workers, and stopped
+    /// at [`Vm::shutdown`].
     pub fn io_driver(&self) -> &Arc<IoDriver> {
         &self.io_driver
     }

@@ -526,7 +526,7 @@ impl Waiter {
         matches!(self.node.state.finish(self.gen), Finish::Claimed)
     }
 
-    fn same_episode(&self, other: &Waiter) -> bool {
+    pub(crate) fn same_episode(&self, other: &Waiter) -> bool {
         Arc::ptr_eq(&self.node, &other.node) && self.gen == other.gen
     }
 

@@ -1,6 +1,8 @@
 //! Model-checked scenarios over the *production* park/wake handshake —
 //! `sting_core::machine::IdleWorkers`, the one word per machine holding
-//! the idle-worker mask and the count of searching workers.
+//! the idle-worker mask and the count of searching workers, and beside it
+//! the word naming the worker that holds the poller role (the idle worker
+//! blocked in the reactor mux, woken by a kick rather than an unpark).
 //!
 //! Compiles only under `RUSTFLAGS="--cfg sting_check"` (`./ci.sh check`),
 //! which switches the word onto the sting-check shim atomics (and exports
@@ -140,5 +142,107 @@ fn mini_handshake_seqcst_is_sound() {
 #[test]
 fn mini_handshake_relaxed_loses_a_wake() {
     let report = model_expect_failure(|| mini_handshake(Ordering::Relaxed));
+    assert!(report.contains("lost wake"), "unexpected report:\n{report}");
+}
+
+/// A claimer's wake for worker 0, as `MachineShared::unpark` delivers it:
+/// a kick if the claim took the poller, an unpark otherwise.
+fn claim_and_wake(idle: &IdleWorkers, kick: &AtomicUsize, unparked: &AtomicUsize) -> bool {
+    let claimed = idle.claim_worker(0);
+    if claimed == 0 {
+        return false;
+    }
+    if idle.poller_among(claimed) == Some(0) {
+        kick.store(1, Ordering::Release);
+    } else {
+        unparked.store(1, Ordering::Release);
+    }
+    true
+}
+
+/// Becoming the poller against a claim loses no wake: worker 0 announces
+/// itself, takes the poller role and would block in the mux, while a
+/// signaller claims it.  Either the signaller sees the role and kicks, or
+/// the worker's re-read sees the claim and never blocks — the mux wait
+/// cannot start with its kick undelivered.
+#[test]
+fn becoming_the_poller_against_a_claim_loses_no_wake() {
+    let explored = model(|| {
+        let idle = Arc::new(IdleWorkers::default());
+        let kick = Arc::new(AtomicUsize::new(0));
+        let unparked = Arc::new(AtomicUsize::new(0));
+        idle.announce(0);
+        let signaller = {
+            let (idle, kick, unparked) = (idle.clone(), kick.clone(), unparked.clone());
+            thread::spawn(move || claim_and_wake(&idle, &kick, &unparked))
+        };
+        let polls = idle.become_poller(0);
+        let claimed = signaller.join();
+        assert!(claimed, "worker 0 was idle");
+        assert!(
+            !polls || kick.load(Ordering::Acquire) == 1,
+            "lost wake: the poller blocks in the mux, claimed and never kicked"
+        );
+        assert!(
+            polls || unparked.load(Ordering::Acquire) + kick.load(Ordering::Acquire) >= 1,
+            "the claim delivered nothing"
+        );
+    });
+    assert!(explored.executions > 1);
+}
+
+/// The poller's side of a kick, with a busy sibling's non-blocking look at
+/// the reactors racing it.  The poller re-reads its idle bit, then waits:
+/// a pending kick ends the wait (and is drained), otherwise it blocks.
+/// Blocking while claimed with no kick left pending is a lost wake — the
+/// kick that was written for it is the only thing that could end it.
+/// `sibling_drains` is the mutation: the sibling's look drains the kick.
+fn poller_against_a_busy_sibling(sibling_drains: bool) {
+    let idle = Arc::new(IdleWorkers::default());
+    let kick = Arc::new(AtomicUsize::new(0));
+    let unparked = Arc::new(AtomicUsize::new(0));
+    idle.announce(0);
+    assert!(idle.become_poller(0), "the announced worker takes the role");
+    let signaller = {
+        let (idle, kick, unparked) = (idle.clone(), kick.clone(), unparked.clone());
+        thread::spawn(move || claim_and_wake(&idle, &kick, &unparked))
+    };
+    let sibling = {
+        let kick = kick.clone();
+        thread::spawn(move || {
+            // Production: the sibling's pass polls the VMs' reactors, never
+            // the machine's kick.
+            if sibling_drains {
+                kick.swap(0, Ordering::AcqRel);
+            }
+        })
+    };
+    // The poller's loop, one round: re-read, then wait.
+    let mut blocked = false;
+    if idle.is_idle(0) && kick.swap(0, Ordering::AcqRel) == 0 {
+        blocked = true;
+    }
+    signaller.join();
+    sibling.join();
+    // A kick still pending ends a wait that started before it arrived.
+    let stranded = blocked && !idle.is_idle(0) && kick.load(Ordering::Acquire) == 0;
+    assert!(
+        !stranded,
+        "lost wake: the poller blocked with its claim's kick drained"
+    );
+}
+
+/// Only the blocking poller consumes a kick: with the sibling's look
+/// leaving the kick alone, no interleaving strands the poller.
+#[test]
+fn only_the_blocking_poller_consumes_a_kick() {
+    model(|| poller_against_a_busy_sibling(false));
+}
+
+/// Expect-failure mutation: a non-blocking look that drains the kick
+/// strands the poller it was written for — the checker must report it.
+#[test]
+fn a_non_blocking_look_that_drains_the_kick_loses_a_wake() {
+    let report = model_expect_failure(|| poller_against_a_busy_sibling(true));
     assert!(report.contains("lost wake"), "unexpected report:\n{report}");
 }

@@ -5,13 +5,18 @@
 //! finished episode).  Every test runs with tracing and asserts a clean
 //! audit.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use parking_lot::Mutex;
+use std::io::{Read, Write};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sting_core::net::{TcpListener, TcpStream, LOCALHOST};
+use sting_core::reactor::{IoSource, Reactor, ReadyEvent, READ};
 use sting_core::state::ThreadState;
+use sting_core::sys::{self, RawFd};
 use sting_core::vm::Vm;
-use sting_core::{tc, ThreadBuilder, VmBuilder};
+use sting_core::wait::WakeReason;
+use sting_core::{policies, tc, Fleet, ThreadBuilder, VmBuilder};
 use sting_value::Value;
 
 fn traced_vm() -> Arc<Vm> {
@@ -228,4 +233,285 @@ fn connection_per_thread_fleet_under_priorities() {
         served.load(Ordering::SeqCst) == CONNS
     });
     finish(&vm);
+}
+
+/// A VM whose workers have nothing to fall back on: the tick is 2 s, so a
+/// wake-up that is lost (or left for the tick) shows as a stall of
+/// seconds, not microseconds.
+fn slow_tick_vm(vps: usize) -> Arc<Vm> {
+    VmBuilder::new()
+        .vps(vps)
+        .processors(vps)
+        .tick(Duration::from_secs(2))
+        .build()
+}
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Every worker idle — one of them the poller, blocked in the machine's
+/// mux — and a STING reader parked on its socket: a write from a host
+/// thread reaches the reader through the mux, in well under the tick.
+#[test]
+fn idle_poller_wakes_a_parked_reader_promptly() {
+    let vm = slow_tick_vm(2);
+    let listener = TcpListener::bind(LOCALHOST, 0).unwrap();
+    let port = listener.local_port().unwrap();
+    let server = vm.fork(move |_cx| {
+        let s = listener.accept().unwrap();
+        let mut buf = [0u8; 16];
+        loop {
+            let n = s.read(&mut buf).unwrap();
+            if n == 0 {
+                return 1i64;
+            }
+            s.write_all(&buf[..n]).unwrap();
+        }
+    });
+    let mut client = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+    client.set_nodelay(true).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut rtts = Vec::new();
+    for _ in 0..7 {
+        // Let every worker go idle and the reader park.
+        std::thread::sleep(Duration::from_millis(30));
+        let start = Instant::now();
+        client.write_all(b"ping").unwrap();
+        let mut buf = [0u8; 4];
+        client.read_exact(&mut buf).unwrap();
+        rtts.push(start.elapsed());
+        assert!(start.elapsed() < Duration::from_secs(1), "{rtts:?}");
+    }
+    assert!(median(rtts.clone()) < Duration::from_millis(50), "{rtts:?}");
+    drop(client);
+    assert_eq!(server.join_blocking().unwrap().as_int(), Some(1));
+    vm.shutdown();
+}
+
+/// A wake addressed to the poller's VP kicks the poller out of the mux,
+/// while the sibling worker spins through passes, each polling the
+/// reactor without blocking.  The sibling's look must not drain the
+/// kick meant for the poller.  Nothing migrates, so worker 1 never idles
+/// and the poller is worker 0.
+#[test]
+fn wake_to_the_pollers_vp_lands_while_a_sibling_busy_polls() {
+    let vm = VmBuilder::new()
+        .vps(2)
+        .processors(2)
+        .tick(Duration::from_secs(2))
+        .policy(|_| policies::local_fifo().boxed())
+        .build();
+    let spin = Arc::new(AtomicBool::new(true));
+    let sibling = {
+        let spin = spin.clone();
+        vm.fork_on(1, move |cx| {
+            while spin.load(Ordering::Relaxed) {
+                cx.yield_now();
+            }
+            0i64
+        })
+        .unwrap()
+    };
+    // A parked reader starts the reactor; idle worker 0 takes the role.
+    let listener = TcpListener::bind(LOCALHOST, 0).unwrap();
+    let port = listener.local_port().unwrap();
+    let reader = vm
+        .fork_on(0, move |_cx| {
+            let s = listener.accept().unwrap();
+            let mut buf = [0u8; 4];
+            s.read(&mut buf).unwrap() as i64
+        })
+        .unwrap();
+    let mut client = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+    let mut waits = Vec::new();
+    for _ in 0..7 {
+        std::thread::sleep(Duration::from_millis(20));
+        let start = Instant::now();
+        let t = vm.fork_on(0, |_cx| 1i64).unwrap();
+        let done = t.join_blocking_timeout(Duration::from_secs(1));
+        waits.push(start.elapsed());
+        assert_eq!(done, Some(Ok(Value::from(1i64))), "{waits:?}");
+    }
+    assert!(
+        median(waits.clone()) < Duration::from_millis(50),
+        "{waits:?}"
+    );
+    spin.store(false, Ordering::Relaxed);
+    sibling.join_blocking().unwrap();
+    client.write_all(b"done").unwrap();
+    assert_eq!(reader.join_blocking().unwrap().as_int(), Some(4));
+    vm.shutdown();
+}
+
+/// A registered stream closes and the next accepted stream reuses its fd
+/// number: the new stream starts unregistered (the old one deregistered
+/// before its close), registers afresh, and its reader wakes.  Other
+/// tests open fds concurrently, so the scenario repeats until the number
+/// is reused.
+#[test]
+fn a_reused_fd_number_starts_with_a_fresh_registration() {
+    let vm = traced_vm();
+    let listener = Arc::new(TcpListener::bind(LOCALHOST, 0).unwrap());
+    let port = listener.local_port().unwrap();
+    const ATTEMPTS: usize = 20;
+    // Per attempt: the first stream closed, then the second one read.
+    let closed = Arc::new(AtomicUsize::new(0));
+    let served = Arc::new(AtomicUsize::new(0));
+    let server = {
+        let (listener, closed, served) = (listener.clone(), closed.clone(), served.clone());
+        vm.fork(move |_cx| {
+            for attempt in 1..=ATTEMPTS {
+                let first = listener.accept().unwrap();
+                let mut buf = [0u8; 4];
+                // Registers `first`: nothing to read, so the wait times out.
+                let r = first.read_deadline(&mut buf, Instant::now() + Duration::from_millis(10));
+                assert!(r.unwrap_err().is_timeout());
+                let number = format!("{first:?}");
+                drop(first);
+                closed.store(attempt, Ordering::SeqCst);
+                let second = listener.accept().unwrap();
+                let reused = format!("{second:?}") == number;
+                let n = second.read(&mut buf).unwrap();
+                assert_eq!(&buf[..n], b"new!");
+                served.store(attempt, Ordering::SeqCst);
+                if reused {
+                    return 1i64;
+                }
+            }
+            0i64
+        })
+    };
+    for attempt in 1..=ATTEMPTS {
+        // Both clients connect first: a socket opened here after the close
+        // would take the freed number itself.
+        let _first = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let mut second = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+        wait_until("the first stream to close", || {
+            closed.load(Ordering::SeqCst) == attempt
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        second.write_all(b"new!").unwrap();
+        wait_until("the new stream's reader to wake", || {
+            served.load(Ordering::SeqCst) == attempt
+        });
+        if server.is_determined() {
+            break;
+        }
+    }
+    assert_eq!(
+        server.join_blocking().unwrap().as_int(),
+        Some(1),
+        "the fd number was never reused"
+    );
+    finish(&vm);
+}
+
+/// A scripted reactor for the register-then-wait race: it records each
+/// registration and hands out only what the test injects.
+#[derive(Default)]
+struct Scripted {
+    registered: Mutex<Vec<(RawFd, u64)>>,
+    queue: Mutex<Vec<ReadyEvent>>,
+}
+
+impl Reactor for Scripted {
+    fn register(&self, fd: RawFd, token: u64) -> sys::Result<()> {
+        self.registered.lock().push((fd, token));
+        Ok(())
+    }
+
+    fn forget(&self, _fd: RawFd) {}
+
+    fn wait(&self, out: &mut Vec<ReadyEvent>, _timeout_ms: i32) -> sys::Result<()> {
+        out.append(&mut self.queue.lock());
+        Ok(())
+    }
+
+    fn notify(&self) {}
+}
+
+/// The edge of data that arrives between a read's `EAGAIN` and the
+/// reader storing its waiter is not lost: dispatch finds nobody waiting
+/// and keeps the edge, and the wait that follows returns at once instead
+/// of parking.  No driver thread exists to race: the test polls.
+#[test]
+fn an_edge_between_eagain_and_registration_is_not_lost() {
+    let vm = VmBuilder::new().vps(1).build();
+    let reactor = Arc::new(Scripted::default());
+    vm.io_driver().install_reactor(reactor.clone());
+    let (a, b) = sys::socketpair_stream().unwrap();
+    let source = IoSource::new(b);
+    let blocker = Value::sym("io-read");
+    // The first wait registers the source (and times out at once).
+    let r = source.wait_ready(vm.io_driver(), false, &blocker, Some(Instant::now()));
+    assert_eq!(r, Ok(WakeReason::TimedOut));
+    let token = reactor.registered.lock()[0].1;
+    // EAGAIN; then the edge lands before the reader registers its waiter.
+    let mut buf = [0u8; 4];
+    assert_eq!(sys::read(b, &mut buf), Err(sys::Errno(sys::EAGAIN)));
+    sys::write(a, b"x").unwrap();
+    reactor.queue.lock().push(ReadyEvent { token, mask: READ });
+    vm.io_driver().poll();
+    // The wait finds the edge and does not park.
+    let start = Instant::now();
+    let r = source.wait_ready(
+        vm.io_driver(),
+        false,
+        &blocker,
+        Some(start + Duration::from_secs(5)),
+    );
+    assert_eq!(r, Ok(WakeReason::Woken));
+    assert!(start.elapsed() < Duration::from_secs(1));
+    assert_eq!(sys::read(b, &mut buf), Ok(1));
+    assert_eq!(reactor.registered.lock().len(), 1, "registered once");
+    drop(source);
+    let _ = sys::close(a);
+    vm.shutdown();
+}
+
+/// Two single-VP shards on one machine, each with its own reactor: the
+/// poller's mux holds both, so either shard's listener accepts promptly
+/// while every worker idles.
+#[test]
+fn both_shards_of_a_fleet_accept_through_one_mux() {
+    let fleet = Fleet::builder()
+        .shards(2)
+        .vps_per_shard(1)
+        .processors(2)
+        .tick(Duration::from_secs(2))
+        .build();
+    for round in 0..3 {
+        // Each acceptor parks in its shard's reactor (the first round
+        // starts them), then every worker goes idle.
+        let acceptors: Vec<_> = (0..2)
+            .map(|shard| {
+                let listener = TcpListener::bind(LOCALHOST, 0).unwrap();
+                let port = listener.local_port().unwrap();
+                let t = fleet.shard(shard).fork(move |_cx| {
+                    let s = listener.accept().unwrap();
+                    let mut buf = [0u8; 2];
+                    s.read(&mut buf).unwrap() as i64
+                });
+                (t, port)
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(30));
+        for (shard, (t, port)) in acceptors.into_iter().enumerate() {
+            let start = Instant::now();
+            let mut c = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+            c.write_all(b"hi").unwrap();
+            let got = t.join_blocking_timeout(Duration::from_secs(1));
+            assert_eq!(
+                got,
+                Some(Ok(Value::from(2i64))),
+                "shard {shard} round {round}: no accept within 1 s"
+            );
+            assert!(start.elapsed() < Duration::from_millis(500));
+        }
+    }
+    fleet.shutdown();
 }

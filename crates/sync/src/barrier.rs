@@ -5,7 +5,7 @@ use crate::wait::{block_until_deadline, TimedOut, WaitList, Waiter};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use sting_value::Value;
+use sting_value::{static_sym, Value};
 
 struct Inner {
     parties: usize,
@@ -96,7 +96,7 @@ impl Barrier {
             gen,
             armed: true,
         };
-        let done = block_until_deadline(&Value::sym("barrier"), deadline, |w: &Waiter| {
+        let done = block_until_deadline(static_sym!("barrier"), deadline, |w: &Waiter| {
             let mut g = self.inner.lock();
             if g.generation != gen {
                 Some(())

@@ -6,7 +6,7 @@ use crate::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter}
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use sting_value::Value;
+use sting_value::{static_sym, Value};
 
 struct Inner {
     queue: VecDeque<Value>,
@@ -74,7 +74,7 @@ impl Channel {
     /// [`SendChannelError`] if the channel is closed.
     pub fn send(&self, v: Value) -> Result<(), SendChannelError> {
         let mut item = Some(v);
-        block_until(&Value::sym("channel-send"), |w: &Waiter| {
+        block_until(static_sym!("channel-send"), |w: &Waiter| {
             self.send_check(&mut item, w)
         })
     }
@@ -93,7 +93,7 @@ impl Channel {
     ) -> Result<(), Result<TimedOut, SendChannelError>> {
         let mut item = Some(v);
         match block_until_deadline(
-            &Value::sym("channel-send"),
+            static_sym!("channel-send"),
             Some(std::time::Instant::now() + timeout),
             |w: &Waiter| self.send_check(&mut item, w),
         ) {
@@ -125,7 +125,7 @@ impl Channel {
     /// Receives the next value, blocking while empty; `None` when the
     /// channel is closed and drained.
     pub fn recv(&self) -> Option<Value> {
-        block_until(&Value::sym("channel-recv"), |w: &Waiter| self.recv_check(w))
+        block_until(static_sym!("channel-recv"), |w: &Waiter| self.recv_check(w))
     }
 
     /// [`Channel::recv`] with a timeout.
@@ -136,7 +136,7 @@ impl Channel {
     /// means closed-and-drained.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Value>, TimedOut> {
         block_until_deadline(
-            &Value::sym("channel-recv"),
+            static_sym!("channel-recv"),
             Some(std::time::Instant::now() + timeout),
             |w: &Waiter| self.recv_check(w),
         )

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sting_core::tc;
 use sting_core::thread::{JoinNode, Thread, ThreadResult};
-use sting_value::Value;
+use sting_value::{static_sym, Value};
 
 /// Blocks the calling thread until at least `count` of `threads` have
 /// determined (Figure 5's `block-on-group`).
@@ -90,7 +90,7 @@ fn block_on_group_deadline(
                 let _ = w.retire();
                 return true;
             }
-            match w.park_until(&Value::sym("block-on-group"), deadline) {
+            match w.park_until(static_sym!("block-on-group"), deadline) {
                 WakeReason::Woken => {}
                 WakeReason::TimedOut | WakeReason::Cancelled => {
                     return node.remaining() == 0;

@@ -4,7 +4,7 @@
 use crate::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use sting_value::Value;
+use sting_value::{static_sym, Value};
 
 struct Inner {
     value: Option<Value>,
@@ -73,7 +73,7 @@ impl IVar {
 
     /// Reads the value, blocking until [`IVar::put`].
     pub fn get(&self) -> Value {
-        block_until(&Value::sym("ivar"), |w: &Waiter| self.check(w))
+        block_until(static_sym!("ivar"), |w: &Waiter| self.check(w))
     }
 
     /// [`IVar::get`] with a timeout.
@@ -83,7 +83,7 @@ impl IVar {
     /// [`TimedOut`] if the cell was not written within `timeout`.
     pub fn get_timeout(&self, timeout: std::time::Duration) -> Result<Value, TimedOut> {
         block_until_deadline(
-            &Value::sym("ivar"),
+            static_sym!("ivar"),
             Some(std::time::Instant::now() + timeout),
             |w: &Waiter| self.check(w),
         )

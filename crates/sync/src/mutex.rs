@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sting_core::tc;
 use sting_core::trace::EventKind;
-use sting_value::Value;
+use sting_value::{static_sym, Value};
 
 /// Process-wide mutex id source; ids appear as the payload of
 /// `lock-acquire` / `lock-release` trace events.  Starts at 1 so id 0
@@ -143,7 +143,7 @@ impl Mutex {
             }
         }
         // Phase 3: block on the mutex.
-        block_until_deadline(&Value::sym("mutex"), deadline, |w: &Waiter| {
+        block_until_deadline(static_sym!("mutex"), deadline, |w: &Waiter| {
             if self.try_lock_raw() {
                 return Some(self.won());
             }

@@ -5,7 +5,7 @@ use crate::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter}
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use sting_value::Value;
+use sting_value::{static_sym, Value};
 
 struct Inner {
     permits: usize,
@@ -42,7 +42,7 @@ impl Semaphore {
 
     /// Takes one permit, blocking while none are available.
     pub fn acquire(&self) {
-        block_until(&Value::sym("semaphore"), |w: &Waiter| self.check(w));
+        block_until(static_sym!("semaphore"), |w: &Waiter| self.check(w));
     }
 
     /// [`Semaphore::acquire`] with a timeout.
@@ -52,7 +52,7 @@ impl Semaphore {
     /// [`TimedOut`] if no permit was taken within `timeout`.
     pub fn acquire_timeout(&self, timeout: Duration) -> Result<(), TimedOut> {
         block_until_deadline(
-            &Value::sym("semaphore"),
+            static_sym!("semaphore"),
             Some(Instant::now() + timeout),
             |w: &Waiter| self.check(w),
         )

@@ -39,7 +39,7 @@
 use crate::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use sting_value::Value;
+use sting_value::{static_sym, Value};
 
 struct Inner {
     items: Vec<Value>,
@@ -166,7 +166,7 @@ impl StreamCursor {
         if let Some(v) = self.stream.get(self.pos) {
             return v;
         }
-        block_until(&Value::sym("stream-hd"), |w| self.check(w))
+        block_until(static_sym!("stream-hd"), |w| self.check(w))
     }
 
     /// [`StreamCursor::hd`] with a timeout.  `Ok(None)` still means the
@@ -181,7 +181,7 @@ impl StreamCursor {
             return Ok(v);
         }
         block_until_deadline(
-            &Value::sym("stream-hd"),
+            static_sym!("stream-hd"),
             Some(std::time::Instant::now() + timeout),
             |w| self.check(w),
         )

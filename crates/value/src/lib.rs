@@ -28,3 +28,44 @@ mod value;
 
 pub use symbol::Symbol;
 pub use value::{ListIter, NativeHandle, Value, ValueKind};
+
+/// A `&'static Value` symbol for a literal name, interned on the first
+/// call from this call site and read lock-free after that.
+///
+/// [`Value::sym`] takes the process-wide interner lock and hashes the name
+/// on every call; a name a hot path passes again and again (the blocker a
+/// parking thread shows) should be interned once with this instead.
+///
+/// ```
+/// use sting_value::{static_sym, Value};
+///
+/// let blocker: &'static Value = static_sym!("mutex");
+/// assert_eq!(*blocker, Value::sym("mutex"));
+/// ```
+#[macro_export]
+macro_rules! static_sym {
+    ($name:literal) => {{
+        static SYM: ::std::sync::OnceLock<$crate::Value> = ::std::sync::OnceLock::new();
+        SYM.get_or_init(|| $crate::Value::sym($name))
+    }};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Value;
+
+    fn blocker() -> &'static Value {
+        static_sym!("static-sym-test")
+    }
+
+    /// One call site interns once: every later call returns the same
+    /// value, without going back to the interner.
+    #[test]
+    fn static_sym_interns_once_per_call_site() {
+        let first = blocker();
+        assert_eq!(*first, Value::sym("static-sym-test"));
+        for _ in 0..3 {
+            assert!(std::ptr::eq(blocker(), first));
+        }
+    }
+}
