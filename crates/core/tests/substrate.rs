@@ -797,6 +797,28 @@ fn wait_from_plain_os_thread_falls_back_to_join() {
     vm.shutdown();
 }
 
+/// Reproduction: `join_blocking` called on a STING thread parks that
+/// thread, not its VP's OS worker.  On a one-VP machine a thread forks a
+/// child onto its own VP and joins it with `join_blocking`; the child can
+/// only run if the worker is free to dispatch it.  When the join slept the
+/// worker in a condvar, the child never ran and the host's wait timed out.
+#[test]
+fn join_blocking_on_a_sting_thread_parks_only_that_thread() {
+    let vm = vm1();
+    let outer = vm.fork(|cx| {
+        let child = cx.fork(|_| 5i64);
+        child.join_blocking().unwrap().as_int().unwrap() + 1
+    });
+    let Some(joined) = outer.join_blocking_timeout(Duration::from_secs(5)) else {
+        // The worker is asleep for good: leak the machine rather than hang
+        // in `shutdown`.
+        std::mem::forget(vm);
+        panic!("the child never ran: join_blocking slept the VP's worker");
+    };
+    assert_eq!(joined, Ok(Value::Int(6)));
+    vm.shutdown();
+}
+
 #[test]
 fn topology_addressing_with_vps() {
     let vm = vm(4);
