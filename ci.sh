@@ -116,10 +116,10 @@ run_bench_smoke() {
     # more than a full run, so this catches order-of-magnitude latency
     # regressions (a lost wake-up turns µs p50s into ms), while the
     # committed full report (BENCH_PR20.json) stays the reference for
-    # fine-grained comparisons.  The run itself enforces
-    # fork:queue-stays-bounded (ready queues and memory must not grow as a
-    # fork-tree world ages), tuple:probe-beside-10k (10 000
-    # bystanders must not slow a keyed probe) and the two count gates on
+    # fine-grained comparisons.  The run itself fails on every check not
+    # marked info:, among them fork:queue-stays-bounded (ready queues and
+    # memory must not grow as a fork-tree world ages), the merged fleet
+    # trace audit (shard:merged-audit-clean@2shard), the two count gates on
     # the Scheme machine, which hold on a throttled box because they count
     # instead of timing (scheme:global-ref-does-not-allocate: 100 000
     # references to a primitive and a prelude procedure grow neither the

@@ -9,12 +9,11 @@
 //!     --against BENCH_PR20.json --threshold 0.10                # regress?
 //! ```
 //!
-//! Exit status: 0 on success, 1 when a Figure 6 gate check fails after
-//! three attempts, a `fork:`, `machine:`, `tuple:`, `fleet:`, `scheme:` or
-//! `shape:tuple-locks` gate fails (the count gates and
-//! `fork:queue-stays-bounded` always; the gates that need a second core
-//! only on a full run on a box that has one to give), or `--against` finds
-//! a row slowed past the threshold, 2 on usage or I/O errors.
+//! Exit status: 0 on success, 1 when any check whose name does not start
+//! with `info:` fails (Figure 6's after three attempts; the gates that need
+//! a second core carry `info:` on the smoke tier and on a box that has no
+//! second core to give), or `--against` finds a row slowed past the
+//! threshold, 2 on usage or I/O errors.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -197,13 +196,11 @@ fn main() -> ExitCode {
     // --- Figure 6, with up to three attempts to clear the ordering gates
     // (a background hiccup on a shared machine can invert the closest
     // pair; a genuine regression fails all three). ---
-    let mut gates_ok = false;
     for attempt in 1..=3 {
         eprintln!("figure6 (attempt {attempt}):");
         let f6 = measure_figure6(scale.figure6_iters);
         let f6_checks = figure6_checks(&f6);
-        gates_ok = figure6_gates_pass(&f6_checks);
-        if attempt == 3 || gates_ok {
+        if attempt == 3 || figure6_gates_pass(&f6_checks) {
             println!("{}", render_figure6(&f6));
             rows.extend(f6.iter().map(|r| {
                 BenchRow::from_dist("figure6", r.name, "ns/iter", &r.dist).with_paper_us(r.paper_us)
@@ -368,11 +365,13 @@ fn main() -> ExitCode {
             rows.push(row);
         }
     }
+    // A clock ratio, so reported only: the claim behind it is enforced as
+    // a count on every box by the keyed index's own unit test.
     checks.push(Check {
-        name: "tuple:probe-beside-10k".to_string(),
+        name: "info:tuple:probe-beside-10k".to_string(),
         pass: (0..2).all(|op| probe_p50[0][op] <= 2.0 * probe_p50[1][op]),
         detail: format!(
-            "beside 10 000 bystanders: put+try_get {:.0} ns, try_rd {:.0} ns; alone: {:.0} ns, {:.0} ns (gate: bystanders cost < 2x)",
+            "beside 10 000 bystanders: put+try_get {:.0} ns, try_rd {:.0} ns; alone: {:.0} ns, {:.0} ns (bystanders cost < 2x; enforced as a count by sting_tuple::hashed::tests::a_keyed_hit_costs_one_lock_and_its_own_chain: <= 2 visits, one bin lock, no hash)",
             probe_p50[0][0], probe_p50[0][1], probe_p50[1][0], probe_p50[1][1]
         ),
     });
@@ -410,12 +409,12 @@ fn main() -> ExitCode {
     let top = *shard_counts.last().unwrap();
     let speedup = shard_farm_p50[0] / shard_farm_p50[shard_farm_p50.len() - 1];
     let (gate, bar) = if args.smoke {
-        ("info:shard:farm-2shard>=1.2x-1shard", 1.2)
+        ("info:shard:farm-2shard>=1.2x-1shard".to_string(), 1.2)
     } else {
-        ("shard:farm-4shard>=1.6x-1shard", 1.6)
+        (format!("{advisory}shard:farm-4shard>=1.6x-1shard"), 1.6)
     };
     checks.push(Check {
-        name: gate.to_string(),
+        name: gate,
         pass: speedup >= bar,
         detail: format!(
             "farm p50 {:.0} ns at 1 shard vs {:.0} ns at {top} shards ({:.2}x, 4 VPs total)",
@@ -555,10 +554,9 @@ fn main() -> ExitCode {
             "one eager tree on 1 VP, counted on its worker: {allocs_per_thread:.2} Rust-heap allocations per forked thread (the thread and its thunk)"
         ),
     });
-    let pinned_scales = fork_p50[1] <= 0.7 * fork_p50[0];
     checks.push(Check {
         name: format!("{advisory}fork:two-pinned-vps-beat-one-vp"),
-        pass: pinned_scales,
+        pass: fork_p50[1] <= 0.7 * fork_p50[0],
         detail: format!(
             "pinned trees: {:.0} ns/tree on 2 VPs vs {:.0} on 1 VP ({:.2}x; gate <= 0.70x, share-nothing 0.50x, this box's second core {second_core:.2}x)",
             fork_p50[1],
@@ -589,10 +587,9 @@ fn main() -> ExitCode {
         ),
     });
     let residue = shapes::fork_world_residue(scale.fork_world, FORK_DEPTH);
-    let bounded = residue.bounded();
     checks.push(Check {
         name: "fork:queue-stays-bounded".to_string(),
-        pass: bounded,
+        pass: residue.bounded(),
         detail: format!(
             "{} eager trees in {:?}: {} ready-queue entries left (gate <= 64), resident memory {:+.2} MB over the last {:.1} s (gate < 1 MB/s + 8 MB)",
             residue.trees,
@@ -772,36 +769,10 @@ fn main() -> ExitCode {
     }
     println!("report written to {}", args.out);
 
+    // One rule: every check not marked `info:` is a gate.
     let mut failed = false;
-    if !gates_ok {
-        eprintln!("FAIL: figure6 ordering gates did not pass in 3 attempts");
-        failed = true;
-    }
-    if !bounded {
-        eprintln!("FAIL: fork:queue-stays-bounded (ready queues or memory grew as the world aged)");
-        failed = true;
-    }
-    if !pinned_scales && advisory.is_empty() {
-        eprintln!(
-            "FAIL: fork:two-pinned-vps-beat-one-vp (a second VP did not halve two pinned trees)"
-        );
-        failed = true;
-    }
-    // The index and fleet gates of this file (advisory ones carry `info:`).
     for c in report.checks.iter().filter(|c| !c.pass) {
-        if [
-            "tuple:",
-            "fleet:",
-            "shape:tuple-locks",
-            "scheme:",
-            "machine:",
-            "fork:migrating-tree",
-            "fork:allocs-per-thread",
-            "server:epoll-ctl-per-wake",
-        ]
-        .iter()
-        .any(|gate| c.name.starts_with(gate))
-        {
+        if !c.name.starts_with("info:") {
             eprintln!("FAIL: {} ({})", c.name, c.detail);
             failed = true;
         }

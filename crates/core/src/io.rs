@@ -27,8 +27,8 @@
 //! is joined at [`Vm::shutdown`](crate::vm::Vm::shutdown).
 
 use crate::tc;
-use crate::wait::{self, TimedOut, Waiter};
-use parking_lot::{Condvar, Mutex};
+use crate::wait::{self, TimedOut, WaitList, Waiter};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -43,8 +43,9 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// The per-VM blocking-call worker pool.
 ///
-/// A single queue + condvar pair (not a channel): every idle worker waits
-/// on the condvar and dequeues independently, so one slow job never
+/// A single queue beside a [`WaitList`] of idle workers (not a channel):
+/// each idle worker parks on its own wait episode, like any other OS
+/// waiter, and dequeues independently, so one slow job never
 /// head-of-line blocks pickup of the next — the defect the old global
 /// pool's `Mutex<Receiver>` around `recv()` had.
 pub(crate) struct IoPool {
@@ -53,13 +54,12 @@ pub(crate) struct IoPool {
 
 struct PoolInner {
     state: Mutex<PoolState>,
-    work: Condvar,
     cap: usize,
 }
 
 struct PoolState {
     queue: VecDeque<Job>,
-    idle: usize,
+    idle: WaitList,
     workers: usize,
     stop: bool,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -71,12 +71,11 @@ impl IoPool {
             inner: Arc::new(PoolInner {
                 state: Mutex::new(PoolState {
                     queue: VecDeque::new(),
-                    idle: 0,
+                    idle: WaitList::new(),
                     workers: 0,
                     stop: false,
                     handles: Vec::new(),
                 }),
-                work: Condvar::new(),
                 cap: cap.max(1),
             }),
         }
@@ -91,7 +90,7 @@ impl IoPool {
             return Err(job);
         }
         s.queue.push_back(job);
-        if s.idle == 0 && s.workers < self.inner.cap {
+        if !s.idle.wake_one() && s.workers < self.inner.cap {
             s.workers += 1;
             let name = format!("sting-io-{}", s.workers);
             let inner = self.inner.clone();
@@ -103,8 +102,6 @@ impl IoPool {
                 Err(_) => s.workers -= 1, // spawn failed; existing workers will get to it
             }
         }
-        drop(s);
-        self.inner.work.notify_one();
         Ok(())
     }
 
@@ -116,11 +113,9 @@ impl IoPool {
     pub(crate) fn stop(&self) {
         let handles = {
             let mut s = self.inner.state.lock();
-            s.stop = true;
-            s.queue.clear();
+            s.halt();
             std::mem::take(&mut s.handles)
         };
-        self.inner.work.notify_all();
         let me = std::thread::current().id();
         for h in handles {
             if h.thread().id() != me {
@@ -138,31 +133,35 @@ impl IoPool {
 impl Drop for IoPool {
     fn drop(&mut self) {
         // Non-joining stop for the deferred-shutdown path: workers hold
-        // only the inner Arc and exit once notified.
-        let mut s = self.inner.state.lock();
-        s.stop = true;
-        s.queue.clear();
-        drop(s);
-        self.inner.work.notify_all();
+        // only the inner Arc and exit once woken.
+        self.inner.state.lock().halt();
+    }
+}
+
+impl PoolState {
+    /// Stops the pool: drops the queued jobs and wakes every idle worker
+    /// to see `stop`.
+    fn halt(&mut self) {
+        self.stop = true;
+        self.queue.clear();
+        self.idle.wake_all();
     }
 }
 
 fn worker_loop(inner: Arc<PoolInner>) {
     loop {
-        let job = {
+        let job = wait::block_until(static_sym!("io-idle"), |w| {
             let mut s = inner.state.lock();
-            loop {
-                if s.stop {
-                    return;
-                }
-                if let Some(job) = s.queue.pop_front() {
-                    break job;
-                }
-                s.idle += 1;
-                inner.work.wait(&mut s);
-                s.idle -= 1;
+            if s.stop {
+                return Some(None);
             }
-        };
+            let job = s.queue.pop_front();
+            if job.is_none() {
+                s.idle.push(w.clone());
+            }
+            job.map(Some)
+        });
+        let Some(job) = job else { return };
         // Belt and braces: offload jobs catch their own unwind to capture
         // the payload, but no job whatsoever may take the worker down.
         let _ = panic::catch_unwind(AssertUnwindSafe(job));

@@ -17,14 +17,14 @@
 //!
 //! ## The state word
 //!
-//! A thread's state lives in one atomic word beside three flag bits, and
+//! A thread's state lives in one atomic word beside its flag bits, and
 //! every transition on the fork → touch → determine path is one
 //! read-modify-write on it (`StateWord`): scheduling a delayed thread,
 //! claiming a thunk (dispatch, steal, or a passive terminate that
 //! discards it), and determining.  The thunk and the result sit in cells
 //! only the winner of the transition writes.  The flags say when a
 //! determination must take the thread's lock after all: a join node is
-//! registered, an OS thread waits in `join_blocking`, or a request is
+//! registered (by a STING thread or an OS thread, alike), or a request is
 //! queued.  Under `--cfg sting_check` the word's atomic is the model
 //! checker's shim and the type is exported, so `ci.sh check` explores this
 //! exact source (`crates/core/tests/model_thread_state.rs`).
@@ -32,9 +32,9 @@
 use sting_value::Value;
 
 #[cfg(sting_check)]
-pub use word::{StateWord, DETERMINING, OS_JOINER, REQUESTS, STATE, WAITERS};
+pub use word::{StateWord, DETERMINING, REQUESTS, STATE, WAITERS};
 #[cfg(not(sting_check))]
-pub(crate) use word::{StateWord, OS_JOINER, REQUESTS, WAITERS};
+pub(crate) use word::{StateWord, REQUESTS, WAITERS};
 
 mod word {
     use super::ThreadState;
@@ -50,10 +50,8 @@ mod word {
     pub const DETERMINING: u64 = 1 << 3;
     /// A join node is registered: the determiner completes the list.
     pub const WAITERS: u64 = 1 << 4;
-    /// An OS thread waits in `join_blocking`: the determiner notifies it.
-    pub const OS_JOINER: u64 = 1 << 5;
     /// A state request is queued for the thread to apply.
-    pub const REQUESTS: u64 = 1 << 6;
+    pub const REQUESTS: u64 = 1 << 5;
 
     fn state_of(word: u64) -> ThreadState {
         ThreadState::from_u8((word & STATE) as u8)
@@ -168,9 +166,8 @@ mod word {
 
         /// Publishes the determination begun by [`StateWord::begin_determine`]
         /// (the result cell is written by now) and returns the flags it
-        /// found: whoever registered a join node or an OS joiner before
-        /// this point is seen here, and whoever comes after sees
-        /// `Determined`.
+        /// found: whoever registered a join node before this point is seen
+        /// here, and whoever comes after sees `Determined`.
         pub fn finish_determine(&self) -> u64 {
             let prev = self
                 .update(|w| Some(with_state(w & !DETERMINING, ThreadState::Determined)))
@@ -347,7 +344,7 @@ mod tests {
         assert_eq!(w.begin_determine(false), None, "one determiner");
         assert_eq!(w.finish_determine(), WAITERS);
         assert_eq!(w.state(), ThreadState::Determined);
-        assert!(!w.set_unless_determined(OS_JOINER));
+        assert!(!w.set_unless_determined(REQUESTS));
     }
 
     #[test]

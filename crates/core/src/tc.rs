@@ -570,16 +570,10 @@ pub fn suspend_current(duration: Option<Duration>) -> Result<(), CoreError> {
 }
 
 /// Blocks until `thread` determines, returning its result.  On a STING
-/// thread this parks only the green thread; on a plain OS thread it falls
-/// back to [`Thread::join_blocking`].
+/// thread this parks only the green thread; a plain OS thread parks itself
+/// until the determination unparks it.
 pub fn wait(thread: &Arc<Thread>) -> ThreadResult {
-    loop {
-        // `None` without a deadline is unreachable in practice (a
-        // cancellation unwinds instead); re-enter if it ever happens.
-        if let Some(r) = wait_deadline(thread, None) {
-            return r;
-        }
-    }
+    join(thread, &thread.to_value(), None).expect("only a deadline ends a wait")
 }
 
 /// [`wait`] with a timeout: `None` if `thread` has not determined within
@@ -591,60 +585,74 @@ pub fn wait_timeout(thread: &Arc<Thread>, timeout: Duration) -> Option<ThreadRes
 
 /// [`wait`] with an optional absolute deadline; `None` on timeout.
 pub fn wait_deadline(thread: &Arc<Thread>, deadline: Option<Instant>) -> Option<ThreadResult> {
-    let Some(waiter) = current_owner() else {
-        return match deadline {
-            None => Some(thread.join_blocking()),
-            Some(d) => thread.join_blocking_timeout(d.saturating_duration_since(Instant::now())),
-        };
-    };
-    // One join node for the whole wait, registered at most once: a spurious
-    // wake-up must re-block on the *same* registration, not append a fresh
-    // node to the target's waiter list each time around the loop (that
-    // leaked nodes — and duplicate wake-ups — for as long as the wait
-    // lasted).  The guard deactivates it on *every* exit (timeout,
-    // cancellation, unwind), so the target never wakes a dead waiter.
-    let node = JoinNode::new(waiter, 1);
-    let guard = JoinGuard { node: &node };
-    let mut registered = false;
+    join(thread, &thread.to_value(), deadline)
+}
+
+/// [`wait_deadline`] for a caller that holds the thread by reference
+/// ([`Thread::join_blocking`]).
+pub(crate) fn join(
+    thread: &Thread,
+    blocker: &Value,
+    deadline: Option<Instant>,
+) -> Option<ThreadResult> {
+    if thread.is_determined() || wait_group(1, [thread], blocker, deadline) {
+        thread.result()
+    } else {
+        None
+    }
+}
+
+/// Blocks the caller until `count` of `threads` have determined (the
+/// paper's `block-on-group`, Figure 5), or until `deadline`; `false` on
+/// timeout.  The one wait loop: [`wait`], [`Thread::join_blocking`] and
+/// `sting_sync`'s group waits all come here, from a STING thread or a
+/// plain OS thread alike.  One join node counts the determinations and
+/// wakes the caller — a STING thread with `unblock`, an OS thread with
+/// `unpark` — and `blocker` is what a parked STING thread is listed as
+/// blocked on.
+pub fn wait_group<'a>(
+    count: usize,
+    threads: impl IntoIterator<Item = &'a Thread>,
+    blocker: &Value,
+    deadline: Option<Instant>,
+) -> bool {
+    // Registered once for the whole wait: a spurious wake-up re-blocks on
+    // the same node rather than append another to each watched thread.
+    // The guard deactivates it on *every* exit (done, timeout, unwind), so
+    // no watched thread counts into or wakes a departed waiter.
+    let node = JoinNode::current(count);
+    let _guard = JoinGuard { node: &node };
+    for t in threads {
+        if !t.add_wait_node(&node) {
+            // Already determined: count it without waking ourselves.
+            node.count_down();
+        }
+    }
     loop {
-        if let Some(r) = thread.result() {
-            std::mem::forget(guard);
-            // Keep counting completions toward the (satisfied) node is
-            // pointless: deactivate so the target's amortized sweep can
-            // drop it early.
-            node.cancel();
-            return Some(r);
+        if node.remaining() == 0 {
+            return true;
         }
-        if !registered {
-            registered = thread.add_wait_node(&node);
-            if !registered {
-                // The target determined between the result check and the
-                // registration; the next iteration returns its result.
-                continue;
-            }
-        }
-        // Park one wait episode.  Determination wakes us through the join
-        // node (a plain unblock — spurious from the episode's view), the
-        // deadline through the timer wheel.
+        // Park one wait episode.  Determinations wake us through the join
+        // node (spurious from the episode's view), the deadline through
+        // the timer wheel or the OS park's timeout.
         let w = Waiter::current();
-        if thread.is_determined() {
-            // Determined between the check above and arming: the unblock
+        if node.remaining() == 0 {
+            // Completed between the check above and arming: the wake-up
             // may already have been spent before we parked.
             let _ = w.retire();
-            continue;
+            return true;
         }
-        match w.park_until(&thread.to_value(), deadline) {
-            WakeReason::Woken => continue,
-            WakeReason::TimedOut | WakeReason::Cancelled => {
-                std::mem::forget(guard);
-                node.cancel();
-                return None;
-            }
+        match w.park_until(blocker, deadline) {
+            WakeReason::TimedOut => return node.remaining() == 0,
+            // A cancellation normally unwinds the thread; if it did not,
+            // only a deadline ends the wait.
+            WakeReason::Cancelled if deadline.is_some() => return node.remaining() == 0,
+            WakeReason::Woken | WakeReason::Cancelled => {}
         }
     }
 }
 
-/// Deactivates a join node if the wait unwinds (thread termination).
+/// Deactivates a join node however the wait ends.
 struct JoinGuard<'a> {
     node: &'a Arc<JoinNode>,
 }

@@ -14,19 +14,19 @@
 use crate::counters::Counters;
 use crate::error::CoreError;
 use crate::group::{GroupLane, ThreadGroup};
-use crate::state::{StateRequest, StateWord, ThreadState, OS_JOINER, REQUESTS, WAITERS};
+use crate::state::{StateRequest, StateWord, ThreadState, REQUESTS, WAITERS};
 use crate::tc::Cx;
 use crate::tcb::Tcb;
 use crate::tls;
 use crate::vm::{Vm, VmAnchor};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{
     AtomicBool, AtomicI32, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
-use sting_value::Value;
+use sting_value::{static_sym, Value};
 
 /// The code a thread runs: a nullary procedure over the thread context.
 pub type Thunk = Box<dyn FnOnce(&Cx) -> Value + Send + 'static>;
@@ -57,17 +57,37 @@ impl std::fmt::Display for ThreadId {
 /// at zero the waiter is rescheduled.  `wait-for-one` uses a count of 1
 /// over n nodes, `wait-for-all` a count of n.
 ///
+/// The waiter is whoever creates the node: a STING thread, woken by
+/// `unblock`, or a plain OS thread (`main`, a test, an I/O pool worker),
+/// woken by `std::thread::unpark`.  Either way the wake-up may be spurious
+/// from the waiter's own wait episode, and the waiter re-checks.
+///
 /// (Not to be confused with [`crate::wait::WaitNode`], the blocking
 /// protocol's parking spot — a `JoinNode` only counts determinations.)
 #[derive(Debug)]
 pub struct JoinNode {
-    waiter: Arc<Thread>,
+    waiter: Sleeper,
     remaining: AtomicUsize,
 }
 
+/// Who a [`JoinNode`] wakes.
+#[derive(Debug)]
+enum Sleeper {
+    /// The TCB owner of the calling STING thread (the stealer, during a
+    /// steal; see [`crate::tc::current_owner`]).
+    Green(Arc<Thread>),
+    /// A plain OS thread.
+    Os(std::thread::Thread),
+}
+
 impl JoinNode {
-    /// Creates a node that will wake `waiter` after `count` completions.
-    pub fn new(waiter: Arc<Thread>, count: usize) -> Arc<JoinNode> {
+    /// Creates a node that will wake the calling thread after `count`
+    /// completions.
+    pub fn current(count: usize) -> Arc<JoinNode> {
+        let waiter = match crate::tc::current_owner() {
+            Some(thread) => Sleeper::Green(thread),
+            None => Sleeper::Os(std::thread::current()),
+        };
         Arc::new(JoinNode {
             waiter,
             remaining: AtomicUsize::new(count),
@@ -78,24 +98,20 @@ impl JoinNode {
     /// Completions beyond the count are ignored (a group may contain more
     /// threads than the count requires).
     pub fn complete_one(&self) {
-        let mut cur = self.remaining.load(Ordering::Acquire);
-        loop {
-            if cur == 0 {
-                return;
-            }
-            match self.remaining.compare_exchange_weak(
-                cur,
-                cur - 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
+        if self.count_down() {
+            match &self.waiter {
+                Sleeper::Green(thread) => thread.unblock(),
+                Sleeper::Os(thread) => crate::wait::unpark_os(thread),
             }
         }
-        if cur == 1 {
-            self.waiter.unblock();
-        }
+    }
+
+    /// Records one completion without waking anyone: the waiter counting
+    /// a thread it found determined.  `true` if it was the last one.
+    pub(crate) fn count_down(&self) -> bool {
+        self.remaining
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+            == Ok(1)
     }
 
     /// Remaining completions before the waiter wakes.
@@ -165,7 +181,6 @@ pub struct Thread {
     quantum: AtomicU32,
     /// Taken only through [`Thread::core`].
     core: Mutex<ThreadCore>,
-    determined_cv: Condvar,
     /// The thread's group, held through the lane it was forked on (see
     /// [`GroupLane`]).
     group: Arc<GroupLane>,
@@ -252,7 +267,6 @@ impl Thread {
                 waiters_sweep_at: 32,
                 blocker: None,
             }),
-            determined_cv: Condvar::new(),
             group: birth.group,
             parent: birth.parent,
             vm_ptr: AtomicPtr::new(birth.anchor.as_ptr().cast_mut()),
@@ -280,7 +294,7 @@ impl Thread {
     }
 
     /// The thread's lock, for the slow paths only: a parked TCB, queued
-    /// requests, join nodes, an OS joiner, the blocker.
+    /// requests, join nodes, the blocker.
     pub(crate) fn core(&self) -> MutexGuard<'_, ThreadCore> {
         crate::probe::hit(crate::probe::Probe::ThreadLock);
         self.core.lock()
@@ -454,46 +468,29 @@ impl Thread {
         }
     }
 
-    /// Blocks the **calling OS thread** until this thread determines.
+    /// Blocks the caller until this thread determines: [`crate::tc::wait`]
+    /// for a caller that holds the thread by reference.
     ///
     /// This is how code outside the virtual machine (e.g. `main`) joins a
-    /// thread; STING threads must use [`crate::tc::wait`] instead, which
-    /// blocks only the green thread.
+    /// thread: the OS thread parks on a join node until the determination
+    /// unparks it.  Called on a STING thread it parks only that thread,
+    /// never its VP's OS worker.
     pub fn join_blocking(&self) -> ThreadResult {
-        if !self.is_determined() {
-            let mut core = self.core();
-            // As in `add_wait_node`: flag, then wait, under the lock, so a
-            // determination that sees the flag notifies after we sleep.
-            while self.state.set_unless_determined(OS_JOINER) {
-                self.determined_cv.wait(&mut core);
-            }
-        }
-        self.result().expect("determined thread has a result")
+        crate::tc::join(self, static_sym!("join"), None)
+            .expect("a join without a deadline determines")
     }
 
     /// Like [`Thread::join_blocking`] with a timeout; `None` on timeout.
     pub fn join_blocking_timeout(&self, timeout: Duration) -> Option<ThreadResult> {
         let deadline = std::time::Instant::now() + timeout;
-        if !self.is_determined() {
-            let mut core = self.core();
-            while self.state.set_unless_determined(OS_JOINER) {
-                if self
-                    .determined_cv
-                    .wait_until(&mut core, deadline)
-                    .timed_out()
-                {
-                    return None;
-                }
-            }
-        }
-        self.result()
+        crate::tc::join(self, static_sym!("join"), Some(deadline))
     }
 
     /// Waits for this thread to determine, for at most `timeout`; `None`
     /// on timeout.  On a STING thread this parks only the green thread
     /// (with the deadline routed through the timer wheel, see
-    /// [`crate::tc::wait_timeout`]); on a plain OS thread it falls back to
-    /// [`Thread::join_blocking_timeout`].
+    /// [`crate::tc::wait_timeout`]); on a plain OS thread it parks that
+    /// thread.
     pub fn wait_timeout(self: &Arc<Thread>, timeout: Duration) -> Option<ThreadResult> {
         crate::tc::wait_timeout(self, timeout)
     }
@@ -773,19 +770,12 @@ impl Thread {
                 u32::from(failed)
             );
         }
-        if waiting & (WAITERS | OS_JOINER) == 0 {
+        if waiting & WAITERS == 0 {
             return;
         }
         // Someone registered before the flip: the lock orders us after
-        // their registration (see `add_wait_node`, `join_blocking`).
-        let waiters = {
-            let mut core = self.core();
-            if waiting & OS_JOINER != 0 {
-                crate::probe::hit(crate::probe::Probe::FutexWake);
-                self.determined_cv.notify_all();
-            }
-            std::mem::take(&mut core.waiters)
-        };
+        // their registration (see `add_wait_node`).
+        let waiters = std::mem::take(&mut self.core().waiters);
         for w in waiters {
             w.complete_one();
         }

@@ -39,7 +39,6 @@
 use crate::thread::Thread;
 use crate::timers::TimerId;
 use crate::tls;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
 use std::time::Instant;
@@ -267,22 +266,24 @@ impl ClaimState {
     }
 }
 
-/// How a [`WaitNode`]'s owner actually sleeps.
+/// Who sleeps on a [`WaitNode`], and so how a waker rouses them.
 enum Parker {
     /// A STING thread: park the green thread via
     /// [`block_current`](crate::tc::block_current); wakers
     /// [`unblock`](crate::thread::Thread) it.  Weak, because the node is
     /// owned by the thread itself (a strong edge would leak the cycle).
     Green(Weak<Thread>),
-    /// A plain OS thread (e.g. `main`): a condvar, with the claim word as
-    /// the one-shot wake token — there is no reset step, so a second wake
-    /// racing the first cannot be absorbed by a stale reset.
-    Os(OsParker),
+    /// A plain OS thread (e.g. `main`): it parks on `std::thread::park`,
+    /// the primitive the machine's workers sleep on, and wakers
+    /// [`unpark_os`] it.  The claim word is the wake token and the park
+    /// token covers a wake that lands before the sleep.
+    Os(std::thread::Thread),
 }
 
-struct OsParker {
-    lock: Mutex<()>,
-    cv: Condvar,
+/// Wakes an OS thread parked in the blocking protocol (a `futex_wake`).
+pub(crate) fn unpark_os(thread: &std::thread::Thread) {
+    crate::probe::hit(crate::probe::Probe::FutexWake);
+    thread.unpark();
 }
 
 /// One thread's parking spot: a [`ClaimState`] plus the means to wake the
@@ -321,10 +322,7 @@ impl WaitNode {
     fn os() -> WaitNode {
         WaitNode {
             state: ClaimState::new(),
-            parker: Parker::Os(OsParker {
-                lock: Mutex::new(()),
-                cv: Condvar::new(),
-            }),
+            parker: Parker::Os(std::thread::current()),
         }
     }
 
@@ -363,8 +361,8 @@ impl Waiter {
     ///
     /// On a STING thread this arms the **TCB owner**'s node — during a
     /// steal the stealer, not the stolen thread, is what parks (see
-    /// [`crate::tc::current_owner`]).  On a plain OS thread a fresh
-    /// condvar-backed node is created.
+    /// [`crate::tc::current_owner`]).  On a plain OS thread a fresh node
+    /// naming the calling OS thread is created.
     pub fn current() -> Waiter {
         match tls::with(|cur| cur.map(|c| c.shared.thread.wait_node().clone())) {
             Some(node) => {
@@ -394,12 +392,7 @@ impl Waiter {
                     thread.unblock_claimed(self.gen);
                 }
             }
-            Parker::Os(p) => {
-                // Lock so a waiter between its armed-check and its sleep
-                // cannot miss the notification.
-                let _g = p.lock.lock();
-                p.cv.notify_all();
-            }
+            Parker::Os(thread) => unpark_os(thread),
         }
         true
     }
@@ -409,8 +402,8 @@ impl Waiter {
     /// over many waiters (broadcast, barrier release) publishes them all
     /// with one injector CAS at [`WakeBatch::publish`].  The claim, state
     /// transition and Unblock trace still happen here, synchronously — only
-    /// the queue insertion is deferred.  OS-thread waiters are notified
-    /// immediately (a condvar has nothing to batch).
+    /// the queue insertion is deferred.  OS-thread waiters are unparked
+    /// immediately (there is no queue to batch).
     pub fn wake_into(&self, batch: &mut WakeBatch) -> bool {
         if !self.node.state.claim(self.gen) {
             return false;
@@ -421,10 +414,7 @@ impl Waiter {
                     thread.unblock_deferred(self.gen, batch);
                 }
             }
-            Parker::Os(p) => {
-                let _g = p.lock.lock();
-                p.cv.notify_all();
-            }
+            Parker::Os(thread) => unpark_os(thread),
         }
         true
     }
@@ -449,13 +439,15 @@ impl Waiter {
     /// threads route the deadline through the machine's
     /// [`Timers`](crate::timers::Timers) wheel; the timer entry is
     /// cancelled on early wake-up so no tombstone fires a spurious wake.
-    /// If the park unwinds (thread termination, raised exception, VM
-    /// drain), a drop guard cancels the episode and its timer so no
-    /// structure ever wakes or counts the dead waiter.
+    /// OS threads sleep once in `std::thread::park[_timeout]`.  Either may
+    /// return early (`Woken` with nothing consumed): the caller re-checks
+    /// its condition.  If the park unwinds (thread termination, raised
+    /// exception, VM drain), a drop guard cancels the episode and its
+    /// timer so no structure ever wakes or counts the dead waiter.
     pub fn park_until(&self, blocker: &Value, deadline: Option<Instant>) -> WakeReason {
         match &self.node.parker {
             Parker::Green(_) => self.park_green(blocker, deadline),
-            Parker::Os(p) => self.park_os(p, deadline),
+            Parker::Os(_) => self.park_os(deadline),
         }
     }
 
@@ -488,28 +480,29 @@ impl Waiter {
         if let (Some(id), Some(vm)) = (timer, thread.vm()) {
             vm.timers().cancel(id);
         }
-        match self.node.state.finish(self.gen) {
-            Finish::Spurious | Finish::Claimed => WakeReason::Woken,
-            Finish::TimedOut => WakeReason::TimedOut,
-            Finish::Cancelled => WakeReason::Cancelled,
-        }
+        self.close()
     }
 
-    fn park_os(&self, p: &OsParker, deadline: Option<Instant>) -> WakeReason {
-        let mut g = p.lock.lock();
-        while self.node.state.is_armed(self.gen) {
+    /// One `park` or `park_timeout`: a waker that claimed the episode
+    /// before the sleep left the park token set, so the sleep returns at
+    /// once.  The deadline is claimed here, against any waker.
+    fn park_os(&self, deadline: Option<Instant>) -> WakeReason {
+        if self.node.state.is_armed(self.gen) {
             match deadline {
+                None => std::thread::park(),
                 Some(d) => {
-                    if p.cv.wait_until(&mut g, d).timed_out() {
-                        // Claim the timeout ourselves; if the CAS loses, a
-                        // waker got there first and the loop exits anyway.
+                    std::thread::park_timeout(d.saturating_duration_since(Instant::now()));
+                    if Instant::now() >= d {
                         let _ = self.node.state.timeout(self.gen);
                     }
                 }
-                None => p.cv.wait(&mut g),
             }
         }
-        drop(g);
+        self.close()
+    }
+
+    /// Finishes the episode and says how it ended.
+    fn close(&self) -> WakeReason {
         match self.node.state.finish(self.gen) {
             Finish::Spurious | Finish::Claimed => WakeReason::Woken,
             Finish::TimedOut => WakeReason::TimedOut,
@@ -783,7 +776,7 @@ impl WaitList {
 /// the structure's lock, *after* re-checking the condition — and return
 /// `None`.  Wake-ups can be spurious; the closure simply runs again.
 ///
-/// Callable from plain OS threads too (condvar-backed parking).
+/// Callable from plain OS threads too: they park on `std::thread::park`.
 pub fn block_until<T>(blocker: &Value, mut try_register: impl FnMut(&Waiter) -> Option<T>) -> T {
     loop {
         // A `None` without a deadline means the episode was cancelled; if

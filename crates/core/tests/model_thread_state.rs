@@ -6,10 +6,11 @@
 //! Compiles only under `RUSTFLAGS="--cfg sting_check"` (`./ci.sh check`),
 //! which switches the word onto the sting-check shim atomics (and exports
 //! it) so every interleaving and weak-memory load result is explored.  The
-//! lock-protected halves of the slow paths (the join-node list, the
-//! condvar) are plain mutual exclusion and are not modelled: what is
-//! checked is that every decision they depend on is made by one RMW on the
-//! word.  The expect-failure mutation weakens the determination's RMW to a
+//! lock-protected half of the slow path (the join-node list) is plain
+//! mutual exclusion and is not modelled: what is checked is that every
+//! decision it depends on is made by one RMW on the word.  An OS thread
+//! joins by registering a join node like a STING thread, so
+//! `determine_against_add_wait_node_completes_every_node` covers both.  The expect-failure mutation weakens the determination's RMW to a
 //! load and a store, in a test-local copy, since weakening the production
 //! source would require patching it.
 
@@ -18,7 +19,7 @@
 use std::sync::Arc;
 use sting_check::atomic::Ordering;
 use sting_check::{model, model_expect_failure, thread};
-use sting_core::state::{StateWord, DETERMINING, OS_JOINER, STATE, WAITERS};
+use sting_core::state::{StateWord, DETERMINING, STATE, WAITERS};
 use sting_core::ThreadState;
 
 /// A determination as the production code makes it: win, then publish.
@@ -109,7 +110,8 @@ fn determine_against_determine_publishes_once() {
     });
 }
 
-/// The determination races a waiter registering a join node (`wait`):
+/// The determination races a waiter registering a join node (`wait`,
+/// `join_blocking`, `block_on_group`, from a STING or an OS thread):
 /// either the registration lands first and the determiner sees the flag —
 /// so it takes the lock and completes the node — or the registration sees
 /// `Determined` and is refused, and the waiter reads the result itself.
@@ -129,24 +131,6 @@ fn determine_against_add_wait_node(determine: fn(&StateWord) -> Option<u64>) {
 #[test]
 fn determine_against_add_wait_node_completes_every_node() {
     model(|| determine_against_add_wait_node(|w| determine(w, false)));
-}
-
-/// The determination races `join_blocking`: a joiner whose flag landed
-/// before the publish is notified; one that came after sees `Determined`
-/// and never sleeps.
-#[test]
-fn determine_against_join_blocking_wakes_the_joiner() {
-    model(|| {
-        let w = Arc::new(StateWord::new(ThreadState::Evaluating));
-        let w2 = w.clone();
-        let joiner = thread::spawn(move || w2.set_unless_determined(OS_JOINER));
-        let notified = determine(&w, false).expect("the only determiner") & OS_JOINER != 0;
-        let sleeps = joiner.join();
-        assert_eq!(
-            sleeps, notified,
-            "joiner sleeps {sleeps}, notified {notified}"
-        );
-    });
 }
 
 /// The determination's publish weakened to a load and a store: a flag set

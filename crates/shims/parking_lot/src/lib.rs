@@ -4,11 +4,11 @@
 //! workspace vendors the small subset of the `parking_lot` API it uses,
 //! implemented over `std::sync`.  Semantics follow parking_lot where they
 //! differ from std: guards are returned directly (no poison `Result`s — a
-//! poisoned lock is recovered transparently), and `Condvar` methods take
-//! `&mut MutexGuard` instead of consuming the guard.
+//! poisoned lock is recovered transparently).  There is no condition
+//! variable: the workspace sleeps on `std::thread::park` (see
+//! `sting_core::wait`).
 
 use std::sync::PoisonError;
-use std::time::{Duration, Instant};
 
 /// A mutual exclusion primitive (poison-free `std::sync::Mutex` wrapper).
 pub struct Mutex<T: ?Sized> {
@@ -17,9 +17,7 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard for [`Mutex`]; unlocks on drop.
 pub struct MutexGuard<'a, T: ?Sized> {
-    // `Option` so `Condvar` can temporarily take the std guard out while
-    // waiting and put the reacquired one back, parking_lot-style.
-    inner: Option<std::sync::MutexGuard<'a, T>>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -42,16 +40,16 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     /// Attempts to acquire the mutex without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
+            Ok(inner) => Some(MutexGuard { inner }),
             Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
+                inner: p.into_inner(),
             }),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
@@ -90,97 +88,13 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-/// Result of a timed [`Condvar`] wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable usable with [`MutexGuard`] (parking_lot-style:
-/// waits take `&mut` guard and reacquire before returning).
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until notified; the mutex is released while waiting and
-    /// reacquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard present");
-        let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-    }
-
-    /// Like [`Condvar::wait`] with a timeout relative to now.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.inner.take().expect("guard present");
-        let (g, r) = self
-            .inner
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-        WaitTimeoutResult(r.timed_out())
-    }
-
-    /// Like [`Condvar::wait`] with an absolute deadline.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let now = Instant::now();
-        if deadline <= now {
-            return WaitTimeoutResult(true);
-        }
-        self.wait_for(guard, deadline - now)
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Condvar {
-        Condvar::new()
-    }
-}
-
-impl std::fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Condvar")
+        &mut self.inner
     }
 }
 
@@ -271,7 +185,6 @@ impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_basics() {
@@ -292,36 +205,5 @@ mod tests {
         assert_eq!(*l.read(), 5);
         *l.write() = 6;
         assert_eq!(*l.read(), 6);
-    }
-
-    #[test]
-    fn condvar_wait_and_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let h = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            *g = true;
-            cv.notify_all();
-        });
-        let (m, cv) = &*pair;
-        let mut g = m.lock();
-        while !*g {
-            cv.wait(&mut g);
-        }
-        assert!(*g);
-        drop(g);
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_timeout() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(r.timed_out());
-        let r = cv.wait_until(&mut g, Instant::now() - Duration::from_millis(1));
-        assert!(r.timed_out());
     }
 }

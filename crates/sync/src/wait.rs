@@ -9,8 +9,10 @@
 //! park can carry a deadline.  See DESIGN.md, "Blocking protocol".
 //!
 //! Waiters are usually STING threads (parked via the thread controller),
-//! but plain OS threads are supported too — they park on a condvar — so
-//! synchronization structures remain usable from `main` and from tests.
+//! but plain OS threads are supported too — they park on
+//! `std::thread::park` and are woken by `unpark`, under the same claim
+//! token — so synchronization structures remain usable from `main` and
+//! from tests.
 
 pub use sting_core::wait::{
     block_until, block_until_deadline, TimedOut, WaitList, Waiter, WakeReason,
