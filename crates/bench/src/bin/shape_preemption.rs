@@ -20,7 +20,7 @@ fn main() {
     let workers = 4;
     let rounds = 150;
     println!(
-        "E4 — preemption inside critical sections ({workers} workers × {rounds} rounds, 200µs tick)\n"
+        "E4 — preemption inside critical sections ({workers} workers × {rounds} rounds, 500 µs slices)\n"
     );
     for (name, shield) in [
         ("preemption enabled ", false),

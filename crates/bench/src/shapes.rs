@@ -378,14 +378,10 @@ pub fn steal_dispatches(threads: i64, yields: i64) -> f64 {
 
 // --- E4: preemption inside critical sections ---
 
-/// Builds the single-VP, fast-tick VM the preemption experiment uses.
+/// Builds the single-VP VM the preemption experiment uses; its threads
+/// keep the default quantum, one 500 µs slice.
 pub fn preemption_vm(trace: bool) -> Arc<Vm> {
-    VmBuilder::new()
-        .vps(1)
-        .processors(1)
-        .tick(Duration::from_micros(200))
-        .trace(trace)
-        .build()
+    VmBuilder::new().vps(1).processors(1).trace(trace).build()
 }
 
 /// Runs the lock-convoy workload; `shield` wraps the critical section in
@@ -400,8 +396,8 @@ pub fn preemption_run(vm: &Arc<Vm>, workers: usize, rounds: usize, shield: bool)
                 for _ in 0..rounds {
                     let mut section = || {
                         m.with(|| {
-                            // A critical section long enough that the 200µs
-                            // tick regularly expires inside it.
+                            // A critical section long enough that a 500 µs
+                            // slice regularly expires inside it.
                             for i in 0..40_000u64 {
                                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
                                 if i % 512 == 0 {

@@ -193,7 +193,7 @@ pub fn audit(events: &[TraceEvent], truncated: bool) -> AuditReport {
     for e in events {
         lane_clock[e.vp as usize] += 1;
         if e.thread == 0 {
-            continue; // Preempt ticks etc.: no thread involved.
+            continue; // Events that name no thread.
         }
         let st = threads.entry(e.thread).or_default();
         if st.clock.len() < lanes {

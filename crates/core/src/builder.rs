@@ -10,7 +10,6 @@ use crate::tc::{self, Cx};
 use crate::thread::Thread;
 use crate::vm::Vm;
 use std::sync::Arc;
-use std::time::Duration;
 use sting_value::Value;
 
 /// Configures and creates a [`Vm`].
@@ -32,7 +31,6 @@ pub struct VmBuilder {
     policy: Box<dyn FnMut(usize) -> Box<dyn PolicyManager>>,
     stack_size: usize,
     processors: Option<usize>,
-    tick: Duration,
     machine: Option<Arc<PhysicalMachine>>,
     trace: bool,
     trace_capacity: usize,
@@ -76,7 +74,7 @@ impl Default for VmBuilder {
 
 impl VmBuilder {
     /// Starts with defaults: one VP per available CPU, migrating FIFO
-    /// policy (fair, as the paper's defaults), 512 KiB stacks, 500 µs tick.
+    /// policy (fair, as the paper's defaults), 512 KiB stacks.
     pub fn new() -> VmBuilder {
         let cpus = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -87,7 +85,6 @@ impl VmBuilder {
             policy: Box::new(|_| policies::local_fifo().migrating(true).boxed()),
             stack_size: 512 * 1024,
             processors: None,
-            tick: Duration::from_micros(500),
             machine: None,
             trace: false,
             trace_capacity: crate::trace::DEFAULT_CAPACITY,
@@ -144,12 +141,6 @@ impl VmBuilder {
     /// creates its own [`PhysicalMachine`]; default: min(vps, CPUs).
     pub fn processors(mut self, processors: usize) -> VmBuilder {
         self.processors = Some(processors.max(1));
-        self
-    }
-
-    /// Preemption tick for a builder-created machine.
-    pub fn tick(mut self, tick: Duration) -> VmBuilder {
-        self.tick = tick;
         self
     }
 
@@ -227,7 +218,7 @@ impl VmBuilder {
             let cpus = std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1);
-            PhysicalMachine::with_tick(self.processors.unwrap_or(cpus.min(self.vps)), self.tick)
+            PhysicalMachine::new(self.processors.unwrap_or(cpus.min(self.vps)))
         });
         machine.attach(&vm);
         vm
@@ -312,9 +303,10 @@ impl ThreadBuilder {
         self
     }
 
-    /// Quantum in preemption ticks per slice.
-    pub fn quantum(mut self, ticks: u32) -> ThreadBuilder {
-        self.opts.quantum = ticks.max(1);
+    /// Quantum per slice, in units of [`QUANTUM`](crate::thread::QUANTUM)
+    /// (500 µs; minimum 1).
+    pub fn quantum(mut self, units: u32) -> ThreadBuilder {
+        self.opts.quantum = units.max(1);
         self
     }
 

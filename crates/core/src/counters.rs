@@ -7,7 +7,7 @@
 //!
 //! The counters are **sharded by lane**: one cache-line-padded
 //! `CounterShard` per virtual processor plus one for everything that
-//! happens off any VP (host forks, the timekeeper, the I/O driver).  An
+//! happens off any VP (host forks, host timer adds, the I/O driver).  An
 //! event is counted on the lane of the VP it happened on, so the
 //! fork/touch/determine path only ever writes a line its own VP owns, and
 //! [`Counters::snapshot`] sums the lanes.  Each lane is monotone and a

@@ -27,7 +27,7 @@
 //!   FIFO and LIFO policies keep everything in band 0 of the same
 //!   structure.
 //! * [`Injector`] — a Treiber-stack MPSC queue for *remote* submissions
-//!   (forks from host threads, cross-VP wake-ups, the timekeeper).  Any
+//!   (forks from host threads, cross-VP wake-ups, due timers).  Any
 //!   thread may [`push`](Injector::push); the owner periodically
 //!   [`drain`](Injector::drain)s it into the deque, which restores arrival
 //!   order and makes the items stealable.  [`Injector::push_batch`]

@@ -62,7 +62,6 @@ use crate::vm::Vm;
 use crate::vp::Vp;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 use sting_value::Value;
 
 mod mailbox {
@@ -691,7 +690,6 @@ pub struct FleetBuilder {
     vps_per_shard: usize,
     policy: Arc<dyn Fn(usize, usize) -> Box<dyn PolicyManager> + Send + Sync>,
     processors: Option<usize>,
-    tick: Duration,
     trace: bool,
     trace_capacity: Option<usize>,
     metrics: bool,
@@ -714,7 +712,7 @@ impl Default for FleetBuilder {
 
 impl FleetBuilder {
     /// Defaults: 2 shards × 1 VP, migrating FIFO policy on the lock-free
-    /// tier (cross-shard handoffs need a stealable queue), 500 µs tick.
+    /// tier (cross-shard handoffs need a stealable queue).
     pub fn new() -> FleetBuilder {
         FleetBuilder {
             name: "fleet".to_string(),
@@ -722,7 +720,6 @@ impl FleetBuilder {
             vps_per_shard: 1,
             policy: Arc::new(|_, _| policies::local_fifo().migrating(true).boxed()),
             processors: None,
-            tick: Duration::from_micros(500),
             trace: false,
             trace_capacity: None,
             metrics: true,
@@ -763,12 +760,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Preemption tick for the shared machine.
-    pub fn tick(mut self, tick: Duration) -> FleetBuilder {
-        self.tick = tick;
-        self
-    }
-
     /// Enables the flight recorder on every shard.
     pub fn trace(mut self, on: bool) -> FleetBuilder {
         self.trace = on;
@@ -794,10 +785,7 @@ impl FleetBuilder {
         let cpus = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        let machine = PhysicalMachine::with_tick(
-            self.processors.unwrap_or(cpus.min(total_vps)).max(1),
-            self.tick,
-        );
+        let machine = PhysicalMachine::new(self.processors.unwrap_or(cpus.min(total_vps)).max(1));
         // One thread-id source for the whole fleet: merged traces rely on
         // fleet-unique ids to never conflate threads from two shards.
         let tid_source = Arc::new(AtomicU64::new(1));

@@ -23,8 +23,8 @@
 //! * [`Vm`] — a set of VPs sharing counters, timers and a root
 //!   [`ThreadGroup`].
 //! * [`machine::PhysicalMachine`] — OS worker threads
-//!   multiplexing the VPs of one or more VMs, plus the preemption
-//!   timekeeper.
+//!   multiplexing the VPs of one or more VMs; nothing else, no clock
+//!   thread.
 //! * [`tc`] — the thread controller operations (`fork-thread`,
 //!   `thread-wait`, `yield-processor`, …) including [`tc::touch`] with the
 //!   paper's *thread stealing* optimization.
@@ -86,7 +86,7 @@ pub use pm::{BandMap, DequeCaps, EnqueueState, PolicyManager, QueueKind, RunItem
 pub use reactor::IoStats;
 pub use state::{StateRequest, ThreadState};
 pub use tc::Cx;
-pub use thread::{JoinNode, Thread, ThreadId, ThreadResult, Thunk, TryThunk};
+pub use thread::{JoinNode, Thread, ThreadId, ThreadResult, Thunk, TryThunk, QUANTUM};
 pub use timers::TimerId;
 pub use topology::Topology;
 pub use trace::{EventKind, TraceEvent, Tracer};

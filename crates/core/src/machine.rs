@@ -3,11 +3,10 @@
 //! "Virtual processors are multiplexed on physical processors in the same
 //! way that threads are multiplexed on virtual processors."  A
 //! [`PhysicalMachine`] owns `n` worker OS threads (the physical processors)
-//! plus a timekeeper that raises preemption flags and drains timers.
-//! Several virtual machines may be attached to one physical machine (they
-//! are held weakly — dropping a `Vm` detaches it); their VPs are numbered
-//! machine-wide in attach order, and slot `s` is driven by worker
-//! `s % workers`.  A machine with one VM therefore maps VP `i` to worker
+//! and no other thread: no clock ticks for it.  Several virtual machines
+//! may be attached to one physical machine (they are held weakly —
+//! dropping a `Vm` detaches it); their VPs are numbered machine-wide in
+//! attach order, and slot `s` is driven by worker `s % workers`.  A machine with one VM therefore maps VP `i` to worker
 //! `i % workers`, and a fleet of single-VP shards spreads over every worker
 //! instead of piling onto worker 0.  A VM keeps its slots while attached:
 //! a detached or dropped VM leaves a gap rather than renumbering the rest.
@@ -15,7 +14,8 @@
 //! ## Parking and waking
 //!
 //! A worker with nothing to run parks on its own `std::thread::park`, with
-//! no timeout and no shared lock.  One atomic word per machine
+//! no shared lock, until the earliest timer deadline of the VMs it drives
+//! (no timeout while none is pending).  One atomic word per machine
 //! (`IdleWorkers`) holds a mask of the parked workers and a count of the
 //! workers that were woken and are still looking for work (*searching*).
 //!
@@ -54,9 +54,17 @@
 //!   against publishing, and only the poller's blocking wait drains the
 //!   kick: a non-blocking look that drained it would strand the poller
 //!   the kick was for (both checked in `model_park.rs`).
+//! * **Timers.**  A pass fires the due timers of every attached VM
+//!   ([`crate::timers`]).  The second pass also reads, after the
+//!   announcement, the earliest deadline of the VMs the worker drives, and
+//!   the park ends there: a `park_timeout`, or the poller's `epoll_wait`
+//!   timeout rounded up to whole milliseconds.  A timer add that lowers a
+//!   VM's earliest deadline publishes it, fences and reads the idle word
+//!   like a signal, and claims one idle worker of the VM, so no deadline
+//!   is slept past (the pair is checked in `model_park.rs`).
 //!
-//! The timekeeper keeps raising preemption flags and firing due timers
-//! every tick, but no worker depends on it to find work.
+//! Preemption needs no clock thread either: a running thread's slice
+//! deadline is checked at its own checkpoints ([`crate::tc::checkpoint`]).
 
 use crate::counters::Counters;
 use crate::pad::CachePadded;
@@ -92,6 +100,11 @@ mod idle {
 
     const fn bit(worker: usize) -> u64 {
         1 << worker
+    }
+
+    /// The lowest bit of `mask`.
+    const fn first(mask: u64) -> u64 {
+        mask & mask.wrapping_neg()
     }
 
     /// A machine's idle-worker mask and searching count, in one word (see
@@ -145,13 +158,18 @@ mod idle {
         /// a worker is searching already.
         pub fn claim_one(&self, candidates: u64) -> u64 {
             self.claim(|cur| {
-                let idle = cur & candidates;
                 if cur >= SEARCHING {
                     0
                 } else {
-                    idle & idle.wrapping_neg()
+                    first(cur & candidates)
                 }
             })
+        }
+
+        /// Claims the first idle worker among `candidates`, searchers or
+        /// not: a searcher that drives other VMs would not take the work.
+        pub fn claim_first(&self, candidates: u64) -> u64 {
+            self.claim(|cur| first(cur & candidates))
         }
 
         /// Claims every idle worker.
@@ -250,7 +268,6 @@ struct MachineShared {
     /// Each worker's thread, registered by the worker before it first
     /// announces itself idle.
     workers: Box<[OnceLock<Thread>]>,
-    tick: Duration,
     /// The poller's mux, built when the first VM reactor on this machine
     /// starts.
     mux: OnceLock<sys::Result<Arc<PollerMux>>>,
@@ -376,6 +393,20 @@ impl Attachment {
         };
         link.shared.signal(link.base + vp, link.drivers, queued)
     }
+
+    /// Tells the attached machine, if any, that this VM's earliest timer
+    /// deadline was lowered: one idle worker of the VM is claimed, to park
+    /// again no later than the new deadline.
+    pub(crate) fn signal_deadline(&self) {
+        let link = self.signalled.load(Ordering::Acquire);
+        // SAFETY: as in `signal_work`.
+        if let Some(link) = unsafe { link.as_ref() } {
+            let shared = &link.shared;
+            if shared.idle.idle_after_publish() & link.drivers != 0 {
+                shared.unpark(shared.idle.claim_first(link.drivers));
+            }
+        }
+    }
 }
 
 impl MachineShared {
@@ -416,6 +447,12 @@ impl MachineShared {
 
     /// Wakes the workers a claim returned — kicking the poller, unparking
     /// the rest; `true` if there were any.
+    ///
+    /// An unpark is followed by a yield of the caller's OS thread: on a
+    /// busy box the woken worker is often queued behind the caller, and
+    /// would otherwise run only at the end of the caller's time slice —
+    /// after the caller has absorbed the work it was woken for and parked
+    /// itself, to be woken back in turn (E8, "No tick").
     fn unpark(&self, claimed: u64) -> bool {
         if claimed == 0 {
             return false;
@@ -430,6 +467,7 @@ impl MachineShared {
                 }
             } else if let Some(thread) = self.workers[w].get() {
                 thread.unpark();
+                std::thread::yield_now();
             }
             rest &= rest - 1;
         }
@@ -438,8 +476,16 @@ impl MachineShared {
 
     /// Runs every slice worker `index` drives, once; `true` if any ran a
     /// thread.  `searching`: the worker was claimed and has not yet found
-    /// work.
-    fn pass(&self, index: usize, vms: &mut Vec<(Arc<Vm>, usize)>, searching: &mut bool) -> bool {
+    /// work.  Fires every attached VM's due timers, and leaves in
+    /// `wake_at` the earliest deadline left among the VMs the worker
+    /// drives ([`crate::timers::nanos`]).
+    fn pass(
+        &self,
+        index: usize,
+        vms: &mut Vec<(Arc<Vm>, usize)>,
+        searching: &mut bool,
+        wake_at: &mut u64,
+    ) -> bool {
         let processors = self.workers.len();
         vms.extend(
             self.vms
@@ -448,6 +494,7 @@ impl MachineShared {
                 .filter_map(|a| Some((a.vm.upgrade()?, a.base))),
         );
         let mut did_work = false;
+        *wake_at = crate::timers::NONE;
         for (vm, base) in vms.iter() {
             if vm.is_stopped() {
                 continue;
@@ -457,8 +504,10 @@ impl MachineShared {
             // The VM's reactor is polled once a pass, before the first of
             // its VPs this worker drives, so what it wakes runs this pass.
             let mut polled = !vm.io_driver().is_live();
+            let mut drives = false;
             for (i, vp) in vm.vps().iter().enumerate() {
                 if (base + i) % processors == index && !vm.is_stopped() {
+                    drives = true;
                     if !std::mem::replace(&mut polled, true) {
                         vm.io_driver().poll();
                     }
@@ -468,6 +517,9 @@ impl MachineShared {
                 }
             }
             vm.active_slices.fetch_sub(1, Ordering::AcqRel);
+            if drives {
+                *wake_at = (*wake_at).min(vm.timers().earliest());
+            }
         }
         // Drop the strong refs before parking so a detached VM's teardown
         // is never pinned by an idle worker.
@@ -488,20 +540,22 @@ impl MachineShared {
     }
 
     /// Parks announced worker `index` until a signaller claims it, the
-    /// machine stops, or — if it takes the poller role — a reactor in the
-    /// mux has events, which it then polls.  `true` if it comes back a
-    /// searcher (claimed), `false` if it withdrew its announcement itself.
-    fn park(&self, index: usize, fired: &mut Vec<Arc<IoDriver>>) -> bool {
+    /// machine stops, timer deadline `wake_at` passes, or — if it takes the
+    /// poller role — a reactor in the mux has events, which it then polls.
+    /// `true` if it comes back a searcher (claimed), `false` if it withdrew
+    /// its announcement itself.
+    fn park(&self, index: usize, fired: &mut Vec<Arc<IoDriver>>, wake_at: u64) -> bool {
         if let Some(Ok(mux)) = self.mux.get() {
             if self.idle.become_poller(index) {
                 let mut searching = None;
                 while searching.is_none() {
+                    let left = crate::timers::until(wake_at);
                     if self.stop.load(Ordering::Acquire) || !self.idle.is_idle(index) {
                         searching = Some(true);
-                    } else if mux.wait(fired).is_err() {
-                        break;
-                    } else if !fired.is_empty() {
+                    } else if !fired.is_empty() || left == Some(Duration::ZERO) {
                         searching = Some(!self.idle.retract(index));
+                    } else if mux.wait(fired, left).is_err() {
+                        break;
                     }
                 }
                 self.idle.step_down();
@@ -514,7 +568,11 @@ impl MachineShared {
             }
         }
         while self.idle.is_idle(index) && !self.stop.load(Ordering::Acquire) {
-            std::thread::park();
+            match crate::timers::until(wake_at) {
+                None => std::thread::park(),
+                Some(Duration::ZERO) => return !self.idle.retract(index),
+                Some(left) => std::thread::park_timeout(left),
+            }
         }
         true
     }
@@ -524,7 +582,6 @@ impl std::fmt::Debug for PhysicalMachine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PhysicalMachine")
             .field("processors", &self.processors())
-            .field("tick", &self.shared.tick)
             .finish()
     }
 }
@@ -534,16 +591,10 @@ impl std::fmt::Debug for PhysicalMachine {
 const SLICE_BUDGET: usize = 16;
 
 impl PhysicalMachine {
-    /// Creates a machine with `processors` workers and the default 500 µs
-    /// preemption tick.
+    /// Creates a machine with `processors` workers.  A machine has at least
+    /// one worker and at most 56 (one bit each in its idle word); VPs
+    /// beyond that are multiplexed over the workers it has.
     pub fn new(processors: usize) -> Arc<PhysicalMachine> {
-        PhysicalMachine::with_tick(processors, Duration::from_micros(500))
-    }
-
-    /// Creates a machine with an explicit preemption `tick`.  A machine has
-    /// at least one worker and at most 56 (one bit each in its idle word);
-    /// VPs beyond that are multiplexed over the workers it has.
-    pub fn with_tick(processors: usize, tick: Duration) -> Arc<PhysicalMachine> {
         crate::tc::install_quiet_panic_hook();
         let processors = processors.clamp(1, MAX_WORKERS);
         let shared = Arc::new(MachineShared {
@@ -551,26 +602,17 @@ impl PhysicalMachine {
             stop: AtomicBool::new(false),
             idle: CachePadded(IdleWorkers::default()),
             workers: (0..processors).map(|_| OnceLock::new()).collect(),
-            tick,
             mux: OnceLock::new(),
         });
-        let mut workers = Vec::with_capacity(processors + 1);
-        for i in 0..processors {
-            let s = shared.clone();
-            workers.push(
+        let workers = (0..processors)
+            .map(|i| {
+                let s = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("sting-pp-{i}"))
                     .spawn(move || worker_loop(&s, i))
-                    .expect("spawn physical processor"),
-            );
-        }
-        let s = shared.clone();
-        workers.push(
-            std::thread::Builder::new()
-                .name("sting-timekeeper".to_string())
-                .spawn(move || timekeeper_loop(&s))
-                .expect("spawn timekeeper"),
-        );
+                    .expect("spawn physical processor")
+            })
+            .collect();
         Arc::new(PhysicalMachine {
             shared,
             workers: Mutex::new(workers),
@@ -625,8 +667,8 @@ impl PhysicalMachine {
         self.shared.stop.store(true, Ordering::Release);
         let me = std::thread::current().id();
         let mut workers = self.workers.lock();
-        // Unpark everyone, the timekeeper too: a thread between reading
-        // `stop` and parking keeps the token and returns from its park.
+        // Unpark every worker: one between reading `stop` and parking keeps
+        // the token and returns from its park.
         // The poller, if any, is kicked: a kick stays pending until drained.
         for w in workers.iter() {
             w.thread().unpark();
@@ -661,55 +703,24 @@ fn worker_loop(shared: &MachineShared, index: usize) {
     let mut fired = Vec::new();
     // Claimed by a signaller and not yet found work.
     let mut searching = false;
+    // The earliest timer deadline the last pass left.
+    let mut wake_at = crate::timers::NONE;
     while !shared.stop.load(Ordering::Acquire) {
-        if shared.pass(index, &mut vms, &mut searching) {
+        if shared.pass(index, &mut vms, &mut searching, &mut wake_at) {
             continue;
         }
         if std::mem::take(&mut searching) {
             shared.idle.end_search();
         }
         shared.idle.announce(index);
-        if shared.pass(index, &mut vms, &mut searching) {
+        // Read after the announcement, `wake_at` misses no lowered
+        // deadline whose add did not see this worker idle.
+        if shared.pass(index, &mut vms, &mut searching, &mut wake_at) {
             // Claimed while looking: a searcher, whose next dispatch ends
             // the search.
             searching = !shared.idle.retract(index);
         } else {
-            searching = shared.park(index, &mut fired);
-        }
-    }
-}
-
-fn timekeeper_loop(shared: &MachineShared) {
-    loop {
-        std::thread::park_timeout(shared.tick);
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        // Collected first: the list's lock is not held while timers fire.
-        let vms: Vec<Arc<Vm>> = shared
-            .vms
-            .read()
-            .iter()
-            .filter_map(|a| a.vm.upgrade())
-            .collect();
-        for vm in vms {
-            for vp in vm.vps() {
-                vp.preempt_flag().store(true, Ordering::Relaxed);
-                crate::trace_event!(
-                    vm.tracer(),
-                    Some(vp.index()),
-                    crate::trace::EventKind::Preempt,
-                    0
-                );
-            }
-            if vm.timers().has_pending()
-                && vm
-                    .timers()
-                    .next_deadline()
-                    .is_some_and(|d| d <= std::time::Instant::now())
-            {
-                vm.process_timers();
-            }
+            searching = shared.park(index, &mut fired, wake_at);
         }
     }
 }

@@ -51,7 +51,7 @@ use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use sting_value::Value;
 
 /// Readiness bit: the fd is readable (or its peer hung up).
@@ -793,12 +793,21 @@ impl PollerMux {
         let _ = sys::write(self.kick, &1u64.to_ne_bytes());
     }
 
-    /// The poller's wait: blocks until a member reactor has events or the
-    /// kick is written, drains the kick, and pushes the drivers whose
-    /// reactors have events onto `fired` (empty after a kick).
-    pub(crate) fn wait(&self, fired: &mut Vec<Arc<IoDriver>>) -> sys::Result<()> {
+    /// The poller's wait: blocks until a member reactor has events, the
+    /// kick is written or `timeout` (rounded up to whole milliseconds, so
+    /// never short of it) passes; drains the kick, and pushes the drivers
+    /// whose reactors have events onto `fired` (empty after a kick or a
+    /// timeout).
+    pub(crate) fn wait(
+        &self,
+        fired: &mut Vec<Arc<IoDriver>>,
+        timeout: Option<Duration>,
+    ) -> sys::Result<()> {
+        let ms = timeout.map_or(-1, |t| {
+            t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
+        });
         let mut buf = [sys::EpollEvent::zeroed(); 16];
-        let n = sys::epoll_wait(self.ep, &mut buf, -1)?;
+        let n = sys::epoll_wait(self.ep, &mut buf, ms)?;
         for ev in &buf[..n] {
             let token = ev.data;
             if token == WAKE_TOKEN {
@@ -1174,14 +1183,17 @@ mod tests {
         let mux = driver.mux.lock().clone().unwrap();
         let mut fired = Vec::new();
         // The eventfd registered writable, so the reactor has an event.
-        mux.wait(&mut fired).unwrap();
+        mux.wait(&mut fired, None).unwrap();
         assert_eq!(fired.len(), 1);
         assert!(Arc::ptr_eq(&fired[0], &driver));
         fired.clear();
         driver.poll();
         mux.kick();
-        mux.wait(&mut fired).unwrap();
+        mux.wait(&mut fired, None).unwrap();
         assert!(fired.is_empty(), "a kick fires no reactor");
+        let (t0, timeout) = (Instant::now(), Duration::from_micros(1_500));
+        mux.wait(&mut fired, Some(timeout)).unwrap();
+        assert!(fired.is_empty() && t0.elapsed() >= timeout, "rounded up");
         driver.stop();
         assert!(
             driver.mux.lock().is_none(),

@@ -282,13 +282,14 @@ impl Cx {
         });
     }
 
-    /// Sets the current thread's quantum in ticks and informs the policy
+    /// Sets the current thread's quantum, in units of
+    /// [`QUANTUM`](crate::thread::QUANTUM) (500 µs), and informs the policy
     /// manager (`pm-quantum`).
-    pub fn set_quantum(&self, ticks: u32) {
+    pub fn set_quantum(&self, units: u32) {
         tls::with(|cur| {
             let cur = cur.expect("Cx exists off-thread");
-            cur.shared.thread.set_quantum(ticks);
-            cur.vp.pm().set_quantum(cur.vp, ticks);
+            cur.shared.thread.set_quantum(units);
+            cur.vp.pm().set_quantum(cur.vp, units);
         });
     }
 }
@@ -471,7 +472,9 @@ pub(crate) fn apply_requests() {
 
 /// Preemption/request poll point.  No-op off-thread.  Long-running native
 /// code should call this periodically; the Scheme VM does it per bytecode
-/// window.
+/// window.  The thread is preempted once its slice deadline has passed
+/// (see [`Thread::quantum`]), unless preemption is disabled — then at the
+/// first checkpoint after it is enabled again.
 pub fn checkpoint() {
     if tls::with(|cur| cur.is_some_and(|c| c.vm.is_stopped())) {
         panic::panic_any(ExceptionPayload(Value::sym("vm-shutdown")));
@@ -481,22 +484,17 @@ pub fn checkpoint() {
     // the slot the moment this fiber yields.
     let preempt = tls::with(|cur| {
         let Some(cur) = cur else { return false };
-        let disabled = cur.shared.preempt_disabled.load(Ordering::Relaxed) > 0;
-        if cur.vp.preempt_flag().load(Ordering::Relaxed) {
-            if disabled {
-                // Remember it; honoured when preemption is re-enabled.
-                cur.shared.deferred_preempt.store(true, Ordering::Relaxed);
-                return false;
-            }
-            cur.vp.preempt_flag().store(false, Ordering::Relaxed);
-            let ticks = cur.shared.ticks_left.load(Ordering::Relaxed);
-            if ticks > 1 {
-                cur.shared.ticks_left.store(ticks - 1, Ordering::Relaxed);
-            }
-            ticks <= 1
-        } else {
-            !disabled && cur.shared.deferred_preempt.swap(false, Ordering::Relaxed)
+        let preempt =
+            cur.shared.slice_spent() && cur.shared.preempt_disabled.load(Ordering::Relaxed) == 0;
+        if preempt {
+            crate::trace_event!(
+                cur.vm.tracer(),
+                Some(cur.vp.index()),
+                crate::trace::EventKind::Preempt,
+                cur.shared.thread.id().0
+            );
         }
+        preempt
     });
     if preempt {
         switch_out(Disposition::Yielded { preempted: true });
@@ -634,7 +632,7 @@ pub fn wait_group<'a>(
         }
         // Park one wait episode.  Determinations wake us through the join
         // node (spurious from the episode's view), the deadline through
-        // the timer wheel or the OS park's timeout.
+        // the VM's timers or the OS park's timeout.
         let w = Waiter::current();
         if node.remaining() == 0 {
             // Completed between the check above and arming: the wake-up

@@ -28,6 +28,13 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 use sting_value::{static_sym, Value};
 
+/// The unit of a thread's [quantum](Thread::quantum): a thread with
+/// quantum `q` runs `q × QUANTUM` from its first checkpoint in a slice
+/// before a checkpoint preempts it.  A policy value, not a machine clock:
+/// nothing ticks, the running thread compares the clock against its slice
+/// deadline at its own checkpoints.
+pub const QUANTUM: Duration = Duration::from_micros(500);
+
 /// The code a thread runs: a nullary procedure over the thread context.
 pub type Thunk = Box<dyn FnOnce(&Cx) -> Value + Send + 'static>;
 
@@ -355,14 +362,17 @@ impl Thread {
         self.priority.store(priority, Ordering::Release);
     }
 
-    /// Quantum, in preemption ticks, granted per scheduling slice.
+    /// Quantum granted per scheduling slice, in units of [`QUANTUM`]
+    /// (500 µs).
     pub fn quantum(&self) -> u32 {
         self.quantum.load(Ordering::Acquire)
     }
 
-    /// Sets the per-slice quantum in preemption ticks (minimum 1).
-    pub fn set_quantum(&self, ticks: u32) {
-        self.quantum.store(ticks.max(1), Ordering::Release);
+    /// Sets the per-slice quantum, in units of [`QUANTUM`] (500 µs;
+    /// minimum 1): a checkpoint preempts the thread once `units` ×
+    /// 500 µs have passed since its first checkpoint in the slice.
+    pub fn set_quantum(&self, units: u32) {
+        self.quantum.store(units.max(1), Ordering::Release);
     }
 
     /// The thread group this thread belongs to.
@@ -488,7 +498,7 @@ impl Thread {
 
     /// Waits for this thread to determine, for at most `timeout`; `None`
     /// on timeout.  On a STING thread this parks only the green thread
-    /// (with the deadline routed through the timer wheel, see
+    /// (with the deadline routed through the VM's timers, see
     /// [`crate::tc::wait_timeout`]); on a plain OS thread it parks that
     /// thread.
     pub fn wait_timeout(self: &Arc<Thread>, timeout: Duration) -> Option<ThreadResult> {

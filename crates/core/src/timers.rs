@@ -1,33 +1,59 @@
-//! The virtual machine's timer wheel: wake-ups for `thread-suspend` with a
+//! The virtual machine's timers: wake-ups for `thread-suspend` with a
 //! quantum argument, [`Cx::sleep`](crate::tc::Cx::sleep), and the deadlines
 //! of timed blocking operations ([`Waiter::park_until`]).
 //!
-//! Precision is bounded by the machine's preemption tick — the timekeeper
-//! and the processor workers both drain due timers.
+//! No clock thread fires them.  The earliest deadline is kept in one word
+//! beside the ordered map of entries.  A machine worker's pass reads that
+//! word and fires what is due; a worker about to park reads it to sleep no
+//! later than the earliest deadline of the VMs it drives (`park_timeout`,
+//! or the poller's `epoll_wait` timeout).  An add that lowers the word
+//! wakes one idle worker of the VM the way a signal does — publish, fence,
+//! read the idle word — so a worker that announced itself idle either
+//! sizes its park by the new deadline or is woken
+//! (`crates/core/tests/model_park.rs` checks the pair).
 //!
 //! Every entry is **cancellable**: [`Timers::add`] and
 //! `Timers::add_wait_deadline` (crate-internal) return a [`TimerId`]
-//! which the sleeper
-//! cancels when it is woken early (terminate/unblock before the deadline),
-//! so tombstones neither fire spurious wake-ups nor pin their
-//! `Arc<Thread>` until the deadline.  Cancelled entries are dropped lazily
-//! at the heap head and compacted in bulk once they outnumber half the
-//! heap, keeping the heap within a constant factor of the live count.
+//! carrying the entry's key, which the sleeper cancels when it is woken
+//! early (terminate/unblock before the deadline); the entry leaves the map
+//! at once, so it neither fires a spurious wake-up nor pins its
+//! `Arc<Thread>` until the deadline.
 //!
 //! [`Waiter::park_until`]: crate::wait::Waiter::park_until
 
 use crate::thread::Thread;
+use crate::vm::Vm;
 use crate::wait::WaitNode;
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant};
 
-/// Handle for cancelling a pending timer entry.
+/// The earliest-deadline word while nothing is pending.
+pub(crate) const NONE: u64 = u64::MAX;
+
+/// `at` in nanoseconds on the substrate's clock, whose zero is its first
+/// reading in the process (earlier instants read 0).  Timer deadlines and
+/// slice deadlines are kept in this unit, so one atomic word holds each.
+pub(crate) fn nanos(at: Instant) -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let epoch = *EPOCH.get_or_init(Instant::now);
+    at.saturating_duration_since(epoch).as_nanos() as u64
+}
+
+/// The time left until `deadline` (a [`nanos`] reading); `None` for
+/// [`NONE`], zero once it has passed.
+pub(crate) fn until(deadline: u64) -> Option<Duration> {
+    (deadline != NONE).then(|| Duration::from_nanos(deadline.saturating_sub(nanos(Instant::now()))))
+}
+
+/// Handle for cancelling a pending timer entry: the entry's key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerId(u64);
+pub struct TimerId {
+    when: Instant,
+    seq: u64,
+}
 
 /// What a due timer entry asks the machine to do.
 pub(crate) enum Due {
@@ -45,83 +71,22 @@ pub(crate) enum Due {
     },
 }
 
-enum EntryKind {
-    Resume(Arc<Thread>),
-    WaitDeadline {
-        thread: Arc<Thread>,
-        node: Arc<WaitNode>,
-        gen: u64,
-    },
-}
-
-struct Entry {
-    when: Instant,
-    seq: u64,
-    kind: EntryKind,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Entry) -> bool {
-        self.when == other.when && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Entry) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Entry) -> std::cmp::Ordering {
-        (self.when, self.seq).cmp(&(other.when, other.seq))
-    }
-}
-
 #[derive(Default)]
 struct Inner {
-    heap: BinaryHeap<Reverse<Entry>>,
-    /// Seqs of entries still in the heap and not cancelled.
-    live: HashSet<u64>,
-    /// Seqs cancelled but still physically in the heap (tombstones).
-    cancelled: HashSet<u64>,
+    /// Pending entries by deadline; the sequence number breaks ties in
+    /// arrival order and is never reused.
+    map: BTreeMap<(Instant, u64), Due>,
     next_seq: u64,
 }
 
-impl Inner {
-    fn add(&mut self, when: Instant, kind: EntryKind) -> TimerId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.live.insert(seq);
-        self.heap.push(Reverse(Entry { when, seq, kind }));
-        TimerId(seq)
-    }
-
-    /// Rebuild the heap without tombstones once they dominate: keeps the
-    /// physical heap within ~2× the live count under churn (threshold 16
-    /// so small bursts never pay for a rebuild).
-    fn maybe_compact(&mut self) {
-        if self.cancelled.len() >= 16 && self.cancelled.len() * 2 >= self.heap.len() {
-            let drained = std::mem::take(&mut self.heap);
-            self.heap = drained
-                .into_iter()
-                .filter(|Reverse(e)| !self.cancelled.contains(&e.seq))
-                .collect();
-            self.cancelled.clear();
-        }
-    }
-}
-
-/// A min-heap of pending, cancellable thread wake-ups.
-#[derive(Default)]
+/// A VM's pending, cancellable thread wake-ups, in deadline order.
 pub struct Timers {
     inner: Mutex<Inner>,
-    /// Live entries, mirrored outside the lock so the per-slice
-    /// [`Timers::take_due`] poll can skip the mutex (and the caller can
-    /// skip reading the clock) on the common no-timers path — machines
-    /// sweep every attached VM's timers once per pass, so a fleet pays
-    /// this per shard.  Writes happen only while `inner` is held, so the
-    /// mirror never under-counts entries already in the heap.
-    pending: AtomicUsize,
+    /// The earliest pending deadline ([`nanos`]), or [`NONE`].  Written
+    /// only under `inner`; read without it by every pass and every park.
+    earliest: AtomicU64,
+    /// The VM whose idle worker an add that lowers `earliest` wakes.
+    vm: Weak<Vm>,
 }
 
 impl std::fmt::Debug for Timers {
@@ -131,24 +96,19 @@ impl std::fmt::Debug for Timers {
 }
 
 impl Timers {
-    /// Creates an empty timer wheel.
-    pub fn new() -> Timers {
-        Timers::default()
+    /// The timers of `vm` (of no VM, for `Weak::new()`).
+    pub(crate) fn for_vm(vm: Weak<Vm>) -> Timers {
+        Timers {
+            inner: Mutex::new(Inner::default()),
+            earliest: AtomicU64::new(NONE),
+            vm,
+        }
     }
 
     /// Schedules `thread` to be woken at `when`.  Cancel with the returned
     /// id if the thread is woken early.
     pub fn add(&self, when: Instant, thread: Arc<Thread>) -> TimerId {
-        let mut inner = self.inner.lock();
-        let id = inner.add(when, EntryKind::Resume(thread));
-        // Increment while still holding the lock: every decrement
-        // (`take_due`, `cancel`) runs under it, so `pending` can never
-        // under-count entries already in the heap — a late increment
-        // ordered after an early decrement would transiently wrap the
-        // counter and defeat the `has_pending` fast path.
-        self.pending.fetch_add(1, Ordering::Release);
-        drop(inner);
-        id
+        self.insert(when, Due::Resume(thread))
     }
 
     /// Schedules the deadline of a timed park: at `when`, episode `gen` of
@@ -161,11 +121,28 @@ impl Timers {
         node: Arc<WaitNode>,
         gen: u64,
     ) -> TimerId {
+        self.insert(when, Due::WaitDeadline { thread, node, gen })
+    }
+
+    fn insert(&self, when: Instant, due: Due) -> TimerId {
         let mut inner = self.inner.lock();
-        let id = inner.add(when, EntryKind::WaitDeadline { thread, node, gen });
-        // Under the lock for the same reason as `Timers::add`.
-        self.pending.fetch_add(1, Ordering::Release);
+        let id = TimerId {
+            when,
+            seq: inner.next_seq,
+        };
+        inner.next_seq += 1;
+        inner.map.insert((id.when, id.seq), due);
+        let at = nanos(when);
+        let lowered = at < self.earliest.load(Ordering::Relaxed);
+        if lowered {
+            self.earliest.store(at, Ordering::Release);
+        }
         drop(inner);
+        if lowered {
+            if let Some(vm) = self.vm.upgrade() {
+                vm.machine.signal_deadline();
+            }
+        }
         id
     }
 
@@ -174,81 +151,53 @@ impl Timers {
     /// stale id can never cancel someone else's entry.
     pub fn cancel(&self, id: TimerId) -> bool {
         let mut inner = self.inner.lock();
-        if !inner.live.remove(&id.0) {
-            return false;
-        }
-        inner.cancelled.insert(id.0);
-        inner.maybe_compact();
-        self.pending.fetch_sub(1, Ordering::Release);
-        true
+        let removed = inner.map.remove(&(id.when, id.seq)).is_some();
+        self.republish(&inner);
+        removed
     }
 
-    /// Removes and returns the actions for all live entries whose deadline
-    /// is at or before `now`.  Tombstones encountered on the way are
-    /// discarded silently.
+    /// Removes and returns the actions of every entry whose deadline is at
+    /// or before `now`.
     pub(crate) fn take_due(&self, now: Instant) -> Vec<Due> {
-        if !self.has_pending() {
-            return Vec::new();
-        }
         let mut inner = self.inner.lock();
         let mut due = Vec::new();
-        while let Some(Reverse(head)) = inner.heap.peek() {
-            if head.when > now {
+        while let Some(entry) = inner.map.first_entry() {
+            if entry.key().0 > now {
                 break;
             }
-            let entry = inner.heap.pop().expect("peeked").0;
-            if inner.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            inner.live.remove(&entry.seq);
-            self.pending.fetch_sub(1, Ordering::Release);
-            due.push(match entry.kind {
-                EntryKind::Resume(t) => Due::Resume(t),
-                EntryKind::WaitDeadline { thread, node, gen } => {
-                    Due::WaitDeadline { thread, node, gen }
-                }
-            });
+            due.push(entry.remove());
         }
+        self.republish(&inner);
         due
     }
 
-    /// The earliest pending live deadline, if any.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        let mut inner = self.inner.lock();
-        while let Some(Reverse(head)) = inner.heap.peek() {
-            if !inner.cancelled.contains(&head.seq) {
-                return Some(head.when);
-            }
-            let seq = head.seq;
-            inner.heap.pop();
-            inner.cancelled.remove(&seq);
+    /// Points `earliest` at the map's first entry, writing only on change
+    /// so the readers' line stays shared.  A raised word wakes nobody: a
+    /// worker that sized its park by the old one wakes early and re-parks.
+    fn republish(&self, inner: &Inner) {
+        let first = inner
+            .map
+            .keys()
+            .next()
+            .map_or(NONE, |&(when, _)| nanos(when));
+        if first != self.earliest.load(Ordering::Relaxed) {
+            self.earliest.store(first, Ordering::Release);
         }
-        None
     }
 
-    /// Whether any live wake-up is pending, without taking the lock.
-    ///
-    /// A concurrent `add` racing past the check is caught on the next
-    /// sweep — the slack is bounded by one preemption tick, which is
-    /// already the timer wheel's precision.
-    pub(crate) fn has_pending(&self) -> bool {
-        self.pending.load(Ordering::Acquire) != 0
+    /// The earliest pending deadline ([`nanos`]), or [`NONE`]; no lock.
+    pub(crate) fn earliest(&self) -> u64 {
+        self.earliest.load(Ordering::Acquire)
     }
 
-    /// Number of pending live wake-ups (cancelled tombstones excluded).
+    /// Number of pending wake-ups.
     pub fn len(&self) -> usize {
-        self.inner.lock().live.len()
+        self.inner.lock().map.len()
     }
 
-    /// Whether no live wake-ups are pending.
+    /// Whether no wake-ups are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The *physical* heap size, tombstones included — observability for
-    /// the compaction bound (and its regression test).
-    pub fn heap_len(&self) -> usize {
-        self.inner.lock().heap.len()
     }
 }
 
@@ -256,59 +205,57 @@ impl Timers {
 mod tests {
     use super::*;
     use crate::VmBuilder;
-    use std::time::Duration;
 
     #[test]
     fn cancel_removes_from_live_and_due() {
         let vm = VmBuilder::new().vps(1).build();
         let t = vm.delayed(|_| 0i64);
-        let timers = Timers::new();
+        let timers = Timers::for_vm(Weak::new());
         let far = Instant::now() + Duration::from_secs(3600);
         let id = timers.add(far, t.clone());
         assert_eq!(timers.len(), 1);
+        assert_eq!(timers.earliest(), nanos(far));
         assert!(timers.cancel(id));
         assert!(!timers.cancel(id), "double cancel reports already-gone");
         assert_eq!(timers.len(), 0);
-        assert!(timers.next_deadline().is_none());
+        assert_eq!(timers.earliest(), NONE);
         assert!(timers.take_due(far + Duration::from_secs(1)).is_empty());
-        let _ = sting_value::Value::Nil; // keep vm alive until here
         vm.shutdown();
     }
 
     #[test]
-    fn heap_stays_bounded_under_early_wake_churn() {
-        // A churn of sleepers that are all "woken early" (cancelled before
-        // their deadline) must not grow the physical heap without bound:
-        // compaction keeps it within a small constant of the live count.
+    fn early_wake_churn_leaves_nothing_behind() {
+        // A churn of sleepers all "woken early" (cancelled before their
+        // deadline): each cancel takes its entry out of the map at once.
         let vm = VmBuilder::new().vps(1).build();
         let t = vm.delayed(|_| 0i64);
-        let timers = Timers::new();
+        let timers = Timers::for_vm(Weak::new());
         let far = Instant::now() + Duration::from_secs(3600);
-        let mut max_heap = 0;
+        let keep = timers.add(far, t.clone());
         for _ in 0..10_000 {
             let id = timers.add(far, t.clone());
             assert!(timers.cancel(id));
-            max_heap = max_heap.max(timers.heap_len());
+            assert_eq!(timers.len(), 1);
         }
-        assert_eq!(timers.len(), 0);
-        assert!(
-            max_heap <= 64,
-            "tombstones must be compacted, heap peaked at {max_heap}"
-        );
+        assert!(timers.cancel(keep));
+        assert_eq!(timers.earliest(), NONE);
         vm.shutdown();
     }
 
     #[test]
-    fn next_deadline_skips_tombstones() {
+    fn earliest_follows_the_first_entry() {
         let vm = VmBuilder::new().vps(1).build();
         let t = vm.delayed(|_| 0i64);
-        let timers = Timers::new();
+        let timers = Timers::for_vm(Weak::new());
         let soon = Instant::now() + Duration::from_secs(10);
         let later = soon + Duration::from_secs(10);
-        let id = timers.add(soon, t.clone());
+        let first = timers.add(soon, t.clone());
+        let _tie = timers.add(soon, t.clone());
         let _keep = timers.add(later, t.clone());
-        timers.cancel(id);
-        assert_eq!(timers.next_deadline(), Some(later));
+        timers.cancel(first);
+        assert_eq!(timers.earliest(), nanos(soon), "the tie stays first");
+        assert_eq!(timers.take_due(soon).len(), 1);
+        assert_eq!(timers.earliest(), nanos(later));
         vm.shutdown();
     }
 }

@@ -57,7 +57,8 @@ pub enum EventKind {
     Suspend = 7,
     /// A suspended thread was resumed.
     Resume = 8,
-    /// The timekeeper raised the preemption flag on a VP.
+    /// A checkpoint preempted the running thread: its slice deadline had
+    /// passed.
     Preempt = 9,
     /// A thread migrated between VPs; payload `a` is the victim VP,
     /// `b` the thief VP.

@@ -1,6 +1,6 @@
 //! Virtual machines: a set of virtual processors closed over shared state.
 //!
-//! A [`Vm`] owns its VPs, a timer wheel, event counters and a root thread
+//! A [`Vm`] owns its VPs, its timers, event counters and a root thread
 //! group.  Multiple VMs can execute on one
 //! [`crate::machine::PhysicalMachine`] — the machine holds
 //! the VMs weakly and multiplexes their VPs over its worker OS threads.
@@ -187,7 +187,7 @@ impl Vm {
                         })
                     })
                     .collect(),
-                timers: CachePadded(Timers::new()),
+                timers: CachePadded(Timers::for_vm(weak.clone())),
                 next_fork_vp: CachePadded(AtomicUsize::new(0)),
                 active_slices: CachePadded(AtomicUsize::new(0)),
             }
@@ -235,7 +235,7 @@ impl Vm {
         &self.metrics
     }
 
-    /// The timer wheel (suspensions with a quantum, sleeps).
+    /// The timers (suspensions with a quantum, sleeps, timed waits).
     pub fn timers(&self) -> &Timers {
         &self.timers
     }
@@ -566,12 +566,12 @@ impl Vm {
     }
 
     /// Drains due timers, waking suspended threads and expiring timed
-    /// parks.  Called by machine workers and the timekeeper.
+    /// parks.  Called by machine workers, once a pass.
     pub(crate) fn process_timers(self: &Arc<Vm>) {
-        // Fast path: skip the clock read and the wheel lock when nothing is
-        // pending — workers sweep every attached VM each pass, so a fleet
-        // would otherwise pay both per shard per pass.
-        if !self.timers.has_pending() {
+        // Fast path: one load, no clock read while nothing is pending and
+        // no lock until something is due — workers sweep every attached VM
+        // each pass, so a fleet would otherwise pay both per shard per pass.
+        if crate::timers::until(self.timers.earliest()) != Some(std::time::Duration::ZERO) {
             return;
         }
         let due = self.timers.take_due(std::time::Instant::now());

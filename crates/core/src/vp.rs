@@ -62,7 +62,7 @@ const STACK_POOL_CAPACITY: usize = 64;
 ///
 /// The [`MultiDeque`] is owner-operated: only the worker driving this VP
 /// (the holder of `owner`) pushes and pops it.  Every other thread — host
-/// forks, cross-VP wake-ups, the timekeeper — submits through the
+/// forks, cross-VP wake-ups, due timers — submits through the
 /// [`Injector`]; the owner folds the injector into the deque at each
 /// dequeue, which restores arrival order within each band and makes the
 /// items stealable.  An item's band is computed exactly once, at
@@ -250,9 +250,6 @@ struct Owned {
     /// pointed at one VM; the guard downgrades that misconfiguration from
     /// a correctness hazard to a skipped slice.
     slice_owner: AtomicBool,
-    /// Set by the machine's timekeeper each preemption tick; polled by the
-    /// running thread at checkpoints.
-    preempt_flag: AtomicBool,
 }
 
 /// A first-class virtual processor.
@@ -293,7 +290,6 @@ impl Vp {
                 pm: Mutex::new(pm),
                 stack_pool: Mutex::new(StackPool::new(stack_size, STACK_POOL_CAPACITY)),
                 slice_owner: AtomicBool::new(false),
-                preempt_flag: AtomicBool::new(false),
             }),
         }
     }
@@ -313,11 +309,6 @@ impl Vp {
             Some(_) => self.index,
             None => self.pm().choose_vp(self),
         }
-    }
-
-    /// The preemption flag the timekeeper raises and checkpoints poll.
-    pub(crate) fn preempt_flag(&self) -> &AtomicBool {
-        &self.owned.preempt_flag
     }
 
     /// This VP's index within its virtual machine (VPs are enumerable, so
@@ -706,8 +697,7 @@ impl Vp {
         let shared = tcb.shared.clone();
         shared.vp_index.store(self.index, Ordering::Relaxed);
         shared.thread.home_vp.store(self.index, Ordering::Relaxed);
-        shared.reset_ticks();
-        self.owned.preempt_flag.store(false, Ordering::Relaxed);
+        shared.slice_end.store(0, Ordering::Relaxed);
         tls::set_thread(shared.clone());
         Counters::bump(&counters.context_switches);
         let outcome = tcb.fiber.resume(Wakeup::Run);

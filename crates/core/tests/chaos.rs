@@ -107,21 +107,14 @@ fn run_storm(vm: &Arc<Vm>, seed: u64, victims: usize, requests: usize) {
 
 #[test]
 fn request_storm_single_vp() {
-    let vm = VmBuilder::new()
-        .vps(1)
-        .tick(Duration::from_micros(200))
-        .build();
+    let vm = VmBuilder::new().vps(1).build();
     run_storm(&vm, 0xDEADBEEF, 6, 400);
     vm.shutdown();
 }
 
 #[test]
 fn request_storm_multi_vp() {
-    let vm = VmBuilder::new()
-        .vps(3)
-        .processors(2)
-        .tick(Duration::from_micros(200))
-        .build();
+    let vm = VmBuilder::new().vps(3).processors(2).build();
     run_storm(&vm, 0x12345678, 10, 600);
     vm.shutdown();
 }

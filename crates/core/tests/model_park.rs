@@ -2,7 +2,9 @@
 //! `sting_core::machine::IdleWorkers`, the one word per machine holding
 //! the idle-worker mask and the count of searching workers, and beside it
 //! the word naming the worker that holds the poller role (the idle worker
-//! blocked in the reactor mux, woken by a kick rather than an unpark).
+//! blocked in the reactor mux, woken by a kick rather than an unpark) —
+//! and of a timer add that lowers a VM's earliest deadline, which wakes an
+//! idle worker through the same word.
 //!
 //! Compiles only under `RUSTFLAGS="--cfg sting_check"` (`./ci.sh check`),
 //! which switches the word onto the sting-check shim atomics (and exports
@@ -17,7 +19,7 @@
 #![cfg(sting_check)]
 
 use std::sync::Arc;
-use sting_check::atomic::{fence, AtomicUsize, Ordering};
+use sting_check::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use sting_check::{model, model_expect_failure, thread};
 use sting_core::machine::IdleWorkers;
 
@@ -245,4 +247,62 @@ fn only_the_blocking_poller_consumes_a_kick() {
 fn a_non_blocking_look_that_drains_the_kick_loses_a_wake() {
     let report = model_expect_failure(|| poller_against_a_busy_sibling(true));
     assert!(report.contains("lost wake"), "unexpected report:\n{report}");
+}
+
+/// The earliest deadline a worker would sleep to before the add, and the
+/// one the add publishes.
+const LATE: u64 = 10_000;
+const SOON: u64 = 20;
+
+/// A timer add that lowers the earliest deadline, racing a worker going
+/// idle.  The add publishes the lower deadline (`Timers::insert`, a
+/// Release store under the timers' lock), then reads the idle word after
+/// its fence and claims an idle driver (`Attachment::signal_deadline`).
+/// The worker announces itself, then its second pass reads the deadline
+/// it will park to.  Parking to the old deadline unclaimed sleeps past the
+/// new one.  `read_first` is the mutation: the worker sizes its park
+/// before it announces.
+fn deadline_against_a_worker_going_idle(read_first: bool) {
+    let idle = Arc::new(IdleWorkers::default());
+    let earliest = Arc::new(AtomicU64::new(LATE));
+    let adder = {
+        let (idle, earliest) = (idle.clone(), earliest.clone());
+        thread::spawn(move || {
+            earliest.store(SOON, Ordering::Release);
+            idle.idle_after_publish() & 1 != 0 && idle.claim_first(1) != 0
+        })
+    };
+    let wake_at = if read_first {
+        let d = earliest.load(Ordering::Acquire);
+        idle.announce(0);
+        d
+    } else {
+        idle.announce(0);
+        earliest.load(Ordering::Acquire)
+    };
+    let claimed = adder.join();
+    assert!(
+        wake_at == SOON || claimed,
+        "lost deadline: the worker parks until {wake_at}, unclaimed"
+    );
+}
+
+/// Sizing the park after the announcement loses no deadline: either the
+/// worker reads the lowered deadline, or the add sees it idle and claims it.
+#[test]
+fn a_lowered_deadline_racing_a_worker_going_idle_is_not_lost() {
+    let explored = model(|| deadline_against_a_worker_going_idle(false));
+    assert!(explored.executions > 1);
+}
+
+/// Expect-failure mutation: a worker that reads the deadline before it
+/// announces can miss the add's publication while the add misses its
+/// announcement — the checker must report it.
+#[test]
+fn sizing_the_park_before_the_announcement_loses_a_deadline() {
+    let report = model_expect_failure(|| deadline_against_a_worker_going_idle(true));
+    assert!(
+        report.contains("lost deadline"),
+        "unexpected report:\n{report}"
+    );
 }

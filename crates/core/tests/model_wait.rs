@@ -64,7 +64,7 @@ fn claim_and_cancel_are_exclusive() {
     });
 }
 
-/// A waker's `claim` races the timer wheel's `timeout` on the same
+/// A waker's `claim` races the timers' `timeout` on the same
 /// generation: mutually exclusive, and the non-consuming
 /// `snapshot_reason` agrees with the consuming `finish`.
 #[test]

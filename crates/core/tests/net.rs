@@ -235,15 +235,11 @@ fn connection_per_thread_fleet_under_priorities() {
     finish(&vm);
 }
 
-/// A VM whose workers have nothing to fall back on: the tick is 2 s, so a
-/// wake-up that is lost (or left for the tick) shows as a stall of
-/// seconds, not microseconds.
-fn slow_tick_vm(vps: usize) -> Arc<Vm> {
-    VmBuilder::new()
-        .vps(vps)
-        .processors(vps)
-        .tick(Duration::from_secs(2))
-        .build()
+/// A VM whose workers have nothing to fall back on: no clock ticks, so
+/// a wake-up that is lost shows as a stall until the test gives up, not
+/// as microseconds.
+fn tickless_vm(vps: usize) -> Arc<Vm> {
+    VmBuilder::new().vps(vps).processors(vps).build()
 }
 
 fn median(mut samples: Vec<Duration>) -> Duration {
@@ -253,10 +249,10 @@ fn median(mut samples: Vec<Duration>) -> Duration {
 
 /// Every worker idle — one of them the poller, blocked in the machine's
 /// mux — and a STING reader parked on its socket: a write from a host
-/// thread reaches the reader through the mux, in well under the tick.
+/// thread reaches the reader through the mux, promptly.
 #[test]
 fn idle_poller_wakes_a_parked_reader_promptly() {
-    let vm = slow_tick_vm(2);
+    let vm = tickless_vm(2);
     let listener = TcpListener::bind(LOCALHOST, 0).unwrap();
     let port = listener.local_port().unwrap();
     let server = vm.fork(move |_cx| {
@@ -302,7 +298,6 @@ fn wake_to_the_pollers_vp_lands_while_a_sibling_busy_polls() {
     let vm = VmBuilder::new()
         .vps(2)
         .processors(2)
-        .tick(Duration::from_secs(2))
         .policy(|_| policies::local_fifo().boxed())
         .build();
     let spin = Arc::new(AtomicBool::new(true));
@@ -482,7 +477,6 @@ fn both_shards_of_a_fleet_accept_through_one_mux() {
         .shards(2)
         .vps_per_shard(1)
         .processors(2)
-        .tick(Duration::from_secs(2))
         .build();
     for round in 0..3 {
         // Each acceptor parks in its shard's reactor (the first round
@@ -514,4 +508,34 @@ fn both_shards_of_a_fleet_accept_through_one_mux() {
         }
     }
     fleet.shutdown();
+}
+
+/// No tick fires a read deadline: on a 1-VP VM whose reactor has started,
+/// the only worker blocks in the poller's `epoll_wait` while a read waits
+/// on a silent socket, and the wait's timeout ends it at the deadline.
+/// The bound tests that it fires at all, not its precision.
+#[test]
+fn read_deadline_times_out_while_the_only_worker_polls() {
+    let vm = VmBuilder::new().vps(1).processors(1).build();
+    let t = vm.fork(|_cx| {
+        let listener = TcpListener::bind(LOCALHOST, 0).unwrap();
+        let _client = TcpStream::connect(LOCALHOST, listener.local_port().unwrap()).unwrap();
+        let server = listener.accept().unwrap();
+        let mut buf = [0u8; 8];
+        let start = Instant::now();
+        let r = server.read_deadline(&mut buf, start + Duration::from_millis(30));
+        assert!(r.unwrap_err().is_timeout());
+        start.elapsed().as_micros() as i64
+    });
+    let waited = tc::wait_timeout(&t, Duration::from_secs(5)).expect("the read never timed out");
+    let waited = Duration::from_micros(waited.unwrap().as_int().unwrap() as u64);
+    assert!(
+        waited >= Duration::from_millis(30),
+        "timed out early: {waited:?}"
+    );
+    assert!(
+        waited < Duration::from_millis(500),
+        "timed out late: {waited:?}"
+    );
+    vm.shutdown();
 }

@@ -5,7 +5,7 @@
 //! scheduler events the run provoked.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use sting_core::tc::MAX_STEAL_DEPTH;
 use sting_core::trace::EventKind;
 use sting_core::{policies, Vm, VmBuilder};
@@ -76,7 +76,6 @@ fn four_vp_stealing_run_exports_valid_chrome_json() {
         .vps(4)
         .processors(4)
         .policy(|_| policies::local_lifo().migrating(true).boxed())
-        .tick(Duration::from_micros(200))
         .trace(true)
         .build();
     // Forked + delayed work across 4 VPs: dispatches, switches, steals.
@@ -101,8 +100,24 @@ fn four_vp_stealing_run_exports_valid_chrome_json() {
         })
         .unwrap();
     assert_eq!(total.as_int(), Some((0..256).sum::<i64>()));
-    // Let the timekeeper tick a few times so Preempt events are present.
-    std::thread::sleep(Duration::from_millis(5));
+    // Two checkpointing spinners on each VP, each spinning past its 500 µs
+    // slice, so a checkpoint preempts them; and every VP lane, not only
+    // those the stealing run reached, carries their dispatches.
+    let spinners: Vec<_> = (0..8)
+        .map(|i| {
+            vm.fork_on(i / 2, |cx| {
+                let start = Instant::now();
+                while start.elapsed() < Duration::from_millis(3) {
+                    cx.checkpoint();
+                }
+                0i64
+            })
+            .unwrap()
+        })
+        .collect();
+    for t in &spinners {
+        t.join_blocking().unwrap();
+    }
     let events = vm.tracer().snapshot();
     let json = vm.trace_export();
     vm.shutdown();
@@ -112,8 +127,10 @@ fn four_vp_stealing_run_exports_valid_chrome_json() {
         "delayed futures should be stolen"
     );
     assert!(
-        events.iter().any(|e| e.kind == EventKind::Preempt),
-        "timekeeper ticks should be recorded"
+        events
+            .iter()
+            .any(|e| e.kind == EventKind::Preempt && spinners.iter().any(|t| t.id().0 == e.thread)),
+        "a spinner's preemption should be recorded with its id"
     );
     assert!(
         events.iter().any(|e| e.kind == EventKind::Dispatch),

@@ -3,16 +3,12 @@
 //! spaces, speculative and barrier synchronization, preemption.
 
 use std::sync::Arc;
-use std::time::Duration;
 use sting_core::VmBuilder;
 use sting_scheme::{Interp, SchemeError};
 use sting_value::Value;
 
 fn interp(vps: usize) -> (Arc<sting_core::Vm>, Interp) {
-    let vm = VmBuilder::new()
-        .vps(vps)
-        .tick(Duration::from_micros(300))
-        .build();
+    let vm = VmBuilder::new().vps(vps).build();
     let i = Interp::new(vm.clone());
     (vm, i)
 }
@@ -397,8 +393,8 @@ fn barriers_align_phases() {
 #[test]
 fn preemption_interleaves_scheme_threads() {
     let (vm, i) = interp(1);
-    // Two non-yielding spinners on one VP; the checkpoint window plus the
-    // timekeeper preempt them.
+    // Two non-yielding spinners on one VP; the checkpoint every 256
+    // bytecodes preempts each once its 500 µs slice is spent.
     let v = ev(
         &i,
         r#"

@@ -161,10 +161,7 @@ fn barrier_phases_with_preemption_disabled() {
     // §4.2.2: fine-grained barrier phases benefit from disabling
     // preemption; here we just assert without_preemption preserves
     // correctness under barrier load.
-    let vm = VmBuilder::new()
-        .vps(1)
-        .tick(std::time::Duration::from_micros(200))
-        .build();
+    let vm = VmBuilder::new().vps(1).build();
     let barrier = Barrier::new(3);
     let ts: Vec<_> = (0..3)
         .map(|_| {
