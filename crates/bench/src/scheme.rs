@@ -1,4 +1,4 @@
-//! The `scheme` suite: what the Scheme machine's hot paths cost, and two
+//! The `scheme` suite: what the Scheme machine's hot paths cost, and four
 //! gates that count instead of timing.
 //!
 //! The timed rows run a counted loop with and without the thing being
@@ -122,12 +122,24 @@ fn prim_heap_probe(m: &mut Machine, _argc: usize) -> Result<Val, SchemeError> {
     Ok(Val::Int((words << 20) | m.heap.native_slots() as i64))
 }
 
-/// The two count gates.  Call before any other interpreter exists in the
+/// `(%export-allocations v)`: allocator calls made on this worker by
+/// converting `v` as a thread's result is converted on its way out.
+fn prim_export_allocations(m: &mut Machine, argc: usize) -> Result<Val, SchemeError> {
+    let v = m.arg(argc, 0);
+    let before = crate::allocations();
+    let out = m.to_value(v)?;
+    let made = crate::allocations() - before;
+    drop(out);
+    Ok(Val::Int(made as i64))
+}
+
+/// The four count gates.  Call before any other interpreter exists in the
 /// process: the probes are extension primitives, and an interpreter binds
 /// the extensions registered when it was made.
 pub fn gates() -> Vec<Check> {
     prims::register_extension("%allocations", 0, Some(0), prim_allocations);
     prims::register_extension("%heap-probe", 0, Some(0), prim_heap_probe);
+    prims::register_extension("%export-allocations", 1, Some(1), prim_export_allocations);
     let (vm, interp) = interp();
 
     // References in a straight line, so that nothing but references runs
@@ -196,6 +208,68 @@ pub fn gates() -> Vec<Check> {
             "{mallocs:?} Rust-heap allocations on the worker across 10 000 two-argument closure calls in a counted loop (gate: 0)"
         ),
     };
+    let captured = captured_refs_gate(&interp);
+    let returned = returned_list_gate(&interp);
     vm.shutdown();
-    vec![refs, calls]
+    vec![refs, calls, captured, returned]
+}
+
+/// A forked thread references a mutex and a fixnum its thunk captured,
+/// fifty thousand times each in a straight line, unpreempted: the
+/// references grow neither its native table nor the Rust heap.
+fn captured_refs_gate(interp: &Interp) -> Check {
+    const REFS: usize = 50_000;
+    let probes = interp
+        .eval(&format!(
+            "(let ((m (make-mutex)) (k 7))
+               (thread-wait
+                 (fork-thread
+                   (lambda ()
+                     (let ((refs-once (lambda () m k 0))
+                           (refs-many (lambda () {} 0)))
+                       (refs-once) (refs-many)
+                       (without-preemption
+                         (lambda ()
+                           (let* ((h0 (%heap-probe)) (a0 (%allocations)))
+                             (refs-many)
+                             (let* ((a1 (%allocations)) (h1 (%heap-probe)))
+                               (list (- a1 a0) h0 h1))))))))))",
+            "m k ".repeat(REFS)
+        ))
+        .expect("captured-reference probe");
+    let got: Vec<i64> = probes.list_iter().filter_map(Value::as_int).collect();
+    let (allocs, slots) = match got[..] {
+        [allocs, h0, h1] => (Some(allocs), Some((h1 & 0xF_FFFF) - (h0 & 0xF_FFFF))),
+        _ => (None, None),
+    };
+    Check {
+        name: "scheme:captured-ref-does-not-allocate".to_string(),
+        pass: allocs == Some(0) && slots == Some(0),
+        detail: format!(
+            "a forked thread making {} references to a captured mutex and a captured fixnum grew its native table by {slots:?} slots and made {allocs:?} Rust-heap allocations (gate: 0 and 0)",
+            2 * REFS
+        ),
+    }
+}
+
+/// A thread touches a 1 000-element list another thread returned, conses
+/// one cell onto it, and converts the result as its own return would: the
+/// conversion allocates a constant number of times, not once per cell.
+fn returned_list_gate(interp: &Interp) -> Check {
+    let made = interp
+        .eval(
+            "(let ((src (fork-thread (lambda () (iota 1000)))))
+               (thread-wait
+                 (fork-thread
+                   (lambda () (%export-allocations (cons 0 (touch src)))))))",
+        )
+        .expect("returned-list probe")
+        .as_int();
+    Check {
+        name: "scheme:returned-list-shares-its-tail".to_string(),
+        pass: made.is_some_and(|n| n <= 4),
+        detail: format!(
+            "converting a received 1 000-element list with one cell consed on made {made:?} Rust-heap allocations (gate: <= 4)"
+        ),
+    }
 }
