@@ -227,7 +227,7 @@ fn captured_refs_gate(interp: &Interp) -> Check {
                    (lambda ()
                      (let ((refs-once (lambda () m k 0))
                            (refs-many (lambda () {} 0)))
-                       (refs-once) (refs-many)
+                       (refs-once) (refs-many) (%allocations) (%heap-probe)
                        (without-preemption
                          (lambda ()
                            (let* ((h0 (%heap-probe)) (a0 (%allocations)))
