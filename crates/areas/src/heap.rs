@@ -16,12 +16,20 @@
 //! * an **entry table** ([`Heap::export`]) giving out stable indices for
 //!   objects referenced from *outside* the area — the inter-area reference
 //!   mechanism (Bishop's areas, the paper's reference [4]): external
-//!   holders keep an [`EntryId`]; collections update the table in place.
+//!   holders keep an [`EntryId`]; collections update the table in place;
+//! * **import records** ([`Heap::record_import`]): which objects are
+//!   still unchanged copies of a substrate value, so that a runtime
+//!   handing the object out again can hand out that value instead of
+//!   copying.  A record holds nothing in the heap alive; a collection
+//!   drops them all, and so does a store into any imported object (the
+//!   write barrier checks a header bit).
 //!
 //! Collection happens only inside [`Heap::alloc_raw`]-family calls, which
 //! take the mutator's roots as a [`RootSet`] callback.
 
 use crate::word::{Gc, Space, Val, Word};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use sting_value::Value;
 
 /// Scavenges an object survives before promotion to the old generation.
@@ -46,6 +54,10 @@ pub enum ObjKind {
     /// `Vector` so language runtimes can give frames special conversion
     /// semantics (shared mutable state across threads).
     Frame,
+    /// An environment frame no code assigns to: laid out as
+    /// [`ObjKind::Frame`], its slots written once, when it is made.  A
+    /// runtime may copy it where it would have to share a `Frame`.
+    FixedFrame,
 }
 
 impl ObjKind {
@@ -59,12 +71,21 @@ impl ObjKind {
             4 => ObjKind::Cell,
             5 => ObjKind::FloatBox,
             6 => ObjKind::Frame,
+            7 => ObjKind::FixedFrame,
             k => unreachable!("bad object kind {k}"),
         }
     }
 }
 
 const FORWARD_TAG: u64 = 0xFF;
+
+/// Header bit of an object an import allocated ([`Heap::mark_imported`]):
+/// a store into it drops every import record.  Bits 40..48 lie between the
+/// length and the age; a copying collection rebuilds the header without
+/// them, which is right, since it drops the records too.
+const IMPORTED: u64 = 1 << 40;
+/// Header bit of an object with an import record.
+const RECORDED: u64 = 1 << 41;
 
 #[inline]
 fn header(kind: ObjKind, len: usize, age: u8) -> u64 {
@@ -239,6 +260,35 @@ fn put_nursery(mut space: Vec<u64>) {
     });
 }
 
+/// Hashes an address with one multiplication.
+#[derive(Default)]
+struct AddressHasher(u64);
+
+impl Hasher for AddressHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// Native slots found by scanning the table, at most: a heap with more
+/// keeps them in a map by handle identity.
+const NATIVES_SCANNED: usize = 16;
+
+/// One slot of the native table.
+struct NativeSlot {
+    value: Option<Value>,
+    /// The key its interner gave it ([`Heap::native_key`]).
+    key: u32,
+}
+
 /// One thread's storage areas.  Not `Sync`: areas are thread-exclusive by
 /// design (that is the point).
 pub struct Heap {
@@ -246,8 +296,16 @@ pub struct Heap {
     old: Vec<u64>,
     /// Old-space slot indices that may hold young references.
     remembered: Vec<usize>,
-    natives: Vec<Option<Value>>,
+    natives: Vec<NativeSlot>,
+    /// The slot of each pinned native handle, by the handle's identity,
+    /// once the table is too long to scan: pinning one runtime object
+    /// again takes no new slot.
+    natives_by_id: Option<HashMap<usize, u32, BuildHasherDefault<AddressHasher>>>,
     native_free: Vec<u32>,
+    /// Import records: an object's word and the value it is still a copy
+    /// of, in allocation order (so sorted, as the nursery only grows
+    /// between the collections that clear them).
+    imports: Vec<(u64, Value)>,
     entries: Vec<Option<Word>>,
     entry_free: Vec<u32>,
     config: HeapConfig,
@@ -288,7 +346,9 @@ impl Heap {
             old: Vec::new(),
             remembered: Vec::new(),
             natives: Vec::new(),
+            natives_by_id: None,
             native_free: Vec::new(),
+            imports: Vec::new(),
             entries: Vec::new(),
             entry_free: Vec::new(),
             config,
@@ -530,10 +590,29 @@ impl Heap {
     /// Allocates the environment frame of a call, `[parent, args…]`,
     /// without collecting, so `args` may be the mutator's own operand
     /// stack.  The caller has reserved [`Heap::object_words`] of
-    /// `args.len() + 1` slots.
+    /// `args.len() + 1` slots.  A frame some code may assign to is an
+    /// [`ObjKind::Frame`]; any other is an [`ObjKind::FixedFrame`].
     #[inline]
-    pub fn make_frame_reserved(&mut self, parent: Val, args: &[Val]) -> Gc {
-        self.write_object(ObjKind::Frame, [&[parent], args])
+    pub fn make_frame_reserved(&mut self, assigned: bool, parent: Val, args: &[Val]) -> Gc {
+        let kind = if assigned {
+            ObjKind::Frame
+        } else {
+            ObjKind::FixedFrame
+        };
+        self.write_object(kind, [&[parent], args])
+    }
+
+    /// Allocates a cons cell without collecting: the caller has reserved
+    /// [`Heap::object_words`] of 2 slots.
+    #[inline]
+    pub fn cons_reserved(&mut self, car: Val, cdr: Val) -> Gc {
+        self.write_object(ObjKind::Pair, [&[car, cdr], &[]])
+    }
+
+    /// Allocates a vector of `items` without collecting: the caller has
+    /// reserved [`Heap::object_words`] of `items.len()` slots.
+    pub fn make_vector_reserved(&mut self, items: &[Val]) -> Gc {
+        self.write_object(ObjKind::Vector, [items, &[]])
     }
 
     /// Allocates a string.
@@ -560,19 +639,68 @@ impl Heap {
         self.alloc_raw(ObjKind::Cell, &mut payload, roots)
     }
 
-    /// Pins a substrate value and returns its native slot.
+    /// Pins a substrate value and returns its native slot.  A native
+    /// handle already pinned here gets the slot it has.
     pub fn intern_native(&mut self, v: Value) -> Val {
+        self.intern_native_keyed(v, 0)
+    }
+
+    /// [`Heap::intern_native`], giving a new slot `key` (see
+    /// [`Heap::native_key`]).
+    pub fn intern_native_keyed(&mut self, v: Value, key: u32) -> Val {
+        if let Some(slot) = self.native_slot_of(&v) {
+            return slot;
+        }
+        let id = v.as_native().map(|h| h.id());
+        let slot = NativeSlot {
+            value: Some(v),
+            key,
+        };
         let idx = match self.native_free.pop() {
             Some(i) => {
-                self.natives[i as usize] = Some(v);
+                self.natives[i as usize] = slot;
                 i
             }
             None => {
-                self.natives.push(Some(v));
+                self.natives.push(slot);
                 (self.natives.len() - 1) as u32
             }
         };
+        if self.natives_by_id.is_none() && self.natives.len() > NATIVES_SCANNED {
+            let by_id = self.natives.iter().enumerate().filter_map(|(i, s)| {
+                let id = s.value.as_ref()?.as_native()?.id();
+                Some((id, i as u32))
+            });
+            self.natives_by_id = Some(by_id.collect());
+        } else if let (Some(by_id), Some(id)) = (self.natives_by_id.as_mut(), id) {
+            by_id.insert(id, idx);
+        }
         Val::Native(idx)
+    }
+
+    /// The slot native handle `v` is pinned in, if it is: interning it
+    /// again would return this, without the caller cloning `v` first.
+    #[inline]
+    pub fn native_slot_of(&self, v: &Value) -> Option<Val> {
+        let id = v.as_native()?.id();
+        let idx = match &self.natives_by_id {
+            Some(by_id) => *by_id.get(&id)?,
+            None => self.natives.iter().position(|s| {
+                s.value
+                    .as_ref()
+                    .and_then(Value::as_native)
+                    .is_some_and(|h| h.id() == id)
+            })? as u32,
+        };
+        Some(Val::Native(idx))
+    }
+
+    /// The key slot `idx` was interned with: a number its interner chose,
+    /// read back without looking at the value (a runtime marks its
+    /// primitives this way, so a call recognises one without a type test).
+    #[inline]
+    pub fn native_key(&self, idx: u32) -> u32 {
+        self.natives[idx as usize].key
     }
 
     /// Reads a native slot.
@@ -584,6 +712,7 @@ impl Heap {
     #[inline]
     pub fn native(&self, idx: u32) -> &Value {
         self.natives[idx as usize]
+            .value
             .as_ref()
             .expect("native slot pruned while still referenced")
     }
@@ -622,6 +751,11 @@ impl Heap {
         debug_assert!(i < self.len(gc), "payload index out of range");
         let space = gc.space();
         let slot = gc.offset() + 1 + i;
+        // The import barrier: a store into an imported object may change
+        // any value an import record names.
+        if self.words(space)[gc.offset()] & IMPORTED != 0 {
+            self.imports.clear();
+        }
         self.words_mut(space)[slot] = w.0;
         // Write barrier: an old object now possibly references a young one.
         if space == Space::Old && Val::word_is_ref(w) {
@@ -694,6 +828,59 @@ impl Heap {
         self.field(clo, i + 1)
     }
 
+    // ------------------------------------------------------------------
+    // Import records
+    // ------------------------------------------------------------------
+
+    /// Collections so far: an import that began at one epoch may record
+    /// its result only if the epoch still stands ([`Heap::record_import`]).
+    #[inline]
+    pub fn import_epoch(&self) -> u64 {
+        self.stats.minor_collections + self.stats.major_collections
+    }
+
+    /// Marks `gc` as allocated by an import: a store into it will drop
+    /// every import record.
+    #[inline]
+    pub fn mark_imported(&mut self, gc: Gc) {
+        let off = gc.offset();
+        self.words_mut(gc.space())[off] |= IMPORTED;
+    }
+
+    /// Records that `gc` is a copy of `v`, so that [`Heap::imported_value`]
+    /// can give `v` back while the copy is unchanged.  The caller marked
+    /// every object the copy allocated ([`Heap::mark_imported`]) since
+    /// `epoch`; if a collection has run since then (the marks did not
+    /// survive it), nothing is recorded.
+    pub fn record_import(&mut self, epoch: u64, gc: Gc, v: Value) {
+        if epoch != self.import_epoch() {
+            return;
+        }
+        let off = gc.offset();
+        self.words_mut(gc.space())[off] |= RECORDED;
+        let key = gc.word().0;
+        match self.imports.binary_search_by_key(&key, |r| r.0) {
+            Ok(i) => self.imports[i].1 = v,
+            Err(i) => self.imports.insert(i, (key, v)),
+        }
+    }
+
+    /// The value `gc` was imported from, if `gc` is unchanged since.
+    #[inline]
+    pub fn imported_value(&self, gc: Gc) -> Option<&Value> {
+        if self.words(gc.space())[gc.offset()] & RECORDED == 0 {
+            return None;
+        }
+        let key = gc.word().0;
+        let i = self.imports.binary_search_by_key(&key, |r| r.0).ok()?;
+        Some(&self.imports[i].1)
+    }
+
+    /// Import records standing.
+    pub fn import_records(&self) -> usize {
+        self.imports.len()
+    }
+
     /// Extracts a string object.
     pub fn string_value(&self, s: Gc) -> String {
         debug_assert_eq!(self.kind(s), ObjKind::Str);
@@ -713,6 +900,7 @@ impl Heap {
     pub fn collect_minor(&mut self, roots: &mut dyn RootSet) {
         let pause_start = std::time::Instant::now();
         self.stats.minor_collections += 1;
+        self.imports.clear();
         // A heap that collects has outlived the small nursery it may have
         // started with: its to-space is full-sized.
         let mut to = pooled_nursery(self.config.young_words)
@@ -766,6 +954,7 @@ impl Heap {
     pub fn collect_major(&mut self, roots: &mut dyn RootSet) {
         let pause_start = std::time::Instant::now();
         self.stats.major_collections += 1;
+        self.imports.clear();
         let mut young = std::mem::take(&mut self.young);
         let mut from_old = std::mem::take(&mut self.old);
         let mut new_old: Vec<u64> = Vec::with_capacity(from_old.len());
@@ -819,10 +1008,18 @@ impl Heap {
         scan(&self.young, &mut live);
         self.native_free.clear();
         for (i, is_live) in live.iter().enumerate() {
-            if !is_live && self.natives[i].is_some() {
-                self.natives[i] = None;
+            if !is_live {
+                let slot = &mut self.natives[i];
+                if let (Some(by_id), Some(h)) = (
+                    self.natives_by_id.as_mut(),
+                    slot.value.as_ref().and_then(Value::as_native),
+                ) {
+                    by_id.remove(&h.id());
+                }
+                slot.value = None;
+                slot.key = 0;
             }
-            if self.natives[i].is_none() {
+            if self.natives[i].value.is_none() {
                 self.native_free.push(i as u32);
             }
         }

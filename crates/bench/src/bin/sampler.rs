@@ -9,6 +9,7 @@
 //! RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR=target/fp \
 //!     cargo build --release -p sting-bench --bin sampler
 //! ./target/fp/release/sampler [SHAPE] [--seconds S] [--hz HZ] [--top N]
+//!     [--programs DIR]
 //! ```
 //!
 //! Without the frame-pointer `RUSTFLAGS` the walk stops a frame or two up
@@ -30,6 +31,13 @@
 //!   threads each keeping a 64-byte echo in flight on 16 connections.  The
 //!   samples cover the whole process, so the loopback clients' own kernel
 //!   time is in the budget too.
+//! * `scheme-<program>` — the `scheme_mix` benchmark's op on one of its
+//!   programs (`fib`, `alloc-sort`, `sieve-futures`, `farm-ts`,
+//!   `mutex-counter`, `speculative-race`, read from `--programs`, default
+//!   `benchmark/programs`): a fresh `Interp` per op, two host threads
+//!   issuing ops on a 2-VP VM.
+//! * `scheme-mix` — the same with the six programs round-robin, as the
+//!   benchmark mixes them (EXPERIMENTS.md E10).
 //!
 //! Linux on x86-64 only (the interrupted registers are read from the
 //! signal's `ucontext`).
@@ -227,6 +235,7 @@ struct Args {
     seconds: f64,
     hz: i64,
     top: usize,
+    programs: String,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -235,6 +244,7 @@ fn parse_args() -> Result<Args, String> {
         seconds: 10.0,
         hz: 997,
         top: 25,
+        programs: "benchmark/programs".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -245,8 +255,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--hz" => args.hz = value("--hz")?.parse().map_err(|e| format!("{e}"))?,
             "--top" => args.top = value("--top")?.parse().map_err(|e| format!("{e}"))?,
+            "--programs" => args.programs = value("--programs")?,
             "--help" | "-h" => return Err(
-                "usage: sampler [eager-1vp|lazy-1vp|eager-2vp|echo] [--seconds S] [--hz HZ] [--top N]"
+                "usage: sampler [eager-1vp|lazy-1vp|eager-2vp|echo|scheme-<program>|scheme-mix] [--seconds S] [--hz HZ] [--top N] [--programs DIR]"
                     .to_string(),
             ),
             shape if !shape.starts_with('-') => args.shape = shape.to_string(),
@@ -265,6 +276,24 @@ const ECHO_IDLE: usize = 256;
 /// Bytes an echo carries.
 const ECHO_BYTES: usize = 64;
 
+/// The `scheme_mix` benchmark's programs, in its order.
+const SCHEME_PROGRAMS: [&str; 6] = [
+    "fib",
+    "alloc-sort",
+    "sieve-futures",
+    "farm-ts",
+    "mutex-counter",
+    "speculative-race",
+];
+/// Host threads issuing Scheme ops, as `scheme_mix` runs two.
+const SCHEME_CLIENTS: usize = 2;
+
+/// A Scheme program and the result it prints.
+struct SchemeProgram {
+    source: String,
+    expected: String,
+}
+
 /// What a shape runs, and on which machine.
 enum Shape {
     /// Fork trees, eager or lazy.
@@ -275,17 +304,51 @@ enum Shape {
         hot: Vec<Vec<std::net::TcpStream>>,
         idle: Vec<std::net::TcpStream>,
     },
+    /// Scheme ops, each program in turn; results that do not match are
+    /// counted.
+    Scheme {
+        vm: Arc<Vm>,
+        programs: Vec<SchemeProgram>,
+        wrong: Arc<AtomicUsize>,
+    },
 }
 
-fn shape(name: &str) -> Option<Shape> {
-    let tree = |vm, lazy| Some(Shape::Tree { vm, lazy });
+fn shape(name: &str, programs: &str) -> Result<Shape, String> {
+    let tree = |vm, lazy| Ok(Shape::Tree { vm, lazy });
     match name {
         "eager-1vp" => tree(shapes::fork_vm(1, false), false),
         "lazy-1vp" => tree(shapes::fork_vm(1, false), true),
         "eager-2vp" => tree(shapes::fork_vm(2, true), false),
-        "echo" => Some(echo_shape()),
-        _ => None,
+        "echo" => Ok(echo_shape()),
+        "scheme-mix" => scheme_shape(programs, &SCHEME_PROGRAMS),
+        other => match other.strip_prefix("scheme-") {
+            Some(p) if SCHEME_PROGRAMS.contains(&p) => scheme_shape(programs, &[p]),
+            _ => Err(format!("unknown shape `{other}` (try --help)")),
+        },
     }
+}
+
+/// Reads `names` from `dir` and makes the 2-VP VM they run on.
+fn scheme_shape(dir: &str, names: &[&str]) -> Result<Shape, String> {
+    let programs = names
+        .iter()
+        .map(|name| {
+            let read = |ext: &str| {
+                let path = format!("{dir}/{name}.{ext}");
+                std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))
+            };
+            Ok(SchemeProgram {
+                source: read("scm")?,
+                expected: read("expected")?.trim().to_string(),
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    let vm = VmBuilder::new().vps(2).name("scheme-sampler").build();
+    Ok(Shape::Scheme {
+        vm,
+        programs,
+        wrong: Arc::new(AtomicUsize::new(0)),
+    })
 }
 
 /// Serves each connection on a STING thread of a 2-VP VM and connects
@@ -349,7 +412,7 @@ fn echo_batch(conns: &mut [std::net::TcpStream]) -> u64 {
 impl Shape {
     fn vm(&self) -> &Arc<Vm> {
         match self {
-            Shape::Tree { vm, .. } | Shape::Echo { vm, .. } => vm,
+            Shape::Tree { vm, .. } | Shape::Echo { vm, .. } | Shape::Scheme { vm, .. } => vm,
         }
     }
 
@@ -381,6 +444,30 @@ impl Shape {
                     .collect();
                 clients.into_iter().map(|c| c.join().expect("client")).sum()
             }),
+            Shape::Scheme {
+                vm,
+                programs,
+                wrong,
+            } => std::thread::scope(|scope| {
+                let clients: Vec<_> = (0..SCHEME_CLIENTS)
+                    .map(|client| {
+                        let (vm, programs, wrong) = (&*vm, &*programs, &**wrong);
+                        scope.spawn(move || {
+                            let mut ops = 0;
+                            while start.elapsed() < time {
+                                let p = &programs[(client + ops) % programs.len()];
+                                let printed = Interp::new(vm.clone()).eval_to_string(&p.source);
+                                if !printed.is_ok_and(|out| out == p.expected) {
+                                    wrong.fetch_add(1, Ordering::Relaxed);
+                                }
+                                ops += 1;
+                            }
+                            ops as u64
+                        })
+                    })
+                    .collect();
+                clients.into_iter().map(|c| c.join().expect("client")).sum()
+            }),
         }
     }
 
@@ -388,7 +475,7 @@ impl Shape {
     /// EOF, and stops the machine.
     fn finish(self) {
         let vm = match self {
-            Shape::Tree { vm, .. } => vm,
+            Shape::Tree { vm, .. } | Shape::Scheme { vm, .. } => vm,
             Shape::Echo { vm, hot, idle } => {
                 drop((hot, idle));
                 std::thread::sleep(Duration::from_millis(100));
@@ -405,8 +492,14 @@ impl Shape {
 /// read or write counts as the reactor's when the reactor issued it (its
 /// kick).  The C library and the standard library carry no frame
 /// pointers, so a sample in them names no caller: those are the clients'
-/// socket calls and every futex.
+/// socket calls and every futex.  A Scheme sample under a value crossing
+/// a thread boundary (`sting_scheme::convert`) is the boundary's, whatever
+/// it called; otherwise primitives are `prims` and the bytecode machine
+/// with its heap is `interp`.
 fn layer_of(frames: &[&str]) -> &'static str {
+    if frames.iter().any(|f| f.contains("sting_scheme::convert")) {
+        return "boundary";
+    }
     for (i, f) in frames.iter().enumerate() {
         if f.contains("sting_core::sys::syscall") || f.contains("sting_core::sys::ret") {
             continue;
@@ -428,6 +521,10 @@ fn layer_of(frames: &[&str]) -> &'static str {
             ("sting_core::reactor", "reactor"),
             ("sting_core::net", "net"),
             ("sampler::echo", "client"),
+            ("sting_scheme::prims", "prims"),
+            ("sting_scheme::concurrency", "prims"),
+            ("sting_scheme", "interp"),
+            ("sting_areas", "interp"),
             ("sting_core::", "scheduler"),
             ("sting_context", "scheduler"),
         ]
@@ -560,9 +657,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let Some(mut shape) = shape(&args.shape) else {
-        eprintln!("unknown shape `{}` (try --help)", args.shape);
-        return ExitCode::from(2);
+    let mut shape = match shape(&args.shape, &args.programs) {
+        Ok(shape) => shape,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::from(2);
+        }
     };
     let Some((r, w)) = sys::make_pipe() else {
         eprintln!("sampler: pipe failed");
@@ -591,6 +691,10 @@ fn main() -> ExitCode {
     let allocs =
         (args.shape == "eager-1vp").then(|| shapes::tree_allocs_per_thread(shape.vm(), DEPTH));
     let echo = matches!(shape, Shape::Echo { .. });
+    let scheme_wrong = match &shape {
+        Shape::Scheme { wrong, .. } => Some(wrong.load(Ordering::Relaxed)),
+        _ => None,
+    };
     shape.finish();
 
     let taken = TAKEN.load(Ordering::Relaxed).min(SAMPLES);
@@ -631,7 +735,14 @@ fn main() -> ExitCode {
         }
     }
 
-    if echo {
+    if let Some(wrong) = scheme_wrong {
+        println!(
+            "shape {}: {ops} ops ({wrong} wrong), {threads} threads in {:.1} s — {:.0} µs per op (wall, sampled)",
+            args.shape,
+            wall.as_secs_f64(),
+            wall.as_secs_f64() * 1e6 * SCHEME_CLIENTS as f64 / ops.max(1) as f64
+        );
+    } else if echo {
         println!(
             "shape echo: {ops} echoes in {:.1} s — {:.0} ns per echo (wall, sampled)",
             wall.as_secs_f64(),

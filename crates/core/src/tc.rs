@@ -402,6 +402,13 @@ pub fn current_vm() -> Option<Arc<crate::vm::Vm>> {
     tls::with(|cur| cur.map(|c| c.vm.clone()))
 }
 
+/// Whether the calling thread is on a VM whose flight recorder is on: a
+/// caller that would name its thread, VP and VM in an event asks this
+/// before fetching them.
+pub fn tracing() -> bool {
+    tls::with(|cur| cur.is_some_and(|c| c.vm.tracer().is_enabled()))
+}
+
 /// The shard index of the VM driving the calling thread (`0` on a
 /// standalone VM), if on a thread.  See [`crate::fleet`].
 pub fn current_shard() -> Option<usize> {

@@ -62,6 +62,10 @@ pub struct CodeObject {
     pub arity: u8,
     /// Whether extra arguments are collected into a rest list.
     pub rest: bool,
+    /// Whether a `set!` (this body's or an inner lambda's) assigns a slot
+    /// of the frame a call of this code makes.  A frame nothing assigns is
+    /// made an [`ObjKind::FixedFrame`](sting_areas::ObjKind::FixedFrame).
+    pub assigns: bool,
     /// Diagnostic name.
     pub name: Option<Symbol>,
     /// Source position per instruction (parallel to `ops`; the span of the

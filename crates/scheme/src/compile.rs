@@ -7,10 +7,12 @@ use crate::expand::Core;
 use crate::sexp::{Sexp, Span};
 use sting_value::{Symbol, Value};
 
-/// Compile-time lexical environment: a stack of frames of variable names.
+/// Compile-time lexical environment: a stack of frames of variable names,
+/// each with whether any `set!` compiled so far assigns one of its slots.
 #[derive(Debug, Clone, Default)]
 struct CEnv {
     frames: Vec<Vec<Symbol>>,
+    assigned: Vec<bool>,
 }
 
 impl CEnv {
@@ -25,10 +27,20 @@ impl CEnv {
 
     fn push(&mut self, vars: Vec<Symbol>) {
         self.frames.push(vars);
+        self.assigned.push(false);
     }
 
-    fn pop(&mut self) {
+    /// Pops the innermost frame, saying whether any of its slots is
+    /// assigned.
+    fn pop(&mut self) -> bool {
         self.frames.pop();
+        self.assigned.pop().unwrap_or(false)
+    }
+
+    /// Notes a `set!` of the slot `depth` frames up.
+    fn assign(&mut self, depth: u16) {
+        let frame = self.assigned.len() - 1 - depth as usize;
+        self.assigned[frame] = true;
     }
 }
 
@@ -62,6 +74,7 @@ pub fn compile_top(core: &Core, program: &mut Program) -> Result<u32, SchemeErro
         ops,
         arity: 0,
         rest: false,
+        assigns: false,
         name: None,
         spans,
         span: Span::NONE,
@@ -104,7 +117,10 @@ impl Compiler<'_> {
             Core::Set(name, value) => {
                 self.expr(value, false)?;
                 match self.env.lookup(*name) {
-                    Some((depth, idx)) => self.emit(Op::SetLocal(depth, idx)),
+                    Some((depth, idx)) => {
+                        self.env.assign(depth);
+                        self.emit(Op::SetLocal(depth, idx));
+                    }
                     None => {
                         let slot = self.program.global_slot(*name);
                         self.emit(Op::SetGlobal(slot));
@@ -215,12 +231,13 @@ impl Compiler<'_> {
         let ops = std::mem::replace(&mut self.ops, saved_ops);
         let spans = std::mem::replace(&mut self.spans, saved_spans);
         self.cur_span = saved_cur;
-        self.env.pop();
+        let assigns = self.env.pop();
         result?;
         Ok(self.program.add_code(CodeObject {
             ops,
             arity,
             rest: rest.is_some(),
+            assigns,
             name,
             spans,
             span,
@@ -364,6 +381,31 @@ mod tests {
         let (p, _) = compile("(let ((a 1) (b 2)) b)");
         // The lambda body should reference Local(0,1) = b.
         assert!(p.codes.iter().any(|c| c.ops.contains(&Op::Local(0, 1))));
+    }
+
+    fn assigns(p: &Program, name: &str) -> bool {
+        p.codes
+            .iter()
+            .find(|c| c.name == Some(Symbol::intern(name)))
+            .unwrap()
+            .assigns
+    }
+
+    #[test]
+    fn a_frame_is_assigned_only_by_a_set_of_its_own_slots() {
+        let (p, _) = compile("(define (plain a) (lambda () a))");
+        assert!(!assigns(&p, "plain"));
+        let (p, _) = compile("(define (counter n) (lambda () (set! n (+ n 1)) n))");
+        assert!(assigns(&p, "counter"), "a set! from an inner lambda counts");
+        let (p, _) = compile("(define (outer a) (define (inner b) (set! b 1) b) (inner a))");
+        assert!(assigns(&p, "inner"));
+        assert!(!assigns(&p, "outer"), "the set! is of inner's own slot");
+        let (p, _) =
+            compile("(define (looping n) (let loop ((i 0)) (if (< i n) (loop (+ i 1)) i)))");
+        assert!(
+            !assigns(&p, "looping"),
+            "named let assigns a frame of its own"
+        );
     }
 
     #[test]

@@ -9,9 +9,9 @@ use crate::error::SchemeError;
 use crate::machine::{self, Machine};
 use crate::prims::{rerr, want_int, want_list, want_string, want_sym, Def};
 use parking_lot::Mutex as PlMutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use sting_areas::Val;
+use sting_areas::{ObjKind, Val};
 use sting_core::fleet::Fleet;
 use sting_core::net::{TcpListener, TcpStream, LOCALHOST};
 use sting_core::tc::{self, Cx};
@@ -37,29 +37,28 @@ fn want_thread(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Arc<Thre
     }
 }
 
-fn want_native<T: std::any::Any + Send + Sync>(
-    m: &Machine,
+/// Argument `i` as the runtime object it must be, borrowed from the
+/// native table: an `Arc` clone would bump a count that every thread using
+/// the object shares.  The argument pins the slot for the whole call, and
+/// a primitive that needs the machine back re-borrows the object after.
+fn want_native<'m, T: std::any::Any + Send + Sync>(
+    m: &'m Machine,
     argc: usize,
     i: usize,
     who: &str,
-) -> Result<Arc<T>, SchemeError> {
+) -> Result<&'m T, SchemeError> {
     match m.arg(argc, i) {
         Val::Native(slot) => m
             .heap
             .native(slot)
-            .native_as::<T>()
+            .native_ref::<T>()
             .ok_or_else(|| rerr(format!("{who}: wrong object type"))),
         _ => Err(rerr(format!("{who}: expected a runtime object"))),
     }
 }
 
 /// Converts the closure argument `i` into a portable thunk value.
-fn want_thunk_value(
-    m: &mut Machine,
-    argc: usize,
-    i: usize,
-    who: &str,
-) -> Result<Value, SchemeError> {
+fn want_thunk_value(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Value, SchemeError> {
     let v = m.arg(argc, i);
     let sv = m.to_value(v)?;
     let ok = sv
@@ -123,31 +122,48 @@ fn fork(m: &mut Machine, argc: usize, delayed: bool) -> Result<Val, SchemeError>
 
 /// Decodes a Scheme template list: the symbol `?` is a formal, anything
 /// else is a literal.
-fn want_template(
-    m: &mut Machine,
+fn want_template(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Template, SchemeError> {
+    static FORMAL: OnceLock<u32> = OnceLock::new();
+    let q = *FORMAL.get_or_init(|| Symbol::intern("?").index());
+    let fields: Vec<TemplateField> = map_list(m, argc, i, who, |m, item| match item {
+        Val::Sym(s) if s == q => Ok(formal()),
+        other => Ok(lit(m.to_value(other)?)),
+    })?;
+    Ok(Template::new(fields))
+}
+
+/// Maps `f` over the elements of proper-list argument `i`, read straight
+/// from the heap.
+fn map_list<T>(
+    m: &Machine,
     argc: usize,
     i: usize,
     who: &str,
-) -> Result<Template, SchemeError> {
-    let items = want_list(m, argc, i, who)?;
-    let q = Symbol::intern("?");
-    let mut fields: Vec<TemplateField> = Vec::with_capacity(items.len());
-    for &item in &items {
-        match item {
-            Val::Sym(s) if Symbol::from_index(s) == q => fields.push(formal()),
-            other => {
-                let v = m.to_value(other)?;
-                fields.push(lit(v));
+    mut f: impl FnMut(&Machine, Val) -> Result<T, SchemeError>,
+) -> Result<Vec<T>, SchemeError> {
+    let mut out = Vec::new();
+    let mut cur = m.arg(argc, i);
+    loop {
+        match cur {
+            Val::Nil => return Ok(out),
+            Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair => {
+                out.push(f(m, m.heap.car(gc))?);
+                cur = m.heap.cdr(gc);
             }
+            _ => return Err(rerr(format!("{who}: expected a proper list"))),
         }
     }
-    Ok(Template::new(fields))
 }
 
 /// Decodes an optional trailing milliseconds argument into a [`Duration`].
 fn want_ms(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Duration, SchemeError> {
     let ms = want_int(m, argc, i, who)?;
     Ok(Duration::from_millis(ms.max(0) as u64))
+}
+
+/// Reads a list argument into tuple fields.
+fn want_fields(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Vec<Value>, SchemeError> {
+    map_list(m, argc, i, who, |m, item| m.to_value(item))
 }
 
 fn bindings_to_val(m: &mut Machine, bindings: Vec<Value>) -> Val {
@@ -465,11 +481,12 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         Ok(Val::Unit)
     });
     def!("with-mutex", 2, Some(2), |m, a| {
-        let mx = want_native::<Mutex>(m, a, 0, "with-mutex")?;
         let thunk = m.arg(a, 1);
-        mx.acquire_manual();
+        want_native::<Mutex>(m, a, 0, "with-mutex")?.acquire_manual();
         let r = m.apply(thunk, &[]);
-        mx.release();
+        // `apply` leaves the operand stack as it found it: the mutex is
+        // still argument 0.
+        want_native::<Mutex>(m, a, 0, "with-mutex")?.release();
         r
     });
 
@@ -526,8 +543,7 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     });
     def!("channel-send", 2, Some(2), |m, a| {
         let ch = want_native::<Channel>(m, a, 0, "channel-send")?;
-        let v = m.arg(a, 1);
-        let sv = m.to_value(v)?;
+        let sv = m.to_value(m.arg(a, 1))?;
         ch.send(sv)
             .map_err(|e| rerr(format!("channel-send: {e}")))?;
         Ok(Val::Unit)
@@ -570,9 +586,7 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     });
     def!("stream-attach!", 2, Some(2), |m, a| {
         let s = want_native::<Stream>(m, a, 0, "stream-attach!")?;
-        let v = m.arg(a, 1);
-        let sv = m.to_value(v)?;
-        s.attach(sv);
+        s.attach(m.to_value(m.arg(a, 1))?);
         Ok(Val::Unit)
     });
     def!("stream-close!", 1, Some(1), |m, a| {
@@ -580,10 +594,10 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         Ok(Val::Unit)
     });
     def!("stream-cursor", 1, Some(1), |m, a| {
-        let s = want_native::<Stream>(m, a, 0, "stream-cursor")?;
+        let cursor = want_native::<Stream>(m, a, 0, "stream-cursor")?.cursor();
         Ok(m.native(Value::native(
             "stream-cursor",
-            Arc::new(CursorHandle(PlMutex::new(s.cursor()))),
+            Arc::new(CursorHandle(PlMutex::new(cursor))),
         )))
     });
     def!("cursor-hd", 1, Some(1), |m, a| {
@@ -595,8 +609,10 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         }
     });
     def!("cursor-rest", 1, Some(1), |m, a| {
-        let c = want_native::<CursorHandle>(m, a, 0, "cursor-rest")?;
-        let next = c.0.lock().rest();
+        let next = want_native::<CursorHandle>(m, a, 0, "cursor-rest")?
+            .0
+            .lock()
+            .rest();
         Ok(m.native(Value::native(
             "stream-cursor",
             Arc::new(CursorHandle(PlMutex::new(next))),
@@ -656,11 +672,7 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     });
     def!("ts-put", 2, Some(2), |m, a| {
         let ts = want_native::<TupleSpace>(m, a, 0, "ts-put")?;
-        let items = want_list(m, a, 1, "ts-put")?;
-        let mut fields = Vec::with_capacity(items.len());
-        for &it in &items {
-            fields.push(m.to_value(it)?);
-        }
+        let fields = want_fields(m, a, 1, "ts-put")?;
         ts.put(fields);
         Ok(Val::Unit)
     });
@@ -668,31 +680,31 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         // (ts-get ts tmpl [ms]): #f if nothing matched within `ms`.
         let ts = want_native::<TupleSpace>(m, a, 0, "ts-get")?;
         let t = want_template(m, a, 1, "ts-get")?;
-        if a > 2 {
+        let b = if a > 2 {
             let ms = want_ms(m, a, 2, "ts-get")?;
-            match ts.get_timeout(&t, ms) {
-                Some(b) => Ok(bindings_to_val(m, b)),
-                None => Ok(Val::Bool(false)),
-            }
+            ts.get_timeout(&t, ms)
         } else {
-            let b = ts.get(&t);
-            Ok(bindings_to_val(m, b))
-        }
+            Some(ts.get(&t))
+        };
+        Ok(match b {
+            Some(b) => bindings_to_val(m, b),
+            None => Val::Bool(false),
+        })
     });
     def!("ts-rd", 2, Some(3), |m, a| {
         // (ts-rd ts tmpl [ms]): #f if nothing matched within `ms`.
         let ts = want_native::<TupleSpace>(m, a, 0, "ts-rd")?;
         let t = want_template(m, a, 1, "ts-rd")?;
-        if a > 2 {
+        let b = if a > 2 {
             let ms = want_ms(m, a, 2, "ts-rd")?;
-            match ts.rd_timeout(&t, ms) {
-                Some(b) => Ok(bindings_to_val(m, b)),
-                None => Ok(Val::Bool(false)),
-            }
+            ts.rd_timeout(&t, ms)
         } else {
-            let b = ts.rd(&t);
-            Ok(bindings_to_val(m, b))
-        }
+            Some(ts.rd(&t))
+        };
+        Ok(match b {
+            Some(b) => bindings_to_val(m, b),
+            None => Val::Bool(false),
+        })
     });
     def!("ts-try-get", 2, Some(2), |m, a| {
         let ts = want_native::<TupleSpace>(m, a, 0, "ts-try-get")?;
@@ -716,8 +728,7 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         let thunks = want_list(m, a, 1, "ts-spawn")?;
         let cx = cx()?;
         let mut fields = Vec::with_capacity(thunks.len());
-        for (i, &th) in thunks.iter().enumerate() {
-            let _ = i;
+        for &th in &thunks {
             let sv = m.to_value(th)?;
             let t = machine::fork_thunk_value(
                 &cx,
@@ -777,16 +788,12 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     });
     def!("fleet-ts", 1, Some(1), |m, a| {
         // (fleet-ts fleet): a tuple space partitioned across the shards.
-        let fleet = want_native::<Fleet>(m, a, 0, "fleet-ts")?;
-        Ok(m.native(ShardedSpace::new(&fleet).to_value()))
+        let space = ShardedSpace::new(want_native::<Fleet>(m, a, 0, "fleet-ts")?);
+        Ok(m.native(space.to_value()))
     });
     def!("fleet-ts-put", 2, Some(2), |m, a| {
         let ts = want_native::<ShardedSpace>(m, a, 0, "fleet-ts-put")?;
-        let items = want_list(m, a, 1, "fleet-ts-put")?;
-        let mut fields = Vec::with_capacity(items.len());
-        for &it in &items {
-            fields.push(m.to_value(it)?);
-        }
+        let fields = want_fields(m, a, 1, "fleet-ts-put")?;
         ts.put(fields);
         Ok(Val::Unit)
     });
@@ -794,31 +801,31 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         // (fleet-ts-get sts tmpl [ms]): #f if nothing matched within `ms`.
         let ts = want_native::<ShardedSpace>(m, a, 0, "fleet-ts-get")?;
         let t = want_template(m, a, 1, "fleet-ts-get")?;
-        if a > 2 {
+        let b = if a > 2 {
             let ms = want_ms(m, a, 2, "fleet-ts-get")?;
-            match ts.get_timeout(&t, ms) {
-                Some(b) => Ok(bindings_to_val(m, b)),
-                None => Ok(Val::Bool(false)),
-            }
+            ts.get_timeout(&t, ms)
         } else {
-            let b = ts.get(&t);
-            Ok(bindings_to_val(m, b))
-        }
+            Some(ts.get(&t))
+        };
+        Ok(match b {
+            Some(b) => bindings_to_val(m, b),
+            None => Val::Bool(false),
+        })
     });
     def!("fleet-ts-rd", 2, Some(3), |m, a| {
         // (fleet-ts-rd sts tmpl [ms]): #f if nothing matched within `ms`.
         let ts = want_native::<ShardedSpace>(m, a, 0, "fleet-ts-rd")?;
         let t = want_template(m, a, 1, "fleet-ts-rd")?;
-        if a > 2 {
+        let b = if a > 2 {
             let ms = want_ms(m, a, 2, "fleet-ts-rd")?;
-            match ts.rd_timeout(&t, ms) {
-                Some(b) => Ok(bindings_to_val(m, b)),
-                None => Ok(Val::Bool(false)),
-            }
+            ts.rd_timeout(&t, ms)
         } else {
-            let b = ts.rd(&t);
-            Ok(bindings_to_val(m, b))
-        }
+            Some(ts.rd(&t))
+        };
+        Ok(match b {
+            Some(b) => bindings_to_val(m, b),
+            None => Val::Bool(false),
+        })
     });
     def!("fleet-ts-try-get", 2, Some(2), |m, a| {
         let ts = want_native::<ShardedSpace>(m, a, 0, "fleet-ts-try-get")?;
@@ -839,8 +846,7 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     def!("fleet-audit", 1, Some(1), |m, a| {
         // The fleet-wide merged replay through the invariant linter,
         // rendered as a string (shards' rings merge on the Lamport clock).
-        let fleet = want_native::<Fleet>(m, a, 0, "fleet-audit")?;
-        let report = fleet.trace_audit();
+        let report = want_native::<Fleet>(m, a, 0, "fleet-audit")?.trace_audit();
         Ok(m.string(&report.to_string()))
     });
     def!("fleet-handoffs", 1, Some(1), |m, a| {
@@ -877,10 +883,10 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         }
     });
     def!("fluid-set!", 2, Some(2), |m, a| {
-        let f = want_native::<Fluid>(m, a, 0, "fluid-set!")?;
+        let id = want_native::<Fluid>(m, a, 0, "fluid-set!")?.id;
         let v = m.arg(a, 1);
         let sv = m.to_value(v)?;
-        m.fluids.insert(f.id, sv);
+        m.fluids.insert(id, sv);
         Ok(Val::Unit)
     });
 

@@ -3,16 +3,35 @@
 //! Values cross thread boundaries (thread results, tuple fields, global
 //! bindings) as immutable substrate [`Value`]s — the copy-on-share
 //! discipline that keeps each thread's areas independently collectable
-//! (see DESIGN.md).  Closures convert structurally: code id plus the
-//! converted environment chain.  List spines convert iteratively, so long
-//! lists do not consume Rust stack.
+//! (see DESIGN.md).  Each crossing pays once:
+//!
+//! * **Import** ([`value_to_heap`]) copies a value into the heap by bump
+//!   allocation, walking it by reference.  The pairs and vectors it makes
+//!   are marked, and the copy is recorded as a copy of the value
+//!   ([`Heap::record_import`]).
+//! * **Export** ([`heap_to_value`]) copies out of the heap, except that an
+//!   object whose import record stands is handed out as the value it was
+//!   copied from: a list a thread received and returns with one cell
+//!   consed on costs one cell, not the list.  A store into any imported
+//!   object, or a collection, drops the records, so a changed copy is
+//!   copied out as it is now.
+//! * Closures convert structurally: code id plus the environment chain.
+//!   A frame no code assigns to ([`ObjKind::FixedFrame`]) exports as a
+//!   `Value::Vector` `[parent, v0, …]` — in a closure's environment, a
+//!   vector is such a frame — and imports as a heap frame again, once per
+//!   import however many closures share it.  A frame with an assigned
+//!   slot exports as a [`SharedFrame`], one per export, that every thread
+//!   running a closure over it reads and writes through.
+//!
+//! List spines convert iteratively, so long lists do not consume Rust
+//! stack.
 
 use crate::error::SchemeError;
 use crate::machine::Machine;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
-use sting_areas::{ObjKind, Val};
+use sting_areas::{EntryId, Gc, Heap, ObjKind, Val};
 use sting_value::{Symbol, Value};
 
 /// A closure lifted out of a heap: code id + converted environment.
@@ -20,8 +39,9 @@ use sting_value::{Symbol, Value};
 pub struct ClosureValue {
     /// Code object index in the program snapshot.
     pub code: u32,
-    /// Converted environment chain (`Value::Nil` or an [`FRAME_TAG`] native
-    /// holding a [`SharedFrame`]).
+    /// Converted environment chain: `Value::Nil`, a `Value::Vector`
+    /// `[parent, v0, …]` for a frame no code assigns to, or an
+    /// [`FRAME_TAG`] native holding a [`SharedFrame`].
     pub env: Value,
 }
 
@@ -31,18 +51,22 @@ pub const CLOSURE_TAG: &str = "scheme-closure";
 /// Tag used for shared environment frames.
 pub const FRAME_TAG: &str = "env-frame";
 
-/// An environment frame lifted out of a heap and *shared*: every closure
-/// converted from the same frame (in one conversion pass) references the
-/// same slots, and mutation through any copy is visible to all — this is
-/// what makes top-level closures with captured state (`make-counter`)
-/// behave like the paper's shared-heap Scheme.
+/// An environment frame with an assigned slot, lifted out of a heap and
+/// *shared*: every closure converted from the same frame (in one
+/// conversion pass) references the same slots, and mutation through any
+/// copy is visible to all — this is what makes top-level closures with
+/// captured state (`make-counter`) behave like the paper's shared-heap
+/// Scheme.
 #[derive(Debug)]
 pub struct SharedFrame {
-    /// Parent frame (`Value::Nil` or another `env-frame` native).
+    /// Parent frame, converted as [`ClosureValue::env`] is.
     pub parent: Value,
     /// The frame's variable slots.
     pub slots: RwLock<Vec<Value>>,
 }
+
+/// Cells an import makes per nursery reservation.
+const CELLS_PER_RESERVE: usize = 256;
 
 /// Converts a heap value to a substrate value.
 ///
@@ -50,134 +74,228 @@ pub struct SharedFrame {
 ///
 /// Raises on cyclic data (the immutable substrate representation cannot
 /// express cycles).
-pub fn heap_to_value(m: &mut Machine, v: Val) -> Result<Value, SchemeError> {
+pub fn heap_to_value(heap: &Heap, v: Val) -> Result<Value, SchemeError> {
     let mut path: Vec<u64> = Vec::new();
     let mut frames: HashMap<u64, Value> = HashMap::new();
-    go_out(m, v, &mut path, &mut frames)
+    go_out(heap, v, &mut path, &mut frames)
 }
 
 fn cyclic() -> SchemeError {
     SchemeError::runtime("cannot transfer cyclic data between threads")
 }
 
+/// Converts `v`.  `path` holds the objects whose parts are being converted
+/// (a list's cells only while their car is); `frames` the frames converted
+/// so far, by heap word.
 fn go_out(
-    m: &mut Machine,
+    heap: &Heap,
     v: Val,
     path: &mut Vec<u64>,
     frames: &mut HashMap<u64, Value>,
 ) -> Result<Value, SchemeError> {
-    Ok(match v {
-        Val::Int(i) => Value::Int(i),
-        Val::Float(f) => Value::Float(f),
-        Val::Bool(b) => Value::Bool(b),
-        Val::Char(c) => Value::Char(c),
-        Val::Sym(s) => Value::Sym(Symbol::from_index(s)),
-        Val::Nil => Value::Nil,
-        Val::Unit | Val::Undef | Val::Eof => Value::Unit,
-        Val::Native(slot) => m.heap.native(slot).clone(),
-        Val::Obj(gc) => {
-            let key = gc.word().0;
-            // Frames are memoized (and may legitimately be self-referential
-            // through closures in their slots): check the memo before the
-            // cycle detector.
-            if let Some(v) = frames.get(&key) {
-                return Ok(v.clone());
+    let gc = match v {
+        Val::Int(i) => return Ok(Value::Int(i)),
+        Val::Float(f) => return Ok(Value::Float(f)),
+        Val::Bool(b) => return Ok(Value::Bool(b)),
+        Val::Char(c) => return Ok(Value::Char(c)),
+        Val::Sym(s) => return Ok(Value::Sym(Symbol::from_index(s))),
+        Val::Nil => return Ok(Value::Nil),
+        Val::Unit | Val::Undef | Val::Eof => return Ok(Value::Unit),
+        Val::Native(slot) => return Ok(heap.native(slot).clone()),
+        Val::Obj(gc) => gc,
+    };
+    if let Some(v) = heap.imported_value(gc) {
+        return Ok(v.clone());
+    }
+    let key = gc.word().0;
+    // Frames are memoized (and may legitimately be self-referential
+    // through closures in their slots): check the memo before the cycle
+    // detector.
+    if let Some(v) = frames.get(&key) {
+        return Ok(v.clone());
+    }
+    let kind = heap.kind(gc);
+    if path.contains(&key) {
+        // A fixed frame reached from inside its own slots (a vector in one
+        // holds a closure over it) crosses as a shared frame, which can.
+        return match kind {
+            ObjKind::FixedFrame => shared_frame(heap, gc, path, frames),
+            _ => Err(cyclic()),
+        };
+    }
+    if kind == ObjKind::Pair {
+        return list_out(heap, gc, path, frames);
+    }
+    path.push(key);
+    let out = match kind {
+        ObjKind::Pair => unreachable!("lists convert in list_out"),
+        ObjKind::Vector => {
+            let len = heap.len(gc);
+            let mut items = Vec::with_capacity(len);
+            for i in 0..len {
+                items.push(go_out(heap, heap.field(gc, i), path, frames)?);
             }
+            Value::Vector(items.into())
+        }
+        ObjKind::Str => Value::from(heap.string_value(gc)),
+        ObjKind::Cell => go_out(heap, heap.field(gc, 0), path, frames)?,
+        ObjKind::FloatBox => match heap.field(gc, 0) {
+            Val::Float(f) => Value::Float(f),
+            _ => Value::Float(0.0),
+        },
+        ObjKind::Closure => {
+            let code = heap.closure_code(gc);
+            let env = go_out(heap, heap.closure_capture(gc, 0), path, frames)?;
+            Value::native(CLOSURE_TAG, Arc::new(ClosureValue { code, env }))
+        }
+        ObjKind::Frame => {
+            // Memoized empty first, so that closures in the slots that
+            // capture this same frame share it.
+            let fv = shared_frame(heap, gc, path, frames)?;
+            let slots = frame_slots(heap, gc, path, frames)?;
+            *shared_slots(&fv).write() = slots;
+            fv
+        }
+        ObjKind::FixedFrame => {
+            let parent = go_out(heap, heap.field(gc, 0), path, frames)?;
+            let slots = frame_slots(heap, gc, path, frames)?;
+            match frames.get(&key) {
+                // Its slots came back to it: it became a shared frame.
+                Some(fv) => {
+                    *shared_slots(fv).write() = slots;
+                    fv.clone()
+                }
+                None => {
+                    let items: Arc<[Value]> = std::iter::once(parent).chain(slots).collect();
+                    let fv = Value::Vector(items);
+                    frames.insert(key, fv.clone());
+                    fv
+                }
+            }
+        }
+    };
+    path.pop();
+    Ok(out)
+}
+
+/// A frame's slots, converted.
+fn frame_slots(
+    heap: &Heap,
+    gc: Gc,
+    path: &mut Vec<u64>,
+    frames: &mut HashMap<u64, Value>,
+) -> Result<Vec<Value>, SchemeError> {
+    (1..heap.len(gc))
+        .map(|i| go_out(heap, heap.field(gc, i), path, frames))
+        .collect()
+}
+
+/// A [`SharedFrame`] for heap frame `gc`, its parent converted and its
+/// slots empty, memoized in `frames`.
+fn shared_frame(
+    heap: &Heap,
+    gc: Gc,
+    path: &mut Vec<u64>,
+    frames: &mut HashMap<u64, Value>,
+) -> Result<Value, SchemeError> {
+    // Parent chains are acyclic.
+    let parent = go_out(heap, heap.field(gc, 0), path, frames)?;
+    let fv = Value::native(
+        FRAME_TAG,
+        Arc::new(SharedFrame {
+            parent,
+            slots: RwLock::new(Vec::new()),
+        }),
+    );
+    frames.insert(gc.word().0, fv.clone());
+    Ok(fv)
+}
+
+fn shared_slots(fv: &Value) -> &RwLock<Vec<Value>> {
+    &fv.native_ref::<SharedFrame>()
+        .expect("a memoized shared frame")
+        .slots
+}
+
+/// Converts the list whose first cell is `first`.  The spine is walked
+/// iteratively, a second pointer at half speed catching a cycle in it; a
+/// car that is an object converts with its cell on `path`.  A cell an
+/// import recorded ends the walk: the rest is the value it came from.
+fn list_out(
+    heap: &Heap,
+    first: Gc,
+    path: &mut Vec<u64>,
+    frames: &mut HashMap<u64, Value>,
+) -> Result<Value, SchemeError> {
+    let mut cars: Vec<Value> = Vec::new();
+    let (mut cell, mut slow) = (first, first);
+    let tail = loop {
+        let car = heap.car(cell);
+        cars.push(if let Val::Obj(_) = car {
+            let key = cell.word().0;
             if path.contains(&key) {
                 return Err(cyclic());
             }
             path.push(key);
-            let out = match m.heap.kind(gc) {
-                ObjKind::Pair => {
-                    // Walk the spine iteratively; recurse only on cars.
-                    let mut spine: Vec<u64> = Vec::new();
-                    let mut cars: Vec<Value> = Vec::new();
-                    let mut cur = Val::Obj(gc);
-                    let tail = loop {
-                        match cur {
-                            Val::Obj(g) if m.heap.kind(g) == ObjKind::Pair => {
-                                if spine.contains(&g.word().0)
-                                    || path.contains(&g.word().0) && g != gc
-                                {
-                                    return Err(cyclic());
-                                }
-                                spine.push(g.word().0);
-                                let car = m.heap.car(g);
-                                path.extend(&spine);
-                                let cv = go_out(m, car, path, frames)?;
-                                path.truncate(path.len() - spine.len());
-                                cars.push(cv);
-                                cur = m.heap.cdr(g);
-                            }
-                            other => break go_out(m, other, path, frames)?,
-                        }
-                    };
-                    let mut acc = tail;
-                    for c in cars.into_iter().rev() {
-                        acc = Value::cons(c, acc);
-                    }
-                    acc
-                }
-                ObjKind::Vector => {
-                    let len = m.heap.len(gc);
-                    let mut items = Vec::with_capacity(len);
-                    for i in 0..len {
-                        let f = m.heap.field(gc, i);
-                        items.push(go_out(m, f, path, frames)?);
-                    }
-                    Value::Vector(items.into())
-                }
-                ObjKind::Str => Value::from(m.heap.string_value(gc)),
-                ObjKind::Cell => {
-                    let inner = m.heap.field(gc, 0);
-                    go_out(m, inner, path, frames)?
-                }
-                ObjKind::FloatBox => match m.heap.field(gc, 0) {
-                    Val::Float(f) => Value::Float(f),
-                    _ => Value::Float(0.0),
-                },
-                ObjKind::Closure => {
-                    let code = m.heap.closure_code(gc);
-                    let env = m.heap.closure_capture(gc, 0);
-                    let env_v = go_out(m, env, path, frames)?;
-                    Value::native(CLOSURE_TAG, Arc::new(ClosureValue { code, env: env_v }))
-                }
-                ObjKind::Frame => {
-                    if let Some(v) = frames.get(&key) {
-                        let out = v.clone();
-                        path.pop();
-                        return Ok(out);
-                    }
-                    // Parent chains are acyclic: convert the parent first,
-                    // then memoize the (empty) frame so closures stored in
-                    // the slots that capture this same frame share it.
-                    let parent = go_out(m, m.heap.field(gc, 0), path, frames)?;
-                    let shared = Arc::new(SharedFrame {
-                        parent,
-                        slots: RwLock::new(Vec::new()),
-                    });
-                    let fv = Value::native(FRAME_TAG, shared.clone());
-                    frames.insert(key, fv.clone());
-                    let len = m.heap.len(gc);
-                    let mut slots = Vec::with_capacity(len.saturating_sub(1));
-                    for i in 1..len {
-                        let f = m.heap.field(gc, i);
-                        slots.push(go_out(m, f, path, frames)?);
-                    }
-                    *shared.slots.write() = slots;
-                    fv
-                }
-            };
+            let v = go_out(heap, car, path, frames)?;
             path.pop();
-            out
+            v
+        } else {
+            go_out(heap, car, path, frames)?
+        });
+        match heap.cdr(cell) {
+            Val::Obj(next) if heap.kind(next) == ObjKind::Pair => {
+                if let Some(rest) = heap.imported_value(next) {
+                    break rest.clone();
+                }
+                cell = next;
+                if cars.len().is_multiple_of(2) {
+                    let Val::Obj(s) = heap.cdr(slow) else {
+                        unreachable!("the slow pointer trails the walk")
+                    };
+                    slow = s;
+                }
+                if cell == slow {
+                    return Err(cyclic());
+                }
+            }
+            other => break go_out(heap, other, path, frames)?,
         }
-    })
+    };
+    Ok(cars
+        .into_iter()
+        .rev()
+        .fold(tail, |acc, car| Value::cons(car, acc)))
 }
 
 /// Converts a substrate value into the machine's heap.  (Substrate values
-/// are acyclic by construction, so this is total.)
+/// are acyclic by construction, so this is total.)  A pair or vector it
+/// makes is recorded as a copy of `v`.
 pub fn value_to_heap(m: &mut Machine, v: &Value) -> Val {
-    match v {
+    if let Some(imm) = immediate(v) {
+        return imm;
+    }
+    let epoch = m.heap.import_epoch();
+    let mut frames = Vec::new();
+    let out = go_in(m, v, &mut frames);
+    for (_, entry) in frames {
+        m.heap.release(entry);
+    }
+    if let (Val::Obj(gc), Value::Pair(_) | Value::Vector(_)) = (out, v) {
+        m.heap.record_import(epoch, gc, v.clone());
+    }
+    out
+}
+
+/// The fixed frames an import has made, by the address of the value each
+/// came from, held in the heap's entry table so that collections move
+/// them.
+type FramesIn = Vec<(usize, EntryId)>;
+
+/// `v` as a `Val`, when it is one without allocating.
+#[inline]
+fn immediate(v: &Value) -> Option<Val> {
+    Some(match v {
         Value::Unit => Val::Unit,
         Value::Bool(b) => Val::Bool(*b),
         Value::Int(i) => Val::Int(*i),
@@ -185,54 +303,94 @@ pub fn value_to_heap(m: &mut Machine, v: &Value) -> Val {
         Value::Char(c) => Val::Char(*c),
         Value::Sym(s) => Val::Sym(s.index()),
         Value::Nil => Val::Nil,
+        _ => return None,
+    })
+}
+
+fn go_in(m: &mut Machine, v: &Value, frames: &mut FramesIn) -> Val {
+    if let Some(imm) = immediate(v) {
+        return imm;
+    }
+    match v {
+        Value::Unit
+        | Value::Bool(_)
+        | Value::Int(_)
+        | Value::Float(_)
+        | Value::Char(_)
+        | Value::Sym(_)
+        | Value::Nil => unreachable!("immediates return above"),
         Value::Str(s) => m.string(s),
-        Value::Pair(_) => {
-            // Iterative spine conversion, rooting intermediates on the
-            // machine stack.
-            let mut count = 0usize;
-            let mut cur = v.clone();
-            loop {
-                match cur {
-                    Value::Pair(p) => {
-                        let hv = value_to_heap(m, &p.0);
-                        m.push(hv);
-                        count += 1;
-                        cur = p.1.clone();
-                    }
-                    other => {
-                        let t = value_to_heap(m, &other);
-                        m.push(t);
-                        break;
-                    }
-                }
-            }
-            let mut acc = m.pop();
-            for _ in 0..count {
-                let car = m.pop();
-                acc = m.cons(car, acc);
-            }
-            acc
-        }
+        Value::Pair(_) => list_in(m, v, frames),
         Value::Vector(items) => {
-            let n = items.len();
+            let start = m.stack.len();
             for item in items.iter() {
-                let hv = value_to_heap(m, item);
+                let hv = go_in(m, item, frames);
                 m.push(hv);
             }
-            let start = m.stack.len() - n;
-            let vals: Vec<Val> = m.stack[start..].to_vec();
-            let out = m.vector(&vals);
-            m.popn(n);
-            out
+            m.reserve(Heap::object_words(items.len()), Val::Nil);
+            let gc = m.heap.make_vector_reserved(&m.stack[start..]);
+            m.heap.mark_imported(gc);
+            m.stack.truncate(start);
+            Val::Obj(gc)
         }
-        Value::Native(h) => {
-            if h.tag() == CLOSURE_TAG {
-                let clo = h.downcast_ref::<ClosureValue>().expect("closure tag");
-                let env = value_to_heap(m, &clo.env);
+        Value::Native(h) => match h.downcast_ref::<ClosureValue>() {
+            Some(clo) => {
+                let env = env_in(m, &clo.env, frames);
                 m.closure(clo.code, env)
-            } else {
-                m.native(v.clone())
             }
+            None => m.native_ref(v),
+        },
+    }
+}
+
+/// Imports a list: its cars onto the operand stack, then its cells last
+/// to first, many to a nursery reservation.
+fn list_in(m: &mut Machine, v: &Value, frames: &mut FramesIn) -> Val {
+    let start = m.stack.len();
+    let mut cur = v;
+    while let Value::Pair(p) = cur {
+        let car = go_in(m, &p.0, frames);
+        m.push(car);
+        cur = &p.1;
+    }
+    let mut acc = go_in(m, cur, frames);
+    while m.stack.len() > start {
+        let cells = (m.stack.len() - start).min(CELLS_PER_RESERVE);
+        acc = m.reserve(Heap::object_words(2) * cells, acc);
+        for _ in 0..cells {
+            let car = m.pop();
+            let gc = m.heap.cons_reserved(car, acc);
+            m.heap.mark_imported(gc);
+            acc = Val::Obj(gc);
         }
     }
+    acc
+}
+
+/// Imports an environment chain (see [`ClosureValue::env`]).
+fn env_in(m: &mut Machine, env: &Value, frames: &mut FramesIn) -> Val {
+    let Value::Vector(items) = env else {
+        return match env {
+            Value::Nil => Val::Nil,
+            shared => m.native_ref(shared),
+        };
+    };
+    let id = items.as_ptr() as usize;
+    if let Some(&(_, entry)) = frames.iter().find(|(f, _)| *f == id) {
+        return Val::Obj(m.heap.resolve(entry));
+    }
+    let start = m.stack.len();
+    let parent = env_in(m, &items[0], frames);
+    m.push(parent);
+    for item in &items[1..] {
+        let hv = go_in(m, item, frames);
+        m.push(hv);
+    }
+    m.reserve(Heap::object_words(items.len()), Val::Nil);
+    let gc = m
+        .heap
+        .make_frame_reserved(false, m.stack[start], &m.stack[start + 1..]);
+    m.stack.truncate(start);
+    frames.push((id, m.heap.export(gc)));
+    Val::Obj(gc)
 }

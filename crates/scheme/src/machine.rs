@@ -50,9 +50,15 @@ fn at_span(span: Span) -> String {
     }
 }
 
-enum EnvRef {
+/// A frame of an environment chain, as [`Machine::env_at`] finds it.
+enum EnvRef<'a> {
+    /// A frame of this heap, either kind.
     Heap(Gc),
-    Shared(Arc<SharedFrame>),
+    /// A frame with an assigned slot, shared between threads.
+    Shared(&'a SharedFrame),
+    /// A frame with no assigned slot, reached through a shared frame:
+    /// `[parent, v0, …]` as it was exported ([`convert`]'s module doc).
+    Fixed(&'a [Value]),
 }
 
 /// What a machine remembers about one global slot of its program.
@@ -290,6 +296,18 @@ impl Machine {
         Val::Obj(gc)
     }
 
+    /// Makes room for `words` in the nursery, collecting if need be, and
+    /// returns `keep` as the collection left it (the `*_reserved`
+    /// allocators that follow cannot collect).
+    pub(crate) fn reserve(&mut self, words: usize, keep: Val) -> Val {
+        if self.heap.has_room(words) {
+            return keep;
+        }
+        let mut extra = [keep];
+        with_heap!(self, &mut extra, |heap, roots| heap.reserve(words, roots));
+        extra[0]
+    }
+
     /// Writes field `i` of heap object `gc` (with machine roots).
     pub(crate) fn set_field_rooted(&mut self, gc: sting_areas::Gc, i: usize, v: Val) {
         with_heap!(self, &mut [], |heap, roots| heap.set_field(gc, i, v, roots));
@@ -302,9 +320,22 @@ impl Machine {
         Val::Obj(gc)
     }
 
-    /// Interns a substrate value into the native table.
+    /// Interns a substrate value into the native table.  A primitive's
+    /// slot is keyed with its id + 1, which is how a call recognises it.
     pub(crate) fn native(&mut self, v: Value) -> Val {
-        self.heap.intern_native(v)
+        let key = v
+            .native_ref::<prims::Prim>()
+            .map_or(0, |p| u32::from(p.id) + 1);
+        self.heap.intern_native_keyed(v, key)
+    }
+
+    /// [`Machine::native`] for a value borrowed: cloned only if it is not
+    /// pinned here already.
+    pub(crate) fn native_ref(&mut self, v: &Value) -> Val {
+        match self.heap.native_slot_of(v) {
+            Some(slot) => slot,
+            None => self.native(v.clone()),
+        }
     }
 
     /// Converts a heap value to a substrate value (for crossing threads).
@@ -312,8 +343,8 @@ impl Machine {
     /// # Errors
     ///
     /// [`SchemeError::Raised`] on cyclic data.
-    pub fn to_value(&mut self, v: Val) -> Result<Value, SchemeError> {
-        convert::heap_to_value(self, v)
+    pub fn to_value(&self, v: Val) -> Result<Value, SchemeError> {
+        convert::heap_to_value(&self.heap, v)
     }
 
     /// Converts a substrate value into this machine's heap.
@@ -405,7 +436,7 @@ impl Machine {
                     self.reload_program();
                 }
                 let code = &self.program.codes[code_id as usize];
-                let (arity, rest) = (code.arity as usize, code.rest);
+                let (arity, rest, assigns) = (code.arity as usize, code.rest, code.assigns);
                 if argc < arity || (!rest && argc > arity) {
                     return Err(SchemeError::runtime(format!(
                         "arity mismatch calling {}: expected {}{}, got {argc}{}",
@@ -438,7 +469,11 @@ impl Machine {
                     unreachable!("the callee stays a closure across a collection")
                 };
                 let parent = self.heap.closure_capture(closure, 0);
-                let env = Val::Obj(self.heap.make_frame_reserved(parent, &self.stack[args..]));
+                let env = Val::Obj(self.heap.make_frame_reserved(
+                    assigns,
+                    parent,
+                    &self.stack[args..],
+                ));
                 self.stack.truncate(args - 1);
                 let frame = Frame {
                     code: code_id,
@@ -453,14 +488,15 @@ impl Machine {
                 Ok(true)
             }
             Val::Native(slot) => {
-                let callee = self.heap.native(slot);
-                let Some(id) = callee.native_ref::<prims::Prim>().map(|p| p.id) else {
+                // A primitive's slot carries its id (`Machine::native`).
+                let Some(id) = self.heap.native_key(slot).checked_sub(1) else {
                     return Err(SchemeError::runtime(format!(
-                        "not a procedure: {callee}{}",
+                        "not a procedure: {}{}",
+                        self.heap.native(slot),
                         at_span(self.site_span(site))
                     )));
                 };
-                let result = prims::dispatch(self, id, argc)?;
+                let result = prims::dispatch(self, id as u16, argc)?;
                 // Pop args + fn, push result.
                 self.popn(argc + 1);
                 self.push(result);
@@ -707,37 +743,32 @@ impl Machine {
     }
 
     /// Resolves the frame `depth` levels up the environment chain.  A
-    /// frame is either a heap object ([`sting_areas::ObjKind::Frame`]) or a
-    /// shared substrate frame ([`SharedFrame`]) for closures converted
-    /// across thread/top-level boundaries.
-    fn env_at(&self, env: Val, depth: u16) -> Result<EnvRef, SchemeError> {
+    /// frame is a heap object (either frame kind), or, above a closure
+    /// converted across a thread or top-level boundary, a frame with an
+    /// assigned slot ([`SharedFrame`]) and the frames above it as they
+    /// were exported.  Nothing is cloned on the way.
+    fn env_at(&self, env: Val, depth: u16) -> Result<EnvRef<'_>, SchemeError> {
         let short = || SchemeError::Vm("environment chain too short".into());
+        fn exported(v: &Value) -> Option<EnvRef<'_>> {
+            match v {
+                Value::Vector(items) => Some(EnvRef::Fixed(items)),
+                other => other.native_ref::<SharedFrame>().map(EnvRef::Shared),
+            }
+        }
         let mut cur = match env {
             Val::Obj(gc) => EnvRef::Heap(gc),
-            Val::Native(slot) => EnvRef::Shared(
-                self.heap
-                    .native(slot)
-                    .native_as::<SharedFrame>()
-                    .ok_or_else(short)?,
-            ),
+            Val::Native(slot) => exported(self.heap.native(slot)).ok_or_else(short)?,
             _ => return Err(short()),
         };
         for _ in 0..depth {
             cur = match cur {
                 EnvRef::Heap(gc) => match self.heap.field(gc, 0) {
                     Val::Obj(g) => EnvRef::Heap(g),
-                    Val::Native(slot) => EnvRef::Shared(
-                        self.heap
-                            .native(slot)
-                            .native_as::<SharedFrame>()
-                            .ok_or_else(short)?,
-                    ),
+                    Val::Native(slot) => exported(self.heap.native(slot)).ok_or_else(short)?,
                     _ => return Err(short()),
                 },
-                EnvRef::Shared(sf) => {
-                    let parent = sf.parent.clone();
-                    EnvRef::Shared(parent.native_as::<SharedFrame>().ok_or_else(short)?)
-                }
+                EnvRef::Shared(sf) => exported(&sf.parent).ok_or_else(short)?,
+                EnvRef::Fixed(items) => exported(&items[0]).ok_or_else(short)?,
             };
         }
         Ok(cur)
@@ -745,23 +776,23 @@ impl Machine {
 
     /// A local variable reached through at least one shared frame.
     fn shared_local_ref(&mut self, env: Val, depth: u16, idx: u16) -> Result<Val, SchemeError> {
-        match self.env_at(env, depth)? {
-            EnvRef::Heap(frame) => Ok(self.heap.field(frame, idx as usize + 1)),
-            EnvRef::Shared(sf) => {
-                let v = sf
-                    .slots
-                    .read()
-                    .get(idx as usize)
-                    .cloned()
-                    .ok_or_else(|| SchemeError::Vm("frame slot out of range".into()))?;
-                Ok(self.from_value(&v))
-            }
-        }
+        let v = match self.env_at(env, depth)? {
+            EnvRef::Heap(frame) => return Ok(self.heap.field(frame, idx as usize + 1)),
+            EnvRef::Shared(sf) => sf.slots.read().get(idx as usize).cloned(),
+            EnvRef::Fixed(items) => items.get(idx as usize + 1).cloned(),
+        };
+        let v = v.ok_or_else(|| SchemeError::Vm("frame slot out of range".into()))?;
+        Ok(self.from_value(&v))
     }
 
     fn local_set(&mut self, env: Val, depth: u16, idx: u16, v: Val) -> Result<(), SchemeError> {
         match self.env_at(env, depth)? {
             EnvRef::Heap(frame) => {
+                debug_assert_eq!(
+                    self.heap.kind(frame),
+                    ObjKind::Frame,
+                    "set! of a fixed frame"
+                );
                 let mut extra = [v, Val::Obj(frame)];
                 with_heap!(self, &mut extra, |heap, roots| {
                     let value = roots.extra[0];
@@ -772,8 +803,11 @@ impl Machine {
                 });
                 Ok(())
             }
-            EnvRef::Shared(sf) => {
+            EnvRef::Shared(_) => {
                 let sv = self.to_value(v)?;
+                let EnvRef::Shared(sf) = self.env_at(env, depth)? else {
+                    unreachable!("the chain did not change")
+                };
                 let mut slots = sf.slots.write();
                 let slot = slots
                     .get_mut(idx as usize)
@@ -781,6 +815,7 @@ impl Machine {
                 *slot = sv;
                 Ok(())
             }
+            EnvRef::Fixed(_) => Err(SchemeError::Vm("set! of a fixed frame".into())),
         }
     }
 

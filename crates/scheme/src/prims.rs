@@ -651,15 +651,27 @@ fn defs() -> Vec<Def> {
     def!("cddr", 1, Some(1), |m, a| cxr(m, a, &[1, 1]));
     def!("caddr", 1, Some(1), |m, a| cxr(m, a, &[1, 1, 0]));
     def!("list", 0, None, |m, a| {
-        // Args are already on the stack in order.
-        let items: Vec<Val> = (0..a).map(|i| m.arg(a, i)).collect();
-        for &it in &items {
-            m.push(it);
+        // Consed last to first straight from the arguments, which stay on
+        // the stack (and so rooted) throughout.
+        let mut acc = Val::Nil;
+        for i in (0..a).rev() {
+            acc = m.cons(m.arg(a, i), acc);
         }
-        Ok(m.list_from_stack(a))
+        Ok(acc)
     });
     def!("length", 1, Some(1), |m, a| {
-        Ok(Val::Int(want_list(m, a, 0, "length")?.len() as i64))
+        let mut n = 0;
+        let mut cur = m.arg(a, 0);
+        loop {
+            match cur {
+                Val::Nil => return Ok(Val::Int(n)),
+                Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair => {
+                    n += 1;
+                    cur = m.heap.cdr(gc);
+                }
+                _ => return Err(rerr("length: expected a proper list")),
+            }
+        }
     });
     def!("append", 0, None, |m, a| {
         let mut all: Vec<Val> = Vec::new();

@@ -105,7 +105,7 @@ fn render(m: &Machine, v: Val, quote: bool, depth: usize) -> String {
                 render(m, m.heap.field(gc, 0), quote, depth + 1)
             ),
             ObjKind::FloatBox => render(m, m.heap.field(gc, 0), quote, depth),
-            ObjKind::Frame => "#<environment>".to_string(),
+            ObjKind::Frame | ObjKind::FixedFrame => "#<environment>".to_string(),
         },
     }
 }

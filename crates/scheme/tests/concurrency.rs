@@ -869,3 +869,149 @@ fn a_thread_calls_a_procedure_defined_after_the_form_that_forked_it() {
     assert_eq!(ev(&i, "(thread-wait worker)").as_int(), Some(42));
     vm.shutdown();
 }
+
+#[test]
+fn a_counter_in_an_assigned_frame_counts_across_four_threads() {
+    // The frame holding `n` has an assigned slot, so it crosses as a shared
+    // frame: four threads, waited one after another, bump one counter.
+    let (vm, i) = interp(2);
+    ev(
+        &i,
+        "(define counter (let ((n 0)) (lambda () (set! n (+ n 1)) n)))",
+    );
+    assert_eq!(
+        ev(
+            &i,
+            "(begin
+               (thread-wait (fork-thread counter))
+               (thread-wait (fork-thread counter))
+               (thread-wait (fork-thread counter))
+               (thread-wait (fork-thread counter)))"
+        )
+        .as_int(),
+        Some(4)
+    );
+    vm.shutdown();
+}
+
+#[test]
+fn a_captured_frame_is_one_copy_in_the_child() {
+    // A frame no code assigns to is copied into the child's heap once: a
+    // captured list is one object there, and a captured mutex one slot.
+    // The parent's list is untouched.
+    let (vm, i) = interp(1);
+    assert_eq!(
+        ev(
+            &i,
+            "(let ((l (list 1 2)) (m (make-mutex)))
+               (let ((child (fork-thread
+                              (lambda ()
+                                (set-car! l 99)
+                                (list (eq? l l) (eq? m m) l)))))
+                 (list (thread-wait child) l)))"
+        )
+        .to_string(),
+        "((#t #t (99 2)) (1 2))"
+    );
+    vm.shutdown();
+}
+
+#[test]
+fn a_fixed_frame_reached_from_its_own_slot_still_crosses() {
+    // The frame binding `v` is assigned nowhere, but the vector in its slot
+    // holds a closure over it: it crosses as a shared frame instead.
+    let (vm, i) = interp(1);
+    assert_eq!(
+        ev(
+            &i,
+            "(let ((v (vector 0)))
+               (vector-set! v 0 (lambda () (vector-length v)))
+               (thread-wait (fork-thread (lambda () ((vector-ref v 0))))))"
+        )
+        .as_int(),
+        Some(1)
+    );
+    vm.shutdown();
+}
+
+#[test]
+fn a_changed_received_list_is_returned_as_changed() {
+    // The receiver's copy of the list is recorded as a copy; a store into
+    // any of its cells drops the record, so the receiver's result shows
+    // the store.  The sender's value does not change.
+    let (vm, i) = interp(2);
+    assert_eq!(
+        ev(
+            &i,
+            "(let* ((sender (fork-thread (lambda () (list 1 2 3))))
+                    (head (fork-thread
+                            (lambda () (let ((l (touch sender))) (set-car! l 99) l))))
+                    (tail (fork-thread
+                            (lambda ()
+                              (let ((l (touch sender))) (set-car! (cddr l) 99) (cons 0 l)))))
+                    (kept (fork-thread (lambda () (cons 0 (touch sender))))))
+               (list (touch head) (touch tail) (touch kept) (touch sender)))"
+        )
+        .to_string(),
+        "((99 2 3) (0 1 2 99) (0 1 2 3) (1 2 3))"
+    );
+    vm.shutdown();
+}
+
+#[test]
+fn a_received_list_outlives_its_sender_and_a_major_collection() {
+    // The sender determines and drops its heap; the receiver, on a heap
+    // small enough to collect, churns through major collections and still
+    // reads the list, then returns it with a cell consed on.
+    let vm = VmBuilder::new().vps(1).build();
+    let mut i = Interp::new(vm.clone());
+    i.set_heap_config(sting_areas::HeapConfig {
+        young_words: 4 * 1024,
+        old_trigger_words: 24 * 1024,
+    });
+    ev(
+        &i,
+        "(define (churn n acc) (if (= n 0) acc (churn (- n 1) (cons n acc))))",
+    );
+    let v = ev(
+        &i,
+        "(let* ((sender (fork-thread (lambda () (iota 1000))))
+                (l (thread-wait sender))
+                (churned (length (churn 30000 '()))))
+           (list (thread-state sender) (> (cadr (gc-stats)) 0) churned
+                 (length l) (car l) (list-ref l 999) (cons -1 l)))",
+    );
+    let items: Vec<Value> = v.list_iter().cloned().collect();
+    assert_eq!(items[0], Value::sym("determined"));
+    assert_eq!(items[1], Value::Bool(true), "a major collection ran");
+    assert_eq!(items[2].as_int(), Some(30000));
+    assert_eq!(items[3].as_int(), Some(1000));
+    assert_eq!(items[4].as_int(), Some(0));
+    assert_eq!(items[5].as_int(), Some(999));
+    let returned: Vec<i64> = items[6].list_iter().filter_map(Value::as_int).collect();
+    assert_eq!(returned, (-1..1000).collect::<Vec<i64>>());
+    vm.shutdown();
+}
+
+#[test]
+fn cyclic_data_still_cannot_cross() {
+    let (vm, i) = interp(2);
+    for body in [
+        "(let ((l (list 1 2))) (set-cdr! (cdr l) l) l)",
+        "(let ((l (list 1 2))) (set-car! (cdr l) l) l)",
+        "(let ((v (vector 1))) (vector-set! v 0 v) v)",
+        // A received list made cyclic: the store drops its import record.
+        "(let ((l (touch (fork-thread (lambda () (list 1 2 3))))))
+           (set-cdr! (cddr l) l)
+           l)",
+    ] {
+        match i.eval(&format!("(thread-wait (fork-thread (lambda () {body})))")) {
+            Err(SchemeError::Raised(v)) => assert!(
+                v.to_string().contains("cannot transfer cyclic data"),
+                "{body}: {v}"
+            ),
+            other => panic!("{body}: {other:?}"),
+        }
+    }
+    vm.shutdown();
+}

@@ -75,8 +75,13 @@ impl Mutex {
     }
 
     /// Records a lock event on the flight recorder when the caller is a
-    /// STING thread and tracing is on.
+    /// STING thread and tracing is on.  The enable word is read first: the
+    /// thread, VP and VM handles the event names are reference counts
+    /// every thread shares.
     fn trace(&self, kind: EventKind) {
+        if !tc::tracing() {
+            return;
+        }
         if let Some(cx) = tc::Cx::current() {
             let vp = cx.current_vp().index();
             let vm = cx.vm();

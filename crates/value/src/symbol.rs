@@ -3,6 +3,7 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// An interned identifier, compared and hashed in O(1).
@@ -25,6 +26,12 @@ struct Interner {
     by_name: HashMap<Arc<str>, u32>,
 }
 
+/// Symbols interned so far: [`Symbol::from_index`] checks an index against
+/// this instead of locking the interner.  Raised under the interner's lock
+/// after the name is in place, so an index read from a symbol made on any
+/// thread is below it.
+static INTERNED: AtomicU32 = AtomicU32::new(0);
+
 fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
@@ -46,6 +53,7 @@ impl Symbol {
         let arc: Arc<str> = Arc::from(name);
         i.names.push(arc.clone());
         i.by_name.insert(arc, id);
+        INTERNED.store(id + 1, Ordering::Release);
         Symbol(id)
     }
 
@@ -65,9 +73,10 @@ impl Symbol {
     /// # Panics
     ///
     /// Panics if `index` was never produced by the interner.
+    #[inline]
     pub fn from_index(index: u32) -> Symbol {
         assert!(
-            (index as usize) < interner().lock().names.len(),
+            index < INTERNED.load(Ordering::Acquire),
             "invalid symbol index {index}"
         );
         Symbol(index)
@@ -114,6 +123,18 @@ mod tests {
         let s = Symbol::intern("current-thread");
         assert_eq!(&*s.as_str(), "current-thread");
         assert_eq!(s.to_string(), "current-thread");
+    }
+
+    #[test]
+    fn from_index_round_trips() {
+        let s = Symbol::intern("from-index-round-trip");
+        assert_eq!(Symbol::from_index(s.index()), s);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid symbol index")]
+    fn from_index_rejects_an_index_never_interned() {
+        Symbol::from_index(u32::MAX - 1);
     }
 
     #[test]
