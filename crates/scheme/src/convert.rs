@@ -294,7 +294,7 @@ type FramesIn = Vec<(usize, EntryId)>;
 
 /// `v` as a `Val`, when it is one without allocating.
 #[inline]
-fn immediate(v: &Value) -> Option<Val> {
+pub(crate) fn immediate(v: &Value) -> Option<Val> {
     Some(match v {
         Value::Unit => Val::Unit,
         Value::Bool(b) => Val::Bool(*b),

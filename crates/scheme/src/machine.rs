@@ -67,9 +67,10 @@ struct GlobalRef {
     /// The binding's version when `val` was converted, or [`UNCACHED`].
     seen: u64,
     /// The binding's value in this machine's heap.  Kept only for values
-    /// whose conversion copies no mutable data, so that serving the same
-    /// `Val` again differs from converting again in one way only: `eq?` on
-    /// two references to one procedure now answers `#t`.
+    /// that are not themselves mutable data, so that serving the same
+    /// `Val` again differs from converting again in `eq?` on two
+    /// references to one procedure, now `#t`, and in a list a procedure's
+    /// fixed frame captured, now one object in this machine.
     val: Val,
 }
 
@@ -548,8 +549,13 @@ impl Machine {
         // the way does not keep the stale value alive.
         (r.seen, r.val) = (UNCACHED, Val::Unit);
         let (value, version) = r.binding.read()?;
-        let val = self.from_value(&value);
-        if cacheable(&value) {
+        let cache = cacheable(&value);
+        // A runtime object is pinned as read, without a second clone.
+        let val = match value.as_native() {
+            Some(h) if h.tag() != convert::CLOSURE_TAG => self.native(value),
+            _ => self.from_value(&value),
+        };
+        if cache {
             let r = self.global_ref(slot);
             (r.seen, r.val) = (version, val);
         }
@@ -775,13 +781,30 @@ impl Machine {
     }
 
     /// A local variable reached through at least one shared frame.
+    /// An immediate, or a runtime object already pinned here, is read in
+    /// place; anything else is cloned out and converted.
     fn shared_local_ref(&mut self, env: Val, depth: u16, idx: u16) -> Result<Val, SchemeError> {
+        let range = || SchemeError::Vm("frame slot out of range".into());
+        let in_place =
+            |heap: &Heap, v: &Value| convert::immediate(v).or_else(|| heap.native_slot_of(v));
         let v = match self.env_at(env, depth)? {
             EnvRef::Heap(frame) => return Ok(self.heap.field(frame, idx as usize + 1)),
-            EnvRef::Shared(sf) => sf.slots.read().get(idx as usize).cloned(),
-            EnvRef::Fixed(items) => items.get(idx as usize + 1).cloned(),
+            EnvRef::Shared(sf) => {
+                let slots = sf.slots.read();
+                let v = slots.get(idx as usize).ok_or_else(range)?;
+                match in_place(&self.heap, v) {
+                    Some(val) => return Ok(val),
+                    None => v.clone(),
+                }
+            }
+            EnvRef::Fixed(items) => {
+                let v = items.get(idx as usize + 1).ok_or_else(range)?;
+                match in_place(&self.heap, v) {
+                    Some(val) => return Ok(val),
+                    None => v.clone(),
+                }
+            }
         };
-        let v = v.ok_or_else(|| SchemeError::Vm("frame slot out of range".into()))?;
         Ok(self.from_value(&v))
     }
 
