@@ -876,11 +876,6 @@ impl Heap {
         Some(&self.imports[i].1)
     }
 
-    /// Import records standing.
-    pub fn import_records(&self) -> usize {
-        self.imports.len()
-    }
-
     /// Extracts a string object.
     pub fn string_value(&self, s: Gc) -> String {
         debug_assert_eq!(self.kind(s), ObjKind::Str);

@@ -381,3 +381,82 @@ fn frames_are_a_distinct_kind() {
     assert_eq!(heap.kind(f), ObjKind::Frame);
     assert_eq!(heap.field(f, 1), Val::Int(1));
 }
+
+#[test]
+fn a_fixed_frame_keeps_its_kind_across_collections() {
+    let mut heap = small_heap();
+    let mut roots: Vec<Word> = Vec::new();
+    heap.reserve(Heap::object_words(2), &mut roots);
+    let f = heap.make_frame_reserved(false, Val::Nil, &[Val::Int(7)]);
+    assert_eq!(heap.kind(f), ObjKind::FixedFrame);
+    roots.push(f.word());
+    heap.collect_minor(&mut roots);
+    heap.collect_major(&mut roots);
+    let f = root_gc(&roots, 0);
+    assert_eq!(heap.kind(f), ObjKind::FixedFrame);
+    assert_eq!(heap.field(f, 1), Val::Int(7));
+}
+
+/// A two-cell list marked as imported and recorded as a copy of `v`.
+fn imported_list(heap: &mut Heap, roots: &mut Vec<Word>, v: &Value) -> (Gc, Gc) {
+    let epoch = heap.import_epoch();
+    let tail = heap.cons(Val::Int(2), Val::Nil, roots);
+    heap.mark_imported(tail);
+    roots.push(tail.word());
+    let head = heap.cons(Val::Int(1), Val::Obj(tail), roots);
+    heap.mark_imported(head);
+    let tail = Gc::from_word(roots.pop().unwrap()).unwrap();
+    heap.record_import(epoch, head, v.clone());
+    (head, tail)
+}
+
+#[test]
+fn an_import_record_stands_until_a_store_into_an_imported_object() {
+    let mut heap = Heap::default();
+    let mut roots: Vec<Word> = Vec::new();
+    let v = Value::list([Value::from(1), Value::from(2)]);
+    let (head, tail) = imported_list(&mut heap, &mut roots, &v);
+    assert_eq!(heap.imported_value(head), Some(&v));
+    assert_eq!(heap.imported_value(tail), None, "only the root is recorded");
+    // A store into an object the import did not make keeps the record.
+    let other = heap.cons(Val::Int(0), Val::Nil, &mut roots);
+    heap.set_car(other, Val::Int(9), &mut roots);
+    assert_eq!(heap.imported_value(head), Some(&v));
+    // A store into any imported cell drops it.
+    heap.set_car(tail, Val::Int(3), &mut roots);
+    assert_eq!(heap.imported_value(head), None);
+}
+
+#[test]
+fn a_collection_drops_import_records_and_voids_an_import_across_it() {
+    let mut heap = Heap::default();
+    let mut roots: Vec<Word> = Vec::new();
+    let v = Value::list([Value::from(1), Value::from(2)]);
+    let (head, _) = imported_list(&mut heap, &mut roots, &v);
+    roots.push(head.word());
+    heap.collect_minor(&mut roots);
+    let head = root_gc(&roots, 0);
+    assert_eq!(heap.imported_value(head), None);
+    // An import that a collection interrupted records nothing.
+    let epoch = heap.import_epoch();
+    heap.collect_minor(&mut roots);
+    let head = root_gc(&roots, 0);
+    heap.record_import(epoch, head, v.clone());
+    assert_eq!(heap.imported_value(head), None);
+}
+
+#[test]
+fn a_native_handle_is_pinned_once_and_keeps_its_key() {
+    let mut heap = small_heap();
+    let handle = Value::native("probe", std::sync::Arc::new(5u32));
+    let first = heap.intern_native_keyed(handle.clone(), 3);
+    assert_eq!(heap.native_slot_of(&handle), Some(first));
+    // Past the length the table is scanned at, too.
+    for i in 0..40u32 {
+        heap.intern_native(Value::native("filler", std::sync::Arc::new(i)));
+    }
+    assert_eq!(heap.intern_native(handle.clone()), first);
+    let Val::Native(slot) = first else { panic!() };
+    assert_eq!(heap.native_key(slot), 3);
+    assert_eq!(heap.native_slots(), 41);
+}
