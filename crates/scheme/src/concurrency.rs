@@ -7,11 +7,11 @@
 
 use crate::error::SchemeError;
 use crate::machine::{self, Machine};
-use crate::prims::{rerr, want_int, want_list, want_string, want_sym, Def};
+use crate::prims::{map_list, rerr, want_int, want_list, want_string, want_sym, Def};
 use parking_lot::Mutex as PlMutex;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use sting_areas::{ObjKind, Val};
+use sting_areas::Val;
 use sting_core::fleet::Fleet;
 use sting_core::net::{TcpListener, TcpStream, LOCALHOST};
 use sting_core::tc::{self, Cx};
@@ -130,29 +130,6 @@ fn want_template(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Templa
         other => Ok(lit(m.to_value(other)?)),
     })?;
     Ok(Template::new(fields))
-}
-
-/// Maps `f` over the elements of proper-list argument `i`, read straight
-/// from the heap.
-fn map_list<T>(
-    m: &Machine,
-    argc: usize,
-    i: usize,
-    who: &str,
-    mut f: impl FnMut(&Machine, Val) -> Result<T, SchemeError>,
-) -> Result<Vec<T>, SchemeError> {
-    let mut out = Vec::new();
-    let mut cur = m.arg(argc, i);
-    loop {
-        match cur {
-            Val::Nil => return Ok(out),
-            Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair => {
-                out.push(f(m, m.heap.car(gc))?);
-                cur = m.heap.cdr(gc);
-            }
-            _ => return Err(rerr(format!("{who}: expected a proper list"))),
-        }
-    }
 }
 
 /// Decodes an optional trailing milliseconds argument into a [`Duration`].

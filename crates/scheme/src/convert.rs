@@ -308,17 +308,7 @@ pub(crate) fn immediate(v: &Value) -> Option<Val> {
 }
 
 fn go_in(m: &mut Machine, v: &Value, frames: &mut FramesIn) -> Val {
-    if let Some(imm) = immediate(v) {
-        return imm;
-    }
     match v {
-        Value::Unit
-        | Value::Bool(_)
-        | Value::Int(_)
-        | Value::Float(_)
-        | Value::Char(_)
-        | Value::Sym(_)
-        | Value::Nil => unreachable!("immediates return above"),
         Value::Str(s) => m.string(s),
         Value::Pair(_) => list_in(m, v, frames),
         Value::Vector(items) => {
@@ -340,6 +330,7 @@ fn go_in(m: &mut Machine, v: &Value, frames: &mut FramesIn) -> Val {
             }
             None => m.native_ref(v),
         },
+        other => immediate(other).expect("every other value is an immediate"),
     }
 }
 

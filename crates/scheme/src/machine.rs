@@ -826,11 +826,8 @@ impl Machine {
                 });
                 Ok(())
             }
-            EnvRef::Shared(_) => {
+            EnvRef::Shared(sf) => {
                 let sv = self.to_value(v)?;
-                let EnvRef::Shared(sf) = self.env_at(env, depth)? else {
-                    unreachable!("the chain did not change")
-                };
                 let mut slots = sf.slots.write();
                 let slot = slots
                     .get_mut(idx as usize)

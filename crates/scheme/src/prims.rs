@@ -85,13 +85,25 @@ pub(crate) fn want_list(
     i: usize,
     who: &str,
 ) -> Result<Vec<Val>, SchemeError> {
+    map_list(m, argc, i, who, |_, v| Ok(v))
+}
+
+/// Maps `f` over the elements of proper-list argument `i`, read straight
+/// from the heap.
+pub(crate) fn map_list<T>(
+    m: &Machine,
+    argc: usize,
+    i: usize,
+    who: &str,
+    mut f: impl FnMut(&Machine, Val) -> Result<T, SchemeError>,
+) -> Result<Vec<T>, SchemeError> {
     let mut out = Vec::new();
     let mut cur = m.arg(argc, i);
     loop {
         match cur {
             Val::Nil => return Ok(out),
             Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair => {
-                out.push(m.heap.car(gc));
+                out.push(f(m, m.heap.car(gc))?);
                 cur = m.heap.cdr(gc);
             }
             _ => return Err(rerr(format!("{who}: expected a proper list"))),
@@ -660,18 +672,9 @@ fn defs() -> Vec<Def> {
         Ok(acc)
     });
     def!("length", 1, Some(1), |m, a| {
-        let mut n = 0;
-        let mut cur = m.arg(a, 0);
-        loop {
-            match cur {
-                Val::Nil => return Ok(Val::Int(n)),
-                Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair => {
-                    n += 1;
-                    cur = m.heap.cdr(gc);
-                }
-                _ => return Err(rerr("length: expected a proper list")),
-            }
-        }
+        // A `Vec` of `()` counts without allocating.
+        let cells = map_list(m, a, 0, "length", |_, _| Ok(()))?;
+        Ok(Val::Int(cells.len() as i64))
     });
     def!("append", 0, None, |m, a| {
         let mut all: Vec<Val> = Vec::new();
