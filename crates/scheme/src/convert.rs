@@ -269,8 +269,8 @@ fn list_out(
 }
 
 /// Converts a substrate value into the machine's heap.  (Substrate values
-/// are acyclic by construction, so this is total.)  A pair or vector it
-/// makes is recorded as a copy of `v`.
+/// are acyclic by construction, so this is total.)  When `v` is a pair or
+/// a vector, the heap records the copy as a copy of `v`.
 pub fn value_to_heap(m: &mut Machine, v: &Value) -> Val {
     if let Some(imm) = immediate(v) {
         return imm;
