@@ -29,7 +29,6 @@
 
 use crate::word::{Gc, Space, Val, Word};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use sting_value::Value;
 
 /// Scavenges an object survives before promotion to the old generation.
@@ -260,28 +259,6 @@ fn put_nursery(mut space: Vec<u64>) {
     });
 }
 
-/// Hashes an address with one multiplication.
-#[derive(Default)]
-struct AddressHasher(u64);
-
-impl Hasher for AddressHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// Native slots found by scanning the table, at most: a heap with more
-/// keeps them in a map by handle identity.
-const NATIVES_SCANNED: usize = 16;
-
 /// One slot of the native table.
 struct NativeSlot {
     value: Option<Value>,
@@ -297,10 +274,9 @@ pub struct Heap {
     /// Old-space slot indices that may hold young references.
     remembered: Vec<usize>,
     natives: Vec<NativeSlot>,
-    /// The slot of each pinned native handle, by the handle's identity,
-    /// once the table is too long to scan: pinning one runtime object
-    /// again takes no new slot.
-    natives_by_id: Option<HashMap<usize, u32, BuildHasherDefault<AddressHasher>>>,
+    /// The slot of each pinned native handle, by the handle's identity:
+    /// pinning one runtime object again takes no new slot.
+    natives_by_id: HashMap<usize, u32>,
     native_free: Vec<u32>,
     /// Import records: an object's word and the value it is still a copy
     /// of, in allocation order (so sorted, as the nursery only grows
@@ -346,7 +322,7 @@ impl Heap {
             old: Vec::new(),
             remembered: Vec::new(),
             natives: Vec::new(),
-            natives_by_id: None,
+            natives_by_id: HashMap::new(),
             native_free: Vec::new(),
             imports: Vec::new(),
             entries: Vec::new(),
@@ -666,14 +642,8 @@ impl Heap {
                 (self.natives.len() - 1) as u32
             }
         };
-        if self.natives_by_id.is_none() && self.natives.len() > NATIVES_SCANNED {
-            let by_id = self.natives.iter().enumerate().filter_map(|(i, s)| {
-                let id = s.value.as_ref()?.as_native()?.id();
-                Some((id, i as u32))
-            });
-            self.natives_by_id = Some(by_id.collect());
-        } else if let (Some(by_id), Some(id)) = (self.natives_by_id.as_mut(), id) {
-            by_id.insert(id, idx);
+        if let Some(id) = id {
+            self.natives_by_id.insert(id, idx);
         }
         Val::Native(idx)
     }
@@ -683,16 +653,7 @@ impl Heap {
     #[inline]
     pub fn native_slot_of(&self, v: &Value) -> Option<Val> {
         let id = v.as_native()?.id();
-        let idx = match &self.natives_by_id {
-            Some(by_id) => *by_id.get(&id)?,
-            None => self.natives.iter().position(|s| {
-                s.value
-                    .as_ref()
-                    .and_then(Value::as_native)
-                    .is_some_and(|h| h.id() == id)
-            })? as u32,
-        };
-        Some(Val::Native(idx))
+        self.natives_by_id.get(&id).map(|&idx| Val::Native(idx))
     }
 
     /// The key slot `idx` was interned with: a number its interner chose,
@@ -1005,11 +966,8 @@ impl Heap {
         for (i, is_live) in live.iter().enumerate() {
             if !is_live {
                 let slot = &mut self.natives[i];
-                if let (Some(by_id), Some(h)) = (
-                    self.natives_by_id.as_mut(),
-                    slot.value.as_ref().and_then(Value::as_native),
-                ) {
-                    by_id.remove(&h.id());
+                if let Some(h) = slot.value.as_ref().and_then(Value::as_native) {
+                    self.natives_by_id.remove(&h.id());
                 }
                 slot.value = None;
                 slot.key = 0;

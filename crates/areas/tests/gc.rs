@@ -451,7 +451,6 @@ fn a_native_handle_is_pinned_once_and_keeps_its_key() {
     let handle = Value::native("probe", std::sync::Arc::new(5u32));
     let first = heap.intern_native_keyed(handle.clone(), 3);
     assert_eq!(heap.native_slot_of(&handle), Some(first));
-    // Past the length the table is scanned at, too.
     for i in 0..40u32 {
         heap.intern_native(Value::native("filler", std::sync::Arc::new(i)));
     }
