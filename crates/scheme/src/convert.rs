@@ -18,10 +18,16 @@
 //! * Closures convert structurally: code id plus the environment chain.
 //!   A frame no code assigns to ([`ObjKind::FixedFrame`]) exports as a
 //!   `Value::Vector` `[parent, v0, …]` — in a closure's environment, a
-//!   vector is such a frame — and imports as a heap frame again, once per
-//!   import however many closures share it.  A frame with an assigned
-//!   slot exports as a [`SharedFrame`], one per export, that every thread
+//!   vector is such a frame.  If its slots hold only immediates and
+//!   runtime objects, it imports as a heap frame again, once per import
+//!   however many closures share it.  A frame with an assigned slot
+//!   exports as a [`SharedFrame`], one per export, that every thread
 //!   running a closure over it reads and writes through.
+//! * A captured variable read through an exported frame — a shared one,
+//!   or a fixed one holding data or a procedure, which is pinned as it
+//!   is — converts at each reference: a captured list is a fresh copy
+//!   each time, whichever kind of frame holds it.  Only an immediate or a
+//!   runtime object, which convert alike every time, is read in place.
 //!
 //! List spines convert iteratively, so long lists do not consume Rust
 //! stack.
@@ -358,7 +364,19 @@ fn list_in(m: &mut Machine, v: &Value, frames: &mut FramesIn) -> Val {
     acc
 }
 
-/// Imports an environment chain (see [`ClosureValue::env`]).
+/// Whether `v`, imported once, reads the same as imported at every
+/// reference: an immediate or a runtime object, not a procedure or data.
+fn imports_alike(v: &Value) -> bool {
+    match v {
+        Value::Native(h) => h.tag() != CLOSURE_TAG,
+        other => immediate(other).is_some(),
+    }
+}
+
+/// Imports an environment chain (see [`ClosureValue::env`]).  A fixed
+/// frame whose slots all import alike is copied into the heap; any other
+/// stays the exported vector, pinned, and its slots are converted at each
+/// reference, as a shared frame's are.
 fn env_in(m: &mut Machine, env: &Value, frames: &mut FramesIn) -> Val {
     let Value::Vector(items) = env else {
         return match env {
@@ -366,6 +384,9 @@ fn env_in(m: &mut Machine, env: &Value, frames: &mut FramesIn) -> Val {
             shared => m.native_ref(shared),
         };
     };
+    if !items[1..].iter().all(imports_alike) {
+        return m.native(env.clone());
+    }
     let id = items.as_ptr() as usize;
     if let Some(&(_, entry)) = frames.iter().find(|(f, _)| *f == id) {
         return Val::Obj(m.heap.resolve(entry));

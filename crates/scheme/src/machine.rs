@@ -56,8 +56,9 @@ enum EnvRef<'a> {
     Heap(Gc),
     /// A frame with an assigned slot, shared between threads.
     Shared(&'a SharedFrame),
-    /// A frame with no assigned slot, reached through a shared frame:
-    /// `[parent, v0, …]` as it was exported ([`convert`]'s module doc).
+    /// A frame with no assigned slot, as it was exported, `[parent, v0,
+    /// …]`: reached through a shared frame, or imported as it is because
+    /// a slot holds data or a procedure ([`convert`]'s module doc).
     Fixed(&'a [Value]),
 }
 
@@ -67,10 +68,9 @@ struct GlobalRef {
     /// The binding's version when `val` was converted, or [`UNCACHED`].
     seen: u64,
     /// The binding's value in this machine's heap.  Kept only for values
-    /// that are not themselves mutable data, so that serving the same
-    /// `Val` again differs from converting again in `eq?` on two
-    /// references to one procedure, now `#t`, and in a list a procedure's
-    /// fixed frame captured, now one object in this machine.
+    /// whose conversion copies no mutable data, so that serving the same
+    /// `Val` again differs from converting again in one way only: `eq?` on
+    /// two references to one procedure now answers `#t`.
     val: Val,
 }
 
@@ -750,9 +750,9 @@ impl Machine {
 
     /// Resolves the frame `depth` levels up the environment chain.  A
     /// frame is a heap object (either frame kind), or, above a closure
-    /// converted across a thread or top-level boundary, a frame with an
-    /// assigned slot ([`SharedFrame`]) and the frames above it as they
-    /// were exported.  Nothing is cloned on the way.
+    /// converted across a thread or top-level boundary, a frame as it was
+    /// exported: one with an assigned slot ([`SharedFrame`]) or a fixed
+    /// one not copied into the heap.  Nothing is cloned on the way.
     fn env_at(&self, env: Val, depth: u16) -> Result<EnvRef<'_>, SchemeError> {
         let short = || SchemeError::Vm("environment chain too short".into());
         fn exported(v: &Value) -> Option<EnvRef<'_>> {
@@ -780,9 +780,10 @@ impl Machine {
         Ok(cur)
     }
 
-    /// A local variable reached through at least one shared frame.
-    /// An immediate, or a runtime object already pinned here, is read in
-    /// place; anything else is cloned out and converted.
+    /// A local variable reached through at least one exported frame.  An
+    /// immediate, or a runtime object already pinned here, is read in
+    /// place; anything else is cloned out and converted, a fresh copy at
+    /// each reference.
     fn shared_local_ref(&mut self, env: Val, depth: u16, idx: u16) -> Result<Val, SchemeError> {
         let range = || SchemeError::Vm("frame slot out of range".into());
         let in_place =
