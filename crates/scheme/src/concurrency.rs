@@ -7,7 +7,7 @@
 
 use crate::error::SchemeError;
 use crate::machine::{self, Machine};
-use crate::prims::{map_list, rerr, want_int, want_list, want_string, want_sym, Def};
+use crate::prims::{rerr, want_int, want_list, want_string, want_sym, Def};
 use parking_lot::Mutex as PlMutex;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -125,10 +125,17 @@ fn fork(m: &mut Machine, argc: usize, delayed: bool) -> Result<Val, SchemeError>
 fn want_template(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Template, SchemeError> {
     static FORMAL: OnceLock<u32> = OnceLock::new();
     let q = *FORMAL.get_or_init(|| Symbol::intern("?").index());
-    let fields: Vec<TemplateField> = map_list(m, argc, i, who, |m, item| match item {
-        Val::Sym(s) if s == q => Ok(formal()),
-        other => Ok(lit(m.to_value(other)?)),
-    })?;
+    let items = want_list(m, argc, i, who)?;
+    let mut fields: Vec<TemplateField> = Vec::with_capacity(items.len());
+    for &item in &items {
+        match item {
+            Val::Sym(s) if s == q => fields.push(formal()),
+            other => {
+                let v = m.to_value(other)?;
+                fields.push(lit(v));
+            }
+        }
+    }
     Ok(Template::new(fields))
 }
 
@@ -136,11 +143,6 @@ fn want_template(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Templa
 fn want_ms(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Duration, SchemeError> {
     let ms = want_int(m, argc, i, who)?;
     Ok(Duration::from_millis(ms.max(0) as u64))
-}
-
-/// Reads a list argument into tuple fields.
-fn want_fields(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Vec<Value>, SchemeError> {
-    map_list(m, argc, i, who, |m, item| m.to_value(item))
 }
 
 fn bindings_to_val(m: &mut Machine, bindings: Vec<Value>) -> Val {
@@ -520,7 +522,8 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     });
     def!("channel-send", 2, Some(2), |m, a| {
         let ch = want_native::<Channel>(m, a, 0, "channel-send")?;
-        let sv = m.to_value(m.arg(a, 1))?;
+        let v = m.arg(a, 1);
+        let sv = m.to_value(v)?;
         ch.send(sv)
             .map_err(|e| rerr(format!("channel-send: {e}")))?;
         Ok(Val::Unit)
@@ -563,7 +566,9 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     });
     def!("stream-attach!", 2, Some(2), |m, a| {
         let s = want_native::<Stream>(m, a, 0, "stream-attach!")?;
-        s.attach(m.to_value(m.arg(a, 1))?);
+        let v = m.arg(a, 1);
+        let sv = m.to_value(v)?;
+        s.attach(sv);
         Ok(Val::Unit)
     });
     def!("stream-close!", 1, Some(1), |m, a| {
@@ -571,10 +576,10 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         Ok(Val::Unit)
     });
     def!("stream-cursor", 1, Some(1), |m, a| {
-        let cursor = want_native::<Stream>(m, a, 0, "stream-cursor")?.cursor();
+        let s = want_native::<Stream>(m, a, 0, "stream-cursor")?;
         Ok(m.native(Value::native(
             "stream-cursor",
-            Arc::new(CursorHandle(PlMutex::new(cursor))),
+            Arc::new(CursorHandle(PlMutex::new(s.cursor()))),
         )))
     });
     def!("cursor-hd", 1, Some(1), |m, a| {
@@ -586,10 +591,8 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         }
     });
     def!("cursor-rest", 1, Some(1), |m, a| {
-        let next = want_native::<CursorHandle>(m, a, 0, "cursor-rest")?
-            .0
-            .lock()
-            .rest();
+        let c = want_native::<CursorHandle>(m, a, 0, "cursor-rest")?;
+        let next = c.0.lock().rest();
         Ok(m.native(Value::native(
             "stream-cursor",
             Arc::new(CursorHandle(PlMutex::new(next))),
@@ -649,7 +652,11 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     });
     def!("ts-put", 2, Some(2), |m, a| {
         let ts = want_native::<TupleSpace>(m, a, 0, "ts-put")?;
-        let fields = want_fields(m, a, 1, "ts-put")?;
+        let items = want_list(m, a, 1, "ts-put")?;
+        let mut fields = Vec::with_capacity(items.len());
+        for &it in &items {
+            fields.push(m.to_value(it)?);
+        }
         ts.put(fields);
         Ok(Val::Unit)
     });
@@ -657,31 +664,31 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         // (ts-get ts tmpl [ms]): #f if nothing matched within `ms`.
         let ts = want_native::<TupleSpace>(m, a, 0, "ts-get")?;
         let t = want_template(m, a, 1, "ts-get")?;
-        let b = if a > 2 {
+        if a > 2 {
             let ms = want_ms(m, a, 2, "ts-get")?;
-            ts.get_timeout(&t, ms)
+            match ts.get_timeout(&t, ms) {
+                Some(b) => Ok(bindings_to_val(m, b)),
+                None => Ok(Val::Bool(false)),
+            }
         } else {
-            Some(ts.get(&t))
-        };
-        Ok(match b {
-            Some(b) => bindings_to_val(m, b),
-            None => Val::Bool(false),
-        })
+            let b = ts.get(&t);
+            Ok(bindings_to_val(m, b))
+        }
     });
     def!("ts-rd", 2, Some(3), |m, a| {
         // (ts-rd ts tmpl [ms]): #f if nothing matched within `ms`.
         let ts = want_native::<TupleSpace>(m, a, 0, "ts-rd")?;
         let t = want_template(m, a, 1, "ts-rd")?;
-        let b = if a > 2 {
+        if a > 2 {
             let ms = want_ms(m, a, 2, "ts-rd")?;
-            ts.rd_timeout(&t, ms)
+            match ts.rd_timeout(&t, ms) {
+                Some(b) => Ok(bindings_to_val(m, b)),
+                None => Ok(Val::Bool(false)),
+            }
         } else {
-            Some(ts.rd(&t))
-        };
-        Ok(match b {
-            Some(b) => bindings_to_val(m, b),
-            None => Val::Bool(false),
-        })
+            let b = ts.rd(&t);
+            Ok(bindings_to_val(m, b))
+        }
     });
     def!("ts-try-get", 2, Some(2), |m, a| {
         let ts = want_native::<TupleSpace>(m, a, 0, "ts-try-get")?;
@@ -705,7 +712,8 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         let thunks = want_list(m, a, 1, "ts-spawn")?;
         let cx = cx()?;
         let mut fields = Vec::with_capacity(thunks.len());
-        for &th in &thunks {
+        for (i, &th) in thunks.iter().enumerate() {
+            let _ = i;
             let sv = m.to_value(th)?;
             let t = machine::fork_thunk_value(
                 &cx,
@@ -765,12 +773,16 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     });
     def!("fleet-ts", 1, Some(1), |m, a| {
         // (fleet-ts fleet): a tuple space partitioned across the shards.
-        let space = ShardedSpace::new(want_native::<Fleet>(m, a, 0, "fleet-ts")?);
-        Ok(m.native(space.to_value()))
+        let fleet = want_native::<Fleet>(m, a, 0, "fleet-ts")?;
+        Ok(m.native(ShardedSpace::new(fleet).to_value()))
     });
     def!("fleet-ts-put", 2, Some(2), |m, a| {
         let ts = want_native::<ShardedSpace>(m, a, 0, "fleet-ts-put")?;
-        let fields = want_fields(m, a, 1, "fleet-ts-put")?;
+        let items = want_list(m, a, 1, "fleet-ts-put")?;
+        let mut fields = Vec::with_capacity(items.len());
+        for &it in &items {
+            fields.push(m.to_value(it)?);
+        }
         ts.put(fields);
         Ok(Val::Unit)
     });
@@ -778,31 +790,31 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
         // (fleet-ts-get sts tmpl [ms]): #f if nothing matched within `ms`.
         let ts = want_native::<ShardedSpace>(m, a, 0, "fleet-ts-get")?;
         let t = want_template(m, a, 1, "fleet-ts-get")?;
-        let b = if a > 2 {
+        if a > 2 {
             let ms = want_ms(m, a, 2, "fleet-ts-get")?;
-            ts.get_timeout(&t, ms)
+            match ts.get_timeout(&t, ms) {
+                Some(b) => Ok(bindings_to_val(m, b)),
+                None => Ok(Val::Bool(false)),
+            }
         } else {
-            Some(ts.get(&t))
-        };
-        Ok(match b {
-            Some(b) => bindings_to_val(m, b),
-            None => Val::Bool(false),
-        })
+            let b = ts.get(&t);
+            Ok(bindings_to_val(m, b))
+        }
     });
     def!("fleet-ts-rd", 2, Some(3), |m, a| {
         // (fleet-ts-rd sts tmpl [ms]): #f if nothing matched within `ms`.
         let ts = want_native::<ShardedSpace>(m, a, 0, "fleet-ts-rd")?;
         let t = want_template(m, a, 1, "fleet-ts-rd")?;
-        let b = if a > 2 {
+        if a > 2 {
             let ms = want_ms(m, a, 2, "fleet-ts-rd")?;
-            ts.rd_timeout(&t, ms)
+            match ts.rd_timeout(&t, ms) {
+                Some(b) => Ok(bindings_to_val(m, b)),
+                None => Ok(Val::Bool(false)),
+            }
         } else {
-            Some(ts.rd(&t))
-        };
-        Ok(match b {
-            Some(b) => bindings_to_val(m, b),
-            None => Val::Bool(false),
-        })
+            let b = ts.rd(&t);
+            Ok(bindings_to_val(m, b))
+        }
     });
     def!("fleet-ts-try-get", 2, Some(2), |m, a| {
         let ts = want_native::<ShardedSpace>(m, a, 0, "fleet-ts-try-get")?;
@@ -823,7 +835,8 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     def!("fleet-audit", 1, Some(1), |m, a| {
         // The fleet-wide merged replay through the invariant linter,
         // rendered as a string (shards' rings merge on the Lamport clock).
-        let report = want_native::<Fleet>(m, a, 0, "fleet-audit")?.trace_audit();
+        let fleet = want_native::<Fleet>(m, a, 0, "fleet-audit")?;
+        let report = fleet.trace_audit();
         Ok(m.string(&report.to_string()))
     });
     def!("fleet-handoffs", 1, Some(1), |m, a| {

@@ -85,25 +85,13 @@ pub(crate) fn want_list(
     i: usize,
     who: &str,
 ) -> Result<Vec<Val>, SchemeError> {
-    map_list(m, argc, i, who, |_, v| Ok(v))
-}
-
-/// Maps `f` over the elements of proper-list argument `i`, read straight
-/// from the heap.
-pub(crate) fn map_list<T>(
-    m: &Machine,
-    argc: usize,
-    i: usize,
-    who: &str,
-    mut f: impl FnMut(&Machine, Val) -> Result<T, SchemeError>,
-) -> Result<Vec<T>, SchemeError> {
     let mut out = Vec::new();
     let mut cur = m.arg(argc, i);
     loop {
         match cur {
             Val::Nil => return Ok(out),
             Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair => {
-                out.push(f(m, m.heap.car(gc))?);
+                out.push(m.heap.car(gc));
                 cur = m.heap.cdr(gc);
             }
             _ => return Err(rerr(format!("{who}: expected a proper list"))),
@@ -663,18 +651,15 @@ fn defs() -> Vec<Def> {
     def!("cddr", 1, Some(1), |m, a| cxr(m, a, &[1, 1]));
     def!("caddr", 1, Some(1), |m, a| cxr(m, a, &[1, 1, 0]));
     def!("list", 0, None, |m, a| {
-        // Consed last to first straight from the arguments, which stay on
-        // the stack (and so rooted) throughout.
-        let mut acc = Val::Nil;
-        for i in (0..a).rev() {
-            acc = m.cons(m.arg(a, i), acc);
+        // Args are already on the stack in order.
+        let items: Vec<Val> = (0..a).map(|i| m.arg(a, i)).collect();
+        for &it in &items {
+            m.push(it);
         }
-        Ok(acc)
+        Ok(m.list_from_stack(a))
     });
     def!("length", 1, Some(1), |m, a| {
-        // A `Vec` of `()` counts without allocating.
-        let cells = map_list(m, a, 0, "length", |_, _| Ok(()))?;
-        Ok(Val::Int(cells.len() as i64))
+        Ok(Val::Int(want_list(m, a, 0, "length")?.len() as i64))
     });
     def!("append", 0, None, |m, a| {
         let mut all: Vec<Val> = Vec::new();
