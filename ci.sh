@@ -14,8 +14,8 @@
 #                    # the expect-clean sweep, the static/dynamic lock-order
 #                    # cross-check, and `repl --analyze` over the examples
 #   ./ci.sh bench-smoke  # unified benchmark runner, smoke tier (<60s):
-#                    # emits a schema-checked BENCH json and asserts the
-#                    # Figure 6 shape orderings
+#                    # emits a schema-checked report and fails on any
+#                    # count or shape gate
 #   ./ci.sh shard    # sharded-fleet tier (<90s): fleet + sharded tuple
 #                    # integration tests (with the worker-mapping and
 #                    # registration-leak reproductions), the 10 s farm
@@ -109,39 +109,10 @@ run_analyze() {
 run_bench_smoke() {
     step "bench-smoke: cargo build --release -p sting-bench --bin bench_all"
     cargo build --release -p sting-bench --bin bench_all
-    step "bench-smoke: bench_all --smoke (schema + Figure 6 shape gates)"
-    # The smoke tier includes the echo-server rows (connections-held,
-    # block-wake, echo-rtt).  When the committed smoke baseline exists,
-    # gate against it at 100%: smoke timings on a loaded box jitter far
-    # more than a full run, so this catches order-of-magnitude latency
-    # regressions (a lost wake-up turns µs p50s into ms), while the
-    # committed full report (BENCH_PR20.json) stays the reference for
-    # fine-grained comparisons.  The run itself fails on every check not
-    # marked info:, among them fork:queue-stays-bounded (ready queues and
-    # memory must not grow as a fork-tree world ages), the merged fleet
-    # trace audit (shard:merged-audit-clean@2shard), the two count gates on
-    # the Scheme machine, which hold on a throttled box because they count
-    # instead of timing (scheme:global-ref-does-not-allocate: 100 000
-    # references to a primitive and a prelude procedure grow neither the
-    # heap nor its native table; scheme:call-does-not-malloc: 10 000
-    # closure calls make no Rust-heap allocation) and the two count gates on
-    # the thread path (machine:wakes-per-fork<=0.05: a 2-VP migrating tree
-    # wakes a parked worker at most once per 20 forks;
-    # fork:allocs-per-thread<=2: a forked-and-absorbed thread allocates its
-    # object and its thunk, nothing else) and the count gate on the
-    # reactor (server:epoll-ctl-per-wake==0: each socket registers once,
-    # so under echo load no wake makes an epoll_ctl); the
-    # gates that need a second core (fork:two-pinned-vps-beat-one-vp,
-    # fork:migrating-tree-no-slower-than-one-vp,
-    # fleet:two-shards-two-workers,
-    # shape:tuple-locks-per-bucket-beats-global-lock) are recorded but
-    # advisory on this tier, and enforced by a full run on a box with a
-    # second core to give.
-    local against=()
-    if [[ -f BENCH_PR20_SMOKE.json ]]; then
-        against=(--against BENCH_PR20_SMOKE.json --threshold 1.0)
-    fi
-    ./target/release/bench_all --smoke --out target/BENCH_SMOKE.json "${against[@]}"
+    step "bench-smoke: bench_all --smoke (count and shape gates)"
+    # Every check not named info: fails the run; bench_all prints them all
+    # in its checks: block.  Timed rows are reported, not gated.
+    ./target/release/bench_all --smoke --out target/BENCH_SMOKE.json
 }
 
 run_shard() {

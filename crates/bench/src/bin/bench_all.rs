@@ -1,25 +1,26 @@
-//! Unified benchmark runner: Figure 6 + every shape experiment + the
-//! storage-model rows, in one process, with a schema-versioned JSON report
-//! and a regression gate against a committed baseline.
+//! Unified benchmark runner: Figure 6 and every shape experiment, in one
+//! process, with a schema-versioned JSON report.
 //!
 //! ```text
 //! cargo run --release -p sting-bench --bin bench_all            # full run
 //! cargo run --release -p sting-bench --bin bench_all -- --smoke # CI tier
-//! cargo run --release -p sting-bench --bin bench_all -- \
-//!     --against BENCH_PR20.json --threshold 0.10                # regress?
 //! ```
+//!
+//! The report goes to `target/BENCH.json` unless `--out` names another
+//! path.  Timed rows are reported, never gated against an earlier run: a
+//! speed claim is a parent-against-change comparison on the repository
+//! benchmark.
 //!
 //! Exit status: 0 on success, 1 when any check whose name does not start
 //! with `info:` fails (Figure 6's after three attempts; the gates that need
 //! a second core carry `info:` on the smoke tier and on a box that has no
-//! second core to give), or `--against` finds a row slowed past the
-//! threshold, 2 on usage or I/O errors.
+//! second core to give), 2 on usage or I/O errors.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 use sting::prelude::*;
-use sting_bench::report::{compare, BenchReport, BenchRow, Check};
+use sting_bench::report::{BenchReport, BenchRow, Check};
 use sting_bench::shapes::{self, Scale};
 use sting_bench::{
     dist::Dist, figure6_checks, figure6_gates_pass, measure_figure6, render_figure6,
@@ -38,8 +39,6 @@ struct Args {
     iters: Option<u64>,
     reps: Option<u64>,
     out: String,
-    against: Option<String>,
-    threshold: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -47,9 +46,7 @@ fn parse_args() -> Result<Args, String> {
         smoke: false,
         iters: None,
         reps: None,
-        out: "BENCH_PR20.json".to_string(),
-        against: None,
-        threshold: 0.10,
+        out: "target/BENCH.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -59,16 +56,10 @@ fn parse_args() -> Result<Args, String> {
             "--iters" => args.iters = Some(value("--iters")?.parse().map_err(|e| format!("{e}"))?),
             "--reps" => args.reps = Some(value("--reps")?.parse().map_err(|e| format!("{e}"))?),
             "--out" => args.out = value("--out")?,
-            "--against" => args.against = Some(value("--against")?),
-            "--threshold" => {
-                args.threshold = value("--threshold")?.parse().map_err(|e| format!("{e}"))?;
-            }
             "--help" | "-h" => {
-                return Err(
-                    "usage: bench_all [--smoke] [--iters N] [--reps N] [--out PATH] \
-                            [--against BASELINE.json] [--threshold FRACTION]"
-                        .to_string(),
-                );
+                return Err("usage: bench_all [--smoke] [--iters N] [--reps N] \
+                            [--out PATH (default target/BENCH.json)]"
+                    .to_string());
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
@@ -170,25 +161,6 @@ fn main() -> ExitCode {
         "bench_all — mode={mode}, figure6 iters={}, reps={reps}",
         scale.figure6_iters
     );
-
-    // Load the baseline before measuring anything: a missing or
-    // schema-incompatible file should fail in milliseconds, not after the
-    // whole suite has run.
-    let baseline = match &args.against {
-        None => None,
-        Some(path) => {
-            match std::fs::read_to_string(path)
-                .map_err(|e| e.to_string())
-                .and_then(|t| BenchReport::from_json(&t))
-            {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("failed to load baseline {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
 
     let mut rows: Vec<BenchRow> = Vec::new();
     let mut checks: Vec<Check> = Vec::new();
@@ -337,42 +309,6 @@ fn main() -> ExitCode {
             locks_p50[0],
             locks_p50[1],
             locks_p50[1] / locks_p50[0]
-        ),
-    });
-
-    // --- The keyed index: a literal-keyed probe beside 10 000 bystanders
-    // (the repository benchmark's probe shape) against the same probe in
-    // an otherwise empty space.  An index that visits only its own chain
-    // makes the bystanders free. ---
-    let probe_ops = if args.smoke { 20_000 } else { 200_000 };
-    println!("tuple: probe beside 10 000 bystanders ({probe_ops} ops)");
-    let mut probe_p50 = [[0.0f64; 2]; 2]; // [beside-10k, alone][put+try_get, try_rd]
-    for (i, (name, bystanders)) in [("probe-beside-10k", 10_000), ("probe-alone", 0)]
-        .into_iter()
-        .enumerate()
-    {
-        let (pairs, reads): (Vec<f64>, Vec<f64>) = (0..reps.max(1))
-            .map(|_| shapes::tuple_probe_beside(bystanders, probe_ops))
-            .unzip();
-        for (j, (op, samples)) in [("put-try-get", pairs), ("try-rd", reads)]
-            .into_iter()
-            .enumerate()
-        {
-            let d = Dist::from_samples(samples);
-            probe_p50[i][j] = d.p50();
-            let row = BenchRow::from_dist("tuple", &format!("{name}:{op}"), "ns/op", &d);
-            print_row(&row);
-            rows.push(row);
-        }
-    }
-    // A clock ratio, so reported only: the claim behind it is enforced as
-    // a count on every box by the keyed index's own unit test.
-    checks.push(Check {
-        name: "info:tuple:probe-beside-10k".to_string(),
-        pass: (0..2).all(|op| probe_p50[0][op] <= 2.0 * probe_p50[1][op]),
-        detail: format!(
-            "beside 10 000 bystanders: put+try_get {:.0} ns, try_rd {:.0} ns; alone: {:.0} ns, {:.0} ns (bystanders cost < 2x; enforced as a count by sting_tuple::hashed::tests::a_keyed_hit_costs_one_lock_and_its_own_chain: <= 2 visits, one bin lock, no hash)",
-            probe_p50[0][0], probe_p50[0][1], probe_p50[1][0], probe_p50[1][1]
         ),
     });
 
@@ -600,20 +536,6 @@ fn main() -> ExitCode {
         ),
     });
 
-    // --- Storage model: scavenge pauses and allocation churn ---
-    println!(
-        "gc ({} collections, {} conses)",
-        scale.gc_collections, scale.gc_conses
-    );
-    let d = shapes::gc_minor_pauses(scale.gc_collections);
-    let row = BenchRow::from_dist("gc", "minor-pause-64k-nursery", "ns/collection", &d);
-    print_row(&row);
-    rows.push(row);
-    let d = shapes::gc_alloc_churn(scale.gc_conses);
-    let row = BenchRow::from_dist("gc", "alloc-churn-16k-nursery", "ns/cons", &d);
-    print_row(&row);
-    rows.push(row);
-
     // --- The Scheme machine's hot paths, and the two count gates on them
     // (a reference to a global allocates nothing after the first; a
     // closure call never reaches the Rust allocator). ---
@@ -763,7 +685,12 @@ fn main() -> ExitCode {
             c.detail
         );
     }
-    if let Err(e) = std::fs::write(&args.out, report.to_json()) {
+    let out = std::path::Path::new(&args.out);
+    let written = out
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(out, report.to_json()));
+    if let Err(e) = written {
         eprintln!("failed to write {}: {e}", args.out);
         return ExitCode::from(2);
     }
@@ -771,41 +698,14 @@ fn main() -> ExitCode {
 
     // One rule: every check not marked `info:` is a gate.
     let mut failed = false;
-    for c in report.checks.iter().filter(|c| !c.pass) {
-        if !c.name.starts_with("info:") {
-            eprintln!("FAIL: {} ({})", c.name, c.detail);
-            failed = true;
-        }
+    for c in report
+        .checks
+        .iter()
+        .filter(|c| !c.pass && !c.name.starts_with("info:"))
+    {
+        eprintln!("FAIL: {} ({})", c.name, c.detail);
+        failed = true;
     }
-
-    // --- Baseline comparison ---
-    if let Some(baseline) = &baseline {
-        let path = args.against.as_deref().unwrap_or_default();
-        let regressions = compare(baseline, &report, args.threshold);
-        if regressions.is_empty() {
-            println!(
-                "no regressions vs {path} (threshold {:.0}%)",
-                args.threshold * 100.0
-            );
-        } else {
-            eprintln!(
-                "REGRESSIONS vs {path} (p50 and min both grew more than {:.0}%):",
-                args.threshold * 100.0
-            );
-            for r in &regressions {
-                eprintln!(
-                    "  {}/{}: {:.0} ns -> {:.0} ns ({:+.1}%)",
-                    r.suite,
-                    r.name,
-                    r.base_p50,
-                    r.new_p50,
-                    (r.ratio - 1.0) * 100.0
-                );
-            }
-            failed = true;
-        }
-    }
-
     if failed {
         ExitCode::from(1)
     } else {

@@ -1,11 +1,11 @@
 //! Minimal JSON tree, emitter, and parser.
 //!
 //! The workspace deliberately carries no third-party dependencies, so the
-//! benchmark reports (`BENCH_*.json`) are written and re-read with this
-//! small hand-rolled implementation. It supports exactly the JSON subset
-//! the reports use: objects, arrays, strings, finite numbers, booleans and
-//! null, with `\uXXXX`-free string escapes on output (input accepts the
-//! standard escapes including `\u`).
+//! benchmark reports are written and re-read with this small hand-rolled
+//! implementation. It supports exactly the JSON subset the reports use:
+//! objects, arrays, strings, finite numbers, booleans and null, with
+//! `\uXXXX`-free string escapes on output (input accepts the standard
+//! escapes including `\u`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

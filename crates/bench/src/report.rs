@@ -1,10 +1,9 @@
-//! Benchmark report schema (`BENCH_*.json`) and regression comparison.
+//! Benchmark report schema.
 //!
-//! Every `bench_all` run emits one schema-versioned JSON document so later
-//! PRs can diff performance against a committed baseline with
-//! `bench_all --against BENCH_PRn.json`. Rows are keyed by
-//! `(suite, name)`; comparison is on p50 (medians are robust to the odd
-//! scheduling hiccup that wrecks means on shared CI machines).
+//! Every `bench_all` run emits one schema-versioned JSON document: the
+//! measured rows, keyed by `(suite, name)`, and the checks evaluated on
+//! them.  The report is a record of one run; nothing compares it against
+//! another.
 
 use crate::dist::Dist;
 use crate::json::{parse, Json};
@@ -15,7 +14,7 @@ pub const SCHEMA: &str = "sting-bench/1";
 /// One measured benchmark row.
 #[derive(Debug, Clone)]
 pub struct BenchRow {
-    /// Suite the row belongs to (`figure6`, `shape`, `gc`, `overhead`).
+    /// Suite the row belongs to (`figure6`, `shape`, `fork`, `overhead`, ...).
     pub suite: String,
     /// Row name, unique within its suite.
     pub name: String,
@@ -209,55 +208,6 @@ impl BenchReport {
     }
 }
 
-/// One row that slowed down past the threshold relative to a baseline.
-#[derive(Debug, Clone)]
-pub struct Regression {
-    /// Suite of the regressed row.
-    pub suite: String,
-    /// Name of the regressed row.
-    pub name: String,
-    /// Baseline p50 (ns).
-    pub base_p50: f64,
-    /// Current p50 (ns).
-    pub new_p50: f64,
-    /// `new_p50 / base_p50`.
-    pub ratio: f64,
-}
-
-/// Compares `current` against `baseline` row-by-row and returns the rows
-/// that regressed by more than `threshold` (0.10 = 10%) on **both** the
-/// p50 and the min statistic.  Requiring both is what makes the gate
-/// usable on a shared 1-CPU box: outside interference inflates the
-/// median (and p99) of whichever rows it lands on, but a run's best
-/// sample survives unless the load is sustained — while a genuine code
-/// regression shifts the whole distribution, floor included.  Rows
-/// present in only one report are skipped: suites evolve between PRs,
-/// and a renamed row should not read as a regression.  Rows without a
-/// positive baseline min (older reports) gate on p50 alone.
-pub fn compare(baseline: &BenchReport, current: &BenchReport, threshold: f64) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    for new_row in &current.rows {
-        let Some(base_row) = baseline.row(&new_row.suite, &new_row.name) else {
-            continue;
-        };
-        if base_row.p50 <= 0.0 {
-            continue;
-        }
-        let ratio = new_row.p50 / base_row.p50;
-        let min_ok = base_row.min > 0.0 && new_row.min / base_row.min <= 1.0 + threshold;
-        if ratio > 1.0 + threshold && !min_ok {
-            regressions.push(Regression {
-                suite: new_row.suite.clone(),
-                name: new_row.name.clone(),
-                base_p50: base_row.p50,
-                new_p50: new_row.p50,
-                ratio,
-            });
-        }
-    }
-    regressions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,52 +255,5 @@ mod tests {
             {"suite": "s", "name": "n", "unit": "ns", "samples": 1,
              "min": 1, "mean": 1, "p50": 1}]}"#;
         assert!(BenchReport::from_json(missing_p99).is_err());
-    }
-
-    #[test]
-    fn compare_flags_only_regressions_past_threshold() {
-        let base = BenchReport {
-            config: vec![],
-            rows: vec![
-                row("figure6", "ctx-switch", 100.0),
-                row("figure6", "stealing", 100.0),
-                row("figure6", "removed-row", 100.0),
-            ],
-            checks: vec![],
-        };
-        let current = BenchReport {
-            config: vec![],
-            rows: vec![
-                row("figure6", "ctx-switch", 125.0), // +25%: regression
-                row("figure6", "stealing", 108.0),   // +8%: within threshold
-                row("figure6", "new-row", 500.0),    // no baseline: skipped
-            ],
-            checks: vec![],
-        };
-        let regs = compare(&base, &current, 0.10);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "ctx-switch");
-        assert!((regs[0].ratio - 1.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn compare_absolves_p50_spike_when_min_holds() {
-        // A p50 spike whose min is unmoved reads as interference, not a
-        // regression; a row whose floor also moved still gates.
-        let base = BenchReport {
-            config: vec![],
-            rows: vec![row("shape", "noisy", 100.0), row("shape", "slowed", 100.0)],
-            checks: vec![],
-        };
-        let mut noisy = row("shape", "noisy", 140.0);
-        noisy.min = 91.0; // floor held (base min is 90)
-        let current = BenchReport {
-            config: vec![],
-            rows: vec![noisy, row("shape", "slowed", 140.0)],
-            checks: vec![],
-        };
-        let regs = compare(&base, &current, 0.10);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "slowed");
     }
 }

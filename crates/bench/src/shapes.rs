@@ -8,7 +8,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
-use sting::areas::{Heap, HeapConfig, Val as AreaVal, Word};
 use sting::core::pm::{EnqueueState, RunItem};
 use sting::core::policies::{self, GlobalQueue};
 use sting::core::vp::Vp;
@@ -42,10 +41,6 @@ pub struct Scale {
     pub tuple_keys: i64,
     /// E3 rounds per worker.
     pub tuple_rounds: i64,
-    /// Minor collections timed for the GC pause row.
-    pub gc_collections: u64,
-    /// Cons cells allocated for the GC churn row.
-    pub gc_conses: u64,
     /// E7 sharded-farm job count (split across the fleet's shards).
     pub shard_jobs: usize,
     /// E7 sharded-tree depth.
@@ -72,8 +67,6 @@ impl Scale {
             preempt_rounds: 150,
             tuple_keys: 256,
             tuple_rounds: 20,
-            gc_collections: 2_000,
-            gc_conses: 2_000_000,
             shard_jobs: 2_000,
             shard_tree_depth: 10,
             fork_reps: 200,
@@ -95,8 +88,6 @@ impl Scale {
             preempt_rounds: 10,
             tuple_keys: 64,
             tuple_rounds: 3,
-            gc_collections: 200,
-            gc_conses: 100_000,
             shard_jobs: 400,
             shard_tree_depth: 6,
             fork_reps: 30,
@@ -470,36 +461,6 @@ pub fn tuple_locks_workload(vm: &Arc<Vm>, ts: &TupleSpace, keys: i64, rounds: i6
     start.elapsed()
 }
 
-/// Non-blocking ops in a 64-bin space beside `bystanders` tuples of other
-/// keys — the shape of the repository benchmark's `tuple.put_try_get_ns`
-/// and `tuple.try_rd_ns` probes.  Returns ns per `put` + `try_get` pair
-/// and ns per `try_rd`, each over `ops` operations.
-pub fn tuple_probe_beside(bystanders: i64, ops: u64) -> (f64, f64) {
-    let ts = TupleSpace::new();
-    for b in 0..bystanders {
-        ts.put(vec![
-            Value::Int(1_000_000 + b),
-            Value::Int(b),
-            Value::Int(b * 7),
-        ]);
-    }
-    ts.put(vec![Value::Int(1), Value::Int(0), Value::Int(42)]);
-    let per_op = |start: std::time::Instant| start.elapsed().as_nanos() as f64 / ops as f64;
-    let jobs = Template::new(vec![lit(2i64), formal(), formal()]);
-    let start = std::time::Instant::now();
-    for i in 0..ops {
-        ts.put(vec![Value::Int(2), Value::Int(i as i64), Value::Int(0)]);
-        std::hint::black_box(ts.try_get(&jobs));
-    }
-    let put_try_get = per_op(start);
-    let config = Template::new(vec![lit(1i64), lit(0i64), formal()]);
-    let start = std::time::Instant::now();
-    for _ in 0..ops {
-        std::hint::black_box(ts.try_rd(&config));
-    }
-    (put_try_get, per_op(start))
-}
-
 // --- E7: sharded fleets over the partitioned tuple-space fabric ---
 
 /// A 2-shard × 1-VP fleet on two workers whose threads stay where they
@@ -815,43 +776,4 @@ pub fn fork_world_residue(wall: Duration, depth: u32) -> Residue {
         over,
         trees,
     }
-}
-
-// --- Storage model: scavenge pauses and allocation churn ---
-
-/// Times `collections` minor scavenges of a 64k-word nursery holding a
-/// rooted ~1k-pair survivor set; returns per-collection ns.
-pub fn gc_minor_pauses(collections: u64) -> Dist {
-    let mut heap = Heap::new(HeapConfig {
-        young_words: 64 * 1024,
-        old_trigger_words: usize::MAX / 2,
-    });
-    let mut roots: Vec<Word> = Vec::new();
-    for i in 0..1000 {
-        let gc = heap.cons(AreaVal::Int(i), AreaVal::Nil, &mut roots);
-        roots.push(gc.word());
-    }
-    let mut samples = Vec::with_capacity(collections as usize);
-    for _ in 0..collections.max(1) {
-        let start = std::time::Instant::now();
-        heap.collect_minor(&mut roots);
-        samples.push(start.elapsed().as_nanos() as f64);
-    }
-    Dist::from_samples(samples)
-}
-
-/// Allocates `conses` pairs through a small (16k-word) nursery so the
-/// allocator regularly scavenges; returns amortized ns per cons, sampled
-/// in batches.
-pub fn gc_alloc_churn(conses: u64) -> Dist {
-    let mut heap = Heap::new(HeapConfig {
-        young_words: 16 * 1024,
-        old_trigger_words: usize::MAX / 2,
-    });
-    let mut roots: Vec<Word> = Vec::new();
-    let mut i = 0i64;
-    crate::dist::time_per_iter(conses, || {
-        let _ = heap.cons(AreaVal::Int(i), AreaVal::Nil, &mut roots);
-        i += 1;
-    })
 }

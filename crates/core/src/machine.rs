@@ -33,8 +33,13 @@
 //!   stealable queue, or remote work whose worker is busy — claims one idle
 //!   worker that drives another VP of the same VM, but only when no worker
 //!   is searching: a searcher will find it.  An owner push reads the word
-//!   without the fence; the owner runs what it pushed anyway, so a missed
-//!   offer costs a steal, never progress.
+//!   without the fence, so it can miss a worker that is announcing itself
+//!   idle.  Nothing offers that work again: while the owner keeps running
+//!   other threads, what it pushed stays on its VP and the idle sibling
+//!   sleeps — the work is stranded until the owner reaches it, not merely
+//!   a steal late.  `fork_on_a_busy_vp_wakes_the_idle_sibling`
+//!   (`crates/core/tests/substrate.rs`) reproduces it: it times out in a
+//!   few runs in a hundred.
 //! * **Chaining.**  A searching worker that finds work and was the last
 //!   searcher claims one more idle worker, so a burst of work spreads one
 //!   wake at a time instead of as a herd.

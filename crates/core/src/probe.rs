@@ -61,14 +61,16 @@ mod tests {
     /// tracing off, threads forked, absorbed by `touch` and determined on
     /// one VP hit none of the probes — eager (queued, then taken back off
     /// the queue by the toucher) or delayed.  In particular neither the
-    /// thread's lock nor the policy lock is taken.
+    /// thread's lock nor the policy lock is taken.  Children the VP
+    /// dispatches from its queue stay off them too: see [`link`].
     #[test]
     fn fork_touch_determine_on_one_vp_stays_off_every_slow_path() {
         let vm = VmBuilder::new()
             .vps(2)
             .policy(|_| policies::local_lifo().boxed())
             .build();
-        let worker = vm.fork_on(1, |cx| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = vm.fork_on(1, move |cx| {
             let round = |n: i64| {
                 for i in 0..n {
                     let eager = cx.fork(move |_| i);
@@ -83,11 +85,44 @@ mod tests {
             round(200);
             let after = hits();
             assert_eq!(cx.current_vp().queue_len(), 0);
-            i64::from(before == after)
+            tx.send(since(before, after)).unwrap();
+            link(cx, 0, None, tx)
         });
-        let clean = worker.unwrap().join_blocking().unwrap();
-        assert_eq!(clean.as_int(), Some(1), "a slow-path probe fired");
+        let absorbed = rx.recv().unwrap();
+        let dispatched = rx.recv().unwrap();
+        assert_eq!(absorbed, [0; PROBES], "absorbed: a probe fired");
+        assert_eq!(dispatched, [0; PROBES], "dispatched: a probe fired");
+        worker.unwrap().join_blocking().unwrap();
         vm.shutdown();
+    }
+
+    /// Links in [`link`]'s chain: one to warm up, then the measured ones.
+    const LINKS: u32 = 201;
+
+    /// Link `k` of a chain on one non-migrating LIFO VP: forks link
+    /// `k + 1`, yields and returns.  The yield re-dispatches the parent
+    /// (LIFO puts it above its child), and once it returns the VP
+    /// dispatches the child from its queue.  Nothing touches or joins a
+    /// link, so the last one sends the hits the measured links took.
+    fn link(
+        cx: &crate::Cx,
+        k: u32,
+        start: Option<[u64; PROBES]>,
+        done: std::sync::mpsc::Sender<[u64; PROBES]>,
+    ) -> i64 {
+        let start = start.or((k == 1).then(hits));
+        if k == LINKS {
+            assert_eq!(cx.current_vp().queue_len(), 0);
+            done.send(since(start.unwrap(), hits())).unwrap();
+            return 0;
+        }
+        cx.fork(move |cx| link(cx, k + 1, start, done));
+        cx.yield_now();
+        0
+    }
+
+    fn since(before: [u64; PROBES], after: [u64; PROBES]) -> [u64; PROBES] {
+        std::array::from_fn(|i| after[i] - before[i])
     }
 
     fn fired(before: [u64; PROBES], after: [u64; PROBES], probe: Probe) -> bool {

@@ -193,15 +193,22 @@ fn rust_panic_becomes_exception_result() {
 #[test]
 fn terminate_scheduled_thread() {
     let vm = vm1();
-    // Keep the VP busy so the victim stays queued.
+    // Keep the only VP busy so the victim stays queued: the busy thread
+    // neither yields nor polls, and the victim is forked only once it
+    // runs, so nothing dispatches the victim before the terminate.
+    let running = Arc::new(AtomicBool::new(false));
     let gate = Arc::new(AtomicBool::new(false));
-    let g = gate.clone();
-    let _busy = vm.fork(move |cx| {
+    let (r, g) = (running.clone(), gate.clone());
+    let _busy = vm.fork(move |_cx| {
+        r.store(true, Ordering::SeqCst);
         while !g.load(Ordering::SeqCst) {
-            cx.yield_now();
+            std::hint::spin_loop();
         }
         0i64
     });
+    while !running.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
     let victim = vm.fork(|_cx| 1i64);
     // Terminate while delayed/scheduled.
     tc::thread_terminate(&victim, Value::sym("killed")).unwrap();
