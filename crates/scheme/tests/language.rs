@@ -522,3 +522,30 @@ fn interpreters_on_one_vm_keep_private_globals() {
     assert!(bare.eval("(iota 3)").is_err());
     vm.shutdown();
 }
+
+#[test]
+fn fixnum_comparisons_are_exact() {
+    let (vm, i) = interp();
+    // Neighbours that one `f64` cannot tell apart: above 2^53 and near
+    // the top of the fixnum range.
+    assert_eq!(
+        ev(
+            &i,
+            "(list (= 1152921504606846975 1152921504606846974)
+                   (< 1152921504606846974 1152921504606846975)
+                   (= 9007199254740993 9007199254740992))"
+        )
+        .to_string(),
+        "(#f #t #f)"
+    );
+    assert_eq!(
+        ev(&i, "(list (> -1152921504606846976 -1152921504606846975) (>= 9007199254740993 9007199254740992) (<= 9007199254740993 9007199254740992))").to_string(),
+        "(#f #t #f)"
+    );
+    // A float on either side still compares as a float.
+    assert_eq!(
+        ev(&i, "(list (= 1 1.0) (< 1 1.5) (> 2.5 2))").to_string(),
+        "(#t #t #t)"
+    );
+    vm.shutdown();
+}
