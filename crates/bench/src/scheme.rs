@@ -1,4 +1,4 @@
-//! The `scheme` suite: what the Scheme machine's hot paths cost, and four
+//! The `scheme` suite: what the Scheme machine's hot paths cost, and six
 //! gates that count instead of timing.
 //!
 //! The timed rows run a counted loop with and without the thing being
@@ -133,7 +133,7 @@ fn prim_export_allocations(m: &mut Machine, argc: usize) -> Result<Val, SchemeEr
     Ok(Val::Int(made as i64))
 }
 
-/// The four count gates.  Call before any other interpreter exists in the
+/// The six count gates.  Call before any other interpreter exists in the
 /// process: the probes are extension primitives, and an interpreter binds
 /// the extensions registered when it was made.
 pub fn gates() -> Vec<Check> {
@@ -210,8 +210,52 @@ pub fn gates() -> Vec<Check> {
     };
     let captured = captured_refs_gate(&interp);
     let returned = returned_list_gate(&interp);
+    let mut checks = vec![refs, calls, captured, returned];
+    checks.extend(fib_gates(&vm));
     vm.shutdown();
-    vec![refs, calls, captured, returned]
+    checks
+}
+
+/// The benchmark's `fib` program (`scheme_mix`, EXPERIMENTS.md E10).
+const FIB: &str = include_str!("../../../benchmark/programs/fib.scm");
+
+/// Bytecodes `FIB` executes when a call of a global is one instruction.
+/// `fib(20)` makes 21 891 calls: the 10 945 that recurse each name six
+/// globals in call position (`<`, `+`, `fib` twice and `-` twice), the
+/// 10 946 leaves one (`<`), and the top-level `(fib 20)` one more.  With
+/// the callee pushed by a `Global` of its own the program ran 295 530
+/// bytecodes; 295 530 − 6 × 10 945 − 10 946 − 1 = 218 913.
+const FIB_BYTECODES: u64 = 218_913;
+
+/// Heap words `FIB` may allocate: 1 % of the 65 679 it took while each
+/// of its 21 891 calls built a three-word frame in the heap.
+const FIB_HEAP_WORDS: u64 = 657;
+
+/// `FIB` in a fresh interpreter, as one op of the benchmark runs it: the
+/// bytecodes it executes and the heap words it allocates, both exact.
+fn fib_gates(vm: &Arc<Vm>) -> Vec<Check> {
+    let interp = Interp::new(vm.clone());
+    let before = interp.globals().activity();
+    interp.eval(FIB).expect("fib program");
+    let after = interp.globals().activity();
+    let bytecodes = after.instructions - before.instructions;
+    let words = after.words_allocated - before.words_allocated;
+    vec![
+        Check {
+            name: format!("scheme:fib-heap-words<={FIB_HEAP_WORDS}"),
+            pass: words <= FIB_HEAP_WORDS,
+            detail: format!(
+                "fib.scm allocated {words} heap words (gate: <= {FIB_HEAP_WORDS}, 1 % of 65 679)"
+            ),
+        },
+        Check {
+            name: format!("scheme:fib-bytecodes<={FIB_BYTECODES}"),
+            pass: bytecodes <= FIB_BYTECODES,
+            detail: format!(
+                "fib.scm executed {bytecodes} bytecodes (gate: <= {FIB_BYTECODES}, one instruction per call of a global)"
+            ),
+        },
+    ]
 }
 
 /// A forked thread references a mutex and a fixnum its thunk captured,
