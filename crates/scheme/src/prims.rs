@@ -99,7 +99,7 @@ pub(crate) fn want_list(
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 pub(crate) enum Num {
     I(i64),
     F(f64),
@@ -128,6 +128,23 @@ impl Num {
             Num::I(i) => i as f64,
             Num::F(f) => f,
         }
+    }
+}
+
+/// Numeric order: two fixnums compare exactly, as `i64`; a float on
+/// either side compares both as `f64`, so NaN is unordered.
+impl PartialOrd for Num {
+    fn partial_cmp(&self, other: &Num) -> Option<std::cmp::Ordering> {
+        match (*self, *other) {
+            (Num::I(x), Num::I(y)) => Some(x.cmp(&y)),
+            (x, y) => x.as_f64().partial_cmp(&y.as_f64()),
+        }
+    }
+}
+
+impl PartialEq for Num {
+    fn eq(&self, other: &Num) -> bool {
+        self.partial_cmp(other) == Some(std::cmp::Ordering::Equal)
     }
 }
 
@@ -292,8 +309,8 @@ macro_rules! cmp_chain {
     ($name:literal, $op:tt) => {
         |m: &mut Machine, argc: usize| -> Result<Val, SchemeError> {
             for i in 0..argc - 1 {
-                let a = want_num(m, argc, i, $name)?.as_f64();
-                let b = want_num(m, argc, i + 1, $name)?.as_f64();
+                let a = want_num(m, argc, i, $name)?;
+                let b = want_num(m, argc, i + 1, $name)?;
                 // Negated on purpose: NaN compares false against anything,
                 // so the chain correctly yields #f (R7RS semantics).
                 #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -480,7 +497,7 @@ fn defs() -> Vec<Def> {
         let mut best = want_num(m, a, 0, "min")?;
         for i in 1..a {
             let x = want_num(m, a, i, "min")?;
-            if x.as_f64() < best.as_f64() {
+            if x < best {
                 best = x;
             }
         }
@@ -490,7 +507,7 @@ fn defs() -> Vec<Def> {
         let mut best = want_num(m, a, 0, "max")?;
         for i in 1..a {
             let x = want_num(m, a, i, "max")?;
-            if x.as_f64() > best.as_f64() {
+            if x > best {
                 best = x;
             }
         }

@@ -542,6 +542,10 @@ fn fixnum_comparisons_are_exact() {
         ev(&i, "(list (> -1152921504606846976 -1152921504606846975) (>= 9007199254740993 9007199254740992) (<= 9007199254740993 9007199254740992))").to_string(),
         "(#f #t #f)"
     );
+    assert_eq!(
+        ev(&i, "(list (max 9007199254740992 9007199254740993) (min 9007199254740993 9007199254740992))").to_string(),
+        "(9007199254740993 9007199254740992)"
+    );
     // A float on either side still compares as a float.
     assert_eq!(
         ev(&i, "(list (= 1 1.0) (< 1 1.5) (> 2.5 2))").to_string(),
