@@ -275,11 +275,11 @@ impl<'f, 'p> Detect<'f, 'p> {
                     }
                     locks_to(&mut states, ip + 1, cur);
                 }
-                Op::Call(_) => {
+                Op::Call(_) | Op::CallGlobal(..) => {
                     let next = self.apply_call(c, ip, cur, many, visiting, thread);
                     locks_to(&mut states, ip + 1, next);
                 }
-                Op::TailCall(_) => {
+                Op::TailCall(_) | Op::TailCallGlobal(..) => {
                     let next = self.apply_call(c, ip, cur, many, visiting, thread);
                     join_opt(&mut exit, next);
                 }

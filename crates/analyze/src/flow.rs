@@ -283,13 +283,22 @@ impl<'p> Flow<'p> {
                     stack.push(AVal::atom(Atom::Closure(c2)));
                     flow_to(&mut states, ip + 1, stack);
                 }
-                Op::Call(argc) | Op::TailCall(argc) => {
+                // A call of a global reads as `Global` followed by `Call`.
+                Op::Call(argc)
+                | Op::TailCall(argc)
+                | Op::CallGlobal(_, argc)
+                | Op::TailCallGlobal(_, argc) => {
                     let argc = argc as usize;
                     let split = stack.len().saturating_sub(argc);
                     let args: Vec<AVal> = stack.split_off(split);
-                    let f = stack.pop().unwrap_or_else(AVal::bot);
+                    let f = match op {
+                        Op::CallGlobal(slot, _) | Op::TailCallGlobal(slot, _) => {
+                            self.globals[slot as usize].clone()
+                        }
+                        _ => stack.pop().unwrap_or_else(AVal::bot),
+                    };
                     let result = self.resolve_call(c, ip, &f, &args);
-                    if matches!(op, Op::Call(_)) {
+                    if matches!(op, Op::Call(_) | Op::CallGlobal(..)) {
                         stack.push(result);
                         flow_to(&mut states, ip + 1, stack);
                     } else {

@@ -43,6 +43,11 @@ pub enum Op {
     Call(u8),
     /// Tail call with `n` arguments (current frame is replaced).
     TailCall(u8),
+    /// Call global slot `s` with `n` arguments (stack: `… a1 … an`): the
+    /// callee is read as [`Op::Global`] reads it, and never pushed.
+    CallGlobal(u32, u8),
+    /// [`Op::CallGlobal`] in tail position.
+    TailCallGlobal(u32, u8),
     /// Return the top of stack from the current frame.
     Return,
     /// Unconditional relative jump.
@@ -66,6 +71,10 @@ pub struct CodeObject {
     /// of the frame a call of this code makes.  A frame nothing assigns is
     /// made an [`ObjKind::FixedFrame`](sting_areas::ObjKind::FixedFrame).
     pub assigns: bool,
+    /// Whether the ops contain a [`Op::Closure`], which captures the frame
+    /// a call of this code makes.  A frame nothing captures stays on the
+    /// operand stack; only the others are built in the heap.
+    pub captures: bool,
     /// Diagnostic name.
     pub name: Option<Symbol>,
     /// Source position per instruction (parallel to `ops`; the span of the

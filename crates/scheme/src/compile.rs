@@ -71,6 +71,7 @@ pub fn compile_top(core: &Core, program: &mut Program) -> Result<u32, SchemeErro
     let ops = c.ops;
     let spans = c.spans;
     Ok(program.add_code(CodeObject {
+        captures: captures(&ops),
         ops,
         arity: 0,
         rest: false,
@@ -79,6 +80,22 @@ pub fn compile_top(core: &Core, program: &mut Program) -> Result<u32, SchemeErro
         spans,
         span: Span::NONE,
     }))
+}
+
+/// Whether `ops` capture the frame they run in ([`CodeObject::captures`]).
+fn captures(ops: &[Op]) -> bool {
+    ops.iter().any(|op| matches!(op, Op::Closure(_)))
+}
+
+/// The op that calls with `n` arguments: of global `slot` when the
+/// operator is one, so the callee is never pushed.
+fn call_op(global: Option<u32>, n: u8, tail: bool) -> Op {
+    match (global, tail) {
+        (Some(slot), false) => Op::CallGlobal(slot, n),
+        (Some(slot), true) => Op::TailCallGlobal(slot, n),
+        (None, false) => Op::Call(n),
+        (None, true) => Op::TailCall(n),
+    }
 }
 
 struct Compiler<'a> {
@@ -167,27 +184,36 @@ impl Compiler<'_> {
                 let call_span = span.or(self.cur_span);
                 let saved = self.cur_span;
                 self.cur_span = call_span;
-                self.expr(f, false)?;
+                // An operator that names a global no lexical binding
+                // shadows is read by the call itself.
+                let global = match &**f {
+                    Core::Var(name) if self.env.lookup(*name).is_none() => {
+                        Some(self.program.global_slot(*name))
+                    }
+                    _ => None,
+                };
+                if global.is_none() {
+                    self.expr(f, false)?;
+                }
                 for a in args {
                     self.expr(a, false)?;
                 }
                 let n = u8::try_from(args.len())
                     .map_err(|_| Self::err("too many arguments (max 255)"))?;
                 self.cur_span = call_span;
-                self.emit(if tail { Op::TailCall(n) } else { Op::Call(n) });
+                self.emit(call_op(global, n, tail));
                 self.cur_span = saved;
                 Ok(())
             }
             Core::Try { body, var, handler } => {
                 // (%try (lambda () body) (lambda (var) handler...))
                 let try_sym = self.program.global_slot(Symbol::intern("%try"));
-                self.emit(Op::Global(try_sym));
                 let body_code =
                     self.lambda(&[], None, std::slice::from_ref(body), None, self.cur_span)?;
                 self.emit(Op::Closure(body_code));
                 let handler_code = self.lambda(&[*var], None, handler, None, self.cur_span)?;
                 self.emit(Op::Closure(handler_code));
-                self.emit(if tail { Op::TailCall(2) } else { Op::Call(2) });
+                self.emit(call_op(Some(try_sym), 2, tail));
                 Ok(())
             }
             Core::Define(..) => Err(Self::err(
@@ -234,6 +260,7 @@ impl Compiler<'_> {
         let assigns = self.env.pop();
         result?;
         Ok(self.program.add_code(CodeObject {
+            captures: captures(&ops),
             ops,
             arity,
             rest: rest.is_some(),
@@ -339,8 +366,10 @@ mod tests {
             .find(|c| c.name == Some(Symbol::intern("loop")))
             .unwrap();
         assert!(
-            body.ops.iter().any(|op| matches!(op, Op::TailCall(1))),
-            "self call in tail position must be a TailCall: {:?}",
+            body.ops
+                .iter()
+                .any(|op| matches!(op, Op::TailCallGlobal(_, 1))),
+            "self call in tail position must be a TailCallGlobal: {:?}",
             body.ops
         );
     }
@@ -353,7 +382,51 @@ mod tests {
             .iter()
             .find(|c| c.name == Some(Symbol::intern("f")))
             .unwrap();
-        assert!(body.ops.iter().any(|op| matches!(op, Op::Call(1))));
+        assert!(body.ops.iter().any(|op| matches!(op, Op::CallGlobal(_, 1))));
+    }
+
+    #[test]
+    fn a_call_of_a_global_does_not_push_the_callee() {
+        let (p, _) = compile("(define (f car x) (car (cdr x)))");
+        let body = p
+            .codes
+            .iter()
+            .find(|c| c.name == Some(Symbol::intern("f")))
+            .unwrap();
+        let cdr = p
+            .global_names
+            .iter()
+            .position(|s| *s == Symbol::intern("cdr"))
+            .unwrap() as u32;
+        // `cdr` is a global; `car` is a parameter, so it is pushed.
+        assert_eq!(
+            body.ops,
+            vec![
+                Op::Local(0, 0),
+                Op::Local(0, 1),
+                Op::CallGlobal(cdr, 1),
+                Op::TailCall(1),
+                Op::Return,
+            ]
+        );
+    }
+
+    fn captures(p: &Program, name: &str) -> bool {
+        p.codes
+            .iter()
+            .find(|c| c.name == Some(Symbol::intern(name)))
+            .unwrap()
+            .captures
+    }
+
+    #[test]
+    fn a_frame_is_captured_only_by_a_closure_made_in_it() {
+        let (p, _) = compile("(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))");
+        assert!(!captures(&p, "fib"));
+        let (p, _) = compile("(define (adder n) (lambda (x) (+ x n)))");
+        assert!(captures(&p, "adder"));
+        let (p, _) = compile("(define (guarded) (try (car 1) (catch (e) e)))");
+        assert!(captures(&p, "guarded"), "try makes two closures");
     }
 
     #[test]

@@ -8,12 +8,26 @@
 //! context switch (or a block inside a primitive) needs no special
 //! machinery.
 //!
-//! Environments are heap vectors `[parent, v0, v1, …]`; closures are heap
-//! objects `[code-id, env]`.  Calls allocate one frame vector — cheap, and
-//! it exercises the generational collector exactly the way fine-grained
-//! Scheme programs did in the paper.  A call copies its arguments from the
-//! operand stack straight into the nursery; nothing on the call path
+//! Closures are heap objects `[code-id, env]`.  Where a call's frame lives
+//! depends on its code's `captures` flag
+//! ([`CodeObject`](crate::bytecode::CodeObject)).  A procedure whose body
+//! makes no closure keeps its frame on the operand stack: the arguments,
+//! left where the caller pushed them, are its slots, and `Return` slides
+//! the result down over them.  No other frame, and so no other thread, can
+//! ever reach such a frame.  Only a frame that a `Closure` op may capture
+//! is built in the heap, as a vector `[parent, v0, v1, …]` copied from the
+//! operand stack straight into the nursery, so a closure's environment is
+//! always a chain of heap (or exported) frames.  Nothing on the call path
 //! touches the Rust allocator.
+//!
+//! A call whose operator is a global is one instruction, `CallGlobal`: the
+//! callee is read as `Global` reads it and is never pushed.  When the
+//! callee is one of the primitives `prims::inline` knows (`+`, `<`,
+//! `car`, `null?` …) and the arguments are of the common type, the loop
+//! answers without the primitive table.  Every other case goes through the
+//! generic call: a float, an overflow, a wrong type or arity, or a global
+//! rebound away from its primitive.  So each answer and each error message
+//! is the table's.
 //!
 //! A reference to a global goes through the machine's `GlobalRef` for
 //! that program slot: the binding cell, found once, and — for bindings
@@ -93,8 +107,14 @@ pub(crate) struct Frame {
     /// frame's instruction pointer lives in a local of `execute`.
     pub(crate) ip: usize,
     /// The environment: `Val::Obj` of a frame vector, `Val::Native` of a
-    /// [`SharedFrame`], or `Val::Nil` at top level.
+    /// [`SharedFrame`], or `Val::Nil` at top level.  A stack frame (code
+    /// that [`captures`](crate::bytecode::CodeObject::captures) nothing)
+    /// keeps its own slots on the operand stack, and this is the
+    /// environment its closure captured: its parent.
     pub(crate) env: Val,
+    /// Where the frame begins on the operand stack: its slots, for a stack
+    /// frame; for any other, the place its result goes.
+    pub(crate) base: usize,
 }
 
 /// The per-thread Scheme machine.
@@ -376,12 +396,10 @@ impl Machine {
         let stack_base = self.stack.len();
         let frame_base = self.frames.len();
         let result = (|| {
-            self.push(f);
             for &a in args {
                 self.push(a);
             }
-            let argc = args.len();
-            if self.begin_call(argc, false, None)? {
+            if self.begin_call(f, args.len(), 0, false, None)? {
                 let floor = self.frames.len();
                 self.execute(floor)
             } else {
@@ -408,6 +426,7 @@ impl Machine {
             code,
             ip: 0,
             env: Val::Nil,
+            base: self.stack.len(),
         });
         let floor = self.frames.len();
         let result = self.execute(floor);
@@ -424,68 +443,22 @@ impl Machine {
         })
     }
 
-    /// Starts a call: stack holds `… f a1 … an`.  Returns `true` if a
-    /// frame was pushed (closure call); `false` if a primitive ran and its
-    /// result is on the stack.  `site` is where the call was made from,
-    /// for diagnostics.
-    fn begin_call(&mut self, argc: usize, tail: bool, site: CallSite) -> Result<bool, SchemeError> {
-        let f = self.stack[self.stack.len() - argc - 1];
+    /// Starts a call of `f` with the top `argc` stack values, above
+    /// `below` more (the callee's own slot, or none).  Returns `true` if a
+    /// frame was entered (closure call); `false` if a primitive ran and its
+    /// result replaced the arguments and the slots below them.  `site` is
+    /// where the call was made from, for diagnostics.
+    fn begin_call(
+        &mut self,
+        f: Val,
+        argc: usize,
+        below: usize,
+        tail: bool,
+        site: CallSite,
+    ) -> Result<bool, SchemeError> {
         match f {
             Val::Obj(gc) if self.heap.kind(gc) == ObjKind::Closure => {
-                let code_id = self.heap.closure_code(gc);
-                if code_id as usize >= self.program.codes.len() {
-                    self.reload_program();
-                }
-                let code = &self.program.codes[code_id as usize];
-                let (arity, rest, assigns) = (code.arity as usize, code.rest, code.assigns);
-                if argc < arity || (!rest && argc > arity) {
-                    return Err(SchemeError::runtime(format!(
-                        "arity mismatch calling {}: expected {}{}, got {argc}{}",
-                        code.name
-                            .map(|s| s.to_string())
-                            .unwrap_or_else(|| "#<lambda>".into()),
-                        arity,
-                        if rest { "+" } else { "" },
-                        at_span(self.site_span(site)),
-                    )));
-                }
-                // The rest list goes back on the stack as one more
-                // argument, where it is a root like the others.
-                let nargs = if rest {
-                    let list = self.list_from_stack(argc - arity);
-                    self.push(list);
-                    arity + 1
-                } else {
-                    arity
-                };
-                // The frame `[parent, a0 …, rest?]` is written from the
-                // stack into room reserved first: a collection happens
-                // before anything is read, or not at all.
-                let need = Heap::object_words(nargs + 1);
-                if !self.heap.has_room(need) {
-                    with_heap!(self, &mut [], |heap, roots| heap.reserve(need, roots));
-                }
-                let args = self.stack.len() - nargs;
-                let Val::Obj(closure) = self.stack[args - 1] else {
-                    unreachable!("the callee stays a closure across a collection")
-                };
-                let parent = self.heap.closure_capture(closure, 0);
-                let env = Val::Obj(self.heap.make_frame_reserved(
-                    assigns,
-                    parent,
-                    &self.stack[args..],
-                ));
-                self.stack.truncate(args - 1);
-                let frame = Frame {
-                    code: code_id,
-                    ip: 0,
-                    env,
-                };
-                if tail {
-                    *self.frames.last_mut().expect("tail call inside a frame") = frame;
-                } else {
-                    self.frames.push(frame);
-                }
+                self.enter_closure(gc, argc, below, tail, site)?;
                 Ok(true)
             }
             Val::Native(slot) => {
@@ -498,8 +471,7 @@ impl Machine {
                     )));
                 };
                 let result = prims::dispatch(self, id as u16, argc)?;
-                // Pop args + fn, push result.
-                self.popn(argc + 1);
+                self.popn(argc + below);
                 self.push(result);
                 Ok(false)
             }
@@ -509,6 +481,121 @@ impl Machine {
                 at_span(self.site_span(site))
             ))),
         }
+    }
+
+    /// Enters closure `clo` (see [`Machine::begin_call`]).  Its frame is
+    /// the arguments themselves, moved down to the frame's base, unless its
+    /// code captures the frame: then `[parent, a0 …, rest?]` goes to the
+    /// heap.  A tail call's frame takes the base of the frame it replaces.
+    fn enter_closure(
+        &mut self,
+        clo: Gc,
+        argc: usize,
+        below: usize,
+        tail: bool,
+        site: CallSite,
+    ) -> Result<(), SchemeError> {
+        let code_id = self.heap.closure_code(clo);
+        if code_id as usize >= self.program.codes.len() {
+            self.reload_program();
+        }
+        let code = &self.program.codes[code_id as usize];
+        let (arity, rest) = (code.arity as usize, code.rest);
+        let (assigns, on_stack) = (code.assigns, !code.captures);
+        if argc < arity || (!rest && argc > arity) {
+            return Err(SchemeError::runtime(format!(
+                "arity mismatch calling {}: expected {}{}, got {argc}{}",
+                code.name
+                    .map(|s| s.to_string())
+                    .unwrap_or_else(|| "#<lambda>".into()),
+                arity,
+                if rest { "+" } else { "" },
+                at_span(self.site_span(site)),
+            )));
+        }
+        let nargs = arity + usize::from(rest);
+        // A heap frame is written from the stack into room reserved first:
+        // a collection happens before anything is read, or not at all.
+        let need = if on_stack {
+            0
+        } else {
+            Heap::object_words(nargs + 1)
+        };
+        let clo = if rest || !self.heap.has_room(need) {
+            self.rest_and_room(clo, rest.then(|| argc - arity), need)
+        } else {
+            clo
+        };
+        let parent = self.heap.closure_capture(clo, 0);
+        let args = self.stack.len() - nargs;
+        let base = if tail {
+            self.frames.last().expect("tail call inside a frame").base
+        } else {
+            args - below
+        };
+        let env = if on_stack {
+            if base != args {
+                self.stack.copy_within(args.., base);
+                self.stack.truncate(base + nargs);
+            }
+            parent
+        } else {
+            let env = self
+                .heap
+                .make_frame_reserved(assigns, parent, &self.stack[args..]);
+            self.stack.truncate(base);
+            Val::Obj(env)
+        };
+        let frame = Frame {
+            code: code_id,
+            ip: 0,
+            env,
+            base,
+        };
+        if tail {
+            *self.frames.last_mut().expect("tail call inside a frame") = frame;
+        } else {
+            self.frames.push(frame);
+        }
+        Ok(())
+    }
+
+    /// Conses the top `rest` stack values into a list and pushes it, then
+    /// makes room for `need` words: the slow part of entering closure
+    /// `clo`.  The callee need not be on the stack, so it rides in `keep`,
+    /// a root, across the collections on the way; returns it as they left
+    /// it.
+    #[cold]
+    fn rest_and_room(&mut self, clo: Gc, rest: Option<usize>, need: usize) -> Gc {
+        let mut keep = [Val::Obj(clo), Val::Nil, Val::Unit];
+        if let Some(n) = rest {
+            for _ in 0..n {
+                keep[2] = self.pop();
+                let cell = with_heap!(self, &mut keep, |heap, roots| {
+                    heap.cons(roots.extra[2], roots.extra[1], roots)
+                });
+                keep[1] = Val::Obj(cell);
+            }
+            self.push(keep[1]);
+        }
+        if !self.heap.has_room(need) {
+            with_heap!(self, &mut keep, |heap, roots| heap.reserve(need, roots));
+        }
+        let Val::Obj(clo) = keep[0] else {
+            unreachable!("the callee stays a closure across a collection")
+        };
+        clo
+    }
+
+    /// The result of the call of `f` with the top `argc` stack values,
+    /// when `f` is a primitive [`prims::inline`] runs without the table.
+    #[inline(always)]
+    fn inline_call(&self, f: Val, argc: usize) -> Option<Val> {
+        let Val::Native(slot) = f else {
+            return None;
+        };
+        let id = self.heap.native_key(slot).checked_sub(1)?;
+        prims::inline(self, id as u16, argc)
     }
 
     /// Trades this machine's program snapshot for the interpreter's newest.
@@ -585,16 +672,27 @@ impl Machine {
 
     /// Core dispatch loop: runs until the frame stack drops below `floor`.
     ///
-    /// The running frame's code and instruction pointer are locals, and so
-    /// is its environment when that is a frame of this heap (`frame`; a
-    /// top-level or shared environment is fetched with [`Machine::env`]
-    /// where it is wanted).  `self.frames` always has the running frame's
-    /// `code` and `env` right — the collector reads and moves `env` there —
-    /// so `frame` is re-read after anything that can allocate; `ip` is
-    /// written back only when the frame is suspended by a call.
+    /// The running frame's code, instruction pointer and base are locals,
+    /// and so is its environment when that is a frame of this heap
+    /// (`frame`; a top-level or shared environment is fetched with
+    /// [`Machine::env`] where it is wanted).  `self.frames` always has the
+    /// running frame's `code`, `env` and `base` right — the collector reads
+    /// and moves `env` there — so `frame` is re-read after anything that
+    /// can allocate; `ip` is written back only when the frame is suspended
+    /// by a call.
+    ///
+    /// In a stack frame (`on_stack`) a `Local` or `SetLocal` of depth 0 is
+    /// slot `base + idx` of the operand stack, and one of depth `d > 0` is
+    /// depth `d - 1` of `frame`, the environment the closure captured.
     fn execute(&mut self, floor: usize) -> Result<Val, SchemeError> {
         let mut program = Arc::clone(&self.program);
-        let (mut code, mut ip, mut frame): (u32, usize, Option<Gc>);
+        let (mut code, mut ip, mut base, mut on_stack, mut frame): (
+            u32,
+            usize,
+            usize,
+            bool,
+            Option<Gc>,
+        );
         let mut ops: &[Op];
         // Field by field, and `env` through a match: a `Frame` copied whole
         // would read back sixteen bytes of `Val` that `begin_call` has just
@@ -611,13 +709,76 @@ impl Machine {
         macro_rules! enter_top_frame {
             () => {{
                 let top = self.frames.last().expect("frame stack underflow");
-                (code, ip) = (top.code, top.ip);
+                (code, ip, base) = (top.code, top.ip, top.base);
                 if code as usize >= program.codes.len() {
                     // `begin_call` met code newer than the snapshot.
                     program = Arc::clone(&self.program);
                 }
-                ops = &program.codes[code as usize].ops;
+                let c = &program.codes[code as usize];
+                (ops, on_stack) = (&c.ops, !c.captures);
                 reload_frame!();
+            }};
+        }
+        // Returns `v` from the running frame: everything from its base up
+        // is dead, and `v` takes the base's place.
+        macro_rules! return_value {
+            ($v:expr) => {{
+                let v = $v;
+                self.frames.pop();
+                self.stack.truncate(base);
+                if self.frames.len() < floor {
+                    return Ok(v);
+                }
+                self.push(v);
+                enter_top_frame!();
+            }};
+        }
+        // Calls `f` with the top `argc` stack values and `below` slots
+        // under them: inline for a primitive `prims::inline` runs, else
+        // through `begin_call`.
+        macro_rules! call {
+            ($f:expr, $argc:expr, $below:expr, $tail:expr) => {{
+                let (f, argc) = ($f, $argc as usize);
+                if let Some(v) = self.inline_call(f, argc) {
+                    if $tail {
+                        return_value!(v);
+                    } else {
+                        let len = self.stack.len() - argc - $below;
+                        self.stack.truncate(len);
+                        self.push(v);
+                    }
+                } else {
+                    if !$tail {
+                        self.frames.last_mut().expect("frame").ip = ip;
+                    }
+                    if self.begin_call(f, argc, $below, $tail, Some((code, ip - 1)))? {
+                        enter_top_frame!();
+                    } else if $tail {
+                        // A primitive in tail position: its result is the
+                        // frame's return value.
+                        let v = self.pop();
+                        return_value!(v);
+                    } else {
+                        reload_frame!();
+                    }
+                }
+            }};
+        }
+        // The value of global `slot` when the binding moved since this
+        // machine last converted it (or was never converted).
+        macro_rules! global_slow {
+            ($slot:expr) => {{
+                let slot = $slot;
+                let Some(v) = self.global_ref_slow(slot) else {
+                    let name = program.global_names[slot];
+                    let span = program.codes[code as usize].span_at(ip - 1);
+                    return Err(SchemeError::runtime(format!(
+                        "unbound variable: {name}{}",
+                        at_span(span)
+                    )));
+                };
+                reload_frame!();
+                v
             }};
         }
         enter_top_frame!();
@@ -644,41 +805,42 @@ impl Machine {
                 // (`Local` and `Global` push inside each arm: a `Val` merged
                 // from two arms goes through a stack temporary, written in
                 // pieces and read back whole, which stalls the load.)
-                Op::Local(depth, idx) => match self.heap_frame(frame, depth) {
-                    Some(frame) => {
-                        let v = self.heap.field(frame, idx as usize + 1);
-                        self.push(v);
-                    }
-                    None => {
-                        let v = self.shared_local_ref(self.env(), depth, idx)?;
-                        self.push(v);
-                        reload_frame!();
-                    }
-                },
-                Op::SetLocal(depth, idx) => {
-                    let v = self.pop();
-                    self.local_set(self.env(), depth, idx, v)?;
-                    reload_frame!();
-                    self.push(Val::Unit);
+                Op::Local(0, idx) if on_stack => {
+                    let v = self.stack[base + idx as usize];
+                    self.push(v);
                 }
-                Op::Global(slot) => {
-                    let slot = slot as usize;
-                    match self.global_refs.get(slot) {
-                        Some(Some(r)) if r.binding.version() == r.seen => self.stack.push(r.val),
-                        _ => {
-                            let Some(v) = self.global_ref_slow(slot) else {
-                                let name = program.global_names[slot];
-                                let span = program.codes[code as usize].span_at(ip - 1);
-                                return Err(SchemeError::runtime(format!(
-                                    "unbound variable: {name}{}",
-                                    at_span(span)
-                                )));
-                            };
+                Op::Local(depth, idx) => {
+                    let depth = depth - u16::from(on_stack);
+                    match self.heap_frame(frame, depth) {
+                        Some(frame) => {
+                            let v = self.heap.field(frame, idx as usize + 1);
+                            self.push(v);
+                        }
+                        None => {
+                            let v = self.shared_local_ref(self.env(), depth, idx)?;
                             self.push(v);
                             reload_frame!();
                         }
                     }
                 }
+                Op::SetLocal(0, idx) if on_stack => {
+                    let v = self.pop();
+                    self.stack[base + idx as usize] = v;
+                    self.push(Val::Unit);
+                }
+                Op::SetLocal(depth, idx) => {
+                    let v = self.pop();
+                    self.local_set(self.env(), depth - u16::from(on_stack), idx, v)?;
+                    reload_frame!();
+                    self.push(Val::Unit);
+                }
+                Op::Global(slot) => match self.global_refs.get(slot as usize) {
+                    Some(Some(r)) if r.binding.version() == r.seen => self.stack.push(r.val),
+                    _ => {
+                        let v = global_slow!(slot as usize);
+                        self.push(v);
+                    }
+                },
                 Op::SetGlobal(slot) => {
                     let v = self.pop();
                     self.global_set(slot as usize, v)?;
@@ -690,35 +852,29 @@ impl Machine {
                     reload_frame!();
                 }
                 Op::Call(n) => {
-                    self.frames.last_mut().expect("frame").ip = ip;
-                    if self.begin_call(n as usize, false, Some((code, ip - 1)))? {
-                        enter_top_frame!();
-                    } else {
-                        reload_frame!();
-                    }
+                    let f = self.stack[self.stack.len() - n as usize - 1];
+                    call!(f, n, 1, false);
                 }
                 Op::TailCall(n) => {
-                    if self.begin_call(n as usize, true, Some((code, ip - 1)))? {
-                        enter_top_frame!();
+                    let f = self.stack[self.stack.len() - n as usize - 1];
+                    call!(f, n, 1, true);
+                }
+                // The callee as `Global` reads it.
+                Op::CallGlobal(slot, n) | Op::TailCallGlobal(slot, n) => {
+                    let f = match self.global_refs.get(slot as usize) {
+                        Some(Some(r)) if r.binding.version() == r.seen => r.val,
+                        _ => global_slow!(slot as usize),
+                    };
+                    if matches!(op, Op::CallGlobal(..)) {
+                        call!(f, n, 0, false);
                     } else {
-                        // Primitive in tail position: its result is the
-                        // frame's return value.
-                        self.frames.pop();
-                        if self.frames.len() < floor {
-                            return Ok(self.pop());
-                        }
-                        enter_top_frame!();
+                        call!(f, n, 0, true);
                     }
                 }
-                // A call consumed the callee and its arguments, and the body
-                // left one value in their place: the returned value already
-                // sits where the caller expects it.
+                // The body left its value on top of the stack.
                 Op::Return => {
-                    self.frames.pop();
-                    if self.frames.len() < floor {
-                        return Ok(self.pop());
-                    }
-                    enter_top_frame!();
+                    let v = self.pop();
+                    return_value!(v);
                 }
                 Op::Jump(d) => ip = (ip as i64 + i64::from(d)) as usize,
                 Op::JumpIfFalse(d) => {

@@ -10,7 +10,7 @@ use crate::error::SchemeError;
 use crate::machine::Machine;
 use crate::print;
 use std::sync::{Arc, OnceLock};
-use sting_areas::{ObjKind, Val};
+use sting_areas::{ObjKind, Val, FIXNUM_MAX, FIXNUM_MIN};
 use sting_value::{Symbol, Value};
 
 /// A primitive reference (the payload of a `"prim"` native handle).
@@ -1047,6 +1047,80 @@ fn arity_error(name: &str, min: usize, max: Option<usize>, argc: usize) -> Schem
     ))
 }
 
+/// Table ids of the primitives [`inline`] runs (the `inline_ids` test
+/// holds them to the table's names).
+mod id {
+    pub const ADD: u16 = 0;
+    pub const SUB: u16 = 1;
+    pub const NUM_EQ: u16 = 7;
+    pub const LT: u16 = 8;
+    pub const GT: u16 = 9;
+    pub const LE: u16 = 10;
+    pub const GE: u16 = 11;
+    pub const ZERO: u16 = 12;
+    pub const NOT: u16 = 30;
+    pub const EQ: u16 = 31;
+    pub const NULL: u16 = 37;
+    pub const PAIR: u16 = 38;
+    pub const CAR: u16 = 43;
+    pub const CDR: u16 = 44;
+}
+
+/// A fixnum result, or `None` outside the fixnum range.
+fn fixnum(i: Option<i64>) -> Option<Val> {
+    i.filter(|i| (FIXNUM_MIN..=FIXNUM_MAX).contains(i))
+        .map(Val::Int)
+}
+
+/// What primitive `id` returns for the top `argc` stack values, when the
+/// machine can answer without the table:
+/// - two fixnums for `+`, `-` (a result inside the fixnum range), `=`,
+///   `<`, `>`, `<=` and `>=`;
+/// - one fixnum for `zero?`, a pair for `car` and `cdr`;
+/// - any argument for `not`, `null?` and `pair?`, any two for `eq?`.
+///
+/// `None` leaves the call to [`dispatch`], so an overflow, a float, a wrong
+/// type or a wrong arity gets the table's answer and its error message.
+#[inline(always)]
+pub(crate) fn inline(m: &Machine, id: u16, argc: usize) -> Option<Val> {
+    let top = m.stack.len();
+    match argc {
+        1 => {
+            let a = m.stack[top - 1];
+            let pair = matches!(a, Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair);
+            Some(match (id, a) {
+                (id::CAR, Val::Obj(gc)) if pair => m.heap.car(gc),
+                (id::CDR, Val::Obj(gc)) if pair => m.heap.cdr(gc),
+                (id::NULL, _) => Val::Bool(matches!(a, Val::Nil)),
+                (id::PAIR, _) => Val::Bool(pair),
+                (id::NOT, _) => Val::Bool(a.is_false()),
+                (id::ZERO, Val::Int(i)) => Val::Bool(i == 0),
+                _ => return None,
+            })
+        }
+        2 => {
+            let (a, b) = (m.stack[top - 2], m.stack[top - 1]);
+            if id == id::EQ {
+                return Some(Val::Bool(eqv(m, a, b)));
+            }
+            let (Val::Int(x), Val::Int(y)) = (a, b) else {
+                return None;
+            };
+            Some(match id {
+                id::ADD => fixnum(x.checked_add(y))?,
+                id::SUB => fixnum(x.checked_sub(y))?,
+                id::NUM_EQ => Val::Bool(x == y),
+                id::LT => Val::Bool(x < y),
+                id::GT => Val::Bool(x > y),
+                id::LE => Val::Bool(x <= y),
+                id::GE => Val::Bool(x >= y),
+                _ => return None,
+            })
+        }
+        _ => None,
+    }
+}
+
 /// Dispatches a call of primitive `id`; arguments are the top `argc` stack
 /// values (left in place — the dispatcher pops them after this returns).
 pub(crate) fn dispatch(m: &mut Machine, id: u16, argc: usize) -> Result<Val, SchemeError> {
@@ -1070,6 +1144,34 @@ pub(crate) fn dispatch(m: &mut Machine, id: u16, argc: usize) -> Result<Val, Sch
                 return Err(arity_error(name, min, max, argc));
             }
             f(m, argc)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn inline_ids() {
+        let names = [
+            (id::ADD, "+"),
+            (id::SUB, "-"),
+            (id::NUM_EQ, "="),
+            (id::LT, "<"),
+            (id::GT, ">"),
+            (id::LE, "<="),
+            (id::GE, ">="),
+            (id::ZERO, "zero?"),
+            (id::NOT, "not"),
+            (id::EQ, "eq?"),
+            (id::NULL, "null?"),
+            (id::PAIR, "pair?"),
+            (id::CAR, "car"),
+            (id::CDR, "cdr"),
+        ];
+        for (id, name) in names {
+            assert_eq!(table()[id as usize].name, name, "id {id}");
         }
     }
 }
