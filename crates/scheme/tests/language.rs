@@ -553,3 +553,175 @@ fn fixnum_comparisons_are_exact() {
     );
     vm.shutdown();
 }
+
+/// The message of the error evaluating `src` raises.
+fn err_of(i: &Interp, src: &str) -> String {
+    match i.eval(src) {
+        Ok(v) => panic!("eval {src:?} returned {v}, expected an error"),
+        Err(e) => e.to_string(),
+    }
+}
+
+#[test]
+fn redefining_a_primitive_reaches_calls_compiled_before() {
+    let (vm, i) = interp();
+    ev(&i, "(define (add3 x) (+ x 3))");
+    assert_eq!(ev(&i, "(add3 4)").as_int(), Some(7));
+    ev(&i, "(define (+ a b) 42)");
+    assert_eq!(ev(&i, "(add3 4)").as_int(), Some(42));
+    assert_eq!(ev(&i, "(+ 1 2)").as_int(), Some(42));
+    vm.shutdown();
+}
+
+#[test]
+fn a_global_rebound_from_a_primitive_to_a_closure_and_back() {
+    let (vm, i) = interp();
+    ev(&i, "(define (inc x) (+ x 1))");
+    ev(&i, "(define saved +)");
+    // One form, one machine: each rebinding moves the binding's version
+    // under a reference this machine has already cached.
+    assert_eq!(
+        ev(
+            &i,
+            "(let* ((before (inc 1))
+                    (during (begin (set! + (lambda (a b) (list 'closure a b))) (inc 1)))
+                    (after (begin (set! + saved) (inc 1))))
+               (list before during after))"
+        )
+        .to_string(),
+        "(2 (closure 1 1) 2)"
+    );
+    // Across forms, and through a tail call of the global.
+    ev(&i, "(define (tail-add a b) (+ a b))");
+    ev(&i, "(set! + -)");
+    assert_eq!(ev(&i, "(list (inc 1) (tail-add 5 2))").to_string(), "(0 3)");
+    ev(&i, "(set! + saved)");
+    assert_eq!(ev(&i, "(list (inc 1) (tail-add 5 2))").to_string(), "(2 7)");
+    vm.shutdown();
+}
+
+#[test]
+fn a_primitive_called_through_a_variable_runs_like_a_named_one() {
+    let (vm, i) = interp();
+    // `f` and `less?` are locals, so these are generic calls whose callee
+    // turns out to be a primitive.
+    assert_eq!(ev(&i, "(fold + 0 '(1 2 3 4))").as_int(), Some(10));
+    assert_eq!(
+        ev(&i, "(fold cons '() '(1 2 3))").to_string(),
+        "(((() . 1) . 2) . 3)"
+    );
+    assert_eq!(
+        ev(&i, "(list-sort < '(3 1 2 5 4))").to_string(),
+        "(1 2 3 4 5)"
+    );
+    assert_eq!(
+        ev(
+            &i,
+            "(let ((f car) (g +)) (list (f '(9)) (g 1.5 2) (g 1 2)))"
+        )
+        .to_string(),
+        "(9 3.5 3)"
+    );
+    vm.shutdown();
+}
+
+#[test]
+fn car_rebound_by_another_thread_reaches_a_calling_loop() {
+    let vm = VmBuilder::new().vps(2).build();
+    let i = Interp::new(vm.clone());
+    // The loop calls `car` until it answers as `cdr` does: the other
+    // thread's `set!` moved the binding's version under the loop's cached
+    // reference.  Once seen, the new binding stays.
+    let v = ev(
+        &i,
+        "(define cell '(1 . 2))
+         (define (watch n)
+           (let loop ((k 0))
+             (if (= k n)
+                 'never-saw-it
+                 (if (= (car cell) 2)
+                     (list 'saw-it (car cell) (car cell))
+                     (loop (+ k 1))))))
+         (let ((t (fork-thread (lambda () (set! car cdr) 'rebound))))
+           (list (watch 100000000) (thread-wait t)))",
+    );
+    assert_eq!(v.to_string(), "((saw-it 2 2) rebound)");
+    vm.shutdown();
+}
+
+#[test]
+fn calling_an_unbound_or_non_procedure_global_cites_the_call() {
+    let (vm, i) = interp();
+    ev(&i, "(define (f) (nowhere 1 2))");
+    let e = err_of(&i, "(f)");
+    assert!(e.contains("unbound variable: nowhere (at 1:13)"), "got {e}");
+    ev(&i, "(define notproc 5)");
+    ev(&i, "(define (g) (notproc 1))");
+    let e = err_of(&i, "(g)");
+    assert!(e.contains("not a procedure: 5 (at 1:13)"), "got {e}");
+    ev(&i, "(define (h) (list (notproc 1)))");
+    let e = err_of(&i, "(h)");
+    assert!(e.contains("not a procedure: 5 (at 1:19)"), "got {e}");
+    vm.shutdown();
+}
+
+#[test]
+fn inline_primitives_leave_errors_to_the_table() {
+    let (vm, i) = interp();
+    for (src, message) in [
+        ("(car)", "car: expected 1 arguments, got 0"),
+        ("(car 1 2)", "car: expected 1 arguments, got 2"),
+        ("(car 5)", "car: expected pair, got 5"),
+        ("(cdr '())", "cdr: expected pair, got ()"),
+        ("(+ 1 'a)", "+: expected number, got a"),
+        ("(< 1 'a)", "<: expected number, got a"),
+        ("(zero? 'a)", "zero?: expected number, got a"),
+        ("(not)", "not: expected 1 arguments, got 0"),
+        ("(eq? 1)", "eq?: expected 2 arguments, got 1"),
+    ] {
+        let e = err_of(&i, src);
+        assert!(e.contains(message), "{src}: got {e}");
+        // The same call in tail position inside a procedure.
+        let e = err_of(&i, &format!("((lambda () {src}))"));
+        assert!(e.contains(message), "{src} in tail position: got {e}");
+    }
+    // The cases the inline path declines still answer.
+    assert_eq!(
+        ev(&i, "(list (+ 1 2.5) (- 2 1 1) (< 1 2 3) (zero? 0.0) (- 7))").to_string(),
+        "(3.5 0 #t #t -7)"
+    );
+    vm.shutdown();
+}
+
+#[test]
+fn deep_recursion_through_stack_frames_survives_collections() {
+    let vm = VmBuilder::new().vps(1).build();
+    let mut i = Interp::new(vm.clone());
+    i.set_heap_config(sting_areas::HeapConfig {
+        young_words: 4 * 1024,
+        old_trigger_words: 24 * 1024,
+    });
+    // The prelude's `merge` recurses once per element, 5 000 deep, and its
+    // conses fill the nursery several times while every frame is live.
+    let v = ev(
+        &i,
+        "(let* ((evens (let loop ((k 4998) (acc '())) (if (< k 0) acc (loop (- k 2) (cons k acc)))))
+                (odds (map (lambda (x) (+ x 1)) evens))
+                (before (car (gc-stats)))
+                (merged (merge < evens odds))
+                (after (car (gc-stats))))
+           (list (> after before) merged))",
+    );
+    let items: Vec<Value> = v.list_iter().cloned().collect();
+    assert_eq!(items[0], Value::Bool(true), "no collection in the middle");
+    let merged: Vec<i64> = items[1].list_iter().filter_map(Value::as_int).collect();
+    assert_eq!(merged, (0..5000).collect::<Vec<i64>>());
+    // A comparator that allocates collects inside the recursion's callee.
+    let v = ev(
+        &i,
+        "(let ((xs (merge (lambda (a b) (< (car (list a)) b)) (iota 2500) (iota 2500))))
+           (list (length xs) (apply + xs)))",
+    );
+    assert_eq!(v.to_string(), "(5000 6247500)");
+    vm.shutdown();
+}

@@ -94,3 +94,35 @@ proptest! {
         vm.shutdown();
     }
 }
+
+/// A fixnum near either end of the range, or near zero.
+fn edge_fixnum() -> impl Strategy<Value = i64> {
+    use sting_areas::{FIXNUM_MAX, FIXNUM_MIN};
+    prop_oneof![
+        FIXNUM_MIN..FIXNUM_MIN + 64,
+        FIXNUM_MAX - 64..=FIXNUM_MAX,
+        -64i64..64,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A call the machine runs inline, `(op a b)`, answers as the
+    /// primitive table does through `apply`, overflow past the fixnum
+    /// range included.
+    #[test]
+    fn inline_primitives_agree_with_the_table(a in edge_fixnum(), b in edge_fixnum()) {
+        let vm = VmBuilder::new().vps(1).build();
+        let interp = Interp::bare(vm.clone());
+        let run = |src: &str| interp.eval(src).map(|v| v.to_string()).map_err(|e| e.to_string());
+        for op in ["+", "-", "=", "<", ">", "<=", ">="] {
+            let inline = run(&format!("({op} {a} {b})"));
+            let table = run(&format!("(apply {op} (list {a} {b}))"));
+            prop_assert_eq!(inline, table, "({} {} {})", op, a, b);
+        }
+        let inline = run(&format!("(zero? {a})"));
+        prop_assert_eq!(inline, run(&format!("(apply zero? (list {a}))")));
+        vm.shutdown();
+    }
+}
