@@ -13,6 +13,7 @@
 #   ./ci.sh analyze  # static analyzer tier (<60s): the expect-flag corpus,
 #                    # the expect-clean sweep, the static/dynamic lock-order
 #                    # cross-check, and `repl --analyze` over the examples
+#                    # and the benchmark's programs
 #   ./ci.sh bench-smoke  # unified benchmark runner, smoke tier (<60s):
 #                    # emits a schema-checked report and fails on any
 #                    # count or shape gate
@@ -96,9 +97,9 @@ run_analyze() {
     cargo test -q -p sting-analyze
     step "analyze: static/dynamic lock-order cross-check"
     cargo test -q -p sting --test analyze_crosscheck
-    step "analyze: repl --analyze over the shipped examples (expect exit 0)"
+    step "analyze: repl --analyze over the shipped examples and the benchmark's programs (expect exit 0)"
     cargo build -q -p sting --bin repl
-    ./target/debug/repl --analyze examples/scheme/*.scm
+    ./target/debug/repl --analyze examples/scheme/*.scm benchmark/programs/*.scm
     step "analyze: repl --analyze over the corpus (expect exit 1)"
     if ./target/debug/repl --analyze crates/analyze/tests/corpus/*.scm; then
         echo "corpus unexpectedly came back clean" >&2
