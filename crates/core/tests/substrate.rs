@@ -268,6 +268,14 @@ fn suspend_with_quantum_resumes_automatically() {
     vm.shutdown();
 }
 
+/// Waits until `t` is seen in `state`: the thread got there, however long
+/// its VP took to dispatch it.
+fn wait_for_state(t: &sting_core::Thread, state: ThreadState) {
+    while t.state() != state {
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn suspend_indefinitely_until_thread_run() {
     let vm = vm1();
@@ -275,7 +283,7 @@ fn suspend_indefinitely_until_thread_run() {
         cx.suspend(None);
         123i64
     });
-    std::thread::sleep(Duration::from_millis(30));
+    wait_for_state(&t, ThreadState::Suspended);
     assert_eq!(t.state(), ThreadState::Suspended);
     tc::thread_run(&t, 0).unwrap();
     assert_eq!(t.join_blocking(), Ok(Value::Int(123)));
@@ -289,7 +297,7 @@ fn block_and_unblock_via_thread_run() {
         cx.block(Some(Value::sym("test-blocker")));
         7i64
     });
-    std::thread::sleep(Duration::from_millis(30));
+    wait_for_state(&t, ThreadState::Blocked);
     assert_eq!(t.state(), ThreadState::Blocked);
     assert_eq!(t.blocker(), Some(Value::sym("test-blocker")));
     tc::thread_run(&t, 0).unwrap();

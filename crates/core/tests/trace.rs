@@ -102,21 +102,30 @@ fn four_vp_stealing_run_exports_valid_chrome_json() {
     assert_eq!(total.as_int(), Some((0..256).sum::<i64>()));
     // Two checkpointing spinners on each VP, each spinning past its 500 µs
     // slice, so a checkpoint preempts them; and every VP lane, not only
-    // those the stealing run reached, carries their dispatches.
+    // those the stealing run reached, carries their dispatches.  Each
+    // spinner reports the VP that first ran it.
     let spinners: Vec<_> = (0..8)
         .map(|i| {
             vm.fork_on(i / 2, |cx| {
+                let vp = cx.current_vp().index() as i64;
                 let start = Instant::now();
                 while start.elapsed() < Duration::from_millis(3) {
                     cx.checkpoint();
                 }
-                0i64
+                vp
             })
             .unwrap()
         })
         .collect();
-    for t in &spinners {
-        t.join_blocking().unwrap();
+    let vp_of = |t: &Arc<sting_core::Thread>| t.join_blocking().unwrap().as_int().unwrap();
+    let mut ran_on: Vec<i64> = spinners.iter().map(vp_of).collect();
+    // A VP whose spinners were both stolen before its worker woke has not
+    // dispatched one: fork there until a thread is seen running there.
+    for vp in 0..4 {
+        while !ran_on.contains(&(vp as i64)) {
+            let probe = vm.fork_on(vp, |cx| cx.current_vp().index() as i64).unwrap();
+            ran_on.push(vp_of(&probe));
+        }
     }
     let events = vm.tracer().snapshot();
     let json = vm.trace_export();
