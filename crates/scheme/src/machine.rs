@@ -743,8 +743,7 @@ impl Machine {
                     if $tail {
                         return_value!(v);
                     } else {
-                        let len = self.stack.len() - argc - $below;
-                        self.stack.truncate(len);
+                        self.popn(argc + $below);
                         self.push(v);
                     }
                 } else {
