@@ -686,13 +686,8 @@ impl Machine {
     /// depth `d - 1` of `frame`, the environment the closure captured.
     fn execute(&mut self, floor: usize) -> Result<Val, SchemeError> {
         let mut program = Arc::clone(&self.program);
-        let (mut code, mut ip, mut base, mut on_stack, mut frame): (
-            u32,
-            usize,
-            usize,
-            bool,
-            Option<Gc>,
-        );
+        let (mut code, mut ip, mut base): (u32, usize, usize);
+        let (mut on_stack, mut frame): (bool, Option<Gc>);
         let mut ops: &[Op];
         // Field by field, and `env` through a match: a `Frame` copied whole
         // would read back sixteen bytes of `Val` that `begin_call` has just
