@@ -725,3 +725,67 @@ fn deep_recursion_through_stack_frames_survives_collections() {
     assert_eq!(v.to_string(), "(5000 6247500)");
     vm.shutdown();
 }
+
+#[test]
+fn integer_overflow_raises_instead_of_crashing() {
+    let (vm, i) = interp();
+    // FIXNUM_MAX = 2^60 - 1 and FIXNUM_MIN = -2^60: an integer outside
+    // that range cannot be stored, so the primitive that would make one
+    // raises `<name>: overflow`.
+    let max = "1152921504606846975";
+    let min = "(- -1152921504606846975 1)";
+    for (src, name) in [
+        (format!("(list (+ {max} 1))"), "+"),
+        (format!("(list (+ 1 2 {max}))"), "+"),
+        (format!("(list (- {min} 1))"), "-"),
+        (format!("(list (- {min}))"), "-"),
+        (format!("(list (* {max} 2))"), "*"),
+        (format!("(list (abs {min}))"), "abs"),
+        (format!("(list (1+ {max}))"), "1+"),
+        (format!("(list (1- {min}))"), "1-"),
+        ("(list (expt 2 60))".to_string(), "expt"),
+        (format!("(list (quotient {min} -1))"), "quotient"),
+    ] {
+        let err = i.eval(&src).expect_err(&src).to_string();
+        assert!(
+            err.contains(&format!("{name}: overflow")),
+            "{src}: expected `{name}: overflow`, got {err}"
+        );
+    }
+    // The edges themselves are fixnums, and a float beside them stays a
+    // float.
+    assert_eq!(
+        ev(
+            &i,
+            &format!("(list (+ {max} 0) (- {min} 0) (expt 2 59) (+ {max} 1.0))")
+        )
+        .to_string(),
+        "(1152921504606846975 -1152921504606846976 576460752303423488 1152921504606846976)"
+    );
+    // A literal outside the range is a read error at its own position.
+    match i.eval("(list\n  1152921504606846976)") {
+        Err(SchemeError::Read(msg)) => assert!(msg.contains("2:3"), "{msg}"),
+        other => panic!("expected a read error, got {other:?}"),
+    }
+    vm.shutdown();
+}
+
+#[test]
+fn equal_walks_long_lists() {
+    // One VP: the comparison runs on a green thread's stack.
+    let (vm, i) = interp();
+    assert_eq!(
+        ev(&i, "(equal? (iota 50000) (iota 50000))"),
+        Value::Bool(true)
+    );
+    assert_eq!(
+        ev(
+            &i,
+            "(equal? (iota 50000)
+                     (let loop ((k 49998) (acc (list 0)))
+                       (if (< k 0) acc (loop (- k 1) (cons k acc)))))"
+        ),
+        Value::Bool(false)
+    );
+    vm.shutdown();
+}
