@@ -166,34 +166,38 @@ pub(crate) fn equal(m: &Machine, a: Val, b: Val) -> bool {
     equal_d(m, a, b, 0)
 }
 
-fn equal_d(m: &Machine, a: Val, b: Val, depth: usize) -> bool {
+/// Recurses into cars and vector fields, `depth` deep so far, and walks
+/// down cdrs in a loop, so a long list costs no stack.
+fn equal_d(m: &Machine, mut a: Val, mut b: Val, depth: usize) -> bool {
     if depth > 10_000 {
         return false;
     }
-    match (a, b) {
-        (Val::Obj(x), Val::Obj(y)) => {
-            if x == y {
-                return true;
-            }
-            let (ka, kb) = (m.heap.kind(x), m.heap.kind(y));
-            if ka != kb {
-                return false;
-            }
-            match ka {
-                ObjKind::Pair => {
-                    equal_d(m, m.heap.car(x), m.heap.car(y), depth + 1)
-                        && equal_d(m, m.heap.cdr(x), m.heap.cdr(y), depth + 1)
-                }
-                ObjKind::Vector => {
-                    m.heap.len(x) == m.heap.len(y)
-                        && (0..m.heap.len(x))
-                            .all(|i| equal_d(m, m.heap.field(x, i), m.heap.field(y, i), depth + 1))
-                }
-                ObjKind::Str => m.heap.string_value(x) == m.heap.string_value(y),
-                _ => false,
-            }
+    loop {
+        let (Val::Obj(x), Val::Obj(y)) = (a, b) else {
+            return eqv(m, a, b);
+        };
+        if x == y {
+            return true;
         }
-        _ => eqv(m, a, b),
+        let (ka, kb) = (m.heap.kind(x), m.heap.kind(y));
+        if ka != kb {
+            return false;
+        }
+        match ka {
+            ObjKind::Pair => {
+                if !equal_d(m, m.heap.car(x), m.heap.car(y), depth + 1) {
+                    return false;
+                }
+                (a, b) = (m.heap.cdr(x), m.heap.cdr(y));
+            }
+            ObjKind::Vector => {
+                return m.heap.len(x) == m.heap.len(y)
+                    && (0..m.heap.len(x))
+                        .all(|i| equal_d(m, m.heap.field(x, i), m.heap.field(y, i), depth + 1));
+            }
+            ObjKind::Str => return m.heap.string_value(x) == m.heap.string_value(y),
+            _ => return false,
+        }
     }
 }
 
@@ -215,7 +219,10 @@ macro_rules! arith_fold {
                 (x, y) => Num::F($f_op(x.as_f64(), y.as_f64())),
             };
         }
-        Ok(acc.to_val())
+        match acc {
+            Num::I(i) => fixnum_or_overflow(Some(i), $name),
+            Num::F(f) => Ok(Val::Float(f)),
+        }
     }};
 }
 
@@ -235,10 +242,10 @@ fn prim_add(m: &mut Machine, argc: usize) -> Result<Val, SchemeError> {
 
 fn prim_sub(m: &mut Machine, argc: usize) -> Result<Val, SchemeError> {
     if argc == 1 {
-        return Ok(match want_num(m, argc, 0, "-")? {
-            Num::I(i) => Val::Int(-i),
-            Num::F(f) => Val::Float(-f),
-        });
+        return match want_num(m, argc, 0, "-")? {
+            Num::I(i) => fixnum_or_overflow(Some(-i), "-"),
+            Num::F(f) => Ok(Val::Float(-f)),
+        };
     }
     arith_fold!(
         "-",
@@ -293,7 +300,7 @@ fn prim_quotient(m: &mut Machine, argc: usize) -> Result<Val, SchemeError> {
     if b == 0 {
         return Err(rerr("quotient: division by zero"));
     }
-    Ok(Val::Int(a / b))
+    fixnum_or_overflow(Some(a / b), "quotient")
 }
 
 fn prim_remainder(m: &mut Machine, argc: usize) -> Result<Val, SchemeError> {
@@ -487,12 +494,10 @@ fn defs() -> Vec<Def> {
     def!("odd?", 1, Some(1), |m, a| Ok(Val::Bool(
         want_int(m, a, 0, "odd?")? % 2 != 0
     )));
-    def!("abs", 1, Some(1), |m, a| Ok(
-        match want_num(m, a, 0, "abs")? {
-            Num::I(i) => Val::Int(i.abs()),
-            Num::F(f) => Val::Float(f.abs()),
-        }
-    ));
+    def!("abs", 1, Some(1), |m, a| match want_num(m, a, 0, "abs")? {
+        Num::I(i) => fixnum_or_overflow(Some(i.abs()), "abs"),
+        Num::F(f) => Ok(Val::Float(f.abs())),
+    });
     def!("min", 1, None, |m, a| {
         let mut best = want_num(m, a, 0, "min")?;
         for i in 1..a {
@@ -513,25 +518,22 @@ fn defs() -> Vec<Def> {
         }
         Ok(best.to_val())
     });
-    def!("1+", 1, Some(1), |m, a| Ok(Val::Int(
-        want_int(m, a, 0, "1+")?
-            .checked_add(1)
-            .ok_or_else(|| rerr("1+: overflow"))?
-    )));
-    def!("1-", 1, Some(1), |m, a| Ok(Val::Int(
-        want_int(m, a, 0, "1-")?
-            .checked_sub(1)
-            .ok_or_else(|| rerr("1-: overflow"))?
-    )));
+    def!("1+", 1, Some(1), |m, a| fixnum_or_overflow(
+        want_int(m, a, 0, "1+")?.checked_add(1),
+        "1+"
+    ));
+    def!("1-", 1, Some(1), |m, a| fixnum_or_overflow(
+        want_int(m, a, 0, "1-")?.checked_sub(1),
+        "1-"
+    ));
     def!("sqrt", 1, Some(1), |m, a| Ok(Val::Float(
         want_num(m, a, 0, "sqrt")?.as_f64().sqrt()
     )));
     def!("expt", 2, Some(2), |m, a| {
         match (want_num(m, a, 0, "expt")?, want_num(m, a, 1, "expt")?) {
-            (Num::I(b), Num::I(e)) if (0..=62).contains(&e) => Ok(Val::Int(
-                b.checked_pow(e as u32)
-                    .ok_or_else(|| rerr("expt: overflow"))?,
-            )),
+            (Num::I(b), Num::I(e)) if (0..=62).contains(&e) => {
+                fixnum_or_overflow(b.checked_pow(e as u32), "expt")
+            }
             (b, e) => Ok(Val::Float(b.as_f64().powf(e.as_f64()))),
         }
     });
@@ -556,7 +558,7 @@ fn defs() -> Vec<Def> {
     def!("string->number", 1, Some(1), |m, a| {
         let s = want_string(m, a, 0, "string->number")?;
         if let Ok(i) = s.parse::<i64>() {
-            Ok(Val::Int(i))
+            fixnum_or_overflow(Some(i), "string->number")
         } else if let Ok(f) = s.parse::<f64>() {
             Ok(Val::Float(f))
         } else {
@@ -1070,6 +1072,12 @@ mod id {
 fn fixnum(i: Option<i64>) -> Option<Val> {
     i.filter(|i| (FIXNUM_MIN..=FIXNUM_MAX).contains(i))
         .map(Val::Int)
+}
+
+/// A fixnum result, or `<who>: overflow` outside the fixnum range (an
+/// out-of-range `Val::Int` cannot be stored in the heap).
+fn fixnum_or_overflow(i: Option<i64>, who: &str) -> Result<Val, SchemeError> {
+    fixnum(i).ok_or_else(|| rerr(format!("{who}: overflow")))
 }
 
 /// What primitive `id` returns for the top `argc` stack values, when the

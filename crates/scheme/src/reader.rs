@@ -2,6 +2,7 @@
 
 use crate::error::SchemeError;
 use crate::sexp::{Sexp, Span};
+use sting_areas::{FIXNUM_MAX, FIXNUM_MIN};
 
 struct Reader<'a> {
     src: &'a [u8],
@@ -298,12 +299,19 @@ impl Reader<'_> {
     }
 
     fn atom(&mut self) -> Result<Sexp, SchemeError> {
+        let span = self.here();
         let t = self.atom_text();
         if t.is_empty() {
             return Err(self.err("empty token"));
         }
-        if let Ok(i) = t.parse::<i64>() {
-            return Ok(Sexp::Int(i));
+        let digits = t.strip_prefix(['+', '-']).unwrap_or(&t);
+        if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
+            return match t.parse::<i64>() {
+                Ok(i) if (FIXNUM_MIN..=FIXNUM_MAX).contains(&i) => Ok(Sexp::Int(i)),
+                _ => Err(SchemeError::Read(format!(
+                    "{span}: integer {t} is outside the fixnum range"
+                ))),
+            };
         }
         // Floats must contain a digit (so `.`, `...`, `+`, `-` stay symbols).
         if t.bytes().any(|b| b.is_ascii_digit()) {

@@ -760,7 +760,7 @@ fn integer_overflow_raises_instead_of_crashing() {
             &format!("(list (+ {max} 0) (- {min} 0) (expt 2 59) (+ {max} 1.0))")
         )
         .to_string(),
-        "(1152921504606846975 -1152921504606846976 576460752303423488 1152921504606846976)"
+        "(1152921504606846975 -1152921504606846976 576460752303423488 1152921504606846976.0)"
     );
     // A literal outside the range is a read error at its own position.
     match i.eval("(list\n  1152921504606846976)") {
