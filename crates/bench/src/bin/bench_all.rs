@@ -19,6 +19,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
+use sting::core::counters::CounterSnapshot;
 use sting::prelude::*;
 use sting_bench::report::{BenchReport, BenchRow, Check};
 use sting_bench::shapes::{self, Scale};
@@ -33,6 +34,9 @@ static ALLOCATOR: sting_bench::CountingAllocator = sting_bench::CountingAllocato
 
 /// E8 tree depth: the `fork_tree` benchmark's, at every scale.
 const FORK_DEPTH: u32 = 10;
+
+/// E5 lock-and-release rounds per thread, at every scale.
+const MUTEX_ROUNDS: usize = 200;
 
 struct Args {
     smoke: bool,
@@ -68,18 +72,38 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Times `reps` runs of `workload`, each on a fresh VM from `mk`; only the
-/// workload is timed (VM construction and shutdown are excluded).
-fn run_reps(reps: u64, mk: impl Fn() -> Arc<Vm>, workload: impl Fn(&Arc<Vm>)) -> Dist {
+/// workload is timed (VM construction and shutdown are excluded).  Also
+/// returns each run's counters.
+fn run_reps(
+    reps: u64,
+    mk: impl Fn() -> Arc<Vm>,
+    workload: impl Fn(&Arc<Vm>),
+) -> (Dist, Vec<CounterSnapshot>) {
     let mut samples = Vec::with_capacity(reps as usize);
+    let mut counts = Vec::with_capacity(reps as usize);
     for _ in 0..reps.max(1) {
         let vm = mk();
         let start = Instant::now();
         workload(&vm);
         samples.push(start.elapsed().as_nanos() as f64);
+        counts.push(vm.counters().snapshot());
         vm.shutdown();
     }
-    Dist::from_samples(samples)
+    (Dist::from_samples(samples), counts)
 }
+
+/// The counters a shape row reports beside its time, and how to read each.
+const COUNTS: [(&str, Counter); 9] = [
+    ("threads", |c| c.threads_created),
+    ("tcbs", |c| c.tcbs_allocated),
+    ("steals", |c| c.steals),
+    ("blocks", |c| c.blocks),
+    ("yields", |c| c.yields),
+    ("preemptions", |c| c.preemptions),
+    ("switches", |c| c.context_switches),
+    ("migrations", |c| c.migrations),
+    ("wakes", |c| c.worker_wakes),
+];
 
 /// [`run_reps`] over a fleet: one `shards`-shard fleet (4 VPs total,
 /// untraced) and one sharded space serve every rep, with a warm-up run
@@ -100,19 +124,64 @@ fn run_fleet_reps(reps: u64, shards: usize, workload: impl Fn(&Fleet, &ShardedSp
 }
 
 /// Steal-throughput ns/dispatch over `reps` timed hammers (after one
-/// warm-up hammer) on a single VM.
-fn steal_throughput(vm: &Arc<Vm>, reps: u64, threads: i64, yields: i64) -> Dist {
+/// warm-up hammer) on a single VM, and each timed hammer's counters.
+fn steal_throughput(
+    vm: &Arc<Vm>,
+    reps: u64,
+    threads: i64,
+    yields: i64,
+) -> (Dist, Vec<CounterSnapshot>) {
     shapes::steal_hammer(vm, threads, yields); // warm-up: stacks pooled, workers awake
     let expected: i64 = (0..threads).sum();
     let mut samples = Vec::with_capacity(reps as usize);
+    let mut counts = Vec::with_capacity(reps as usize);
     for _ in 0..reps.max(1) {
+        let before = vm.counters().snapshot();
         let start = Instant::now();
         let sum = shapes::steal_hammer(vm, threads, yields);
         let t = start.elapsed();
+        counts.push(vm.counters().snapshot().since(&before));
         assert_eq!(sum, expected);
         samples.push(t.as_nanos() as f64 / shapes::steal_dispatches(threads, yields));
     }
-    Dist::from_samples(samples)
+    (Dist::from_samples(samples), counts)
+}
+
+type Counter = fn(&CounterSnapshot) -> u64;
+
+/// A run's rows, each printed as it is added.
+struct Rows(Vec<BenchRow>);
+
+impl Rows {
+    /// Adds the row of `d`.
+    fn add(&mut self, suite: &str, name: &str, unit: &str, d: &Dist) {
+        self.push(BenchRow::from_dist(suite, name, unit, d));
+    }
+
+    fn push(&mut self, row: BenchRow) {
+        print_row(&row);
+        self.0.push(row);
+    }
+
+    /// Adds one `count` row per [`COUNTS`] entry, `<name>-<counter>`, a
+    /// sample per snapshot in `runs` divided by `per`, and prints their
+    /// medians on one line.
+    fn counts(&mut self, suite: &str, name: &str, runs: &[CounterSnapshot], per: f64) {
+        let mut line = String::new();
+        for (counter, read) in COUNTS {
+            let d = Dist::from_samples(runs.iter().map(|c| read(c) as f64 / per).collect());
+            line += &format!(" {counter}={}", (d.p50() * 1e3).round() / 1e3);
+            let name = format!("{name}-{counter}");
+            self.0.push(BenchRow::from_dist(suite, &name, "count", &d));
+        }
+        println!("  {:<41}{line}", "");
+    }
+
+    /// The median of row `(suite, name)`, or NaN when there is none.
+    fn p50(&self, suite: &str, name: &str) -> f64 {
+        let row = self.0.iter().find(|r| r.suite == suite && r.name == name);
+        row.map_or(f64::NAN, |r| r.p50)
+    }
 }
 
 fn print_row(r: &BenchRow) {
@@ -162,7 +231,7 @@ fn main() -> ExitCode {
         scale.figure6_iters
     );
 
-    let mut rows: Vec<BenchRow> = Vec::new();
+    let mut rows = Rows(Vec::new());
     let mut checks: Vec<Check> = Vec::new();
 
     // --- Figure 6, with up to three attempts to clear the ordering gates
@@ -174,7 +243,7 @@ fn main() -> ExitCode {
         let f6_checks = figure6_checks(&f6);
         if attempt == 3 || figure6_gates_pass(&f6_checks) {
             println!("{}", render_figure6(&f6));
-            rows.extend(f6.iter().map(|r| {
+            rows.0.extend(f6.iter().map(|r| {
                 BenchRow::from_dist("figure6", r.name, "ns/iter", &r.dist).with_paper_us(r.paper_us)
             }));
             checks.extend(f6_checks);
@@ -187,15 +256,35 @@ fn main() -> ExitCode {
     println!("shape: stealing (primes limit {})", scale.primes_limit);
     for cfg in shapes::STEALING_CONFIGS {
         let limit = scale.primes_limit;
-        let d = run_reps(
+        let (d, counts) = run_reps(
             reps,
-            || shapes::stealing_vm(cfg, false),
+            || shapes::stealing_vm(cfg),
             |vm| shapes::primes_futures(vm, limit, cfg.lazy, cfg.stealable),
         );
-        let row = BenchRow::from_dist("shape", &format!("stealing-{}", cfg.name), "ns/run", &d);
-        print_row(&row);
-        rows.push(row);
+        let name = format!("stealing-{}", cfg.name);
+        rows.add("shape", &name, "ns/run", &d);
+        rows.counts("shape", &name, &counts, 1.0);
     }
+    // §4.1.1's claim as two counts on the 1-VP rows, which repeat exactly
+    // from run to run: under LIFO a toucher finds its future still queued
+    // and steals it, under FIFO the future has mostly run already; and each
+    // steal runs a thread on its toucher's TCB, so stealing keeps the TCB
+    // count far below the thread count.
+    let count = |config: &str| rows.p50("shape", &format!("stealing-{config}"));
+    let [lifo, fifo] = [count("lifo-eager-steals"), count("fifo-eager-steals")];
+    checks.push(Check {
+        name: "shape:lifo-steals>=4x-fifo".to_string(),
+        pass: lifo >= 4.0 * fifo,
+        detail: format!("eager primes on 1 VP: {lifo} steals under LIFO vs {fifo} under FIFO"),
+    });
+    let [with, without] = [count("lifo-eager-tcbs"), count("lazy-stealing-off-tcbs")];
+    checks.push(Check {
+        name: "shape:stealing-throttles-tcbs".to_string(),
+        pass: 4.0 * with <= without,
+        detail: format!(
+            "primes on 1 VP: {with} TCBs with LIFO stealing vs {without} with stealing off (gate <= 1/4)"
+        ),
+    });
 
     // --- E2: policy / program-structure matching ---
     println!(
@@ -204,21 +293,19 @@ fn main() -> ExitCode {
     );
     type PolicyVm = (&'static str, fn() -> Arc<Vm>);
     let policy_vms: [PolicyVm; 3] = [
-        ("global-fifo", || shapes::global_queue_vm(false)),
-        ("local-lifo", || shapes::local_queue_vm(false, false)),
-        ("migrating-lifo", || shapes::local_queue_vm(true, false)),
+        ("global-fifo", shapes::global_queue_vm),
+        ("local-lifo", || shapes::local_queue_vm(false)),
+        ("migrating-lifo", || shapes::local_queue_vm(true)),
     ];
     for (policy, mk) in policy_vms {
-        let jobs = scale.farm_jobs;
-        let d = run_reps(reps, mk, |vm| shapes::farm_workload(vm, jobs));
-        let row = BenchRow::from_dist("shape", &format!("farm-{policy}"), "ns/run", &d);
-        print_row(&row);
-        rows.push(row);
-        let depth = scale.tree_depth;
-        let d = run_reps(reps, mk, |vm| shapes::tree_workload(vm, depth));
-        let row = BenchRow::from_dist("shape", &format!("tree-{policy}"), "ns/run", &d);
-        print_row(&row);
-        rows.push(row);
+        let (jobs, depth) = (scale.farm_jobs, scale.tree_depth);
+        let farm = run_reps(reps, mk, |vm| shapes::farm_workload(vm, jobs));
+        let tree = run_reps(reps, mk, |vm| shapes::tree_workload(vm, depth));
+        for (shape, (d, counts)) in [("farm", farm), ("tree", tree)] {
+            let name = format!("{shape}-{policy}");
+            rows.add("shape", &name, "ns/run", &d);
+            rows.counts("shape", &name, &counts, 1.0);
+        }
     }
 
     // --- E2 addendum: manager-kept vs substrate-kept ready queue, and
@@ -236,13 +323,12 @@ fn main() -> ExitCode {
             ("", "lockfree", shapes::migrating_fifo),
             ("prio-", "deque", shapes::migrating_priority),
         ] {
-            let vm = shapes::steal_vm(vps, false, policy);
-            let d = steal_throughput(&vm, reps, scale.steal_threads, scale.steal_yields);
+            let vm = shapes::steal_vm(vps, policy);
+            let (d, counts) = steal_throughput(&vm, reps, scale.steal_threads, scale.steal_yields);
             vm.shutdown();
             let name = format!("steal-throughput-{order}{vps}vp-{tier}");
-            let row = BenchRow::from_dist("shape", &name, "ns/dispatch", &d);
-            print_row(&row);
-            rows.push(row);
+            rows.add("shape", &name, "ns/dispatch", &d);
+            rows.counts("shape", &name, &counts, 1.0);
         }
     }
 
@@ -253,14 +339,29 @@ fn main() -> ExitCode {
     );
     for (name, shield) in [("enabled", false), ("shielded", true)] {
         let (workers, rounds) = (scale.preempt_workers, scale.preempt_rounds);
-        let d = run_reps(
+        let (d, counts) = run_reps(reps, shapes::preemption_vm, |vm| {
+            shapes::preemption_run(vm, workers, rounds, shield);
+        });
+        let name = format!("preemption-{name}");
+        rows.add("shape", &name, "ns/run", &d);
+        rows.counts("shape", &name, &counts, 1.0);
+    }
+
+    // --- E5: active/passive spinning mutexes, swept over the active-spin
+    // count under four-thread contention on one VP ---
+    println!("shape: mutex spins (4 threads x {MUTEX_ROUNDS} rounds on 1 VP)");
+    for active in [0u32, 16, 256] {
+        let (d, _) = run_reps(
             reps,
-            || shapes::preemption_vm(false),
-            |vm| shapes::preemption_run(vm, workers, rounds, shield),
+            || VmBuilder::new().vps(1).build(),
+            |vm| shapes::mutex_contention(vm, active, MUTEX_ROUNDS),
         );
-        let row = BenchRow::from_dist("shape", &format!("preemption-{name}"), "ns/run", &d);
-        print_row(&row);
-        rows.push(row);
+        rows.add(
+            "shape",
+            &format!("mutex-spins-active-{active}"),
+            "ns/run",
+            &d,
+        );
     }
 
     // A claim about a second VP (or shard) needs a second core: where two
@@ -297,9 +398,7 @@ fn main() -> ExitCode {
             .collect();
         let d = Dist::from_samples(samples);
         *slot = d.p50();
-        let row = BenchRow::from_dist("shape", &format!("tuple-locks-{name}"), "ns/run", &d);
-        print_row(&row);
-        rows.push(row);
+        rows.add("shape", &format!("tuple-locks-{name}"), "ns/run", &d);
     }
     checks.push(Check {
         name: format!("{advisory}shape:tuple-locks-per-bucket-beats-global-lock"),
@@ -328,16 +427,12 @@ fn main() -> ExitCode {
             shapes::shard_farm_workload(fleet, ts, jobs, 16);
         });
         shard_farm_p50.push(d.p50());
-        let row = BenchRow::from_dist("shard", &format!("farm-{shards}shard"), "ns/run", &d);
-        print_row(&row);
-        rows.push(row);
+        rows.add("shard", &format!("farm-{shards}shard"), "ns/run", &d);
         let depth = scale.shard_tree_depth;
         let d = run_fleet_reps(reps, shards, |fleet, _ts| {
             shapes::shard_tree_workload(fleet, depth);
         });
-        let row = BenchRow::from_dist("shard", &format!("tree-{shards}shard"), "ns/run", &d);
-        print_row(&row);
-        rows.push(row);
+        rows.add("shard", &format!("tree-{shards}shard"), "ns/run", &d);
     }
     // The scaling claim is a full-scale gate (4 shards, 2000 jobs); the
     // smoke tier runs only the 1- and 2-shard rows alongside the rest of
@@ -408,9 +503,7 @@ fn main() -> ExitCode {
             .collect();
         let d = Dist::from_samples(samples);
         *slot = d.p50();
-        let row = BenchRow::from_dist("fleet", name, "ns/run", &d);
-        print_row(&row);
-        rows.push(row);
+        rows.add("fleet", name, "ns/run", &d);
     }
     fleet.shutdown();
     checks.push(Check {
@@ -463,16 +556,15 @@ fn main() -> ExitCode {
         if name == "2vp-migrating" {
             wakes_per_fork = counted.worker_wakes as f64 / counted.threads_created.max(1) as f64;
         }
-        let row = BenchRow::from_dist("fork", name, "ns/tree", &d);
-        print_row(&row);
-        rows.push(row);
+        rows.add("fork", name, "ns/tree", &d);
+        // The warm-up run is counted too.
+        let per = ((d.len() + 1) * trees) as f64;
+        rows.counts("fork", &format!("{name}-per-tree"), &[counted], per);
         if name == "1vp" {
             // E8's per-thread budget row: one eager thread, forked, absorbed
             // by its toucher and determined on one VP.
             let per = d.scale(1.0 / shapes::tree_threads(FORK_DEPTH) as f64);
-            let row = BenchRow::from_dist("fork", "1vp-per-thread", "ns/thread", &per);
-            print_row(&row);
-            rows.push(row);
+            rows.add("fork", "1vp-per-thread", "ns/thread", &per);
         }
     }
     // A count, so enforced on any box: the thread object and its thunk are
@@ -523,6 +615,13 @@ fn main() -> ExitCode {
         ),
     });
     let residue = shapes::fork_world_residue(scale.fork_world, FORK_DEPTH);
+    for (name, unit, value) in [
+        ("world-trees", "count", residue.trees as f64),
+        ("world-queued", "count", residue.queued as f64),
+        ("world-rss-growth", "MB", residue.grown as f64 / 1e6),
+    ] {
+        rows.add("fork", name, unit, &Dist::from_samples(vec![value]));
+    }
     checks.push(Check {
         name: "fork:queue-stays-bounded".to_string(),
         pass: residue.bounded(),
@@ -541,9 +640,7 @@ fn main() -> ExitCode {
     // closure call never reaches the Rust allocator). ---
     println!("scheme: machine hot paths");
     for (name, unit, d) in sting_bench::scheme::rows(args.smoke, reps) {
-        let row = BenchRow::from_dist("scheme", name, unit, &d);
-        print_row(&row);
-        rows.push(row);
+        rows.add("scheme", name, unit, &d);
     }
     checks.extend(sting_bench::scheme::gates());
 
@@ -559,10 +656,9 @@ fn main() -> ExitCode {
     );
     match sting_bench::server::run(&sscale) {
         Ok((srows, schecks)) => {
-            for r in &srows {
-                print_row(r);
+            for r in srows {
+                rows.push(r);
             }
-            rows.extend(srows);
             checks.extend(schecks);
         }
         Err(e) => checks.push(Check {
@@ -615,9 +711,7 @@ fn main() -> ExitCode {
         ("steal-throughput-metrics-off", off_samples),
     ] {
         let d = Dist::from_samples(samples);
-        let row = BenchRow::from_dist("overhead", name, "ns/dispatch", &d);
-        print_row(&row);
-        rows.push(row);
+        rows.add("overhead", name, "ns/dispatch", &d);
     }
     // The ratio itself comes from a tighter probe: a batched yield loop on
     // a single VP crosses the same instrumented enqueue->dispatch path on
@@ -646,9 +740,7 @@ fn main() -> ExitCode {
         .enumerate()
     {
         let d = Dist::from_samples(vec![per_setting[i]]);
-        let row = BenchRow::from_dist("overhead", name, "ns/yield", &d);
-        print_row(&row);
-        rows.push(row);
+        rows.add("overhead", name, "ns/yield", &d);
     }
     checks.push(Check {
         name: "info:metrics-overhead<=2%".to_string(),
@@ -673,7 +765,7 @@ fn main() -> ExitCode {
                 format!("{second_core:.2}"),
             ),
         ],
-        rows,
+        rows: rows.0,
         checks,
     };
     println!("\nchecks:");

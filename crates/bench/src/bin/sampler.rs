@@ -34,7 +34,7 @@
 //! * `scheme-<program>` — the `scheme_mix` benchmark's op on one of its
 //!   programs (`fib`, `alloc-sort`, `sieve-futures`, `farm-ts`,
 //!   `mutex-counter`, `speculative-race`, read from `--programs`, default
-//!   `benchmark/programs`): a fresh `Interp` per op, two host threads
+//!   the repository's `benchmark/programs` from any working directory): a fresh `Interp` per op, two host threads
 //!   issuing ops on a 2-VP VM.
 //! * `scheme-mix` — the same with the six programs round-robin, as the
 //!   benchmark mixes them (EXPERIMENTS.md E10).
@@ -244,7 +244,7 @@ fn parse_args() -> Result<Args, String> {
         seconds: 10.0,
         hz: 997,
         top: 25,
-        programs: "benchmark/programs".to_string(),
+        programs: sting_bench::PROGRAMS_DIR.to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {

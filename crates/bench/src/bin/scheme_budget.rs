@@ -6,7 +6,8 @@
 //! cargo run --release -p sting-bench --bin scheme_budget [-- DIR [REPS]]
 //! ```
 //!
-//! `DIR` holds the programs (default `benchmark/programs`).  Each rep is
+//! `DIR` holds the programs (default the repository's `benchmark/programs`,
+//! whatever the working directory).  Each rep is
 //! the benchmark's op: a fresh `Interp` on a 2-VP machine, one program.
 //! The counts come from [`Globals::activity`] and repeat exactly for the
 //! programs that fork no threads; the times are this box's, medians over
@@ -31,7 +32,9 @@ const FLOOR_US_PER_THREAD: f64 = 1.0;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let dir = args.next().unwrap_or_else(|| "benchmark/programs".into());
+    let dir = args
+        .next()
+        .unwrap_or_else(|| sting_bench::PROGRAMS_DIR.into());
     let reps: usize = args.next().and_then(|r| r.parse().ok()).unwrap_or(30);
     let mut programs: Vec<_> = match std::fs::read_dir(&dir) {
         Ok(entries) => entries

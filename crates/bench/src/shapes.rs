@@ -1,9 +1,5 @@
-//! Shared workloads behind the shape-experiment binaries and `bench_all`.
-//!
-//! Each shape experiment used to live entirely inside its binary; the
-//! workloads now live here so the unified runner (`bench_all`) and the
-//! individual `shape_*` binaries measure exactly the same code, and so the
-//! smoke tier can shrink iteration counts without forking the logic.
+//! The workloads behind `bench_all`'s shape experiments (E1–E5, E7, E8),
+//! with the iteration scales of its full and smoke tiers.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -53,7 +49,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The full-run scale (matches the standalone binaries' defaults).
+    /// The full-run scale.
     pub fn full() -> Scale {
         Scale {
             figure6_iters: 20_000,
@@ -193,7 +189,7 @@ pub const STEALING_CONFIGS: &[StealingConfig] = &[
 ];
 
 /// Builds the VM for one E1 configuration.
-pub fn stealing_vm(cfg: &StealingConfig, trace: bool) -> Arc<Vm> {
+pub fn stealing_vm(cfg: &StealingConfig) -> Arc<Vm> {
     let StealingConfig { lifo, vps, .. } = *cfg;
     let migrating = vps > 1;
     VmBuilder::new()
@@ -206,7 +202,6 @@ pub fn stealing_vm(cfg: &StealingConfig, trace: bool) -> Arc<Vm> {
                 policies::local_fifo().migrating(migrating).boxed()
             }
         })
-        .trace(trace)
         .build()
 }
 
@@ -253,26 +248,17 @@ pub fn tree_workload(vm: &Arc<Vm>, depth: u32) {
 }
 
 /// 4-VP VM scheduled from one global FIFO queue.
-pub fn global_queue_vm(trace: bool) -> Arc<Vm> {
+pub fn global_queue_vm() -> Arc<Vm> {
     let q = GlobalQueue::fifo();
-    VmBuilder::new()
-        .vps(4)
-        .policy(move |_| q.policy())
-        .trace(trace)
-        .build()
+    VmBuilder::new().vps(4).policy(move |_| q.policy()).build()
 }
 
 /// 4-VP VM with per-VP LIFO queues, optionally migrating for balance.
-pub fn local_queue_vm(migrate: bool, trace: bool) -> Arc<Vm> {
+pub fn local_queue_vm(migrate: bool) -> Arc<Vm> {
     VmBuilder::new()
         .vps(4)
-        .policy(move |_| make_local(migrate))
-        .trace(trace)
+        .policy(move |_| policies::local_lifo().migrating(migrate).boxed())
         .build()
-}
-
-fn make_local(migrate: bool) -> Box<dyn PolicyManager> {
-    policies::local_lifo().migrating(migrate).boxed()
 }
 
 // --- E2 addendum: manager-kept vs substrate-kept ready queue ---
@@ -326,14 +312,13 @@ pub fn migrating_priority() -> Box<dyn PolicyManager> {
 
 /// Builds a steal-throughput VM: one OS worker per VP, every VP scheduled
 /// by a policy of `policy`'s making.
-pub fn steal_vm(vps: usize, trace: bool, policy: fn() -> Box<dyn PolicyManager>) -> Arc<Vm> {
+pub fn steal_vm(vps: usize, policy: fn() -> Box<dyn PolicyManager>) -> Arc<Vm> {
     VmBuilder::new()
         .vps(vps)
         // One OS worker per VP: without it a single worker drives every VP
         // and the queues are never contended.
         .processors(vps)
         .policy(move |_| policy())
-        .trace(trace)
         .build()
 }
 
@@ -371,8 +356,8 @@ pub fn steal_dispatches(threads: i64, yields: i64) -> f64 {
 
 /// Builds the single-VP VM the preemption experiment uses; its threads
 /// keep the default quantum, one 500 µs slice.
-pub fn preemption_vm(trace: bool) -> Arc<Vm> {
-    VmBuilder::new().vps(1).processors(1).trace(trace).build()
+pub fn preemption_vm() -> Arc<Vm> {
+    VmBuilder::new().vps(1).processors(1).build()
 }
 
 /// Runs the lock-convoy workload; `shield` wraps the critical section in
@@ -405,6 +390,30 @@ pub fn preemption_run(vm: &Arc<Vm>, workers: usize, rounds: usize, shield: bool)
                     cx.checkpoint();
                 }
                 acc as i64
+            })
+        })
+        .collect();
+    for t in ts {
+        t.join_blocking().unwrap();
+    }
+}
+
+// --- E5: active/passive spinning mutexes ---
+
+/// Four threads on a one-VP `vm` each take and release, `rounds` times
+/// with a checkpoint between, one mutex that spins `active_spins` times
+/// and yields twice before it blocks.
+pub fn mutex_contention(vm: &Arc<Vm>, active_spins: u32, rounds: usize) {
+    let m = Mutex::new(active_spins, 2);
+    let ts: Vec<_> = (0..4)
+        .map(|_| {
+            let m = m.clone();
+            vm.fork(move |cx| {
+                for _ in 0..rounds {
+                    m.with(|| {});
+                    cx.checkpoint();
+                }
+                0i64
             })
         })
         .collect();

@@ -64,6 +64,9 @@ fn smoke_run_emits_schema_valid_report_with_sane_shape() {
         ("shape", "steal-throughput-2vp-lockfree"),
         ("shape", "preemption-shielded"),
         ("shape", "tuple-locks-per-bucket"),
+        ("shape", "mutex-spins-active-0"),
+        ("shape", "mutex-spins-active-16"),
+        ("shape", "mutex-spins-active-256"),
         ("overhead", "steal-throughput-metrics-on"),
         ("overhead", "steal-throughput-metrics-off"),
     ] {
@@ -71,6 +74,24 @@ fn smoke_run_emits_schema_valid_report_with_sane_shape() {
             report.row(suite, name).is_some(),
             "missing {suite} row `{name}`"
         );
+    }
+    // The counter snapshots the shape rows record beside their times.
+    for (suite, name) in [
+        ("shape", "stealing-lifo-eager-steals"),
+        ("shape", "stealing-fifo-eager-tcbs"),
+        ("shape", "stealing-lazy-stealing-off-threads"),
+        ("shape", "farm-global-fifo-blocks"),
+        ("shape", "tree-migrating-lifo-migrations"),
+        ("shape", "steal-throughput-2vp-lockfree-switches"),
+        ("shape", "preemption-enabled-preemptions"),
+        ("shape", "preemption-shielded-yields"),
+        ("fork", "2vp-migrating-per-tree-wakes"),
+        ("fork", "world-queued"),
+    ] {
+        let row = report
+            .row(suite, name)
+            .unwrap_or_else(|| panic!("missing {suite} row `{name}`"));
+        assert_eq!(row.unit, "count", "{suite} row `{name}`");
     }
 
     // Figure 6 shape orderings: every gating check must have passed (the
