@@ -537,12 +537,16 @@ fn defs() -> Vec<Def> {
             (b, e) => Ok(Val::Float(b.as_f64().powf(e.as_f64()))),
         }
     });
-    def!("floor", 1, Some(1), |m, a| Ok(
-        match want_num(m, a, 0, "floor")? {
-            Num::I(i) => Val::Int(i),
-            Num::F(f) => Val::Int(f.floor() as i64),
+    def!(
+        "floor",
+        1,
+        Some(1),
+        |m, a| match want_num(m, a, 0, "floor")? {
+            Num::I(i) => Ok(Val::Int(i)),
+            // `as` saturates, so a float past the range stays past it.
+            Num::F(f) => fixnum_or_overflow(Some(f.floor() as i64), "floor"),
         }
-    ));
+    );
     def!("number?", 1, Some(1), |m, a| Ok(Val::Bool(matches!(
         m.arg(a, 0),
         Val::Int(_) | Val::Float(_)

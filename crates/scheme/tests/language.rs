@@ -745,6 +745,11 @@ fn integer_overflow_raises_instead_of_crashing() {
         (format!("(list (1- {min}))"), "1-"),
         ("(list (expt 2 60))".to_string(), "expt"),
         (format!("(list (quotient {min} -1))"), "quotient"),
+        ("(list (floor 1e30))".to_string(), "floor"),
+        (
+            "(list (string->number \"1152921504606846976\"))".to_string(),
+            "string->number",
+        ),
     ] {
         let err = i.eval(&src).expect_err(&src).to_string();
         assert!(
