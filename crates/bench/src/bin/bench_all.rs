@@ -92,6 +92,8 @@ fn run_reps(
     (Dist::from_samples(samples), counts)
 }
 
+type Counter = fn(&CounterSnapshot) -> u64;
+
 /// The counters a shape row reports beside its time, and how to read each.
 const COUNTS: [(&str, Counter); 9] = [
     ("threads", |c| c.threads_created),
@@ -146,8 +148,6 @@ fn steal_throughput(
     }
     (Dist::from_samples(samples), counts)
 }
-
-type Counter = fn(&CounterSnapshot) -> u64;
 
 /// A run's rows, each printed as it is added.
 struct Rows(Vec<BenchRow>);
