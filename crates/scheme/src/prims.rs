@@ -167,16 +167,21 @@ pub(crate) fn equal(m: &Machine, a: Val, b: Val) -> bool {
 }
 
 /// Recurses into cars and vector fields, `depth` deep so far, and walks
-/// down cdrs in a loop, so a long list costs no stack.
+/// down cdrs in a loop, so a long list costs no stack.  `slow` trails the
+/// walk at half its pace (Floyd's tortoise and hare): meeting it again means
+/// both cdr chains cycle in step and every pair ahead was already compared,
+/// so two circular lists end the walk instead of looping for good.
 fn equal_d(m: &Machine, mut a: Val, mut b: Val, depth: usize) -> bool {
     if depth > 10_000 {
         return false;
     }
+    let mut slow = (a, b);
+    let mut steps = 0usize;
     loop {
         let (Val::Obj(x), Val::Obj(y)) = (a, b) else {
             return eqv(m, a, b);
         };
-        if x == y {
+        if x == y || (steps > 0 && (a, b) == slow) {
             return true;
         }
         let (ka, kb) = (m.heap.kind(x), m.heap.kind(y));
@@ -189,6 +194,14 @@ fn equal_d(m: &Machine, mut a: Val, mut b: Val, depth: usize) -> bool {
                     return false;
                 }
                 (a, b) = (m.heap.cdr(x), m.heap.cdr(y));
+                steps += 1;
+                if steps % 2 == 0 {
+                    // `slow` is a pair the walk has passed.
+                    let (Val::Obj(sx), Val::Obj(sy)) = slow else {
+                        unreachable!("equal?: the trailing pointer left the pairs");
+                    };
+                    slow = (m.heap.cdr(sx), m.heap.cdr(sy));
+                }
             }
             ObjKind::Vector => {
                 return m.heap.len(x) == m.heap.len(y)

@@ -794,3 +794,40 @@ fn equal_walks_long_lists() {
     );
     vm.shutdown();
 }
+
+#[test]
+fn equal_ends_on_circular_lists() {
+    // Native primitives have no preemption point: a walk that never ends
+    // would hold the only VP for good.
+    let (vm, i) = interp();
+    let circ = |l: &str| {
+        format!(
+            "(let ((l (list {l})))
+               (let close ((p l)) (if (null? (cdr p)) (set-cdr! p l) (close (cdr p))))
+               l)"
+        )
+    };
+    for (a, b, want) in [
+        ("1", "1", true),
+        ("1", "1 1", true),
+        ("1 2", "1 2 1 2 1 2", true),
+        ("1", "1 2", false),
+        ("1 2 3", "1 2", false),
+    ] {
+        let form = format!("(equal? {} {})", circ(a), circ(b));
+        assert_eq!(ev(&i, &form), Value::Bool(want), "{form}");
+    }
+    // A circular list against a proper one, and member over a cycle.
+    assert_eq!(
+        ev(&i, &format!("(equal? {} (list 1 1 1))", circ("1"))),
+        Value::Bool(false)
+    );
+    assert_eq!(
+        ev(
+            &i,
+            &format!("(if (member {} (list 0 {})) #t #f)", circ("1"), circ("1 1"))
+        ),
+        Value::Bool(true)
+    );
+    vm.shutdown();
+}
