@@ -195,7 +195,7 @@ fn equal_d(m: &Machine, mut a: Val, mut b: Val, depth: usize) -> bool {
                 }
                 (a, b) = (m.heap.cdr(x), m.heap.cdr(y));
                 steps += 1;
-                if steps % 2 == 0 {
+                if steps.is_multiple_of(2) {
                     // `slow` is a pair the walk has passed.
                     let (Val::Obj(sx), Val::Obj(sy)) = slow else {
                         unreachable!("equal?: the trailing pointer left the pairs");
