@@ -414,6 +414,30 @@ fn main() -> ExitCode {
         ),
     });
 
+    // Counts, so enforced on any box: a tuple-space call allocates the
+    // caller's vectors and the `Arc` of the tuple a `put` stores, nothing
+    // else (ROADMAP item 5).
+    let (put_get_allocs, rd_allocs) = {
+        let vm = VmBuilder::new().vps(1).build();
+        let allocs = shapes::tuple_call_allocs(&vm);
+        vm.shutdown();
+        allocs
+    };
+    checks.push(Check {
+        name: "tuple:put-get-allocs<=2".to_string(),
+        pass: put_get_allocs <= 2.0,
+        detail: format!(
+            "put of a fresh vector + get through a reused template, beside 10 000 bystanders: {put_get_allocs:.2} Rust-heap allocations a round (the vector and the stored tuple's Arc)"
+        ),
+    });
+    checks.push(Check {
+        name: "tuple:rd-allocs<=1".to_string(),
+        pass: rd_allocs <= 1.0,
+        detail: format!(
+            "rd through a template built per call: {rd_allocs:.2} Rust-heap allocations a round (the template's vector)"
+        ),
+    });
+
     // --- E7: sharded fleets over the partitioned tuple-space fabric.
     // Total VPs (4) and total work stay fixed as the shard count rises,
     // so the rows isolate what partitioning buys: per-partition locks,

@@ -210,7 +210,8 @@ pub fn gates() -> Vec<Check> {
     };
     let captured = captured_refs_gate(&interp);
     let returned = returned_list_gate(&interp);
-    let mut checks = vec![refs, calls, captured, returned];
+    let round_trip = ts_round_trip_gate(&interp);
+    let mut checks = vec![refs, calls, captured, returned, round_trip];
     checks.extend(fib_gates(&vm));
     vm.shutdown();
     checks
@@ -292,6 +293,46 @@ fn captured_refs_gate(interp: &Interp) -> Check {
         detail: format!(
             "a forked thread making {} references to a captured mutex and a captured fixnum grew its native table by {slots:?} slots and made {allocs:?} Rust-heap allocations (gate: 0 and 0)",
             2 * REFS
+        ),
+    }
+}
+
+/// Rust-heap allocations a `scheme:ts-round-trip-allocs` round may make:
+/// the tuple's vector and its `Arc`, and the template's vector.
+const TS_ROUND_TRIP_ALLOCS: i64 = 3;
+
+/// `(ts-put ts (list 'job i))` then `(ts-get ts (list 'job '?))`,
+/// unpreempted, in five windows of 100 rounds after a warm-up: the least
+/// window is the calls' own count, clear of the nursery's growth.
+fn ts_round_trip_gate(interp: &Interp) -> Check {
+    const ROUNDS: i64 = 100;
+    let windows = interp
+        .eval(&format!(
+            "(let ((ts (make-ts)))
+               (define (rounds n)
+                 (let loop ((i 0))
+                   (if (< i n)
+                       (begin (ts-put ts (list 'job i))
+                              (ts-get ts (list 'job '?))
+                              (loop (+ i 1))))))
+               (rounds {ROUNDS})
+               (without-preemption
+                 (lambda ()
+                   (let loop ((w 0) (made '()))
+                     (if (= w 5)
+                         made
+                         (let ((before (%allocations)))
+                           (rounds {ROUNDS})
+                           (loop (+ w 1) (cons (- (%allocations) before) made))))))))"
+        ))
+        .expect("round-trip probe");
+    let least = windows.list_iter().filter_map(Value::as_int).min();
+    let per_round = least.map(|n| n as f64 / ROUNDS as f64);
+    Check {
+        name: format!("scheme:ts-round-trip-allocs<={TS_ROUND_TRIP_ALLOCS}"),
+        pass: least.is_some_and(|n| n <= TS_ROUND_TRIP_ALLOCS * ROUNDS),
+        detail: format!(
+            "(ts-put ts (list 'job i)) (ts-get ts (list 'job '?)): {per_round:?} Rust-heap allocations a round, least of five 100-round windows (gate: <= {TS_ROUND_TRIP_ALLOCS}, the tuple's vector and Arc and the template's vector)"
         ),
     }
 }

@@ -687,6 +687,43 @@ pub fn tree_allocs_per_thread(vm: &Arc<Vm>, depth: u32) -> f64 {
     allocs as f64 / (tree_threads(depth) - 1) as f64
 }
 
+/// Rust-heap allocations per round of two tuple-space call patterns,
+/// beside 10 000 bystanders, counted on the worker of a one-VP `vm`,
+/// unpreempted, after a warm-up: a `put` of a fresh vector with a `get`
+/// through a reused template, and an `rd` whose template is built per
+/// call.  Reads 0 in a binary whose global allocator is not a
+/// [`CountingAllocator`](crate::CountingAllocator).
+pub fn tuple_call_allocs(vm: &Arc<Vm>) -> (f64, f64) {
+    const ROUNDS: i64 = 1_000;
+    crate::on_thread(vm, |cx| {
+        let ts = TupleSpace::new();
+        for b in 0..10_000i64 {
+            ts.put(vec![Value::Int(1_000_000 + b), Value::Int(b)]);
+        }
+        for c in 0..16i64 {
+            ts.put(vec![Value::Int(1), Value::Int(c), Value::Int(c * 7)]);
+        }
+        let jobs = Template::new(vec![lit(2i64), formal()]);
+        let per_round = |round: &dyn Fn(i64)| {
+            (0..ROUNDS).for_each(round);
+            let allocs = cx.without_preemption(|| {
+                let before = crate::allocations();
+                (0..ROUNDS).for_each(round);
+                crate::allocations() - before
+            });
+            allocs as f64 / ROUNDS as f64
+        };
+        let put_get = per_round(&|i| {
+            ts.put(vec![Value::Int(2), Value::Int(i)]);
+            std::hint::black_box(ts.get(&jobs));
+        });
+        let rd = per_round(&|i| {
+            std::hint::black_box(ts.rd(&Template::new(vec![lit(1i64), lit(i % 16), formal()])));
+        });
+        (put_get, rd)
+    })
+}
+
 /// ns per tree over `reps` timed runs of [`fork_trees`] on one long-lived
 /// `vm` (after a warm-up run: workers awake, stacks pooled).
 pub fn fork_tree_cost(vm: &Arc<Vm>, reps: u64, trees: usize, depth: u32, lazy: bool) -> Dist {
