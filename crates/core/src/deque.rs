@@ -29,8 +29,8 @@
 //! * [`Injector`] — a Treiber-stack MPSC queue for *remote* submissions
 //!   (forks from host threads, cross-VP wake-ups, due timers).  Any
 //!   thread may [`push`](Injector::push); the owner periodically
-//!   [`drain`](Injector::drain)s it into the deque, which restores arrival
-//!   order and makes the items stealable.  [`Injector::push_batch`]
+//!   [`take_all`](Injector::take_all)s it into the deque, which restores
+//!   arrival order and makes the items stealable.  [`Injector::push_batch`]
 //!   publishes *n* items with **one** CAS — the batched wake-up path
 //!   (`wake_all`, barrier release) uses it to amortize the slow path.
 //!   The scheduler's injector carries `(band, item)` pairs, classified
@@ -70,9 +70,9 @@
 //! encoding, so a torn read of a slot is impossible and the ABA question
 //! reduces to the monotonically increasing `top` counter, which a 64-bit
 //! process cannot wrap.  The scheduler's items are already pointers — a
-//! fresh thread is an `Arc<Thread>`, which goes into the slot as the raw
-//! `Arc` pointer, so the common push allocates nothing; only a parked TCB
-//! (the yield/wake slow path) is boxed.  Buffers retired by
+//! fresh thread is an `Arc<Thread>`, a parked TCB the pointer to its
+//! record — and go into the slot as they are, so no push allocates.
+//! Buffers retired by
 //! [`Deque::push`] growth are kept alive until the deque drops, so a thief
 //! holding a stale buffer pointer reads stale *data* (discarded when its
 //! CAS fails), never freed memory.
@@ -842,29 +842,137 @@ impl<T> Injector<T> {
         self.len.fetch_add(count, Ordering::Relaxed);
     }
 
-    /// Atomically takes the whole backlog, oldest first.  Returns an empty
-    /// vector (no allocation) when nothing is queued.
-    pub fn drain(&self) -> Vec<T> {
+    /// Atomically takes the whole backlog, oldest first, as an iterator
+    /// that frees each node as it hands its item over: the owner folds a
+    /// backlog into its deque without collecting it anywhere.  The chain is
+    /// reversed in place (stack order → arrival order) before the first
+    /// item comes out; items the iterator does not reach are dropped with
+    /// it.
+    pub fn take_all(&self) -> Drain<T> {
         if self.head.load(Ordering::Relaxed).is_null() {
-            return Vec::new();
+            return Drain {
+                head: ptr::null_mut(),
+            };
+        }
+        let mut node = self.head.swap(ptr::null_mut(), Ordering::Acquire);
+        let mut oldest_first: *mut Node<T> = ptr::null_mut();
+        let mut count = 0usize;
+        while !node.is_null() {
+            // SAFETY: the swap above made this chain exclusively ours.
+            unsafe {
+                let next = (*node).next;
+                (*node).next = oldest_first;
+                oldest_first = node;
+                node = next;
+            }
+            count += 1;
+        }
+        self.len.fetch_sub(count, Ordering::Relaxed);
+        Drain { head: oldest_first }
+    }
+
+    /// The newest node, as a word: a test's witness that the backlog was
+    /// left where it was.
+    #[cfg(test)]
+    pub(crate) fn head_word(&self) -> usize {
+        self.head.load(Ordering::Relaxed) as usize
+    }
+
+    /// [`Injector::take_all`], collected.
+    pub fn drain(&self) -> Vec<T> {
+        self.take_all().collect()
+    }
+
+    /// Takes the item `rank` rates highest — the oldest of equals — and
+    /// puts the rest back in their order with one CAS, on the nodes they
+    /// already have; an item rated `None` is never taken.  Returns the item
+    /// and whether anything was put back.  Items pushed meanwhile stay
+    /// ahead of the ones put back, as after a [`drain`](Injector::drain)
+    /// and a [`push_batch`](Injector::push_batch).
+    pub fn take_best(&self, rank: impl Fn(&T) -> Option<usize>) -> (Option<T>, bool) {
+        if self.head.load(Ordering::Relaxed).is_null() {
+            return (None, false);
         }
         let mut head = self.head.swap(ptr::null_mut(), Ordering::Acquire);
-        let mut out = Vec::new();
-        while !head.is_null() {
+        // Walk newest first, so a tie goes to the later (older) node.
+        let (mut best, mut best_prev, mut best_rank): (*mut Node<T>, *mut Node<T>, usize) =
+            (ptr::null_mut(), ptr::null_mut(), 0);
+        let (mut prev, mut node) = (ptr::null_mut::<Node<T>>(), head);
+        while !node.is_null() {
             // SAFETY: the swap above made this chain exclusively ours.
-            let node = unsafe { Box::from_raw(head) };
-            head = node.next;
-            out.push(node.item);
+            let (r, next) = unsafe { (rank(&(*node).item), (*node).next) };
+            if let Some(r) = r.filter(|&r| best.is_null() || r >= best_rank) {
+                (best, best_prev, best_rank) = (node, prev, r);
+            }
+            (prev, node) = (node, next);
         }
-        self.len.fetch_sub(out.len(), Ordering::Relaxed);
-        out.reverse(); // stack order -> arrival order
-        out
+        let mut tail = prev;
+        let taken = (!best.is_null()).then(|| {
+            // SAFETY: `best` and `best_prev` are nodes of our chain; `best`
+            // is unlinked before its box is taken back.
+            unsafe {
+                let next = (*best).next;
+                if best_prev.is_null() {
+                    head = next;
+                } else {
+                    (*best_prev).next = next;
+                }
+                if tail == best {
+                    tail = best_prev;
+                }
+                self.len.fetch_sub(1, Ordering::Relaxed);
+                Box::from_raw(best).item
+            }
+        });
+        if head.is_null() {
+            return (taken, false);
+        }
+        let mut current = self.head.load(Ordering::Relaxed);
+        loop {
+            // SAFETY: the rest of the chain is ours until the CAS publishes
+            // it; `tail` is its oldest node.
+            unsafe { (*tail).next = current };
+            match self.head.compare_exchange_weak(
+                current,
+                head,
+                Ordering::Release,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return (taken, true),
+                Err(now) => current = now,
+            }
+        }
+    }
+}
+
+/// The backlog an [`Injector::take_all`] took, oldest first.
+pub struct Drain<T> {
+    head: *mut Node<T>,
+}
+
+impl<T> Iterator for Drain<T> {
+    type Item = T;
+    fn next(&mut self) -> Option<T> {
+        if self.head.is_null() {
+            return None;
+        }
+        // SAFETY: the chain was taken whole by `take_all`; each node is
+        // unlinked here exactly once.
+        let node = unsafe { Box::from_raw(self.head) };
+        self.head = node.next;
+        Some(node.item)
+    }
+}
+
+impl<T> Drop for Drain<T> {
+    fn drop(&mut self) {
+        self.for_each(drop);
     }
 }
 
 impl<T> Drop for Injector<T> {
     fn drop(&mut self) {
-        drop(self.drain());
+        drop(self.take_all());
     }
 }
 

@@ -38,14 +38,15 @@ pub enum RunItem {
 }
 
 /// How a [`RunItem`] sits in a [`Deque`](crate::deque::Deque) slot: a fresh
-/// thread as its raw `Arc` pointer with the tag bit set — no allocation,
-/// and the tag is what lets a thief of a no-TCB-migration policy decline a
-/// parked item without claiming it — a parked TCB as a `Box`, tag clear.
+/// thread as its raw `Arc` pointer with the tag bit set — the tag is what
+/// lets a thief of a no-TCB-migration policy decline a parked item without
+/// claiming it — a parked TCB as its own pointer, tag clear.  Neither
+/// allocates.
 impl crate::deque::Slot for RunItem {
     fn into_word(self) -> usize {
         match self {
             RunItem::Fresh(t) => t.into_word() | 1,
-            RunItem::Parked(tcb) => Box::new(tcb).into_word(),
+            RunItem::Parked(tcb) => tcb.into_word(),
         }
     }
 
@@ -56,7 +57,7 @@ impl crate::deque::Slot for RunItem {
             if word & 1 == 1 {
                 RunItem::Fresh(Arc::from_word(word & !1))
             } else {
-                RunItem::Parked(*Box::from_word(word))
+                RunItem::Parked(Tcb::from_word(word))
             }
         }
     }

@@ -7,11 +7,19 @@
 //! between the VP run loop, policy-manager ready queues and the `parked`
 //! slot of a blocked thread; `TcbShared` is the part that stays reachable
 //! from TLS while the thread runs.
+//!
+//! Both live in one allocation: the fiber sits in the shared record, and a
+//! [`Tcb`] is the one reference to that record allowed to touch it.  So a
+//! TCB is a single pointer, and a ready queue stores it in a slot word as
+//! it is, with nothing boxed per yield or wake.
 
 use crate::thread::{Thread, ThreadResult, QUANTUM};
+use std::cell::UnsafeCell;
+use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use sting_context::fiber::{Fiber, Suspender};
+use sting_context::Stack;
 
 /// Message delivered to a thread when its fiber is resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,21 +75,20 @@ pub(crate) struct TcbShared {
     /// only code running on this TCB's fiber reads or writes it, so a
     /// relaxed atomic (no lock, no reference count) is enough.
     identity: AtomicPtr<Arc<Thread>>,
+    /// The thread's fiber.  Only the [`Tcb`] handle reaches it — every
+    /// other reference (TLS, the run loop's copy) reads the fields above —
+    /// and the handle takes it out when it is dropped or spent, so it is
+    /// `None` from then on.
+    fiber: UnsafeCell<Option<ThreadFiber>>,
 }
 
-impl TcbShared {
-    pub(crate) fn new(thread: Arc<Thread>, vp_index: usize) -> Arc<TcbShared> {
-        Arc::new(TcbShared {
-            identity: AtomicPtr::new(std::ptr::null_mut()),
-            thread,
-            suspender: AtomicUsize::new(0),
-            vp_index: AtomicUsize::new(vp_index),
-            preempt_disabled: AtomicU32::new(0),
-            slice_end: AtomicU64::new(0),
-            steal_depth: AtomicU32::new(0),
-        })
-    }
+// SAFETY: every field but `fiber` is atomic or immutable.  `fiber` is
+// touched only through the one `Tcb` that owns this record — by `&mut`
+// for a resume or a take, by `&` for a read — and a `Tcb` is not `Clone`,
+// so no two threads ever reach it at once.
+unsafe impl Sync for TcbShared {}
 
+impl TcbShared {
     /// Runs `f` on the thread whose code is currently executing on this
     /// TCB (the stolen thread during a steal, otherwise the TCB's owner).
     /// Owner-only, like the stack itself.
@@ -147,27 +154,99 @@ impl std::fmt::Debug for TcbShared {
     }
 }
 
-/// A thread control block: the fiber plus its shared dynamic state.
+/// A thread control block: the fiber plus its shared dynamic state, one
+/// pointer wide.
 ///
 /// Opaque to policy managers (they move TCBs through ready queues without
 /// inspecting them); the scheduler resumes the fiber.
 pub struct Tcb {
-    pub(crate) fiber: ThreadFiber,
+    /// The record holding the fiber; this handle is the only reference
+    /// that touches `shared.fiber`, which is `Some` while it lives.
     pub(crate) shared: Arc<TcbShared>,
 }
 
 impl Tcb {
+    /// A TCB for `thread` that will run `fiber`, last on VP `vp_index`.
+    pub(crate) fn new(thread: Arc<Thread>, vp_index: usize, fiber: ThreadFiber) -> Tcb {
+        Tcb {
+            shared: Arc::new(TcbShared {
+                identity: AtomicPtr::new(std::ptr::null_mut()),
+                thread,
+                suspender: AtomicUsize::new(0),
+                vp_index: AtomicUsize::new(vp_index),
+                preempt_disabled: AtomicU32::new(0),
+                slice_end: AtomicU64::new(0),
+                steal_depth: AtomicU32::new(0),
+                fiber: UnsafeCell::new(Some(fiber)),
+            }),
+        }
+    }
+
     /// The thread that owns this TCB.
     pub fn thread(&self) -> &Arc<Thread> {
         &self.shared.thread
+    }
+
+    /// The fiber, to resume.
+    pub(crate) fn fiber(&mut self) -> &mut ThreadFiber {
+        // SAFETY: this handle is the only one that touches the cell (see
+        // `TcbShared::fiber`), and `&mut self` makes this the only access.
+        unsafe { &mut *self.shared.fiber.get() }
+            .as_mut()
+            .expect("a live TCB holds its fiber")
+    }
+
+    /// Takes the fiber out, so nothing is left to drop with the handle.
+    fn take_fiber(&mut self) -> Option<ThreadFiber> {
+        // SAFETY: as in `fiber`.
+        unsafe { &mut *self.shared.fiber.get() }.take()
+    }
+
+    /// Spends a finished TCB: its stack, for recycling.
+    pub(crate) fn into_stack(mut self) -> Stack {
+        self.take_fiber()
+            .expect("a live TCB holds its fiber")
+            .into_stack()
+    }
+
+    /// Gives the TCB up as one pointer-sized word with the low bit clear
+    /// (the record is word-aligned).
+    pub(crate) fn into_word(self) -> usize {
+        let this = ManuallyDrop::new(self);
+        // SAFETY: `this` is never used or dropped again, so the `Arc` is
+        // moved out exactly once.
+        Arc::into_raw(unsafe { std::ptr::read(&this.shared) }) as usize
+    }
+
+    /// Takes a TCB back from its word.
+    ///
+    /// # Safety
+    ///
+    /// `word` must have come from [`Tcb::into_word`] and be converted back
+    /// at most once.
+    pub(crate) unsafe fn from_word(word: usize) -> Tcb {
+        Tcb {
+            // SAFETY: per the contract, an unconsumed `Arc::into_raw`.
+            shared: unsafe { Arc::from_raw(word as *const TcbShared) },
+        }
+    }
+}
+
+impl Drop for Tcb {
+    /// Drops the fiber here and now — cancelling it if it is still
+    /// suspended — rather than with the last reference to the record.
+    fn drop(&mut self) {
+        drop(self.take_fiber());
     }
 }
 
 impl std::fmt::Debug for Tcb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // SAFETY: as in `Tcb::fiber`, for a shared read.
+        let fiber = unsafe { &*self.shared.fiber.get() };
         f.debug_struct("Tcb")
             .field("thread", &self.shared.thread.id())
-            .field("done", &self.fiber.is_done())
+            .field("done", &fiber.as_ref().is_none_or(Fiber::is_done))
             .finish()
     }
 }

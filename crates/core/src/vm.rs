@@ -549,12 +549,12 @@ impl Vm {
     /// [`WakeBatch`](crate::wait::WakeBatch)).
     pub(crate) fn enqueue_parked_batch(
         &self,
-        tcbs: Vec<crate::tcb::Tcb>,
+        tcbs: impl IntoIterator<Item = crate::tcb::Tcb>,
         vp: usize,
         state: EnqueueState,
     ) {
         let vp = vp % self.vp_count();
-        self.vps[vp].enqueue_batch(self, tcbs.into_iter().map(RunItem::Parked).collect(), state);
+        self.vps[vp].enqueue_batch(self, tcbs.into_iter().map(RunItem::Parked), state);
     }
 
     /// Tells the machine that work was queued on VP `vp` (see [`Queued`]),

@@ -43,12 +43,12 @@ use crate::pad::CachePadded;
 use crate::pm::{DequeCaps, EnqueueState, PolicyManager, QueueKind, RunItem};
 use crate::probe::{self, Probe};
 use crate::tc;
-use crate::tcb::{Disposition, Tcb, TcbShared, ThreadFiber, Wakeup};
+use crate::tcb::{Disposition, Tcb, ThreadFiber, Wakeup};
 use crate::thread::{Thread, TryThunk};
 use crate::tls;
 use crate::vm::Vm;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use sting_context::fiber::FiberResult;
 use sting_context::{Fiber, StackPool};
@@ -80,6 +80,10 @@ struct FastQueue {
     /// Padded: remote submitters write its head, and the owner's every
     /// dequeue reads it — it must not drag `caps` or a buffer pointer along.
     injector: CachePadded<Injector<(usize, RunItem)>>,
+    /// Fresh threads in the injector, at least: counted before their push
+    /// and discounted after they leave it.  A thief that may take only
+    /// fresh threads reads it to leave a backlog of parked TCBs alone.
+    injected_fresh: AtomicUsize,
 }
 
 impl FastQueue {
@@ -88,6 +92,7 @@ impl FastQueue {
             caps,
             deque: MultiDeque::new(),
             injector: CachePadded(Injector::new()),
+            injected_fresh: AtomicUsize::new(0),
         }
     }
 
@@ -112,22 +117,34 @@ impl FastQueue {
 
     /// Submission from any thread but the owner: one CAS.
     fn inject(&self, item: RunItem) {
+        if item.is_fresh() {
+            self.injected_fresh.fetch_add(1, Ordering::Relaxed);
+        }
         self.injector.push((self.band_of(item.thread()), item));
     }
 
     /// [`FastQueue::inject`] for many items, still one CAS
     /// ([`Injector::push_batch`]); arrival order is kept within each band.
-    fn inject_batch(&self, items: Vec<RunItem>) {
-        self.injector
-            .push_batch(items.into_iter().map(|it| (self.band_of(it.thread()), it)));
+    fn inject_batch(&self, items: impl Iterator<Item = RunItem>) {
+        self.injector.push_batch(items.map(|it| {
+            if it.is_fresh() {
+                self.injected_fresh.fetch_add(1, Ordering::Relaxed);
+            }
+            (self.band_of(it.thread()), it)
+        }));
     }
 
     /// Owner-side dequeue: fold in remote submissions, then take from the
     /// highest non-empty band, at the end the policy's discipline
     /// dictates.
     fn pop(&self) -> Option<RunItem> {
-        for (band, item) in self.injector.drain() {
+        let mut fresh = 0;
+        for (band, item) in self.injector.take_all() {
+            fresh += usize::from(item.is_fresh());
             self.deque.push(band, item);
+        }
+        if fresh > 0 {
+            self.injected_fresh.fetch_sub(fresh, Ordering::Relaxed);
         }
         self.deque.pop(self.caps.fifo)
     }
@@ -183,40 +200,39 @@ impl FastQueue {
     /// remote submissions may be backed up in the injector while the owner
     /// is stuck in a long quantum, never folding them in.  Takes the
     /// highest-band eligible item (oldest within its band — the order the
-    /// owner would dispatch) and re-injects the rest in one CAS.  Declines,
-    /// like `surrender`, when the policy keeps its work home.
-    fn rescue(&self, vm: &Vm, index: usize) -> Option<RunItem> {
-        if !self.caps.steal {
-            return None;
+    /// owner would dispatch) and puts the rest back in one CAS
+    /// ([`Injector::take_best`]); the second value says whether it did,
+    /// which the caller answers with a signal to the owner.  Declines, like
+    /// `surrender`, when the policy keeps its work home — and, when only
+    /// fresh threads may leave, while the injector holds none, so a
+    /// backlog of parked TCBs is not taken and put back for nothing.
+    fn rescue(&self) -> (Option<RunItem>, bool) {
+        if !self.caps.steal
+            || !self.caps.steal_tcbs && self.injected_fresh.load(Ordering::Relaxed) == 0
+        {
+            return (None, false);
         }
-        let mut backlog = self.injector.drain();
-        // First occurrence at a strictly higher band wins, so ties keep
-        // arrival (FIFO-within-band) order, and a high-band parked TCB
-        // never loses to a low-band fresh thread when TCBs may migrate.
-        let mut best: Option<(usize, usize)> = None; // (index, band)
-        for (i, (band, it)) in backlog.iter().enumerate() {
-            if (self.caps.steal_tcbs || it.is_fresh())
-                && !it.is_dead()
-                && best.is_none_or(|(_, b)| *band > b)
-            {
-                best = Some((i, *band));
-            }
+        // A parked TCB may outrank a fresh thread only where TCBs migrate.
+        let (chosen, requeued) = self.injector.take_best(|(band, it)| {
+            ((self.caps.steal_tcbs || it.is_fresh()) && !it.is_dead()).then_some(*band)
+        });
+        let chosen = chosen.map(|(_, it)| it);
+        if chosen.as_ref().is_some_and(RunItem::is_fresh) {
+            self.injected_fresh.fetch_sub(1, Ordering::Relaxed);
         }
-        let chosen = best.map(|(i, _)| backlog.remove(i).1);
-        if !backlog.is_empty() {
-            self.injector.push_batch(backlog);
-            // The original submission signals were consumed; re-arm so the
-            // returned work is not stranded.
-            vm.signal_work(index, Queued::Remotely { stealable: true });
-        }
-        chosen
+        (chosen, requeued)
     }
 
     /// Everything queued, submitted or not.  Thief-side, so safe from any
     /// thread; every owner push has published its band's occupancy bit by
     /// the time it returns, so the steal scan misses nothing.
     fn drain(&self) -> impl Iterator<Item = RunItem> + '_ {
-        let submitted = self.injector.drain().into_iter().map(|(_, it)| it);
+        let submitted = self.injector.take_all().map(|(_, it)| {
+            if it.is_fresh() {
+                self.injected_fresh.fetch_sub(1, Ordering::Relaxed);
+            }
+            it
+        });
         submitted.chain(std::iter::from_fn(|| self.deque.steal_retrying(false)))
     }
 }
@@ -386,7 +402,18 @@ impl Vp {
         // policy consultation + hand-off bookkeeping), timed on the thief.
         let steal_t0 = vm.metrics().steal_begin(thief.index());
         let item = match &self.fast {
-            Some(fq) => fq.surrender().or_else(|| fq.rescue(&vm, self.index))?,
+            Some(fq) => match fq.surrender() {
+                Some(item) => item,
+                None => {
+                    let (item, requeued) = fq.rescue();
+                    if requeued {
+                        // The put-back items' submission signals were
+                        // consumed; re-arm so they are not stranded.
+                        vm.signal_work(self.index, Queued::Remotely { stealable: true });
+                    }
+                    item?
+                }
+            },
             None => {
                 let mut pm = self.owned.pm.try_lock()?;
                 pm.offer_migration(self).filter(|item| !item.is_dead())?
@@ -472,19 +499,26 @@ impl Vp {
 
     /// Enqueues many items at once — the batched-wake fast path used by
     /// [`WaitList::wake_all`](crate::wait::WaitList) sweeps (broadcast,
-    /// barrier release).  Deque tier: all items are published with a
-    /// *single* injector CAS ([`Injector::push_batch`]), preserving
-    /// arrival order within each band; policy tier: one policy-lock
-    /// acquisition covers the whole batch.  Either way the machine is
-    /// signalled once, not `n` times.
+    /// barrier release).  Deque tier: a thread running on this VP pushes
+    /// the items straight onto the deque, as [`Vp::enqueue`] does one;
+    /// any other caller publishes them with a *single* injector CAS
+    /// ([`Injector::push_batch`]), preserving arrival order within each
+    /// band.  Policy tier: one policy-lock acquisition covers the whole
+    /// batch.  Either way the machine is signalled once, not `n` times.
     ///
-    /// Every item's Enqueue is traced *before* the batch becomes visible,
-    /// for the same audit-ordering reason as [`Vp::enqueue_from`].
-    pub(crate) fn enqueue_batch(&self, vm: &Vm, items: Vec<RunItem>, state: EnqueueState) {
-        if items.is_empty() {
-            return;
-        }
-        for item in &items {
+    /// Every item's Enqueue is traced *before* the item becomes visible,
+    /// for the same audit-ordering reason as [`Vp::enqueue_from`]; an
+    /// injected batch is linked privately and published after its last
+    /// trace.
+    pub(crate) fn enqueue_batch(
+        &self,
+        vm: &Vm,
+        items: impl IntoIterator<Item = RunItem>,
+        state: EnqueueState,
+    ) {
+        let mut count = 0usize;
+        let traced = items.into_iter().inspect(|item| {
+            count += 1;
             let thread = item.thread();
             vm.metrics().stamp_enqueue(self.index, thread);
             crate::trace_event!(
@@ -495,21 +529,28 @@ impl Vp {
                 state as u32,
                 self.index
             );
-        }
-        if let Some(fq) = &self.fast {
-            fq.inject_batch(items);
-        } else {
-            let mut pm = self.pm();
-            for item in items {
-                pm.enqueue_thread(self, item, state);
+        });
+        let owner = self.fast.is_some() && tls::is_current_vp(self);
+        match &self.fast {
+            Some(fq) if owner => traced.for_each(|item| fq.push(item)),
+            Some(fq) => fq.inject_batch(traced),
+            None => {
+                let mut pm = self.pm();
+                for item in traced {
+                    pm.enqueue_thread(self, item, state);
+                }
             }
         }
-        vm.signal_work(
-            self.index,
-            Queued::Remotely {
-                stealable: self.stealable(),
-            },
-        );
+        if count == 0 {
+            return;
+        }
+        // Signalled as `enqueue_from` signals one item.
+        let stealable = self.stealable();
+        if !owner {
+            vm.signal_work(self.index, Queued::Remotely { stealable });
+        } else if stealable {
+            vm.signal_work(self.index, Queued::ByOwner);
+        }
     }
 
     /// Pop-on-join, called by a toucher on this VP that has just claimed
@@ -679,16 +720,18 @@ impl Vp {
             stack
         };
         Counters::bump(&counters.tcbs_allocated);
-        let shared = TcbShared::new(thread, self.index);
-        let shared_in = shared.clone();
         let fiber: ThreadFiber = Fiber::new(stack, move |sus, first: Wakeup| {
             debug_assert_eq!(first, Wakeup::Run);
-            shared_in
-                .suspender
-                .store(sus as *mut _ as usize, Ordering::Release);
+            // The run loop installed this TCB before resuming it.
+            tls::with(|cur| {
+                cur.expect("a fiber starts under its TCB")
+                    .shared
+                    .suspender
+                    .store(sus as *mut _ as usize, Ordering::Release)
+            });
             tc::thread_main(thunk)
         });
-        Tcb { fiber, shared }
+        Tcb::new(thread, self.index, fiber)
     }
 
     /// Context-switches into `tcb` and handles its next disposition.
@@ -700,7 +743,7 @@ impl Vp {
         shared.slice_end.store(0, Ordering::Relaxed);
         tls::set_thread(shared.clone());
         Counters::bump(&counters.context_switches);
-        let outcome = tcb.fiber.resume(Wakeup::Run);
+        let outcome = tcb.fiber().resume(Wakeup::Run);
         tls::clear_thread();
         let thread = &shared.thread;
         let disposition_code = match &outcome {
@@ -755,12 +798,64 @@ impl Vp {
                 }
             }
             FiberResult::Return(result) => {
-                let stack = tcb.fiber.into_stack();
+                let stack = tcb.into_stack();
                 self.owned.stack_pool.lock().put(stack);
                 // The worker is the determiner: it holds the machine and
                 // knows its lane, so nothing is looked up.
                 thread.complete_on(Some(vm), Some(self.index), result);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pm::BandMap;
+    use crate::VmBuilder;
+    use sting_context::Stack;
+
+    /// The queue of a policy whose threads may migrate but whose TCBs stay
+    /// home.
+    fn tcbs_stay_home() -> FastQueue {
+        FastQueue::new(DequeCaps {
+            fifo: false,
+            steal: true,
+            steal_tcbs: false,
+            bands: BandMap::Single,
+        })
+    }
+
+    /// A parked TCB of `thread` whose fiber is dropped unstarted.
+    fn parked(thread: &Arc<Thread>) -> RunItem {
+        let fiber: ThreadFiber =
+            Fiber::new(Stack::new(16 * 1024), |_, _| unreachable!("never resumed"));
+        RunItem::Parked(Tcb::new(thread.clone(), 0, fiber))
+    }
+
+    /// A thief of a policy that keeps TCBs home, facing a backlog of
+    /// parked TCBs alone, leaves the injector as it was — the same nodes —
+    /// and owes the owner no signal, so it wakes no worker.  A fresh
+    /// thread behind them is taken, and the TCBs put back.
+    #[test]
+    fn a_thief_facing_only_parked_tcbs_leaves_the_injector_alone() {
+        let vm = VmBuilder::new().vps(1).build();
+        let fresh = vm.delayed(|_cx| 0i64);
+        let fq = tcbs_stay_home();
+        fq.inject(parked(&fresh));
+        fq.inject(parked(&fresh));
+        let head = fq.injector.head_word();
+        assert!(matches!(fq.rescue(), (None, false)));
+        assert_eq!((fq.injector.head_word(), fq.injector.len()), (head, 2));
+
+        fq.inject(RunItem::Fresh(fresh.clone()));
+        let (taken, requeued) = fq.rescue();
+        assert!(matches!(taken, Some(RunItem::Fresh(t)) if Arc::ptr_eq(&t, &fresh)));
+        assert!(requeued, "the parked TCBs went back");
+        assert_eq!(fq.injector.len(), 2);
+        assert_eq!(fq.injected_fresh.load(Ordering::Relaxed), 0);
+        assert!(matches!(fq.rescue(), (None, false)));
+        assert!(fq.drain().all(|item| !item.is_fresh()));
+        vm.shutdown();
     }
 }

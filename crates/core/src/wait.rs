@@ -569,6 +569,12 @@ impl Drop for ParkGuard<'_> {
     }
 }
 
+/// Wake-ups a [`WakeBatch`] holds in place before it spills to the heap.
+const WAKES_INLINE: usize = 4;
+
+/// One collected wake-up: the woken TCB and the VM and VP it goes to.
+type Wake = (Arc<crate::vm::Vm>, usize, crate::tcb::Tcb);
+
 /// A set of woken-but-not-yet-enqueued threads, collected across a
 /// wait-list sweep and published to the ready queues in bulk.
 ///
@@ -579,16 +585,21 @@ impl Drop for ParkGuard<'_> {
 /// signal.  Arrival order is preserved, so FIFO-within-band dispatch of
 /// the woken set matches the wake order.
 ///
+/// The first few wake-ups are held in place and the groups are walked,
+/// not collected, so a sweep that claims a handful of waiters allocates
+/// nothing of its own; one claiming exactly one publishes through the
+/// ordinary single enqueue.
+///
 /// Dropping an unpublished batch publishes it — a woken TCB can never be
 /// lost to an early return or unwind.
 #[derive(Default)]
 pub struct WakeBatch {
-    /// The first wake-up, held inline: a sweep that claims exactly one
-    /// waiter (the overwhelmingly common case — `wake_one`, a lone joiner,
-    /// an uncontended lock handoff) publishes through the ordinary single
-    /// enqueue without ever allocating.
-    first: Option<(Arc<crate::vm::Vm>, usize, crate::tcb::Tcb)>,
-    rest: Vec<(Arc<crate::vm::Vm>, usize, crate::tcb::Tcb)>,
+    /// The first wake-ups, in wake order; `None` once published.
+    inline: [Option<Wake>; WAKES_INLINE],
+    /// Wake-ups past the inline ones, in wake order.
+    spilled: Vec<Option<Wake>>,
+    /// Wake-ups collected and not yet published.
+    pending: usize,
 }
 
 impl std::fmt::Debug for WakeBatch {
@@ -605,20 +616,20 @@ impl WakeBatch {
 
     /// How many wake-ups are pending publication.
     pub fn len(&self) -> usize {
-        usize::from(self.first.is_some()) + self.rest.len()
+        self.pending
     }
 
     /// Whether no wake-up is pending.
     pub fn is_empty(&self) -> bool {
-        self.first.is_none() && self.rest.is_empty()
+        self.pending == 0
     }
 
     pub(crate) fn add(&mut self, vm: Arc<crate::vm::Vm>, vp: usize, tcb: crate::tcb::Tcb) {
-        if self.first.is_none() && self.rest.is_empty() {
-            self.first = Some((vm, vp, tcb));
-        } else {
-            self.rest.push((vm, vp, tcb));
+        match self.inline.get_mut(self.pending) {
+            Some(slot) => *slot = Some((vm, vp, tcb)),
+            None => self.spilled.push(Some((vm, vp, tcb))),
         }
+        self.pending += 1;
     }
 
     /// Publishes every collected wake-up to its VP's ready queue, one
@@ -628,31 +639,37 @@ impl WakeBatch {
         self.flush()
     }
 
+    /// The slots, in wake order.
+    fn slots(&mut self) -> impl Iterator<Item = &mut Option<Wake>> {
+        self.inline.iter_mut().chain(self.spilled.iter_mut())
+    }
+
     fn flush(&mut self) -> usize {
-        let Some((vm, vp, tcb)) = self.first.take() else {
-            return 0;
-        };
-        if self.rest.is_empty() {
+        let published = std::mem::take(&mut self.pending);
+        if published == 1 {
             // Single wake: the plain enqueue path, no batching machinery.
-            vm.enqueue_parked(tcb, vp, crate::pm::EnqueueState::Unblocked);
+            if let Some((vm, vp, tcb)) = self.inline[0].take() {
+                vm.enqueue_parked(tcb, vp, crate::pm::EnqueueState::Unblocked);
+            }
             return 1;
         }
-        let published = 1 + self.rest.len();
-        // Group by (vm, vp), preserving wake order within each group.
-        let mut groups: Vec<(Arc<crate::vm::Vm>, usize, Vec<crate::tcb::Tcb>)> =
-            vec![(vm, vp, vec![tcb])];
-        for (vm, vp, tcb) in self.rest.drain(..) {
-            match groups
-                .iter_mut()
-                .find(|g| Arc::ptr_eq(&g.0, &vm) && g.1 == vp)
-            {
-                Some(g) => g.2.push(tcb),
-                None => groups.push((vm, vp, vec![tcb])),
-            }
+        // One group per destination, in the order destinations first
+        // appear, each in wake order.
+        loop {
+            let Some((vm, vp, tcb)) = self.slots().find_map(Option::take) else {
+                break;
+            };
+            let rest = self
+                .slots()
+                .filter_map(|slot| slot.take_if(|(v, p, _)| *p == vp && Arc::ptr_eq(v, &vm)))
+                .map(|(_, _, tcb)| tcb);
+            vm.enqueue_parked_batch(
+                std::iter::once(tcb).chain(rest),
+                vp,
+                crate::pm::EnqueueState::Unblocked,
+            );
         }
-        for (vm, vp, tcbs) in groups {
-            vm.enqueue_parked_batch(tcbs, vp, crate::pm::EnqueueState::Unblocked);
-        }
+        self.spilled.clear();
         published
     }
 }

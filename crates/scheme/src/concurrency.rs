@@ -7,7 +7,7 @@
 
 use crate::error::SchemeError;
 use crate::machine::{self, Machine};
-use crate::prims::{rerr, want_int, want_list, want_string, want_sym, Def};
+use crate::prims::{rerr, walk_list, want_int, want_list, want_string, want_sym, Def};
 use parking_lot::Mutex as PlMutex;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -19,7 +19,9 @@ use sting_core::thread::{Thread, ThreadResult};
 use sting_core::vm::Vm;
 use sting_core::ThreadState;
 use sting_sync::{Barrier, Channel, Mutex, Semaphore, Stream, StreamCursor};
-use sting_tuple::{formal, lit, ShardedSpace, SpaceKind, Template, TemplateField, TupleSpace};
+use sting_tuple::{
+    formal, lit, Bindings, ShardedSpace, SpaceKind, Template, TemplateField, TupleSpace,
+};
 use sting_value::{Symbol, Value};
 
 fn cx() -> Result<Cx, SchemeError> {
@@ -125,18 +127,25 @@ fn fork(m: &mut Machine, argc: usize, delayed: bool) -> Result<Val, SchemeError>
 fn want_template(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Template, SchemeError> {
     static FORMAL: OnceLock<u32> = OnceLock::new();
     let q = *FORMAL.get_or_init(|| Symbol::intern("?").index());
-    let items = want_list(m, argc, i, who)?;
-    let mut fields: Vec<TemplateField> = Vec::with_capacity(items.len());
-    for &item in &items {
-        match item {
-            Val::Sym(s) if s == q => fields.push(formal()),
-            other => {
-                let v = m.to_value(other)?;
-                fields.push(lit(v));
-            }
-        }
-    }
+    let mut fields: Vec<TemplateField> = Vec::new();
+    walk_list(m, argc, i, who, |item| {
+        fields.push(match item {
+            Val::Sym(s) if s == q => formal(),
+            other => lit(m.to_value(other)?),
+        });
+        Ok(())
+    })?;
     Ok(Template::new(fields))
+}
+
+/// Decodes a Scheme list into the fields of a tuple.
+fn want_tuple(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Vec<Value>, SchemeError> {
+    let mut fields = Vec::new();
+    walk_list(m, argc, i, who, |item| {
+        fields.push(m.to_value(item)?);
+        Ok(())
+    })?;
+    Ok(fields)
 }
 
 /// Decodes an optional trailing milliseconds argument into a [`Duration`].
@@ -145,7 +154,7 @@ fn want_ms(m: &Machine, argc: usize, i: usize, who: &str) -> Result<Duration, Sc
     Ok(Duration::from_millis(ms.max(0) as u64))
 }
 
-fn bindings_to_val(m: &mut Machine, bindings: Vec<Value>) -> Val {
+fn bindings_to_val(m: &mut Machine, bindings: Bindings) -> Val {
     for b in &bindings {
         let hv = m.from_value(b);
         m.push(hv);
@@ -652,12 +661,7 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     });
     def!("ts-put", 2, Some(2), |m, a| {
         let ts = want_native::<TupleSpace>(m, a, 0, "ts-put")?;
-        let items = want_list(m, a, 1, "ts-put")?;
-        let mut fields = Vec::with_capacity(items.len());
-        for &it in &items {
-            fields.push(m.to_value(it)?);
-        }
-        ts.put(fields);
+        ts.put(want_tuple(m, a, 1, "ts-put")?);
         Ok(Val::Unit)
     });
     def!("ts-get", 2, Some(3), |m, a| {
@@ -778,12 +782,7 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
     });
     def!("fleet-ts-put", 2, Some(2), |m, a| {
         let ts = want_native::<ShardedSpace>(m, a, 0, "fleet-ts-put")?;
-        let items = want_list(m, a, 1, "fleet-ts-put")?;
-        let mut fields = Vec::with_capacity(items.len());
-        for &it in &items {
-            fields.push(m.to_value(it)?);
-        }
-        ts.put(fields);
+        ts.put(want_tuple(m, a, 1, "fleet-ts-put")?);
         Ok(Val::Unit)
     });
     def!("fleet-ts-get", 2, Some(3), |m, a| {

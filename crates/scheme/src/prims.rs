@@ -86,17 +86,49 @@ pub(crate) fn want_list(
     who: &str,
 ) -> Result<Vec<Val>, SchemeError> {
     let mut out = Vec::new();
+    walk_list(m, argc, i, who, |v| {
+        out.push(v);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Hands `f` each element of a proper list argument, in order, and returns
+/// the list's length — one walk, nothing collected.  A circular list is
+/// not proper: a trailing pointer at half pace meets the walk inside the
+/// cycle, and the walk ends with the same error as an improper tail.
+pub(crate) fn walk_list(
+    m: &Machine,
+    argc: usize,
+    i: usize,
+    who: &str,
+    mut f: impl FnMut(Val) -> Result<(), SchemeError>,
+) -> Result<usize, SchemeError> {
     let mut cur = m.arg(argc, i);
+    let mut slow = cur;
+    let mut len = 0usize;
     loop {
         match cur {
-            Val::Nil => return Ok(out),
+            Val::Nil => return Ok(len),
             Val::Obj(gc) if m.heap.kind(gc) == ObjKind::Pair => {
-                out.push(m.heap.car(gc));
+                f(m.heap.car(gc))?;
                 cur = m.heap.cdr(gc);
+                len += 1;
+                if len.is_multiple_of(2) {
+                    // `slow` is a pair the walk has passed.
+                    let Val::Obj(s) = slow else {
+                        unreachable!("{who}: the trailing pointer left the pairs");
+                    };
+                    slow = m.heap.cdr(s);
+                }
+                if cur == slow {
+                    break;
+                }
             }
-            _ => return Err(rerr(format!("{who}: expected a proper list"))),
+            _ => break,
         }
     }
+    Err(rerr(format!("{who}: expected a proper list")))
 }
 
 #[derive(Clone, Copy)]
@@ -687,15 +719,16 @@ fn defs() -> Vec<Def> {
     def!("cddr", 1, Some(1), |m, a| cxr(m, a, &[1, 1]));
     def!("caddr", 1, Some(1), |m, a| cxr(m, a, &[1, 1, 0]));
     def!("list", 0, None, |m, a| {
-        // Args are already on the stack in order.
-        let items: Vec<Val> = (0..a).map(|i| m.arg(a, i)).collect();
-        for &it in &items {
-            m.push(it);
+        // Cons from the last argument back: the arguments stay on the
+        // stack, rooted, while the cells are made.
+        let mut list = Val::Nil;
+        for i in (0..a).rev() {
+            list = m.cons(m.arg(a, i), list);
         }
-        Ok(m.list_from_stack(a))
+        Ok(list)
     });
     def!("length", 1, Some(1), |m, a| {
-        Ok(Val::Int(want_list(m, a, 0, "length")?.len() as i64))
+        Ok(Val::Int(walk_list(m, a, 0, "length", |_| Ok(()))? as i64))
     });
     def!("append", 0, None, |m, a| {
         let mut all: Vec<Val> = Vec::new();

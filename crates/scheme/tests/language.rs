@@ -831,3 +831,45 @@ fn equal_ends_on_circular_lists() {
     );
     vm.shutdown();
 }
+
+#[test]
+fn list_primitives_walk_in_place() {
+    let (vm, i) = interp();
+    // `list` conses straight from its arguments, however many.
+    let many = (0..250)
+        .map(|n| n.to_string())
+        .collect::<Vec<_>>()
+        .join(" ");
+    assert_eq!(
+        ev(&i, &format!("(apply + (list {many}))")).as_int(),
+        Some(249 * 250 / 2)
+    );
+    assert_eq!(ev(&i, "(list)").to_string(), "()");
+    assert_eq!(ev(&i, "(length (iota 50000))").as_int(), Some(50_000));
+    assert_eq!(ev(&i, "(length '())").as_int(), Some(0));
+    assert!(err_of(&i, "(length (cons 1 2))").contains("length: expected a proper list"));
+    // A cycle of every length up to four ends in the same error rather
+    // than holding the only VP.
+    for n in 1..=4 {
+        let l = (1..=n).map(|k| k.to_string()).collect::<Vec<_>>().join(" ");
+        let form = format!(
+            "(let ((l (list {l})))
+               (let close ((p l)) (if (null? (cdr p)) (set-cdr! p l) (close (cdr p))))
+               (length l))"
+        );
+        assert!(
+            err_of(&i, &form).contains("length: expected a proper list"),
+            "{form}"
+        );
+    }
+    // The tuple-space primitives read their lists in the same walk.
+    assert!(
+        err_of(&i, "(ts-put (make-ts) (cons 'job 1))").contains("ts-put: expected a proper list")
+    );
+    assert_eq!(
+        ev(&i, "(let ((ts (make-ts))) (ts-put ts (list 'job 1 2 3 4 5)) (ts-get ts (list 'job '? '? '? '? '?)))")
+            .to_string(),
+        "(1 2 3 4 5)"
+    );
+    vm.shutdown();
+}

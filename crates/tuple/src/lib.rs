@@ -29,6 +29,7 @@
 
 #![deny(missing_docs)]
 
+pub mod bindings;
 pub mod hashed;
 pub mod rep;
 pub mod sharded;
@@ -36,6 +37,7 @@ pub mod space;
 pub mod specialize;
 pub mod template;
 
+pub use bindings::Bindings;
 pub use sharded::ShardedSpace;
 pub use space::{SpaceKind, TupleSpace};
 pub use specialize::{infer, OpSketch};

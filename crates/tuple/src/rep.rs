@@ -27,6 +27,7 @@
 //! which time the field is settled and the match runs under the lock like
 //! any other.
 
+use crate::bindings::Bindings;
 use crate::hashed::hash_key;
 use crate::template::{is_thread, Ready, Template};
 use parking_lot::Mutex;
@@ -110,7 +111,7 @@ pub struct Probe<'a> {
     template: &'a Template,
     remove: bool,
     episode: Episode,
-    hit: Option<Vec<Value>>,
+    hit: Option<Bindings>,
     pending: Vec<StoredTuple>,
 }
 
@@ -207,7 +208,7 @@ impl<'a> Probe<'a> {
 /// How a [`Probe`] ended.
 pub(crate) struct Outcome {
     /// The bindings of the matched (and, for a removal, unlinked) tuple.
-    pub(crate) hit: Option<Vec<Value>>,
+    pub(crate) hit: Option<Bindings>,
     /// Tuples whose match needs a thread demanded first; meaningful only
     /// without a hit.
     pub(crate) pending: Vec<StoredTuple>,
@@ -621,7 +622,7 @@ mod tests {
         Stored::new(items.iter().map(|&i| Value::Int(i)).collect())
     }
 
-    fn probe(rep: &dyn SpaceRep, template: &Template, remove: bool) -> Option<Vec<Value>> {
+    fn probe(rep: &dyn SpaceRep, template: &Template, remove: bool) -> Option<Bindings> {
         let mut p = Probe::new(template, remove);
         rep.probe(&mut p);
         p.finish().hit
@@ -660,10 +661,10 @@ mod tests {
         rep.deposit(tup(&[2, 20]));
         rep.deposit(tup(&[1, 30]));
         let ones = Template::new(vec![lit(1), formal()]);
-        assert_eq!(probe(&rep, &ones, false), Some(vec![Value::Int(10)]));
+        assert_eq!(probe(&rep, &ones, false), Some(vec![Value::Int(10)].into()));
         assert_eq!(rep.len(), 3, "a reading probe removes nothing");
-        assert_eq!(probe(&rep, &ones, true), Some(vec![Value::Int(10)]));
-        assert_eq!(probe(&rep, &ones, true), Some(vec![Value::Int(30)]));
+        assert_eq!(probe(&rep, &ones, true), Some(vec![Value::Int(10)].into()));
+        assert_eq!(probe(&rep, &ones, true), Some(vec![Value::Int(30)].into()));
         assert_eq!(probe(&rep, &ones, true), None);
         assert_eq!(rep.len(), 1, "the bystander stays");
     }
@@ -696,7 +697,7 @@ mod tests {
         cell.deposit(tup(&[2]));
         assert_eq!(cell.len(), 1);
         let t = Template::any(1);
-        assert_eq!(probe(&cell, &t, false), Some(vec![Value::Int(2)]));
+        assert_eq!(probe(&cell, &t, false), Some(vec![Value::Int(2)].into()));
     }
 
     #[test]
@@ -706,7 +707,7 @@ mod tests {
         sem.deposit(Stored::new(Vec::new()));
         assert_eq!(sem.len(), 2);
         let t = Template::any(0);
-        assert_eq!(probe(&sem, &t, false), Some(Vec::new()));
+        assert_eq!(probe(&sem, &t, false), Some(Bindings::new()));
         assert_eq!(sem.len(), 2, "a read leaves the count");
         assert!(probe(&sem, &Template::any(1), true).is_none(), "arity");
         assert!(probe(&sem, &t, true).is_some());
@@ -728,7 +729,7 @@ mod tests {
         v.deposit(tup(&[2, 99])); // replaces index 2
         assert_eq!(v.len(), 2);
         let t = Template::new(vec![lit(2), formal()]);
-        assert_eq!(probe(&v, &t, false), Some(vec![Value::Int(99)]));
+        assert_eq!(probe(&v, &t, false), Some(vec![Value::Int(99)].into()));
         let unset = Template::new(vec![lit(7), formal()]);
         assert_eq!(probe(&v, &unset, false), None);
         assert_eq!(probe(&v, &Template::any(2), true).map(|b| b.len()), Some(2));

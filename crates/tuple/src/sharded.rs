@@ -52,6 +52,7 @@
 //! abandoned request never strands a removal — the
 //! `routed_timeout_conserves_deposits` test drives this race.
 
+use crate::bindings::Bindings;
 use crate::hashed::{hash_key, partition_of, HashedRep};
 use crate::rep::{key_of, Outcome, Probe, SpaceRep, Stored, StoredTuple};
 use crate::space::{blocker, blocking_probe, try_probe};
@@ -74,7 +75,7 @@ enum Reply {
     Waiting,
     /// The owner matched and (for `get`) removed a tuple; the bindings
     /// belong to the requester.
-    Filled(Vec<Value>),
+    Filled(Bindings),
     /// The requester timed out, was cancelled, or retried; the owner
     /// must leave the partition untouched.
     Abandoned,
@@ -245,34 +246,34 @@ impl ShardedSpace {
     /// Non-blocking removal from the template's partition.  May miss a
     /// tuple whose routed deposit is still in flight — see
     /// [`ShardedSpace::put`].
-    pub fn try_get(&self, template: &Template) -> Option<Vec<Value>> {
+    pub fn try_get(&self, template: &Template) -> Option<Bindings> {
         self.try_parts(template, true)
     }
 
     /// Non-blocking read from the template's partition.  May miss a tuple
     /// whose routed deposit is still in flight — see
     /// [`ShardedSpace::put`].
-    pub fn try_rd(&self, template: &Template) -> Option<Vec<Value>> {
+    pub fn try_rd(&self, template: &Template) -> Option<Bindings> {
         self.try_parts(template, false)
     }
 
     /// Blocking removal (`in`); see the module docs for which tier runs.
-    pub fn get(&self, template: &Template) -> Vec<Value> {
+    pub fn get(&self, template: &Template) -> Bindings {
         self.blocking_op(template, true)
     }
 
     /// Blocking read (`rd`).
-    pub fn rd(&self, template: &Template) -> Vec<Value> {
+    pub fn rd(&self, template: &Template) -> Bindings {
         self.blocking_op(template, false)
     }
 
     /// [`ShardedSpace::get`] with a timeout.
-    pub fn get_timeout(&self, template: &Template, timeout: Duration) -> Option<Vec<Value>> {
+    pub fn get_timeout(&self, template: &Template, timeout: Duration) -> Option<Bindings> {
         self.blocking_op_deadline(template, true, Some(Instant::now() + timeout))
     }
 
     /// [`ShardedSpace::rd`] with a timeout.
-    pub fn rd_timeout(&self, template: &Template, timeout: Duration) -> Option<Vec<Value>> {
+    pub fn rd_timeout(&self, template: &Template, timeout: Duration) -> Option<Bindings> {
         self.blocking_op_deadline(template, false, Some(Instant::now() + timeout))
     }
 
@@ -301,11 +302,11 @@ impl ShardedSpace {
         }
     }
 
-    fn try_parts(&self, template: &Template, remove: bool) -> Option<Vec<Value>> {
+    fn try_parts(&self, template: &Template, remove: bool) -> Option<Bindings> {
         try_probe(template, remove, |p| self.probe_parts(p))
     }
 
-    fn blocking_op(&self, template: &Template, remove: bool) -> Vec<Value> {
+    fn blocking_op(&self, template: &Template, remove: bool) -> Bindings {
         loop {
             // `None` without a deadline means the wait episode was
             // cancelled without unwinding this frame; re-arm and retry.
@@ -320,7 +321,7 @@ impl ShardedSpace {
         template: &Template,
         remove: bool,
         deadline: Option<Instant>,
-    ) -> Option<Vec<Value>> {
+    ) -> Option<Bindings> {
         if let (Some(fabric), Some(owner)) = (self.inner.fabric.as_ref(), self.owner(template)) {
             if self.local_shard().is_some_and(|me| me != owner) {
                 return self.routed_blocking(fabric, owner, template, remove, deadline);
@@ -348,7 +349,7 @@ impl ShardedSpace {
         template: &Template,
         remove: bool,
         deadline: Option<Instant>,
-    ) -> Option<Vec<Value>> {
+    ) -> Option<Bindings> {
         loop {
             if let Some(b) = self.try_parts(template, remove) {
                 return Some(b);

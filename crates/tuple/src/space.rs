@@ -14,6 +14,7 @@
 //! * [`TupleSpace::spawn`] — deposit an *active* tuple whose fields are
 //!   live threads; matching demands (and may steal) their values.
 
+use crate::bindings::Bindings;
 use crate::hashed::HashedRep;
 use crate::rep::{
     demand, CellRep, CountRep, ListOrder, ListRep, Outcome, Probe, SpaceRep, Stored, VectorRep,
@@ -165,34 +166,34 @@ impl TupleSpace {
     }
 
     /// Non-blocking removal: bindings of the first matching tuple, if any.
-    pub fn try_get(&self, template: &Template) -> Option<Vec<Value>> {
+    pub fn try_get(&self, template: &Template) -> Option<Bindings> {
         self.try_op(template, true)
     }
 
     /// Non-blocking read.
-    pub fn try_rd(&self, template: &Template) -> Option<Vec<Value>> {
+    pub fn try_rd(&self, template: &Template) -> Option<Bindings> {
         self.try_op(template, false)
     }
 
     /// Blocking removal (`in`): waits until a matching tuple is deposited.
-    pub fn get(&self, template: &Template) -> Vec<Value> {
+    pub fn get(&self, template: &Template) -> Bindings {
         self.blocking_op(template, true)
     }
 
     /// Blocking read (`rd`): like [`TupleSpace::get`] without removal.
-    pub fn rd(&self, template: &Template) -> Vec<Value> {
+    pub fn rd(&self, template: &Template) -> Bindings {
         self.blocking_op(template, false)
     }
 
     /// [`TupleSpace::get`] with a timeout: `None` if no matching tuple
     /// was deposited within `timeout`.
-    pub fn get_timeout(&self, template: &Template, timeout: Duration) -> Option<Vec<Value>> {
+    pub fn get_timeout(&self, template: &Template, timeout: Duration) -> Option<Bindings> {
         self.blocking_op_deadline(template, true, Some(Instant::now() + timeout))
     }
 
     /// [`TupleSpace::rd`] with a timeout: `None` if no matching tuple was
     /// deposited within `timeout`.
-    pub fn rd_timeout(&self, template: &Template, timeout: Duration) -> Option<Vec<Value>> {
+    pub fn rd_timeout(&self, template: &Template, timeout: Duration) -> Option<Bindings> {
         self.blocking_op_deadline(template, false, Some(Instant::now() + timeout))
     }
 
@@ -213,7 +214,7 @@ impl TupleSpace {
     /// Atomically removes a matching tuple, applies `f` to its bindings,
     /// and deposits `f`'s result — the paper's
     /// `(get TS [?x] (put TS [(+ x 1)]))` idiom packaged as a helper.
-    pub fn update(&self, template: &Template, f: impl FnOnce(Vec<Value>) -> Vec<Value>) {
+    pub fn update(&self, template: &Template, f: impl FnOnce(Bindings) -> Vec<Value>) {
         let bindings = self.get(template);
         self.put(f(bindings));
     }
@@ -233,11 +234,11 @@ impl TupleSpace {
         }
     }
 
-    fn try_op(&self, template: &Template, remove: bool) -> Option<Vec<Value>> {
+    fn try_op(&self, template: &Template, remove: bool) -> Option<Bindings> {
         try_probe(template, remove, |p| self.probe_chain(p))
     }
 
-    fn blocking_op(&self, template: &Template, remove: bool) -> Vec<Value> {
+    fn blocking_op(&self, template: &Template, remove: bool) -> Bindings {
         loop {
             // `None` without a deadline means the wait episode was
             // cancelled without unwinding this frame; re-arm and retry.
@@ -252,7 +253,7 @@ impl TupleSpace {
         template: &Template,
         remove: bool,
         deadline: Option<Instant>,
-    ) -> Option<Vec<Value>> {
+    ) -> Option<Bindings> {
         let rewake = || self.chain().for_each(|s| s.inner.rep.rewake_one());
         blocking_probe(template, remove, deadline, |p| self.probe_chain(p), rewake)
     }
@@ -284,7 +285,7 @@ pub(crate) fn try_probe(
     template: &Template,
     remove: bool,
     probe_all: impl Fn(&mut Probe<'_>),
-) -> Option<Vec<Value>> {
+) -> Option<Bindings> {
     loop {
         let mut probe = Probe::new(template, remove);
         probe_all(&mut probe);
@@ -312,7 +313,7 @@ pub(crate) fn blocking_probe(
     deadline: Option<Instant>,
     probe_all: impl Fn(&mut Probe<'_>),
     rewake: impl Fn(),
-) -> Option<Vec<Value>> {
+) -> Option<Bindings> {
     loop {
         let mut probe = Probe::blocking(template, remove);
         probe_all(&mut probe);

@@ -9,8 +9,9 @@
 //! paper's syntax): they match any field and acquire its value as a
 //! binding.
 
+use crate::bindings::Bindings;
 use crate::hashed::hash_key;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use sting_core::tc;
 use sting_core::thread::Thread;
 use sting_value::Value;
@@ -36,21 +37,60 @@ pub fn formal() -> TemplateField {
 
 /// A matching pattern for tuple-space reads and removals.
 ///
-/// Clones share the fields, so a blocked reader's registration costs a
-/// reference count, not a copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`Template::new`] keeps the caller's vector, so building one allocates
+/// nothing more.  Clones share the fields: the first clone of a template
+/// copies them once into a shared block the template keeps, and every
+/// later clone — a blocked reader's registration is one — costs a
+/// reference count.
 pub struct Template {
-    fields: Arc<[TemplateField]>,
+    fields: Fields,
     /// The `(arity, field₀)` index key when field₀ is a literal, hashed
     /// once here so no probe hashes again.
     key: Option<u64>,
+}
+
+enum Fields {
+    /// The vector the template was built from, and the shared copy its
+    /// clones read, made at the first clone.
+    Owned(Vec<TemplateField>, OnceLock<Arc<[TemplateField]>>),
+    /// A clone's view of the shared copy.
+    Shared(Arc<[TemplateField]>),
+}
+
+impl Clone for Template {
+    fn clone(&self) -> Template {
+        let shared = match &self.fields {
+            Fields::Owned(fields, shared) => shared.get_or_init(|| fields[..].into()).clone(),
+            Fields::Shared(shared) => shared.clone(),
+        };
+        Template {
+            fields: Fields::Shared(shared),
+            key: self.key,
+        }
+    }
+}
+
+impl PartialEq for Template {
+    fn eq(&self, other: &Template) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl Eq for Template {}
+
+impl std::fmt::Debug for Template {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Template")
+            .field("fields", &self.fields())
+            .finish()
+    }
 }
 
 /// What matching a template against a stored tuple *without demanding any
 /// thread* came to ([`Template::match_ready`]).
 pub(crate) enum Ready {
     /// Every field is settled and the tuple matches: the bindings.
-    Hit(Vec<Value>),
+    Hit(Bindings),
     /// A settled field already rules the tuple out.
     Miss,
     /// The fields settled so far agree, and the next one is a thread that
@@ -66,7 +106,7 @@ impl Template {
             _ => None,
         };
         Template {
-            fields: fields.into(),
+            fields: Fields::Owned(fields, OnceLock::new()),
             key,
         }
     }
@@ -83,19 +123,22 @@ impl Template {
 
     /// The template's arity.
     pub fn arity(&self) -> usize {
-        self.fields.len()
+        self.fields().len()
     }
 
     /// The fields.
     pub fn fields(&self) -> &[TemplateField] {
-        &self.fields
+        match &self.fields {
+            Fields::Owned(fields, _) => fields,
+            Fields::Shared(fields) => fields,
+        }
     }
 
     /// Position and value of the first literal field, if any — the hash
     /// key the space uses ("processes ... first hash on their non-formal
     /// tuple elements").
     pub fn hash_key(&self) -> Option<(usize, &Value)> {
-        self.fields.iter().enumerate().find_map(|(i, f)| match f {
+        self.fields().iter().enumerate().find_map(|(i, f)| match f {
             TemplateField::Lit(v) => Some((i, v)),
             TemplateField::Formal => None,
         })
@@ -105,10 +148,11 @@ impl Template {
     /// possibly match?  Used to filter candidates before the (potentially
     /// blocking) full match.
     pub fn may_match(&self, tuple: &[Value]) -> bool {
-        if tuple.len() != self.fields.len() {
+        let fields = self.fields();
+        if tuple.len() != fields.len() {
             return false;
         }
-        self.fields.iter().zip(tuple).all(|(f, v)| match f {
+        fields.iter().zip(tuple).all(|(f, v)| match f {
             TemplateField::Formal => true,
             TemplateField::Lit(want) => {
                 // A live thread field could evaluate to anything.
@@ -124,11 +168,12 @@ impl Template {
     /// is the tuple's deposit-time flag; a passive tuple is compared
     /// without looking for threads at all.
     pub(crate) fn match_ready(&self, tuple: &[Value], has_threads: bool) -> Ready {
+        let fields = self.fields();
         if !has_threads {
             if !self.may_match(tuple) {
                 return Ready::Miss;
             }
-            let formals = self.fields.iter().zip(tuple);
+            let formals = fields.iter().zip(tuple);
             return Ready::Hit(
                 formals
                     .filter(|(f, _)| matches!(f, TemplateField::Formal))
@@ -136,11 +181,11 @@ impl Template {
                     .collect(),
             );
         }
-        if tuple.len() != self.fields.len() {
+        if tuple.len() != fields.len() {
             return Ready::Miss;
         }
-        let mut bindings = Vec::new();
-        for (f, v) in self.fields.iter().zip(tuple) {
+        let mut bindings = Bindings::new();
+        for (f, v) in fields.iter().zip(tuple) {
             let settled = match thread_of(v) {
                 None => v.clone(),
                 Some(t) => match t.result() {
@@ -163,12 +208,13 @@ impl Template {
     /// bindings of the formals, in order, on success.
     ///
     /// A thread field that determined with an exception never matches.
-    pub fn match_tuple(&self, tuple: &[Value]) -> Option<Vec<Value>> {
-        if tuple.len() != self.fields.len() {
+    pub fn match_tuple(&self, tuple: &[Value]) -> Option<Bindings> {
+        let fields = self.fields();
+        if tuple.len() != fields.len() {
             return None;
         }
-        let mut bindings = Vec::new();
-        for (f, v) in self.fields.iter().zip(tuple) {
+        let mut bindings = Bindings::new();
+        for (f, v) in fields.iter().zip(tuple) {
             let resolved = resolve_field(v)?;
             match f {
                 TemplateField::Formal => bindings.push(resolved),
@@ -230,6 +276,15 @@ mod tests {
         assert_eq!(i, 1);
         assert_eq!(v, &Value::Int(5));
         assert!(Template::any(3).hash_key().is_none());
+    }
+
+    #[test]
+    fn clones_share_one_copy_of_the_fields() {
+        let t = Template::new(vec![lit(1), formal()]);
+        let (a, b) = (t.clone(), t.clone());
+        assert!(std::ptr::eq(a.fields(), b.fields()), "one copy for both");
+        assert!(std::ptr::eq(a.clone().fields(), a.fields()));
+        assert_eq!((a.key(), a), (t.key(), t));
     }
 
     #[test]

@@ -81,9 +81,9 @@ fn equal_keys_are_served_oldest_first() {
         ts.put(ints(&[6 + i, i]));
     }
     let fives = Template::new(vec![lit(5), formal()]);
-    assert_eq!(ts.try_rd(&fives), Some(ints(&[0])));
+    assert_eq!(ts.try_rd(&fives), Some(ints(&[0]).into()));
     for i in 0..50 {
-        assert_eq!(ts.try_get(&fives), Some(ints(&[i])));
+        assert_eq!(ts.try_get(&fives), Some(ints(&[i]).into()));
     }
     assert_eq!(ts.try_get(&fives), None);
     // A second literal narrows the match within the chain, still in order.
@@ -91,8 +91,8 @@ fn equal_keys_are_served_oldest_first() {
     ts.put(ints(&[5, 2, 20]));
     ts.put(ints(&[5, 1, 11]));
     let ones = Template::new(vec![lit(5), lit(1), formal()]);
-    assert_eq!(ts.try_get(&ones), Some(ints(&[10])));
-    assert_eq!(ts.try_get(&ones), Some(ints(&[11])));
+    assert_eq!(ts.try_get(&ones), Some(ints(&[10]).into()));
+    assert_eq!(ts.try_get(&ones), Some(ints(&[11]).into()));
     assert_eq!(ts.try_get(&ones), None);
     assert_eq!(ts.len(), 51);
 }
@@ -141,8 +141,8 @@ fn a_literal_template_meets_a_thread_headed_tuple() {
         "the `6` tuple is not a `7` tuple"
     );
     let keyed = |k: i64| Template::new(vec![lit(k), formal()]);
-    assert_eq!(ts.try_get(&keyed(6)), Some(ints(&[60])));
-    assert_eq!(ts.try_get(&keyed(8)), Some(ints(&[80])));
+    assert_eq!(ts.try_get(&keyed(6)), Some(ints(&[60]).into()));
+    assert_eq!(ts.try_get(&keyed(8)), Some(ints(&[80]).into()));
     assert!(ts.is_empty());
     vm.shutdown();
 }
@@ -185,7 +185,7 @@ fn a_literal_template_meets_a_thread_headed_tuple_across_partitions() {
             Some(vec![owner, active_home]),
             "while one is resident, a probe looks where thread-headed tuples live"
         );
-        assert_eq!(ts.try_rd(&keyed), Some(ints(&[71])));
+        assert_eq!(ts.try_rd(&keyed), Some(ints(&[71]).into()));
         let after = {
             let (ts, keyed) = (ts.clone(), keyed.clone());
             fleet

@@ -15,8 +15,66 @@ fn put_then_get_binds_formals() {
     let ts = TupleSpace::new();
     ts.put(job(5));
     let b = ts.try_get(&Template::new(vec![lit(Value::sym("job")), formal()]));
-    assert_eq!(b, Some(vec![Value::Int(5)]));
+    assert_eq!(b, Some(vec![Value::Int(5)].into()));
     assert!(ts.is_empty(), "get removed the tuple");
+}
+
+/// More formals than the bindings hold in place: they move to the heap
+/// and still come back in field order.
+#[test]
+fn wide_bindings_keep_field_order() {
+    let ts = TupleSpace::new();
+    let n = sting_tuple::bindings::INLINE as i64 + 3;
+    let values: Vec<Value> = (0..n).map(Value::Int).collect();
+    ts.put([vec![Value::sym("wide")], values.clone()].concat());
+    let mut fields = vec![lit(Value::sym("wide"))];
+    fields.extend((0..n).map(|_| formal()));
+    let bound = ts.try_get(&Template::new(fields)).expect("a match");
+    assert!(bound.spilled());
+    assert_eq!(bound, values);
+    assert_eq!(bound.into_vec(), values);
+}
+
+/// A determined thread in a tuple binds its value beside passive fields,
+/// and a literal compares against that value.
+#[test]
+fn thread_fields_bind_their_values() {
+    let vm = VmBuilder::new().vps(1).build();
+    let ts = TupleSpace::new();
+    let ts2 = ts.clone();
+    let r = vm.run(move |cx| {
+        let t = cx.delayed(|_cx| 5i64);
+        tc::touch(&t).expect("the thread determines");
+        ts2.put(vec![Value::sym("mixed"), t.to_value(), Value::Int(3)]);
+        let all = ts2.rd(&Template::new(vec![
+            lit(Value::sym("mixed")),
+            formal(),
+            formal(),
+        ]));
+        assert_eq!(all, [Value::Int(5), Value::Int(3)]);
+        let wrong = Template::new(vec![lit(Value::sym("mixed")), lit(6), formal()]);
+        assert!(ts2.try_rd(&wrong).is_none());
+        let right = Template::new(vec![lit(Value::sym("mixed")), lit(5), formal()]);
+        ts2.get(&right)[0].as_int().unwrap()
+    });
+    assert_eq!(r.unwrap().as_int(), Some(3));
+    assert!(ts.is_empty());
+    vm.shutdown();
+}
+
+/// `rd` leaves the tuple for the `get` that follows it; both bind the
+/// same values.
+#[test]
+fn rd_then_get_see_one_tuple() {
+    let ts = TupleSpace::new();
+    ts.put(job(7));
+    let t = Template::new(vec![lit(Value::sym("job")), formal()]);
+    let read = ts.rd(&t);
+    assert_eq!(ts.len(), 1);
+    let taken = ts.get(&t);
+    assert_eq!((&read, &taken), (&taken, &vec![Value::Int(7)].into()));
+    assert!(ts.is_empty());
+    assert!(ts.try_rd(&t).is_none());
 }
 
 #[test]
