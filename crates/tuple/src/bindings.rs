@@ -1,16 +1,25 @@
 //! What a match hands back: the values of a template's formals.
 //!
 //! A `get` or `rd` returns its bindings to a caller that reads a few
-//! fields and drops them, so [`Bindings`] holds up to [`INLINE`] values in
-//! place and only a template with more formals puts them in a `Vec`.  It
-//! derefs to `[Value]`, so `bound[0]`, `bound.len()` and `bound.iter()`
+//! fields and drops them, so [`Bindings`] copies nothing it can share and
+//! allocates only when it must:
+//!
+//! * when a template's formals are its last fields (`[job ?x ?y]`, the
+//!   usual shape), the bindings *are* the tail of the matched tuple: the
+//!   stored tuple's `Arc`, shared, and where the tail starts;
+//! * otherwise (formals among literals, or a field that was a thread and
+//!   binds its value) up to [`INLINE`] values are held in place;
+//! * past that, in a `Vec`.
+//!
+//! It derefs to `[Value]`, so `bound[0]`, `bound.len()` and `bound.iter()`
 //! read it like the vector it replaces.
 
+use crate::rep::StoredTuple;
 use std::ops::Deref;
 use sting_value::Value;
 
-/// How many bound values [`Bindings`] holds without allocating.
-pub const INLINE: usize = 4;
+/// How many copied values [`Bindings`] holds without allocating.
+pub const INLINE: usize = 2;
 
 /// The values bound by a template's formals, in field order.
 #[derive(Clone)]
@@ -18,6 +27,8 @@ pub struct Bindings(Repr);
 
 #[derive(Clone)]
 enum Repr {
+    /// The fields of a stored tuple from `.1` on.
+    Tail(StoredTuple, usize),
     /// `items[..len]` are the bindings; the rest are `Value::Unit`.
     Inline {
         len: usize,
@@ -35,32 +46,40 @@ impl Bindings {
         })
     }
 
-    /// Appends a binding; past [`INLINE`] values the bindings move to the
-    /// heap.
+    /// The fields of `tuple` from `start` on, shared with the tuple.
+    pub(crate) fn tail(tuple: &StoredTuple, start: usize) -> Bindings {
+        Bindings(Repr::Tail(tuple.clone(), start))
+    }
+
+    /// Appends a binding; past [`INLINE`] copied values the bindings move
+    /// to the heap.
     pub fn push(&mut self, value: Value) {
         match &mut self.0 {
             Repr::Inline { len, items } if *len < INLINE => {
                 items[*len] = value;
                 *len += 1;
             }
-            Repr::Inline { items, .. } => {
-                let mut spilled = Vec::with_capacity(2 * INLINE);
-                spilled.extend(items.iter_mut().map(std::mem::take));
+            Repr::Spilled(values) => values.push(value),
+            _ => {
+                let mut spilled = Vec::with_capacity(2 * self.len().max(INLINE));
+                spilled.extend(self.iter().cloned());
                 spilled.push(value);
                 self.0 = Repr::Spilled(spilled);
             }
-            Repr::Spilled(values) => values.push(value),
         }
     }
 
-    /// Whether the bindings live on the heap (more than [`INLINE`]).
+    /// Whether the bindings live in a `Vec` of their own.
     pub fn spilled(&self) -> bool {
         matches!(self.0, Repr::Spilled(_))
     }
 
     /// The bindings as a vector.
     pub fn into_vec(self) -> Vec<Value> {
-        self.into_iter().collect()
+        match self.0 {
+            Repr::Spilled(values) => values,
+            _ => self.to_vec(),
+        }
     }
 }
 
@@ -74,6 +93,7 @@ impl Deref for Bindings {
     type Target = [Value];
     fn deref(&self) -> &[Value] {
         match &self.0 {
+            Repr::Tail(tuple, start) => &tuple[*start..],
             Repr::Inline { len, items } => &items[..*len],
             Repr::Spilled(values) => values,
         }
@@ -134,26 +154,29 @@ impl From<Bindings> for Vec<Value> {
     }
 }
 
-/// The by-value iterator of [`Bindings`].
-pub enum IntoIter {
-    /// Inline bindings.
+/// The by-value iterator of [`Bindings`]: shared values come out cloned.
+pub struct IntoIter(IterRepr);
+
+enum IterRepr {
+    Tail(StoredTuple, std::ops::Range<usize>),
     Inline(std::iter::Take<std::array::IntoIter<Value, INLINE>>),
-    /// Spilled bindings.
     Spilled(std::vec::IntoIter<Value>),
 }
 
 impl Iterator for IntoIter {
     type Item = Value;
     fn next(&mut self) -> Option<Value> {
-        match self {
-            IntoIter::Inline(it) => it.next(),
-            IntoIter::Spilled(it) => it.next(),
+        match &mut self.0 {
+            IterRepr::Tail(tuple, at) => at.next().map(|i| tuple[i].clone()),
+            IterRepr::Inline(it) => it.next(),
+            IterRepr::Spilled(it) => it.next(),
         }
     }
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            IntoIter::Inline(it) => it.size_hint(),
-            IntoIter::Spilled(it) => it.size_hint(),
+        match &self.0 {
+            IterRepr::Tail(_, at) => at.size_hint(),
+            IterRepr::Inline(it) => it.size_hint(),
+            IterRepr::Spilled(it) => it.size_hint(),
         }
     }
 }
@@ -164,10 +187,14 @@ impl IntoIterator for Bindings {
     type Item = Value;
     type IntoIter = IntoIter;
     fn into_iter(self) -> IntoIter {
-        match self.0 {
-            Repr::Inline { len, items } => IntoIter::Inline(items.into_iter().take(len)),
-            Repr::Spilled(values) => IntoIter::Spilled(values.into_iter()),
-        }
+        IntoIter(match self.0 {
+            Repr::Tail(tuple, start) => {
+                let at = start..tuple.len();
+                IterRepr::Tail(tuple, at)
+            }
+            Repr::Inline { len, items } => IterRepr::Inline(items.into_iter().take(len)),
+            Repr::Spilled(values) => IterRepr::Spilled(values.into_iter()),
+        })
     }
 }
 
@@ -182,9 +209,21 @@ impl<'a> IntoIterator for &'a Bindings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rep::Stored;
 
     fn ints(n: i64) -> Vec<Value> {
         (0..n).map(Value::Int).collect()
+    }
+
+    #[test]
+    fn a_tail_is_the_tuple_itself() {
+        let tuple = Stored::new(ints(5));
+        let b = Bindings::tail(&tuple, 2);
+        assert!(std::ptr::eq(&b[0], &tuple[2]), "shared, not copied");
+        assert_eq!(b, ints(5)[2..].to_vec());
+        assert_eq!(b.clone().into_iter().count(), 3);
+        assert_eq!(b.into_vec(), ints(5)[2..].to_vec());
+        assert!(Bindings::tail(&tuple, 5).is_empty());
     }
 
     #[test]

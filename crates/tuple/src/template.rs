@@ -11,6 +11,7 @@
 
 use crate::bindings::Bindings;
 use crate::hashed::hash_key;
+use crate::rep::StoredTuple;
 use std::sync::{Arc, OnceLock};
 use sting_core::tc;
 use sting_core::thread::Thread;
@@ -47,6 +48,9 @@ pub struct Template {
     /// The `(arity, field₀)` index key when field₀ is a literal, hashed
     /// once here so no probe hashes again.
     key: Option<u64>,
+    /// Where the formals start when they are the template's last fields:
+    /// a passive tuple's bindings are then its tail, shared.
+    tail: Option<usize>,
 }
 
 enum Fields {
@@ -66,6 +70,7 @@ impl Clone for Template {
         Template {
             fields: Fields::Shared(shared),
             key: self.key,
+            tail: self.tail,
         }
     }
 }
@@ -105,9 +110,16 @@ impl Template {
             Some(TemplateField::Lit(v)) => Some(hash_key(fields.len(), Some(v))),
             _ => None,
         };
+        let is_formal = |f: &TemplateField| matches!(f, TemplateField::Formal);
+        let first_formal = fields.iter().position(is_formal).unwrap_or(fields.len());
+        let tail = fields[first_formal..]
+            .iter()
+            .all(is_formal)
+            .then_some(first_formal);
         Template {
             fields: Fields::Owned(fields, OnceLock::new()),
             key,
+            tail,
         }
     }
 
@@ -167,13 +179,16 @@ impl Template {
     /// may run the thread's thunk on this stack, or park).  `has_threads`
     /// is the tuple's deposit-time flag; a passive tuple is compared
     /// without looking for threads at all.
-    pub(crate) fn match_ready(&self, tuple: &[Value], has_threads: bool) -> Ready {
+    pub(crate) fn match_ready(&self, tuple: &StoredTuple, has_threads: bool) -> Ready {
         let fields = self.fields();
         if !has_threads {
             if !self.may_match(tuple) {
                 return Ready::Miss;
             }
-            let formals = fields.iter().zip(tuple);
+            if let Some(start) = self.tail {
+                return Ready::Hit(Bindings::tail(tuple, start));
+            }
+            let formals = fields.iter().zip(tuple.iter());
             return Ready::Hit(
                 formals
                     .filter(|(f, _)| matches!(f, TemplateField::Formal))
@@ -185,7 +200,7 @@ impl Template {
             return Ready::Miss;
         }
         let mut bindings = Bindings::new();
-        for (f, v) in fields.iter().zip(tuple) {
+        for (f, v) in fields.iter().zip(tuple.iter()) {
             let settled = match thread_of(v) {
                 None => v.clone(),
                 Some(t) => match t.result() {
@@ -276,6 +291,16 @@ mod tests {
         assert_eq!(i, 1);
         assert_eq!(v, &Value::Int(5));
         assert!(Template::any(3).hash_key().is_none());
+    }
+
+    #[test]
+    fn only_trailing_formals_bind_a_shared_tail() {
+        let tail = |fields: Vec<TemplateField>| Template::new(fields).tail;
+        assert_eq!(tail(vec![lit(1), formal(), formal()]), Some(1));
+        assert_eq!(tail(vec![lit(1), lit(2)]), Some(2), "no formals: empty");
+        assert_eq!(Template::any(2).tail, Some(0));
+        assert_eq!(tail(vec![formal(), lit(1)]), None);
+        assert_eq!(tail(vec![lit(1), formal(), lit(2), formal()]), None);
     }
 
     #[test]
