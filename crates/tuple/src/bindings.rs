@@ -53,7 +53,7 @@ impl Bindings {
 
     /// Appends a binding; past [`INLINE`] copied values the bindings move
     /// to the heap.
-    pub fn push(&mut self, value: Value) {
+    pub(crate) fn push(&mut self, value: Value) {
         match &mut self.0 {
             Repr::Inline { len, items } if *len < INLINE => {
                 items[*len] = value;
@@ -114,12 +114,6 @@ impl PartialEq for Bindings {
 
 impl Eq for Bindings {}
 
-impl PartialEq<[Value]> for Bindings {
-    fn eq(&self, other: &[Value]) -> bool {
-        self[..] == *other
-    }
-}
-
 impl PartialEq<Vec<Value>> for Bindings {
     fn eq(&self, other: &Vec<Value>) -> bool {
         self[..] == other[..]
@@ -154,50 +148,6 @@ impl From<Bindings> for Vec<Value> {
     }
 }
 
-/// The by-value iterator of [`Bindings`]: shared values come out cloned.
-pub struct IntoIter(IterRepr);
-
-enum IterRepr {
-    Tail(StoredTuple, std::ops::Range<usize>),
-    Inline(std::iter::Take<std::array::IntoIter<Value, INLINE>>),
-    Spilled(std::vec::IntoIter<Value>),
-}
-
-impl Iterator for IntoIter {
-    type Item = Value;
-    fn next(&mut self) -> Option<Value> {
-        match &mut self.0 {
-            IterRepr::Tail(tuple, at) => at.next().map(|i| tuple[i].clone()),
-            IterRepr::Inline(it) => it.next(),
-            IterRepr::Spilled(it) => it.next(),
-        }
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            IterRepr::Tail(_, at) => at.size_hint(),
-            IterRepr::Inline(it) => it.size_hint(),
-            IterRepr::Spilled(it) => it.size_hint(),
-        }
-    }
-}
-
-impl ExactSizeIterator for IntoIter {}
-
-impl IntoIterator for Bindings {
-    type Item = Value;
-    type IntoIter = IntoIter;
-    fn into_iter(self) -> IntoIter {
-        IntoIter(match self.0 {
-            Repr::Tail(tuple, start) => {
-                let at = start..tuple.len();
-                IterRepr::Tail(tuple, at)
-            }
-            Repr::Inline { len, items } => IterRepr::Inline(items.into_iter().take(len)),
-            Repr::Spilled(values) => IterRepr::Spilled(values.into_iter()),
-        })
-    }
-}
-
 impl<'a> IntoIterator for &'a Bindings {
     type Item = &'a Value;
     type IntoIter = std::slice::Iter<'a, Value>;
@@ -221,7 +171,6 @@ mod tests {
         let b = Bindings::tail(&tuple, 2);
         assert!(std::ptr::eq(&b[0], &tuple[2]), "shared, not copied");
         assert_eq!(b, ints(5)[2..].to_vec());
-        assert_eq!(b.clone().into_iter().count(), 3);
         assert_eq!(b.into_vec(), ints(5)[2..].to_vec());
         assert!(Bindings::tail(&tuple, 5).is_empty());
     }
@@ -241,7 +190,6 @@ mod tests {
         assert!(b.spilled());
         assert_eq!(b.len(), INLINE + 3);
         assert_eq!(b, ints(INLINE as i64 + 3));
-        assert_eq!(b.clone().into_iter().count(), INLINE + 3);
         assert_eq!(Vec::from(b), ints(INLINE as i64 + 3));
     }
 
