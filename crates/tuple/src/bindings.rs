@@ -1,15 +1,14 @@
 //! What a match hands back: the values of a template's formals.
 //!
 //! A `get` or `rd` returns its bindings to a caller that reads a few
-//! fields and drops them, so [`Bindings`] copies nothing it can share and
-//! allocates only when it must:
+//! fields and drops them, so [`Bindings`] copies nothing it can share:
 //!
 //! * when a template's formals are its last fields (`[job ?x ?y]`, the
-//!   usual shape), the bindings *are* the tail of the matched tuple: the
-//!   stored tuple's `Arc`, shared, and where the tail starts;
+//!   shape of every template the benchmarks and the Scheme programs use),
+//!   the bindings *are* the tail of the matched tuple: the stored tuple's
+//!   `Arc`, shared, and where the tail starts;
 //! * otherwise (formals among literals, or a field that was a thread and
-//!   binds its value) up to [`INLINE`] values are held in place;
-//! * past that, in a `Vec`.
+//!   binds its value) the values are copied into a `Vec`.
 //!
 //! It derefs to `[Value]`, so `bound[0]`, `bound.len()` and `bound.iter()`
 //! read it like the vector it replaces.
@@ -17,9 +16,6 @@
 use crate::rep::StoredTuple;
 use std::ops::Deref;
 use sting_value::Value;
-
-/// How many copied values [`Bindings`] holds without allocating.
-pub const INLINE: usize = 2;
 
 /// The values bound by a template's formals, in field order.
 #[derive(Clone)]
@@ -29,21 +25,14 @@ pub struct Bindings(Repr);
 enum Repr {
     /// The fields of a stored tuple from `.1` on.
     Tail(StoredTuple, usize),
-    /// `items[..len]` are the bindings; the rest are `Value::Unit`.
-    Inline {
-        len: usize,
-        items: [Value; INLINE],
-    },
-    Spilled(Vec<Value>),
+    /// Copied values.
+    Copied(Vec<Value>),
 }
 
 impl Bindings {
     /// No bindings (a template without formals).
     pub fn new() -> Bindings {
-        Bindings(Repr::Inline {
-            len: 0,
-            items: Default::default(),
-        })
+        Bindings(Repr::Copied(Vec::new()))
     }
 
     /// The fields of `tuple` from `start` on, shared with the tuple.
@@ -51,34 +40,11 @@ impl Bindings {
         Bindings(Repr::Tail(tuple.clone(), start))
     }
 
-    /// Appends a binding; past [`INLINE`] copied values the bindings move
-    /// to the heap.
-    pub(crate) fn push(&mut self, value: Value) {
-        match &mut self.0 {
-            Repr::Inline { len, items } if *len < INLINE => {
-                items[*len] = value;
-                *len += 1;
-            }
-            Repr::Spilled(values) => values.push(value),
-            _ => {
-                let mut spilled = Vec::with_capacity(2 * self.len().max(INLINE));
-                spilled.extend(self.iter().cloned());
-                spilled.push(value);
-                self.0 = Repr::Spilled(spilled);
-            }
-        }
-    }
-
-    /// Whether the bindings live in a `Vec` of their own.
-    pub fn spilled(&self) -> bool {
-        matches!(self.0, Repr::Spilled(_))
-    }
-
     /// The bindings as a vector.
     pub fn into_vec(self) -> Vec<Value> {
         match self.0 {
-            Repr::Spilled(values) => values,
-            _ => self.to_vec(),
+            Repr::Copied(values) => values,
+            Repr::Tail(..) => self.to_vec(),
         }
     }
 }
@@ -94,8 +60,7 @@ impl Deref for Bindings {
     fn deref(&self) -> &[Value] {
         match &self.0 {
             Repr::Tail(tuple, start) => &tuple[*start..],
-            Repr::Inline { len, items } => &items[..*len],
-            Repr::Spilled(values) => values,
+            Repr::Copied(values) => values,
         }
     }
 }
@@ -128,17 +93,13 @@ impl<const N: usize> PartialEq<[Value; N]> for Bindings {
 
 impl FromIterator<Value> for Bindings {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Bindings {
-        let mut out = Bindings::new();
-        for value in iter {
-            out.push(value);
-        }
-        out
+        Bindings(Repr::Copied(iter.into_iter().collect()))
     }
 }
 
 impl From<Vec<Value>> for Bindings {
     fn from(values: Vec<Value>) -> Bindings {
-        values.into_iter().collect()
+        Bindings(Repr::Copied(values))
     }
 }
 
@@ -176,21 +137,11 @@ mod tests {
     }
 
     #[test]
-    fn up_to_the_inline_count_stays_in_place() {
-        let b: Bindings = ints(INLINE as i64).into_iter().collect();
-        assert!(!b.spilled());
-        assert_eq!(b, ints(INLINE as i64));
-        assert_eq!(b[INLINE - 1], Value::Int(INLINE as i64 - 1));
-        assert_eq!(b.into_vec(), ints(INLINE as i64));
-    }
-
-    #[test]
-    fn past_the_inline_count_spills_in_order() {
-        let b: Bindings = ints(INLINE as i64 + 3).into_iter().collect();
-        assert!(b.spilled());
-        assert_eq!(b.len(), INLINE + 3);
-        assert_eq!(b, ints(INLINE as i64 + 3));
-        assert_eq!(Vec::from(b), ints(INLINE as i64 + 3));
+    fn copied_values_keep_their_order() {
+        let b: Bindings = ints(5).into_iter().collect();
+        assert_eq!(b.len(), 5);
+        assert_eq!(b, ints(5));
+        assert_eq!(Vec::from(b), ints(5));
     }
 
     #[test]

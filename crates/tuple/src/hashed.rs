@@ -188,6 +188,11 @@ fn wake_matching(readers: &mut Vec<Blocked>, tuple: &[Value], batch: &mut WakeBa
 /// many empty chains per bin behind.
 const IDLE_CHAINS: usize = 4;
 
+/// The largest buffer, in slots, an idle chain keeps: a key whose buffers
+/// grew past it in a burst frees them when it empties, so what idle
+/// chains hold stays bounded.
+const IDLE_CAPACITY: usize = 8;
+
 /// The tuples and blocked readers of one key, oldest first.  The oldest
 /// tuple sits in the chain itself, so a key that holds one tuple at a time
 /// needs no buffer at all; `rest` is allocated only for a second one.
@@ -205,9 +210,11 @@ impl Chain {
     }
 
     /// Whether an empty chain is worth keeping: it holds a buffer the next
-    /// tuple or reader of its key would otherwise allocate.
-    fn holds_buffers(&self) -> bool {
-        self.rest.capacity() > 0 || self.readers.capacity() > 0
+    /// tuple or reader of its key would otherwise allocate, and none larger
+    /// than [`IDLE_CAPACITY`].
+    fn worth_keeping(&self) -> bool {
+        let (rest, readers) = (self.rest.capacity(), self.readers.capacity());
+        rest + readers > 0 && rest.max(readers) <= IDLE_CAPACITY
     }
 
     fn push(&mut self, tuple: StoredTuple) {
@@ -241,12 +248,12 @@ impl Chain {
 
 /// Whether the bin keeps a chain it is about to drop: `was_empty` says it
 /// was already idle (and counted); a chain just emptied is kept, and
-/// counted, while it holds buffers and `idle` is under [`IDLE_CHAINS`].
+/// counted, while it holds small buffers and `idle` is under [`IDLE_CHAINS`].
 fn keep_chain(chain: &Chain, was_empty: bool, idle: &mut usize) -> bool {
     if !chain.is_empty() || was_empty {
         return true;
     }
-    let keep = chain.holds_buffers() && *idle < IDLE_CHAINS;
+    let keep = chain.worth_keeping() && *idle < IDLE_CHAINS;
     *idle += usize::from(keep);
     keep
 }
@@ -631,8 +638,9 @@ mod tests {
 
     /// A key's first tuple sits in its chain; a chain that empties with a
     /// buffer (here a blocked reader's entry) stays for the next tuple of
-    /// its key, and a stream of distinct keys leaves at most
-    /// [`IDLE_CHAINS`] empty chains a bin.
+    /// its key, one whose buffer grew past [`IDLE_CAPACITY`] does not, and
+    /// a stream of distinct keys leaves at most [`IDLE_CHAINS`] empty
+    /// chains a bin.
     #[test]
     fn a_chain_holds_its_first_tuple_inline_and_keeps_its_buffers() {
         let rep = Arc::new(HashedRep::new(1));
@@ -674,6 +682,30 @@ mod tests {
         assert_eq!(rep.chain_shape(key).map(|c| c.0), Some(2));
         assert!(try_take(&rep).is_some() && try_take(&rep).is_some());
         assert_eq!(rep.len(), 0);
+        assert_eq!(rep.chain_counts(), (1, 1));
+
+        // A burst on one key grows its buffer past the bound: emptied, the
+        // chain goes, and the idle one of `job` stays.
+        let burst = |n| Stored::new(vec![Value::sym("burst"), Value::Int(n)]);
+        let burst_key = burst(0).key();
+        for n in 0..3 * IDLE_CAPACITY as i64 {
+            rep.deposit(burst(n));
+        }
+        assert!(rep
+            .chain_shape(burst_key)
+            .is_some_and(|c| c.2 > IDLE_CAPACITY));
+        let drain = Template::new(vec![lit(Value::sym("burst")), formal()]);
+        for n in 0..3 * IDLE_CAPACITY as i64 {
+            let mut probe = Probe::new(&drain, true);
+            rep.probe(&mut probe);
+            assert_eq!(probe.finish().hit, Some(vec![Value::Int(n)].into()));
+        }
+        assert_eq!(
+            rep.chain_shape(burst_key),
+            None,
+            "the burst's buffer is freed"
+        );
+        assert_eq!(rep.chain_counts(), (1, 1));
 
         // Distinct keys, two tuples each, come and go.
         for k in 0..100i64 {
@@ -693,7 +725,7 @@ mod tests {
     /// The acceptance test behind DESIGN.md's cost claim: beside 10 000
     /// bystanders, a literal-keyed hit visits only its own chain, takes
     /// one bin lock, hashes nothing (the template carries its key) and
-    /// allocates nothing — its bindings are held inline.  A `put`
+    /// allocates nothing — its bindings share the matched tuple.  A `put`
     /// allocates the caller's vector and the stored tuple's `Arc`, and a
     /// template built per call its own vector, nothing more.
     #[cfg(debug_assertions)]
@@ -708,7 +740,7 @@ mod tests {
         let config = Template::new(vec![lit(1), lit(0), formal()]);
         let cost_of = |op: &dyn Fn() -> Option<Bindings>| {
             let (before, allocations) = (cost::noted(), ALLOCATIONS.get());
-            let bindings = op();
+            let bindings = op().expect("the tuple is there");
             let (after, allocations) = (cost::noted(), ALLOCATIONS.get() - allocations);
             drop(bindings);
             let spent: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
@@ -721,10 +753,9 @@ mod tests {
         );
         // The benchmark probe's shape: put + try_get, then try_rd.
         for i in 0..3 {
-            let (_, allocations) = cost_of(&|| {
-                ts.put(ints(&[2, i, 0]));
-                None
-            });
+            let allocations = ALLOCATIONS.get();
+            ts.put(ints(&[2, i, 0]));
+            let allocations = ALLOCATIONS.get() - allocations;
             assert_eq!(allocations, 2, "put allocates its vector and its Arc");
             let (spent, allocations) = cost_of(&|| ts.try_get(&jobs));
             assert!(spent[visit] <= 2, "try_get visited {} tuples", spent[visit]);
@@ -741,7 +772,7 @@ mod tests {
         // A template built per call allocates its own vector, and hashes
         // its key once.
         let (spent, allocations) =
-            cost_of(&|| ts.rd(&Template::new(vec![lit(1), lit(0), formal()])).into());
+            cost_of(&|| Some(ts.rd(&Template::new(vec![lit(1), lit(0), formal()]))));
         assert_eq!((spent[visit], spent[lock], spent[hash]), (1, 1, 1), "rd");
         assert_eq!(allocations, 1, "rd allocates its template's vector only");
         // A blocking get that finds its tuple is the same probe: it never

@@ -199,7 +199,7 @@ impl Template {
         if tuple.len() != fields.len() {
             return Ready::Miss;
         }
-        let mut bindings = Bindings::new();
+        let mut bindings = Vec::new();
         for (f, v) in fields.iter().zip(tuple.iter()) {
             let settled = match thread_of(v) {
                 None => v.clone(),
@@ -215,7 +215,7 @@ impl Template {
                 TemplateField::Lit(_) => return Ready::Miss,
             }
         }
-        Ready::Hit(bindings)
+        Ready::Hit(bindings.into())
     }
 
     /// Full match: demands thread-valued fields (stealing claimable ones,
@@ -228,7 +228,7 @@ impl Template {
         if tuple.len() != fields.len() {
             return None;
         }
-        let mut bindings = Bindings::new();
+        let mut bindings = Vec::new();
         for (f, v) in fields.iter().zip(tuple) {
             let resolved = resolve_field(v)?;
             match f {
@@ -240,7 +240,7 @@ impl Template {
                 }
             }
         }
-        Some(bindings)
+        Some(bindings.into())
     }
 }
 
