@@ -48,7 +48,7 @@ use crate::thread::{Thread, TryThunk};
 use crate::tls;
 use crate::vm::Vm;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use sting_context::fiber::FiberResult;
 use sting_context::{Fiber, StackPool};
@@ -80,10 +80,6 @@ struct FastQueue {
     /// Padded: remote submitters write its head, and the owner's every
     /// dequeue reads it — it must not drag `caps` or a buffer pointer along.
     injector: CachePadded<Injector<(usize, RunItem)>>,
-    /// Fresh threads in the injector, at least: counted before their push
-    /// and discounted after they leave it.  A thief that may take only
-    /// fresh threads reads it to leave a backlog of parked TCBs alone.
-    injected_fresh: AtomicUsize,
 }
 
 impl FastQueue {
@@ -92,7 +88,6 @@ impl FastQueue {
             caps,
             deque: MultiDeque::new(),
             injector: CachePadded(Injector::new()),
-            injected_fresh: AtomicUsize::new(0),
         }
     }
 
@@ -117,34 +112,22 @@ impl FastQueue {
 
     /// Submission from any thread but the owner: one CAS.
     fn inject(&self, item: RunItem) {
-        if item.is_fresh() {
-            self.injected_fresh.fetch_add(1, Ordering::Relaxed);
-        }
         self.injector.push((self.band_of(item.thread()), item));
     }
 
     /// [`FastQueue::inject`] for many items, still one CAS
     /// ([`Injector::push_batch`]); arrival order is kept within each band.
     fn inject_batch(&self, items: impl Iterator<Item = RunItem>) {
-        self.injector.push_batch(items.map(|it| {
-            if it.is_fresh() {
-                self.injected_fresh.fetch_add(1, Ordering::Relaxed);
-            }
-            (self.band_of(it.thread()), it)
-        }));
+        self.injector
+            .push_batch(items.map(|it| (self.band_of(it.thread()), it)));
     }
 
     /// Owner-side dequeue: fold in remote submissions, then take from the
     /// highest non-empty band, at the end the policy's discipline
     /// dictates.
     fn pop(&self) -> Option<RunItem> {
-        let mut fresh = 0;
         for (band, item) in self.injector.take_all() {
-            fresh += usize::from(item.is_fresh());
             self.deque.push(band, item);
-        }
-        if fresh > 0 {
-            self.injected_fresh.fetch_sub(fresh, Ordering::Relaxed);
         }
         self.deque.pop(self.caps.fifo)
     }
@@ -200,39 +183,30 @@ impl FastQueue {
     /// remote submissions may be backed up in the injector while the owner
     /// is stuck in a long quantum, never folding them in.  Takes the
     /// highest-band eligible item (oldest within its band — the order the
-    /// owner would dispatch) and puts the rest back in one CAS
-    /// ([`Injector::take_best`]); the second value says whether it did,
-    /// which the caller answers with a signal to the owner.  Declines, like
-    /// `surrender`, when the policy keeps its work home — and, when only
-    /// fresh threads may leave, while the injector holds none, so a
-    /// backlog of parked TCBs is not taken and put back for nothing.
-    fn rescue(&self) -> (Option<RunItem>, bool) {
-        if !self.caps.steal
-            || !self.caps.steal_tcbs && self.injected_fresh.load(Ordering::Relaxed) == 0
-        {
-            return (None, false);
+    /// owner would dispatch) and puts the rest back in one CAS, on the
+    /// nodes they already have ([`Injector::take_best`]).  Declines, like
+    /// `surrender`, when the policy keeps its work home.
+    fn rescue(&self, vm: &Vm, index: usize) -> Option<RunItem> {
+        if !self.caps.steal {
+            return None;
         }
         // A parked TCB may outrank a fresh thread only where TCBs migrate.
         let (chosen, requeued) = self.injector.take_best(|(band, it)| {
             ((self.caps.steal_tcbs || it.is_fresh()) && !it.is_dead()).then_some(*band)
         });
-        let chosen = chosen.map(|(_, it)| it);
-        if chosen.as_ref().is_some_and(RunItem::is_fresh) {
-            self.injected_fresh.fetch_sub(1, Ordering::Relaxed);
+        if requeued {
+            // The original submission signals were consumed; re-arm so the
+            // put-back work is not stranded.
+            vm.signal_work(index, Queued::Remotely { stealable: true });
         }
-        (chosen, requeued)
+        chosen.map(|(_, it)| it)
     }
 
     /// Everything queued, submitted or not.  Thief-side, so safe from any
     /// thread; every owner push has published its band's occupancy bit by
     /// the time it returns, so the steal scan misses nothing.
     fn drain(&self) -> impl Iterator<Item = RunItem> + '_ {
-        let submitted = self.injector.take_all().map(|(_, it)| {
-            if it.is_fresh() {
-                self.injected_fresh.fetch_sub(1, Ordering::Relaxed);
-            }
-            it
-        });
+        let submitted = self.injector.take_all().map(|(_, it)| it);
         submitted.chain(std::iter::from_fn(|| self.deque.steal_retrying(false)))
     }
 }
@@ -402,18 +376,7 @@ impl Vp {
         // policy consultation + hand-off bookkeeping), timed on the thief.
         let steal_t0 = vm.metrics().steal_begin(thief.index());
         let item = match &self.fast {
-            Some(fq) => match fq.surrender() {
-                Some(item) => item,
-                None => {
-                    let (item, requeued) = fq.rescue();
-                    if requeued {
-                        // The put-back items' submission signals were
-                        // consumed; re-arm so they are not stranded.
-                        vm.signal_work(self.index, Queued::Remotely { stealable: true });
-                    }
-                    item?
-                }
-            },
+            Some(fq) => fq.surrender().or_else(|| fq.rescue(&vm, self.index))?,
             None => {
                 let mut pm = self.owned.pm.try_lock()?;
                 pm.offer_migration(self).filter(|item| !item.is_dead())?
@@ -834,27 +797,25 @@ mod tests {
     }
 
     /// A thief of a policy that keeps TCBs home, facing a backlog of
-    /// parked TCBs alone, leaves the injector as it was — the same nodes —
-    /// and owes the owner no signal, so it wakes no worker.  A fresh
-    /// thread behind them is taken, and the TCBs put back.
+    /// parked TCBs alone, takes nothing and puts the backlog back as it
+    /// was — the same nodes, newest first.  A fresh thread behind them is
+    /// taken, and the TCBs put back.
     #[test]
-    fn a_thief_facing_only_parked_tcbs_leaves_the_injector_alone() {
+    fn a_thief_facing_only_parked_tcbs_puts_them_back_on_their_nodes() {
         let vm = VmBuilder::new().vps(1).build();
         let fresh = vm.delayed(|_cx| 0i64);
         let fq = tcbs_stay_home();
         fq.inject(parked(&fresh));
         fq.inject(parked(&fresh));
         let head = fq.injector.head_word();
-        assert!(matches!(fq.rescue(), (None, false)));
+        assert!(fq.rescue(&vm, 0).is_none());
         assert_eq!((fq.injector.head_word(), fq.injector.len()), (head, 2));
 
         fq.inject(RunItem::Fresh(fresh.clone()));
-        let (taken, requeued) = fq.rescue();
+        let taken = fq.rescue(&vm, 0);
         assert!(matches!(taken, Some(RunItem::Fresh(t)) if Arc::ptr_eq(&t, &fresh)));
-        assert!(requeued, "the parked TCBs went back");
-        assert_eq!(fq.injector.len(), 2);
-        assert_eq!(fq.injected_fresh.load(Ordering::Relaxed), 0);
-        assert!(matches!(fq.rescue(), (None, false)));
+        assert_eq!((fq.injector.head_word(), fq.injector.len()), (head, 2));
+        assert!(fq.rescue(&vm, 0).is_none());
         assert!(fq.drain().all(|item| !item.is_fresh()));
         vm.shutdown();
     }
