@@ -211,15 +211,12 @@ impl Default for HeapConfig {
 /// Nurseries kept per OS worker, at most this many.  The paper caches the
 /// storage of dead threads on the VP that ran them and hands it to the
 /// next thread; this is that rule applied to young generations, as
-/// `sting_context::StackPool` applies it to stacks.  Two sizes are kept:
-/// default-sized nurseries, at most 4 MiB a worker, and the small first
-/// nurseries most threads die in ([`FIRST_NURSERY_WORDS`]), at most 256 KiB.
+/// `sting_context::StackPool` applies it to stacks.  Only default-sized
+/// nurseries are kept, so the bound is 4 MiB a worker.
 const POOLED_NURSERIES: usize = 8;
 
 thread_local! {
     static NURSERIES: std::cell::RefCell<Vec<Vec<u64>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-    static FIRST_NURSERIES: std::cell::RefCell<Vec<Vec<u64>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -246,40 +243,15 @@ fn pooled_nursery(words: usize) -> Option<Vec<u64>> {
 /// thread that keeps allocating.  The collector's trigger is unaffected.
 const FIRST_NURSERY_WORDS: usize = 4 * 1024;
 
-/// A new heap's nursery for a young generation of `words`: a recycled
-/// default-sized one, else a recycled small one, else a fresh small one.
-fn first_nursery(words: usize) -> Vec<u64> {
-    if let Some(space) = pooled_nursery(words) {
-        return space;
-    }
-    if words < FIRST_NURSERY_WORDS {
-        return Vec::with_capacity(words);
-    }
-    pooled_first_nursery().unwrap_or_else(|| Vec::with_capacity(FIRST_NURSERY_WORDS))
-}
-
-/// A recycled small first nursery, when this worker has one.  Never
-/// inlined, for the reason `pooled_nursery` gives.
-#[inline(never)]
-fn pooled_first_nursery() -> Option<Vec<u64>> {
-    FIRST_NURSERIES
-        .try_with(|p| p.borrow_mut().pop())
-        .ok()
-        .flatten()
-}
-
-/// Hands a semispace back to this worker's pool of its size (dropped when
-/// it is neither default-sized nor a small first nursery, the pool is
-/// full, or the worker is exiting).
+/// Hands a semispace back to this worker's pool (dropped when it is not
+/// default-sized, the pool is full, or the worker is exiting).
 #[inline(never)]
 fn put_nursery(mut space: Vec<u64>) {
-    let pool = match space.capacity() {
-        c if c == default_young_words() => &NURSERIES,
-        FIRST_NURSERY_WORDS => &FIRST_NURSERIES,
-        _ => return,
-    };
+    if space.capacity() != default_young_words() {
+        return;
+    }
     space.clear();
-    let _ = pool.try_with(|p| {
+    let _ = NURSERIES.try_with(|p| {
         let mut p = p.borrow_mut();
         if p.len() < POOLED_NURSERIES {
             p.push(space);
@@ -345,7 +317,8 @@ impl Heap {
     /// Creates a heap with the given configuration.
     pub fn new(config: HeapConfig) -> Heap {
         Heap {
-            young: first_nursery(config.young_words),
+            young: pooled_nursery(config.young_words)
+                .unwrap_or_else(|| Vec::with_capacity(config.young_words.min(FIRST_NURSERY_WORDS))),
             old: Vec::new(),
             remembered: Vec::new(),
             natives: Vec::new(),
