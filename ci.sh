@@ -8,8 +8,8 @@
 #   ./ci.sh doc      # rustdoc build (warnings are errors), doctests, and
 #                    # a relative-link check over the top-level markdown
 #   ./ci.sh check    # model checker: sting-check self-tests + the deque/
-#                    # trace/wait/park/thread-state interleaving models over
-#                    # the production source
+#                    # trace-ring/wait/park/thread-state interleaving models
+#                    # over the production source
 #   ./ci.sh analyze  # static analyzer tier (<60s): the expect-flag corpus,
 #                    # the expect-clean sweep, the static/dynamic lock-order
 #                    # cross-check, and `repl --analyze` over the examples
@@ -22,7 +22,7 @@
 #                    # registration-leak reproductions), the 10 s farm
 #                    # world that must hold memory flat, then a 2-shard
 #                    # farm smoke run whose merged trace must audit clean
-#   ./ci.sh miri     # deque/trace unit tests under Miri (skips with a
+#   ./ci.sh miri     # deque/trace-ring unit tests under Miri (skips with a
 #                    # notice if no nightly Miri toolchain is installed)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -73,9 +73,10 @@ run_doc() {
 run_check() {
     step "model checker: sting-check self-tests (litmus suite)"
     cargo test -q -p sting-check
-    step "model checker: production deque/trace models (--cfg sting_check)"
+    step "model checker: production deque/trace-ring models (--cfg sting_check)"
     # A separate target dir so the cfg-switched build never clobbers the
-    # normal incremental cache.
+    # normal incremental cache.  The trace model drives `trace::Ring`, the
+    # ring every stats lane records into (crates/core/src/stats.rs).
     RUSTFLAGS="--cfg sting_check" CARGO_TARGET_DIR=target/check \
         cargo test -q -p sting-core --test model
     step "model checker: production blocking-protocol models (--cfg sting_check)"
@@ -133,11 +134,13 @@ run_shard() {
 }
 
 run_miri() {
-    step "miri: deque/trace unit tests"
+    step "miri: deque/trace-ring unit tests"
     if rustup run nightly cargo miri --version >/dev/null 2>&1; then
         # Unit tests only: the interesting unsafe code (deque slots, trace
         # rings) lives in the lib, and Miri cannot run the fiber layer's
-        # inline-asm stack switching anyway.
+        # inline-asm stack switching anyway.  `trace::` tests drive
+        # `trace::Ring` alone; `stats::` tests build VMs (fibers), so they
+        # stay out.
         rustup run nightly cargo miri test -p sting-core --lib deque:: trace::
     else
         step "miri: SKIPPED (no nightly Miri toolchain installed)"

@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-use sting::core::counters::CounterSnapshot;
+use sting::core::CounterSnapshot;
 use sting::prelude::*;
 use sting_bench::report::{BenchReport, BenchRow, Check};
 use sting_bench::shapes::{self, Scale};
@@ -705,12 +705,13 @@ fn main() -> ExitCode {
     // crosses the instrumented enqueue/dispatch path on every yield.
     println!("overhead: metrics on vs off (1vp lock-free steal-throughput, interleaved)");
     let mk = |metrics_on: bool| {
-        VmBuilder::new()
+        let vm = VmBuilder::new()
             .vps(1)
             .processors(1)
             .policy(|_| policies::local_fifo().migrating(true).boxed())
-            .metrics(metrics_on)
-            .build()
+            .build();
+        vm.metrics().set_enabled(metrics_on);
+        vm
     };
     let vm_on = mk(true);
     let vm_off = mk(false);

@@ -92,7 +92,6 @@ pub fn run(scale: &ServerScale) -> Result<(Vec<BenchRow>, Vec<Check>), String> {
     let vm = VmBuilder::new()
         .vps(scale.vps)
         .stack_size(32 * 1024)
-        .metrics(true)
         .metrics_sample(1)
         .name("echo-bench")
         .build();

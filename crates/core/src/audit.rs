@@ -326,9 +326,6 @@ pub fn audit(events: &[TraceEvent], truncated: bool) -> AuditReport {
                 st.pending_enqueues = st.pending_enqueues.saturating_sub(1);
             }
             EventKind::Steal
-            | EventKind::Block
-            | EventKind::Suspend
-            | EventKind::Resume
             | EventKind::Preempt
             | EventKind::StateRequest
             | EventKind::IoWait

@@ -34,7 +34,6 @@ pub struct VmBuilder {
     machine: Option<Arc<PhysicalMachine>>,
     trace: bool,
     trace_capacity: usize,
-    metrics: bool,
     metrics_sample: u64,
     io_workers: usize,
     shard: usize,
@@ -48,7 +47,6 @@ pub(crate) struct VmConfig {
     pub(crate) stack_size: usize,
     pub(crate) trace: bool,
     pub(crate) trace_capacity: usize,
-    pub(crate) metrics: bool,
     pub(crate) metrics_sample: u64,
     pub(crate) io_workers: usize,
     /// Shard index within a fleet (0 standalone).
@@ -88,7 +86,6 @@ impl VmBuilder {
             machine: None,
             trace: false,
             trace_capacity: crate::trace::DEFAULT_CAPACITY,
-            metrics: true,
             metrics_sample: crate::metrics::DEFAULT_SAMPLE_PERIOD,
             io_workers: crate::io::DEFAULT_IO_WORKERS,
             shard: 0,
@@ -154,6 +151,8 @@ impl VmBuilder {
     /// Starts the VM with the scheduler flight recorder already running
     /// (see [`Vm::tracer`](crate::Vm::tracer)); recording can also be
     /// toggled later with [`Tracer::set_enabled`](crate::Tracer::set_enabled).
+    /// Latency stamping starts on and is toggled with
+    /// [`Metrics::set_enabled`](crate::Metrics::set_enabled).
     pub fn trace(mut self, on: bool) -> VmBuilder {
         self.trace = on;
         self
@@ -164,16 +163,6 @@ impl VmBuilder {
     /// a ring fills, the oldest events are overwritten.
     pub fn trace_capacity(mut self, events: usize) -> VmBuilder {
         self.trace_capacity = events;
-        self
-    }
-
-    /// Whether latency metrics (dispatch/steal/wake/GC-pause histograms,
-    /// see [`crate::metrics`]) stamp events from the start (default on;
-    /// stamping is sampled, see [`VmBuilder::metrics_sample`]).  Can also
-    /// be toggled later with
-    /// [`Metrics::set_enabled`](crate::Metrics::set_enabled).
-    pub fn metrics(mut self, on: bool) -> VmBuilder {
-        self.metrics = on;
         self
     }
 
@@ -207,7 +196,6 @@ impl VmBuilder {
                 stack_size: self.stack_size,
                 trace: self.trace,
                 trace_capacity: self.trace_capacity,
-                metrics: self.metrics,
                 metrics_sample: self.metrics_sample,
                 io_workers: self.io_workers,
                 shard: self.shard,

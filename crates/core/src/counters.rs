@@ -1,41 +1,44 @@
-//! Substrate event counters.
+//! Substrate event counters: each stats lane's counter shard (see
+//! [`crate::stats`]) and the [`Counters`] view that sums the lanes.
 //!
 //! The shape experiments in the evaluation (stealing vs. context switching,
 //! policy comparisons, preemption effects) are driven by these counters, so
 //! they are first-class rather than a debug afterthought.  All counters are
 //! relaxed atomics: they are statistics, not synchronization.
-//!
-//! The counters are **sharded by lane**: one cache-line-padded
-//! `CounterShard` per virtual processor plus one for everything that
-//! happens off any VP (host forks, host timer adds, the I/O driver).  An
-//! event is counted on the lane of the VP it happened on, so the
-//! fork/touch/determine path only ever writes a line its own VP owns, and
-//! [`Counters::snapshot`] sums the lanes.  Each lane is monotone and a
-//! snapshot reads every lane once, so a later snapshot is field-wise `>=`
-//! an earlier one by the same observer even while other VPs keep counting.
 
-use crate::pad::CachePadded;
+use crate::trace::EventKind;
+use crate::vm::Vm;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A relaxed monotone count: statistics, not synchronization.
+#[derive(Debug, Default)]
+pub(crate) struct Count(AtomicU64);
+
+impl Count {
+    #[inline]
+    pub(crate) fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 macro_rules! counters {
     ($(#[$doc:meta] $name:ident),+ $(,)?) => {
-        /// One lane's share of a virtual machine's [`Counters`].
+        /// One lane's counts.
         #[derive(Debug, Default)]
         pub(crate) struct CounterShard {
-            $(#[$doc] pub(crate) $name: AtomicU64,)+
+            $(#[$doc] pub(crate) $name: Count,)+
         }
 
-        /// A point-in-time copy of [`Counters`].
+        /// A point-in-time copy of a machine's counters (see [`Counters`]).
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
         pub struct CounterSnapshot {
             $(#[$doc] pub $name: u64,)+
         }
 
         impl CounterShard {
-            /// Copies this lane's current values.
-            fn snapshot(&self) -> CounterSnapshot {
+            pub(crate) fn snapshot(&self) -> CounterSnapshot {
                 CounterSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)+
+                    $($name: self.$name.0.load(Ordering::Relaxed),)+
                 }
             }
         }
@@ -68,48 +71,6 @@ macro_rules! counters {
             }
         }
     };
-}
-
-/// Monotonic event counters for one virtual machine, one shard per VP plus
-/// an external lane (see the module docs).
-#[derive(Debug)]
-pub struct Counters {
-    lanes: Box<[CachePadded<CounterShard>]>,
-}
-
-impl Counters {
-    /// Counters for a machine of `vps` virtual processors.
-    pub(crate) fn new(vps: usize) -> Counters {
-        Counters {
-            lanes: (0..=vps).map(|_| CachePadded::default()).collect(),
-        }
-    }
-
-    /// The lane events on `vp` count on; `None` (or an index this machine
-    /// does not have, as when a thread of another machine forks here) is
-    /// the external lane.  Lanes are a locality device only: every bump is
-    /// an atomic add, so a shared lane stays exact.
-    pub(crate) fn lane(&self, vp: Option<usize>) -> &CounterShard {
-        crate::pad::lane_of(&self.lanes, vp)
-    }
-
-    /// Copies the current values, summed over the lanes.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        self.lane_snapshots()
-            .iter()
-            .fold(CounterSnapshot::default(), |sum, lane| sum.plus(lane))
-    }
-
-    /// Copies each lane's current values: one entry per VP, in index
-    /// order, then the external lane.
-    pub fn lane_snapshots(&self) -> Vec<CounterSnapshot> {
-        self.lanes.iter().map(|lane| lane.snapshot()).collect()
-    }
-
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 counters! {
@@ -145,23 +106,78 @@ counters! {
     determinations,
     /// Threads determined by an uncaught exception.
     exceptions,
+    /// Parked I/O waiters woken by readiness dispatch.
+    io_wakes,
+    /// Registrations and deregistrations asked of the I/O reactor.
+    io_registrations,
+}
+
+impl CounterShard {
+    /// Bumps the count event `kind` with payload `a` implies, if any.
+    #[inline]
+    pub(crate) fn count(&self, kind: EventKind, a: u32) {
+        let count = match kind {
+            EventKind::Fork => &self.threads_created,
+            EventKind::Dispatch => &self.context_switches,
+            EventKind::Switch if a == 0 => &self.yields,
+            EventKind::Switch if a == 1 => &self.preemptions,
+            EventKind::Steal => &self.steals,
+            EventKind::Unblock => &self.wakeups,
+            EventKind::Migrate => &self.migrations,
+            EventKind::Handoff => &self.handoffs,
+            EventKind::IoReady => &self.io_wakes,
+            EventKind::Determine => {
+                self.determinations.bump();
+                if a == 0 {
+                    return;
+                }
+                &self.exceptions
+            }
+            _ => return,
+        };
+        count.bump();
+    }
+}
+
+/// A read view of a machine's counters (see [`crate::stats`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Counters<'a>(pub(crate) &'a Vm);
+
+impl Counters<'_> {
+    /// Copies the current values, summed over the lanes.  Each lane is
+    /// monotone and read once, so a later snapshot is field-wise `>=` an
+    /// earlier one by the same observer even while other VPs keep counting.
+    pub fn snapshot(&self) -> CounterSnapshot {
+        self.lane_snapshots()
+            .iter()
+            .fold(CounterSnapshot::default(), |sum, lane| sum.plus(lane))
+    }
+
+    /// Copies each lane's current values: one entry per VP, in index
+    /// order, then the external lane.
+    pub fn lane_snapshots(&self) -> Vec<CounterSnapshot> {
+        self.0.lanes_stats().map(|l| l.counts.snapshot()).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VmBuilder;
 
     #[test]
     fn snapshot_and_since() {
-        let c = Counters::new(2);
-        c.lane(Some(0)).steals.fetch_add(3, Ordering::Relaxed);
-        c.lane(None).blocks.fetch_add(1, Ordering::Relaxed);
-        let a = c.snapshot();
+        let vm = VmBuilder::new().vps(2).processors(1).build();
+        for _ in 0..3 {
+            vm.counts(Some(0)).steals.bump();
+        }
+        vm.counts(None).blocks.bump();
+        let a = vm.counters().snapshot();
         // A VP index past the machine's own lands on the external lane.
-        c.lane(Some(1)).steals.fetch_add(1, Ordering::Relaxed);
-        c.lane(Some(9)).steals.fetch_add(1, Ordering::Relaxed);
-        let b = c.snapshot();
-        let lanes = c.lane_snapshots();
+        vm.counts(Some(1)).steals.bump();
+        vm.counts(Some(9)).steals.bump();
+        let b = vm.counters().snapshot();
+        let lanes = vm.counters().lane_snapshots();
         assert_eq!(
             lanes.iter().map(|l| l.steals).collect::<Vec<_>>(),
             [3, 1, 1]
@@ -170,6 +186,7 @@ mod tests {
         assert_eq!(d.steals, 2);
         assert_eq!(d.blocks, 0);
         assert_eq!(b.steals, 5);
+        vm.shutdown();
     }
 
     #[test]
@@ -179,11 +196,14 @@ mod tests {
     )]
     #[should_panic(expected = "went backwards")]
     fn since_asserts_monotonicity_in_debug() {
-        let c = Counters::new(1);
-        c.lane(None).wakeups.fetch_add(4, Ordering::Relaxed);
-        let later = c.snapshot();
-        c.lane(None).wakeups.fetch_sub(1, Ordering::Relaxed);
-        let earlier_but_higher = later;
-        let _ = c.snapshot().since(&earlier_but_higher);
+        let later = CounterSnapshot {
+            wakeups: 3,
+            ..CounterSnapshot::default()
+        };
+        let earlier_but_higher = CounterSnapshot {
+            wakeups: 4,
+            ..CounterSnapshot::default()
+        };
+        let _ = later.since(&earlier_but_higher);
     }
 }

@@ -388,7 +388,7 @@ impl Fabric {
             f(from);
             return;
         }
-        crate::counters::Counters::bump(&from.counters().lane(crate::tls::lane()).routed_ops);
+        from.counts(crate::tls::lane_in(from)).routed_ops.bump();
         let lc = from.tracer().clock();
         self.boxes[me * self.shards.len() + to].push(Stamped {
             lc,
@@ -457,14 +457,13 @@ impl Fabric {
     /// shard's enqueue consumed before the destination's re-publish.
     fn post_handoff(&self, vm: &Arc<Vm>, vp: &Arc<Vp>, item: RunItem, dest: usize) {
         let me = vm.shard_id();
-        crate::counters::Counters::bump(&vm.counters().lane(Some(vp.index())).handoffs);
-        crate::trace_event!(
-            vm.tracer(),
+        let (from, to) = (me as u32, dest as u32);
+        vm.note(
             Some(vp.index()),
             EventKind::Handoff,
-            item.thread().id().0,
-            me as u32,
-            dest as u32
+            item.thread(),
+            from,
+            to,
         );
         let lc = vm.tracer().clock();
         self.boxes[me * self.shards.len() + dest].push(Stamped {
@@ -692,7 +691,6 @@ pub struct FleetBuilder {
     processors: Option<usize>,
     trace: bool,
     trace_capacity: Option<usize>,
-    metrics: bool,
 }
 
 impl std::fmt::Debug for FleetBuilder {
@@ -722,7 +720,6 @@ impl FleetBuilder {
             processors: None,
             trace: false,
             trace_capacity: None,
-            metrics: true,
         }
     }
 
@@ -772,12 +769,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Enables/disables metrics on every shard.
-    pub fn metrics(mut self, on: bool) -> FleetBuilder {
-        self.metrics = on;
-        self
-    }
-
     /// Builds the shards on one shared machine, installs the fabric, and
     /// returns the running fleet.
     pub fn build(self) -> Fleet {
@@ -798,8 +789,7 @@ impl FleetBuilder {
                     .machine(machine.clone())
                     .shard_identity(s, tid_source.clone())
                     .policy(move |vp| policy(s, vp))
-                    .trace(self.trace)
-                    .metrics(self.metrics);
+                    .trace(self.trace);
                 if let Some(cap) = self.trace_capacity {
                     vb = vb.trace_capacity(cap);
                 }

@@ -20,7 +20,7 @@
 //!   [`deque`] tier (the scheduler fast path); a manager that keeps its
 //!   own queue is called under the policy lock (see
 //!   [`pm::PolicyManager::queue_kind`]).
-//! * [`Vm`] — a set of VPs sharing counters, timers and a root
+//! * [`Vm`] — a set of VPs sharing timers, one stats lane per VP and a root
 //!   [`ThreadGroup`].
 //! * [`machine::PhysicalMachine`] — OS worker threads
 //!   multiplexing the VPs of one or more VMs; nothing else, no clock
@@ -62,6 +62,7 @@ pub mod policies;
 mod probe;
 pub mod reactor;
 pub mod state;
+pub mod stats;
 pub mod sys;
 pub mod tc;
 pub mod tcb;

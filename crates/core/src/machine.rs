@@ -71,7 +71,6 @@
 //! Preemption needs no clock thread either: a running thread's slice
 //! deadline is checked at its own checkpoints ([`crate::tc::checkpoint`]).
 
-use crate::counters::Counters;
 use crate::pad::CachePadded;
 use crate::reactor::{IoDriver, PollerMux};
 use crate::sys;
@@ -540,7 +539,7 @@ impl MachineShared {
             && self.idle.end_search()
             && self.unpark(self.idle.claim_one(u64::MAX))
         {
-            Counters::bump(&vm.counters().lane(Some(vp)).worker_wakes);
+            vm.counts(Some(vp)).worker_wakes.bump();
         }
     }
 

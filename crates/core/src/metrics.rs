@@ -15,32 +15,15 @@
 //!   embedding (the areas crate stands below the substrate and keeps its
 //!   own pause buckets; see `HeapStats`).
 //!
-//! ## Overhead discipline
-//!
-//! The fast path of the scheduler runs in hundreds of nanoseconds, so the
-//! instrumentation must cost almost nothing when idle and very little when
-//! active:
-//!
-//! * Each histogram bucket is a relaxed [`AtomicU64`]; recording is two
-//!   relaxed RMWs plus min/max updates — no locks anywhere.
-//! * Latency *stamping* is **sampled**: each VP keeps a racy tick counter
-//!   (relaxed load + store — losing an increment under contention merely
-//!   shifts the sampling phase) and only every `sample_period`-th event
-//!   takes an [`Instant`] timestamp.  Unsampled events pay one relaxed
-//!   load on the consume side.
-//! * The whole layer sits behind an `enabled` flag
-//!   ([`Metrics::set_enabled`]); disabled, every hook is a single relaxed
-//!   load and a branch.
-//!
-//! Recorded values are therefore a *sample* of the underlying population
-//! (1-in-`sample_period` events); counts are sampled counts, while the
-//! distribution shape (min/mean/percentiles) is unbiased for latencies
-//! uncorrelated with the sampling phase.
+//! The histograms live on the machine's stats lanes (see [`crate::stats`],
+//! which also describes how latencies are sampled); this module has their
+//! bucketing and the snapshots [`Vm::metrics`](crate::Vm::metrics) reads.
+//! Each bucket is a relaxed [`AtomicU64`]: recording is two relaxed RMWs
+//! plus min/max updates — no locks anywhere.
 
-use crate::pad::CachePadded;
-use crate::thread::Thread;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
+use crate::stats::STAMP;
+use crate::vm::Vm;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets per histogram.  Bucket `i` covers
 /// `[2^i, 2^(i+1))` nanoseconds (bucket 0 covers `[0, 2)`), so 64 buckets
@@ -245,201 +228,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Per-VP histograms plus the VP's private sampling tick counters.
-#[derive(Debug, Default)]
-struct VpMetrics {
-    dispatch: Histogram,
-    steal: Histogram,
-    wake: Histogram,
-    /// Racy sampling counters (relaxed load + store).  One per event kind
-    /// so a burst of one kind does not starve sampling of another.
-    dispatch_tick: AtomicU64,
-    steal_tick: AtomicU64,
-    wake_tick: AtomicU64,
-}
-
-/// Latency histograms for the three paper-level scheduler latencies plus
-/// GC scavenge pauses.
-///
-/// One `Metrics` lives in each [`crate::Vm`]; reach it via
-/// [`Vm::metrics`](crate::Vm::metrics).  See the [module docs](self) for
-/// the sampling/overhead discipline.
-#[derive(Debug)]
-pub struct Metrics {
-    enabled: AtomicBool,
-    /// `sample_period - 1` for a power-of-two period; an event is stamped
-    /// when `tick & sample_mask == 0`.
-    sample_mask: u64,
-    base: Instant,
-    /// Padded: a VP's histograms and sampling ticks are written on every
-    /// sampled event, and must not share a line with a sibling's — or with
-    /// the read-only words above, which every hook loads first.
-    vps: Vec<CachePadded<VpMetrics>>,
-    gc_pause: CachePadded<Histogram>,
-}
-
-impl Metrics {
-    /// Creates metrics for `vp_count` VPs.  `sample_period` is rounded up
-    /// to a power of two; `enabled` gates all stamping at runtime.
-    pub(crate) fn new(vp_count: usize, enabled: bool, sample_period: u64) -> Metrics {
-        Metrics {
-            enabled: AtomicBool::new(enabled),
-            sample_mask: sample_period.max(1).next_power_of_two() - 1,
-            base: Instant::now(),
-            vps: (0..vp_count).map(|_| CachePadded::default()).collect(),
-            gc_pause: CachePadded::default(),
-        }
-    }
-
-    /// Whether latency stamping is currently on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns latency stamping on or off at runtime.  Already-stamped
-    /// events still record when consumed.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// The effective sampling period (power of two): one in this many
-    /// eligible events is stamped.
-    pub fn sample_period(&self) -> u64 {
-        self.sample_mask + 1
-    }
-
-    /// Nanoseconds since this VM's metrics epoch (never 0: 0 is the
-    /// "unstamped" sentinel in thread stamp slots).
-    #[inline]
-    pub(crate) fn now_ns(&self) -> u64 {
-        (self.base.elapsed().as_nanos() as u64).max(1)
-    }
-
-    /// Advances a sampling tick; returns `true` when this event is chosen.
-    #[inline]
-    fn sample(&self, tick: &AtomicU64) -> bool {
-        // Racy on purpose: a lost increment under contention only shifts
-        // the sampling phase, and `fetch_add` on a shared line is exactly
-        // the cost this layer must not impose.
-        let t = tick.load(Ordering::Relaxed).wrapping_add(1);
-        tick.store(t, Ordering::Relaxed);
-        t & self.sample_mask == 0
-    }
-
-    /// Hook: `thread` was pushed onto `vp`'s ready queue.  Stamps the
-    /// enqueue time on a sampled subset.
-    #[inline]
-    pub(crate) fn stamp_enqueue(&self, vp: usize, thread: &Thread) {
-        if !self.is_enabled() {
-            return;
-        }
-        if let Some(m) = self.vps.get(vp) {
-            if self.sample(&m.dispatch_tick) {
-                thread
-                    .enqueued_at_ns
-                    .store(self.now_ns(), Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Hook: `vp` is about to run `thread`.  Consumes a pending enqueue
-    /// stamp and records the dispatch latency.
-    #[inline]
-    pub(crate) fn note_dispatch(&self, vp: usize, thread: &Thread) {
-        if !self.is_enabled() {
-            return;
-        }
-        let stamped = thread.enqueued_at_ns.load(Ordering::Relaxed);
-        if stamped == 0 {
-            return;
-        }
-        thread.enqueued_at_ns.store(0, Ordering::Relaxed);
-        if let Some(m) = self.vps.get(vp) {
-            m.dispatch.record(self.now_ns().saturating_sub(stamped));
-        }
-    }
-
-    /// Hook: VP `thief` starts a migration attempt.  Returns a start stamp
-    /// when this attempt is sampled.
-    #[inline]
-    pub(crate) fn steal_begin(&self, thief: usize) -> Option<u64> {
-        if !self.is_enabled() {
-            return None;
-        }
-        let m = self.vps.get(thief)?;
-        self.sample(&m.steal_tick).then(|| self.now_ns())
-    }
-
-    /// Hook: the sampled migration attempt that began at `t0` succeeded.
-    #[inline]
-    pub(crate) fn note_steal(&self, thief: usize, t0: u64) {
-        if let Some(m) = self.vps.get(thief) {
-            m.steal.record(self.now_ns().saturating_sub(t0));
-        }
-    }
-
-    /// Hook: `thread` committed a park on `vp`.  Stamps the block time on
-    /// a sampled subset.
-    #[inline]
-    pub(crate) fn stamp_block(&self, vp: usize, thread: &Thread) {
-        if !self.is_enabled() {
-            return;
-        }
-        if let Some(m) = self.vps.get(vp) {
-            if self.sample(&m.wake_tick) {
-                thread.blocked_at_ns.store(self.now_ns(), Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Hook: `thread`'s parked TCB is being re-enqueued on `vp`.  Consumes
-    /// a pending block stamp and records the block→wake latency.
-    #[inline]
-    pub(crate) fn note_wake(&self, vp: usize, thread: &Thread) {
-        if !self.is_enabled() {
-            return;
-        }
-        let stamped = thread.blocked_at_ns.load(Ordering::Relaxed);
-        if stamped == 0 {
-            return;
-        }
-        thread.blocked_at_ns.store(0, Ordering::Relaxed);
-        if let Some(m) = self.vps.get(vp) {
-            m.wake.record(self.now_ns().saturating_sub(stamped));
-        }
-    }
-
-    /// Records one GC scavenge pause of `ns` nanoseconds.  Pauses are rare
-    /// relative to scheduler events, so they are recorded unsampled.
-    pub fn record_gc_pause(&self, ns: u64) {
-        if self.is_enabled() {
-            self.gc_pause.record(ns);
-        }
-    }
-
-    /// Snapshots every histogram, merged across VPs (per-VP views
-    /// included).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let per_vp: Vec<VpMetricsSnapshot> = self
-            .vps
-            .iter()
-            .map(|m| VpMetricsSnapshot {
-                dispatch: m.dispatch.snapshot(),
-                steal: m.steal.snapshot(),
-                wake: m.wake.snapshot(),
-            })
-            .collect();
-        MetricsSnapshot {
-            dispatch: HistogramSnapshot::merged(per_vp.iter().map(|v| &v.dispatch)),
-            steal: HistogramSnapshot::merged(per_vp.iter().map(|v| &v.steal)),
-            wake: HistogramSnapshot::merged(per_vp.iter().map(|v| &v.wake)),
-            gc_pause: self.gc_pause.snapshot(),
-            sample_period: self.sample_period(),
-            per_vp,
-        }
-    }
-}
-
 /// One VP's slice of a [`MetricsSnapshot`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VpMetricsSnapshot {
@@ -451,20 +239,22 @@ pub struct VpMetricsSnapshot {
     pub wake: HistogramSnapshot,
 }
 
-/// A point-in-time copy of a VM's [`Metrics`], merged across VPs.
+/// A point-in-time copy of a VM's latency histograms, merged across its
+/// lanes (see [`Metrics::snapshot`]).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    /// Ready-enqueue → run latency, all VPs.
+    /// Ready-enqueue → run latency, all lanes.
     pub dispatch: HistogramSnapshot,
     /// Successful-migration duration, all thieves.
     pub steal: HistogramSnapshot,
-    /// Park commit → wake re-enqueue latency, all VPs.
+    /// Park commit → wake re-enqueue latency, all lanes.
     pub wake: HistogramSnapshot,
-    /// GC scavenge pauses forwarded by the embedding.
+    /// GC scavenge pauses forwarded by the embedding, all lanes.
     pub gc_pause: HistogramSnapshot,
     /// Sampling period the latencies were collected under.
     pub sample_period: u64,
-    /// Per-VP views of the three scheduler histograms.
+    /// Per-VP views of the three scheduler histograms (the VPs' own lanes;
+    /// the totals above also hold the external lane's).
     pub per_vp: Vec<VpMetricsSnapshot>,
 }
 
@@ -489,6 +279,70 @@ impl std::fmt::Display for MetricsSnapshot {
             )?;
         }
         Ok(())
+    }
+}
+
+/// A read view of a machine's latency histograms, one set per stats lane
+/// (see [`crate::stats`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Metrics<'a>(pub(crate) &'a Vm);
+
+impl Metrics<'_> {
+    /// Whether latency stamping is on (the default).
+    pub fn is_enabled(&self) -> bool {
+        self.0.stats().on() & STAMP != 0
+    }
+
+    /// Turns latency stamping on or off at run time.
+    pub fn set_enabled(&self, on: bool) {
+        self.0.stats().set(STAMP, on);
+    }
+
+    /// The effective sampling period (a power of two): one in this many
+    /// eligible events is stamped.
+    pub fn sample_period(&self) -> u64 {
+        self.0.stats().sample_period()
+    }
+
+    /// Records one GC scavenge pause of `ns` nanoseconds on the caller's
+    /// lane.  Pauses are rare relative to scheduler events, so they are
+    /// recorded unsampled.
+    pub fn record_gc_pause(&self, ns: u64) {
+        if self.is_enabled() {
+            let lane = self.0.lane_stats(crate::tls::lane_in(self.0)).1;
+            lane.gc_pause.record(ns);
+        }
+    }
+
+    /// Snapshots every histogram.  The totals merge every lane; `per_vp`
+    /// has the VPs' own lanes, without the external one.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let lanes: Vec<(VpMetricsSnapshot, HistogramSnapshot)> = self
+            .0
+            .lanes_stats()
+            .map(|l| {
+                let vp = VpMetricsSnapshot {
+                    dispatch: l.dispatch.snapshot(),
+                    steal: l.steal.snapshot(),
+                    wake: l.wake.snapshot(),
+                };
+                (vp, l.gc_pause.snapshot())
+            })
+            .collect();
+        let merged = |of: fn(&VpMetricsSnapshot) -> &HistogramSnapshot| {
+            HistogramSnapshot::merged(lanes.iter().map(|(vp, _)| of(vp)))
+        };
+        MetricsSnapshot {
+            dispatch: merged(|vp| &vp.dispatch),
+            steal: merged(|vp| &vp.steal),
+            wake: merged(|vp| &vp.wake),
+            gc_pause: HistogramSnapshot::merged(lanes.iter().map(|(_, gc)| gc)),
+            sample_period: self.sample_period(),
+            per_vp: lanes[..self.0.vp_count()]
+                .iter()
+                .map(|(vp, _)| *vp)
+                .collect(),
+        }
     }
 }
 
@@ -590,7 +444,7 @@ mod tests {
     #[test]
     fn snapshot_vs_concurrent_record() {
         let h = std::sync::Arc::new(Histogram::default());
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let writers: Vec<_> = (0..4)
             .map(|i| {
                 let h = h.clone();
@@ -628,11 +482,9 @@ mod tests {
 
     #[test]
     fn sampling_period_rounds_to_power_of_two() {
-        let m = Metrics::new(1, true, 10);
-        assert_eq!(m.sample_period(), 16);
-        let m = Metrics::new(1, true, 1);
-        assert_eq!(m.sample_period(), 1);
-        let m = Metrics::new(1, true, 0);
-        assert_eq!(m.sample_period(), 1);
+        for (asked, period) in [(10, 16), (1, 1), (0, 1)] {
+            let stats = crate::stats::Stats::new(false, asked);
+            assert_eq!(stats.sample_period(), period);
+        }
     }
 }

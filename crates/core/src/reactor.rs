@@ -42,6 +42,7 @@
 //! concurrency* (PAPERS.md) argues the same economy: one kernel-facing
 //! loop, run by the VM's own processors, and one wake primitive.
 
+use crate::counters::CounterSnapshot;
 use crate::sys::{self, RawFd};
 use crate::tls;
 use crate::trace::EventKind;
@@ -364,14 +365,9 @@ pub struct IoDriver {
     /// Backend label ("epoll", or "custom" for an installed test
     /// reactor), for [`IoDriver::stats`].
     label: OnceLock<&'static str>,
-    /// Successful waiter wake-ups delivered by dispatch — the denominator
-    /// of the syscalls-per-wake benchmark rows.
-    wakes: AtomicU64,
-    /// Interest-set changes asked of the reactor (registrations plus
-    /// deregistrations), for [`IoDriver::registrations`].
-    registrations: AtomicU64,
-    /// For trace events and the machine link; set once by
-    /// [`Vm::create`](crate::vm::Vm).
+    /// For its counts, trace events and the machine link; set once by
+    /// [`Vm::create`](crate::vm::Vm).  The driver counts its wake-ups and
+    /// interest-set changes on the machine's stats lanes.
     vm: OnceLock<Weak<Vm>>,
 }
 
@@ -399,8 +395,6 @@ impl IoDriver {
             sources: RwLock::new(Sources::default()),
             mux: Mutex::new(None),
             label: OnceLock::new(),
-            wakes: AtomicU64::new(0),
-            registrations: AtomicU64::new(0),
             vm: OnceLock::new(),
         }
     }
@@ -411,7 +405,7 @@ impl IoDriver {
         IoStats {
             backend: self.label.get().copied().unwrap_or("unstarted"),
             syscalls: self.reactor.get().map_or(0, |r| r.syscalls()),
-            wakes: self.wakes.load(Ordering::Relaxed),
+            wakes: self.counted().io_wakes,
         }
     }
 
@@ -419,7 +413,20 @@ impl IoDriver {
     /// registration per source at its first wait, one deregistration as
     /// it closes — never one per wake.
     pub fn registrations(&self) -> u64 {
-        self.registrations.load(Ordering::Relaxed)
+        self.counted().io_registrations
+    }
+
+    /// The machine's counters (all zero once it is gone).
+    fn counted(&self) -> CounterSnapshot {
+        let vm = self.vm.get().and_then(Weak::upgrade);
+        vm.map(|vm| vm.counters().snapshot()).unwrap_or_default()
+    }
+
+    /// Counts one interest-set change on the caller's lane.
+    fn count_registration(&self) {
+        if let Some(vm) = self.vm.get().and_then(Weak::upgrade) {
+            vm.counts(tls::lane_in(&vm)).io_registrations.bump();
+        }
     }
 
     pub(crate) fn bind_vm(&self, vm: &Weak<Vm>) {
@@ -523,7 +530,7 @@ impl IoDriver {
             sources.by_fd[slot] = Some(readiness.clone());
             readiness
         };
-        self.registrations.fetch_add(1, Ordering::Relaxed);
+        self.count_registration();
         if let Err(e) = reactor.register(fd, readiness.token) {
             self.unlist(slot, &readiness);
             return Err(e);
@@ -537,7 +544,7 @@ impl IoDriver {
     fn deregister(&self, fd: RawFd, readiness: &Arc<Readiness>) {
         self.unlist(fd as usize, readiness);
         if let Some(reactor) = self.reactor.get() {
-            self.registrations.fetch_add(1, Ordering::Relaxed);
+            self.count_registration();
             reactor.forget(fd);
         }
     }
@@ -580,14 +587,7 @@ impl IoDriver {
                 // parked waiter gets a spurious wake rather than hanging
                 // until VM shutdown, and later registrations fail fast.
                 if let Some(vm) = self.vm.get().and_then(Weak::upgrade) {
-                    crate::trace_event!(
-                        vm.tracer(),
-                        None,
-                        EventKind::IoError,
-                        u64::MAX,
-                        errno as u32,
-                        0
-                    );
+                    vm.note_id(None, EventKind::IoError, u64::MAX, errno as u32, 0);
                 }
                 self.stop();
             }
@@ -623,23 +623,15 @@ impl IoDriver {
                 continue;
             };
             // A dead episode fails the claim and leaves the edge pending.
-            if w.wake() {
+            if let Some(id) = w.wake_id() {
                 slots.ready &= !bit;
                 woken += 1;
                 if let Some(vm) = vm {
-                    crate::trace_event!(
-                        vm.tracer(),
-                        None,
-                        EventKind::IoReady,
-                        w.thread_id(),
-                        fd,
-                        ev.mask
-                    );
+                    let lane = tls::lane_in(vm);
+                    vm.note_id(lane, EventKind::IoReady, id, fd, ev.mask.into());
                 }
             }
         }
-        drop(slots);
-        self.wakes.fetch_add(woken as u64, Ordering::Relaxed);
         woken
     }
 
@@ -677,14 +669,8 @@ impl IoDriver {
         }
         tls::with(|cur| {
             if let Some(c) = cur {
-                crate::trace_event!(
-                    c.vm.tracer(),
-                    Some(c.vp.index()),
-                    EventKind::IoWait,
-                    w.thread_id(),
-                    fd as u32,
-                    bit
-                );
+                let (lane, thread) = (Some(c.vp.index()), &c.shared.thread);
+                c.vm.note(lane, EventKind::IoWait, thread, fd as u32, bit.into());
             }
         });
         // A park that ends any way but a wake — timeout, cancellation, an
@@ -906,6 +892,9 @@ mod tests {
     #[test]
     fn driver_wakes_on_injected_readiness() {
         let (driver, reactor) = scripted();
+        // The driver counts on its machine's stats lanes.
+        let vm = crate::VmBuilder::new().vps(1).build();
+        driver.bind_vm(&Arc::downgrade(&vm));
         let source = IoSource::new(sys::eventfd().unwrap());
         register(&driver, &source);
         let fd = source.fd();
@@ -931,6 +920,7 @@ mod tests {
         assert_eq!(reactor.registered.lock().len(), 1, "one registration");
         assert_eq!(driver.stats().wakes, 1);
         driver.stop();
+        vm.shutdown();
     }
 
     #[test]

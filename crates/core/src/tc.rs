@@ -35,7 +35,6 @@
 //! [`Vm::fork_on`]: crate::vm::Vm::fork_on
 //! [`Vm::delayed`]: crate::vm::Vm::delayed
 
-use crate::counters::Counters;
 use crate::error::CoreError;
 use crate::state::{StateRequest, ThreadState};
 use crate::tcb::{Disposition, ThreadSuspender, Wakeup};
@@ -454,13 +453,8 @@ pub(crate) fn apply_requests() {
                 StateRequest::Suspend(_) => 3,
                 StateRequest::Resume => 4,
             };
-            crate::trace_event!(
-                vm.tracer(),
-                tls::lane(),
-                crate::trace::EventKind::StateRequest,
-                thread.id().0,
-                code
-            );
+            let request = crate::trace::EventKind::StateRequest;
+            vm.note(tls::lane_in(&vm), request, &thread, code, 0);
         }
         match req {
             StateRequest::Terminate(v) => panic::panic_any(TerminatePayload(v)),
@@ -494,12 +488,9 @@ pub fn checkpoint() {
         let preempt =
             cur.shared.slice_spent() && cur.shared.preempt_disabled.load(Ordering::Relaxed) == 0;
         if preempt {
-            crate::trace_event!(
-                cur.vm.tracer(),
-                Some(cur.vp.index()),
-                crate::trace::EventKind::Preempt,
-                cur.shared.thread.id().0
-            );
+            let (lane, thread) = (Some(cur.vp.index()), &cur.shared.thread);
+            cur.vm
+                .note(lane, crate::trace::EventKind::Preempt, thread, 0, 0);
         }
         preempt
     });
@@ -718,7 +709,7 @@ pub fn touch(thread: &Arc<Thread>) -> ThreadResult {
 /// must re-inspect rather than park on a discarded demand, which could
 /// otherwise leave the toucher blocked forever.
 fn demand_via_scheduler(thread: &Arc<Thread>) -> bool {
-    let vp = tls::lane().unwrap_or(0);
+    let vp = tls::with(|cur| cur.map_or(0, |c| c.vp.index()));
     match thread_run(thread, vp) {
         Ok(()) => true,
         Err(CoreError::Shutdown) => {
@@ -804,14 +795,7 @@ fn note_steal(thread: &Thread, cur: tls::Current<'_>, depth: u32) {
             None => return,
         }
     };
-    Counters::bump(&vm.counters().lane(lane).steals);
-    crate::trace_event!(
-        vm.tracer(),
-        Some(cur.vp.index()),
-        crate::trace::EventKind::Steal,
-        thread.id().0,
-        depth
-    );
+    vm.note(lane, crate::trace::EventKind::Steal, thread, depth, 0);
 }
 
 /// Wakes `thread` if it is blocked or suspended; otherwise records a

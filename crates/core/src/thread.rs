@@ -11,7 +11,6 @@
 //! are bona fide data objects (they also convert to
 //! [`sting_value::Value`] via [`Thread::to_value`]).
 
-use crate::counters::Counters;
 use crate::error::CoreError;
 use crate::group::{GroupLane, ThreadGroup};
 use crate::state::{StateRequest, StateWord, ThreadState, REQUESTS, WAITERS};
@@ -209,11 +208,11 @@ pub struct Thread {
     vm_ptr: AtomicPtr<Vm>,
     /// VP the thread last ran on (or was scheduled on); wake-ups go here.
     pub(crate) home_vp: AtomicUsize,
-    /// Metrics stamp: [`Metrics::now_ns`](crate::metrics::Metrics) at the
-    /// last *sampled* ready-enqueue, 0 when unstamped.  Written by the
+    /// Latency stamp: nanoseconds since the machine's stats epoch at the
+    /// last *sampled* ready-enqueue, 0 when unstamped (see [`crate::stats`]).  Written by the
     /// enqueuer, consumed (reset to 0) by the dispatching VP.
     pub(crate) enqueued_at_ns: AtomicU64,
-    /// Metrics stamp: time of the last *sampled* park commit, 0 when
+    /// Latency stamp: time of the last *sampled* park commit, 0 when
     /// unstamped.  Written under `core` by the parking VP, consumed by the
     /// waker.
     pub(crate) blocked_at_ns: AtomicU64,
@@ -566,14 +565,9 @@ impl Thread {
                     // a wake-up on (or counts) the dying waiter.
                     if let Some(gen) = self.cancel_wait_episode() {
                         if let Some(vm) = self.vm() {
-                            crate::trace_event!(
-                                vm.tracer(),
-                                tls::lane(),
-                                crate::trace::EventKind::WaiterCancelled,
-                                self.id.0,
-                                0, // origin: state request
-                                gen as u32
-                            );
+                            // Origin 0: a state request.
+                            let cancelled = crate::trace::EventKind::WaiterCancelled;
+                            vm.note(tls::lane_in(&vm), cancelled, self, 0, gen as u32);
                         }
                     }
                 }
@@ -673,20 +667,12 @@ impl Thread {
         }
     }
 
-    /// Wake-side bookkeeping for a taken TCB: counter, metrics stamp and
-    /// the Unblock trace event.  Returns the destination VP.
+    /// Notes the wake-up of a taken TCB on `lane` (see
+    /// [`crate::trace::EventKind::Unblock`]).  Returns the destination VP.
     fn note_unblock(&self, vm: &Vm, lane: Option<usize>, claimed_gen: u32) -> usize {
-        Counters::bump(&vm.counters().lane(lane).wakeups);
         let vp = self.home_vp.load(Ordering::Relaxed) % vm.vp_count();
-        vm.metrics().note_wake(vp, self);
-        crate::trace_event!(
-            vm.tracer(),
-            lane,
-            crate::trace::EventKind::Unblock,
-            self.id.0,
-            vp as u32,
-            claimed_gen
-        );
+        let unblock = crate::trace::EventKind::Unblock;
+        vm.note(lane, unblock, self, vp as u32, claimed_gen);
         vp
     }
 
@@ -750,14 +736,9 @@ impl Thread {
         // waiter-leak invariant.
         if let Some(gen) = self.cancel_wait_episode() {
             if let Some(vm) = vm {
-                crate::trace_event!(
-                    vm.tracer(),
-                    lane,
-                    crate::trace::EventKind::WaiterCancelled,
-                    self.id.0,
-                    2, // origin: leaked at determine
-                    gen as u32
-                );
+                // Origin 2: leaked at determine.
+                let cancelled = crate::trace::EventKind::WaiterCancelled;
+                vm.note(lane, cancelled, self, 2, gen as u32);
             }
         }
         let failed = result.is_err();
@@ -767,18 +748,8 @@ impl Thread {
         unsafe { *self.cells.result.get() = Some(result) };
         let waiting = self.state.finish_determine();
         if let Some(vm) = vm {
-            let counters = vm.counters().lane(lane);
-            Counters::bump(&counters.determinations);
-            if failed {
-                Counters::bump(&counters.exceptions);
-            }
-            crate::trace_event!(
-                vm.tracer(),
-                lane,
-                crate::trace::EventKind::Determine,
-                self.id.0,
-                u32::from(failed)
-            );
+            let determine = crate::trace::EventKind::Determine;
+            vm.note(lane, determine, self, u32::from(failed), 0);
         }
         if waiting & WAITERS == 0 {
             return;

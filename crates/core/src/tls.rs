@@ -97,10 +97,13 @@ pub(crate) fn with<R>(f: impl FnOnce(Option<Current<'_>>) -> R) -> R {
     })
 }
 
-/// The index of the VP the calling STING thread runs on — the lane its
-/// events are counted and traced on.
-pub(crate) fn lane() -> Option<usize> {
-    with(|cur| cur.map(|c| c.vp.index()))
+/// The index of the VP of `vm` the calling STING thread runs on — the lane
+/// of `vm` its events are noted on; `None` off `vm`'s VPs.
+pub(crate) fn lane_in(vm: &crate::vm::Vm) -> Option<usize> {
+    with(|cur| {
+        cur.filter(|c| std::ptr::eq(Arc::as_ptr(c.vm), vm))
+            .map(|c| c.vp.index())
+    })
 }
 
 /// Whether the calling OS thread is currently running a STING thread on

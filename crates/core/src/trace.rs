@@ -1,19 +1,18 @@
-//! The scheduler flight recorder: per-VP event tracing.
+//! The scheduler flight recorder: one event ring per stats lane.
 //!
-//! Every virtual processor owns a fixed-capacity ring of timestamped
-//! [`TraceEvent`]s; the hot scheduler paths record into it through the
-//! [`trace_event!`](crate::trace_event) macro, which compiles down to one relaxed atomic load
-//! when tracing is disabled.  A final ring collects events recorded off any
-//! VP (e.g. forks from the host thread).
+//! Every lane of a machine (see [`crate::stats`]) owns a fixed-capacity
+//! [`Ring`] of timestamped [`TraceEvent`]s; [`Vm::note`](crate::Vm::note)
+//! records into the lane's ring when tracing is on, and
+//! [`Tracer::snapshot`](crate::Tracer::snapshot) reads every ring back.
 //!
 //! Recording is lock-free: a writer claims a slot with a `fetch_add` ticket
 //! on the ring head, fills the slot's fields, and publishes the ticket into
-//! the slot's sequence word with `Release` ordering.  Readers
-//! ([`Tracer::snapshot`]) accept a slot only when its sequence matches the
-//! ticket the head implies, so a half-written or since-overwritten slot is
-//! skipped rather than surfaced torn.  When the ring wraps, the oldest
-//! events are overwritten — the recorder keeps the most recent window,
-//! which is what post-mortem debugging wants.
+//! the slot's sequence word with `Release` ordering.  Readers accept a slot
+//! only when its sequence matches the ticket the head implies, so a
+//! half-written or since-overwritten slot is skipped rather than surfaced
+//! torn.  When the ring wraps, the oldest events are overwritten — the
+//! recorder keeps the most recent window, which is what post-mortem
+//! debugging wants.
 //!
 //! Two exporters render a snapshot: [`chrome_json`] emits the
 //! `chrome://tracing` / Perfetto JSON array format (VPs appear as rows,
@@ -24,13 +23,18 @@
 // the ring's publish protocol is explored against the production source
 // (see crates/core/tests/model.rs).
 #[cfg(not(sting_check))]
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(sting_check)]
-use sting_check::atomic::{AtomicBool, AtomicU64, Ordering};
+use sting_check::atomic::{AtomicU64, Ordering};
+
+use crate::stats::RECORD;
+use crate::vm::Vm;
 
 /// What happened.  The discriminants are stable u8s because events are
-/// packed into atomic words in the ring slots.
+/// packed into atomic words in the ring slots.  Each kind is recorded by
+/// the substrate; a block or a suspension shows as the [`EventKind::Switch`]
+/// that parks the thread (disposition 2 or 3) and its wake-up as an
+/// [`EventKind::Unblock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -49,14 +53,10 @@ pub enum EventKind {
     /// A delayed thread's thunk was absorbed by a toucher (thread
     /// stealing, §4.1.1 of the paper); payload `a` is the steal depth.
     Steal = 4,
-    /// The running thread blocked; payload `a` identifies the blocker kind.
-    Block = 5,
-    /// A blocked thread became runnable again.
+    /// A blocked or suspended thread became runnable again; payload `a` is
+    /// the VP it goes to, `b` the wait-episode generation its wake-up
+    /// claimed (low 32 bits; 0 for a plain wake-up).
     Unblock = 6,
-    /// The running thread was suspended.
-    Suspend = 7,
-    /// A suspended thread was resumed.
-    Resume = 8,
     /// A checkpoint preempted the running thread: its slice deadline had
     /// passed.
     Preempt = 9,
@@ -115,10 +115,7 @@ impl EventKind {
             2 => Dispatch,
             3 => Switch,
             4 => Steal,
-            5 => Block,
             6 => Unblock,
-            7 => Suspend,
-            8 => Resume,
             9 => Preempt,
             10 => Migrate,
             11 => Determine,
@@ -144,10 +141,7 @@ impl EventKind {
             Dispatch => "dispatch",
             Switch => "switch",
             Steal => "steal",
-            Block => "block",
             Unblock => "unblock",
-            Suspend => "suspend",
-            Resume => "resume",
             Preempt => "preempt",
             Migrate => "migrate",
             Determine => "determine",
@@ -167,10 +161,10 @@ impl EventKind {
 /// One recorded scheduler event, as read back out of a ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Nanoseconds since the tracer was created.
+    /// Nanoseconds since the machine's stats epoch.
     pub ts_ns: u64,
-    /// Ring (VP index, or [`Tracer::external_lane`] for off-VP events) the
-    /// event was recorded on.
+    /// Lane the event was recorded on: a VP index, or the last lane for
+    /// events off any VP (the external lane).
     pub vp: u32,
     /// What happened.
     pub kind: EventKind,
@@ -181,8 +175,8 @@ pub struct TraceEvent {
     /// Second event-specific payload word.
     pub b: u32,
     /// Lamport logical clock at the moment of recording.  Within one
-    /// tracer the clock is a strictly increasing counter; across tracers
-    /// it is advanced by [`Tracer::witness`] whenever a cross-shard
+    /// machine the clock is a strictly increasing counter; across machines
+    /// it is advanced by [`Tracer::witness`](crate::Tracer::witness) whenever a cross-shard
     /// message arrives, so causally related events on different shards
     /// always compare in cause-before-effect order.  Merged snapshots
     /// sort by `(lc, ts_ns)`, which makes the ordering stable under
@@ -221,23 +215,35 @@ impl Slot {
     }
 }
 
-/// A fixed-capacity multi-writer ring of events.
-struct Ring {
+/// A fixed-capacity multi-writer ring of events: one lane's flight
+/// recorder.
+pub struct Ring {
     /// Total events ever recorded here; slot index is `ticket % capacity`.
     head: AtomicU64,
     slots: Box<[Slot]>,
 }
 
 impl Ring {
-    fn new(capacity: usize) -> Ring {
+    /// A ring of `capacity` slots.
+    pub fn new(capacity: usize) -> Ring {
         Ring {
             head: AtomicU64::new(0),
             slots: (0..capacity).map(|_| Slot::empty()).collect(),
         }
     }
 
+    /// Records one event, overwriting the oldest once the ring is full.
     #[allow(clippy::too_many_arguments)]
-    fn record(&self, ts_ns: u64, vp: u32, kind: EventKind, thread: u64, a: u32, b: u32, lc: u64) {
+    pub fn record(
+        &self,
+        ts_ns: u64,
+        vp: u32,
+        kind: EventKind,
+        thread: u64,
+        a: u32,
+        b: u32,
+        lc: u64,
+    ) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
         // Invalidate the slot first so a concurrent reader can't match the
@@ -261,9 +267,9 @@ impl Ring {
         slot.seq.store(ticket + 1, Ordering::Release);
     }
 
-    /// Copies out every event still resident, oldest first.  Slots being
-    /// concurrently rewritten are skipped.
-    fn drain_into(&self, out: &mut Vec<TraceEvent>, lane: u32) {
+    /// Copies out every event still resident, oldest first, as recorded
+    /// on `lane`.  Slots being concurrently rewritten are skipped.
+    pub fn drain_into(&self, out: &mut Vec<TraceEvent>, lane: u32) {
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
         let start = head.saturating_sub(cap);
@@ -300,11 +306,13 @@ impl Ring {
         }
     }
 
-    fn recorded(&self) -> u64 {
+    /// Events recorded since creation, overwritten ones included.
+    pub fn recorded(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
     }
 
-    fn truncated(&self) -> bool {
+    /// Whether the ring has wrapped: its oldest events are gone.
+    pub fn truncated(&self) -> bool {
         self.head.load(Ordering::Relaxed) > self.slots.len() as u64
     }
 }
@@ -312,132 +320,6 @@ impl Ring {
 /// Default per-VP ring capacity (events), chosen so a trace of a busy VP
 /// covers a few scheduling quanta without growing unbounded.
 pub const DEFAULT_CAPACITY: usize = 16 * 1024;
-
-/// The per-VM flight recorder: one ring per VP plus an external lane.
-pub struct Tracer {
-    enabled: AtomicBool,
-    epoch: Instant,
-    rings: Box<[Ring]>,
-    /// Lamport logical clock: bumped on every record, advanced past a
-    /// remote peer's clock by [`Tracer::witness`] when a cross-shard
-    /// message is received.
-    clock: AtomicU64,
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.is_enabled())
-            .field("lanes", &self.rings.len())
-            .field("recorded", &self.recorded())
-            .finish()
-    }
-}
-
-impl Tracer {
-    /// Creates a tracer with `vps + 1` lanes of `capacity` events each
-    /// (the extra lane collects events recorded off any VP).
-    pub fn new(vps: usize, capacity: usize, enabled: bool) -> Tracer {
-        let capacity = capacity.max(2);
-        Tracer {
-            enabled: AtomicBool::new(enabled),
-            epoch: Instant::now(),
-            rings: (0..=vps).map(|_| Ring::new(capacity)).collect(),
-            clock: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether recording is on.  This is the only cost tracing adds to the
-    /// scheduler hot paths while disabled.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off.  Events already recorded are kept.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Lane index used for events recorded outside any VP.
-    pub fn external_lane(&self) -> u32 {
-        (self.rings.len() - 1) as u32
-    }
-
-    /// Records an event on `vp`'s lane (or the external lane when `None`).
-    ///
-    /// Callers normally go through [`trace_event!`](crate::trace_event), which checks
-    /// [`Tracer::is_enabled`] first; `record` itself rechecks so direct
-    /// calls stay correct.
-    pub fn record(&self, vp: Option<usize>, kind: EventKind, thread: u64, a: u32, b: u32) {
-        if !self.is_enabled() {
-            return;
-        }
-        let lane = match vp {
-            Some(i) if i < self.rings.len() - 1 => i,
-            _ => self.rings.len() - 1,
-        };
-        let ts = self.epoch.elapsed().as_nanos() as u64;
-        let lc = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        self.rings[lane].record(ts, lane as u32, kind, thread, a, b, lc);
-    }
-
-    /// Current Lamport clock value.  A cross-shard sender reads this after
-    /// recording its send-side event and ships the value with the message.
-    pub fn clock(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed)
-    }
-
-    /// Advances the clock past a remote peer's value (`max(local, seen)`),
-    /// so every event the receiver records after draining the message is
-    /// logically later than everything the sender recorded before posting
-    /// it.  The merge sort in [`crate::fleet::Fleet::merged_snapshot`]
-    /// depends on exactly this invariant.
-    pub fn witness(&self, seen: u64) {
-        let mut cur = self.clock.load(Ordering::Relaxed);
-        while cur < seen {
-            match self
-                .clock
-                .compare_exchange_weak(cur, seen, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Total events recorded since creation (including any the rings have
-    /// since overwritten).
-    pub fn recorded(&self) -> u64 {
-        self.rings.iter().map(Ring::recorded).sum()
-    }
-
-    /// Whether any lane has wrapped, i.e. a [`Tracer::snapshot`] is missing
-    /// the oldest events.  Trace consumers that reason about event *absence*
-    /// (notably [`audit`](crate::audit)) should soften their conclusions
-    /// when this is true.
-    pub fn truncated(&self) -> bool {
-        self.rings.iter().any(Ring::truncated)
-    }
-
-    /// Copies out all resident events, merged across lanes and sorted by
-    /// logical clock (timestamp as the tiebreaker).  Safe to call while
-    /// the VM is running (a best-effort snapshot) or after it drains
-    /// (exact).
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        for (lane, ring) in self.rings.iter().enumerate() {
-            ring.drain_into(&mut out, lane as u32);
-        }
-        sort_events(&mut out);
-        out
-    }
-
-    /// Number of lanes (VP rings plus the external lane).
-    pub fn lanes(&self) -> usize {
-        self.rings.len()
-    }
-}
 
 /// Sorts events into merge-stable replay order: Lamport clock first (the
 /// cross-shard causal order), timestamp as the within-clock tiebreaker.
@@ -584,122 +466,226 @@ fn escape_json(s: &str) -> String {
         .collect()
 }
 
-/// Records a scheduler event through a [`Tracer`], costing one relaxed
-/// atomic load when tracing is disabled.
-///
-/// The first operand is any expression yielding `&Tracer`; the second is
-/// the recording VP (`Option<usize>`); then the [`EventKind`], the thread
-/// id (`u64`), and optionally the two payload words.
-#[macro_export]
-macro_rules! trace_event {
-    ($tracer:expr, $vp:expr, $kind:expr, $thread:expr) => {
-        $crate::trace_event!($tracer, $vp, $kind, $thread, 0, 0)
-    };
-    ($tracer:expr, $vp:expr, $kind:expr, $thread:expr, $a:expr) => {
-        $crate::trace_event!($tracer, $vp, $kind, $thread, $a, 0)
-    };
-    ($tracer:expr, $vp:expr, $kind:expr, $thread:expr, $a:expr, $b:expr) => {{
-        let tracer: &$crate::trace::Tracer = $tracer;
-        if tracer.is_enabled() {
-            tracer.record($vp, $kind, $thread, $a as u32, $b as u32);
+/// A read view of a machine's flight recorder: one event ring per lane
+/// (see [`crate::trace`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Tracer<'a>(pub(crate) &'a Vm);
+
+impl Tracer<'_> {
+    /// Whether recording is on.
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.0.stats().on() & RECORD != 0
+    }
+
+    /// Turns recording on or off.  Events already recorded are kept.
+    pub fn set_enabled(&self, on: bool) {
+        self.0.stats().set(RECORD, on);
+    }
+
+    /// Current Lamport clock value.  A cross-shard sender reads this after
+    /// recording its send-side event and ships the value with the message.
+    pub fn clock(&self) -> u64 {
+        self.0.stats().clock()
+    }
+
+    /// Advances the clock past a remote peer's value (`max(local, seen)`),
+    /// so every event the receiver records after draining the message is
+    /// logically later than everything the sender recorded before posting
+    /// it.  The merge sort in [`crate::fleet::Fleet::merged_snapshot`]
+    /// depends on exactly this invariant.
+    pub fn witness(&self, seen: u64) {
+        self.0.stats().witness(seen);
+    }
+
+    /// Total events recorded since creation (including any the rings have
+    /// since overwritten).
+    pub fn recorded(&self) -> u64 {
+        self.0.lanes_stats().map(|l| l.ring.recorded()).sum()
+    }
+
+    /// Whether any lane has wrapped, i.e. a [`Tracer::snapshot`] is missing
+    /// the oldest events.  Trace consumers that reason about event *absence*
+    /// (notably [`audit`](crate::audit)) should soften their conclusions
+    /// when this is true.
+    pub fn truncated(&self) -> bool {
+        self.0.lanes_stats().any(|l| l.ring.truncated())
+    }
+
+    /// Copies out all resident events, merged across lanes and sorted by
+    /// logical clock (timestamp as the tiebreaker).  Safe to call while
+    /// the VM is running (a best-effort snapshot) or after it drains
+    /// (exact).
+    pub fn snapshot(&self) -> Vec<TraceEvent> {
+        let mut out = Vec::new();
+        for (lane, stats) in self.0.lanes_stats().enumerate() {
+            stats.ring.drain_into(&mut out, lane as u32);
         }
-    }};
+        sort_events(&mut out);
+        out
+    }
+
+    /// Number of lanes: one per VP, then the external lane.
+    pub fn lanes(&self) -> usize {
+        self.0.vp_count() + 1
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn records_and_snapshots_in_order() {
-        let t = Tracer::new(2, 64, true);
-        t.record(Some(0), EventKind::Fork, 1, 0, 0);
-        t.record(Some(1), EventKind::Dispatch, 1, 0, 0);
-        t.record(None, EventKind::Determine, 1, 0, 0);
-        let events = t.snapshot();
-        assert_eq!(events.len(), 3);
-        assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-        assert_eq!(events.iter().filter(|e| e.vp == 2).count(), 1); // external lane
+    fn drained(ring: &Ring) -> Vec<TraceEvent> {
+        let mut out = Vec::new();
+        ring.drain_into(&mut out, 0);
+        out
+    }
+
+    fn event(kind: EventKind, thread: u64, a: u32, b: u32) -> TraceEvent {
+        TraceEvent {
+            ts_ns: 1_000,
+            vp: 0,
+            kind,
+            thread,
+            a,
+            b,
+            lc: 1,
+        }
     }
 
     #[test]
+    fn records_and_snapshots_in_order() {
+        let ring = Ring::new(64);
+        ring.record(10, 0, EventKind::Fork, 1, 0, 0, 1);
+        ring.record(20, 0, EventKind::Dispatch, 1, 0, 0, 2);
+        ring.record(30, 0, EventKind::Determine, 1, 0, 0, 3);
+        let events = drained(&ring);
+        assert_eq!(events.len(), 3);
+        assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+        assert!(!ring.truncated());
+    }
+
+    fn vm(vps: usize, trace: bool) -> std::sync::Arc<Vm> {
+        crate::VmBuilder::new()
+            .vps(vps)
+            .processors(1)
+            .trace(trace)
+            .build()
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "builds a VM")]
     fn disabled_tracer_records_nothing() {
-        let t = Tracer::new(1, 64, false);
-        t.record(Some(0), EventKind::Fork, 1, 0, 0);
-        trace_event!(&t, Some(0), EventKind::Steal, 7, 3);
-        assert_eq!(t.recorded(), 0);
-        assert!(t.snapshot().is_empty());
+        let vm = vm(1, false);
+        let before = vm.counters().snapshot();
+        vm.note_id(Some(0), EventKind::Steal, 7, 3, 0);
+        assert_eq!(vm.tracer().recorded(), 0);
+        assert!(vm.tracer().snapshot().is_empty());
+        // The note still counted.
+        assert_eq!(vm.counters().snapshot().since(&before).steals, 1);
+        vm.shutdown();
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "builds a VM")]
+    fn out_of_range_vp_goes_to_external_lane() {
+        let vm = vm(2, true);
+        vm.note_id(Some(99), EventKind::IoError, u64::MAX, 0, 0);
+        let events = vm.tracer().snapshot();
+        let e = events.iter().find(|e| e.kind == EventKind::IoError);
+        assert_eq!(e.unwrap().vp as usize, vm.tracer().lanes() - 1);
+        vm.shutdown();
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "builds a VM")]
+    fn lamport_clock_is_strictly_increasing_and_witnessable() {
+        let (a, b) = (vm(1, true), vm(1, true));
+        let kind = EventKind::StateRequest;
+        a.note_id(None, kind, 1, 0, 0);
+        a.note_id(None, kind, 1, 0, 0);
+        // Simulate a cross-shard message: b witnesses a's clock, so b's
+        // next event sorts after everything a recorded before the send.
+        b.tracer().witness(a.tracer().clock());
+        b.note_id(None, kind, 1, 0, 0);
+        let (ea, eb) = (a.tracer().snapshot(), b.tracer().snapshot());
+        assert_eq!(ea.iter().map(|e| e.lc).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(eb[0].lc, 3);
+        // A stale witness never moves the clock backwards.
+        a.tracer().witness(0);
+        assert_eq!(a.tracer().clock(), 2);
+        // Merged order is cause-before-effect regardless of wall clocks.
+        let mut merged = [ea, eb].concat();
+        sort_events(&mut merged);
+        assert_eq!(merged.last().unwrap().lc, 3);
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]
     fn ring_wraparound_keeps_newest() {
-        let t = Tracer::new(1, 16, true);
+        let ring = Ring::new(16);
         for i in 0..100u64 {
-            t.record(Some(0), EventKind::Enqueue, i, 0, 0);
+            ring.record(i, 0, EventKind::Enqueue, i, 0, 0, i + 1);
         }
-        let events = t.snapshot();
+        let events = drained(&ring);
         assert_eq!(events.len(), 16);
         let ids: Vec<u64> = events.iter().map(|e| e.thread).collect();
         assert_eq!(ids, (84..100).collect::<Vec<u64>>());
-        assert_eq!(t.recorded(), 100);
+        assert_eq!(ring.recorded(), 100);
+        assert!(ring.truncated());
     }
 
     #[test]
     fn payload_words_round_trip() {
-        let t = Tracer::new(4, 64, true);
-        t.record(Some(3), EventKind::Migrate, 42, 3, 1);
-        let events = t.snapshot();
+        let ring = Ring::new(64);
+        ring.record(5, 3, EventKind::Migrate, 42, 3, 1, 7);
+        let mut events = Vec::new();
+        ring.drain_into(&mut events, 3);
         assert_eq!(
             events,
             vec![TraceEvent {
-                ts_ns: events[0].ts_ns,
+                ts_ns: 5,
                 vp: 3,
                 kind: EventKind::Migrate,
                 thread: 42,
                 a: 3,
                 b: 1,
-                lc: 1,
+                lc: 7,
             }]
         );
     }
 
     #[test]
-    fn lamport_clock_is_strictly_increasing_and_witnessable() {
-        let a = Tracer::new(1, 64, true);
-        let b = Tracer::new(1, 64, true);
-        a.record(Some(0), EventKind::Fork, 1, 0, 0);
-        a.record(Some(0), EventKind::Enqueue, 1, 0, 0);
-        // Simulate a cross-shard message: b witnesses a's clock, so b's
-        // next event sorts after everything a recorded before the send.
-        b.witness(a.clock());
-        b.record(Some(0), EventKind::Enqueue, 1, 0, 0);
-        let ea = a.snapshot();
-        let eb = b.snapshot();
-        assert_eq!(ea.iter().map(|e| e.lc).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(eb[0].lc, 3);
-        // A stale witness never moves the clock backwards.
-        a.witness(0);
-        assert_eq!(a.clock(), 2);
-        // Merged order is cause-before-effect regardless of wall clocks.
-        let mut merged = [ea, eb].concat();
-        sort_events(&mut merged);
-        assert_eq!(merged.last().unwrap().lc, 3);
-    }
-
-    #[test]
-    fn out_of_range_vp_goes_to_external_lane() {
-        let t = Tracer::new(2, 64, true);
-        t.record(Some(99), EventKind::Fork, 1, 0, 0);
-        assert_eq!(t.snapshot()[0].vp, t.external_lane());
+    fn sort_is_by_clock_then_time() {
+        let mut events = vec![
+            TraceEvent {
+                lc: 3,
+                ..event(EventKind::Fork, 1, 0, 0)
+            },
+            TraceEvent {
+                lc: 2,
+                ts_ns: 9_000,
+                ..event(EventKind::Fork, 2, 0, 0)
+            },
+            TraceEvent {
+                lc: 2,
+                ..event(EventKind::Fork, 3, 0, 0)
+            },
+        ];
+        sort_events(&mut events);
+        let ids: Vec<u64> = events.iter().map(|e| e.thread).collect();
+        assert_eq!(ids, [3, 2, 1]);
     }
 
     #[test]
     fn chrome_export_shape() {
-        let t = Tracer::new(1, 64, true);
-        t.record(Some(0), EventKind::Dispatch, 5, 0, 0);
-        t.record(Some(0), EventKind::Steal, 6, 2, 0);
-        t.record(Some(0), EventKind::Switch, 5, 4, 0);
-        let json = chrome_json("test", &t.snapshot());
+        let events = [
+            event(EventKind::Dispatch, 5, 0, 0),
+            event(EventKind::Steal, 6, 2, 0),
+            event(EventKind::Switch, 5, 4, 0),
+        ];
+        let json = chrome_json("test", &events);
         assert!(json.starts_with('['));
         assert!(json.ends_with(']'));
         assert!(json.contains(r#""ph":"B""#));
@@ -710,9 +696,7 @@ mod tests {
 
     #[test]
     fn text_dump_mentions_each_event() {
-        let t = Tracer::new(1, 64, true);
-        t.record(Some(0), EventKind::Migrate, 9, 0, 1);
-        let dump = text_dump(&t.snapshot());
+        let dump = text_dump(&[event(EventKind::Migrate, 9, 0, 1)]);
         assert!(dump.contains("migrate"));
         assert!(dump.contains("t9"));
         assert!(dump.contains("vp0 -> vp1"));
@@ -720,22 +704,22 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_safe() {
-        let t = std::sync::Arc::new(Tracer::new(1, 128, true));
+        let ring = std::sync::Arc::new(Ring::new(128));
         let mut handles = Vec::new();
         for w in 0..4u64 {
-            let t = t.clone();
+            let ring = ring.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..1000 {
-                    t.record(Some(0), EventKind::Enqueue, w * 10_000 + i, 0, 0);
+                    ring.record(i, 0, EventKind::Enqueue, w * 10_000 + i, 0, 0, i + 1);
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(t.recorded(), 4000);
+        assert_eq!(ring.recorded(), 4000);
         // Every surfaced event must be coherent (valid kind, sane id).
-        for e in t.snapshot() {
+        for e in drained(&ring) {
             assert_eq!(e.kind, EventKind::Enqueue);
             assert!(e.thread % 10_000 < 1000);
         }

@@ -1,27 +1,26 @@
 //! Virtual machines: a set of virtual processors closed over shared state.
 //!
-//! A [`Vm`] owns its VPs, its timers, event counters and a root thread
-//! group.  Multiple VMs can execute on one
+//! A [`Vm`] owns its VPs, its timers, one stats lane per VP (see
+//! [`crate::stats`]) and a root thread group.  Multiple VMs can execute on one
 //! [`crate::machine::PhysicalMachine`] — the machine holds
 //! the VMs weakly and multiplexes their VPs over its worker OS threads.
 
 use crate::builder::{SpawnOpts, VmConfig};
-use crate::counters::Counters;
 use crate::error::CoreError;
 use crate::group::{GroupLane, ThreadGroup};
 use crate::io::IoPool;
 use crate::machine::{Attachment, Queued};
-use crate::metrics::Metrics;
 use crate::pad::CachePadded;
 use crate::pm::{EnqueueState, RunItem};
 use crate::probe::{self, Probe};
 use crate::reactor::IoDriver;
 use crate::state::ThreadState;
+use crate::stats::{LaneStats, Stats};
 use crate::tc::{self, Cx};
 use crate::thread::{Birth, Thread, ThreadId, ThreadResult, Thunk, TryThunk};
 use crate::timers::Timers;
 use crate::tls;
-use crate::trace::{self, Tracer};
+use crate::trace;
 use crate::vp::Vp;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -36,14 +35,17 @@ use sting_value::Value;
 pub(crate) type VmAnchor = Arc<CachePadded<Weak<Vm>>>;
 
 /// The state one lane — a VP, or the external lane for everything off any
-/// VP — writes when it forks a thread.  Padded, so no two lanes share a
-/// line (see DESIGN.md, "Scheduler fast path", ownership table).
+/// VP — writes when it forks a thread or notes an event.  Padded, so no
+/// two lanes share a line (see DESIGN.md, "Scheduler fast path", ownership
+/// table).
 struct Lane {
     anchor: VmAnchor,
     /// Thread-id cursor, `next_id << TID_SHIFT | ids_left`, refilled a
     /// block at a time from [`Vm::next_tid`].
     tids: AtomicU64,
     state: Mutex<LaneState>,
+    /// Counters, latency histograms and event ring: the lane's statistics.
+    stats: LaneStats,
 }
 
 #[derive(Default)]
@@ -96,17 +98,15 @@ const TID_SHIFT: u32 = 10;
 ///
 /// Build one with [`Vm::builder`](crate::builder::VmBuilder).
 ///
-/// The fields every VP reads on its hot paths (`vps`, `stop`, the tracer
-/// and metrics enable flags, the fabric and machine handles) are written
-/// only at construction or shutdown; everything written while the machine
-/// runs is either per lane (`counters`, `lanes`) or padded onto lines of
-/// its own, so reading the former never misses because of the latter.
+/// The fields every VP reads on its hot paths (`vps`, `stop`, the stats
+/// enable word, the fabric and machine handles) are written only at
+/// construction, shutdown or a stats toggle; everything written while the
+/// machine runs is either per lane (`lanes`) or padded onto lines of its
+/// own, so reading the former never misses because of the latter.
 pub struct Vm {
     name: String,
     vps: Vec<Arc<Vp>>,
-    counters: Counters,
-    metrics: Metrics,
-    tracer: Tracer,
+    stats: Stats,
     root_group: Arc<ThreadGroup>,
     io_pool: IoPool,
     io_driver: Arc<IoDriver>,
@@ -165,9 +165,7 @@ impl Vm {
             Vm {
                 name: config.name,
                 vps,
-                counters: Counters::new(vp_count),
-                metrics: Metrics::new(vp_count, config.metrics, config.metrics_sample),
-                tracer: Tracer::new(vp_count, config.trace_capacity, config.trace),
+                stats: Stats::new(config.trace, config.metrics_sample),
                 root_group: ThreadGroup::root(Some("root".to_string())),
                 io_pool: IoPool::new(config.io_workers),
                 io_driver,
@@ -184,6 +182,7 @@ impl Vm {
                             anchor: Arc::new(CachePadded(weak.clone())),
                             tids: AtomicU64::new(0),
                             state: Mutex::new(LaneState::default()),
+                            stats: LaneStats::new(config.trace_capacity),
                         })
                     })
                     .collect(),
@@ -221,20 +220,6 @@ impl Vm {
         })
     }
 
-    /// Substrate event counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Latency metrics: per-VP dispatch/steal/wake histograms plus GC
-    /// pauses (see [`crate::metrics`]).  Snapshot with
-    /// [`Metrics::snapshot`]; toggle stamping with
-    /// [`Metrics::set_enabled`] or the
-    /// [`VmBuilder`](crate::builder::VmBuilder) metrics knobs.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// The timers (suspensions with a quantum, sleeps, timed waits).
     pub fn timers(&self) -> &Timers {
         &self.timers
@@ -253,25 +238,17 @@ impl Vm {
         &self.io_driver
     }
 
-    /// The scheduler flight recorder.  Use
-    /// [`Tracer::set_enabled`] to start/stop recording at runtime, or the
-    /// [`VmBuilder`](crate::builder::VmBuilder) trace knobs to record from
-    /// the first instruction.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Exports the recorded scheduler events as `chrome://tracing` JSON
     /// (load the string via a `.json` file in `chrome://tracing` or
     /// Perfetto).  Safe to call while the VM is running; the snapshot is
     /// then best-effort.
     pub fn trace_export(&self) -> String {
-        trace::chrome_json(&self.name, &self.tracer.snapshot())
+        trace::chrome_json(&self.name, &self.tracer().snapshot())
     }
 
     /// Renders the recorded scheduler events as a human-readable log.
     pub fn trace_dump(&self) -> String {
-        trace::text_dump(&self.tracer.snapshot())
+        trace::text_dump(&self.tracer().snapshot())
     }
 
     /// Replays the recorded scheduler events through the invariant linter
@@ -282,7 +259,7 @@ impl Vm {
     /// this on a quiesced machine (after [`Vm::shutdown`]) for a
     /// trustworthy report; debug builds do so automatically at shutdown.
     pub fn trace_audit(&self) -> crate::audit::AuditReport {
-        crate::audit::audit(&self.tracer.snapshot(), self.tracer.truncated())
+        crate::audit::audit(&self.tracer().snapshot(), self.tracer().truncated())
     }
 
     /// The root thread group; threads forked from outside the VM land here.
@@ -319,6 +296,26 @@ impl Vm {
     /// The lane of `vp`, or the external lane.
     fn lane(&self, vp: Option<usize>) -> &Lane {
         crate::pad::lane_of(&self.lanes, vp)
+    }
+
+    /// The words every stats lane shares.
+    pub(crate) fn stats(&self) -> &Stats {
+        &self.stats
+    }
+
+    /// The statistics of `vp`'s lane, or of the external lane, with the
+    /// lane's index.
+    #[inline]
+    pub(crate) fn lane_stats(&self, vp: Option<usize>) -> (usize, &LaneStats) {
+        let external = self.lanes.len() - 1;
+        let ix = vp.map_or(external, |i| i.min(external));
+        (ix, &self.lanes[ix].stats)
+    }
+
+    /// Every lane's statistics: one per VP, in index order, then the
+    /// external lane's.
+    pub(crate) fn lanes_stats(&self) -> impl Iterator<Item = &LaneStats> {
+        self.lanes.iter().map(|lane| &lane.stats)
     }
 
     /// A handle on this machine counted on `vp`'s lane (see [`VmAnchor`]).
@@ -498,13 +495,7 @@ impl Vm {
             // The one registration: group membership, from which the
             // machine's registry is derived too.
             t.group_lane().add(&t);
-            Counters::bump(&self.counters.lane(lane_ix).threads_created);
-            crate::trace_event!(
-                self.tracer(),
-                cur.map(|c| c.vp.index()),
-                crate::trace::EventKind::Fork,
-                t.id().0
-            );
+            self.note(lane_ix, crate::trace::EventKind::Fork, &t, 0, 0);
             t
         });
         if state == ThreadState::Scheduled {
@@ -561,7 +552,7 @@ impl Vm {
     /// counting the wake-up on the signalling lane if it unparked a worker.
     pub(crate) fn signal_work(&self, vp: usize, queued: Queued) {
         if self.machine.signal_work(vp, queued) {
-            Counters::bump(&self.counters.lane(tls::lane()).worker_wakes);
+            self.counts(tls::lane_in(self)).worker_wakes.bump();
         }
     }
 
@@ -582,14 +573,8 @@ impl Vm {
                     // The CAS loses (and the wake-up is skipped) if a waker
                     // or a cancellation consumed the episode first.
                     if node.state().timeout(gen) {
-                        crate::trace_event!(
-                            self.tracer(),
-                            tls::lane(),
-                            crate::trace::EventKind::BlockTimeout,
-                            thread.id().0,
-                            0,
-                            gen as u32
-                        );
+                        let timeout = crate::trace::EventKind::BlockTimeout;
+                        self.note(tls::lane_in(self), timeout, &thread, 0, gen as u32);
                         thread.unblock();
                     }
                 }
@@ -634,7 +619,7 @@ impl Vm {
                 t.group().id()
             );
         }
-        let c = self.counters.snapshot();
+        let c = self.counters().snapshot();
         let _ = writeln!(
             s,
             "  counters: threads={} tcbs={} steals={} switches={} blocks={} preemptions={}",
@@ -682,7 +667,7 @@ impl Vm {
         // episode or an episode leaked past determination means the claim
         // token was bypassed.
         #[cfg(debug_assertions)]
-        if self.tracer.is_enabled() {
+        if self.tracer().is_enabled() {
             let report = self.trace_audit();
             if !report.is_clean() {
                 eprintln!("sting-core: scheduler {report}");

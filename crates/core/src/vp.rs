@@ -36,7 +36,6 @@
 //! See DESIGN.md, "Scheduler fast path", for the memory-ordering argument
 //! and the paper-operation-to-tier mapping.
 
-use crate::counters::Counters;
 use crate::deque::{Injector, MultiDeque, Steal};
 use crate::machine::Queued;
 use crate::pad::CachePadded;
@@ -46,6 +45,7 @@ use crate::tc;
 use crate::tcb::{Disposition, Tcb, ThreadFiber, Wakeup};
 use crate::thread::{Thread, TryThunk};
 use crate::tls;
+use crate::trace::EventKind;
 use crate::vm::Vm;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -374,7 +374,7 @@ impl Vp {
         let vm = self.vm.upgrade()?;
         // Steal latency covers the whole successful offer (queue CAS or
         // policy consultation + hand-off bookkeeping), timed on the thief.
-        let steal_t0 = vm.metrics().steal_begin(thief.index());
+        vm.steal_begin(thief.index());
         let item = match &self.fast {
             Some(fq) => fq.surrender().or_else(|| fq.rescue(&vm, self.index))?,
             None => {
@@ -384,18 +384,8 @@ impl Vp {
         };
         let thread = item.thread();
         thread.home_vp.store(thief.index(), Ordering::Relaxed);
-        if let Some(t0) = steal_t0 {
-            vm.metrics().note_steal(thief.index(), t0);
-        }
-        Counters::bump(&vm.counters().lane(Some(thief.index())).migrations);
-        crate::trace_event!(
-            vm.tracer(),
-            Some(thief.index()),
-            crate::trace::EventKind::Migrate,
-            thread.id().0,
-            self.index,
-            thief.index()
-        );
+        let (migrate, from, to) = (EventKind::Migrate, self.index as u32, thief.index() as u32);
+        vm.note(Some(thief.index()), migrate, thread, from, to);
         Some(item)
     }
 
@@ -417,19 +407,11 @@ impl Vp {
     /// [`OwnerGuard`] (the TC run loop passes it for re-enqueues that
     /// happen after the running TCB is cleared from the TLS slot).
     fn enqueue_from(&self, vm: &Vm, item: RunItem, state: EnqueueState, owner: bool) {
-        // Trace the enqueue *before* the item becomes visible: the instant
+        // Note the enqueue *before* the item becomes visible: the instant
         // the push lands, a thief may steal it and record its Migrate, and
         // the trace audit (see [`crate::audit`]) relies on every steal
         // being preceded by its enqueue in timestamp order.
-        vm.metrics().stamp_enqueue(self.index, item.thread());
-        crate::trace_event!(
-            vm.tracer(),
-            tls::lane(),
-            crate::trace::EventKind::Enqueue,
-            item.thread().id().0,
-            state as u32,
-            self.index
-        );
+        self.note_enqueue(vm, item.thread(), state, owner);
         let owner_push = if let Some(fq) = &self.fast {
             if owner {
                 fq.push(item);
@@ -451,6 +433,23 @@ impl Vp {
         } else if stealable {
             vm.signal_work(self.index, Queued::ByOwner);
         }
+    }
+
+    /// Notes the enqueue of `thread` onto this VP: on this VP's own lane
+    /// for an owner push, else on the caller's.
+    fn note_enqueue(&self, vm: &Vm, thread: &Thread, state: EnqueueState, owner: bool) {
+        let lane = if owner {
+            Some(self.index)
+        } else {
+            tls::lane_in(vm)
+        };
+        vm.note(
+            lane,
+            EventKind::Enqueue,
+            thread,
+            state as u32,
+            self.index as u32,
+        );
     }
 
     /// Whether another VP may run what is queued here: the deque tier's
@@ -480,20 +479,11 @@ impl Vp {
         state: EnqueueState,
     ) {
         let mut count = 0usize;
+        let owner = self.fast.is_some() && tls::is_current_vp(self);
         let traced = items.into_iter().inspect(|item| {
             count += 1;
-            let thread = item.thread();
-            vm.metrics().stamp_enqueue(self.index, thread);
-            crate::trace_event!(
-                vm.tracer(),
-                tls::lane(),
-                crate::trace::EventKind::Enqueue,
-                thread.id().0,
-                state as u32,
-                self.index
-            );
+            self.note_enqueue(vm, item.thread(), state, owner);
         });
-        let owner = self.fast.is_some() && tls::is_current_vp(self);
         match &self.fast {
             Some(fq) if owner => traced.for_each(|item| fq.push(item)),
             Some(fq) => fq.inject_batch(traced),
@@ -600,14 +590,7 @@ impl Vp {
                     let Some(thunk) = thread.claim(crate::state::ThreadState::Evaluating) else {
                         continue;
                     };
-                    vm.metrics().note_dispatch(self.index, &thread);
-                    crate::trace_event!(
-                        vm.tracer(),
-                        Some(self.index),
-                        crate::trace::EventKind::Dispatch,
-                        thread.id().0,
-                        0
-                    );
+                    vm.note(Some(self.index), EventKind::Dispatch, &thread, 0, 0);
                     self.make_tcb(vm, thread, thunk)
                 }
                 RunItem::Parked(tcb) => {
@@ -619,14 +602,7 @@ impl Vp {
                         "dispatching a determined thread's TCB (thread {:?})",
                         tcb.thread().id()
                     );
-                    vm.metrics().note_dispatch(self.index, tcb.thread());
-                    crate::trace_event!(
-                        vm.tracer(),
-                        Some(self.index),
-                        crate::trace::EventKind::Dispatch,
-                        tcb.thread().id().0,
-                        1
-                    );
+                    vm.note(Some(self.index), EventKind::Dispatch, tcb.thread(), 1, 0);
                     tcb
                 }
             };
@@ -669,7 +645,7 @@ impl Vp {
     /// Allocates a TCB (stack from the recycling pool + fiber) for a
     /// freshly claimed thread.
     fn make_tcb(&self, vm: &Vm, thread: Arc<Thread>, thunk: TryThunk) -> Tcb {
-        let counters = vm.counters().lane(Some(self.index));
+        let counts = vm.counts(Some(self.index));
         let stack = {
             let mut pool = self.owned.stack_pool.lock();
             // Count *hand-outs the pool satisfied from its cache*, not pool
@@ -678,11 +654,11 @@ impl Vp {
             let recycled_before = pool.stats().1;
             let stack = pool.take();
             if pool.stats().1 > recycled_before {
-                Counters::bump(&counters.stacks_recycled);
+                counts.stacks_recycled.bump();
             }
             stack
         };
-        Counters::bump(&counters.tcbs_allocated);
+        counts.tcbs_allocated.bump();
         let fiber: ThreadFiber = Fiber::new(stack, move |sus, first: Wakeup| {
             debug_assert_eq!(first, Wakeup::Run);
             // The run loop installed this TCB before resuming it.
@@ -697,15 +673,14 @@ impl Vp {
         Tcb::new(thread, self.index, fiber)
     }
 
-    /// Context-switches into `tcb` and handles its next disposition.
+    /// Context-switches into `tcb` (its dispatch counted the switch) and
+    /// handles its next disposition.
     fn run_tcb(&self, vm: &Vm, mut tcb: Tcb) {
-        let counters = vm.counters().lane(Some(self.index));
         let shared = tcb.shared.clone();
         shared.vp_index.store(self.index, Ordering::Relaxed);
         shared.thread.home_vp.store(self.index, Ordering::Relaxed);
         shared.slice_end.store(0, Ordering::Relaxed);
         tls::set_thread(shared.clone());
-        Counters::bump(&counters.context_switches);
         let outcome = tcb.fiber().resume(Wakeup::Run);
         tls::clear_thread();
         let thread = &shared.thread;
@@ -716,20 +691,18 @@ impl Vp {
             FiberResult::Yield(Disposition::Suspended) => 3,
             FiberResult::Return(_) => 4,
         };
-        crate::trace_event!(
-            vm.tracer(),
+        vm.note(
             Some(self.index),
-            crate::trace::EventKind::Switch,
-            thread.id().0,
-            disposition_code
+            EventKind::Switch,
+            thread,
+            disposition_code,
+            0,
         );
         match outcome {
             FiberResult::Yield(Disposition::Yielded { preempted }) => {
                 let state = if preempted {
-                    Counters::bump(&counters.preemptions);
                     EnqueueState::Preempted
                 } else {
-                    Counters::bump(&counters.yields);
                     EnqueueState::Yielded
                 };
                 // Owner push: run_tcb only runs under this VP's slice (and
@@ -745,17 +718,8 @@ impl Vp {
                     crate::state::ThreadState::Blocked
                 };
                 // A wake-up that raced ahead of the park hands the TCB back.
-                let requeue = thread.park(tcb, to, || {
-                    // Stamp under the thread's lock: the waker takes the
-                    // same lock before it can consume the parked TCB, so a
-                    // stamped park is always visible to its wake.
-                    vm.metrics().stamp_block(self.index, thread);
-                    Counters::bump(if suspended {
-                        &counters.suspends
-                    } else {
-                        &counters.blocks
-                    });
-                });
+                // Noted under the thread's lock, so its wake sees the stamp.
+                let requeue = thread.park(tcb, to, || vm.note_park(self.index, thread, suspended));
                 if let Some(tcb) = requeue {
                     self.enqueue_from(vm, RunItem::Parked(tcb), EnqueueState::Unblocked, true);
                 }

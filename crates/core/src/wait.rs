@@ -383,18 +383,25 @@ impl Waiter {
     /// already consumed (woken, timed out, cancelled or finished): the
     /// caller should spend its wake-up on the next waiter instead.
     pub fn wake(&self) -> bool {
+        self.wake_id().is_some()
+    }
+
+    /// [`Waiter::wake`], returning — when it woke someone — the id of the
+    /// green thread it woke, or 0 for an OS-thread waiter.
+    pub(crate) fn wake_id(&self) -> Option<u64> {
         if !self.node.state.claim(self.gen) {
-            return false;
+            return None;
         }
-        match &self.node.parker {
-            Parker::Green(weak) => {
-                if let Some(thread) = weak.upgrade() {
-                    thread.unblock_claimed(self.gen);
-                }
+        Some(match &self.node.parker {
+            Parker::Green(weak) => weak.upgrade().map_or(0, |thread| {
+                thread.unblock_claimed(self.gen);
+                thread.id().0
+            }),
+            Parker::Os(thread) => {
+                unpark_os(thread);
+                0
             }
-            Parker::Os(thread) => unpark_os(thread),
-        }
-        true
+        })
     }
 
     /// [`Waiter::wake`], but a woken green thread's ready-queue publication
@@ -522,15 +529,6 @@ impl Waiter {
     pub(crate) fn same_episode(&self, other: &Waiter) -> bool {
         Arc::ptr_eq(&self.node, &other.node) && self.gen == other.gen
     }
-
-    /// The id of the green thread behind this episode, or 0 for an
-    /// OS-thread waiter — diagnostics and trace payloads only.
-    pub(crate) fn thread_id(&self) -> u64 {
-        match &self.node.parker {
-            Parker::Green(weak) => weak.upgrade().map(|t| t.id().0).unwrap_or(0),
-            Parker::Os(_) => 0,
-        }
-    }
 }
 
 /// Cancels the episode (and its deadline timer) if the park unwinds:
@@ -556,14 +554,9 @@ impl Drop for ParkGuard<'_> {
         }
         if self.node.state.cancel(self.gen) {
             if let Some(vm) = &vm {
-                crate::trace_event!(
-                    vm.tracer(),
-                    tls::lane(),
-                    crate::trace::EventKind::WaiterCancelled,
-                    self.thread.id().0,
-                    1, // origin: park unwind
-                    self.gen as u32
-                );
+                // Origin 1: a park unwind.
+                let cancelled = crate::trace::EventKind::WaiterCancelled;
+                vm.note(tls::lane_in(vm), cancelled, self.thread, 1, self.gen as u32);
             }
         }
     }

@@ -192,7 +192,6 @@ fn wake_after_cancel_is_flagged() {
         ev(1, 0, EventKind::Fork, 7, 0, 0),
         ev(2, 0, EventKind::Enqueue, 7, 0, 0),
         ev(3, 0, EventKind::Dispatch, 7, 0, 0),
-        ev(4, 0, EventKind::Block, 7, 0, 0),
         ev(5, 0, EventKind::Switch, 7, 2, 0),
         // Episode gen 3 cancelled by a state request...
         ev(6, 1, EventKind::WaiterCancelled, 7, 0, 3),

@@ -5,11 +5,7 @@ use std::sync::Arc;
 use sting_core::{tc, Vm, VmBuilder};
 
 fn metered_vm(vps: usize) -> Arc<Vm> {
-    VmBuilder::new()
-        .vps(vps)
-        .metrics(true)
-        .metrics_sample(1)
-        .build()
+    VmBuilder::new().vps(vps).metrics_sample(1).build()
 }
 
 #[test]
@@ -100,11 +96,8 @@ fn per_vp_snapshots_merge_into_totals() {
 
 #[test]
 fn disabled_metrics_record_nothing() {
-    let vm = VmBuilder::new()
-        .vps(1)
-        .metrics(false)
-        .metrics_sample(1)
-        .build();
+    let vm = VmBuilder::new().vps(1).metrics_sample(1).build();
+    vm.metrics().set_enabled(false);
     vm.run(|cx| {
         for _ in 0..100 {
             cx.yield_now();

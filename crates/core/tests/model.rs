@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use sting_check::{model, model_bounded, thread};
 use sting_core::deque::{Deque, Injector, MultiDeque, Steal, Tagged, BANDS};
-use sting_core::trace::{EventKind, Tracer};
+use sting_core::trace::{EventKind, Ring, TraceEvent};
 
 /// The pop/steal last-item race (deque.rs `pop`, `t == b` arm): with one
 /// item and one thief, exactly one side may claim it — every interleaving,
@@ -368,17 +368,22 @@ fn injector_batch_publishes_atomically() {
 /// as valid.  Records are self-checking — every word carries the same tag.
 #[test]
 fn trace_ring_reader_never_surfaces_torn_record() {
+    fn drained(ring: &Ring) -> Vec<TraceEvent> {
+        let mut out = Vec::new();
+        ring.drain_into(&mut out, 0);
+        out
+    }
     model_bounded(3, || {
-        // 0 VPs = a single (external) lane; capacity 2 so the third record
-        // wraps and overwrites mid-snapshot.
-        let tracer = Arc::new(Tracer::new(0, 2, true));
-        let t2 = tracer.clone();
+        // One lane's ring of capacity 2, so the third record wraps and
+        // overwrites mid-snapshot.
+        let ring = Arc::new(Ring::new(2));
+        let r2 = ring.clone();
         let writer = thread::spawn(move || {
             for i in 1..=3u64 {
-                t2.record(None, EventKind::Fork, i, i as u32, i as u32);
+                r2.record(i, 0, EventKind::Fork, i, i as u32, i as u32, i);
             }
         });
-        for e in tracer.snapshot() {
+        for e in drained(&ring) {
             assert_eq!(e.kind, EventKind::Fork);
             assert!(
                 e.thread == e.a as u64 && e.a == e.b && (1..=3).contains(&e.a),
@@ -387,9 +392,9 @@ fn trace_ring_reader_never_surfaces_torn_record() {
         }
         writer.join();
         // After the writer finishes the newest records are all resident.
-        let final_threads: Vec<u64> = tracer.snapshot().iter().map(|e| e.thread).collect();
-        assert!(tracer.truncated(), "a lapped ring must report truncation");
-        for e in tracer.snapshot() {
+        let final_threads: Vec<u64> = drained(&ring).iter().map(|e| e.thread).collect();
+        assert!(ring.truncated(), "a lapped ring must report truncation");
+        for e in drained(&ring) {
             assert!(
                 e.thread == e.a as u64 && e.a == e.b && (1..=3).contains(&e.a),
                 "torn record surfaced as valid: {e:?}"

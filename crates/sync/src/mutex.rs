@@ -84,14 +84,8 @@ impl Mutex {
         }
         if let Some(cx) = tc::Cx::current() {
             let vp = cx.current_vp().index();
-            let vm = cx.vm();
-            sting_core::trace_event!(
-                vm.tracer(),
-                Some(vp),
-                kind,
-                cx.current_thread().id().0,
-                self.inner.id
-            );
+            cx.vm()
+                .note(Some(vp), kind, &cx.current_thread(), self.inner.id, 0);
         }
     }
 
