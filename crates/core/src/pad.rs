@@ -3,8 +3,8 @@
 //! The scheduler's scaling argument (DESIGN.md, "Scheduler fast path",
 //! ownership table) is that `fork → touch → determine` writes only lines
 //! the running VP owns.  That only holds if two VPs' words never share a
-//! line, so every per-VP record — counter shards, registry shards, id
-//! cursors, the two ends of a deque — is wrapped in [`CachePadded`].
+//! line, so every per-VP record — a VM's lanes (id cursor, registry shard,
+//! statistics), the two ends of a deque — is wrapped in [`CachePadded`].
 
 /// Aligns (and therefore pads) `T` to 128 bytes: two 64-byte lines, because
 /// x86 prefetches lines in adjacent pairs, so a 64-byte pad still lets a
@@ -24,12 +24,4 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.0
     }
-}
-
-/// The lane of `vp` in a `[one per VP.., external]` table: `None`, or an
-/// index the table does not have (a thread of another machine), is the
-/// external lane.
-pub(crate) fn lane_of<T>(lanes: &[CachePadded<T>], vp: Option<usize>) -> &T {
-    let external = lanes.len() - 1;
-    &lanes[vp.map_or(external, |i| i.min(external))]
 }

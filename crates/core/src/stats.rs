@@ -214,14 +214,16 @@ impl Vm {
     /// the kind implies, takes or consumes the thread's latency stamp, and
     /// records the event with payload `a`, `b` (see [`EventKind`]) when
     /// tracing is on.  The one entry point every hook reports through.
-    #[inline]
+    /// Always inlined, so a hook's constant kind folds the dispatch on it
+    /// away.
+    #[inline(always)]
     pub fn note(&self, lane: Option<usize>, kind: EventKind, thread: &Thread, a: u32, b: u32) {
         self.note_on(lane, kind, thread.id().0, Some(thread), a, b);
     }
 
     /// [`Vm::note`] for an event that names a thread only by id (0 or
     /// `u64::MAX` for none), so takes no latency stamp.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn note_id(&self, lane: Option<usize>, kind: EventKind, id: u64, a: u32, b: u32) {
         self.note_on(lane, kind, id, None, a, b);
     }

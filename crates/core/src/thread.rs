@@ -209,8 +209,9 @@ pub struct Thread {
     /// VP the thread last ran on (or was scheduled on); wake-ups go here.
     pub(crate) home_vp: AtomicUsize,
     /// Latency stamp: nanoseconds since the machine's stats epoch at the
-    /// last *sampled* ready-enqueue, 0 when unstamped (see [`crate::stats`]).  Written by the
-    /// enqueuer, consumed (reset to 0) by the dispatching VP.
+    /// last *sampled* ready-enqueue, 0 when unstamped (see
+    /// [`crate::stats`]).  Written by the enqueuer, consumed (reset to 0)
+    /// by the dispatching VP.
     pub(crate) enqueued_at_ns: AtomicU64,
     /// Latency stamp: time of the last *sampled* park commit, 0 when
     /// unstamped.  Written under `core` by the parking VP, consumed by the

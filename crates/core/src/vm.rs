@@ -293,9 +293,16 @@ impl Vm {
         self.stop.load(Ordering::Acquire)
     }
 
+    /// The index of `vp`'s lane: `None`, or an index this machine does
+    /// not have (a thread of another machine), is the external lane.
+    fn lane_index(&self, vp: Option<usize>) -> usize {
+        let external = self.lanes.len() - 1;
+        vp.map_or(external, |i| i.min(external))
+    }
+
     /// The lane of `vp`, or the external lane.
     fn lane(&self, vp: Option<usize>) -> &Lane {
-        crate::pad::lane_of(&self.lanes, vp)
+        &self.lanes[self.lane_index(vp)]
     }
 
     /// The words every stats lane shares.
@@ -307,8 +314,7 @@ impl Vm {
     /// lane's index.
     #[inline]
     pub(crate) fn lane_stats(&self, vp: Option<usize>) -> (usize, &LaneStats) {
-        let external = self.lanes.len() - 1;
-        let ix = vp.map_or(external, |i| i.min(external));
+        let ix = self.lane_index(vp);
         (ix, &self.lanes[ix].stats)
     }
 
