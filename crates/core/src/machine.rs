@@ -732,7 +732,11 @@ fn worker_loop(shared: &MachineShared, index: usize) {
 #[cfg(test)]
 mod tests {
     use crate::fleet::Fleet;
+    use crate::vm::Vm;
     use crate::{policies, VmBuilder};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     /// The index of the worker (`sting-pp-<n>`) running the caller.
     fn current_worker() -> i64 {
@@ -776,6 +780,61 @@ mod tests {
             shards_on[worker as usize] += 1;
         }
         assert_eq!(shards_on, [2, 2]);
+        fleet.shutdown();
+    }
+
+    /// A worker stuck in one VP's slice strands no other VP.  A native
+    /// spinner on `vms[0]`'s VP 0 holds its worker without a checkpoint
+    /// until a flag is set (5 s at most); a thread forked onto `vms[1]`'s
+    /// VP `vp` sets it, and must run on the other worker well within that.
+    fn a_busy_worker_strands_no_other_vp(spin: &Arc<Vm>, set: &Arc<Vm>, vp: usize) {
+        let flag = Arc::new(AtomicBool::new(false));
+        let spinning = Arc::new(AtomicBool::new(false));
+        let spinner = {
+            let (flag, spinning) = (flag.clone(), spinning.clone());
+            spin.fork_on(0, move |_cx| {
+                spinning.store(true, Ordering::Release);
+                let t0 = Instant::now();
+                while !flag.load(Ordering::Acquire) && t0.elapsed() < Duration::from_secs(5) {
+                    std::hint::spin_loop();
+                }
+                0i64
+            })
+        };
+        while !spinning.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        let setter = set.fork_on(vp, move |_cx| {
+            flag.store(true, Ordering::Release);
+            0i64
+        });
+        spinner.unwrap().join_blocking().unwrap();
+        let waited = t0.elapsed();
+        setter.unwrap().join_blocking().unwrap();
+        assert!(
+            waited < Duration::from_secs(1),
+            "the setter waited {waited:?} behind the spinning worker"
+        );
+    }
+
+    #[test]
+    fn a_busy_worker_strands_no_other_vp_of_a_vm_or_of_a_fleet() {
+        let vm = VmBuilder::new()
+            .vps(4)
+            .processors(2)
+            .policy(|_| policies::local_fifo().boxed())
+            .build();
+        a_busy_worker_strands_no_other_vp(&vm, &vm, 2);
+        vm.shutdown();
+
+        let fleet = Fleet::builder()
+            .shards(4)
+            .vps_per_shard(1)
+            .processors(2)
+            .policy(|_, _| policies::local_fifo().boxed())
+            .build();
+        a_busy_worker_strands_no_other_vp(fleet.shard(0), fleet.shard(2), 0);
         fleet.shutdown();
     }
 }
