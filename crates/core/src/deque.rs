@@ -17,9 +17,9 @@
 //!
 //! * [`Deque`] — the Chase–Lev deque \[Chase & Lev, SPAA 2005\], with the
 //!   memory orderings of Lê et al., *Correct and Efficient Work-Stealing
-//!   for Weak Memory Models* (PPoPP 2013).  Only the VP's driving worker
-//!   (the *owner*) may call [`push`](Deque::push) and [`pop`](Deque::pop);
-//!   any thread may [`steal`](Deque::steal).
+//!   for Weak Memory Models* (PPoPP 2013).  Only the worker holding the
+//!   VP's [`OwnerWord`] (the *owner*) may call [`push`](Deque::push) and
+//!   [`pop`](Deque::pop); any thread may [`steal`](Deque::steal).
 //! * [`MultiDeque`] — a small fixed array of [`BANDS`] Chase–Lev deques
 //!   indexed by priority band, plus one `AtomicUsize` of occupancy bits so
 //!   pop and steal find the highest non-empty band in O(1) without locks.
@@ -104,9 +104,9 @@ use std::sync::Arc;
 // `ci.sh check` explores this exact production source (see
 // crates/core/tests/model.rs); in normal builds they are std's.
 #[cfg(not(sting_check))]
-use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
 #[cfg(sting_check)]
-use sting_check::atomic::{fence, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
+use sting_check::atomic::{fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
 
 /// An item that fits in one deque slot: a non-zero machine word whose low
 /// bit is the item's *tag*.
@@ -235,8 +235,8 @@ impl Buffer {
 
 /// A Chase–Lev work-stealing deque.
 ///
-/// The *owner* — by contract, one thread at a time (the VP's driving
-/// worker; [`crate::vp::Vp`] enforces this with a per-slice guard) — pushes
+/// The *owner* — by contract, one thread at a time (the holder of an
+/// [`OwnerWord`]; a VP's slice holds the VP's) — pushes
 /// and pops at the **bottom**; *thieves* on any thread steal at the **top**
 /// (the oldest item).  Owner operations are wait-free except when the
 /// single remaining item must be raced against thieves; steals are
@@ -516,6 +516,35 @@ impl<T: Slot> Drop for Deque<T> {
                 drop(Box::from_raw(retired));
             }
         }
+    }
+}
+
+/// The right to a deque's owner-only operations ([`Deque::push`],
+/// [`Deque::pop`], [`Deque::pop_if`]): whichever thread holds the word.
+///
+/// Any thread may take it, so the owner can change between two owner
+/// operations.  Taking it (an Acquire swap) synchronizes with the last
+/// give-back (a Release store): the new owner sees `bottom` and the slots
+/// as the last owner left them.  A VP's word is held for one slice at a
+/// time, by whichever machine worker took it ([`crate::vp`]).
+#[derive(Debug, Default)]
+pub struct OwnerWord(AtomicBool);
+
+impl OwnerWord {
+    /// Whether some thread holds the word (a plain load).
+    pub fn is_taken(&self) -> bool {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Takes the word if nobody holds it.  A held word is only read, so a
+    /// thread passing it by does not pull its line away from the holder.
+    pub fn try_take(&self) -> bool {
+        !self.is_taken() && !self.0.swap(true, Ordering::Acquire)
+    }
+
+    /// Gives the word back; the next taker sees what this owner did.
+    pub fn give_back(&self) {
+        self.0.store(false, Ordering::Release);
     }
 }
 

@@ -301,10 +301,14 @@ struct Stamped {
     msg: FabricMsg,
 }
 
-/// How mail wakes its destination shard: every VP of the shard drains the
-/// mailboxes at its next slice, so VP 0's worker is woken if it sleeps, or
-/// an idle sibling if it is busy.
-const SHARD_MAIL: Queued = Queued::Remotely { stealable: true };
+/// How mail wakes its destination shard `dest`: every VP of the shard
+/// drains the mailboxes at its next slice, so an idle worker is woken to
+/// run VP 0, or, while VP 0 runs, another VP of the shard if it has one.
+fn shard_mail(dest: &Vm) -> Queued {
+    Queued::Remotely {
+        stealable: dest.vp_count() > 1,
+    }
+}
 
 /// The cross-shard interconnect: an N×N matrix of [`Mailbox`]es plus the
 /// steal-request dedup flags.  One `Fabric` is shared by every shard of a
@@ -398,14 +402,14 @@ impl Fabric {
             },
         });
         if let Some(dest) = self.shard_vm(to) {
-            dest.signal_work(0, SHARD_MAIL);
+            dest.signal_work(0, shard_mail(&dest));
         }
     }
 
     /// Drains this shard's inbound mailboxes: enqueues handed-off work,
     /// runs routed calls, and serves siblings' work requests.  Called once
-    /// per VP slice (under the deque [`OwnerGuard`](crate::vp)); returns
-    /// whether anything was delivered.
+    /// per VP slice (under the VP's [`OwnerWord`](crate::deque::OwnerWord));
+    /// returns whether anything was delivered.
     pub(crate) fn pump(&self, vm: &Arc<Vm>, vp: &Arc<Vp>) -> bool {
         if vm.is_stopped() {
             return false;
@@ -471,7 +475,7 @@ impl Fabric {
             msg: FabricMsg::Handoff(item),
         });
         if let Some(dvm) = self.shard_vm(dest) {
-            dvm.signal_work(0, SHARD_MAIL);
+            dvm.signal_work(0, shard_mail(&dvm));
         }
     }
 

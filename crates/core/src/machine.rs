@@ -5,16 +5,18 @@
 //! [`PhysicalMachine`] owns `n` worker OS threads (the physical processors)
 //! and no other thread: no clock ticks for it.  Several virtual machines
 //! may be attached to one physical machine (they are held weakly —
-//! dropping a `Vm` detaches it); their VPs are numbered machine-wide in
-//! attach order, and slot `s` is driven by worker `s % workers`.  A machine with one VM therefore maps VP `i` to worker
-//! `i % workers`, and a fleet of single-VP shards spreads over every worker
-//! instead of piling onto worker 0.  A VM keeps its slots while attached:
-//! a detached or dropped VM leaves a gap rather than renumbering the rest.
+//! dropping a `Vm` detaches it).  No VP belongs to a worker: each VP has an
+//! owner word ([`crate::deque::OwnerWord`]), and a worker's pass offers
+//! every VP of every attached VM, running one slice of each whose word it
+//! wins.  Each worker starts its pass at a different VP (worker `w` of `p`
+//! at `w/p` of the way along the VMs' VPs in attach order), so while there
+//! are as many VPs as workers each VP keeps the worker it had; a worker
+//! stuck in one VP's slice leaves every other VP to the rest.
 //!
 //! ## Parking and waking
 //!
 //! A worker with nothing to run parks on its own `std::thread::park`, with
-//! no shared lock, until the earliest timer deadline of the VMs it drives
+//! no shared lock, until the earliest timer deadline of the attached VMs
 //! (no timeout while none is pending).  One atomic word per machine
 //! (`IdleWorkers`) holds a mask of the parked workers and a count of the
 //! workers that were woken and are still looking for work (*searching*).
@@ -22,22 +24,25 @@
 //! * **Going to sleep.**  A worker whose pass finds nothing announces
 //!   itself idle (a SeqCst RMW on the word) and runs its pass once more —
 //!   which also tries to steal.  It parks only if that pass finds nothing.
-//! * **Signalling.**  Whoever queues work from outside a VP's worker
-//!   publishes it, fences (SeqCst) and reads the word.  If the VP's worker
-//!   is idle it is *claimed* — its bit cleared, the searching count raised —
-//!   and unparked.  Either the read sees the announcement or the announcing
-//!   worker's second pass sees the work, so no wake is lost
-//!   (`crates/core/tests/model_park.rs` checks the pair).  Nobody idle: one
-//!   fence and one load, no syscall.
-//! * **Stealing.**  Work an idle sibling may take — an owner push on a
-//!   stealable queue, or remote work whose worker is busy — claims one idle
-//!   worker that drives another VP of the same VM, but only when no worker
-//!   is searching: a searcher will find it.  An owner push reads the word
-//!   without the fence, so it can miss a worker that is announcing itself
-//!   idle.  Nothing offers that work again: while the owner keeps running
-//!   other threads, what it pushed stays on its VP and the idle sibling
-//!   sleeps — the work is stranded until the owner reaches it, not merely
-//!   a steal late.  `fork_on_a_busy_vp_wakes_the_idle_sibling`
+//! * **Signalling.**  Whoever queues work from outside the VP's slice
+//!   publishes it, fences (SeqCst) and reads the word, and *claims* one
+//!   idle worker — its bit cleared, the searching count raised — and
+//!   unparks it, unless a worker is searching already: a searcher will
+//!   find the work.  Either the read sees an announcement or the
+//!   announcing worker's second pass sees the work, so no wake is lost
+//!   (`crates/core/tests/model_park.rs` checks the pair).  Nobody idle:
+//!   one fence and one load, no syscall.  Work no other VP may take, on a
+//!   VP whose word is held, wakes nobody: its owner pops it next.  A slice
+//!   that ran its queue dry gives the word back, fences and looks at the
+//!   queue once more, so a submission that saw the word held is not left
+//!   behind (the same Dekker pair, checked there too).
+//! * **Stealing.**  An owner push on a stealable queue claims one idle
+//!   worker the same way, to steal it through another VP of the VM.  The
+//!   push reads the word without the fence, so it can miss a worker that is
+//!   announcing itself idle.  Nothing offers that work again: while the
+//!   owner keeps running other threads, what it pushed stays on its VP and
+//!   the idle worker sleeps — the work is stranded until the owner reaches
+//!   it, not merely a steal late.  `fork_on_a_busy_vp_wakes_the_idle_sibling`
 //!   (`crates/core/tests/substrate.rs`) reproduces it: it times out in a
 //!   few runs in a hundred.
 //! * **Chaining.**  A searching worker that finds work and was the last
@@ -45,28 +50,28 @@
 //!   wake at a time instead of as a herd.
 //! * **Polling.**  The workers run the VMs' reactors ([`crate::reactor`]);
 //!   there is no reactor thread.  A pass polls, without blocking, the live
-//!   reactor of each VM whose VPs the worker drives.  Once some VM on the
-//!   machine has started its reactor, the machine has a *poller mux*: one
-//!   epoll instance holding every attached VM's reactor and a kick
-//!   eventfd.  A worker about to park takes the *poller* role if nobody
-//!   holds it and blocks in the mux instead of `std::thread::park`; an I/O
-//!   event ends that park as a claim does, and the poller polls the
-//!   reactors that fired before it looks for work.  A claimer that finds
-//!   the worker it claimed holding the role *kicks* it (writes the
-//!   eventfd) instead of unparking it.  Taking the role (a SeqCst store,
-//!   then a re-read of the idle word) against a claim (an RMW on the word,
-//!   then a SeqCst read of the role) is the same Dekker pair as announcing
-//!   against publishing, and only the poller's blocking wait drains the
-//!   kick: a non-blocking look that drained it would strand the poller
-//!   the kick was for (both checked in `model_park.rs`).
+//!   reactor of every attached VM.  Once some VM on the machine has
+//!   started its reactor, the machine has a *poller mux*: one epoll
+//!   instance holding every attached VM's reactor and a kick eventfd.  A
+//!   worker about to park takes the *poller* role if nobody holds it and
+//!   blocks in the mux instead of `std::thread::park`; an I/O event ends
+//!   that park as a claim does, and the poller polls the reactors that
+//!   fired before it looks for work.  A claimer that finds the worker it
+//!   claimed holding the role *kicks* it (writes the eventfd) instead of
+//!   unparking it.  Taking the role (a SeqCst store, then a re-read of the
+//!   idle word) against a claim (an RMW on the word, then a SeqCst read of
+//!   the role) is the same Dekker pair as announcing against publishing,
+//!   and only the poller's blocking wait drains the kick: a non-blocking
+//!   look that drained it would strand the poller the kick was for (both
+//!   checked in `model_park.rs`).
 //! * **Timers.**  A pass fires the due timers of every attached VM
 //!   ([`crate::timers`]).  The second pass also reads, after the
-//!   announcement, the earliest deadline of the VMs the worker drives, and
-//!   the park ends there: a `park_timeout`, or the poller's `epoll_wait`
-//!   timeout rounded up to whole milliseconds.  A timer add that lowers a
-//!   VM's earliest deadline publishes it, fences and reads the idle word
-//!   like a signal, and claims one idle worker of the VM, so no deadline
-//!   is slept past (the pair is checked in `model_park.rs`).
+//!   announcement, the earliest deadline of the attached VMs, and the park
+//!   ends there: a `park_timeout`, or the poller's `epoll_wait` timeout
+//!   rounded up to whole milliseconds.  A timer add that lowers a VM's
+//!   earliest deadline publishes it, fences and reads the idle word like a
+//!   signal, and claims one idle worker, so no deadline is slept past (the
+//!   pair is checked in `model_park.rs`).
 //!
 //! Preemption needs no clock thread either: a running thread's slice
 //! deadline is checked at its own checkpoints ([`crate::tc::checkpoint`]).
@@ -75,6 +80,7 @@ use crate::pad::CachePadded;
 use crate::reactor::{IoDriver, PollerMux};
 use crate::sys;
 use crate::vm::Vm;
+use crate::vp::Vp;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -152,28 +158,11 @@ mod idle {
             self.word.load(Ordering::Relaxed) & IDLE
         }
 
-        /// Claims worker `w` if it is idle.  Like every claim, returns the
-        /// mask of the workers the caller must unpark.
-        pub fn claim_worker(&self, w: usize) -> u64 {
-            self.claim(|_| bit(w))
-        }
-
-        /// Claims the first idle worker among `candidates` (a mask), unless
-        /// a worker is searching already.
-        pub fn claim_one(&self, candidates: u64) -> u64 {
-            self.claim(|cur| {
-                if cur >= SEARCHING {
-                    0
-                } else {
-                    first(cur & candidates)
-                }
-            })
-        }
-
-        /// Claims the first idle worker among `candidates`, searchers or
-        /// not: a searcher that drives other VMs would not take the work.
-        pub fn claim_first(&self, candidates: u64) -> u64 {
-            self.claim(|cur| first(cur & candidates))
+        /// Claims the first idle worker, unless a worker is searching
+        /// already.  Like every claim, returns the mask of the workers the
+        /// caller must unpark.
+        pub fn claim_one(&self) -> u64 {
+            self.claim(|cur| if cur >= SEARCHING { 0 } else { first(cur) })
         }
 
         /// Claims every idle worker.
@@ -253,12 +242,13 @@ mod idle {
 /// Who queued the work a signal announces ([`Vm::signal_work`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Queued {
-    /// The VP's own worker, mid-slice, on a stealable queue: it will run
-    /// the work itself, so only an idle sibling that could steal it is
-    /// worth waking.
+    /// The VP's owner, mid-slice, on a stealable queue: it will run the
+    /// work itself, so only an idle worker that could steal it is worth
+    /// waking.
     ByOwner,
-    /// Anyone else.  The VP's worker must see the work; `stealable` also
-    /// lets an idle sibling take it when that worker is busy.
+    /// Anyone else.  An idle worker is woken to run the VP — unless the
+    /// VP's word is held and the work is not `stealable`: then the owner
+    /// sees it at its next pop, or at the look after its slice runs dry.
     Remotely {
         /// Whether another VP of the VM may run the work.
         stealable: bool,
@@ -266,7 +256,8 @@ pub(crate) enum Queued {
 }
 
 struct MachineShared {
-    vms: RwLock<Vec<Attached>>,
+    /// The attached VMs, in attach order.
+    vms: RwLock<Vec<Weak<Vm>>>,
     stop: AtomicBool,
     idle: CachePadded<IdleWorkers>,
     /// Each worker's thread, registered by the worker before it first
@@ -277,26 +268,10 @@ struct MachineShared {
     mux: OnceLock<sys::Result<Arc<PollerMux>>>,
 }
 
-/// An attached VM and the machine-wide slot of its VP 0.
-struct Attached {
-    vm: Weak<Vm>,
-    base: usize,
-    vps: usize,
-}
-
 /// A set of physical processors (OS threads) driving virtual machines.
 pub struct PhysicalMachine {
     shared: Arc<MachineShared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-/// What a VM's signals need of the machine it is attached to.
-struct Link {
-    shared: Arc<MachineShared>,
-    /// The machine-wide slot of the VM's VP 0.
-    base: usize,
-    /// Mask of the workers that drive some VP of the VM.
-    drivers: u64,
 }
 
 /// A VM's handle on the machine that drives it ([`Vm::machine`]).
@@ -306,9 +281,9 @@ struct Link {
 /// signal — there is one per enqueue — finds it with a single load: no
 /// lock taken, no reference counted.
 pub(crate) struct Attachment {
-    /// The link to the attached machine; null while detached.  Points into
+    /// The attached machine's wake state; null while detached.  Points into
     /// `held.links`.
-    signalled: AtomicPtr<Link>,
+    signalled: AtomicPtr<MachineShared>,
     held: Mutex<Held>,
 }
 
@@ -317,11 +292,11 @@ struct Held {
     /// The attached machine: a VM keeps its machine alive (`VmBuilder`
     /// makes one per VM by default).
     machine: Option<Arc<PhysicalMachine>>,
-    /// Every link `signalled` has pointed at.  A signaller that loaded the
-    /// pointer just before a re-attach must still find the link there, so
-    /// links are released only with the VM.  (A link holds a machine's wake
-    /// state, not its workers: those stop when the `PhysicalMachine` drops.)
-    links: Vec<Arc<Link>>,
+    /// The wake state of every machine `signalled` has pointed at, once
+    /// each.  A signaller that loaded the pointer just before a re-attach
+    /// must still find it there, so these are released only with the VM.
+    /// (They hold no workers: those stop when the `PhysicalMachine` drops.)
+    links: Vec<Arc<MachineShared>>,
 }
 
 impl Attachment {
@@ -332,26 +307,17 @@ impl Attachment {
         }
     }
 
-    /// Points the VM at `machine`, whose slots from `base` on are the VM's
-    /// `vps`.  Returns the machine it displaces, for the caller to drop
-    /// outside the lock: the last reference to a machine joins workers that
-    /// may be signalling this very VM.
-    fn attach(
-        &self,
-        machine: &Arc<PhysicalMachine>,
-        base: usize,
-        vps: usize,
-    ) -> Option<Arc<PhysicalMachine>> {
+    /// Points the VM at `machine`.  Returns the machine it displaces, for
+    /// the caller to drop outside the lock: the last reference to a machine
+    /// joins workers that may be signalling this very VM.
+    fn attach(&self, machine: &Arc<PhysicalMachine>) -> Option<Arc<PhysicalMachine>> {
         let mut held = self.held.lock();
-        let p = machine.shared.workers.len();
-        let link = Arc::new(Link {
-            shared: machine.shared.clone(),
-            base,
-            drivers: (base..base + vps.min(p)).fold(0, |m, slot| m | 1 << (slot % p)),
-        });
+        let shared = &machine.shared;
+        if !held.links.iter().any(|l| Arc::ptr_eq(l, shared)) {
+            held.links.push(shared.clone());
+        }
         self.signalled
-            .store(Arc::as_ptr(&link).cast_mut(), Ordering::Release);
-        held.links.push(link);
+            .store(Arc::as_ptr(shared).cast_mut(), Ordering::Release);
         held.machine.replace(machine.clone())
     }
 
@@ -386,51 +352,45 @@ impl Attachment {
         driver.remux(mux)
     }
 
-    /// Tells the attached machine, if any, that work was queued on this
-    /// VM's VP `vp`.  `true` if a worker was unparked.
-    pub(crate) fn signal_work(&self, vp: usize, queued: Queued) -> bool {
-        let link = self.signalled.load(Ordering::Acquire);
+    /// The attached machine's wake state, if any.
+    fn signalled(&self) -> Option<&MachineShared> {
+        let shared = self.signalled.load(Ordering::Acquire);
         // SAFETY: a non-null `signalled` points at an entry of
         // `held.links`, and entries are never removed while `self` lives.
-        let Some(link) = (unsafe { link.as_ref() }) else {
-            return false;
-        };
-        link.shared.signal(link.base + vp, link.drivers, queued)
+        unsafe { shared.as_ref() }
+    }
+
+    /// Tells the attached machine, if any, that work was queued on `vp`,
+    /// a VP of this VM.  `true` if a worker was unparked.
+    pub(crate) fn signal_work(&self, vp: &Vp, queued: Queued) -> bool {
+        self.signalled()
+            .is_some_and(|shared| shared.signal(vp, queued))
     }
 
     /// Tells the attached machine, if any, that this VM's earliest timer
-    /// deadline was lowered: one idle worker of the VM is claimed, to park
-    /// again no later than the new deadline.
+    /// deadline was lowered: one idle worker is claimed, to park again no
+    /// later than the new deadline.
     pub(crate) fn signal_deadline(&self) {
-        let link = self.signalled.load(Ordering::Acquire);
-        // SAFETY: as in `signal_work`.
-        if let Some(link) = unsafe { link.as_ref() } {
-            let shared = &link.shared;
-            if shared.idle.idle_after_publish() & link.drivers != 0 {
-                shared.unpark(shared.idle.claim_first(link.drivers));
+        if let Some(shared) = self.signalled() {
+            if shared.idle.idle_after_publish() != 0 {
+                shared.unpark(shared.idle.claim_one());
             }
         }
     }
 }
 
 impl MachineShared {
-    /// Wakes whom work queued on machine-wide slot `slot` needs (see
-    /// [`Queued`]); `drivers` are the workers of the slot's VM.  `true` if
-    /// a worker was unparked.
-    fn signal(&self, slot: usize, drivers: u64, queued: Queued) -> bool {
-        let claimed = match queued {
-            Queued::ByOwner => self.idle.claim_one(drivers),
-            Queued::Remotely { stealable } => {
-                if self.idle.idle_after_publish() == 0 {
-                    return false;
-                }
-                match self.idle.claim_worker(slot % self.workers.len()) {
-                    0 if stealable => self.idle.claim_one(drivers),
-                    target => target,
-                }
+    /// Wakes whom work queued on `vp` needs (see [`Queued`]).  `true` if a
+    /// worker was unparked.
+    fn signal(&self, vp: &Vp, queued: Queued) -> bool {
+        if let Queued::Remotely { stealable } = queued {
+            // The owner-word read is ordered by the same fence as the idle
+            // read; it pairs with the one after a slice runs dry.
+            if self.idle.idle_after_publish() == 0 || !stealable && vp.is_owned() {
+                return false;
             }
-        };
-        self.unpark(claimed)
+        }
+        self.unpark(self.idle.claim_one())
     }
 
     /// Unparks every idle worker, for work that appeared without an
@@ -478,53 +438,53 @@ impl MachineShared {
         true
     }
 
-    /// Runs every slice worker `index` drives, once; `true` if any ran a
-    /// thread.  `searching`: the worker was claimed and has not yet found
-    /// work.  Fires every attached VM's due timers, and leaves in
-    /// `wake_at` the earliest deadline left among the VMs the worker
-    /// drives ([`crate::timers::nanos`]).
+    /// Offers every VP of every attached VM once, starting at worker
+    /// `index`'s own place (module docs), and runs a slice of each VP whose
+    /// owner word it wins; `true` if any ran a thread.  `searching`: the
+    /// worker was claimed and has not yet found work.  Fires every attached
+    /// VM's due timers and polls its reactor first, so what they wake runs
+    /// this pass, and leaves in `wake_at` the earliest deadline left
+    /// ([`crate::timers::nanos`]).
     fn pass(
         &self,
         index: usize,
-        vms: &mut Vec<(Arc<Vm>, usize)>,
+        vms: &mut Vec<Arc<Vm>>,
         searching: &mut bool,
         wake_at: &mut u64,
     ) -> bool {
-        let processors = self.workers.len();
-        vms.extend(
-            self.vms
-                .read()
-                .iter()
-                .filter_map(|a| Some((a.vm.upgrade()?, a.base))),
-        );
-        let mut did_work = false;
-        *wake_at = crate::timers::NONE;
-        for (vm, base) in vms.iter() {
-            if vm.is_stopped() {
-                continue;
-            }
-            vm.process_timers();
-            vm.active_slices.fetch_add(1, Ordering::AcqRel);
-            // The VM's reactor is polled once a pass, before the first of
-            // its VPs this worker drives, so what it wakes runs this pass.
-            let mut polled = !vm.io_driver().is_live();
-            let mut drives = false;
-            for (i, vp) in vm.vps().iter().enumerate() {
-                if (base + i) % processors == index && !vm.is_stopped() {
-                    drives = true;
-                    if !std::mem::replace(&mut polled, true) {
-                        vm.io_driver().poll();
-                    }
-                    did_work |= vp.run_slice(vm, SLICE_BUDGET, || {
-                        self.found_work(searching, vm, i);
-                    });
-                }
-            }
-            vm.active_slices.fetch_sub(1, Ordering::AcqRel);
-            if drives {
-                *wake_at = (*wake_at).min(vm.timers().earliest());
+        vms.extend(self.vms.read().iter().filter_map(Weak::upgrade));
+        let mut total = 0;
+        for vm in vms.iter() {
+            total += vm.vp_count();
+            if !vm.is_stopped() {
+                vm.process_timers();
+                vm.io_driver().poll();
             }
         }
+        let flat = || {
+            vms.iter()
+                .flat_map(|vm| vm.vps().iter().enumerate().map(move |(i, vp)| (vm, i, vp)))
+        };
+        let start = index * total / self.workers.len();
+        let mut did_work = false;
+        for (vm, i, vp) in flat().skip(start).chain(flat().take(start)) {
+            if vp.is_owned() {
+                continue;
+            }
+            vm.active_slices.fetch_add(1, Ordering::AcqRel);
+            if !vm.is_stopped() {
+                did_work |= vp.run_slice(vm, SLICE_BUDGET, || {
+                    self.found_work(searching, vm, i);
+                });
+            }
+            vm.active_slices.fetch_sub(1, Ordering::AcqRel);
+        }
+        *wake_at = vms
+            .iter()
+            .filter(|vm| !vm.is_stopped())
+            .map(|vm| vm.timers().earliest())
+            .min()
+            .unwrap_or(crate::timers::NONE);
         // Drop the strong refs before parking so a detached VM's teardown
         // is never pinned by an idle worker.
         vms.clear();
@@ -535,9 +495,7 @@ impl MachineShared {
     /// searcher stops searching there, and the last one to stop wakes a
     /// successor to look for more, as the signal that woke it would have.
     fn found_work(&self, searching: &mut bool, vm: &Vm, vp: usize) {
-        if std::mem::take(searching)
-            && self.idle.end_search()
-            && self.unpark(self.idle.claim_one(u64::MAX))
+        if std::mem::take(searching) && self.idle.end_search() && self.unpark(self.idle.claim_one())
         {
             vm.counts(Some(vp)).worker_wakes.bump();
         }
@@ -633,19 +591,13 @@ impl PhysicalMachine {
         // The latest attachment is the one `Vm::signal_work` wakes; a VM
         // attached to two machines at once is still driven by the earlier
         // one, but only when that machine's workers wake for other reasons.
-        let base = {
+        {
             let mut vms = self.shared.vms.write();
             let me = Arc::downgrade(vm);
-            vms.retain(|a| a.vm.strong_count() > 0 && !a.vm.ptr_eq(&me));
-            let base = vms.iter().map(|a| a.base + a.vps).max().unwrap_or(0);
-            vms.push(Attached {
-                vm: me,
-                base,
-                vps: vm.vp_count(),
-            });
-            base
-        };
-        drop(vm.machine.attach(self, base, vm.vp_count()));
+            vms.retain(|a| a.strong_count() > 0 && !a.ptr_eq(&me));
+            vms.push(me);
+        }
+        drop(vm.machine.attach(self));
         // A VM whose reactor has started brings it into this poller's mux
         // (best effort: a busy worker's pass polls it regardless).
         let _ = vm.machine.sync_reactor(vm.io_driver());
@@ -655,7 +607,7 @@ impl PhysicalMachine {
     /// Detaches `vm`; its threads stop being scheduled.
     pub fn detach(&self, vm: &Arc<Vm>) {
         let target = Arc::downgrade(vm);
-        self.shared.vms.write().retain(|a| !a.vm.ptr_eq(&target));
+        self.shared.vms.write().retain(|a| !a.ptr_eq(&target));
         // Stop being the machine `vm` wakes (and stop being pinned by it).
         drop(vm.machine.detach(self));
         let _ = vm.machine.sync_reactor(vm.io_driver());
@@ -738,55 +690,10 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// The index of the worker (`sting-pp-<n>`) running the caller.
-    fn current_worker() -> i64 {
-        let thread = std::thread::current();
-        let name = thread.name().expect("workers are named");
-        name.strip_prefix("sting-pp-")
-            .and_then(|n| n.parse().ok())
-            .expect("a STING thread runs on a worker")
-    }
-
-    #[test]
-    fn one_vm_keeps_vp_i_on_worker_i_mod_workers() {
-        let vm = VmBuilder::new()
-            .vps(4)
-            .processors(2)
-            .policy(|_| policies::local_fifo().boxed())
-            .build();
-        for vp in 0..4 {
-            let ran_on = vm.fork_on(vp, |_cx| current_worker()).unwrap();
-            assert_eq!(
-                ran_on.join_blocking().unwrap().as_int(),
-                Some(vp as i64 % 2)
-            );
-        }
-        vm.shutdown();
-    }
-
-    #[test]
-    fn single_vp_shards_spread_over_the_workers() {
-        let fleet = Fleet::builder()
-            .shards(4)
-            .vps_per_shard(1)
-            .processors(2)
-            .policy(|_, _| policies::local_fifo().boxed())
-            .build();
-        let mut shards_on = [0; 2];
-        for shard in 0..4 {
-            let ran_on = fleet.shard(shard).fork_on(0, |_cx| current_worker());
-            let worker = ran_on.unwrap().join_blocking().unwrap().as_int().unwrap();
-            assert_eq!(worker, shard as i64 % 2, "slots follow attach order");
-            shards_on[worker as usize] += 1;
-        }
-        assert_eq!(shards_on, [2, 2]);
-        fleet.shutdown();
-    }
-
     /// A worker stuck in one VP's slice strands no other VP.  A native
-    /// spinner on `vms[0]`'s VP 0 holds its worker without a checkpoint
-    /// until a flag is set (5 s at most); a thread forked onto `vms[1]`'s
-    /// VP `vp` sets it, and must run on the other worker well within that.
+    /// spinner on `spin`'s VP 0 holds its worker without a checkpoint until
+    /// a flag is set (5 s at most); a thread forked onto `set`'s VP `vp`
+    /// sets it, and must run on the other worker well within that.
     fn a_busy_worker_strands_no_other_vp(spin: &Arc<Vm>, set: &Arc<Vm>, vp: usize) {
         let flag = Arc::new(AtomicBool::new(false));
         let spinning = Arc::new(AtomicBool::new(false));

@@ -63,12 +63,36 @@ mod tests {
     /// the queue by the toucher) or delayed.  In particular neither the
     /// thread's lock nor the policy lock is taken.  Children the VP
     /// dispatches from its queue stay off them too: see [`link`].
+    ///
+    /// The hits are counted per OS thread, and a VP runs on whichever
+    /// worker takes it, so the test pins VP 1 to one worker: a spinner
+    /// holds VP 0's worker (no checkpoint, so no preemption) until both
+    /// counts are in, or for 10 s at most.  The other worker runs every slice of VP 1 and passes
+    /// VP 0 by, its owner word held, without touching its policy lock.
     #[test]
     fn fork_touch_determine_on_one_vp_stays_off_every_slow_path() {
+        use std::sync::atomic::{AtomicU8, Ordering};
         let vm = VmBuilder::new()
             .vps(2)
+            .processors(2)
             .policy(|_| policies::local_lifo().boxed())
             .build();
+        // 0: not yet spinning, 1: spinning, 2: done.
+        let spin = std::sync::Arc::new(AtomicU8::new(0));
+        let spinner = {
+            let spin = spin.clone();
+            vm.fork_on(0, move |_| {
+                spin.store(1, Ordering::Release);
+                let t0 = std::time::Instant::now();
+                while spin.load(Ordering::Acquire) != 2 && t0.elapsed().as_secs() < 10 {
+                    std::hint::spin_loop();
+                }
+                0i64
+            })
+        };
+        while spin.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = vm.fork_on(1, move |cx| {
             let round = |n: i64| {
@@ -90,6 +114,8 @@ mod tests {
         });
         let absorbed = rx.recv().unwrap();
         let dispatched = rx.recv().unwrap();
+        spin.store(2, Ordering::Release);
+        spinner.unwrap().join_blocking().unwrap();
         assert_eq!(absorbed, [0; PROBES], "absorbed: a probe fired");
         assert_eq!(dispatched, [0; PROBES], "dispatched: a probe fired");
         worker.unwrap().join_blocking().unwrap();

@@ -5,10 +5,10 @@
 //! No clock thread fires them.  The earliest deadline is kept in one word
 //! beside the ordered map of entries.  A machine worker's pass reads that
 //! word and fires what is due; a worker about to park reads it to sleep no
-//! later than the earliest deadline of the VMs it drives (`park_timeout`,
+//! later than the earliest deadline of the attached VMs (`park_timeout`,
 //! or the poller's `epoll_wait` timeout).  An add that lowers the word
-//! wakes one idle worker of the VM the way a signal does — publish, fence,
-//! read the idle word — so a worker that announced itself idle either
+//! wakes one idle worker the way a signal does — publish, fence, read the
+//! idle word — so a worker that announced itself idle either
 //! sizes its park by the new deadline or is woken
 //! (`crates/core/tests/model_park.rs` checks the pair).
 //!

@@ -35,8 +35,8 @@ thread_local! {
     static INSTALLED: RefCell<Option<Installed>> = const { RefCell::new(None) };
 }
 
-/// Installs the machine and VP this worker drives until the returned guard
-/// drops (scheduler side, once per slice).
+/// Installs the machine and the VP whose slice this worker runs, until the
+/// returned guard drops (scheduler side, once per slice).
 pub(crate) fn enter_slice(vm: Arc<Vm>, vp: Arc<Vp>) -> SliceGuard {
     INSTALLED.with(|c| {
         *c.borrow_mut() = Some(Installed {

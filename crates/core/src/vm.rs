@@ -557,7 +557,7 @@ impl Vm {
     /// Tells the machine that work was queued on VP `vp` (see [`Queued`]),
     /// counting the wake-up on the signalling lane if it unparked a worker.
     pub(crate) fn signal_work(&self, vp: usize, queued: Queued) {
-        if self.machine.signal_work(vp, queued) {
+        if self.machine.signal_work(&self.vps[vp], queued) {
             self.counts(tls::lane_in(self)).worker_wakes.bump();
         }
     }

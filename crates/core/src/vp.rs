@@ -36,7 +36,7 @@
 //! See DESIGN.md, "Scheduler fast path", for the memory-ordering argument
 //! and the paper-operation-to-tier mapping.
 
-use crate::deque::{Injector, MultiDeque, Steal};
+use crate::deque::{Injector, MultiDeque, OwnerWord, Steal};
 use crate::machine::Queued;
 use crate::pad::CachePadded;
 use crate::pm::{DequeCaps, EnqueueState, PolicyManager, QueueKind, RunItem};
@@ -48,7 +48,7 @@ use crate::tls;
 use crate::trace::EventKind;
 use crate::vm::Vm;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, Ordering};
 use std::sync::{Arc, Weak};
 use sting_context::fiber::FiberResult;
 use sting_context::{Fiber, StackPool};
@@ -60,8 +60,8 @@ const STACK_POOL_CAPACITY: usize = 64;
 /// path").  Present iff the VP's policy opted in via
 /// [`PolicyManager::queue_kind`].
 ///
-/// The [`MultiDeque`] is owner-operated: only the worker driving this VP
-/// (the holder of `owner`) pushes and pops it.  Every other thread — host
+/// The [`MultiDeque`] is owner-operated: only the worker running this VP's
+/// slice (the holder of its [`OwnerWord`]) pushes and pops it.  Every other thread — host
 /// forks, cross-VP wake-ups, due timers — submits through the
 /// [`Injector`]; the owner folds the injector into the deque at each
 /// dequeue, which restores arrival order within each band and makes the
@@ -211,35 +211,28 @@ impl FastQueue {
     }
 }
 
-/// Holds a VP's slice-owner role for the duration of one slice.
-struct OwnerGuard<'a>(&'a AtomicBool);
+/// Holds a VP's owner word for the duration of one slice.
+struct OwnerGuard<'a>(&'a OwnerWord);
 
 impl<'a> OwnerGuard<'a> {
-    fn acquire(flag: &'a AtomicBool) -> Option<OwnerGuard<'a>> {
-        flag.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .ok()?;
-        Some(OwnerGuard(flag))
+    fn take(word: &'a OwnerWord) -> Option<OwnerGuard<'a>> {
+        // Built only on success: a guard's drop gives the word back.
+        word.try_take().then(|| OwnerGuard(word))
     }
 }
 
 impl Drop for OwnerGuard<'_> {
     fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
+        self.0.give_back();
     }
 }
 
-/// The part of a VP its driving worker writes: kept on lines of its own so
+/// The part of a VP its slice's worker writes: kept on lines of its own so
 /// that thieves reading the rest of the [`Vp`] (its index, its queue's
 /// capabilities and buffers) never wait on the owner's lock traffic.
 struct Owned {
     pm: Mutex<Box<dyn PolicyManager>>,
     stack_pool: Mutex<StackPool>,
-    /// Slice-scoped owner role of the deque tier.  The machine drives each
-    /// VP from exactly one worker (index modulo processor count), but
-    /// `PhysicalMachine::attach` is public, so two machines *can* be
-    /// pointed at one VM; the guard downgrades that misconfiguration from
-    /// a correctness hazard to a skipped slice.
-    slice_owner: AtomicBool,
 }
 
 /// A first-class virtual processor.
@@ -249,6 +242,10 @@ pub struct Vp {
     /// Substrate-kept ready queue; `None` when the policy manager keeps
     /// its own.
     fast: Option<FastQueue>,
+    /// The only tie between this VP and a machine worker: whichever worker
+    /// takes it runs the VP's next slice.  Every worker's pass reads it, so
+    /// it has a line of its own, away from the owner's locks.
+    owner: CachePadded<OwnerWord>,
     owned: CachePadded<Owned>,
 }
 
@@ -276,10 +273,10 @@ impl Vp {
             index,
             vm,
             fast,
+            owner: CachePadded(OwnerWord::default()),
             owned: CachePadded(Owned {
                 pm: Mutex::new(pm),
                 stack_pool: Mutex::new(StackPool::new(stack_size, STACK_POOL_CAPACITY)),
-                slice_owner: AtomicBool::new(false),
             }),
         }
     }
@@ -328,6 +325,11 @@ impl Vp {
             Some(fq) => fq.len(),
             None => self.pm().len(),
         }
+    }
+
+    /// Whether a worker is running a slice of this VP (a plain load).
+    pub(crate) fn is_owned(&self) -> bool {
+        self.owner.is_taken()
     }
 
     /// Whether the substrate keeps this VP's ready queue, on the lock-free
@@ -404,7 +406,7 @@ impl Vp {
 
     /// [`Vp::enqueue`] with the owner role already decided.  `owner` may
     /// only be `true` on the worker currently holding this VP's
-    /// [`OwnerGuard`] (the TC run loop passes it for re-enqueues that
+    /// [`OwnerWord`] (the TC run loop passes it for re-enqueues that
     /// happen after the running TCB is cleared from the TLS slot).
     fn enqueue_from(&self, vm: &Vm, item: RunItem, state: EnqueueState, owner: bool) {
         // Note the enqueue *before* the item becomes visible: the instant
@@ -425,9 +427,9 @@ impl Vp {
         };
         // An owner push needs no wake-up for its own sake: the pusher *is*
         // the consumer and is mid-slice.  On a stealable queue it offers
-        // the item to an idle sibling, which costs one load when nobody is
+        // the item to an idle worker, which costs one load when nobody is
         // parked.  Everything else may target a sleeping worker.
-        let stealable = self.stealable();
+        let stealable = self.stealable(vm);
         if !owner_push {
             vm.signal_work(self.index, Queued::Remotely { stealable });
         } else if stealable {
@@ -452,11 +454,11 @@ impl Vp {
         );
     }
 
-    /// Whether another VP may run what is queued here: the deque tier's
-    /// steal capability, or, on the policy tier, whatever the manager's
-    /// own queue and idle hook allow.
-    fn stealable(&self) -> bool {
-        self.fast.as_ref().is_none_or(|fq| fq.caps.steal)
+    /// Whether another VP of `vm` may run what is queued here: there is
+    /// one, and the deque tier's steal capability, or, on the policy tier,
+    /// whatever the manager's own queue and idle hook allow.
+    fn stealable(&self, vm: &Vm) -> bool {
+        vm.vp_count() > 1 && self.fast.as_ref().is_none_or(|fq| fq.caps.steal)
     }
 
     /// Enqueues many items at once — the batched-wake fast path used by
@@ -498,7 +500,7 @@ impl Vp {
             return;
         }
         // Signalled as `enqueue_from` signals one item.
-        let stealable = self.stealable();
+        let stealable = self.stealable(vm);
         if !owner {
             vm.signal_work(self.index, Queued::Remotely { stealable });
         } else if stealable {
@@ -549,10 +551,10 @@ impl Vp {
     }
 
     /// Runs up to `budget` threads on this VP, on behalf of its machine
-    /// `vm`.  Returns `true` if any thread was run.  Called by
-    /// physical-processor workers, which learn through `found` — called
-    /// once, just before the slice's first dispatch — that the slice has
-    /// work.
+    /// `vm`, if the calling worker wins the VP's [`OwnerWord`].  Returns
+    /// `true` if any thread was run.  Called by physical-processor workers,
+    /// which learn through `found` — called once, just before the slice's
+    /// first dispatch — that the slice has work.
     ///
     /// Entries whose thread was absorbed by a toucher (or terminated)
     /// while queued are discarded as they surface: they cost no budget,
@@ -563,15 +565,13 @@ impl Vp {
         budget: usize,
         found: impl FnOnce(),
     ) -> bool {
-        // Claim the slice-owner role (on the deque tier, that of the
-        // deque's single owner); if another worker somehow drives this VP
-        // right now, skip the slice.
-        let Some(_owner) = OwnerGuard::acquire(&self.owned.slice_owner) else {
+        // Another worker is running this VP: leave it to that one.
+        let Some(owner) = OwnerGuard::take(&self.owner) else {
             return false;
         };
         // The borrowed scheduler context: every thread-controller call a
         // thread of this slice makes finds its machine and VP here.
-        let _slice = tls::enter_slice(vm.clone(), self.clone());
+        let slice = tls::enter_slice(vm.clone(), self.clone());
         // Cross-shard fabric: drain inbound handoffs/calls once per slice
         // and, when the slice ends empty-handed, ask a sibling shard for
         // work.  Standalone VMs pay one acquire load for the `None`.
@@ -615,6 +615,17 @@ impl Vp {
         if ran == 0 {
             if let Some(fabric) = fabric {
                 fabric.request_work(vm);
+            }
+        }
+        drop(slice);
+        drop(owner);
+        if ran < budget && !vm.is_stopped() && !self.stealable(vm) {
+            // The queue ran dry.  A submission that saw the word held woke
+            // nobody, counting on the owner's next pop; this look stands in
+            // for it.  The fence pairs with the signaller's (`Queued`).
+            fence(Ordering::SeqCst);
+            if self.queue_len() != 0 {
+                vm.signal_work(self.index, Queued::Remotely { stealable: false });
             }
         }
         ran > 0
@@ -706,7 +717,7 @@ impl Vp {
                     EnqueueState::Yielded
                 };
                 // Owner push: run_tcb only runs under this VP's slice (and
-                // its OwnerGuard); no thread is running, so the role is
+                // its owner word); no thread is running, so the role is
                 // passed explicitly.
                 self.enqueue_from(vm, RunItem::Parked(tcb), state, true);
             }

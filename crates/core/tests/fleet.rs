@@ -56,8 +56,8 @@ fn fabric_call_runs_on_destination_shard() {
 /// and the machine used to hand VPs to workers by that index — so both
 /// shards shared worker 0, worker 1 served nobody, and a thread that spins
 /// without a checkpoint on one shard kept the other from ever running.
-/// With VPs numbered machine-wide the shards have a worker each, and the
-/// flag is seen in microseconds.
+/// Now any worker runs any VP whose owner word it wins, so the free worker
+/// runs shard 1, and the flag is seen in microseconds.
 #[test]
 fn single_vp_shards_run_on_separate_workers() {
     let fleet = Fleet::builder()

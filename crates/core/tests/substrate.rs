@@ -991,7 +991,9 @@ fn tasks_named(prefix: &str) -> Vec<String> {
 /// run and no timer pending wakes its workers at most twice in 200 ms
 /// between them, and no thread wakes on a clock for it.  (Other tests
 /// share this process, so its own workers are found by running a thread
-/// on each; a clock thread of any machine would show by name.)
+/// on each — one per VP, each spinning until both have started, since a
+/// VP runs on whichever worker takes it; a clock thread of any machine
+/// would show by name.)
 #[test]
 fn an_idle_machine_sleeps() {
     let vm = VmBuilder::new()
@@ -999,13 +1001,24 @@ fn an_idle_machine_sleeps() {
         .processors(2)
         .policy(|_| policies::local_fifo().boxed())
         .build();
-    let mut tasks: Vec<String> = (0..2)
+    let started = Arc::new(AtomicUsize::new(0));
+    let threads: Vec<_> = (0..2)
         .map(|vp| {
-            let t = vm
-                .fork_on(vp, |_| task_id().parse::<i64>().unwrap())
-                .unwrap();
-            t.join_blocking().unwrap().as_int().unwrap().to_string()
+            let started = started.clone();
+            vm.fork_on(vp, move |_| {
+                started.fetch_add(1, Ordering::AcqRel);
+                let t0 = Instant::now();
+                while started.load(Ordering::Acquire) < 2 && t0.elapsed() < Duration::from_secs(5) {
+                    std::hint::spin_loop();
+                }
+                task_id().parse::<i64>().unwrap()
+            })
+            .unwrap()
         })
+        .collect();
+    let mut tasks: Vec<String> = threads
+        .iter()
+        .map(|t| t.join_blocking().unwrap().as_int().unwrap().to_string())
         .collect();
     tasks.sort();
     tasks.dedup();
