@@ -7,17 +7,16 @@
 //! express as *readiness* — sockets, pipes, anything pollable:
 //!
 //! * [`Reactor`] — the customization point: register a source once, forget
-//!   it before it closes, wait for events.  The substrate ships
+//!   it before it closes, poll for events.  The substrate ships
 //!   [`EpollReactor`], a Linux epoll backend on the raw syscalls in
-//!   [`crate::sys`] (one edge-triggered registration per fd, an `eventfd`
-//!   for cross-thread kicks).
+//!   [`crate::sys`] (one edge-triggered registration per fd).
 //! * [`IoSource`] — one per socket: the fd, registered at its first
 //!   `EAGAIN`, with a readiness byte and one [`Waiter`] slot per direction.
 //! * [`IoDriver`] — one per [`Vm`]: owns the reactor and the sources
 //!   registered with it, and turns each event into a wake-up.  It has no
 //!   thread of its own; the machine's workers run it
 //!   ([`crate::machine`], "Parking and waking").  A busy worker polls the
-//!   reactor of each VM it drives, without blocking, once a pass.  A worker
+//!   reactor of every attached VM, without blocking, once a pass.  A worker
 //!   about to park becomes the machine's one *poller* instead and blocks in
 //!   `epoll_wait` on a mux holding every attached VM's reactor and the
 //!   machine's kick eventfd.
@@ -63,7 +62,7 @@ pub const WRITE: u8 = 0b010;
 /// each waiter's retried syscall surfaces the real errno or EOF.
 pub const ERROR: u8 = 0b100;
 
-/// One readiness event out of [`Reactor::wait`].
+/// One readiness event out of [`Reactor::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadyEvent {
     /// The user word given at [`Reactor::register`] time.
@@ -72,7 +71,7 @@ pub struct ReadyEvent {
     pub mask: u8,
 }
 
-/// A source of fd readiness: one registration per fd, and a wait.
+/// A source of fd readiness: one registration per fd, and a poll.
 ///
 /// Registrations are **edge-triggered and permanent**: an fd is registered
 /// once, at its first `EAGAIN`, for both directions, and each readiness
@@ -87,13 +86,10 @@ pub trait Reactor: Send + Sync + 'static {
     /// a later fd with the same number starts unregistered.
     fn forget(&self, fd: RawFd);
 
-    /// Blocks up to `timeout_ms` (0 = just look, < 0 = forever) for events,
-    /// appending them to `out`.  Returns spuriously empty on interrupts
-    /// and [`Reactor::notify`] kicks.
-    fn wait(&self, out: &mut Vec<ReadyEvent>, timeout_ms: i32) -> sys::Result<()>;
-
-    /// Kicks a concurrent [`Reactor::wait`] awake from any thread.
-    fn notify(&self);
+    /// Appends the events ready now to `out`, without blocking.  Nobody
+    /// waits on a reactor itself: a blocking wait goes through its
+    /// [`Reactor::pollable_fd`], in the machine's poller mux.
+    fn poll(&self, out: &mut Vec<ReadyEvent>) -> sys::Result<()>;
 
     /// An fd that polls readable while events are pending, so the
     /// machine's poller can wait on this reactor beside others.  `None`
@@ -102,57 +98,25 @@ pub trait Reactor: Send + Sync + 'static {
         None
     }
 
-    /// Cumulative kernel round-trips this backend has made (registrations,
-    /// waits, kicks — the cost model the `server/syscalls-per-wake`
+    /// Cumulative kernel round-trips this backend has made (registrations
+    /// and polls — the cost model the `server/syscalls-per-wake`
     /// benchmark rows divide down).  Backends that do not count return 0.
     fn syscalls(&self) -> u64 {
         0
     }
 }
 
-/// The Linux backend: an epoll instance plus an eventfd for [`Reactor::notify`].
+/// The Linux backend: an epoll instance.
 pub struct EpollReactor {
     ep: RawFd,
-    wake: RawFd,
     syscalls: AtomicU64,
 }
 
-/// Token reserved for an internal eventfd registration.
-const WAKE_TOKEN: u64 = u64::MAX;
-
-/// An epoll instance with `kick`, a fresh eventfd, registered
-/// level-triggered under [`WAKE_TOKEN`]: a pending kick keeps every wait
-/// returning until it is drained.
-fn epoll_with_kick() -> sys::Result<(RawFd, RawFd)> {
-    let ep = sys::epoll_create1()?;
-    let kick = match sys::eventfd() {
-        Ok(fd) => fd,
-        Err(e) => {
-            let _ = sys::close(ep);
-            return Err(e);
-        }
-    };
-    if let Err(e) = sys::epoll_ctl(ep, sys::EPOLL_CTL_ADD, kick, sys::EPOLLIN, WAKE_TOKEN) {
-        let _ = sys::close(kick);
-        let _ = sys::close(ep);
-        return Err(e);
-    }
-    Ok((ep, kick))
-}
-
-/// Drains an eventfd, so its level-triggered registration goes quiet.
-fn drain_kick(fd: RawFd) {
-    let mut count = [0u8; 8];
-    let _ = sys::read(fd, &mut count);
-}
-
 impl EpollReactor {
-    /// Creates the epoll instance and its wake-up eventfd.
+    /// Creates the epoll instance.
     pub fn new() -> sys::Result<EpollReactor> {
-        let (ep, wake) = epoll_with_kick()?;
         Ok(EpollReactor {
-            ep,
-            wake,
+            ep: sys::epoll_create1()?,
             syscalls: AtomicU64::new(0),
         })
     }
@@ -174,17 +138,12 @@ impl Reactor for EpollReactor {
         let _ = sys::epoll_ctl(self.ep, sys::EPOLL_CTL_DEL, fd, 0, 0);
     }
 
-    fn wait(&self, out: &mut Vec<ReadyEvent>, timeout_ms: i32) -> sys::Result<()> {
+    fn poll(&self, out: &mut Vec<ReadyEvent>) -> sys::Result<()> {
         let mut buf = [sys::EpollEvent::zeroed(); 64];
         self.count(1);
-        let n = sys::epoll_wait(self.ep, &mut buf, timeout_ms)?;
+        let n = sys::epoll_wait(self.ep, &mut buf, 0)?;
         for ev in &buf[..n] {
             let (bits, token) = (ev.events, ev.data);
-            if token == WAKE_TOKEN {
-                self.count(1);
-                drain_kick(self.wake);
-                continue;
-            }
             let mut mask = 0u8;
             if bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 {
                 mask |= READ;
@@ -200,11 +159,6 @@ impl Reactor for EpollReactor {
         Ok(())
     }
 
-    fn notify(&self) {
-        self.count(1);
-        let _ = sys::write(self.wake, &1u64.to_ne_bytes());
-    }
-
     fn pollable_fd(&self) -> Option<RawFd> {
         Some(self.ep)
     }
@@ -216,7 +170,6 @@ impl Reactor for EpollReactor {
 
 impl Drop for EpollReactor {
     fn drop(&mut self) {
-        let _ = sys::close(self.wake);
         let _ = sys::close(self.ep);
     }
 }
@@ -571,7 +524,7 @@ impl IoDriver {
             return 0;
         };
         let mut events = EVENTS.take();
-        let result = reactor.wait(&mut events, 0);
+        let result = reactor.poll(&mut events);
         let mut woken = 0;
         if !events.is_empty() {
             let vm = self.vm.get().and_then(Weak::upgrade);
@@ -751,14 +704,30 @@ pub(crate) struct PollerMux {
     members: Mutex<Vec<(RawFd, Weak<IoDriver>)>>,
 }
 
+/// The mux's token for its kick eventfd; members are keyed by their fds.
+const KICK_TOKEN: u64 = u64::MAX;
+
 impl PollerMux {
+    /// An epoll instance with a fresh kick eventfd, registered
+    /// level-triggered: a pending kick keeps every wait returning until the
+    /// poller drains it.
     pub(crate) fn new() -> sys::Result<PollerMux> {
-        let (ep, kick) = epoll_with_kick()?;
-        Ok(PollerMux {
+        let ep = sys::epoll_create1()?;
+        let kick = match sys::eventfd() {
+            Ok(fd) => fd,
+            Err(e) => {
+                let _ = sys::close(ep);
+                return Err(e);
+            }
+        };
+        // From here on, dropping the mux closes both.
+        let mux = PollerMux {
             ep,
             kick,
             members: Mutex::new(Vec::new()),
-        })
+        };
+        sys::epoll_ctl(ep, sys::EPOLL_CTL_ADD, kick, sys::EPOLLIN, KICK_TOKEN)?;
+        Ok(mux)
     }
 
     fn add(&self, fd: RawFd, driver: &Arc<IoDriver>) -> sys::Result<()> {
@@ -796,8 +765,9 @@ impl PollerMux {
         let n = sys::epoll_wait(self.ep, &mut buf, ms)?;
         for ev in &buf[..n] {
             let token = ev.data;
-            if token == WAKE_TOKEN {
-                drain_kick(self.kick);
+            if token == KICK_TOKEN {
+                let mut count = [0u8; 8];
+                let _ = sys::read(self.kick, &mut count);
                 continue;
             }
             let members = self.members.lock();
@@ -855,12 +825,10 @@ mod tests {
 
         fn forget(&self, _fd: RawFd) {}
 
-        fn wait(&self, out: &mut Vec<ReadyEvent>, _timeout_ms: i32) -> sys::Result<()> {
+        fn poll(&self, out: &mut Vec<ReadyEvent>) -> sys::Result<()> {
             out.append(&mut self.queue.lock());
             Ok(())
         }
-
-        fn notify(&self) {}
     }
 
     fn scripted() -> (Arc<IoDriver>, Arc<ScriptedReactor>) {
@@ -1051,11 +1019,9 @@ mod tests {
 
         fn forget(&self, _fd: RawFd) {}
 
-        fn wait(&self, _out: &mut Vec<ReadyEvent>, _timeout_ms: i32) -> sys::Result<()> {
+        fn poll(&self, _out: &mut Vec<ReadyEvent>) -> sys::Result<()> {
             Err(sys::Errno(sys::EBADF))
         }
-
-        fn notify(&self) {}
     }
 
     /// A reactor error must not strand parked waiters: the poll that meets
@@ -1083,6 +1049,17 @@ mod tests {
         assert_eq!(err.0, sys::ESHUTDOWN);
     }
 
+    /// Polls `reactor` into `out` until it reports something, for a second
+    /// at most: an edge the kernel has not delivered yet is not missed.
+    fn poll_for_an_edge(reactor: &EpollReactor, out: &mut Vec<ReadyEvent>) {
+        let deadline = Instant::now() + Duration::from_secs(1);
+        reactor.poll(out).unwrap();
+        while out.is_empty() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            reactor.poll(out).unwrap();
+        }
+    }
+
     #[test]
     fn epoll_reactor_round_trip() {
         let reactor = EpollReactor::new().unwrap();
@@ -1090,7 +1067,7 @@ mod tests {
         reactor.register(b, 42).unwrap();
         // Registration reports the current state once: writable.
         let mut out = Vec::new();
-        reactor.wait(&mut out, 0).unwrap();
+        reactor.poll(&mut out).unwrap();
         assert_eq!(
             out,
             vec![ReadyEvent {
@@ -1099,30 +1076,25 @@ mod tests {
             }]
         );
         out.clear();
-        reactor.wait(&mut out, 0).unwrap();
+        reactor.poll(&mut out).unwrap();
         assert!(out.is_empty(), "an edge is reported once");
         sys::write(a, b"hi").unwrap();
-        reactor.wait(&mut out, 1000).unwrap();
+        poll_for_an_edge(&reactor, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!((out[0].token, out[0].mask & READ), (42, READ));
         // The peer hanging up is a read edge (EOF for the retried read).
         out.clear();
         sys::close(a).unwrap();
-        reactor.wait(&mut out, 1000).unwrap();
+        poll_for_an_edge(&reactor, &mut out);
         assert_eq!(out.len(), 1);
         assert_ne!(out[0].mask & (READ | ERROR), 0);
-        // notify() interrupts a wait with no fd events.
-        out.clear();
-        reactor.notify();
-        reactor.wait(&mut out, 1000).unwrap();
-        assert!(out.is_empty());
         reactor.forget(b);
         let _ = sys::close(b);
     }
 
-    /// More ready fds than the 64-slot `epoll_wait` buffer: one wait must
+    /// More ready fds than the 64-slot `epoll_wait` buffer: one poll must
     /// stop at the buffer's edge, and the rest must arrive over the next
-    /// waits, each fd's edge exactly once.
+    /// polls, each fd's edge exactly once.
     #[test]
     fn epoll_burst_outruns_the_wait_buffer() {
         let reactor = EpollReactor::new().unwrap();
@@ -1136,14 +1108,14 @@ mod tests {
             reactor.register(b, b as u64).unwrap();
         }
         let mut seen = std::collections::HashSet::new();
-        let mut waits = 0;
+        let mut polls = 0;
         let mut out = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         while seen.len() < pairs.len() && Instant::now() < deadline {
             out.clear();
-            reactor.wait(&mut out, 100).unwrap();
-            assert!(out.len() <= 64, "one wait returned {} events", out.len());
-            waits += usize::from(!out.is_empty());
+            reactor.poll(&mut out).unwrap();
+            assert!(out.len() <= 64, "one poll returned {} events", out.len());
+            polls += usize::from(!out.is_empty());
             for ev in &out {
                 assert_ne!(ev.mask & READ, 0);
                 assert!(seen.insert(ev.token), "fd {} reported twice", ev.token);
@@ -1154,7 +1126,7 @@ mod tests {
             pairs.len(),
             "every registered fd must report in"
         );
-        assert!(waits >= 3, "160 events fit in {waits} waits of 64");
+        assert!(polls >= 3, "160 events fit in {polls} polls of 64");
         for (a, b) in pairs {
             let _ = sys::close(a);
             let _ = sys::close(b);

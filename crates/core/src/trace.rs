@@ -99,7 +99,7 @@ pub enum EventKind {
     /// re-publishes it, so the audit treats a handoff as consuming one
     /// pending enqueue (like a dispatch) rather than as a steal.
     Handoff = 19,
-    /// The I/O driver's reactor backend failed fatally (`Reactor::wait`
+    /// The I/O driver's reactor backend failed fatally (`Reactor::poll`
     /// errored); payload `a` is the raw errno.  Recorded once, as the
     /// driver loop exits and drains its registry — every parked I/O
     /// thread is spuriously woken rather than left hanging.

@@ -421,12 +421,10 @@ impl Reactor for Scripted {
 
     fn forget(&self, _fd: RawFd) {}
 
-    fn wait(&self, out: &mut Vec<ReadyEvent>, _timeout_ms: i32) -> sys::Result<()> {
+    fn poll(&self, out: &mut Vec<ReadyEvent>) -> sys::Result<()> {
         out.append(&mut self.queue.lock());
         Ok(())
     }
-
-    fn notify(&self) {}
 }
 
 /// The edge of data that arrives between a read's `EAGAIN` and the
