@@ -8,8 +8,8 @@
 #   ./ci.sh doc      # rustdoc build (warnings are errors), doctests, and
 #                    # a relative-link check over the top-level markdown
 #   ./ci.sh check    # model checker: sting-check self-tests + the deque/
-#                    # trace-ring/wait/park/thread-state interleaving models
-#                    # over the production source
+#                    # owner-hand-off/trace-ring/wait/park/thread-state
+#                    # interleaving models over the production source
 #   ./ci.sh analyze  # static analyzer tier (<60s): the expect-flag corpus,
 #                    # the expect-clean sweep, the static/dynamic lock-order
 #                    # cross-check, and `repl --analyze` over the examples
@@ -119,8 +119,9 @@ run_bench_smoke() {
 
 run_shard() {
     step "shard: fleet + sharded tuple-space integration tests"
-    # Including the two reproductions: single-VP shards get a worker each
-    # (fleet::single_vp_shards_run_on_separate_workers, machine::tests),
+    # Including the two reproductions: a worker stuck in one VP's slice
+    # strands no other VP (fleet::single_vp_shards_run_on_separate_workers,
+    # machine::tests),
     # and a reader registers in one place, so registrations do not pile up
     # (index::handoffs_on_one_key_hold_registrations_flat).
     cargo test -q -p sting-core --lib machine::

@@ -7,12 +7,14 @@
 //! explored.  The mutation tests proving each scenario has teeth — the same
 //! protocol with a required ordering weakened, shown failing — live in
 //! `crates/check/tests/litmus.rs` (mini-deque and seqlock litmus tests),
-//! since weakening the production source would require patching it.
+//! since weakening the production source would require patching it; the
+//! owner hand-off's mutation is here, on a stand-in for the owner word.
 #![cfg(sting_check)]
 
 use std::sync::Arc;
-use sting_check::{model, model_bounded, thread};
-use sting_core::deque::{Deque, Injector, MultiDeque, Steal, Tagged, BANDS};
+use sting_check::atomic::{AtomicBool, Ordering};
+use sting_check::{model, model_bounded, model_bounded_expect_failure, thread};
+use sting_core::deque::{Deque, Injector, MultiDeque, OwnerWord, Steal, Tagged, BANDS};
 use sting_core::trace::{EventKind, Ring, TraceEvent};
 
 /// The pop/steal last-item race (deque.rs `pop`, `t == b` arm): with one
@@ -405,4 +407,113 @@ fn trace_ring_reader_never_surfaces_torn_record() {
             "newest record missing from quiescent snapshot: {final_threads:?}"
         );
     });
+}
+
+/// Who may run a deque's owner operations: the production [`OwnerWord`],
+/// or a stand-in whose give-back is weakened.
+trait Owner: Send + Sync + 'static {
+    fn take(&self) -> bool;
+    fn give_back(&self);
+}
+
+impl Owner for OwnerWord {
+    fn take(&self) -> bool {
+        self.try_take()
+    }
+
+    fn give_back(&self) {
+        OwnerWord::give_back(self);
+    }
+}
+
+/// The mutation: an owner word given back with a Relaxed store, which
+/// hands the next owner nothing the last one did.
+#[derive(Default)]
+struct RelaxedOwner(AtomicBool);
+
+impl Owner for RelaxedOwner {
+    fn take(&self) -> bool {
+        !self.0.load(Ordering::Relaxed) && !self.0.swap(true, Ordering::Acquire)
+    }
+
+    fn give_back(&self) {
+        self.0.store(false, Ordering::Relaxed);
+    }
+}
+
+/// The owner hand-off (`OwnerWord`, and `Vp::run_slice` around it): two
+/// workers take a VP's owner word in turn, and each runs owner pushes and
+/// pops on the production `Deque` while it holds it — the second folds a
+/// remote submitter's `Injector` push in first, as a VP's pop does — while
+/// a thief steals.  Every thread is spawned before any push, so what the
+/// second owner knows of the first one's `bottom` comes only through the
+/// word.  No item is lost or dispatched twice.
+fn owner_hand_off(word: impl Owner) {
+    let word = Arc::new(word);
+    let d = Arc::new(Deque::with_capacity(4));
+    let injector = Arc::new(Injector::new());
+    assert!(word.take(), "worker A holds the word first");
+    let thief = {
+        let d = d.clone();
+        thread::spawn(move || match d.steal() {
+            Steal::Success(v) => Some(v),
+            Steal::Empty | Steal::Retry => None,
+        })
+    };
+    let submitter = {
+        let injector = injector.clone();
+        thread::spawn(move || injector.push(3u64))
+    };
+    let worker_b = {
+        let (word, d, injector) = (word.clone(), d.clone(), injector.clone());
+        thread::spawn(move || {
+            let mut ran = Vec::new();
+            if word.take() {
+                for v in injector.take_all() {
+                    d.push(v);
+                }
+                ran.extend(d.pop());
+                word.give_back();
+            }
+            ran
+        })
+    };
+    d.push(1u64);
+    d.push(2u64);
+    let mut claimed: Vec<u64> = d.pop().into_iter().collect();
+    word.give_back();
+    claimed.extend(worker_b.join());
+    claimed.extend(thief.join());
+    submitter.join();
+    // Quiesced: whatever is left is drained once.
+    claimed.extend(injector.take_all());
+    while let Some(v) = d.pop() {
+        claimed.push(v);
+    }
+    claimed.sort_unstable();
+    assert_eq!(
+        claimed,
+        [1, 2, 3],
+        "lost or duplicated an item: {claimed:?}"
+    );
+}
+
+/// The production hand-off: a take that follows a give-back sees the
+/// deque as the last owner left it.
+#[test]
+fn owner_hand_off_loses_and_duplicates_nothing() {
+    model_bounded(2, || owner_hand_off(OwnerWord::default()));
+}
+
+/// Expect-failure mutation: with the give-back Relaxed, the second owner
+/// can run on a stale `bottom` — the checker must report the lost or
+/// duplicated item, or the deque's own assertion that a pop claimed a slot
+/// twice or before its write.
+#[test]
+fn owner_hand_off_with_a_relaxed_give_back_loses_an_item() {
+    let report = model_bounded_expect_failure(2, || owner_hand_off(RelaxedOwner::default()));
+    assert!(
+        report.contains("lost or duplicated") || report.contains("double claim"),
+        "unexpected report:\n{report}"
+    );
 }

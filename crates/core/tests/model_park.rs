@@ -3,8 +3,9 @@
 //! the idle-worker mask and the count of searching workers, and beside it
 //! the word naming the worker that holds the poller role (the idle worker
 //! blocked in the reactor mux, woken by a kick rather than an unpark) —
-//! and of a timer add that lowers a VM's earliest deadline, which wakes an
-//! idle worker through the same word.
+//! of a timer add that lowers a VM's earliest deadline, which wakes an
+//! idle worker through the same word, and of a submission to a VP whose
+//! owner word (`sting_core::deque::OwnerWord`) is held.
 //!
 //! Compiles only under `RUSTFLAGS="--cfg sting_check"` (`./ci.sh check`),
 //! which switches the word onto the sting-check shim atomics (and exports
@@ -21,10 +22,8 @@
 use std::sync::Arc;
 use sting_check::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use sting_check::{model, model_expect_failure, thread};
+use sting_core::deque::OwnerWord;
 use sting_core::machine::IdleWorkers;
-
-/// Every worker bit: `claim_one`'s candidates for a chained wake.
-const ANY: u64 = u64::MAX;
 
 /// The going-to-sleep half of the worker loop: announce, look at the queue
 /// once more (the second pass), then retract or park.  `true` if it parks.
@@ -38,9 +37,9 @@ fn goes_idle(idle: &IdleWorkers, worker: usize, queue: &AtomicUsize) -> bool {
 }
 
 /// An enqueue racing a worker that is going idle loses no wake: the
-/// pusher publishes, reads the idle mask after its fence and claims the
-/// VP's worker if it sees it idle.  Either the worker's second look finds
-/// the item, or the pusher claimed it.
+/// pusher publishes, reads the idle mask after its fence and claims an
+/// idle worker if it sees one.  Either the worker's second look finds the
+/// item, or the pusher claimed it.
 #[test]
 fn enqueue_racing_a_worker_going_idle_loses_no_wake() {
     let explored = model(|| {
@@ -49,7 +48,7 @@ fn enqueue_racing_a_worker_going_idle_loses_no_wake() {
         let (i2, q2) = (idle.clone(), queue.clone());
         let pusher = thread::spawn(move || {
             q2.store(1, Ordering::Release);
-            i2.idle_after_publish() != 0 && i2.claim_worker(0) != 0
+            i2.idle_after_publish() != 0 && i2.claim_one() != 0
         });
         let parked = goes_idle(&idle, 0, &queue);
         let woke = pusher.join();
@@ -62,7 +61,7 @@ fn enqueue_racing_a_worker_going_idle_loses_no_wake() {
     assert!(explored.executions > 1);
 }
 
-/// Two signallers offering work to idle siblings wake one worker between
+/// Two signallers offering work to idle workers wake one worker between
 /// them: the first claim makes a searcher, and a searcher suppresses
 /// further claims.
 #[test]
@@ -73,7 +72,7 @@ fn two_signallers_wake_at_most_one_worker() {
         idle.announce(1);
         let signal = || {
             let idle = idle.clone();
-            thread::spawn(move || idle.claim_one(ANY))
+            thread::spawn(move || idle.claim_one())
         };
         let (a, b) = (signal(), signal());
         let woken = a.join().count_ones() + b.join().count_ones();
@@ -90,13 +89,13 @@ fn searching_worker_that_finds_work_wakes_a_successor() {
         let idle = Arc::new(IdleWorkers::default());
         idle.announce(0);
         idle.announce(1);
-        assert_eq!(idle.claim_worker(0), 1, "worker 0 is idle");
+        assert_eq!(idle.claim_one(), 1, "worker 0 is idle");
         let i2 = idle.clone();
-        let signaller = thread::spawn(move || i2.claim_one(ANY));
+        let signaller = thread::spawn(move || i2.claim_one());
         // Worker 0 dispatches its first thread: it stops searching and,
         // as the last searcher, claims a successor.
         let successor = if idle.end_search() {
-            idle.claim_one(ANY)
+            idle.claim_one()
         } else {
             0
         };
@@ -147,10 +146,11 @@ fn mini_handshake_relaxed_loses_a_wake() {
     assert!(report.contains("lost wake"), "unexpected report:\n{report}");
 }
 
-/// A claimer's wake for worker 0, as `MachineShared::unpark` delivers it:
-/// a kick if the claim took the poller, an unpark otherwise.
+/// A claimer's wake for worker 0, the only one announced, as
+/// `MachineShared::unpark` delivers it: a kick if the claim took the
+/// poller, an unpark otherwise.
 fn claim_and_wake(idle: &IdleWorkers, kick: &AtomicUsize, unparked: &AtomicUsize) -> bool {
-    let claimed = idle.claim_worker(0);
+    let claimed = idle.claim_one();
     if claimed == 0 {
         return false;
     }
@@ -257,7 +257,7 @@ const SOON: u64 = 20;
 /// A timer add that lowers the earliest deadline, racing a worker going
 /// idle.  The add publishes the lower deadline (`Timers::insert`, a
 /// Release store under the timers' lock), then reads the idle word after
-/// its fence and claims an idle driver (`Attachment::signal_deadline`).
+/// its fence and claims an idle worker (`Attachment::signal_deadline`).
 /// The worker announces itself, then its second pass reads the deadline
 /// it will park to.  Parking to the old deadline unclaimed sleeps past the
 /// new one.  `read_first` is the mutation: the worker sizes its park
@@ -269,7 +269,7 @@ fn deadline_against_a_worker_going_idle(read_first: bool) {
         let (idle, earliest) = (idle.clone(), earliest.clone());
         thread::spawn(move || {
             earliest.store(SOON, Ordering::Release);
-            idle.idle_after_publish() & 1 != 0 && idle.claim_first(1) != 0
+            idle.idle_after_publish() != 0 && idle.claim_one() != 0
         })
     };
     let wake_at = if read_first {
@@ -305,4 +305,57 @@ fn sizing_the_park_before_the_announcement_loses_a_deadline() {
         report.contains("lost deadline"),
         "unexpected report:\n{report}"
     );
+}
+
+/// A submission to a VP whose work no other VP may take, racing the VP's
+/// owner as its slice runs dry, while worker 1 sleeps.  The submitter
+/// publishes, fences (`idle_after_publish`) and wakes an idle worker only
+/// if it sees the owner word free (`MachineShared::signal`): a held VP's
+/// owner pops the work next.  The owner's last pop found nothing; it gives
+/// the word back, fences and looks at the queue once more, waking an idle
+/// worker if the item is there (`Vp::run_slice`).  A free VP with the item
+/// queued and nobody woken is stranded.  `fenced` false is the mutation:
+/// the owner's look without the fence.
+fn submission_against_a_slice_running_dry(fenced: bool) {
+    let idle = Arc::new(IdleWorkers::default());
+    let word = Arc::new(OwnerWord::default());
+    let queue = Arc::new(AtomicUsize::new(0));
+    idle.announce(1);
+    assert!(word.try_take(), "the owner holds the VP");
+    let submitter = {
+        let (idle, word, queue) = (idle.clone(), word.clone(), queue.clone());
+        thread::spawn(move || {
+            queue.store(1, Ordering::Release);
+            idle.idle_after_publish() != 0 && !word.is_taken() && idle.claim_one() != 0
+        })
+    };
+    word.give_back();
+    if fenced {
+        fence(Ordering::SeqCst);
+    }
+    let rewoke = queue.load(Ordering::Relaxed) != 0
+        && idle.idle_after_publish() != 0
+        && idle.claim_one() != 0;
+    let woke = submitter.join();
+    assert!(
+        woke || rewoke,
+        "stranded: the item sits on a free VP and every worker sleeps"
+    );
+}
+
+/// The fenced look after a dry slice pairs with the submitter's fence:
+/// either the submitter sees the word free, or the owner sees the item.
+#[test]
+fn a_submission_racing_a_slice_running_dry_is_not_stranded() {
+    let explored = model(|| submission_against_a_slice_running_dry(true));
+    assert!(explored.executions > 1);
+}
+
+/// Expect-failure mutation: without the owner's fence, the submitter can
+/// read the word still held while the owner reads the queue still empty —
+/// the checker must report it.
+#[test]
+fn a_look_after_the_slice_without_the_fence_strands_a_submission() {
+    let report = model_expect_failure(|| submission_against_a_slice_running_dry(false));
+    assert!(report.contains("stranded"), "unexpected report:\n{report}");
 }
