@@ -406,6 +406,12 @@ impl Fabric {
         }
     }
 
+    /// Whether any of this shard's inbound mailboxes holds a message.
+    pub(crate) fn has_mail(&self, vm: &Vm) -> bool {
+        let (me, n) = (vm.shard_id(), self.shards.len());
+        (0..n).any(|from| from != me && !self.boxes[from * n + me].is_empty())
+    }
+
     /// Drains this shard's inbound mailboxes: enqueues handed-off work,
     /// runs routed calls, and serves siblings' work requests.  Called once
     /// per VP slice (under the VP's [`OwnerWord`](crate::deque::OwnerWord));

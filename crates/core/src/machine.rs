@@ -34,8 +34,9 @@
 //!   one fence and one load, no syscall.  Work no other VP may take, on a
 //!   VP whose word is held, wakes nobody: its owner pops it next.  A slice
 //!   that ran its queue dry gives the word back, fences and looks at the
-//!   queue once more, so a submission that saw the word held is not left
-//!   behind (the same Dekker pair, checked there too).
+//!   queue and the shard's mailboxes once more, so a submission or mail
+//!   that saw the word held is not left behind (the same Dekker pair,
+//!   checked there too).
 //! * **Stealing.**  An owner push on a stealable queue claims one idle
 //!   worker the same way, to steal it through another VP of the VM.  The
 //!   push reads the word without the fence, so it can miss a worker that is

@@ -620,11 +620,12 @@ impl Vp {
         drop(slice);
         drop(owner);
         if ran < budget && !vm.is_stopped() && !self.stealable(vm) {
-            // The queue ran dry.  A submission that saw the word held woke
-            // nobody, counting on the owner's next pop; this look stands in
-            // for it.  The fence pairs with the signaller's (`Queued`).
+            // The queue ran dry.  A submission or cross-shard mail that saw
+            // the word held woke nobody, counting on the owner's next pop or
+            // pump; this look stands in for them.  The fence pairs with the
+            // signaller's (`Queued`).
             fence(Ordering::SeqCst);
-            if self.queue_len() != 0 {
+            if self.queue_len() != 0 || fabric.is_some_and(|f| f.has_mail(vm)) {
                 vm.signal_work(self.index, Queued::Remotely { stealable: false });
             }
         }

@@ -9,6 +9,7 @@ use sting_core::audit::FindingKind;
 use sting_core::fleet::Fleet;
 use sting_core::tc;
 use sting_core::trace::EventKind;
+use sting_core::wait::Waiter;
 use sting_value::Value;
 
 fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -89,6 +90,45 @@ fn single_vp_shards_run_on_separate_workers() {
         "shard 1 never ran while shard 0 spun: both VPs share one worker"
     );
     assert_eq!(setter.join_blocking(), Ok(Value::Int(0)));
+    fleet.shutdown();
+}
+
+/// Reproduction: a thread on shard 0 that parks for the reply to a call
+/// routed through shard 1 is always woken.  The reply is mail to shard 0,
+/// and mail to a single-VP shard whose VP is held wakes nobody: the owner
+/// pumps it next.  The owner whose slice ran dry (the caller parked) must
+/// look at the mailboxes once more after giving the VP back, or the mail
+/// sits there while every worker sleeps.
+#[test]
+fn a_parked_caller_on_a_single_vp_shard_gets_its_routed_reply() {
+    let fleet = Fleet::builder().shards(2).processors(2).build();
+    let fabric = fleet.fabric().expect("two shards have a fabric").clone();
+    let home = fleet.shard(0).clone();
+    let done = Arc::new(AtomicU64::new(0));
+    let caller = {
+        let done = done.clone();
+        fleet.shard(0).fork(move |_cx| {
+            for i in 0..20_000 {
+                let waiter = Waiter::current();
+                let (fabric2, reply) = (fabric.clone(), waiter.clone());
+                fabric.call(
+                    &home,
+                    1,
+                    Box::new(move |there| {
+                        fabric2.call(there, 0, Box::new(move |_| drop(reply.wake())));
+                    }),
+                );
+                waiter.park(&Value::sym("reply"));
+                done.store(i, Ordering::Relaxed);
+            }
+            0i64
+        })
+    };
+    assert!(
+        wait_until(Duration::from_secs(10), || caller.is_determined()),
+        "the caller stalled after {} round trips",
+        done.load(Ordering::Relaxed)
+    );
     fleet.shutdown();
 }
 

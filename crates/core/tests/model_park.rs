@@ -312,8 +312,8 @@ fn sizing_the_park_before_the_announcement_loses_a_deadline() {
 /// publishes, fences (`idle_after_publish`) and wakes an idle worker only
 /// if it sees the owner word free (`MachineShared::signal`): a held VP's
 /// owner pops the work next.  The owner's last pop found nothing; it gives
-/// the word back, fences and looks at the queue once more, waking an idle
-/// worker if the item is there (`Vp::run_slice`).  A free VP with the item
+/// the word back, fences and looks at the queue (and a shard's mailboxes)
+/// once more, waking an idle worker if the item is there (`Vp::run_slice`).  A free VP with the item
 /// queued and nobody woken is stranded.  `fenced` false is the mutation:
 /// the owner's look without the fence.
 fn submission_against_a_slice_running_dry(fenced: bool) {
