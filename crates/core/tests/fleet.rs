@@ -115,7 +115,13 @@ fn a_parked_caller_on_a_single_vp_shard_gets_its_routed_reply() {
                     &home,
                     1,
                     Box::new(move |there| {
-                        fabric2.call(there, 0, Box::new(move |_| drop(reply.wake())));
+                        fabric2.call(
+                            there,
+                            0,
+                            Box::new(move |_| {
+                                reply.wake();
+                            }),
+                        );
                     }),
                 );
                 waiter.park(&Value::sym("reply"));
