@@ -27,7 +27,7 @@ use sting_bench::{
     dist::Dist, figure6_checks, figure6_gates_pass, measure_figure6, render_figure6,
 };
 
-/// Counts allocations per OS thread, for the `fork:allocs-per-thread<=2`
+/// Counts allocations per OS thread, for the `fork:allocs-per-thread<=1`
 /// and `scheme:call-does-not-malloc` gates.
 #[global_allocator]
 static ALLOCATOR: sting_bench::CountingAllocator = sting_bench::CountingAllocator;
@@ -594,8 +594,8 @@ fn main() -> ExitCode {
             rows.add("fork", "1vp-per-thread", "ns/thread", &per);
         }
     }
-    // A count, so enforced on any box: the thread object and its thunk are
-    // a fork's only allocations.
+    // A count, so enforced on any box: the thread record, which holds its
+    // body in place, is a fork's only allocation.
     let allocs_per_thread = {
         let vm = shapes::fork_vm(1, false);
         let allocs = shapes::tree_allocs_per_thread(&vm, FORK_DEPTH);
@@ -603,10 +603,10 @@ fn main() -> ExitCode {
         allocs
     };
     checks.push(Check {
-        name: "fork:allocs-per-thread<=2".to_string(),
-        pass: allocs_per_thread <= 2.0,
+        name: "fork:allocs-per-thread<=1".to_string(),
+        pass: allocs_per_thread <= 1.0,
         detail: format!(
-            "one eager tree on 1 VP, counted on its worker: {allocs_per_thread:.2} Rust-heap allocations per forked thread (the thread and its thunk)"
+            "one eager tree on 1 VP, counted on its worker: {allocs_per_thread:.2} Rust-heap allocations per forked thread (the thread record)"
         ),
     });
     checks.push(Check {

@@ -50,7 +50,7 @@ pub struct ThreadGroup {
 #[repr(align(128))] // as `pad::CachePadded`: the `Arc` counts get lines of their own
 pub(crate) struct GroupLane {
     group: Arc<ThreadGroup>,
-    members: Mutex<WeakList>,
+    members: Mutex<WeakList<Thread>>,
 }
 
 impl GroupLane {
@@ -71,14 +71,23 @@ impl GroupLane {
 /// A list of weak thread references with amortized-O(1) pruning of dead
 /// ones: we sweep only when the list doubles past the last sweep's
 /// survivor count.
-#[derive(Debug, Default)]
-struct WeakList {
-    list: Vec<Weak<Thread>>,
+#[derive(Debug)]
+struct WeakList<T> {
+    list: Vec<Weak<T>>,
     prune_at: usize,
 }
 
-impl WeakList {
-    fn push(&mut self, w: Weak<Thread>) {
+impl<T> Default for WeakList<T> {
+    fn default() -> Self {
+        WeakList {
+            list: Vec::new(),
+            prune_at: 0,
+        }
+    }
+}
+
+impl<T> WeakList<T> {
+    fn push(&mut self, w: Weak<T>) {
         if self.list.len() >= self.prune_at.max(64) {
             self.list.retain(|w| w.strong_count() > 0);
             self.prune_at = self.list.len() * 2;
@@ -86,7 +95,7 @@ impl WeakList {
         self.list.push(w);
     }
 
-    fn extend_live(&self, out: &mut Vec<Arc<Thread>>) {
+    fn extend_live(&self, out: &mut Vec<Arc<T>>) {
         out.extend(self.list.iter().filter_map(Weak::upgrade));
     }
 }
@@ -311,5 +320,73 @@ mod tests {
         }
         drop((from_host, from_vp));
         vm.shutdown();
+    }
+
+    /// Whether the entry below the newest is dead: what a push must not
+    /// leave behind in fork-join order.
+    fn dead_below_newest<T>(list: &WeakList<T>) -> bool {
+        let n = list.list.len();
+        n >= 2 && list.list[n - 2].strong_count() == 0
+    }
+
+    /// Forks two children, runs each one's subtree, then lets both die:
+    /// the order of a result-parallel tree whose parent touches its
+    /// children (depth first, fork-join).
+    fn fork_join(list: &mut WeakList<u32>, depth: u32, longest: &mut usize) {
+        if depth == 0 {
+            return;
+        }
+        let kids = [(); 2].map(|()| {
+            let kid = Arc::new(depth);
+            list.push(Arc::downgrade(&kid));
+            assert!(
+                !dead_below_newest(list),
+                "a push left a dead entry at the newest end"
+            );
+            *longest = (*longest).max(list.list.len());
+            kid
+        });
+        for _kid in &kids {
+            fork_join(list, depth - 1, longest);
+        }
+    }
+
+    /// In fork-join death order the dead sit at the newest end, so each
+    /// push drops them there and frees their blocks at once: the list stays
+    /// as long as the live spine (two children a level, plus at most one
+    /// finished sibling a level), never growing to the sweep's 64.
+    #[test]
+    fn a_push_drops_the_dead_at_the_newest_end() {
+        const DEPTH: u32 = 10;
+        let mut list = WeakList::default();
+        let mut longest = 0;
+        fork_join(&mut list, DEPTH, &mut longest);
+        assert!(
+            longest <= 3 * DEPTH as usize,
+            "{longest} entries for a tree of depth {DEPTH}"
+        );
+    }
+
+    /// In FIFO death order the dead sit at the oldest end, where a push does
+    /// not look: the doubling sweep still bounds the list at twice its live
+    /// members (or 64).
+    #[test]
+    fn fifo_deaths_stay_bounded_by_the_sweep() {
+        const LIVE: usize = 100;
+        let mut list = WeakList::default();
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..10_000u32 {
+            let t = Arc::new(i);
+            list.push(Arc::downgrade(&t));
+            live.push_back(t);
+            if live.len() > LIVE {
+                live.pop_front();
+            }
+            assert!(
+                list.list.len() <= 2 * (LIVE + 1) + 1,
+                "{} entries for {LIVE} live members",
+                list.list.len()
+            );
+        }
     }
 }
