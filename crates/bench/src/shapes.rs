@@ -672,8 +672,8 @@ pub fn tree_threads(depth: u32) -> u64 {
 
 /// Rust-heap allocations per forked thread of one eager tree of `depth`
 /// on a one-VP `vm`, counted on the worker that runs it, unpreempted, after
-/// a warm-up tree: the `Arc<Thread>` and the boxed thunk make 2.  Reads 0
-/// in a binary whose global allocator is not a
+/// a warm-up tree: 1, the `Arc<Thread>`, which holds its body in place.
+/// Reads 0 in a binary whose global allocator is not a
 /// [`CountingAllocator`](crate::CountingAllocator).
 pub fn tree_allocs_per_thread(vm: &Arc<Vm>, depth: u32) -> f64 {
     let allocs = crate::on_thread(vm, move |cx| {

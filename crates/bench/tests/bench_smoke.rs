@@ -2,16 +2,50 @@
 //! for real (tiny iteration counts), validates the emitted JSON against
 //! the schema, and asserts that every gate passed.
 
+use std::fs::File;
 use std::path::Path;
 use std::process::Command;
+use std::time::{Duration, Instant};
 use sting_bench::report::{BenchReport, SCHEMA};
 
+/// How long `bench_all --smoke` may run.  A debug build takes about 9 s
+/// alone on two cores; the deadline leaves room for a loaded tier-1 run,
+/// and turns a row that hangs into a failure instead of a stuck suite.
+const DEADLINE: Duration = Duration::from_secs(300);
+
+/// Runs `bench_all` with its output in files, killing it at [`DEADLINE`]:
+/// then the failure shows what it printed, so its last row names the
+/// hang.
 fn run_bench_all(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_bench_all"))
+    let (out_path, err_path) = (tmp("bench_all.stdout"), tmp("bench_all.stderr"));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bench_all"))
         .args(args)
         .current_dir(env!("CARGO_TARGET_TMPDIR"))
-        .output()
-        .expect("bench_all spawns")
+        .stdout(File::create(&out_path).expect("stdout file"))
+        .stderr(File::create(&err_path).expect("stderr file"))
+        .spawn()
+        .expect("bench_all spawns");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("bench_all waits") {
+            break status;
+        }
+        if started.elapsed() > DEADLINE {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!(
+                "bench_all {args:?} still running after {DEADLINE:?}; killed\nstdout:\n{}\nstderr:\n{}",
+                std::fs::read_to_string(&out_path).unwrap_or_default(),
+                std::fs::read_to_string(&err_path).unwrap_or_default()
+            );
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    std::process::Output {
+        status,
+        stdout: std::fs::read(&out_path).expect("stdout read back"),
+        stderr: std::fs::read(&err_path).expect("stderr read back"),
+    }
 }
 
 fn tmp(name: &str) -> String {

@@ -69,8 +69,12 @@ impl GroupLane {
 }
 
 /// A list of weak thread references with amortized-O(1) pruning of dead
-/// ones: we sweep only when the list doubles past the last sweep's
-/// survivor count.
+/// ones.  A push first drops the dead at the newest end: in fork-join
+/// order a thread dies before its older siblings, so the next fork on the
+/// lane drops the last `Weak` of the threads that died since and their
+/// blocks go back to the allocator at once, not in a burst at a sweep.
+/// For every other death order we sweep when the list doubles past the
+/// last sweep's survivor count.
 #[derive(Debug)]
 struct WeakList<T> {
     list: Vec<Weak<T>>,
@@ -88,6 +92,9 @@ impl<T> Default for WeakList<T> {
 
 impl<T> WeakList<T> {
     fn push(&mut self, w: Weak<T>) {
+        while self.list.last().is_some_and(|w| w.strong_count() == 0) {
+            self.list.pop();
+        }
         if self.list.len() >= self.prune_at.max(64) {
             self.list.retain(|w| w.strong_count() > 0);
             self.prune_at = self.list.len() * 2;

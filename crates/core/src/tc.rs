@@ -38,7 +38,7 @@
 use crate::error::CoreError;
 use crate::state::{StateRequest, ThreadState};
 use crate::tcb::{Disposition, ThreadSuspender, Wakeup};
-use crate::thread::{JoinNode, Thread, ThreadResult, Thunk, TryThunk};
+use crate::thread::{Body, JoinNode, Thread, ThreadResult, Thunk};
 use crate::tls;
 use crate::vm::Vm;
 use crate::vp::Vp;
@@ -121,12 +121,12 @@ impl Cx {
     /// ([`Vp::fork_target`], `pm-allocate-vp`) when it is to be scheduled.
     /// Everything is reached through the borrowed scheduler context: no
     /// reference count is touched on the way.
-    fn spawn(&self, thunk: TryThunk, state: ThreadState) -> Arc<Thread> {
+    fn spawn(&self, body: Body, state: ThreadState) -> Arc<Thread> {
         tls::with(|cur| {
             let cur = cur.expect("Cx exists off-thread");
             let vp =
                 (state == ThreadState::Scheduled).then(|| cur.vp.fork_target() % cur.vm.vp_count());
-            cur.vm.spawn_with(thunk, state, vp, None)
+            cur.vm.spawn_with(body, state, vp, None)
         })
     }
 
@@ -293,30 +293,31 @@ impl Cx {
     }
 }
 
-pub(crate) fn erase<F, V>(f: F) -> TryThunk
+pub(crate) fn erase<F, V>(f: F) -> Body
 where
     F: FnOnce(&Cx) -> V + Send + 'static,
     V: Into<Value>,
 {
-    Box::new(move |cx| Ok(f(cx).into()))
+    Body::new(move |cx| Ok(f(cx).into()))
 }
 
-pub(crate) fn erase_try<F, V>(f: F) -> TryThunk
+pub(crate) fn erase_try<F, V>(f: F) -> Body
 where
     F: FnOnce(&Cx) -> Result<V, Value> + Send + 'static,
     V: Into<Value>,
 {
-    Box::new(move |cx| f(cx).map(Into::into))
+    Body::new(move |cx| f(cx).map(Into::into))
 }
 
-/// Boxes a plain [`Thunk`] as a [`TryThunk`].
-pub(crate) fn lift(thunk: Thunk) -> TryThunk {
-    Box::new(move |cx| Ok(thunk(cx)))
+/// Wraps a boxed [`Thunk`] as a [`Body`]: the box's two words fit in
+/// place, so this allocates nothing more.
+pub(crate) fn lift(thunk: Thunk) -> Body {
+    Body::new(move |cx| Ok(thunk(cx)))
 }
 
-/// The body run by every thread fiber: applies early requests, runs the
-/// thunk, and maps unwinds to results.
-pub(crate) fn thread_main(thunk: TryThunk) -> ThreadResult {
+/// The code run by every thread fiber: applies early requests, runs the
+/// body, and maps unwinds to results.
+pub(crate) fn thread_main(body: Body) -> ThreadResult {
     let cx = Cx::new();
     // The early requests are applied inside the unwind boundary: a
     // terminate or raise that lands between the dispatch and the first
@@ -324,7 +325,7 @@ pub(crate) fn thread_main(thunk: TryThunk) -> ThreadResult {
     // unwind through the fiber into the worker driving it.
     map_unwind(panic::catch_unwind(AssertUnwindSafe(move || {
         apply_requests();
-        thunk(&cx)
+        body.run(&cx)
     })))
 }
 
@@ -681,8 +682,8 @@ pub fn touch(thread: &Arc<Thread>) -> ThreadResult {
         let depth = tls::with(|cur| cur.map(|c| c.shared.steal_depth.load(Ordering::Relaxed)));
         if let Some(depth) = depth.filter(|_| state.is_claimable() && thread.is_stealable()) {
             if depth < MAX_STEAL_DEPTH {
-                if let Some(thunk) = thread.claim(ThreadState::Stolen) {
-                    return run_stolen(thread, thunk, state == ThreadState::Scheduled);
+                if let Some(body) = thread.claim(ThreadState::Stolen) {
+                    return run_stolen(thread, body, state == ThreadState::Scheduled);
                 }
                 // Lost the race; re-inspect the new state.
                 continue;
@@ -720,7 +721,7 @@ fn demand_via_scheduler(thread: &Arc<Thread>) -> bool {
     }
 }
 
-/// Runs a stolen thunk on the current TCB under the stolen thread's
+/// Runs a stolen body on the current TCB under the stolen thread's
 /// identity, determining the stolen thread with the outcome.
 ///
 /// `queued` says the thread was scheduled, not delayed: it has a
@@ -728,7 +729,7 @@ fn demand_via_scheduler(thread: &Arc<Thread>) -> bool {
 /// toucher takes that entry with it when it can (pop-on-join; see
 /// [`Vp::take_entry`] and [`Vp::reap_dead_entries`]), so that ready queues
 /// hold live work, not the husks of absorbed threads.
-fn run_stolen(thread: &Arc<Thread>, thunk: TryThunk, queued: bool) -> ThreadResult {
+fn run_stolen(thread: &Arc<Thread>, body: Body, queued: bool) -> ThreadResult {
     // This frame is the stolen thread's link in the TCB's identity stack:
     // `thread` stays borrowed, so alive, until the link is undone below.
     let outer = tls::with(|cur| {
@@ -747,9 +748,9 @@ fn run_stolen(thread: &Arc<Thread>, thunk: TryThunk, queued: bool) -> ThreadResu
     });
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         let cx = Cx::new();
-        thunk(&cx)
+        body.run(&cx)
     }));
-    // The thunk may have blocked and resumed on another VP: look again.
+    // The body may have blocked and resumed on another VP: look again.
     tls::with(|cur| {
         let cur = cur.expect("stealing requires a thread");
         // SAFETY: the same TCB's fiber, and `outer` is what the push

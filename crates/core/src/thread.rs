@@ -20,6 +20,8 @@ use crate::tls;
 use crate::vm::{Vm, VmAnchor};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
+use std::marker::PhantomData;
+use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{
     AtomicBool, AtomicI32, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
@@ -45,6 +47,96 @@ pub type TryThunk = Box<dyn FnOnce(&Cx) -> ThreadResult + Send + 'static>;
 /// A thread's final outcome: `Ok` is the value of its thunk (or the value
 /// supplied to `thread-terminate`); `Err` is an uncaught exception value.
 pub type ThreadResult = Result<Value, Value>;
+
+/// The words a [`Body`] keeps a closure in.
+type Slot = MaybeUninit<[usize; 3]>;
+
+/// A thread's code as its record holds it: a closure of at most three
+/// words with word alignment lives in place, so a fork allocates only the
+/// record; a larger one lives in a box whose pointer takes the place.
+/// Either way it runs, or is dropped unrun, exactly once.
+pub(crate) struct Body {
+    slot: Slot,
+    vtable: &'static BodyVtable,
+    /// The closure is `Send`, not `Sync`.
+    _send: PhantomData<TryThunk>,
+}
+
+/// How to run or drop the closure type a [`Body`]'s slot holds.
+struct BodyVtable {
+    call: unsafe fn(*mut Slot, &Cx) -> ThreadResult,
+    drop: unsafe fn(*mut Slot),
+}
+
+/// Moves the `F` out of `slot` and runs it.
+///
+/// # Safety
+///
+/// `slot` holds a live `F`, which the caller gives up.
+unsafe fn call_body<F: FnOnce(&Cx) -> ThreadResult>(slot: *mut Slot, cx: &Cx) -> ThreadResult {
+    // SAFETY: per the contract, an `F` is there and nobody reads it again.
+    let f = unsafe { slot.cast::<F>().read() };
+    f(cx)
+}
+
+/// Drops the `F` in `slot`.
+///
+/// # Safety
+///
+/// `slot` holds a live `F`, which the caller gives up.
+unsafe fn drop_body<F>(slot: *mut Slot) {
+    // SAFETY: per the contract.
+    unsafe { slot.cast::<F>().drop_in_place() }
+}
+
+impl Body {
+    pub(crate) fn new<F>(f: F) -> Body
+    where
+        F: FnOnce(&Cx) -> ThreadResult + Send + 'static,
+    {
+        if size_of::<F>() <= size_of::<Slot>() && align_of::<F>() <= align_of::<Slot>() {
+            Body::in_place(f)
+        } else {
+            Body::in_place(Box::new(f))
+        }
+    }
+
+    fn in_place<F>(f: F) -> Body
+    where
+        F: FnOnce(&Cx) -> ThreadResult + Send + 'static,
+    {
+        assert!(size_of::<F>() <= size_of::<Slot>() && align_of::<F>() <= align_of::<Slot>());
+        let mut slot = Slot::uninit();
+        // SAFETY: the assertion above: an `F` fits the slot's size and
+        // alignment.
+        unsafe { slot.as_mut_ptr().cast::<F>().write(f) };
+        Body {
+            slot,
+            vtable: const {
+                &BodyVtable {
+                    call: call_body::<F>,
+                    drop: drop_body::<F>,
+                }
+            },
+            _send: PhantomData,
+        }
+    }
+
+    /// Runs the closure, consuming it.
+    pub(crate) fn run(self, cx: &Cx) -> ThreadResult {
+        let mut body = ManuallyDrop::new(self);
+        // SAFETY: the slot holds the vtable's closure type, and `body` is
+        // never dropped, so nothing touches the slot after this.
+        unsafe { (body.vtable.call)(&mut body.slot, cx) }
+    }
+}
+
+impl Drop for Body {
+    fn drop(&mut self) {
+        // SAFETY: a body not yet run still holds its closure.
+        unsafe { (self.vtable.drop)(&mut self.slot) }
+    }
+}
 
 /// Unique thread identifier within a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -149,21 +241,21 @@ pub(crate) struct ThreadCore {
     pub(crate) blocker: Option<Value>,
 }
 
-/// The two cells the state word arbitrates.  `thunk` is taken by the one
+/// The two cells the state word arbitrates.  `body` is taken by the one
 /// party that wins it on the word — a claim, or a determination that found
 /// the thread still claimable — and `result` is written once, by the
 /// winner of [`StateWord::begin_determine`], before
 /// [`StateWord::finish_determine`] publishes it.
 struct Cells {
-    thunk: UnsafeCell<Option<TryThunk>>,
+    body: UnsafeCell<Option<Body>>,
     result: UnsafeCell<Option<ThreadResult>>,
 }
 
-// SAFETY: every access to `thunk` happens on the one thread that won it
+// SAFETY: every access to `body` happens on the one thread that won it
 // on the state word, or in `Drop`; `result` is written by the one winner
 // of a determination and read only after an Acquire load of the word has
 // seen the Release that published it, after which nothing writes it.  The
-// thunk is `Send` and the result `Send + Sync`, so handing either across
+// body is `Send` and the result `Send + Sync`, so handing either across
 // threads that way is sound.
 unsafe impl Sync for Cells {}
 
@@ -224,6 +316,11 @@ pub struct Thread {
     wait_node: OnceLock<Arc<crate::wait::WaitNode>>,
 }
 
+// The record is a fork's one allocation, so its size is a fork's cost: 336
+// bytes, of which the body takes 32 (a boxed thunk's pointer took 16).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(size_of::<Thread>() == 336, "the thread record changed size");
+
 /// Everything [`Thread::new`] needs that the spawn path resolved from the
 /// forking context.
 pub(crate) struct Birth {
@@ -249,7 +346,7 @@ impl Thread {
     /// job: see `Vm::spawn_with`.
     pub(crate) fn new(
         birth: Birth,
-        thunk: TryThunk,
+        body: Body,
         name: Option<String>,
         stealable: bool,
         priority: i32,
@@ -260,7 +357,7 @@ impl Thread {
             name,
             state: StateWord::new(ThreadState::Delayed),
             cells: Cells {
-                thunk: UnsafeCell::new(Some(thunk)),
+                body: UnsafeCell::new(Some(body)),
                 result: UnsafeCell::new(None),
             },
             stealable: AtomicBool::new(stealable),
@@ -314,15 +411,15 @@ impl Thread {
     }
 
     /// Atomically claims a delayed/scheduled thread for execution or
-    /// stealing, moving it to `next`.  Returns the thunk on success.
-    pub(crate) fn claim(&self, next: ThreadState) -> Option<TryThunk> {
+    /// stealing, moving it to `next`.  Returns the body on success.
+    pub(crate) fn claim(&self, next: ThreadState) -> Option<Body> {
         if !self.state.claim(next) {
             return None;
         }
         // SAFETY: winning the claim on the state word makes this the only
-        // party that ever touches the thunk cell (see `Cells`).
-        let thunk = unsafe { (*self.cells.thunk.get()).take() };
-        Some(thunk.expect("a claimable thread has its thunk"))
+        // party that ever touches the body cell (see `Cells`).
+        let body = unsafe { (*self.cells.body.get()).take() };
+        Some(body.expect("a claimable thread has its body"))
     }
 
     /// Whether this thread has determined (its result is available).
@@ -727,8 +824,8 @@ impl Thread {
         // Dropped at the end, once nobody waits on this determination.
         let _discarded = state.is_claimable().then(|| {
             // SAFETY: a determination that found the thread claimable owns
-            // the thunk cell: no claim can win after it (see `Cells`).
-            unsafe { (*self.cells.thunk.get()).take() }
+            // the body cell: no claim can win after it (see `Cells`).
+            unsafe { (*self.cells.body.get()).take() }
         });
         // A wait episode still armed at determination is a protocol leak:
         // every park path (normal return, unwind guard, request
@@ -815,5 +912,195 @@ impl Thread {
         core.parked = Some(tcb);
         parked();
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::VmBuilder;
+    use std::sync::atomic::AtomicBool;
+
+    /// Counts its drops on a count the test holds.
+    struct DropCount(Arc<AtomicUsize>);
+
+    impl Drop for DropCount {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// The first word of the body's slot: where a boxed closure's pointer
+    /// sits.
+    fn first_word<T>(body: &Body) -> *const T {
+        // SAFETY: every body initializes at least the first word.
+        unsafe { body.slot.as_ptr().cast::<*const T>().read() }
+    }
+
+    #[test]
+    fn body_of_three_words_runs_in_place() {
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let words = [0x5117_0001usize, 0x5117_0002, 0x5117_0003];
+        let body = Body::new(move |_cx| {
+            RUNS.fetch_add(1, Ordering::SeqCst);
+            Ok(Value::Int(words.iter().sum::<usize>() as i64))
+        });
+        // SAFETY: a three-word closure fills the slot.
+        let mut held = unsafe { body.slot.assume_init() };
+        held.sort_unstable();
+        assert_eq!(held, words, "the captures sit in the slot");
+        let sum = words.iter().sum::<usize>() as i64;
+        assert_eq!(body.run(&Cx::new()), Ok(Value::Int(sum)));
+        assert_eq!(RUNS.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn body_of_four_words_is_boxed() {
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let words = [0x5117_0001usize, 0x5117_0002, 0x5117_0003, 0x5117_0004];
+        let body = Body::new(move |_cx| {
+            RUNS.fetch_add(1, Ordering::SeqCst);
+            Ok(Value::Int(words.iter().sum::<usize>() as i64))
+        });
+        // SAFETY: a boxed body's first word points at its closure, four
+        // words of captures.
+        let mut boxed = unsafe { *first_word::<[usize; 4]>(&body) };
+        boxed.sort_unstable();
+        assert_eq!(boxed, words, "the captures sit behind the first word");
+        let sum = words.iter().sum::<usize>() as i64;
+        assert_eq!(body.run(&Cx::new()), Ok(Value::Int(sum)));
+        assert_eq!(RUNS.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn body_aligned_past_a_word_is_boxed() {
+        #[repr(align(16))]
+        struct Wide(i64);
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let wide = Wide(16);
+        let body = Body::new(move |_cx| {
+            RUNS.fetch_add(1, Ordering::SeqCst);
+            let wide = wide;
+            Ok(Value::Int(wide.0))
+        });
+        let boxed = first_word::<Wide>(&body);
+        assert_eq!(boxed as usize % 16, 0, "the box keeps the alignment");
+        // SAFETY: a boxed body's first word points at its closure, whose
+        // one capture is the `Wide`.
+        assert_eq!(unsafe { (*boxed).0 }, 16);
+        assert_eq!(body.run(&Cx::new()), Ok(Value::Int(16)));
+        assert_eq!(RUNS.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn body_dropped_unrun_drops_its_captures_once() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let small = DropCount(drops.clone());
+        let large = (DropCount(drops.clone()), [0usize; 4]);
+        drop(Body::new(move |_cx| {
+            let _small = small;
+            Ok(Value::Int(0))
+        }));
+        drop(Body::new(move |_cx| {
+            let _large = large;
+            Ok(Value::Int(0))
+        }));
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn body_that_runs_drops_its_captures_once() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let small = DropCount(drops.clone());
+        let large = (DropCount(drops.clone()), [0usize; 4]);
+        let cx = Cx::new();
+        let ran = Body::new(move |_cx| {
+            let _small = small;
+            Ok(Value::Int(1))
+        })
+        .run(&cx);
+        assert_eq!(ran, Ok(Value::Int(1)));
+        let ran = Body::new(move |_cx| {
+            let _large = large;
+            Ok(Value::Int(2))
+        })
+        .run(&cx);
+        assert_eq!(ran, Ok(Value::Int(2)));
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+    }
+
+    /// A thread that never runs drops its body's captures exactly once,
+    /// whoever discards it: the last handle of a delayed thread, a
+    /// terminate before the claim, or the shutdown drain.
+    #[test]
+    fn unrun_threads_drop_their_captures_once() {
+        let vm = VmBuilder::new().vps(1).build();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let runs = Arc::new(AtomicUsize::new(0));
+        let body = || {
+            let (probe, runs) = (DropCount(drops.clone()), runs.clone());
+            move |_cx: &Cx| {
+                let _probe = probe;
+                runs.fetch_add(1, Ordering::SeqCst);
+                0i64
+            }
+        };
+
+        drop(vm.delayed(body()));
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "dropped unclaimed");
+
+        let t = vm.delayed(body());
+        t.request(StateRequest::Terminate(Value::Int(7))).unwrap();
+        assert_eq!(t.result(), Some(Ok(Value::Int(7))));
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "terminated");
+        drop(t);
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "terminated, then freed");
+
+        // The one VP's worker holds its slice until shutdown stops the
+        // machine, so the queued thread and the delayed one are drained
+        // before any claim.
+        let started = Arc::new(AtomicBool::new(false));
+        let spinner = {
+            let started = started.clone();
+            vm.fork(move |cx| {
+                let vm = cx.vm();
+                started.store(true, Ordering::SeqCst);
+                while !vm.is_stopped() {
+                    std::hint::spin_loop();
+                }
+                0i64
+            })
+        };
+        while !started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let queued = vm.fork_on(0, body()).unwrap();
+        let delayed = vm.delayed(body());
+        vm.shutdown();
+        let shutdown = Some(Err(Value::sym("vm-shutdown")));
+        assert_eq!(queued.result(), shutdown);
+        assert_eq!(delayed.result(), shutdown);
+        assert_eq!(drops.load(Ordering::SeqCst), 4, "drained");
+        drop((queued, delayed, spinner));
+        assert_eq!(drops.load(Ordering::SeqCst), 4, "drained, then freed");
+        assert_eq!(runs.load(Ordering::SeqCst), 0);
+    }
+
+    /// A body kept in place that raises, or returns `Err`, determines its
+    /// thread with `Err`, dispatched or stolen.
+    #[test]
+    fn in_place_body_that_raises_determines_with_err() {
+        let vm = VmBuilder::new().vps(1).build();
+        let raised = vm.fork(|cx| -> i64 { cx.raise(Value::sym("boom")) });
+        assert_eq!(raised.join_blocking(), Err(Value::sym("boom")));
+        let failed = vm.fork_try(|_cx| Err::<i64, _>(Value::sym("bust")));
+        assert_eq!(failed.join_blocking(), Err(Value::sym("bust")));
+        let stolen = vm.run(|cx| {
+            let child = cx.fork(|cx| -> i64 { cx.raise(Value::sym("deep")) });
+            let seen = cx.touch(&child);
+            (seen == Err(Value::sym("deep")) && child.result() == Some(seen)) as i64
+        });
+        assert_eq!(stolen, Ok(Value::Int(1)));
+        vm.shutdown();
     }
 }

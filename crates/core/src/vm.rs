@@ -17,7 +17,7 @@ use crate::reactor::IoDriver;
 use crate::state::ThreadState;
 use crate::stats::{LaneStats, Stats};
 use crate::tc::{self, Cx};
-use crate::thread::{Birth, Thread, ThreadId, ThreadResult, Thunk, TryThunk};
+use crate::thread::{Birth, Body, Thread, ThreadId, ThreadResult, Thunk};
 use crate::timers::Timers;
 use crate::tls;
 use crate::trace;
@@ -452,7 +452,7 @@ impl Vm {
 
     pub(crate) fn spawn_with(
         self: &Arc<Vm>,
-        thunk: TryThunk,
+        body: Body,
         state: ThreadState,
         vp: Option<usize>,
         opts: Option<SpawnOpts>,
@@ -492,7 +492,7 @@ impl Vm {
             // below so the state change and the enqueue stay consistent.
             let t = Thread::new(
                 birth,
-                thunk,
+                body,
                 opts.name,
                 opts.stealable,
                 opts.priority,

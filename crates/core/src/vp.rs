@@ -43,7 +43,7 @@ use crate::pm::{DequeCaps, EnqueueState, PolicyManager, QueueKind, RunItem};
 use crate::probe::{self, Probe};
 use crate::tc;
 use crate::tcb::{Disposition, Tcb, ThreadFiber, Wakeup};
-use crate::thread::{Thread, TryThunk};
+use crate::thread::{Body, Thread};
 use crate::tls;
 use crate::trace::EventKind;
 use crate::vm::Vm;
@@ -587,11 +587,11 @@ impl Vp {
                 RunItem::Fresh(thread) => {
                     // Revalidate: the thread may have been stolen or
                     // terminated while sitting in the ready queue.
-                    let Some(thunk) = thread.claim(crate::state::ThreadState::Evaluating) else {
+                    let Some(body) = thread.claim(crate::state::ThreadState::Evaluating) else {
                         continue;
                     };
                     vm.note(Some(self.index), EventKind::Dispatch, &thread, 0, 0);
-                    self.make_tcb(vm, thread, thunk)
+                    self.make_tcb(vm, thread, body)
                 }
                 RunItem::Parked(tcb) => {
                     // A determined thread's TCB is recycled at its final
@@ -656,7 +656,7 @@ impl Vp {
 
     /// Allocates a TCB (stack from the recycling pool + fiber) for a
     /// freshly claimed thread.
-    fn make_tcb(&self, vm: &Vm, thread: Arc<Thread>, thunk: TryThunk) -> Tcb {
+    fn make_tcb(&self, vm: &Vm, thread: Arc<Thread>, body: Body) -> Tcb {
         let counts = vm.counts(Some(self.index));
         let stack = {
             let mut pool = self.owned.stack_pool.lock();
@@ -680,7 +680,7 @@ impl Vp {
                     .suspender
                     .store(sus as *mut _ as usize, Ordering::Release)
             });
-            tc::thread_main(thunk)
+            tc::thread_main(body)
         });
         Tcb::new(thread, self.index, fiber)
     }
