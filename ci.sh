@@ -22,7 +22,7 @@
 #                    # registration-leak reproductions), the 10 s farm
 #                    # world that must hold memory flat, then a 2-shard
 #                    # farm smoke run whose merged trace must audit clean
-#   ./ci.sh miri     # deque/trace-ring unit tests under Miri (skips with a
+#   ./ci.sh miri     # deque/trace-ring/thread-body unit tests under Miri (skips with a
 #                    # notice if no nightly Miri toolchain is installed)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -135,14 +135,17 @@ run_shard() {
 }
 
 run_miri() {
-    step "miri: deque/trace-ring unit tests"
+    step "miri: deque/trace-ring/thread-body unit tests"
     if rustup run nightly cargo miri --version >/dev/null 2>&1; then
         # Unit tests only: the interesting unsafe code (deque slots, trace
-        # rings) lives in the lib, and Miri cannot run the fiber layer's
-        # inline-asm stack switching anyway.  `trace::` tests drive
-        # `trace::Ring` alone; `stats::` tests build VMs (fibers), so they
-        # stay out.
-        rustup run nightly cargo miri test -p sting-core --lib deque:: trace::
+        # rings, a thread body kept in place) lives in the lib, and Miri
+        # cannot run the fiber layer's inline-asm stack switching anyway.
+        # `trace::` tests drive `trace::Ring` alone and `thread::tests::body_`
+        # a `thread::Body` alone; `stats::` tests build VMs (fibers), so
+        # they stay out.
+        # More than one filter goes after `--`: cargo takes one before it.
+        rustup run nightly cargo miri test -p sting-core --lib -- deque:: trace:: \
+            thread::tests::body_
     else
         step "miri: SKIPPED (no nightly Miri toolchain installed)"
         echo "install with: rustup toolchain install nightly --component miri"

@@ -329,13 +329,6 @@ mod tests {
         vm.shutdown();
     }
 
-    /// Whether the entry below the newest is dead: what a push must not
-    /// leave behind in fork-join order.
-    fn dead_below_newest<T>(list: &WeakList<T>) -> bool {
-        let n = list.list.len();
-        n >= 2 && list.list[n - 2].strong_count() == 0
-    }
-
     /// Forks two children, runs each one's subtree, then lets both die:
     /// the order of a result-parallel tree whose parent touches its
     /// children (depth first, fork-join).
@@ -346,8 +339,9 @@ mod tests {
         let kids = [(); 2].map(|()| {
             let kid = Arc::new(depth);
             list.push(Arc::downgrade(&kid));
+            let below_newest = list.list.iter().rev().nth(1);
             assert!(
-                !dead_below_newest(list),
+                below_newest.is_none_or(|w| w.strong_count() > 0),
                 "a push left a dead entry at the newest end"
             );
             *longest = (*longest).max(list.list.len());
