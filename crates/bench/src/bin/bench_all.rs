@@ -27,8 +27,8 @@ use sting_bench::{
     dist::Dist, figure6_checks, figure6_gates_pass, measure_figure6, render_figure6,
 };
 
-/// Counts allocations per OS thread, for the `fork:allocs-per-thread<=1`
-/// and `scheme:call-does-not-malloc` gates.
+/// Counts allocations per OS thread, for the `fork:allocs-per-thread<=1`,
+/// `fleet:routed-call-allocs<=2` and `scheme:call-does-not-malloc` gates.
 #[global_allocator]
 static ALLOCATOR: sting_bench::CountingAllocator = sting_bench::CountingAllocator;
 
@@ -532,7 +532,23 @@ fn main() -> ExitCode {
         *slot = d.p50();
         rows.add("fleet", name, "ns/run", &d);
     }
+    // A count, so enforced on any box: a routed call allocates its
+    // closure's box and at most one node to carry it.
+    let routed_call_allocs = shapes::routed_call_allocs(&fleet);
+    rows.add(
+        "fleet",
+        "routed-call-allocs",
+        "count",
+        &Dist::from_samples(vec![routed_call_allocs]),
+    );
     fleet.shutdown();
+    checks.push(Check {
+        name: "fleet:routed-call-allocs<=2".to_string(),
+        pass: routed_call_allocs <= 2.0,
+        detail: format!(
+            "Fabric::call from a host thread to the other shard, counted on the poster: {routed_call_allocs:.2} Rust-heap allocations a call"
+        ),
+    });
     checks.push(Check {
         name: format!("{advisory}fleet:two-shards-two-workers"),
         pass: busy_p50[1] <= 1.4 * busy_p50[0],

@@ -505,6 +505,41 @@ pub fn fleet_busy_shards(fleet: &Fleet, busy: usize, spins: u64) -> Duration {
     start.elapsed()
 }
 
+/// Rust-heap allocations per [`Fabric::call`](sting::core::fleet::Fabric)
+/// from shard 0 to shard 1 of `fleet`, counted on the posting (host)
+/// thread after a warm-up: the closure's box and whatever the fabric adds
+/// to carry it.  Each batch of calls runs before the next is posted.
+/// Reads 0 in a binary whose global allocator is not a
+/// [`CountingAllocator`](crate::CountingAllocator).
+pub fn routed_call_allocs(fleet: &Fleet) -> f64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const BATCH: u64 = 100;
+    const BATCHES: u64 = 10;
+    let fabric = fleet.fabric().expect("a fleet of two shards has a fabric");
+    let ran = Arc::new(AtomicU64::new(0));
+    let batch = |posted: u64| {
+        for _ in 0..BATCH {
+            let ran = ran.clone();
+            fabric.call(
+                fleet.shard(0),
+                1,
+                Box::new(move |_vm| {
+                    ran.fetch_add(1, Ordering::Release);
+                }),
+            );
+        }
+        while ran.load(Ordering::Acquire) < posted + BATCH {
+            std::thread::yield_now();
+        }
+    };
+    batch(0);
+    let before = crate::allocations();
+    for b in 1..=BATCHES {
+        batch(b * BATCH);
+    }
+    (crate::allocations() - before) as f64 / (BATCH * BATCHES) as f64
+}
+
 /// Builds a fleet of `shards` shards holding the *total* VP count fixed
 /// (`shards × vps_per_shard == total_vps`), so multi-shard rows measure
 /// partitioning — smaller wake herds, per-partition locks, shorter waiter

@@ -121,6 +121,7 @@ fn smoke_run_emits_schema_valid_report_with_sane_shape() {
         ("shape", "preemption-shielded-yields"),
         ("fork", "2vp-migrating-per-tree-wakes"),
         ("fork", "world-queued"),
+        ("fleet", "routed-call-allocs"),
     ] {
         let row = report
             .row(suite, name)

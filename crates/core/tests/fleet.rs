@@ -292,3 +292,50 @@ fn thread_ids_are_fleet_unique() {
     }
     fleet.shutdown();
 }
+
+/// Mail to a shard of two VPs is applied one message at a time, in posting
+/// order, though both VPs pump it: a thread on shard 0 posts numbered
+/// calls to shard 1, and each call appends its number to a log.
+#[test]
+fn fabric_calls_keep_posting_order_on_a_multi_vp_shard() {
+    const CALLS: u64 = 20_000;
+    let fleet = Fleet::builder()
+        .shards(2)
+        .vps_per_shard(2)
+        .processors(2)
+        .build();
+    let fabric = fleet.fabric().unwrap().clone();
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let poster = {
+        let (home, log) = (fleet.shard(0).clone(), log.clone());
+        fleet.shard(0).fork(move |cx| {
+            for i in 0..CALLS {
+                let log = log.clone();
+                fabric.call(
+                    &home,
+                    1,
+                    Box::new(move |vm| {
+                        assert_eq!(vm.shard_id(), 1);
+                        log.lock().unwrap().push(i);
+                    }),
+                );
+                if i % 64 == 0 {
+                    cx.checkpoint();
+                }
+            }
+            0i64
+        })
+    };
+    assert_eq!(poster.join_blocking(), Ok(Value::Int(0)));
+    assert!(
+        wait_until(Duration::from_secs(10), || log.lock().unwrap().len()
+            == CALLS as usize),
+        "{} of {CALLS} calls ran",
+        log.lock().unwrap().len()
+    );
+    let log = log.lock().unwrap();
+    let misplaced = log.iter().zip(0..).find(|&(&got, want)| got != want);
+    assert_eq!(misplaced, None, "a call ran out of posting order");
+    drop(log);
+    fleet.shutdown();
+}

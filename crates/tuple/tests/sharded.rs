@@ -469,3 +469,37 @@ fn farm_shaped_world_holds_memory_flat() {
         growth_per_s / 1e6
     );
 }
+
+/// On two shards of two VPs each, a thread's routed `put` and its blocking
+/// `get` of the same tuple, both owned by the other shard, meet: the get's
+/// owner closure queues behind the deposit, so every round takes back the
+/// tuple it just put.
+#[test]
+fn routed_put_then_get_on_multi_vp_shards_takes_back_the_tuple() {
+    const ROUNDS: i64 = 2_000;
+    let fleet = Fleet::builder()
+        .shards(2)
+        .vps_per_shard(2)
+        .processors(2)
+        .build();
+    let ts = ShardedSpace::new(&fleet);
+    let (k, owner) = exclusive_key(&ts);
+    let other = (owner + 1) % 2;
+    let mover = {
+        let ts = ts.clone();
+        fleet.shard(other).fork(move |_cx| {
+            let template = Template::new(vec![lit(Value::Int(k)), formal()]);
+            for i in 0..ROUNDS {
+                ts.put(vec![Value::Int(k), Value::Int(i)]);
+                let b = ts.get(&template);
+                assert_eq!(b[0], Value::Int(i), "round {i} took another tuple");
+            }
+            ROUNDS
+        })
+    };
+    wait_until("every routed put to meet its get", || mover.is_determined());
+    assert_eq!(mover.join_blocking(), Ok(Value::Int(ROUNDS)));
+    assert!(ts.is_empty(), "a tuple was left behind");
+    assert_eq!(ts.blocked(), 0, "a waiter leaked on the owner partition");
+    fleet.shutdown();
+}
