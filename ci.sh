@@ -8,8 +8,9 @@
 #   ./ci.sh doc      # rustdoc build (warnings are errors), doctests, and
 #                    # a relative-link check over the top-level markdown
 #   ./ci.sh check    # model checker: sting-check self-tests + the deque/
-#                    # owner-hand-off/trace-ring/wait/park/thread-state
-#                    # interleaving models over the production source
+#                    # owner-hand-off/trace-ring/wait/shard-inbox/park/
+#                    # thread-state interleaving models over the production
+#                    # source
 #   ./ci.sh analyze  # static analyzer tier (<60s): the expect-flag corpus,
 #                    # the expect-clean sweep, the static/dynamic lock-order
 #                    # cross-check, and `repl --analyze` over the examples
@@ -82,7 +83,7 @@ run_check() {
     step "model checker: production blocking-protocol models (--cfg sting_check)"
     RUSTFLAGS="--cfg sting_check" CARGO_TARGET_DIR=target/check \
         cargo test -q -p sting-core --test model_wait
-    step "model checker: cross-shard mailbox models (--cfg sting_check)"
+    step "model checker: shard inbox models (--cfg sting_check)"
     RUSTFLAGS="--cfg sting_check" CARGO_TARGET_DIR=target/check \
         cargo test -q -p sting-core --test model_fleet
     step "model checker: worker park/wake handshake models (--cfg sting_check)"

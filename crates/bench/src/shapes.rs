@@ -559,8 +559,8 @@ pub fn shard_fleet(shards: usize, total_vps: usize, trace: bool) -> Fleet {
 }
 
 /// Two keys per shard — a job key and an ack key — whose arity-2 tuples
-/// both route to that shard's own partition: the per-shard mailboxes of
-/// [`shard_farm_workload`].  Routing is a stable hash, so scanning small
+/// both route to that shard's own partition: the per-shard job and ack
+/// queues of [`shard_farm_workload`].  Routing is a stable hash, so scanning small
 /// integers finds the pairs almost immediately.
 pub fn shard_keys(ts: &ShardedSpace) -> Vec<(i64, i64)> {
     let mut keys: Vec<Vec<i64>> = vec![Vec::new(); ts.partitions()];

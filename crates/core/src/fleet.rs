@@ -6,17 +6,16 @@
 //! `Fleet` realises that: it owns N VM **shards** — each a complete [`Vm`]
 //! with its own VPs, policy managers, reactor, and flight-recorder rings —
 //! multiplexed onto one shared [`PhysicalMachine`].  Shards exchange work
-//! and requests over a matrix of per-shard-pair SPSC [`Mailbox`]es (the
-//! [`Fabric`]):
+//! over one inbox per shard (the [`Fabric`]): any shard posts to it, and
+//! the owning shard's VPs apply what it holds in posting order.
 //!
 //! ```text
-//!   shard 0  ── mailbox[0→1] ──▶  shard 1
-//!      ▲  ◀── mailbox[1→0] ──┘      │
-//!      │                            ▼
-//!   mailbox[2→0] ...           mailbox[1→2] ...
+//!   shard 0 ──┐
+//!   shard 2 ──┼── push ──▶ inbox[1] ── pump ──▶ shard 1
+//!   shard 3 ──┘
 //! ```
 //!
-//! Three message kinds flow over the fabric:
+//! Two message kinds flow through the inboxes:
 //!
 //! * **`Handoff`** — a ready [`RunItem`] migrating between shards.  The
 //!   victim pops it with the thief-side steal protocol (cold end of its
@@ -28,10 +27,11 @@
 //! * **`Call`** — a boxed closure run on the destination shard's VP.
 //!   `sting-tuple` routes remote tuple-space partition operations this
 //!   way without `sting-core` knowing anything about tuples.
-//! * **`WorkRequest`** — an idle shard asking a sibling for work
-//!   (cross-shard extension of the §4.1.1 steal protocol); deduplicated
-//!   per (requester, victim) pair so an idle shard posts at most one
-//!   outstanding request per victim.
+//!
+//! An idle shard asks a sibling for work (the cross-shard extension of
+//! the §4.1.1 steal protocol) without a message: it sets its flag in
+//! `want_work[requester · n + victim]`, and the victim's next pump
+//! answers every set flag in its column with a handoff.
 //!
 //! ## Trace merging
 //!
@@ -48,9 +48,8 @@
 //! ## Zero cost when unsharded
 //!
 //! [`Fleet::single`] wraps one standalone [`Vm`] with **no fabric
-//! installed**: the only new cost on the hot paths is one acquire load per
-//! VP slice (the `Vm`'s empty fabric slot), which the bench gate holds
-//! within noise of the pre-fleet baseline.
+//! installed**: what the fabric costs such a VM is one Acquire load of
+//! its empty fabric slot per VP slice.
 
 use crate::machine::{PhysicalMachine, Queued};
 use crate::pm::{EnqueueState, PolicyManager, RunItem};
@@ -60,212 +59,80 @@ use crate::topology::Topology;
 use crate::trace::{sort_events, EventKind, TraceEvent};
 use crate::vm::Vm;
 use crate::vp::Vp;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use sting_value::Value;
 
-mod mailbox {
-    //! The per-shard-pair mailbox: a bounded SPSC ring with claim flags
-    //! that serialize the (possibly several) VPs on each side.
-    //!
-    //! Protocol — the classic single-producer/single-consumer ring:
-    //! the producer writes the slot, *then* publishes it with a `Release`
-    //! store of `tail`; the consumer `Acquire`-loads `tail`, so every slot
-    //! write it observes is fully initialised.  The `Release` on the tail
-    //! store is load-bearing: `crates/core/tests/model_fleet.rs`
-    //! model-checks the production ring for exactly-once in-order delivery
-    //! and proves (by an expect-failure mutation with a `Relaxed` publish)
-    //! that weakening it loses messages.
+#[cfg(sting_check)]
+pub use inbox::Inbox;
+#[cfg(not(sting_check))]
+use inbox::Inbox;
 
-    // Under `--cfg sting_check` the atomics are the model checker's shims,
-    // so `./ci.sh check` explores the ring protocol exhaustively.
-    use std::cell::UnsafeCell;
+/// A shard's inbox.  Under `--cfg sting_check` its claim is the model
+/// checker's shim and the type is exported, so `ci.sh check` explores
+/// this exact source (`crates/core/tests/model_fleet.rs`).
+mod inbox {
+    use crate::deque::Injector;
     #[cfg(not(sting_check))]
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, Ordering};
     #[cfg(sting_check)]
-    use sting_check::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use sting_check::atomic::{AtomicBool, Ordering};
 
-    /// A bounded SPSC ring carrying cross-shard messages.
-    ///
-    /// "Single producer" is the *source shard* and "single consumer" the
-    /// *destination shard*; because a shard has several VPs, each side is
-    /// serialized by a claim flag (`prod`/`cons`).  The producer claim is
-    /// a short spin (the holder only writes one slot — it never blocks or
-    /// allocates while claimed); the consumer claim is try-only, so a VP
-    /// that loses it simply skips the drain and a sibling does the work.
-    ///
-    /// A full ring overflows into a mutex-protected side queue rather than
-    /// blocking: with shards multiplexed on one worker, a producer spinning
-    /// for ring space could be holding the very OS thread the consumer
-    /// needs.  While spilled messages wait, every later push joins them in
-    /// the side queue and `drain` empties the ring before taking it, so
-    /// delivery stays FIFO across a spill.  The overflow path is never
-    /// taken by the model tests and is compiled out under `sting_check`.
-    pub struct Mailbox<T> {
-        mask: usize,
-        slots: Box<[UnsafeCell<Option<T>>]>,
-        /// Next slot to consume; written only by the consumer.
-        head: AtomicUsize,
-        /// Next free slot / publish count; written only by the producer.
-        tail: AtomicUsize,
-        /// Producer-side claim serializing same-shard VPs.
-        prod: AtomicBool,
-        /// Consumer-side claim serializing same-shard VPs.
-        cons: AtomicBool,
-        #[cfg(not(sting_check))]
-        overflow: parking_lot::Mutex<std::collections::VecDeque<T>>,
-        /// Whether `overflow` holds spilled messages.  While set, `push`
-        /// routes *every* message through the overflow queue — a newer
-        /// message slotted into freed ring space would otherwise be
-        /// drained (ring first) ahead of older spilled ones, breaking the
-        /// FIFO contract.  Set by the producer and cleared by the
-        /// consumer, each under the `overflow` mutex.
-        #[cfg(not(sting_check))]
-        spilled: AtomicBool,
+    /// The messages to one shard: an MPSC [`Injector`] that any thread
+    /// pushes to, and a try-only consumer claim.  A shard has several VPs
+    /// and each drains the inbox at its slices; the claim lets one at a
+    /// time apply messages, so they are applied one after another in
+    /// posting order.  A VP that loses the claim skips the drain: the
+    /// holder takes everything posted before it lets go.
+    pub struct Inbox<T> {
+        queue: Injector<T>,
+        claim: AtomicBool,
     }
 
-    // SAFETY: the ring hands each `T` from exactly one thread to exactly
-    // one other; the claim flags plus the head/tail protocol make the
-    // slot accesses data-race-free (model-checked in model_fleet.rs).
-    unsafe impl<T: Send> Sync for Mailbox<T> {}
-    // SAFETY: moving the whole mailbox moves only owned slots; `T: Send`
-    // is required, so the contained messages may change threads with it.
-    unsafe impl<T: Send> Send for Mailbox<T> {}
-
-    impl<T> Mailbox<T> {
-        /// An empty mailbox holding up to `capacity` (rounded up to a
-        /// power of two) messages in the lock-free ring.
-        pub fn new(capacity: usize) -> Mailbox<T> {
-            let cap = capacity.next_power_of_two().max(2);
-            Mailbox {
-                mask: cap - 1,
-                slots: (0..cap).map(|_| UnsafeCell::new(None)).collect(),
-                head: AtomicUsize::new(0),
-                tail: AtomicUsize::new(0),
-                prod: AtomicBool::new(false),
-                cons: AtomicBool::new(false),
-                #[cfg(not(sting_check))]
-                overflow: parking_lot::Mutex::new(std::collections::VecDeque::new()),
-                #[cfg(not(sting_check))]
-                spilled: AtomicBool::new(false),
+    impl<T> Default for Inbox<T> {
+        fn default() -> Inbox<T> {
+            Inbox {
+                queue: Injector::new(),
+                claim: AtomicBool::new(false),
             }
         }
+    }
 
-        /// Whether both the ring and the overflow queue look empty (a
-        /// cheap pre-check before claiming the consumer role).
+    impl<T> Inbox<T> {
+        /// Whether the inbox looks empty (a cheap look before claiming).
         pub fn is_empty(&self) -> bool {
-            if self.head.load(Ordering::Acquire) != self.tail.load(Ordering::Acquire) {
-                return false;
-            }
-            #[cfg(not(sting_check))]
-            if !self.overflow.lock().is_empty() {
-                return false;
-            }
-            true
+            self.queue.is_empty()
         }
 
-        /// Delivers `value` to the consumer side.  Never blocks and never
-        /// drops: a full ring spills to the overflow queue, and while
-        /// spilled messages wait, later pushes follow them there so
-        /// arrival order survives the spill.
+        /// Posts `value`.  Lock-free; callable from any thread.
         pub fn push(&self, value: T) {
-            // Claim the producer role.  Contention is only between VPs of
-            // the same shard and the critical section is a handful of
-            // stores, so a spin is bounded and short.
-            while self.prod.swap(true, Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-            let tail = self.tail.load(Ordering::Relaxed);
-            let head = self.head.load(Ordering::Acquire);
-            // A stale `spilled` read is safe in both directions: producers
-            // are serialized by `prod` (Release/Acquire), so a set flag is
-            // always visible, and racing the consumer's clear at worst
-            // routes one more message through the overflow queue — still
-            // in order, since the queue it joins was (or just was) the
-            // tail of the line.
-            #[cfg(not(sting_check))]
-            let to_ring =
-                tail.wrapping_sub(head) <= self.mask && !self.spilled.load(Ordering::Relaxed);
-            #[cfg(sting_check)]
-            let to_ring = tail.wrapping_sub(head) <= self.mask;
-            if to_ring {
-                // SAFETY: slot `tail` is unpublished (only this claimed
-                // producer writes it; the consumer reads slots only below
-                // the published tail).
-                unsafe { *self.slots[tail & self.mask].get() = Some(value) };
-                // The publish: everything written above becomes visible
-                // to the consumer's Acquire load of `tail`.
-                self.tail.store(tail.wrapping_add(1), Ordering::Release);
-            } else {
-                #[cfg(not(sting_check))]
-                {
-                    let mut overflow = self.overflow.lock();
-                    overflow.push_back(value);
-                    self.spilled.store(true, Ordering::Relaxed);
-                }
-                #[cfg(sting_check)]
-                panic!("mailbox ring overflow under model check");
-            }
-            self.prod.store(false, Ordering::Release);
+            self.queue.push(value);
         }
 
-        /// Drains every currently-published message, in arrival order,
-        /// into `f`.  Returns how many were delivered.  If another VP of
-        /// the destination shard holds the consumer claim, returns 0 — the
-        /// holder will see the messages.
+        /// Applies every posted message, oldest first, to `f`, until the
+        /// inbox is empty.  Returns how many were applied: 0 if another
+        /// VP holds the claim.
         pub fn drain(&self, mut f: impl FnMut(T)) -> usize {
-            // Try-claim the consumer role; a sibling VP already draining
-            // will deliver anything we would have seen.
-            if self.cons.swap(true, Ordering::Acquire) {
+            if self.claim.swap(true, Ordering::Acquire) {
                 return 0;
             }
-            let mut n = 0;
-            let mut head = self.head.load(Ordering::Relaxed);
-            // Exhaust the ring (re-reading `tail`) before touching the
-            // overflow queue: everything spilled is newer than everything
-            // in the ring (while `spilled` is set no push lands in the
-            // ring), so ring-then-overflow is arrival order only if the
-            // ring is empty when the overflow is taken.
+            let mut applied = 0;
             loop {
-                let tail = self.tail.load(Ordering::Acquire);
-                if head == tail {
+                let before = applied;
+                for value in self.queue.take_all() {
+                    f(value);
+                    applied += 1;
+                }
+                if applied == before {
                     break;
                 }
-                while head != tail {
-                    // SAFETY: `head` is published (< tail) and only this
-                    // claimed consumer takes from it.
-                    let v = unsafe { (*self.slots[head & self.mask].get()).take() };
-                    head = head.wrapping_add(1);
-                    // Release so the producer's Acquire of `head` sees the
-                    // slot vacated before it reuses it.
-                    self.head.store(head, Ordering::Release);
-                    if let Some(v) = v {
-                        f(v);
-                        n += 1;
-                    }
-                }
             }
-            #[cfg(not(sting_check))]
-            {
-                // Take and clear under one lock hold so a producer that
-                // sees `spilled` unset also sees the queue empty.
-                let spilled = {
-                    let mut overflow = self.overflow.lock();
-                    self.spilled.store(false, Ordering::Relaxed);
-                    std::mem::take(&mut *overflow)
-                };
-                for v in spilled {
-                    f(v);
-                    n += 1;
-                }
-            }
-            self.cons.store(false, Ordering::Release);
-            n
+            // Release: the next holder's messages are applied after these.
+            self.claim.store(false, Ordering::Release);
+            applied
         }
     }
 }
-
-pub use mailbox::Mailbox;
 
 /// A closure routed to another shard, run on that shard's VP.
 type RoutedCall = Box<dyn FnOnce(&Arc<Vm>) + Send>;
@@ -286,11 +153,6 @@ enum FabricMsg {
         /// shard's drain.
         apply_at_shutdown: bool,
     },
-    /// The shard `from` is idle and asks the destination for work.
-    WorkRequest {
-        /// Requesting (idle) shard.
-        from: usize,
-    },
 }
 
 /// A fabric message plus the sender's Lamport-clock reading at send time;
@@ -301,28 +163,19 @@ struct Stamped {
     msg: FabricMsg,
 }
 
-/// How mail wakes its destination shard `dest`: every VP of the shard
-/// drains the mailboxes at its next slice, so an idle worker is woken to
-/// run VP 0, or, while VP 0 runs, another VP of the shard if it has one.
-fn shard_mail(dest: &Vm) -> Queued {
-    Queued::Remotely {
-        stealable: dest.vp_count() > 1,
-    }
-}
-
-/// The cross-shard interconnect: an N×N matrix of [`Mailbox`]es plus the
-/// steal-request dedup flags.  One `Fabric` is shared by every shard of a
+/// The cross-shard interconnect: one inbox per shard plus the
+/// work-request flags.  One `Fabric` is shared by every shard of a
 /// [`Fleet`] (standalone VMs have none).
 pub struct Fabric {
     /// Shard VMs, weakly — the [`Fleet`] holds the strong references, and
     /// each `Vm` holds an `Arc<Fabric>`, so strong back-references here
     /// would leak the whole fleet.
     shards: Vec<Weak<Vm>>,
-    /// `boxes[from * n + to]` carries messages from shard `from` to `to`.
-    boxes: Vec<Mailbox<Stamped>>,
-    /// `want_work[requester * n + victim]`: a work request from
-    /// `requester` is already in flight to `victim`.
-    want_work: Vec<std::sync::atomic::AtomicBool>,
+    /// `inboxes[to]` carries every message to shard `to`.
+    inboxes: Vec<Inbox<Stamped>>,
+    /// `want_work[requester * n + victim]`: `requester` is idle and asks
+    /// `victim` for work.
+    want_work: Vec<AtomicBool>,
     /// Per-shard round-robin cursor over steal victims.
     next_victim: Vec<AtomicUsize>,
 }
@@ -332,10 +185,8 @@ impl Fabric {
         let n = shards.len();
         Fabric {
             shards,
-            boxes: (0..n * n).map(|_| Mailbox::new(MAILBOX_CAPACITY)).collect(),
-            want_work: (0..n * n)
-                .map(|_| std::sync::atomic::AtomicBool::new(false))
-                .collect(),
+            inboxes: (0..n).map(|_| Inbox::default()).collect(),
+            want_work: (0..n * n).map(|_| AtomicBool::new(false)).collect(),
             next_victim: (0..n).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
@@ -367,10 +218,10 @@ impl Fabric {
 
     /// Runs `f` on shard `to`.  If the caller is already on that shard the
     /// call is inline (the local fast path costs nothing); otherwise it is
-    /// posted over the mailbox, stamped with the sender's clock, and the
-    /// destination machine is signalled.
+    /// posted to the shard's inbox, stamped with the sender's clock, and
+    /// the destination machine is signalled.
     ///
-    /// A call still in a mailbox when the fleet shuts down is **dropped**
+    /// A call still in an inbox when the fleet shuts down is **dropped**
     /// by the sweep — correct for reply-side closures, whose waiters the
     /// home shard's drain already completed.  Calls that transfer state
     /// the fabric must not lose go through [`Fabric::call_durable`].
@@ -387,87 +238,84 @@ impl Fabric {
     }
 
     fn post_call(&self, from: &Arc<Vm>, to: usize, f: RoutedCall, apply_at_shutdown: bool) {
-        let me = from.shard_id();
-        if me == to {
+        if from.shard_id() == to {
             f(from);
             return;
         }
         from.counts(crate::tls::lane_in(from)).routed_ops.bump();
-        let lc = from.tracer().clock();
-        self.boxes[me * self.shards.len() + to].push(Stamped {
-            lc,
-            msg: FabricMsg::Call {
+        self.post(
+            from,
+            to,
+            FabricMsg::Call {
                 f,
                 apply_at_shutdown,
             },
-        });
+        );
+    }
+
+    /// Stamps `msg` with `from`'s clock, pushes it to shard `to`'s inbox,
+    /// and wakes the shard: every VP of it drains the inbox at its next
+    /// slice, so an idle worker is woken to run VP 0, or, while VP 0
+    /// runs, another VP of the shard if it has one.
+    fn post(&self, from: &Vm, to: usize, msg: FabricMsg) {
+        let lc = from.tracer().clock();
+        self.inboxes[to].push(Stamped { lc, msg });
         if let Some(dest) = self.shard_vm(to) {
-            dest.signal_work(0, shard_mail(&dest));
+            let stealable = dest.vp_count() > 1;
+            dest.signal_work(0, Queued::Remotely { stealable });
         }
     }
 
-    /// Whether any of this shard's inbound mailboxes holds a message.
+    /// Whether this shard's inbox holds a message.
     pub(crate) fn has_mail(&self, vm: &Vm) -> bool {
-        let (me, n) = (vm.shard_id(), self.shards.len());
-        (0..n).any(|from| from != me && !self.boxes[from * n + me].is_empty())
+        !self.inboxes[vm.shard_id()].is_empty()
     }
 
-    /// Drains this shard's inbound mailboxes: enqueues handed-off work,
-    /// runs routed calls, and serves siblings' work requests.  Called once
-    /// per VP slice (under the VP's [`OwnerWord`](crate::deque::OwnerWord));
-    /// returns whether anything was delivered.
-    pub(crate) fn pump(&self, vm: &Arc<Vm>, vp: &Arc<Vp>) -> bool {
+    /// Answers siblings' work requests, then drains this shard's inbox:
+    /// enqueues handed-off work and runs routed calls.  Called once per VP
+    /// slice (under the VP's [`OwnerWord`](crate::deque::OwnerWord)).
+    pub(crate) fn pump(&self, vm: &Arc<Vm>, vp: &Arc<Vp>) {
         if vm.is_stopped() {
-            return false;
+            return;
         }
-        let me = vm.shard_id();
-        let n = self.shards.len();
-        let mut delivered = false;
-        for from in 0..n {
-            if from == me {
-                continue;
-            }
-            let mbx = &self.boxes[from * n + me];
-            if mbx.is_empty() {
-                continue;
-            }
-            mbx.drain(|stamped| {
-                vm.tracer().witness(stamped.lc);
-                match stamped.msg {
-                    FabricMsg::Handoff(item) => {
-                        // Receiver-side re-home: the item is quiescent
-                        // (owned solely by this drain), so both the owning
-                        // VM and the wake target flip together before the
-                        // thread becomes runnable here.
-                        let thread = item.thread().clone();
-                        thread.rehome(vm);
-                        thread.home_vp.store(vp.index(), Ordering::Relaxed);
-                        vp.enqueue(vm, item, EnqueueState::Migrated);
-                        delivered = true;
-                    }
-                    FabricMsg::Call { f, .. } => {
-                        f(vm);
-                        delivered = true;
-                    }
-                    FabricMsg::WorkRequest { from: requester } => {
-                        self.want_work[requester * n + me]
-                            .store(false, std::sync::atomic::Ordering::Release);
-                        if let Some(item) = vp.surrender_for_fleet() {
-                            self.post_handoff(vm, vp, item, requester);
-                        }
-                    }
+        let (me, n) = (vm.shard_id(), self.shards.len());
+        // Requests first, so a thread handed in below is not handed
+        // straight back.
+        for requester in (0..n).filter(|&r| r != me) {
+            let asked = &self.want_work[requester * n + me];
+            if asked.load(Ordering::Relaxed) && asked.swap(false, Ordering::Relaxed) {
+                if let Some(item) = vp.surrender_for_fleet() {
+                    self.post_handoff(vm, vp, item, requester);
                 }
-            });
+            }
         }
-        delivered
+        let inbox = &self.inboxes[me];
+        if inbox.is_empty() {
+            return;
+        }
+        inbox.drain(|stamped| {
+            vm.tracer().witness(stamped.lc);
+            match stamped.msg {
+                FabricMsg::Handoff(item) => {
+                    // Receiver-side re-home: the item is quiescent (owned
+                    // solely by this drain), so both the owning VM and the
+                    // wake target flip together before the thread becomes
+                    // runnable here.
+                    let thread = item.thread().clone();
+                    thread.rehome(vm);
+                    thread.home_vp.store(vp.index(), Ordering::Relaxed);
+                    vp.enqueue(vm, item, EnqueueState::Migrated);
+                }
+                FabricMsg::Call { f, .. } => f(vm),
+            }
+        });
     }
 
     /// Posts `item` to shard `dest`, recording the [`EventKind::Handoff`]
     /// on the source lane first so the merged audit sees the source
     /// shard's enqueue consumed before the destination's re-publish.
     fn post_handoff(&self, vm: &Arc<Vm>, vp: &Arc<Vp>, item: RunItem, dest: usize) {
-        let me = vm.shard_id();
-        let (from, to) = (me as u32, dest as u32);
+        let (from, to) = (vm.shard_id() as u32, dest as u32);
         vm.note(
             Some(vp.index()),
             EventKind::Handoff,
@@ -475,71 +323,41 @@ impl Fabric {
             from,
             to,
         );
-        let lc = vm.tracer().clock();
-        self.boxes[me * self.shards.len() + dest].push(Stamped {
-            lc,
-            msg: FabricMsg::Handoff(item),
-        });
-        if let Some(dvm) = self.shard_vm(dest) {
-            dvm.signal_work(0, shard_mail(&dvm));
-        }
+        self.post(vm, dest, FabricMsg::Handoff(item));
     }
 
-    /// An idle shard asks the next victim (round-robin) for work; at most
-    /// one request per (requester, victim) pair is ever in flight.
+    /// An idle shard asks the next victim (round-robin) for work by
+    /// setting its flag; the victim's next pump answers it.
     ///
     /// The request does not wake the victim: an idle victim has nothing to
-    /// give, and a busy one drains its mailbox at its next slice.  (When
-    /// requests did wake it, two idle shards asked each other back and
-    /// forth forever.)  An idle requester hears of new work through the
-    /// machine's chained wake: a worker woken for work that finds some
-    /// wakes one more, which asks again.
-    pub(crate) fn request_work(&self, vm: &Arc<Vm>) {
+    /// give, and a busy one pumps at its next slice.  (When requests did
+    /// wake it, two idle shards asked each other back and forth forever.)
+    /// An idle requester hears of new work through the machine's chained
+    /// wake: a worker woken for work that finds some wakes one more, which
+    /// asks again.
+    pub(crate) fn request_work(&self, vm: &Vm) {
         let n = self.shards.len();
         if n < 2 || vm.is_stopped() {
             return;
         }
         let me = vm.shard_id();
-        let victim = {
-            let v = self.next_victim[me].fetch_add(1, Ordering::Relaxed) % (n - 1);
-            if v >= me {
-                v + 1
-            } else {
-                v
-            }
-        };
-        if self.want_work[me * n + victim]
-            .compare_exchange(
-                false,
-                true,
-                std::sync::atomic::Ordering::AcqRel,
-                std::sync::atomic::Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return;
-        }
-        let lc = vm.tracer().clock();
-        self.boxes[me * n + victim].push(Stamped {
-            lc,
-            msg: FabricMsg::WorkRequest { from: me },
-        });
+        let v = self.next_victim[me].fetch_add(1, Ordering::Relaxed) % (n - 1);
+        let victim = if v >= me { v + 1 } else { v };
+        self.want_work[me * n + victim].store(true, Ordering::Relaxed);
     }
 
-    /// Shutdown sweep: empties every mailbox, completing in-flight
+    /// Shutdown sweep: empties every inbox, completing in-flight
     /// handed-off threads with the same `vm-shutdown` error
     /// [`Vm::drain`](crate::vm::Vm) uses, **applying** durable calls
     /// (routed deposits — dropping one would lose its tuple), and
     /// dropping plain calls (their waiters were already completed by
     /// their home shard's drain).
     fn sweep(&self) {
-        let n = self.shards.len();
         let shutdown_err: ThreadResult = Err(Value::sym("vm-shutdown"));
-        for (idx, mbx) in self.boxes.iter().enumerate() {
-            // `boxes[from * n + to]`: the destination shard owns the
-            // state a durable call mutates.
-            let dest = self.shard_vm(idx % n);
-            mbx.drain(|stamped| match stamped.msg {
+        for (to, inbox) in self.inboxes.iter().enumerate() {
+            // The destination shard owns the state a durable call mutates.
+            let dest = self.shard_vm(to);
+            inbox.drain(|stamped| match stamped.msg {
                 FabricMsg::Handoff(item) => match item {
                     RunItem::Fresh(t) => t.complete(shutdown_err.clone()),
                     RunItem::Parked(tcb) => {
@@ -565,16 +383,11 @@ impl Fabric {
                 FabricMsg::Call {
                     apply_at_shutdown: false,
                     ..
-                }
-                | FabricMsg::WorkRequest { .. } => {}
+                } => {}
             });
         }
     }
 }
-
-/// Ring capacity per shard-pair mailbox; beyond this, messages spill to
-/// the mutex-protected overflow queue (never dropped, never blocking).
-const MAILBOX_CAPACITY: usize = 256;
 
 /// A set of cooperating VM shards sharing one [`PhysicalMachine`] and a
 /// cross-shard [`Fabric`].  Build one with [`Fleet::builder`], or wrap an
@@ -599,9 +412,8 @@ impl Fleet {
     }
 
     /// Wraps one standalone VM as a single-shard fleet.  No fabric is
-    /// installed, so the VM's hot paths are byte-for-byte the standalone
-    /// ones — the bench gate (`shard/*-1shard` vs the pre-fleet baseline)
-    /// enforces this stays true.
+    /// installed, so the VM's hot paths are the standalone ones plus one
+    /// Acquire load of its empty fabric slot per VP slice.
     pub fn single(vm: Arc<Vm>) -> Fleet {
         Fleet {
             shards: vec![vm],
@@ -649,7 +461,7 @@ impl Fleet {
 
     /// One fleet-wide trace: every shard's rings, lanes remapped into a
     /// disjoint global lane space (shard 0's lanes first, then shard 1's,
-    /// …), merge-sorted by `(lc, ts_ns)` — the Lamport order the mailbox
+    /// …), merge-sorted by `(lc, ts_ns)` — the Lamport order the inbox
     /// witnesses make consistent with cross-shard causality.
     pub fn merged_snapshot(&self) -> Vec<TraceEvent> {
         let mut out = Vec::new();
@@ -681,7 +493,7 @@ impl Fleet {
 
     /// Shuts every shard down (completing live threads with the
     /// `vm-shutdown` error), then sweeps the fabric for in-flight
-    /// handoffs so no thread is left undetermined in a mailbox.
+    /// handoffs so no thread is left undetermined in an inbox.
     pub fn shutdown(&self) {
         for vm in &self.shards {
             vm.shutdown();
@@ -830,54 +642,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mailbox_delivers_in_order() {
-        let m: Mailbox<u64> = Mailbox::new(8);
-        assert!(m.is_empty());
+    fn inbox_delivers_in_order() {
+        let inbox: Inbox<u64> = Inbox::default();
+        assert!(inbox.is_empty());
         for i in 0..5 {
-            m.push(i);
+            inbox.push(i);
         }
         let mut got = Vec::new();
-        assert_eq!(m.drain(|v| got.push(v)), 5);
+        assert_eq!(inbox.drain(|v| got.push(v)), 5);
         assert_eq!(got, [0, 1, 2, 3, 4]);
-        assert!(m.is_empty());
+        assert!(inbox.is_empty());
     }
 
+    /// A message posted while the holder applies an earlier one is applied
+    /// by the same drain, after it; a drain that loses the claim applies
+    /// nothing.
     #[test]
-    fn mailbox_overflow_spills_without_loss() {
-        let m: Mailbox<u64> = Mailbox::new(2);
-        for i in 0..10 {
-            m.push(i);
-        }
+    fn inbox_drain_applies_what_arrives_meanwhile_in_order() {
+        let inbox = Inbox::default();
+        let inbox = &inbox;
+        inbox.push(0u64);
         let mut got = Vec::new();
-        m.drain(|v| got.push(v));
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-    }
-
-    /// Pushes racing a drain while older messages sit spilled must not
-    /// jump the queue through freed ring slots: the reentrant pushes here
-    /// land while the consumer has already vacated ring space, which the
-    /// pre-fix code let the *next* spill overtake.
-    #[test]
-    fn mailbox_stays_fifo_across_an_overflow_spill() {
-        let m = Mailbox::new(4);
-        let m = &m;
-        for i in 0..5u64 {
-            m.push(i); // 0..=3 fill the ring, 4 spills
-        }
-        let got = std::cell::RefCell::new(Vec::new());
-        m.drain(|v: u64| {
+        let applied = inbox.drain(|v| {
             if v == 0 {
-                // Concurrent producer: ring slots are free again, but 4
-                // is still spilled — these must be delivered after it.
-                for i in 5..9 {
-                    m.push(i);
-                }
+                inbox.push(1);
+                assert_eq!(inbox.drain(|_| unreachable!()), 0);
             }
-            got.borrow_mut().push(v);
+            got.push(v);
         });
-        m.push(9); // spill drained: back to the ring
-        m.drain(|v| got.borrow_mut().push(v));
-        assert_eq!(got.into_inner(), (0..10).collect::<Vec<_>>());
+        assert_eq!(applied, 2);
+        assert_eq!(got, [0, 1]);
     }
 
     /// An in-flight durable call (a routed deposit) survives shutdown —
@@ -888,7 +682,7 @@ mod tests {
         let fleet = Fleet::builder().shards(2).build();
         let fabric = fleet.fabric().unwrap().clone();
         // Stop the shards first: pump no longer drains, so both calls
-        // are still sitting in the mailbox when the sweep runs.
+        // are still sitting in the inbox when the sweep runs.
         for vm in fleet.shards() {
             vm.shutdown();
         }

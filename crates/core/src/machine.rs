@@ -34,7 +34,7 @@
 //!   one fence and one load, no syscall.  Work no other VP may take, on a
 //!   VP whose word is held, wakes nobody: its owner pops it next.  A slice
 //!   that ran its queue dry gives the word back, fences and looks at the
-//!   queue and the shard's mailboxes once more, so a submission or mail
+//!   queue and the shard's inbox once more, so a submission or mail
 //!   that saw the word held is not left behind (the same Dekker pair,
 //!   checked there too).
 //! * **Stealing.**  An owner push on a stealable queue claims one idle

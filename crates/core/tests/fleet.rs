@@ -41,7 +41,7 @@ fn fabric_call_runs_on_destination_shard() {
             == 1),
         "routed call never ran on shard 1"
     );
-    // Local calls are inline: no mailbox, immediate effect.
+    // Local calls are inline: no inbox, immediate effect.
     let inline = Arc::new(AtomicU64::new(0));
     let flag = inline.clone();
     fabric.call(
@@ -97,7 +97,7 @@ fn single_vp_shards_run_on_separate_workers() {
 /// routed through shard 1 is always woken.  The reply is mail to shard 0,
 /// and mail to a single-VP shard whose VP is held wakes nobody: the owner
 /// pumps it next.  The owner whose slice ran dry (the caller parked) must
-/// look at the mailboxes once more after giving the VP back, or the mail
+/// look at its inbox once more after giving the VP back, or the mail
 /// sits there while every worker sleeps.
 #[test]
 fn a_parked_caller_on_a_single_vp_shard_gets_its_routed_reply() {
@@ -166,7 +166,7 @@ fn idle_fleets_leave_their_workers_parked() {
 }
 
 /// Work forked onto one shard spreads to the idle sibling via the
-/// mailbox handoff protocol, thread ids stay fleet-unique, and the
+/// fabric's handoff protocol, thread ids stay fleet-unique, and the
 /// merged fleet-wide replay audits clean (acceptance criterion).
 #[test]
 fn two_shard_fleet_hands_off_work_and_audits_clean() {

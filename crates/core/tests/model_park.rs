@@ -14,8 +14,8 @@
 //! one then sleeps until a claimer unparks it, so a worker that parks
 //! unclaimed with work queued is a lost wake.  The expect-failure mutation
 //! proving the signaller's SeqCst ordering is load-bearing uses a
-//! mini-handshake (the pattern of `model_fleet.rs`), since weakening the
-//! production source would require patching it.
+//! mini-handshake (the pattern of `crates/check/tests/litmus.rs`), since
+//! weakening the production source would require patching it.
 
 #![cfg(sting_check)]
 
@@ -312,7 +312,7 @@ fn sizing_the_park_before_the_announcement_loses_a_deadline() {
 /// publishes, fences (`idle_after_publish`) and wakes an idle worker only
 /// if it sees the owner word free (`MachineShared::signal`): a held VP's
 /// owner pops the work next.  The owner's last pop found nothing; it gives
-/// the word back, fences and looks at the queue (and a shard's mailboxes)
+/// the word back, fences and looks at the queue (and a shard's inbox)
 /// once more, waking an idle worker if the item is there (`Vp::run_slice`).  A free VP with the item
 /// queued and nobody woken is stranded.  `fenced` false is the mutation:
 /// the owner's look without the fence.

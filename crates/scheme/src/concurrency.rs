@@ -734,8 +734,8 @@ pub(crate) fn add_defs(v: &mut Vec<Def>) {
 
     // --- fleets (sharded virtual machines) --------------------------------
     // A fleet is a set of cooperating VM shards on one physical machine
-    // (sting_core::fleet): work spreads between shards over per-pair
-    // mailboxes, and a sharded tuple space partitions its tuples across
+    // (sting_core::fleet): work spreads between shards through per-shard
+    // inboxes, and a sharded tuple space partitions its tuples across
     // the shards by the same (arity, field₀) hash its buckets use.
     def!("fleet-spawn", 1, Some(2), |m, a| {
         // (fleet-spawn n [vps-per-shard]): a traced fleet of n VM shards.

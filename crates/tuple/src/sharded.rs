@@ -20,7 +20,7 @@
 //! * **Local fast path** — the caller runs on the shard that owns the
 //!   template's partition (or outside any fleet shard entirely).  The op
 //!   is the plain [`TupleSpace`](crate::TupleSpace) protocol on the
-//!   partition: no mailbox, no extra allocation.
+//!   partition: no fabric hop, no extra allocation.
 //! * **Routed tier** — the caller runs on a shard of the fleet and the
 //!   owner is a *different* shard.  Deposits ship to the owner as a
 //!   fire-and-forget [`Fabric::call_durable`] (applied even by the
@@ -209,7 +209,8 @@ impl ShardedSpace {
     /// / [`len`](ShardedSpace::len) can miss the tuple — there is no
     /// cross-shard read-your-writes for non-blocking probes.  Blocking
     /// reads are unaffected (a same-thread `get` after a `put` queues its
-    /// owner closure behind the deposit in the same FIFO mailbox; reads
+    /// owner closure behind the deposit in the owner shard's inbox, whose
+    /// messages are applied one at a time in posting order; reads
     /// from elsewhere park until the deposit lands and wakes them).  The
     /// deposit itself is never lost: one still in flight at fleet
     /// shutdown is applied by the fabric's shutdown sweep
