@@ -266,9 +266,15 @@ impl Fabric {
         }
     }
 
-    /// Whether this shard's inbox holds a message.
+    /// Whether this shard has mail: a message in its inbox, or a sibling's
+    /// work request to answer.  A request counts so that the dry-slice
+    /// look in `Vp::run_slice` runs one more slice, which answers it
+    /// while the shard is idle, rather than leaving it set until work
+    /// arrives.
     pub(crate) fn has_mail(&self, vm: &Vm) -> bool {
-        !self.inboxes[vm.shard_id()].is_empty()
+        let (me, n) = (vm.shard_id(), self.shards.len());
+        !self.inboxes[me].is_empty()
+            || (0..n).any(|r| r != me && self.want_work[r * n + me].load(Ordering::Relaxed))
     }
 
     /// Answers siblings' work requests, then drains this shard's inbox:
