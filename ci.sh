@@ -45,6 +45,10 @@ run_test() {
     cargo build --release
     step "tier-1: cargo test"
     cargo test -q
+    step "tier-1: chaos in release (a thread-local read must not outlive a fiber switch)"
+    # Optimized builds are where a thread-local's address can be computed
+    # once and reused after the green thread moved to another OS worker.
+    cargo test -q --release -p sting-core --test chaos
 }
 
 run_doc() {
