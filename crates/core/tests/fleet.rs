@@ -3,13 +3,13 @@
 //! churn (a thread cancelled mid-handoff must leave both shards clean).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use sting_core::audit::FindingKind;
 use sting_core::fleet::Fleet;
-use sting_core::tc;
 use sting_core::trace::EventKind;
 use sting_core::wait::Waiter;
+use sting_core::{tc, Thread, ThreadId, ThreadState};
 use sting_value::Value;
 
 fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -337,5 +337,117 @@ fn fabric_calls_keep_posting_order_on_a_multi_vp_shard() {
     let misplaced = log.iter().zip(0..).find(|&(&got, want)| got != want);
     assert_eq!(misplaced, None, "a call ran out of posting order");
     drop(log);
+    fleet.shutdown();
+}
+
+/// A parent on shard 0 and those of its children that were handed off to
+/// shard 1 and blocked there, each of which noted, on shard 1, the parent
+/// its genealogy named.  Rounds of `KIDS` busy children repeat until the
+/// idle shard has taken one.
+struct HandedOff {
+    parent: Arc<Thread>,
+    blocked: Vec<Arc<Thread>>,
+    seen: Vec<Option<ThreadId>>,
+}
+
+fn children_blocked_on_shard_1(fleet: &Fleet) -> HandedOff {
+    const KIDS: usize = 32;
+    for _round in 0..50 {
+        let kids: Arc<Mutex<Vec<Arc<Thread>>>> = Arc::default();
+        let seen: Arc<Mutex<Vec<Option<ThreadId>>>> = Arc::default();
+        let parent = {
+            let (kids, seen) = (kids.clone(), seen.clone());
+            fleet
+                .shard(0)
+                .fork_on(0, move |cx| {
+                    // A parent handed off itself forks on the wrong shard.
+                    if cx.vm().shard_id() != 0 {
+                        return;
+                    }
+                    for i in 0..KIDS as u64 {
+                        let seen = seen.clone();
+                        let kid = cx.fork(move |cx| {
+                            let mut acc = i;
+                            for _ in 0..500 {
+                                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+                                std::hint::black_box(acc);
+                            }
+                            cx.checkpoint();
+                            if cx.vm().shard_id() == 1 {
+                                let parent = cx.current_thread().parent().map(|p| p.id());
+                                seen.lock().unwrap().push(parent);
+                                cx.block(None);
+                            }
+                        });
+                        kids.lock().unwrap().push(kid);
+                    }
+                })
+                .unwrap()
+        };
+        parent.join_blocking().unwrap();
+        let kids = std::mem::take(&mut *kids.lock().unwrap());
+        assert!(
+            wait_until(Duration::from_secs(10), || kids
+                .iter()
+                .all(|k| k.is_determined() || k.state() == ThreadState::Blocked)),
+            "a child neither determined nor blocked"
+        );
+        let blocked: Vec<_> = kids.into_iter().filter(|k| !k.is_determined()).collect();
+        if !blocked.is_empty() {
+            let seen = std::mem::take(&mut *seen.lock().unwrap());
+            return HandedOff {
+                parent,
+                blocked,
+                seen,
+            };
+        }
+    }
+    panic!("the idle shard never took a child");
+}
+
+/// Genealogy survives a handoff: a child's parent is named while the
+/// parent lives, on the shard the child was handed to and from the host
+/// after the handoff, and no longer once the parent's last handle drops.
+#[test]
+fn a_handed_off_childs_parent_is_named_until_its_last_handle_drops() {
+    let fleet = Fleet::builder().shards(2).processors(2).build();
+    let HandedOff {
+        parent,
+        blocked,
+        seen,
+    } = children_blocked_on_shard_1(&fleet);
+    assert_eq!(seen.len(), blocked.len());
+    assert!(seen.iter().all(|&p| p == Some(parent.id())), "{seen:?}");
+    for kid in &blocked {
+        let named = kid.parent().expect("the parent lives");
+        assert!(Arc::ptr_eq(&named, &parent));
+        tc::unblock(kid);
+        kid.join_blocking().unwrap();
+        assert!(kid.parent().is_some_and(|p| Arc::ptr_eq(&p, &parent)));
+    }
+    drop(parent);
+    assert!(
+        wait_until(Duration::from_secs(5), || blocked
+            .iter()
+            .all(|k| k.parent().is_none())),
+        "a parent with no handle left is still named"
+    );
+    fleet.shutdown();
+}
+
+/// A handed-off thread belongs to the shard it was handed to: waking it
+/// from the host counts the wake-up there and on no other shard.
+#[test]
+fn a_wake_after_a_handoff_reaches_the_destination_shard() {
+    let fleet = Fleet::builder().shards(2).processors(2).build();
+    let HandedOff { blocked, .. } = children_blocked_on_shard_1(&fleet);
+    let wakeups = |shard: usize| fleet.shard(shard).counters().snapshot().wakeups;
+    let before = [wakeups(0), wakeups(1)];
+    for kid in &blocked {
+        tc::unblock(kid);
+        kid.join_blocking().unwrap();
+    }
+    assert_eq!(wakeups(0), before[0], "a wake went to the source shard");
+    assert_eq!(wakeups(1) - before[1], blocked.len() as u64);
     fleet.shutdown();
 }
