@@ -26,10 +26,13 @@ pub(crate) enum Probe {
     ThreadLock,
     /// A VP's policy lock (`Vp::pm`).
     PolicyLock,
+    /// A VM lane's fork state (`LaneState` in `vm.rs`): its cache of the
+    /// group lanes it registers threads in.
+    LaneLock,
 }
 
 #[cfg(debug_assertions)]
-const PROBES: usize = 5;
+const PROBES: usize = 6;
 
 #[cfg(debug_assertions)]
 thread_local! {
@@ -94,23 +97,12 @@ mod tests {
             std::thread::yield_now();
         }
         let (tx, rx) = std::sync::mpsc::channel();
+        // The host forks the worker on the external lane; the measured
+        // forks come from a child it forks on VP 1, the way a thread tree
+        // grows below its root.
         let worker = vm.fork_on(1, move |cx| {
-            let round = |n: i64| {
-                for i in 0..n {
-                    let eager = cx.fork(move |_| i);
-                    let lazy = cx.delayed(move |_| i);
-                    assert_eq!(cx.touch(&eager).unwrap().as_int(), Some(i));
-                    assert_eq!(cx.touch(&lazy).unwrap().as_int(), Some(i));
-                }
-            };
-            // Warm up: the first fork on a lane opens its group lane.
-            round(1);
-            let before = hits();
-            round(200);
-            let after = hits();
-            assert_eq!(cx.current_vp().queue_len(), 0);
-            tx.send(since(before, after)).unwrap();
-            link(cx, 0, None, tx)
+            let forker = cx.delayed(move |cx| measured_forks(cx, tx));
+            cx.touch(&forker).unwrap()
         });
         let absorbed = rx.recv().unwrap();
         let dispatched = rx.recv().unwrap();
@@ -120,6 +112,27 @@ mod tests {
         assert_eq!(dispatched, [0; PROBES], "dispatched: a probe fired");
         worker.unwrap().join_blocking().unwrap();
         vm.shutdown();
+    }
+
+    /// Sends the hits of 200 rounds of fork and touch, eager and delayed,
+    /// then runs [`link`]'s chain, which sends its own.
+    fn measured_forks(cx: &crate::Cx, tx: std::sync::mpsc::Sender<[u64; PROBES]>) -> i64 {
+        let round = |n: i64| {
+            for i in 0..n {
+                let eager = cx.fork(move |_| i);
+                let lazy = cx.delayed(move |_| i);
+                assert_eq!(cx.touch(&eager).unwrap().as_int(), Some(i));
+                assert_eq!(cx.touch(&lazy).unwrap().as_int(), Some(i));
+            }
+        };
+        // Warm up: the first fork on a lane opens its group lane.
+        round(1);
+        let before = hits();
+        round(200);
+        let after = hits();
+        assert_eq!(cx.current_vp().queue_len(), 0);
+        tx.send(since(before, after)).unwrap();
+        link(cx, 0, None, tx)
     }
 
     /// Links in [`link`]'s chain: one to warm up, then the measured ones.

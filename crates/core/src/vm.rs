@@ -48,6 +48,14 @@ struct Lane {
     stats: LaneStats,
 }
 
+impl Lane {
+    /// The lane's fork state, locked.
+    fn state(&self) -> parking_lot::MutexGuard<'_, LaneState> {
+        probe::hit(Probe::LaneLock);
+        self.state.lock()
+    }
+}
+
 #[derive(Default)]
 struct LaneState {
     /// The group lane this lane last forked into: consecutive forks into
@@ -275,8 +283,7 @@ impl Vm {
         let mut all = Vec::new();
         for lane in self.lanes.iter() {
             let groups: Vec<Arc<GroupLane>> = lane
-                .state
-                .lock()
+                .state()
                 .groups
                 .values()
                 .filter_map(Weak::upgrade)
@@ -327,6 +334,13 @@ impl Vm {
     /// A handle on this machine counted on `vp`'s lane (see [`VmAnchor`]).
     pub(crate) fn anchor(&self, vp: Option<usize>) -> VmAnchor {
         self.lane(vp).anchor.clone()
+    }
+
+    /// The strong count of lane `lane`'s anchor (see [`VmAnchor`]; the
+    /// external lane is `vp_count()`): for tests of what a fork writes.
+    #[doc(hidden)]
+    pub fn lane_anchor_count(&self, lane: usize) -> usize {
+        Arc::strong_count(&self.lanes[lane].anchor)
     }
 
     /// Draws the next thread id for `lane`: from the lane's current block,
@@ -478,7 +492,7 @@ impl Vm {
                 Birth {
                     id: self.next_thread_id(lane),
                     anchor: lane.anchor.clone(),
-                    group: lane.state.lock().group_lane(group),
+                    group: lane.state().group_lane(group),
                     parent: parent.map(Arc::downgrade).unwrap_or_default(),
                 }
             };

@@ -760,3 +760,43 @@ fn a_fork_tree_storm_audits_clean_under(order: fn() -> policies::LocalQueue) {
         .collect();
     assert!(bad.is_empty(), "{report}");
 }
+
+/// A fork counts nothing it does not own: a thread on one VP that forks
+/// and absorbs 1 000 children, and keeps them, leaves its own weak count
+/// and the reference count of its lane's handle on the machine as they
+/// were.
+#[test]
+fn a_fork_counts_nothing_it_does_not_own() {
+    const KIDS: i64 = 1000;
+    let vm = pinned_vm();
+    let counts = Arc::new(std::sync::Mutex::new(None));
+    let out = counts.clone();
+    vm.fork_on(0, move |cx| {
+        let (me, vm) = (cx.current_thread(), cx.vm());
+        let read = || (Arc::weak_count(&me), vm.lane_anchor_count(0));
+        // Warm up: the lane's first fork opens its group lane.
+        let first = cx.fork(|_| 0i64);
+        cx.touch(&first).unwrap();
+        let before = read();
+        let kids: Vec<_> = (0..KIDS)
+            .map(|i| {
+                let kid = cx.fork(move |_| i);
+                assert_eq!(cx.touch(&kid).unwrap().as_int(), Some(i));
+                kid
+            })
+            .collect();
+        *out.lock().unwrap() = Some((before, read()));
+        drop(kids);
+    })
+    .unwrap()
+    .join_blocking_timeout(LONG)
+    .unwrap()
+    .unwrap();
+    let ((weak, anchor), (weak_after, anchor_after)) = counts.lock().unwrap().unwrap();
+    assert_eq!(weak_after, weak, "the children count on their parent");
+    assert_eq!(
+        anchor_after, anchor,
+        "the children count on the lane's anchor"
+    );
+    vm.shutdown();
+}
