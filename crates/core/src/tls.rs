@@ -35,10 +35,21 @@ thread_local! {
     static INSTALLED: RefCell<Option<Installed>> = const { RefCell::new(None) };
 }
 
+/// Runs `f` on the calling OS thread's slot.  Never inlined: the caller
+/// may be a green thread that switches fibers between two calls and
+/// resumes on another OS worker, and an inlined access lets the compiler
+/// compute the slot's address once per caller and reuse the old worker's
+/// after the switch.  Out of line, the address is computed on every call,
+/// on the worker that uses it.
+#[inline(never)]
+fn on_slot<R>(f: impl FnOnce(&RefCell<Option<Installed>>) -> R) -> R {
+    INSTALLED.with(f)
+}
+
 /// Installs the machine and the VP whose slice this worker runs, until the
 /// returned guard drops (scheduler side, once per slice).
 pub(crate) fn enter_slice(vm: Arc<Vm>, vp: Arc<Vp>) -> SliceGuard {
-    INSTALLED.with(|c| {
+    on_slot(|c| {
         *c.borrow_mut() = Some(Installed {
             vm,
             vp,
@@ -55,7 +66,7 @@ impl Drop for SliceGuard {
     fn drop(&mut self) {
         // Take first, drop after: releasing the last `Arc<Vm>` runs the
         // machine's teardown, which may look at this slot.
-        let installed = INSTALLED.with(|c| c.borrow_mut().take());
+        let installed = on_slot(|c| c.borrow_mut().take());
         drop(installed);
     }
 }
@@ -63,7 +74,7 @@ impl Drop for SliceGuard {
 /// Marks `shared` as the TCB running on this worker (scheduler side, just
 /// before resuming its fiber).
 pub(crate) fn set_thread(shared: Arc<TcbShared>) {
-    INSTALLED.with(|c| {
+    on_slot(|c| {
         c.borrow_mut()
             .as_mut()
             .expect("a fiber is resumed only inside a slice")
@@ -73,7 +84,7 @@ pub(crate) fn set_thread(shared: Arc<TcbShared>) {
 
 /// Clears the running TCB (scheduler side, after the fiber yields).
 pub(crate) fn clear_thread() {
-    let shared = INSTALLED.with(|c| c.borrow_mut().as_mut().and_then(|i| i.shared.take()));
+    let shared = on_slot(|c| c.borrow_mut().as_mut().and_then(|i| i.shared.take()));
     drop(shared);
 }
 
@@ -85,7 +96,7 @@ pub(crate) fn clear_thread() {
 /// `with` calls but must not switch fibers: the scheduler re-borrows the
 /// slot mutably the moment the fiber yields.
 pub(crate) fn with<R>(f: impl FnOnce(Option<Current<'_>>) -> R) -> R {
-    INSTALLED.with(|c| {
+    on_slot(|c| {
         let slot = c.borrow();
         f(slot.as_ref().and_then(|i| {
             Some(Current {
