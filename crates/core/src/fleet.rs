@@ -307,9 +307,7 @@ impl Fabric {
                     // solely by this drain), so both the owning VM and the
                     // wake target flip together before the thread becomes
                     // runnable here.
-                    let thread = item.thread().clone();
-                    thread.rehome(vm);
-                    thread.home_vp.store(vp.index(), Ordering::Relaxed);
+                    item.thread().rehome(vm, vp.index());
                     vp.enqueue(vm, item, EnqueueState::Migrated);
                 }
                 FabricMsg::Call { f, .. } => f(vm),

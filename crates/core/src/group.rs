@@ -11,7 +11,8 @@
 
 use crate::error::CoreError;
 use crate::state::{StateRequest, ThreadState};
-use crate::thread::Thread;
+use crate::thread::{Thread, ThreadId};
+use crate::vm::VmAnchor;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,18 +45,29 @@ pub struct ThreadGroup {
 /// thread registers in this lane's member list — so forking into a group
 /// writes only lines the forking VP owns, however many VPs fork into the
 /// same group (the root group, typically).  The VP caches its lanes (see
-/// `LaneState::group_lane` in `vm.rs`) and hands each new member a clone.
+/// `LaneState::group_lane` in `vm.rs`) and hands each new member a clone;
+/// a child forked on its parent's VM lane into its parent's group clones
+/// its parent's, which it recognises by the anchor.
 /// The member list is the only thread registry: the machine's
 /// ([`crate::vm::Vm::threads`]) is the union of its lanes' group lanes.
 #[repr(align(128))] // as `pad::CachePadded`: the `Arc` counts get lines of their own
 pub(crate) struct GroupLane {
     group: Arc<ThreadGroup>,
+    /// The handle on the machine of the VM lane that opened this group
+    /// lane, and the identity of that VM lane: a member reaches its
+    /// machine through it (see [`Thread::vm`]), so a fork clones no
+    /// handle on the machine of its own.
+    anchor: VmAnchor,
     members: Mutex<WeakList<Thread>>,
 }
 
 impl GroupLane {
     pub(crate) fn group(&self) -> &Arc<ThreadGroup> {
         &self.group
+    }
+
+    pub(crate) fn anchor(&self) -> &VmAnchor {
+        &self.anchor
     }
 
     pub(crate) fn add(&self, thread: &Arc<Thread>) {
@@ -140,13 +152,15 @@ impl ThreadGroup {
         g
     }
 
-    /// Opens a new membership lane on this group.  Called when a VM lane
-    /// forks into a group it has no live members in — so the group-wide
-    /// lock here is off the per-thread path, and the sweep below runs over
-    /// a list bounded by the number of VM lanes.
-    pub(crate) fn open_lane(self: &Arc<ThreadGroup>) -> Arc<GroupLane> {
+    /// Opens a new membership lane on this group for the VM lane whose
+    /// handle on its machine is `anchor`.  Called when a VM lane forks
+    /// into a group it has no live members in — so the group-wide lock
+    /// here is off the per-thread path, and the sweep below runs over a
+    /// list bounded by the number of VM lanes.
+    pub(crate) fn open_lane(self: &Arc<ThreadGroup>, anchor: &VmAnchor) -> Arc<GroupLane> {
         let lane = Arc::new(GroupLane {
             group: self.clone(),
+            anchor: anchor.clone(),
             members: Mutex::new(WeakList::default()),
         });
         let mut lanes = self.lanes.lock();
@@ -235,7 +249,7 @@ impl ThreadGroup {
     /// (the paper's profiling of "the dynamic unfolding of a process
     /// tree").
     pub fn genealogy(root: &Arc<Thread>) -> String {
-        type Children<'a> = HashMap<*const Thread, Vec<&'a Arc<Thread>>>;
+        type Children<'a> = HashMap<ThreadId, Vec<&'a Arc<Thread>>>;
         fn walk(t: &Arc<Thread>, children: &Children<'_>, depth: usize, out: &mut String) {
             use std::fmt::Write;
             let _ = writeln!(
@@ -247,7 +261,7 @@ impl ThreadGroup {
                 t.group().id(),
                 indent = depth * 2
             );
-            for c in children.get(&Arc::as_ptr(t)).into_iter().flatten() {
+            for c in children.get(&t.id()).into_iter().flatten() {
                 walk(c, children, depth + 1, out);
             }
         }
@@ -256,7 +270,9 @@ impl ThreadGroup {
         let all = root.registry();
         let mut children = Children::new();
         for t in &all {
-            children.entry(t.parent_ptr()).or_default().push(t);
+            if let Some(parent) = t.parent_id() {
+                children.entry(parent).or_default().push(t);
+            }
         }
         let mut s = String::new();
         walk(root, &children, 0, &mut s);

@@ -2,12 +2,14 @@
 //! must not perform.
 //!
 //! DESIGN.md ("Scheduler fast path", ownership table) claims that a thread
-//! forked, absorbed by `touch` and determined on one VP upgrades no `Weak`,
-//! takes no lock but its forking lane's registry locks — not the thread's
-//! own, not the policy manager's, none shared with another VP — and issues
-//! no `futex_wake` (it has no OS waiter to unpark).  Each such site calls [`hit`]; a test brackets the path
-//! with [`hits`] on the worker running it and asserts the difference is
-//! zero.  Release builds compile the calls away.
+//! forked by a parent born on the same VP, absorbed by `touch` and
+//! determined there upgrades no `Weak`, takes no lock but its group lane's
+//! member list — not the VM lane's fork state, not the thread's own, not
+//! the policy manager's, none shared with another VP — and issues no
+//! `futex_wake` (it has no OS waiter to unpark).  Each such site calls
+//! [`hit`]; a test brackets the path with [`hits`] on the worker running
+//! it and asserts the difference is zero.  Release builds compile the
+//! calls away.
 
 /// The slow-path operations that are counted.
 #[derive(Debug, Clone, Copy)]

@@ -18,6 +18,15 @@
 //! (see [`crate::group`]), and a fork drops the dead entries it finds at
 //! its lane's newest end, so in fork-join order a thread's block goes back
 //! to the allocator at the next fork after its last handle drops.
+//!
+//! A fork writes only what the forking VP owns: the new record, and the
+//! count and member list of its lane's group lane.  The record names its
+//! parent by id, not by a `Weak`, and reaches its machine through its
+//! group lane, which holds the forking VM lane's handle on it; a child
+//! forked on its parent's lane into its parent's group takes its parent's
+//! group lane without locking the VM lane's fork state.  So a fork moves
+//! one reference count, its group lane's, and none on its parent or on a
+//! handle on the machine; freeing the record moves the same one back.
 
 use crate::error::CoreError;
 use crate::group::{GroupLane, ThreadGroup};
@@ -33,7 +42,7 @@ use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{
     AtomicBool, AtomicI32, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use sting_value::{static_sym, Value};
 
@@ -292,23 +301,26 @@ pub struct Thread {
     /// Taken only through [`Thread::core`].
     core: Mutex<ThreadCore>,
     /// The thread's group, held through the lane it was forked on (see
-    /// [`GroupLane`]).
+    /// [`GroupLane`]), and its machine until a handoff re-homes it: the
+    /// group lane holds the handle of the VM lane that opened it.
     group: Arc<GroupLane>,
-    parent: Weak<Thread>,
-    /// Owning VM (shard), held through the anchor of the lane the thread
-    /// was forked on, so neither creating nor freeing a thread touches the
-    /// machine's own reference count.  Interior-mutable so a cross-shard
-    /// handoff can re-home the thread while it is quiescent (owned by
-    /// exactly one mailbox, neither queued nor running).  Only the slow
-    /// paths lock it ([`Thread::vm`]): code running on the thread's own
-    /// machine compares [`Thread::belongs_to`] and uses the machine it
+    /// The parent's id, or 0 for none (ids start at 1): a name, not a
+    /// reference, so a fork counts nothing on its parent.  Genealogy
+    /// queries find the parent by id in the registry.
+    parent: ThreadId,
+    /// The shard a cross-shard handoff re-homed the thread to; `None`
+    /// until one does, while the thread's machine is its group lane's.
+    /// Written only by [`Thread::rehome`], while the thread is quiescent
+    /// (owned by exactly one inbox, neither queued nor running).  Only the
+    /// slow paths lock it ([`Thread::vm`]): code running on the thread's
+    /// own machine compares [`Thread::belongs_to`] and uses the machine it
     /// already has.
-    vm: Mutex<VmAnchor>,
-    /// Identity of the owning VM — `vm`'s target, readable without the
-    /// lock — for [`Thread::belongs_to`]; compared, never dereferenced.
-    /// Written only under `vm`'s lock, together with it (deriving it from
-    /// `vm` instead costs three lock round trips per thread: +8 % on the
-    /// one-VP fork tree).
+    vm: Mutex<Option<VmAnchor>>,
+    /// Identity of the owning VM — the target of `vm`, or of the group
+    /// lane's handle while `vm` is empty — readable without the lock, for
+    /// [`Thread::belongs_to`]; compared, never dereferenced.  Set at birth
+    /// and otherwise written only under `vm`'s lock, together with it, so
+    /// the fast paths that ask "is this thread mine?" never lock.
     vm_ptr: AtomicPtr<Vm>,
     /// VP the thread last ran on (or was scheduled on); wake-ups go here.
     pub(crate) home_vp: AtomicUsize,
@@ -338,9 +350,8 @@ const _: () = assert!(size_of::<Thread>() == 336, "the thread record changed siz
 /// forking context.
 pub(crate) struct Birth {
     pub(crate) id: ThreadId,
-    pub(crate) anchor: VmAnchor,
     pub(crate) group: Arc<GroupLane>,
-    pub(crate) parent: Weak<Thread>,
+    pub(crate) parent: Option<ThreadId>,
 }
 
 impl std::fmt::Debug for Thread {
@@ -384,10 +395,10 @@ impl Thread {
                 waiters_sweep_at: 32,
                 blocker: None,
             }),
+            vm_ptr: AtomicPtr::new(birth.group.anchor().as_ptr().cast_mut()),
+            vm: Mutex::new(None),
             group: birth.group,
-            parent: birth.parent,
-            vm_ptr: AtomicPtr::new(birth.anchor.as_ptr().cast_mut()),
-            vm: Mutex::new(birth.anchor),
+            parent: birth.parent.unwrap_or(ThreadId(0)),
             home_vp: AtomicUsize::new(0),
             enqueued_at_ns: AtomicU64::new(0),
             blocked_at_ns: AtomicU64::new(0),
@@ -495,8 +506,13 @@ impl Thread {
     }
 
     /// The thread's parent, if still alive (genealogy).
+    ///
+    /// Found by id in the machine's thread registry (every shard's, in a
+    /// fleet), as [`Thread::children`] are: a monitoring query pays for
+    /// the scan so that a fork does not pay for a reference.
     pub fn parent(&self) -> Option<Arc<Thread>> {
-        self.parent.upgrade()
+        let parent = self.parent_id()?;
+        self.registry().into_iter().find(|t| t.id() == parent)
     }
 
     /// The thread's live children (genealogy), whichever VP forked them.
@@ -506,14 +522,14 @@ impl Thread {
     /// scan so that a fork does not pay for a list.
     pub fn children(&self) -> Vec<Arc<Thread>> {
         let mut all = self.registry();
-        all.retain(|t| std::ptr::eq(t.parent_ptr(), self));
+        all.retain(|t| t.parent == self.id);
         all
     }
 
     /// Every live thread of this thread's machine — of every shard, in a
     /// fleet: one scan of the registry.  A walk over many threads (see
     /// [`ThreadGroup::genealogy`]) takes it once and sorts it by
-    /// [`Thread::parent_ptr`], rather than call [`Thread::children`] per
+    /// [`Thread::parent_id`], rather than call [`Thread::children`] per
     /// node.
     pub(crate) fn registry(&self) -> Vec<Arc<Thread>> {
         let Some(vm) = self.vm() else {
@@ -528,10 +544,10 @@ impl Thread {
         }
     }
 
-    /// Identity of the thread's parent, alive or not; compared, never
-    /// dereferenced.
-    pub(crate) fn parent_ptr(&self) -> *const Thread {
-        self.parent.as_ptr()
+    /// The id of the thread's parent, alive or not; `None` for a thread
+    /// forked with no parent on its machine.
+    pub(crate) fn parent_id(&self) -> Option<ThreadId> {
+        Some(self.parent).filter(|p| p.0 != 0)
     }
 
     /// The condition value this thread is blocked on, if any.
@@ -873,11 +889,13 @@ impl Thread {
         }
     }
 
-    /// The owning machine, if it is still alive.  The slow path: takes the
-    /// thread's anchor lock and a reference on the machine.
+    /// The owning machine, if it is still alive: the shard a handoff
+    /// re-homed the thread to, else its group lane's.  The slow path:
+    /// takes the thread's re-home lock and a reference on the machine.
     pub(crate) fn vm(&self) -> Option<Arc<Vm>> {
         crate::probe::hit(crate::probe::Probe::WeakUpgrade);
-        let anchor = self.vm.lock();
+        let rehomed = self.vm.lock();
+        let anchor = rehomed.as_ref().unwrap_or(self.group.anchor());
         debug_assert_eq!(anchor.as_ptr(), self.vm_ptr.load(Ordering::Relaxed));
         anchor.upgrade()
     }
@@ -887,16 +905,19 @@ impl Thread {
         std::ptr::eq(self.vm_ptr.load(Ordering::Acquire), Arc::as_ptr(vm))
     }
 
-    /// Re-points the thread at a new owning shard.  Caller must hold the
-    /// only reference to the thread's run state (a handed-off `RunItem`):
-    /// the thread is neither queued, running, nor parked on the source
-    /// shard when this runs, so readers racing `vm()` see either shard
-    /// coherently and both are valid wake targets during the handoff.
-    pub(crate) fn rehome(&self, vm: &Arc<Vm>) {
-        let mut anchor = self.vm.lock();
-        *anchor = vm.anchor(None);
+    /// Re-points the thread at a new owning shard, `vm`, whose VP `vp`
+    /// receives it: the handle it keeps is that VP's lane's, and `vp`
+    /// becomes its wake target.  Caller must hold the only reference to
+    /// the thread's run state (a handed-off `RunItem`): the thread is
+    /// neither queued, running, nor parked on the source shard when this
+    /// runs, so readers racing `vm()` see either shard coherently and both
+    /// are valid wake targets during the handoff.
+    pub(crate) fn rehome(&self, vm: &Arc<Vm>, vp: usize) {
+        let mut rehomed = self.vm.lock();
+        *rehomed = Some(vm.anchor(Some(vp)));
         self.vm_ptr
             .store(Arc::as_ptr(vm).cast_mut(), Ordering::Release);
+        self.home_vp.store(vp, Ordering::Relaxed);
     }
 
     /// Drains pending asynchronous requests (called by the owning thread at

@@ -28,10 +28,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use sting_value::Value;
 
-/// A counted, cache-line-padded handle on a machine: what a [`Thread`]
-/// holds instead of a `Weak<Vm>` of its own.  Each lane has one, so
-/// creating and freeing threads moves a reference count that only the
-/// forking VP writes, never the machine's.
+/// A counted, cache-line-padded handle on a machine: what a [`GroupLane`]
+/// holds, for its member threads, instead of a `Weak<Vm>` of its own.
+/// Each lane has one, and its group lanes clone it when they open, so
+/// neither creating nor freeing a thread moves a count on it, let alone
+/// the machine's.  Its address names the lane.
 pub(crate) type VmAnchor = Arc<CachePadded<Weak<Vm>>>;
 
 /// The state one lane — a VP, or the external lane for everything off any
@@ -74,8 +75,9 @@ struct LaneState {
 
 impl LaneState {
     /// This lane's handle on `group`: the cached one, else the one its
-    /// live members still hold, else a newly opened one.
-    fn group_lane(&mut self, group: &Arc<ThreadGroup>) -> Arc<GroupLane> {
+    /// live members still hold, else one newly opened with the lane's
+    /// `anchor`.
+    fn group_lane(&mut self, group: &Arc<ThreadGroup>, anchor: &VmAnchor) -> Arc<GroupLane> {
         if let Some(cached) = &self.group {
             if Arc::ptr_eq(cached.group(), group) {
                 return cached.clone();
@@ -89,7 +91,7 @@ impl LaneState {
                     self.groups.retain(|_, w| w.strong_count() > 0);
                     self.groups_prune_at = self.groups.len() * 2;
                 }
-                let lane = group.open_lane();
+                let lane = group.open_lane(anchor);
                 self.groups.insert(group.id(), Arc::downgrade(&lane));
                 lane
             }
@@ -489,11 +491,22 @@ impl Vm {
                     .as_ref()
                     .or_else(|| parent.map(|p| p.group()))
                     .unwrap_or(&self.root_group);
+                // A child forked on its parent's lane into its parent's
+                // group joins its parent's group lane, which is this
+                // lane's (the anchor says so), without locking the lane.
+                let group = match parent.map(|p| p.group_lane()) {
+                    Some(gl)
+                        if Arc::ptr_eq(gl.anchor(), &lane.anchor)
+                            && Arc::ptr_eq(gl.group(), group) =>
+                    {
+                        gl.clone()
+                    }
+                    _ => lane.state().group_lane(group, &lane.anchor),
+                };
                 Birth {
                     id: self.next_thread_id(lane),
-                    anchor: lane.anchor.clone(),
-                    group: lane.state().group_lane(group),
-                    parent: parent.map(Arc::downgrade).unwrap_or_default(),
+                    group,
+                    parent: parent.map(|p| p.id()),
                 }
             };
             // Genealogy: the thread whose code is executing (the stolen
