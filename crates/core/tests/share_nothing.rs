@@ -223,7 +223,9 @@ fn registries_see_threads_registered_from_every_vp() {
 
 /// The machine's registry is derived from its lanes' group lanes, so a
 /// thread forked into a subgroup — from a VP lane or from the host's
-/// external lane — is listed by the machine as well as by its group.
+/// external lane, and by a parent born on that VP lane in another group,
+/// whose group lane it must not join — is listed by the machine as well
+/// as by its group.
 #[test]
 fn a_subgroup_fork_is_listed_by_the_machine_and_by_its_group() {
     let vm = pinned_vm();
@@ -240,9 +242,23 @@ fn a_subgroup_fork_is_listed_by_the_machine_and_by_its_group() {
         .unwrap()
         .native_as::<Thread>()
         .expect("a thread");
+    let s3 = sub.clone();
+    let from_vp_born = vm
+        .run(move |cx| {
+            let parent = cx.delayed(move |cx| {
+                ThreadBuilder::new(&cx.vm())
+                    .group(s3)
+                    .delayed(|_| 3i64)
+                    .to_value()
+            });
+            cx.touch(&parent).unwrap()
+        })
+        .unwrap()
+        .native_as::<Thread>()
+        .expect("a thread");
     let ids = |ts: Vec<Arc<Thread>>| ts.iter().map(|t| t.id().0).collect::<HashSet<u64>>();
     let (machine, group) = (ids(vm.threads()), ids(sub.threads()));
-    for t in [&from_host, &from_vp] {
+    for t in [&from_host, &from_vp, &from_vp_born] {
         assert!(
             machine.contains(&t.id().0),
             "{} missing from Vm::threads",
@@ -255,7 +271,7 @@ fn a_subgroup_fork_is_listed_by_the_machine_and_by_its_group() {
         );
         assert!(Arc::ptr_eq(t.group(), &sub));
     }
-    assert_eq!(group.len(), 2);
+    assert_eq!(group.len(), 3);
     vm.shutdown();
 }
 
